@@ -196,16 +196,27 @@ def _resolve_gamma(values: dict, beta: float) -> float:
     return gamma
 
 
+def _read_csv(key: str, path: Path, parse: Callable[[str], object]):
+    try:
+        return parse(path.read_text())
+    except OSError as exc:
+        raise UsageError(f"{key}: cannot read {path}: {exc}") from exc
+    except streams.StreamSpecError as exc:
+        raise UsageError(f"{key}: {path}: {exc}") from exc
+
+
 def _load_stream(values: dict) -> tuple[streams.Stream, Optional[streams.ComparatorPath]]:
     path = Path(values["stream"])
-    try:
-        stream = streams.stream_from_csv(path.read_text())
-    except OSError as exc:
-        raise UsageError(f"stream: cannot read {path}: {exc}") from exc
+    stream = _read_csv("stream", path, streams.stream_from_csv)
     truth = None
     truth_path = Path(values["truth"]) if values.get("truth") else path.with_suffix(".truth.csv")
     if truth_path.exists():
-        truth = streams.path_from_csv(truth_path.read_text())
+        truth = _read_csv("truth", truth_path, streams.path_from_csv)
+        if (truth.T, truth.d) != (stream.T, stream.d):
+            raise UsageError(
+                f"truth: {truth_path} has shape (T={truth.T}, d={truth.d}) but the "
+                f"stream has (T={stream.T}, d={stream.d})"
+            )
     return stream, truth
 
 
@@ -320,17 +331,7 @@ def cmd_run_aioli(values: dict) -> int:
     comparators = [np.zeros(stream.d)]
     if truth is not None:
         comparators += [truth[0], truth[-1]]
-    worst = float("inf")
-    ok = True
-    for u in comparators:
-        r = 0.0
-        diffs = run.losses_at_play - ledger.losses_at(u)
-        for t in range(1, run.T + 1):
-            r = beta * r + float(diffs[t - 1])
-            bound = logreg.aioli_rescaled_bound(run, t, u)
-            worst = min(worst, bound - r)
-            if r > bound + 1e-9 * (1.0 + abs(bound)):
-                ok = False
+    worst, ok = logreg.rescaled_bound_check(run, comparators)
     checks["discounted_regret_le_rescaled_bound"] = ok
     summary = {
         "subcommand": "run-aioli", "config_hash": h, "beta": beta, "lam": lam,

@@ -7,8 +7,9 @@ The forecaster plays, after seeing the feature z_t,
 
 which reduces to one symmetric positive-definite solve against the
 discounted Gram matrix.  All running statistics are kept in discounted form
-(M_t = sum beta^(t-s) z_s z_s', b_t = sum beta^(t-s) y_s z_s) so nothing
-ever scales like beta^(-t).
+(A_t = lam beta^t I + sum beta^(t-s) z_s z_s', b_t = sum beta^(t-s) y_s z_s)
+so nothing ever scales like beta^(-t).  Each round factors A_t once, in the
+update; the next prediction reuses that factor through a rank-one identity.
 """
 
 from __future__ import annotations
@@ -32,40 +33,9 @@ class SingularSystemError(RuntimeError):
     """The regularized Gram matrix lost positive definiteness."""
 
 
-@dataclass
-class VawState:
-    """Discounted sufficient statistics of the forecaster.
-
-    ``lam_beta`` tracks lam * beta^t by iterated multiplication; underflow
-    to zero is tolerated (the Gram term then carries the conditioning) but
-    a singular solve raises :class:`SingularSystemError`.
-    ``potential`` accumulates the discounted stability terms
-    y_t^2 z_t' (lam beta^t I + M_t)^{-1} z_t.
-    """
-
-    beta: float
-    lam: float
-    M: np.ndarray
-    b: np.ndarray
-    t: int = 0
-    maxy2: float = 0.0
-    potential: float = 0.0
-    lam_beta: float = 0.0
-
-    @classmethod
-    def fresh(cls, d: int, beta: float, lam: float) -> "VawState":
-        if not (0.0 < beta <= 1.0):
-            raise ValueError(f"beta must lie in (0, 1], got {beta}")
-        if lam <= 0.0:
-            raise ValueError(f"lambda must be > 0, got {lam}")
-        return cls(
-            beta=beta, lam=lam, M=np.zeros((d, d)), b=np.zeros(d), lam_beta=lam
-        )
-
-
-def _spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _factor(A: np.ndarray) -> tuple:
     try:
-        return cho_solve(cho_factor(A, lower=True), rhs)
+        return cho_factor(A, lower=True)
     except (LinAlgError, np.linalg.LinAlgError) as exc:
         raise SingularSystemError(
             "regularized Gram matrix is numerically singular "
@@ -74,18 +44,52 @@ def _spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+@dataclass
+class VawState:
+    """Discounted sufficient statistics of the forecaster.
+
+    ``A`` is the regularized discounted Gram matrix
+    A_t = lam beta^t I + sum_{s<=t} beta^(t-s) z_s z_s', carried as
+    A_t = beta A_{t-1} + z_t z_t' from A_0 = lam I, and ``chol`` its lower
+    Cholesky factor as returned by ``cho_factor``.  The lam beta^t part may
+    underflow to zero (the Gram term then carries the conditioning); a
+    matrix that is no longer positive definite raises
+    :class:`SingularSystemError`.  ``potential`` accumulates the discounted
+    stability terms y_t^2 z_t' A_t^{-1} z_t.
+    """
+
+    beta: float
+    lam: float
+    A: np.ndarray
+    chol: tuple
+    b: np.ndarray
+    t: int = 0
+    maxy2: float = 0.0
+    potential: float = 0.0
+
+    @classmethod
+    def fresh(cls, d: int, beta: float, lam: float) -> "VawState":
+        if not (0.0 < beta <= 1.0):
+            raise ValueError(f"beta must lie in (0, 1], got {beta}")
+        if lam <= 0.0:
+            raise ValueError(f"lambda must be > 0, got {lam}")
+        A = lam * np.eye(d)
+        return cls(beta=beta, lam=lam, A=A, chol=_factor(A), b=np.zeros(d))
+
+
 def dvaw_predict(state: VawState, z: np.ndarray) -> tuple[np.ndarray, float]:
     """Decision and prediction for the incoming feature ``z``.
 
-    Solves (lam beta^t I + beta M_{t-1} + z z') x = beta b_{t-1} where t is
-    the upcoming round index.
+    Solves (beta A_{t-1} + z z') x = beta b_{t-1} where t is the upcoming
+    round index.  With a = A_{t-1}^{-1} b_{t-1} and c = A_{t-1}^{-1} z from
+    the stored factor, the rank-one identity gives
+    x = a - c (z.a) / (beta + z.c); the denominator is at least beta > 0.
     """
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("feature must be finite")
-    beta = state.beta
-    A = (state.lam_beta * beta) * np.eye(len(z)) + beta * state.M + np.outer(z, z)
-    x = _spd_solve(A, beta * state.b)
+    a, c = cho_solve(state.chol, np.column_stack((state.b, z))).T
+    x = a - c * (float(z @ a) / (state.beta + float(z @ c)))
     return x, float(x @ z)
 
 
@@ -95,20 +99,17 @@ def dvaw_update(state: VawState, rnd: LabeledRound) -> VawState:
     if z.shape != state.b.shape:
         raise ValueError(f"feature dimension {z.shape} != state dimension {state.b.shape}")
     beta, y = state.beta, float(rnd.y)
-    M = beta * state.M + np.outer(z, z)
-    M = 0.5 * (M + M.T)  # keep exact symmetry under accumulation
-    b = beta * state.b + y * z
-    lam_beta = state.lam_beta * beta
-    A = lam_beta * np.eye(len(z)) + M
-    pot_inc = y * y * float(z @ _spd_solve(A, z))
+    A = beta * state.A + np.outer(z, z)
+    chol = _factor(A)
+    pot_inc = y * y * float(z @ cho_solve(chol, z))
     return replace(
         state,
-        M=M,
-        b=b,
+        A=A,
+        chol=chol,
+        b=beta * state.b + y * z,
         t=state.t + 1,
         maxy2=max(state.maxy2, y * y),
         potential=state.potential + pot_inc,
-        lam_beta=lam_beta,
     )
 
 

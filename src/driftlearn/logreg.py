@@ -9,7 +9,10 @@ surrogate of the logistic loss with curvature eta_s = exp(y_s yhat_s)/(1+BR).
 The raw eta_s overflows when the learner is confidently correct, so it is
 never materialized: the products eta*g and eta*g*g' reduce to the bounded
 forms sigma(u)sigma(-u) z z'/(1+BR) and -sigma(u) y z/(1+BR) with
-u = y*yhat, and only those are accumulated.
+u = y*yhat, and only those are accumulated, into one regularized matrix
+Atilde_t = lam beta^t I + sum_{s<=t} beta^(t-s) eta_s g_s g_s'.  Each round
+factors Atilde_t once, in the update; the next decision solves against
+beta Atilde_t with that factor.
 
 The argmin reduces to one scalar equation v + q*tanh(v/2) = p solved by a
 safeguarded Newton/bisection on the bracket [p-q, p+q].
@@ -54,64 +57,27 @@ def solve_optimism_root(p: float, q: float) -> float:
         raise ValueError(f"curvature scalar q must be >= 0, got {q}")
     if q == 0.0:
         return p
-
-    def phi(v: float) -> float:
-        return v + q * math.tanh(0.5 * v) - p
-
     lo, hi = p - q, p + q
     v = min(max(p, lo), hi)
     for _ in range(ROOT_MAX_ITERS):
-        r = phi(v)
+        th = math.tanh(0.5 * v)
+        r = v + q * th - p
         if abs(r) <= ROOT_TOL:
             return v
         if r > 0.0:
             hi = v
         else:
             lo = v
-        c = math.cosh(0.5 * v)
-        step = r / (1.0 + 0.5 * q / (c * c))
-        v_new = v - step
+        # d/dv [q tanh(v/2)] = q sech^2(v/2)/2, written through th so it
+        # cannot overflow for large |v|
+        v_new = v - r / (1.0 + 0.5 * q * (1.0 - th * th))
         if not (lo < v_new < hi):
             v_new = 0.5 * (lo + hi)
         v = v_new
     return v
 
 
-@dataclass
-class AioliState:
-    """Discounted surrogate statistics of one AIOLI learner.
-
-    H accumulates sum beta^(t-s) eta_s g_s g_s'; w holds the negated
-    discounted linear coefficients of the surrogates (constant terms are
-    dropped, they do not move the argmin).  ``stab_disc`` carries the
-    discounted stability sum sum beta^(t-s) eta_s g_s' Atilde_s^{-1} g_s
-    and ``beta_pow`` the plain beta^t, both used by the bound evaluators.
-    """
-
-    beta: float
-    lam: float
-    B: float
-    R: float
-    H: np.ndarray
-    w: np.ndarray
-    t: int = 0
-    lam_beta: float = 0.0
-    beta_pow: float = 1.0
-    stab_disc: float = 0.0
-
-    @classmethod
-    def fresh(cls, d: int, beta: float, lam: float, B: float, R: float) -> "AioliState":
-        if not (0.0 < beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {beta}")
-        if min(lam, B, R) <= 0.0:
-            raise ValueError("lam, B and R must be positive")
-        return cls(
-            beta=beta, lam=lam, B=B, R=R, H=np.zeros((d, d)), w=np.zeros(d),
-            lam_beta=lam,
-        )
-
-
-def _factor(A: np.ndarray):
+def _factor(A: np.ndarray) -> tuple:
     try:
         return cho_factor(A, lower=True)
     except (LinAlgError, np.linalg.LinAlgError) as exc:
@@ -121,19 +87,52 @@ def _factor(A: np.ndarray):
         ) from exc
 
 
+@dataclass
+class AioliState:
+    """Discounted surrogate statistics of one AIOLI learner.
+
+    ``A`` is the regularized surrogate curvature
+    Atilde_t = lam beta^t I + sum beta^(t-s) eta_s g_s g_s', carried as
+    A_t = beta A_{t-1} + eta_t g_t g_t' from A_0 = lam I, and ``chol`` its
+    lower Cholesky factor as returned by ``cho_factor``; the next round's
+    decision solves against beta A_t and reuses that factor.  w holds the
+    negated discounted linear coefficients of the surrogates (constant terms
+    are dropped, they do not move the argmin).  ``stab_disc`` carries the
+    discounted stability sum sum beta^(t-s) eta_s g_s' Atilde_s^{-1} g_s
+    and ``beta_pow`` the plain beta^t, both used by the bound evaluators.
+    """
+
+    beta: float
+    lam: float
+    B: float
+    R: float
+    A: np.ndarray
+    chol: tuple
+    w: np.ndarray
+    t: int = 0
+    beta_pow: float = 1.0
+    stab_disc: float = 0.0
+
+    @classmethod
+    def fresh(cls, d: int, beta: float, lam: float, B: float, R: float) -> "AioliState":
+        if not (0.0 < beta < 1.0):
+            raise ValueError(f"beta must lie in (0, 1), got {beta}")
+        if min(lam, B, R) <= 0.0:
+            raise ValueError("lam, B and R must be positive")
+        A = lam * np.eye(d)
+        return cls(beta=beta, lam=lam, B=B, R=R, A=A, chol=_factor(A), w=np.zeros(d))
+
+
 def aioli_predict(state: AioliState, z: np.ndarray) -> tuple[np.ndarray, float]:
     """Decision and prediction for the incoming feature ``z``.
 
-    With A = lam beta^t I + beta H_{t-1} and wt = beta w_{t-1}, the
-    stationarity condition is A x + tanh(v/2) z = wt with v = z.x, solved
-    through p = z'A^{-1}wt, q = z'A^{-1}z.
+    The stationarity condition is beta A x + tanh(v/2) z = beta w with
+    v = z.x and A, w from the previous round, solved through
+    p = z'A^{-1}w and q = z'A^{-1}z/beta with the stored factor of A.
     """
     z = np.asarray(z, dtype=float)
-    beta = state.beta
-    A = (state.lam_beta * beta) * np.eye(len(z)) + beta * state.H
-    fac = _factor(A)
-    ainv_w = cho_solve(fac, beta * state.w)
-    ainv_z = cho_solve(fac, z)
+    ainv_w, ainv_z = cho_solve(state.chol, np.column_stack((state.w, z))).T
+    ainv_z /= state.beta
     p = float(z @ ainv_w)
     q = float(z @ ainv_z)
     v = solve_optimism_root(p, q)
@@ -142,11 +141,10 @@ def aioli_predict(state: AioliState, z: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def stationarity_residual(state: AioliState, z: np.ndarray, x: np.ndarray) -> float:
-    """Sup-norm of A x + tanh((z.x)/2) z - beta*w at the returned decision."""
+    """Sup-norm of beta A x + tanh((z.x)/2) z - beta w at the returned decision."""
     z = np.asarray(z, dtype=float)
     beta = state.beta
-    A = (state.lam_beta * beta) * np.eye(len(z)) + beta * state.H
-    grad = A @ x + math.tanh(0.5 * float(z @ x)) * z - beta * state.w
+    grad = beta * (state.A @ x) + math.tanh(0.5 * float(z @ x)) * z - beta * state.w
     return float(np.max(np.abs(grad)))
 
 
@@ -164,18 +162,15 @@ def aioli_update(
     eta_g = -(s_pos / scale) * y * z        # eta_t g_t, bounded form
     c2 = s_pos * s_neg / scale              # eta_t g_t g_t' = c2 * z z'
 
-    H = beta * state.H + c2 * np.outer(z, z)
-    H = 0.5 * (H + H.T)
-    w = beta * state.w - g + float(g @ x_played) * eta_g
-    lam_beta = beta * state.lam_beta
-    A_tilde = lam_beta * np.eye(len(z)) + H
-    stab_inc = c2 * float(z @ cho_solve(_factor(A_tilde), z))
+    A = beta * state.A + c2 * np.outer(z, z)
+    chol = _factor(A)
+    stab_inc = c2 * float(z @ cho_solve(chol, z))
     return replace(
         state,
-        H=H,
-        w=w,
+        A=A,
+        chol=chol,
+        w=beta * state.w - g + float(g @ x_played) * eta_g,
         t=state.t + 1,
-        lam_beta=lam_beta,
         beta_pow=beta * state.beta_pow,
         stab_disc=beta * state.stab_disc + stab_inc,
     )
@@ -268,6 +263,30 @@ def aioli_rescaled_bound(run: AioliRun, t: int, u: np.ndarray) -> float:
         run.beta_pows[t - 1] * 0.5 * run.lam * (u @ u)
         + scale * run.stab_disc[t - 1]
     )
+
+
+def rescaled_bound_check(
+    run: AioliRun, comparators: Sequence[np.ndarray]
+) -> tuple[float, bool]:
+    """Check the discounted regret against :func:`aioli_rescaled_bound` at
+    every prefix t = 1..T for each comparator.
+
+    Returns the worst slack min (bound - regret) and whether every prefix
+    holds within 1e-9 (1 + |bound|).
+    """
+    ledger = logistic_ledger(run)
+    worst = float("inf")
+    ok = True
+    for u in comparators:
+        r = 0.0
+        diffs = run.losses_at_play - ledger.losses_at(u)
+        for t in range(1, run.T + 1):
+            r = run.beta * r + float(diffs[t - 1])
+            bound = aioli_rescaled_bound(run, t, u)
+            worst = min(worst, bound - r)
+            if r > bound + 1e-9 * (1.0 + abs(bound)):
+                ok = False
+    return worst, ok
 
 
 def theorem_dynamic_bound(run: AioliRun, path: ComparatorPath, gamma: float) -> float:

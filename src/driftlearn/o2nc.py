@@ -28,7 +28,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from driftlearn.adam import AdamConfig, AdamState, adam_update, delta_for
-from driftlearn.streams import ComparatorPath
 
 
 class OracleBoundError(RuntimeError):
@@ -153,20 +152,6 @@ def ema_update(xbar_prev: np.ndarray, x_t: np.ndarray, beta: float, t: int) -> n
     c_prev = (beta - bt) / (1.0 - bt)
     c_new = (1.0 - beta) / (1.0 - bt)
     return c_prev * np.asarray(xbar_prev, dtype=float) + c_new * np.asarray(x_t, dtype=float)
-
-
-def comparator_path(grad_history: np.ndarray, beta: float, D: float) -> ComparatorPath:
-    """Drifting comparator u_t = -D a_t/|a_t| from true-gradient history."""
-    grads = np.atleast_2d(np.asarray(grad_history, dtype=float))
-    T, d = grads.shape
-    U = np.zeros((T, d))
-    a = np.zeros(d)
-    for t in range(T):
-        a = beta * a + grads[t]
-        norm = float(np.linalg.norm(a))
-        if norm > 0.0:
-            U[t] = -D * a / norm
-    return ComparatorPath(U)
 
 
 @dataclass

@@ -234,29 +234,50 @@ def path_to_csv(path: ComparatorPath, header_comment: str | None = None) -> str:
     return buf.getvalue()
 
 
-def _parse_csv(text: str, prefix: str) -> tuple[np.ndarray, int]:
+def _parse_csv(text: str, lead: list[str], prefix: str) -> np.ndarray:
+    """Rows of a CSV whose header is ``lead`` then prefix0..prefix{d-1}, d >= 1.
+
+    Every row must have the header's column count, the ``t`` column must
+    run 1..T, and at least one row must follow the header.
+    """
     rows = []
     header = None
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        cells = line.split(",")
         if header is None:
-            header = line.split(",")
+            header = cells
+            d = len(header) - len(lead)
+            if d < 1 or header != lead + [f"{prefix}{j}" for j in range(d)]:
+                want = ",".join(lead + [f"{prefix}0", "...", f"{prefix}{{d-1}}"])
+                raise StreamSpecError(f"CSV header must be {want}, got {line!r}")
             continue
-        rows.append([float(v) for v in line.split(",")])
+        t = len(rows) + 1
+        if len(cells) != len(header):
+            raise StreamSpecError(
+                f"CSV row {t}: expected {len(header)} columns, got {len(cells)}"
+            )
+        try:
+            row = [float(v) for v in cells]
+        except ValueError as exc:
+            raise StreamSpecError(f"CSV row {t}: {exc}") from exc
+        if row[0] != t:
+            raise StreamSpecError(f"CSV row {t}: t must be {t}, got {cells[0]}")
+        rows.append(row)
     if header is None:
         raise StreamSpecError("empty CSV")
-    data = np.asarray(rows, dtype=float)
-    ncols = sum(1 for c in header if c.startswith(prefix))
-    return data, ncols
+    if not rows:
+        raise StreamSpecError("CSV has a header but no rows")
+    return np.asarray(rows)
 
 
 def stream_from_csv(text: str) -> Stream:
-    data, d = _parse_csv(text, "z_")
-    return Stream(Z=data[:, 2 : 2 + d], y=data[:, 1])
+    data = _parse_csv(text, ["t", "y"], "z_")
+    return Stream(Z=data[:, 2:], y=data[:, 1])
 
 
 def path_from_csv(text: str) -> ComparatorPath:
-    data, d = _parse_csv(text, "u_")
-    return ComparatorPath(U=data[:, 1 : 1 + d])
+    data = _parse_csv(text, ["t"], "u_")
+    return ComparatorPath(U=data[:, 1:])

@@ -150,6 +150,52 @@ class TestRunAioli:
         assert all(summary["checks"].values())
         assert summary["max_stationarity_residual"] <= 1e-9
 
+    def test_saturated_optimism_root_does_not_overflow(self, capsys, tmp_path):
+        stream = make_stream(
+            capsys, tmp_path, kind="logistic-drift", d=6, T=279, segments=3,
+            noise=0.3, seed=29,
+        )
+        code, stdout, err = run_cli(
+            capsys, "run-aioli", "--beta", "0.5", "--lambda", "1", "--stream", str(stream)
+        )
+        assert code == 0, err
+        assert all(json.loads(stdout)["checks"].values())
+
+
+def assert_one_error_line(code, err):
+    assert code == 1
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,y,z_0,z_1\n",                          # header only
+            "t,y,z_0,z_1\n1,0.5,0.1\n2,0.5,0.2\n",  # ragged: one feature per row
+            "t,y,z_0\n1,0.5,0.1\n3,0.5,0.2\n",      # t skips a round
+        ],
+        ids=["header-only", "ragged", "t-gap"],
+    )
+    def test_bad_stream_exits_one(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "run-vaw", "--beta", "0.9", "--stream", str(bad))
+        assert_one_error_line(code, err)
+        assert str(bad) in err
+
+    @pytest.mark.parametrize("other", [dict(d=3), dict(T=30)], ids=["d", "T"])
+    def test_truth_shape_mismatch_exits_one(self, capsys, tmp_path, other):
+        stream = make_stream(capsys, tmp_path, name="s.csv")
+        wrong = make_stream(capsys, tmp_path, name="w.csv", **other)
+        code, _, err = run_cli(
+            capsys, "run-vaw", "--beta", "0.9", "--stream", str(stream),
+            "--truth", str(wrong.with_suffix(".truth.csv")),
+        )
+        assert_one_error_line(code, err)
+        assert "(T=40, d=2)" in err
+
 
 class TestRunEnsemble:
     def test_grid_pool_meta_regret_within_log_n(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from driftlearn import linreg, regret
@@ -65,14 +67,15 @@ class TestUpdate:
         state = linreg.VawState.fresh(2, beta=1.0, lam=1.0)
         for t in range(7):
             state = linreg.dvaw_update(state, LabeledRound(Z[t], y[t]))
-        np.testing.assert_allclose(state.M, Z.T @ Z, rtol=1e-12)
+        np.testing.assert_allclose(state.A, np.eye(2) + Z.T @ Z, rtol=1e-12)
         np.testing.assert_allclose(state.b, Z.T @ y, rtol=1e-12)
 
     def test_two_half_discount_updates(self):
         state = linreg.VawState.fresh(1, beta=0.5, lam=1.0)
         for _ in range(2):
             state = linreg.dvaw_update(state, LabeledRound(np.array([1.0]), 1.0))
-        assert state.M[0, 0] == pytest.approx(1.5, rel=1e-15)
+        # A_2 = lam beta^2 + beta z^2 + z^2 = 0.25 + 0.5 + 1
+        assert state.A[0, 0] == pytest.approx(1.75, rel=1e-15)
         assert state.b[0] == pytest.approx(1.5, rel=1e-15)
 
     def test_potential_single_round(self):
@@ -87,7 +90,7 @@ class TestUpdate:
         for _ in range(10_000):
             z = rng.standard_normal(3)
             state = linreg.dvaw_update(state, LabeledRound(z, float(rng.standard_normal())))
-        assert np.max(np.abs(state.M - state.M.T)) <= 1e-12
+        assert np.max(np.abs(state.A - state.A.T)) <= 1e-12
 
     def test_underflowed_regularizer_raises_helpful_error(self):
         # rank-deficient history along e1 with lam*beta^t underflowed to 0
@@ -207,3 +210,44 @@ class TestPotentialLemmaDelegation:
         rhs = stream.d * np.log(1 / 0.8) * float((stream.y**2).sum())
         rhs += float((stream.y**2).max()) * stream.d * np.log1p(mass / stream.d)
         assert run.state.potential <= rhs + 1e-9
+
+
+def two_factorization_dvaw(stream, beta, lam):
+    """Reference copy of the forecaster that keeps M_t and lam beta^t apart
+    and factors the predict and update matrices separately."""
+    d = stream.d
+    M, b, lam_beta, potential = np.zeros((d, d)), np.zeros(d), lam, 0.0
+    yhats, pots = np.empty(stream.T), np.empty(stream.T)
+    for t, (z, y) in enumerate(zip(stream.Z, stream.y)):
+        A = (lam_beta * beta) * np.eye(d) + beta * M + np.outer(z, z)
+        x = cho_solve(cho_factor(A, lower=True), beta * b)
+        yhats[t] = x @ z
+        M = beta * M + np.outer(z, z)
+        M = 0.5 * (M + M.T)
+        b = beta * b + y * z
+        lam_beta *= beta
+        A = lam_beta * np.eye(d) + M
+        prev = potential
+        potential += y * y * float(z @ cho_solve(cho_factor(A, lower=True), z))
+        pots[t] = potential - prev
+    return yhats, pots
+
+
+class TestSingleMatrixMatchesTwoFactorizations:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 6),
+        T=st.integers(1, 300),
+        beta=st.floats(0.5, 1.0),
+        lam=st.floats(0.1, 10.0),
+        kind=st.sampled_from(["piecewise-constant-target", "rotating-target"]),
+    )
+    def test_predictions_and_potentials_agree(self, seed, d, T, beta, lam, kind):
+        spec = StreamSpec(d=d, T=T, kind=kind, segments=3, noise=0.3, seed=seed)
+        stream, _ = gen_stream(spec)
+        run = linreg.run_dvaw(stream, beta, lam)
+        yhats, pots = two_factorization_dvaw(stream, beta, lam)
+        assert np.all(np.abs(run.yhats - yhats) <= 1e-12 * (1.0 + np.abs(yhats)))
+        assert np.all(
+            np.abs(run.potential_increments - pots) <= 1e-12 * (1.0 + np.abs(pots))
+        )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from driftlearn import lemmas, logreg, regret
@@ -52,6 +54,11 @@ class TestScalarSolve:
             assert abs(v + q * math.tanh(v / 2) - p) <= 1e-12
             assert p - q - 1e-12 <= v <= p + q + 1e-12
 
+    def test_huge_arguments_do_not_overflow(self):
+        # tanh saturates, so the roots sit exactly on the bracket ends
+        assert logreg.solve_optimism_root(1e6, 0.5) == 999999.5
+        assert logreg.solve_optimism_root(-1e6, 2.0) == -999998.0
+
 
 class TestPredict:
     def test_empty_history_plays_zero(self):
@@ -72,12 +79,14 @@ class TestUpdate:
         state = logreg.AioliState.fresh(2, beta=0.9, lam=1.0, B=1.0, R=1.0)
         z = np.array([0.8, -0.6])
         new = logreg.aioli_update(state, z, 1.0, np.zeros(2), 0.0)
-        np.testing.assert_allclose(new.H, np.outer(z, z) / 8.0, rtol=1e-14)
+        np.testing.assert_allclose(
+            new.A - 0.9 * np.eye(2), np.outer(z, z) / 8.0, rtol=1e-14
+        )
 
     def test_confidently_correct_round_adds_no_curvature(self):
         state = logreg.AioliState.fresh(1, beta=0.9, lam=1.0, B=1.0, R=1.0)
         new = logreg.aioli_update(state, np.array([1.0]), 1.0, np.array([800.0]), 800.0)
-        assert new.H[0, 0] <= 1e-300
+        assert new.A[0, 0] - 0.9 <= 1e-300
         assert np.isfinite(new.w).all()
 
     def test_single_update_matches_stable_product(self):
@@ -87,7 +96,7 @@ class TestUpdate:
         new = logreg.aioli_update(state, z, -1.0, np.array([0.1, 0.2]), yhat)
         u = -1.0 * yhat
         expected = expit(u) * expit(-u) / (1.0 + 2.0 * 0.5) * np.outer(z, z)
-        np.testing.assert_allclose(new.H, expected, rtol=1e-14)
+        np.testing.assert_allclose(new.A - 0.99 * np.eye(2), expected, rtol=1e-14)
 
     def test_curvature_norm_never_exceeds_stable_cap(self):
         rng = np.random.default_rng(2)
@@ -117,6 +126,7 @@ class TestRescaledBound:
             comparators = [np.zeros(stream.d), truth[0], truth[-1]]
             ball = rng.standard_normal(stream.d)
             comparators.append(ball / max(1.0, float(np.linalg.norm(ball))))
+            worst = float("inf")
             for u in comparators:
                 diffs = run.losses_at_play - ledger.losses_at(u)
                 r = 0.0
@@ -124,6 +134,8 @@ class TestRescaledBound:
                     r = beta * r + float(diffs[t - 1])
                     bound = logreg.aioli_rescaled_bound(run, t, u)
                     assert r <= bound + 1e-9 * (1.0 + abs(bound))
+                    worst = min(worst, bound - r)
+            assert logreg.rescaled_bound_check(run, comparators) == (worst, True)
 
     def test_stability_sum_obeys_potential_lemma(self):
         rng = np.random.default_rng(5)
@@ -148,6 +160,54 @@ class TestRescaledBound:
             A = np.outer(zt, zt) + beta * A
             lhs += float(zt @ np.linalg.solve(A, zt))
         assert lhs == pytest.approx(float(sigma.sum()), rel=1e-9)
+
+
+def two_factorization_aioli(stream, beta, lam, B, R):
+    """Reference copy of AIOLI that keeps H_t and lam beta^t apart and
+    factors the predict and update matrices separately."""
+    d = stream.d
+    H, w, lam_beta, stab = np.zeros((d, d)), np.zeros(d), lam, 0.0
+    scale = 1.0 + B * R
+    yhats, stabs = np.empty(stream.T), np.empty(stream.T)
+    for t, (z, y) in enumerate(zip(stream.Z, stream.y)):
+        fac = cho_factor((lam_beta * beta) * np.eye(d) + beta * H, lower=True)
+        ainv_w = cho_solve(fac, beta * w)
+        ainv_z = cho_solve(fac, z)
+        v = logreg.solve_optimism_root(float(z @ ainv_w), float(z @ ainv_z))
+        x = ainv_w - math.tanh(0.5 * v) * ainv_z
+        yhat = float(x @ z)
+        yhats[t] = yhat
+        s_pos, s_neg = float(expit(y * yhat)), float(expit(-y * yhat))
+        g = -y * s_neg * z
+        eta_g = -(s_pos / scale) * y * z
+        c2 = s_pos * s_neg / scale
+        H = beta * H + c2 * np.outer(z, z)
+        H = 0.5 * (H + H.T)
+        w = beta * w - g + float(g @ x) * eta_g
+        lam_beta *= beta
+        fac = cho_factor(lam_beta * np.eye(d) + H, lower=True)
+        stab = beta * stab + c2 * float(z @ cho_solve(fac, z))
+        stabs[t] = stab
+    return yhats, stabs
+
+
+class TestSingleMatrixMatchesTwoFactorizations:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 6),
+        T=st.integers(1, 300),
+        beta=st.floats(0.5, 0.999),
+        lam=st.floats(0.1, 10.0),
+    )
+    def test_predictions_and_stability_sums_agree(self, seed, d, T, beta, lam):
+        spec = StreamSpec(
+            d=d, T=T, kind="logistic-drift", segments=3, noise=0.3, seed=seed
+        )
+        stream, _ = gen_stream(spec)
+        run = logreg.run_aioli(stream, beta, lam, B=1.0, R=1.0)
+        yhats, stabs = two_factorization_aioli(stream, beta, lam, 1.0, 1.0)
+        assert np.all(np.abs(run.yhats - yhats) <= 1e-12 * (1.0 + np.abs(yhats)))
+        assert np.all(np.abs(run.stab_disc - stabs) <= 1e-12 * (1.0 + np.abs(stabs)))
 
 
 class TestDynamicBound:

@@ -85,27 +85,41 @@ class TestEmaUpdate:
 
 
 class TestComparatorPath:
+    """The drifting comparator u_t = -D a_t/|a_t| that run_o2nc records."""
+
+    def run(self, obj, sigma, x0, T=200, D=0.05):
+        cfg = small_clipped_cfg(D=D)
+        oracle = o2nc.StochasticOracle(obj, sigma=sigma)
+        return o2nc.run_o2nc(cfg, oracle, T=T, seed=4, x0=x0)
+
     def test_single_gradient_normalized(self):
-        path = o2nc.comparator_path(np.array([[3.0, 4.0]]), beta=0.9, D=1.0)
-        np.testing.assert_allclose(path[0], [-0.6, -0.8], rtol=1e-15)
+        obj = o2nc.clamped_quadratic(2, radius=10.0)
+        trace = self.run(obj, 0.0, np.array([3.0, 4.0]), T=1, D=1.0)
+        np.testing.assert_allclose(trace.comparators[0], [-0.6, -0.8], rtol=1e-15)
 
     def test_norm_is_exactly_the_radius(self):
-        rng = np.random.default_rng(1)
-        path = o2nc.comparator_path(rng.standard_normal((30, 3)), beta=0.7, D=2.5)
-        np.testing.assert_allclose(np.linalg.norm(path.U, axis=1), 2.5, rtol=1e-12)
+        trace = self.run(o2nc.max_affine(3, pieces=5, seed=2), 0.3, np.ones(3), D=2.5)
+        norms = np.linalg.norm(trace.comparators, axis=1)
+        moving = norms > 0.0
+        assert moving.any()
+        np.testing.assert_allclose(norms[moving], 2.5, rtol=1e-12)
 
-    def test_undiscounted_accumulator_is_gradient_sum(self):
-        rng = np.random.default_rng(2)
-        grads = rng.standard_normal((10, 2))
-        path = o2nc.comparator_path(grads, beta=1.0, D=1.0)
-        total = grads.sum(axis=0)
-        np.testing.assert_allclose(
-            path[9], -total / np.linalg.norm(total), rtol=1e-12
-        )
+    def test_matches_recomputed_true_gradient_accumulator(self):
+        obj = o2nc.clamped_quadratic(3, radius=1.0)
+        trace = self.run(obj, 0.2, np.array([0.5, -0.3, 0.2]))
+        a = np.zeros(3)
+        for t in range(trace.T):
+            a = 0.9 * a + obj.grad(trace.xs[t])
+            np.testing.assert_allclose(
+                trace.comparators[t], -0.05 * a / np.linalg.norm(a), rtol=1e-12
+            )
+        assert trace.zero_comparators == 0
 
     def test_zero_history_yields_zero_comparator(self):
-        path = o2nc.comparator_path(np.zeros((4, 2)), beta=0.9, D=1.0)
-        assert np.array_equal(path.U, np.zeros((4, 2)))
+        obj = o2nc.clamped_quadratic(2, radius=1.0)
+        trace = self.run(obj, 0.0, np.zeros(2), T=4)
+        assert np.array_equal(trace.comparators, np.zeros((4, 2)))
+        assert trace.zero_comparators == 4
 
 
 class TestRunLoop:

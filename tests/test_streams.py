@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftlearn import streams
 
@@ -115,3 +117,47 @@ class TestCsvRoundTrip:
         truth2 = streams.path_from_csv(streams.path_to_csv(truth, "comment"))
         assert np.array_equal(s.Z, s2.Z) and np.array_equal(s.y, s2.y)
         assert np.array_equal(truth.U, truth2.U)
+
+    @given(
+        data=st.integers(1, 5).flatmap(
+            lambda d: arrays(
+                np.float64,
+                st.tuples(st.integers(1, 20), st.just(d + 1)),
+                elements=st.floats(allow_nan=False, allow_infinity=False),
+            )
+        ),
+        comment=st.sampled_from([None, "comment"]),
+    )
+    def test_stream_round_trip_is_bit_exact(self, data, comment):
+        s = streams.Stream(Z=data[:, 1:], y=data[:, 0])
+        s2 = streams.stream_from_csv(streams.stream_to_csv(s, comment))
+        assert s2.Z.tobytes() == s.Z.tobytes() and s2.y.tobytes() == s.y.tobytes()
+
+
+class TestCsvStrictParse:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty"),
+            ("# only a comment\n", "empty"),
+            ("t,y,z_0\n", "no rows"),
+            ("t,y,z_0,z_1\n1,0.5,0.1\n", "expected 4 columns, got 3"),
+            ("t,y,z_0\n1,0.5,0.1,0.2\n", "expected 3 columns, got 4"),
+            ("t,y,z_0\n1,0.5,0.1\n3,0.5,0.1\n", "t must be 2"),
+            ("t,y,z_1\n1,0.5,0.1\n", "header"),
+            ("t,y\n1,0.5\n", "header"),
+            ("t,u_0\n1,0.5\n", "header"),
+            ("t,y,z_0\n1,abc,0.1\n", "row 1"),
+        ],
+        ids=["empty", "comment-only", "header-only", "short-row", "long-row",
+             "t-gap", "wrong-name", "no-features", "truth-header", "bad-float"],
+    )
+    def test_malformed_stream_rejected(self, text, message):
+        with pytest.raises(streams.StreamSpecError, match=message):
+            streams.stream_from_csv(text)
+
+    def test_truth_header_is_checked(self):
+        with pytest.raises(streams.StreamSpecError, match="header"):
+            streams.path_from_csv("t,y,z_0\n1,0.5,0.1\n")
+        path = streams.path_from_csv("# c\nt,u_0,u_1\n1,0.5,0.1\n2,0.5,0.2\n")
+        assert path.U.shape == (2, 2)
