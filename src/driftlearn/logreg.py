@@ -47,11 +47,23 @@ def logistic_grad(x: np.ndarray, z: np.ndarray, y: float) -> np.ndarray:
     return -y * float(expit(-y * float(x @ z))) * z
 
 
+class RootNotConvergedError(RuntimeError):
+    """The optimism root finder used up ROOT_MAX_ITERS iterations."""
+
+
 def solve_optimism_root(p: float, q: float) -> float:
-    """Root of v + q*tanh(v/2) = p with q >= 0, to |residual| <= 1e-12.
+    """Root of v + q*tanh(v/2) = p with q >= 0.
 
     Since |tanh| <= 1 the root lies in [p-q, p+q]; a Newton iteration is
-    safeguarded by that bracket (the map is strictly increasing).
+    safeguarded by that bracket (the map is strictly increasing) and gives
+    way to a bisection step whenever the last step failed to halve the
+    residual, which stops Newton from bouncing across the inflection at
+    v = 0 when q is large.  It stops at |residual| <= ROOT_TOL or when the
+    step falls below the spacing of doubles, and the root it returns meets
+    |residual| <= ROOT_TOL * max(1, |p|): doubles near p are about
+    2.2e-16 |p| apart, so an absolute 1e-12 is out of reach once |p| is
+    above about 1e4.  Raises :class:`RootNotConvergedError` when that target
+    is not met within ROOT_MAX_ITERS iterations.
     """
     if q < 0.0:
         raise ValueError(f"curvature scalar q must be >= 0, got {q}")
@@ -59,6 +71,7 @@ def solve_optimism_root(p: float, q: float) -> float:
         return p
     lo, hi = p - q, p + q
     v = min(max(p, lo), hi)
+    r_prev = math.inf
     for _ in range(ROOT_MAX_ITERS):
         th = math.tanh(0.5 * v)
         r = v + q * th - p
@@ -71,10 +84,19 @@ def solve_optimism_root(p: float, q: float) -> float:
         # d/dv [q tanh(v/2)] = q sech^2(v/2)/2, written through th so it
         # cannot overflow for large |v|
         v_new = v - r / (1.0 + 0.5 * q * (1.0 - th * th))
-        if not (lo < v_new < hi):
+        if not (lo < v_new < hi) or abs(r) > 0.5 * abs(r_prev):
             v_new = 0.5 * (lo + hi)
+        r_prev = r
+        if v_new == v:  # the step is below the spacing of doubles at v
+            break
         v = v_new
-    return v
+    r = v + q * math.tanh(0.5 * v) - p
+    if abs(r) <= ROOT_TOL * max(1.0, abs(p)):
+        return v
+    raise RootNotConvergedError(
+        f"optimism root v + q*tanh(v/2) = p not found for p={p!r}, q={q!r}: "
+        f"residual {r!r} after {ROOT_MAX_ITERS} iterations"
+    )
 
 
 def _factor(A: np.ndarray) -> tuple:

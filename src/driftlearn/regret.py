@@ -15,6 +15,22 @@ Central objects:
 * ``path_variation``      P_T^g = sum_{t<T} sum_{s=0..t} p_{t,s} [f_s(u_{t+1}) - f_s(u_t)]_+
 * ``modular_bound_rhs``   the computable right-hand side of the template
   bound driven by a comparator-dependent phi_t and stability terms.
+
+The F-differences behind ``ft_difference_term``, ``modular_bound_rhs`` and
+``check_path_length_lemma`` come from one kernel over the comparator
+differences D_t = sum_{s<=t} beta^(t-s) (f_s(u_{t+1}) - f_s(u_t)).  A round
+with u_{t+1} == u_t (exact compare, NaN counts as a move) is stationary:
+its term is exactly 0 for finite losses, so it is skipped and no loss is
+evaluated.  Costs, for T rounds in d dimensions:
+
+* squared-loss ledgers (``squared_loss`` set): the F-difference and the
+  conversion identity carry the running statistics G_t = beta G_{t-1} +
+  z_t z_t' and h_t = beta h_{t-1} + y_t z_t, O(T d^2) time and O(d^2)
+  memory besides the per-round results;
+* other ledgers: O(T) per moved round for the F-difference, O(T^2) for the
+  conversion identity, both in O(T) memory;
+* ``path_variation``: O(T d) per moved round for every ledger (its positive
+  part has no running form), so O(T^2 d) on a path that moves every round.
 """
 
 from __future__ import annotations
@@ -44,6 +60,11 @@ class RegretLedger:
                     ledger never sees a beta^(-t)).
     loss_eval_batch optional u -> array [f_1(u), ..., f_T(u)]; used to
                     vectorize the inner sums when available.
+    squared_loss    optional (Z, y) marking f_t(u) = (u.z_t - y_t)^2 / 2;
+                    the evaluators then use running discounted statistics
+                    of Z and y in place of loss rows.  It must describe the
+                    same losses as ``loss_eval``: ``d2d_identity_gap``
+                    checks the one against the other.
     """
 
     losses_at_play: np.ndarray
@@ -52,6 +73,7 @@ class RegretLedger:
     phi_eval: Optional[PhiEval] = None
     lambdas: Optional[np.ndarray] = None
     loss_eval_batch: Optional[BatchLossEval] = None
+    squared_loss: Optional[tuple[np.ndarray, np.ndarray]] = None
     _beta_pows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -64,6 +86,11 @@ class RegretLedger:
                 raise ValueError("lambdas must have one entry per round")
             if np.any(self.lambdas < -1e-12):
                 raise ValueError("stability terms must be nonnegative")
+        if self.squared_loss is not None:
+            Z, y = (np.asarray(a, dtype=float) for a in self.squared_loss)
+            if Z.ndim != 2 or Z.shape[0] != self.T or y.shape != (self.T,):
+                raise ValueError("squared_loss must be (Z, y) with one row per round")
+            self.squared_loss = (Z, y)
         self._beta_pows = self.beta ** np.arange(self.T + 1, dtype=float)
 
     @property
@@ -98,28 +125,114 @@ def discounted_regret(ledger: RegretLedger, t: int, u: np.ndarray) -> float:
     return float(ledger.weights(t) @ diffs)
 
 
+def _moved_rounds(path: ComparatorPath) -> list[int]:
+    """Rounds t in 1..T-1 with u_{t+1} != u_t; NaN entries count as moves."""
+    U = path.U
+    return (np.flatnonzero(np.any(U[1:] != U[:-1], axis=1)) + 1).tolist()
+
+
+def _squared_loss_statistics(ledger: RegretLedger, rounds: list[int]):
+    """Yield (G_t, h_t, c_t) at each of the increasing rounds ``rounds``.
+
+    G_t = sum_{s<=t} beta^(t-s) z_s z_s', h_t = sum beta^(t-s) y_s z_s and
+    c_t = sum beta^(t-s) y_s^2, so that sum_{s<=t} beta^(t-s) f_s(u) =
+    u'G_t u/2 - u'h_t + c_t/2.  Consecutive rounds take the recursion
+    G_t = beta G_{t-1} + z_t z_t'; a gap is crossed with one weighted block
+    sum, so rounds that are not asked for cost no Python iteration.
+    """
+    Z, y = ledger.squared_loss
+    beta = ledger.beta
+    G, h, c = np.zeros((Z.shape[1],) * 2), np.zeros(Z.shape[1]), 0.0
+    last = 0
+    for t in rounds:
+        if t == last + 1:
+            z, yt = Z[last], float(y[last])
+            G = beta * G + np.outer(z, z)
+            h = beta * h + yt * z
+            c = beta * c + yt * yt
+        else:
+            w = beta ** np.arange(t - last - 1, -1.0, -1.0)
+            decay = beta ** (t - last)
+            Zb, yb = Z[last:t], y[last:t]
+            Zw = Zb.T * w
+            G = decay * G + Zw @ Zb
+            h = decay * h + Zw @ yb
+            c = decay * c + float(w @ (yb * yb))
+        last = t
+        yield G, h, c
+
+
+def _comparator_differences(
+    ledger: RegretLedger, path: ComparatorPath
+) -> tuple[list[int], np.ndarray]:
+    """Moved rounds t and D_t = sum_{s<=t} beta^(t-s) (f_s(u_{t+1}) - f_s(u_t)).
+
+    Stationary rounds (u_{t+1} == u_t) have D_t = 0 and are left out.  For a
+    squared-loss ledger D_t = (v-w)'(G_t (v+w)/2 - h_t) with v = u_{t+1},
+    w = u_t; any other ledger sums its loss rows up to round t.
+    """
+    moved = _moved_rounds(path)
+    U = path.U
+    if ledger.squared_loss is not None:
+        stats = _squared_loss_statistics(ledger, moved)
+        return moved, np.array([
+            (U[t] - U[t - 1]) @ (0.5 * (G @ (U[t] + U[t - 1])) - h)
+            for t, (G, h, _) in zip(moved, stats)
+        ])
+    return moved, np.array([
+        ledger.weights(t) @ (ledger.losses_at(U[t], upto=t) - ledger.losses_at(U[t - 1], upto=t))
+        for t in moved
+    ])
+
+
+def _regrets_along_path(
+    ledger: RegretLedger, path: ComparatorPath
+) -> tuple[np.ndarray, np.ndarray]:
+    """R_t(u_t) for t = 1..T and R_t(u_{t+1}) for t = 1..T-1.
+
+    A squared-loss ledger takes both from the closed form
+    R_t(u) = P_t - (u'G_t u/2 - u'h_t + c_t/2), with P_t the discounted play
+    sum; any other ledger sums loss rows, one column of f_s(u_{t+1}) at a
+    time.
+    """
+    T, beta, U = ledger.T, ledger.beta, path.U
+    play = ledger.losses_at_play
+    diag, ahead = np.empty(T), np.empty(T - 1)
+    if ledger.squared_loss is not None:
+        P = 0.0
+        stats = _squared_loss_statistics(ledger, range(1, T + 1))
+        for t, (G, h, c) in enumerate(stats, start=1):
+            P = beta * P + play[t - 1]
+            V = U[t - 1 : t + 1]  # u_t, and u_{t+1} before the last round
+            r = P - (0.5 * ((V @ G) * V).sum(axis=1) - V @ h + 0.5 * c)
+            diag[t - 1] = r[0]
+            ahead[t - 1 : t] = r[1:]
+        return diag, ahead
+    col = ledger.losses_at(U[0], upto=1)  # f_s(u_t) for s <= t
+    for t in range(1, T + 1):
+        w = ledger.weights(t)
+        diag[t - 1] = w @ (play[:t] - col)
+        if t < T:
+            col = ledger.losses_at(U[t], upto=t + 1)
+            ahead[t - 1] = w @ (play[:t] - col[:t])
+    return diag, ahead
+
+
 def d2d_identity_gap(ledger: RegretLedger, path: ComparatorPath) -> float:
     """|LHS - RHS| of the discounted-to-dynamic conversion identity.
 
     The identity holds exactly for any horizon, discount and comparator
-    sequence; the returned gap is float roundoff only.
+    sequence; the returned gap is float roundoff only.  The LHS sums
+    ``loss_eval`` round by round; a squared-loss ledger's RHS comes from its
+    (Z, y) statistics instead, so the two sides are evaluated independently.
     """
     T, beta = ledger.T, ledger.beta
     if path.T != T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
     lhs = dynamic_regret(ledger, path)
-
-    # R[t][k] = R_t(u_k) is needed at (t, t) and (t, t+1) only; evaluate the
-    # loss column of each u_k once, up to round k.
-    cols = [ledger.losses_at(path[k - 1], upto=k) for k in range(1, T + 1)]
-    play = ledger.losses_at_play
-
-    def reg(t: int, k: int) -> float:
-        return float(ledger.weights(t) @ (play[:t] - cols[k - 1][:t]))
-
-    diag = np.array([reg(t, t) for t in range(1, T + 1)])
+    diag, ahead = _regrets_along_path(ledger, path)
     rhs = (1.0 - beta) * diag.sum() + beta * diag[-1]
-    rhs += beta * sum(diag[t - 1] - reg(t, t + 1) for t in range(1, T))
+    rhs += beta * sum(diag[:-1] - ahead)
     return abs(lhs - rhs)
 
 
@@ -143,7 +256,8 @@ def path_variation(
     P_T^g = sum_{t=1}^{T-1} sum_{s=0}^{t} p_{t,s} [f_s(u_{t+1}) - f_s(u_t)]_+
     with p_{t,s} = gamma^(t-s) / sum_{r=0}^{t} gamma^(t-r).  The s = 0 term
     uses f_0 = phi_1 and is included by default whenever the ledger carries a
-    phi evaluator; the normalization always runs over s = 0..t.
+    phi evaluator; the normalization always runs over s = 0..t.  Only rounds
+    with u_{t+1} != u_t are visited: a stationary round adds exactly 0.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
@@ -156,7 +270,7 @@ def path_variation(
         raise ValueError("include_f0 requires the ledger to carry phi_eval")
 
     total = 0.0
-    for t in range(1, T):
+    for t in _moved_rounds(path):
         u_now, u_next = path[t - 1], path[t]
         w = geometric_weights(gamma, t)  # indices s = 0..t
         diffs = ledger.losses_at(u_next, upto=t) - ledger.losses_at(u_now, upto=t)
@@ -167,23 +281,23 @@ def path_variation(
     return PathVariation(value=total, beta=gamma, includes_f0=bool(include_f0))
 
 
-def _ft_value(ledger: RegretLedger, t: int, u: np.ndarray) -> float:
-    """F_t(u) = beta^t phi_t(u) + sum_{s<=t} beta^(t-s) f_s(u)."""
-    val = float(ledger.weights(t) @ ledger.losses_at(u, upto=t))
-    if ledger.phi_eval is not None:
-        val += ledger._beta_pows[t] * ledger.phi_eval(t, u)
-    return val
-
-
 def ft_difference_term(ledger: RegretLedger, path: ComparatorPath) -> float:
-    """beta * sum_{t=1}^{T-1} (F_t(u_{t+1}) - F_t(u_t)); may be negative."""
+    """beta * sum_{t=1}^{T-1} (F_t(u_{t+1}) - F_t(u_t)); may be negative.
+
+    F_t(u) = beta^t phi_t(u) + sum_{s<=t} beta^(t-s) f_s(u), so each moved
+    round adds D_t plus its phi difference; stationary rounds add nothing.
+    """
     T = ledger.T
     if path.T != T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
     total = 0.0
-    for t in range(1, T):
-        total += _ft_value(ledger, t, path[t]) - _ft_value(ledger, t, path[t - 1])
-    return ledger.beta * total
+    for t, diff in zip(*_comparator_differences(ledger, path)):
+        if ledger.phi_eval is not None:
+            diff += ledger._beta_pows[t] * (
+                ledger.phi_eval(t, path[t]) - ledger.phi_eval(t, path[t - 1])
+            )
+        total += diff
+    return ledger.beta * float(total)
 
 
 def modular_bound_rhs(ledger: RegretLedger, path: ComparatorPath) -> float:
@@ -232,6 +346,7 @@ def check_path_length_lemma(
         beta=beta,
         phi_eval=ledger.phi_eval,
         loss_eval_batch=ledger.loss_eval_batch,
+        squared_loss=ledger.squared_loss,
     )
     lhs = ft_difference_term(probe, path)
     rhs = gamma / (1.0 - gamma) * path_variation(probe, path, gamma).value
@@ -269,6 +384,7 @@ def quadratic_loss_ledger(
         phi_eval=phi,
         lambdas=lambdas,
         loss_eval_batch=eval_batch,
+        squared_loss=(Z, y),
     )
 
 

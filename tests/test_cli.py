@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from driftlearn import cli
+from driftlearn import cli, logreg
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +160,15 @@ class TestRunAioli:
         )
         assert code == 0, err
         assert all(json.loads(stdout)["checks"].values())
+
+    def test_unconverged_optimism_root_is_one_error_line(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        stream = make_stream(capsys, tmp_path, name="lg.csv", kind="logistic-drift", d=3)
+        monkeypatch.setattr(logreg, "ROOT_MAX_ITERS", 1)
+        code, stdout, err = run_cli(capsys, "run-aioli", "--stream", str(stream))
+        assert_one_error_line(code, err)
+        assert "optimism root" in err and stdout == ""
 
 
 def assert_one_error_line(code, err):

@@ -59,6 +59,32 @@ class TestScalarSolve:
         assert logreg.solve_optimism_root(1e6, 0.5) == 999999.5
         assert logreg.solve_optimism_root(-1e6, 2.0) == -999998.0
 
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            (-3e4, 0.7),  # absolute 1e-12 is below the spacing of doubles near p
+            (-7.670826430483827, 10.817771626214467),  # Newton bounced across v = 0
+        ],
+    )
+    def test_meets_scaled_target_where_iterations_used_to_run_out(self, p, q):
+        v = logreg.solve_optimism_root(p, q)
+        assert abs(v + q * math.tanh(v / 2) - p) <= logreg.ROOT_TOL * max(1.0, abs(p))
+        assert p - q <= v <= p + q
+
+    def test_running_out_of_iterations_raises(self, monkeypatch):
+        with pytest.raises(logreg.RootNotConvergedError, match="p=nan"):
+            logreg.solve_optimism_root(math.nan, 1.0)
+        monkeypatch.setattr(logreg, "ROOT_MAX_ITERS", 1)
+        with pytest.raises(logreg.RootNotConvergedError, match="1 iterations"):
+            logreg.solve_optimism_root(2.0, 1.0)
+        assert issubclass(logreg.RootNotConvergedError, RuntimeError)
+
+    @given(p=st.floats(-1e8, 1e8), q=st.floats(0.0, 1e4))
+    def test_root_in_bracket_meets_scaled_target(self, p, q):
+        v = logreg.solve_optimism_root(p, q)
+        assert p - q <= v <= p + q
+        assert abs(v + q * math.tanh(v / 2) - p) <= logreg.ROOT_TOL * max(1.0, abs(p))
+
 
 class TestPredict:
     def test_empty_history_plays_zero(self):

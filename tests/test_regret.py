@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from driftlearn import regret
-from driftlearn.streams import ComparatorPath
+from driftlearn.streams import ComparatorPath, geometric_weights
 
 
 def random_quadratic_ledger(rng, T, d, beta, lam=None, with_lambdas=False):
@@ -11,6 +14,99 @@ def random_quadratic_ledger(rng, T, d, beta, lam=None, with_lambdas=False):
     play = rng.random(T)
     lambdas = rng.random(T) * 0.1 if with_lambdas else None
     return regret.quadratic_loss_ledger(Z, y, play, beta=beta, lam=lam, lambdas=lambdas)
+
+
+# ---------------------------------------------------------------------------
+# O(T^2) oracles: every F_t and R_t summed directly from loss rows, round by
+# round, with no skipped rounds and no running statistics.  Each returns the
+# value and the sum of the absolute terms it adds up, the scale that
+# floating-point roundoff in either evaluation is measured against.
+# ---------------------------------------------------------------------------
+
+
+def oracle_ft_value(ledger, t, u):
+    val = float(ledger.weights(t) @ ledger.losses_at(u, upto=t))
+    if ledger.phi_eval is not None:
+        val += ledger.beta**t * ledger.phi_eval(t, u)
+    return val
+
+
+def oracle_ft_difference_term(ledger, path):
+    total = scale = 0.0
+    for t in range(1, ledger.T):
+        hi, lo = oracle_ft_value(ledger, t, path[t]), oracle_ft_value(ledger, t, path[t - 1])
+        total += hi - lo
+        scale += abs(hi) + abs(lo)
+    return ledger.beta * total, ledger.beta * scale
+
+
+def oracle_path_variation(ledger, path, gamma):
+    total = 0.0
+    for t in range(1, ledger.T):
+        u_now, u_next = path[t - 1], path[t]
+        w = geometric_weights(gamma, t)
+        diffs = ledger.losses_at(u_next, upto=t) - ledger.losses_at(u_now, upto=t)
+        total += float(w[1:] @ np.maximum(diffs, 0.0))
+        if ledger.phi_eval is not None:
+            d0 = ledger.phi_eval(1, u_next) - ledger.phi_eval(1, u_now)
+            total += w[0] * max(d0, 0.0)
+    return total
+
+
+def oracle_regret(ledger, t, u):
+    return float(ledger.weights(t) @ (ledger.losses_at_play[:t] - ledger.losses_at(u, upto=t)))
+
+
+def oracle_d2d_identity_gap(ledger, path):
+    T, beta = ledger.T, ledger.beta
+    lhs = sum(ledger.losses_at_play[t - 1] - ledger.loss_eval(t, path[t - 1])
+              for t in range(1, T + 1))
+    diag = [oracle_regret(ledger, t, path[t - 1]) for t in range(1, T + 1)]
+    ahead = [oracle_regret(ledger, t, path[t]) for t in range(1, T)]
+    rhs = (1.0 - beta) * sum(diag) + beta * diag[-1]
+    rhs += beta * sum(a - b for a, b in zip(diag, ahead))
+    scale = abs(lhs) + sum(map(abs, diag)) + sum(map(abs, ahead))
+    return abs(lhs - rhs), scale
+
+
+def fuzz_path(rng, T, d, moving):
+    """A path that moves every round, or a piecewise-constant one whose
+    stationary rounds repeat the same row exactly."""
+    if moving:
+        return ComparatorPath(rng.standard_normal((T, d)))
+    pieces = rng.standard_normal((int(rng.integers(1, 5)), d))
+    return ComparatorPath(pieces[np.sort(rng.integers(0, len(pieces), T))])
+
+
+def logistic_like_ledger(rng, T, d, beta, batch):
+    """A non-squared ledger, with or without a batch evaluator."""
+    Z = rng.standard_normal((T, d))
+    y = rng.choice([-1.0, 1.0], T)
+
+    def eval_batch(u):
+        return np.logaddexp(0.0, -y * (Z @ u))
+
+    return regret.RegretLedger(
+        losses_at_play=rng.random(T),
+        loss_eval=lambda t, u: float(np.logaddexp(0.0, -y[t - 1] * (Z[t - 1] @ u))),
+        beta=beta,
+        phi_eval=lambda t, u: 0.25 * float(u @ u),
+        loss_eval_batch=eval_batch if batch else None,
+    )
+
+
+# Drift of the running-statistics and skip-rule evaluators against the oracles
+# is float roundoff: the sums are reordered, never truncated.  The bound is
+# set in units of the oracle's summed absolute terms.
+ORACLE_RTOL = 1e-12
+
+fuzz_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**31 - 1),
+    "T": st.integers(1, 40),
+    "d": st.integers(1, 6),
+    "beta": st.floats(0.05, 1.0),
+    "moving": st.booleans(),
+})
 
 
 class TestDynamicRegret:
@@ -257,3 +353,84 @@ class TestPathLengthLemma:
             regret.check_path_length_lemma(
                 ledger, ComparatorPath(np.zeros((4, 1))), 0.9, 0.5
             )
+
+
+class TestOracleAgreement:
+    @given(case=fuzz_cases, lam=st.sampled_from([None, 0.7]))
+    def test_squared_loss_ledgers(self, case, lam):
+        rng = np.random.default_rng(case["seed"])
+        T, d, beta = case["T"], case["d"], case["beta"]
+        ledger = random_quadratic_ledger(rng, T, d, beta=beta, lam=lam)
+        path = fuzz_path(rng, T, d, case["moving"])
+        self._agree(ledger, path)
+        # the closed form R_t(u) against direct sums, term by term
+        diag, ahead = regret._regrets_along_path(ledger, path)
+        for t in range(1, T + 1):
+            ref = oracle_regret(ledger, t, path[t - 1])
+            assert abs(diag[t - 1] - ref) <= ORACLE_RTOL * (1.0 + abs(ref))
+            if t < T:
+                ref = oracle_regret(ledger, t, path[t])
+                assert abs(ahead[t - 1] - ref) <= ORACLE_RTOL * (1.0 + abs(ref))
+
+    @given(case=fuzz_cases, batch=st.booleans())
+    def test_non_squared_ledger(self, case, batch):
+        rng = np.random.default_rng(case["seed"])
+        T, d = case["T"], case["d"]
+        ledger = logistic_like_ledger(rng, T, d, case["beta"], batch)
+        self._agree(ledger, fuzz_path(rng, T, d, case["moving"]))
+
+    def _agree(self, ledger, path):
+        ref, scale = oracle_ft_difference_term(ledger, path)
+        assert abs(regret.ft_difference_term(ledger, path) - ref) <= ORACLE_RTOL * scale
+        gap_ref, scale = oracle_d2d_identity_gap(ledger, path)
+        assert abs(regret.d2d_identity_gap(ledger, path) - gap_ref) <= ORACLE_RTOL * scale
+        for gamma in (0.3, 0.9):
+            pv = regret.path_variation(ledger, path, gamma)
+            assert pv.value == oracle_path_variation(ledger, path, gamma)
+
+    def test_stationary_rounds_evaluate_no_loss(self):
+        rng = np.random.default_rng(19)
+        T, d = 30, 3
+        ledger = logistic_like_ledger(rng, T, d, 0.8, batch=True)
+        calls = []
+        batch = ledger.loss_eval_batch
+        ledger.loss_eval_batch = lambda u: calls.append(1) or batch(u)
+        path = ComparatorPath.constant(rng.standard_normal(d), T)
+        assert regret.ft_difference_term(ledger, path) == 0.0
+        assert regret.path_variation(ledger, path, 0.5).value == 0.0
+        assert calls == []
+
+    def test_nan_comparator_counts_as_a_move(self):
+        rng = np.random.default_rng(20)
+        ledger = random_quadratic_ledger(rng, 4, 2, beta=0.5, lam=1.0)
+        U = np.ones((4, 2))
+        U[2:, 0] = np.nan
+        path = ComparatorPath(U)
+        assert np.isnan(regret.ft_difference_term(ledger, path))
+        assert np.isnan(regret.path_variation(ledger, path, 0.5).value)
+
+
+class TestIdentityGapIndependence:
+    def test_statistics_that_disagree_with_loss_eval_break_the_identity(self):
+        # The squared-loss RHS comes from (Z, y); the LHS from loss_eval.  A
+        # ledger whose statistics differ from its loss rows in one y entry
+        # must fail the identity, or the acceptance check would be empty.
+        rng = np.random.default_rng(21)
+        T, d = 50, 3
+        ledger = random_quadratic_ledger(rng, T, d, beta=0.9)
+        path = ComparatorPath(rng.standard_normal((T, d)))
+        dyn = regret.dynamic_regret(ledger, path)
+        assert regret.d2d_identity_gap(ledger, path) <= 1e-9 * (1.0 + abs(dyn))
+        Z, y = ledger.squared_loss
+        y_off = y.copy()
+        y_off[T // 2] += 1.0
+        tampered = dataclasses.replace(ledger, squared_loss=(Z, y_off))
+        assert regret.dynamic_regret(tampered, path) == dyn
+        assert regret.d2d_identity_gap(tampered, path) >= 1e-3 * (1.0 + abs(dyn))
+
+    def test_mismatched_statistics_rejected(self):
+        rng = np.random.default_rng(22)
+        ledger = random_quadratic_ledger(rng, 5, 2, beta=0.5)
+        Z, y = ledger.squared_loss
+        with pytest.raises(ValueError):
+            dataclasses.replace(ledger, squared_loss=(Z[:4], y[:4]))
