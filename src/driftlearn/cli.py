@@ -375,48 +375,49 @@ ENSEMBLE_FIELDS = COMMON_FIELDS + [
 ]
 
 
+def _parse_betas(raw: str) -> list[float]:
+    try:
+        betas = [float(v) for v in raw.split(",")]
+    except ValueError:
+        raise UsageError(f"betas: expected comma-separated numbers, got {raw!r}") from None
+    for b in betas:
+        if not (0.0 < b < 1.0):
+            raise UsageError(f"betas: every entry must lie in (0, 1), got {b}")
+    return betas
+
+
 def cmd_run_ensemble(values: dict) -> int:
     stream, truth = _load_stream(values)
     B, R = values["B"], values["R"]
-    if values["betas"] and values["grid"]:
-        raise UsageError("betas: give an explicit pool or --grid true, not both")
-    if values["betas"]:
-        betas = [float(v) for v in values["betas"].split(",")]
-        for b in betas:
-            if not (0.0 < b < 1.0):
-                raise UsageError(f"betas: every entry must lie in (0, 1), got {b}")
+    if values["betas"] is not None:
+        if values["grid"]:
+            raise UsageError("betas: give an explicit pool or --grid true, not both")
+        betas = _parse_betas(values["betas"])
         lam = values["lam"] if values["lam"] is not None else 1.0 / (B * B)
+    elif values["grid"] is False:
+        raise UsageError("grid: --grid false needs an explicit pool in --betas")
     else:
         grid = logreg.build_grid(B, R, stream.d, stream.T)
         betas = list(grid.betas)
         lam = values["lam"] if values["lam"] is not None else grid.lam
     run = logreg.run_ensemble(stream, betas, lam, B, R)
     n = len(betas)
-    mix_ok = True
-    mix_worst = float("inf")
-    for t in range(run.T):
-        v = lemmas.check_mixability(run.expert_yhats[t], run.weights[t])
-        mix_ok &= v.passed
-        mix_worst = min(mix_worst, v.worst_slack)
+    mix = lemmas.check_mixability(run.expert_yhats, run.weights)
     meta = run.meta_regret
     h = _config_hash(values)
     summary = {
         "subcommand": "run-ensemble", "config_hash": h, "B": B, "R": R,
         "lam": lam, "betas": betas, "n_experts": n, "T": stream.T,
         "meta_regret": meta, "ln_n": math.log(n),
-        "mixability_worst_slack": mix_worst,
+        "mixability_worst_slack": mix.worst_slack,
         "cumulative_loss": float(run.mix_losses.sum()),
         "checks": {
             "meta_regret_le_ln_n": meta <= math.log(n) + 1e-9,
-            "mixability_every_round": bool(mix_ok),
+            "mixability_every_round": mix.passed,
         },
     }
     if truth is not None:
-        comp = sum(
-            logreg.logistic_loss(float(stream.Z[t] @ truth[t]), stream.y[t])
-            for t in range(stream.T)
-        )
-        summary["dynamic_regret"] = float(run.mix_losses.sum() - comp)
+        summary["dynamic_regret"] = regret.dynamic_regret(logreg.ensemble_ledger(run), truth)
     if values["out"]:
         comment = f"driftlearn run-ensemble config_hash={h}"
         lines = [f"# {comment}", "t,mix_loss,best_expert_loss"]

@@ -21,10 +21,11 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.special import expit
 
-from driftlearn.logreg import logistic_loss, mix_predict
+from driftlearn.logreg import mix_predict
 
 TOL = 1e-9
 IDENTITY_TOL = 1e-10
+MIXABILITY_BLOCK = 64  # rounds per block of check_mixability
 
 
 @dataclass
@@ -256,17 +257,32 @@ def check_logistic_surrogate(C: float, a: float, b: float) -> LemmaVerdict:
     return _verdict("logistic-surrogate", rhs_expansion, f_a)
 
 
-def check_mixability(yhats: Sequence[float], p: Sequence[float]) -> LemmaVerdict:
-    """l(yhat_mix, y) <= -ln sum_i p_i e^{-l(yhat_i, y)} for y in {+1, -1}."""
-    yhats = np.asarray(yhats, dtype=float)
-    p = np.asarray(p, dtype=float)
-    mix = mix_predict(yhats, p)
+def check_mixability(yhats: Sequence, p: Sequence) -> LemmaVerdict:
+    """l(yhat_mix, y) <= -ln sum_i p_i e^{-l(yhat_i, y)} for y in {+1, -1}.
+
+    ``yhats`` and ``p`` hold one round, shape (N,), or T rounds, shape
+    (T, N).  Every round is checked and counts as one instance, so one call
+    on T rounds gives the verdict that T one-round calls absorb into.
+    Rounds are taken ``MIXABILITY_BLOCK`` at a time, which keeps the
+    temporaries at O(N * MIXABILITY_BLOCK) floats for any T.
+    """
+    yhats = np.atleast_2d(np.asarray(yhats, dtype=float))
+    p = np.atleast_2d(np.asarray(p, dtype=float))
     tiny = np.finfo(float).tiny
-    lhs, rhs = [], []
-    for y in (1.0, -1.0):
-        lhs.append(logistic_loss(mix, y))
-        rhs.append(-np.log(max(float(p @ expit(y * yhats)), tiny)))
-    return _verdict("mixability", lhs, rhs)
+    verdict = LemmaVerdict("mixability", 0, 0, float("inf"))
+    for start in range(0, yhats.shape[0], MIXABILITY_BLOCK):
+        block_yhats = yhats[start : start + MIXABILITY_BLOCK]
+        block_p = p[start : start + MIXABILITY_BLOCK]
+        mix = mix_predict(block_yhats, block_p)
+        lhs, rhs = [], []
+        for y in (1.0, -1.0):
+            lhs.append(np.logaddexp(0.0, -y * mix))
+            s = (block_p * expit(y * block_yhats)).sum(axis=1)
+            rhs.append(-np.log(np.maximum(s, tiny)))
+        block = _verdict("mixability", np.ravel(lhs), np.ravel(rhs))
+        block.instances = len(block_yhats)
+        verdict.absorb(block)
+    return verdict
 
 
 def check_self_confident_tuning(a: Sequence[float], delta: float) -> LemmaVerdict:

@@ -10,12 +10,21 @@ The raw eta_s overflows when the learner is confidently correct, so it is
 never materialized: the products eta*g and eta*g*g' reduce to the bounded
 forms sigma(u)sigma(-u) z z'/(1+BR) and -sigma(u) y z/(1+BR) with
 u = y*yhat, and only those are accumulated, into one regularized matrix
-Atilde_t = lam beta^t I + sum_{s<=t} beta^(t-s) eta_s g_s g_s'.  Each round
-factors Atilde_t once, in the update; the next decision solves against
-beta Atilde_t with that factor.
+Atilde_t = lam beta^t I + sum_{s<=t} beta^(t-s) eta_s g_s g_s'.
 
 The argmin reduces to one scalar equation v + q*tanh(v/2) = p solved by a
 safeguarded Newton/bisection on the bracket [p-q, p+q].
+
+Every learner here runs on one kernel over a leading expert axis: N
+learners with their own discounts keep A as an (N, d, d) stack and w as
+(N, d).  A round makes one ``np.linalg.solve`` of the stack against
+[w, z] for all decisions and one ``np.linalg.cholesky`` of the updated
+stack, which raises if a matrix has turned indefinite.  The discount
+ensemble advances its N experts this way; ``run_aioli`` and the
+single-learner functions are the N = 1 case.  The roots stay scalar, one
+``solve_optimism_root`` call per expert and round: they take a few Newton
+steps each, and a masked Newton over the expert axis would pay numpy's
+fixed cost per call on every step for only N elements.
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+# Unused here: bench/tracing.py counts factorizations by wrapping
+# logreg.cho_factor, so the name stays bound.
+from scipy.linalg import cho_factor  # noqa: F401
 from scipy.special import expit
 
 from driftlearn.regret import RegretLedger, path_variation
@@ -99,14 +110,107 @@ def solve_optimism_root(p: float, q: float) -> float:
     )
 
 
-def _factor(A: np.ndarray) -> tuple:
+def _check_definite(A: np.ndarray) -> None:
+    """Raise if a matrix of the stack A (N, d, d) has no Cholesky factor."""
     try:
-        return cho_factor(A, lower=True)
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             "surrogate curvature matrix is numerically indefinite; "
             "use a larger lambda"
         ) from exc
+
+
+@dataclass
+class _Experts:
+    """N discounted-AIOLI learners on one stream, advanced together.
+
+    Expert i is the learner an :class:`AioliState` with discount
+    ``beta[i]``, matrix ``A[i]`` and coefficients ``w[i]`` describes:
+    ``A`` is the (N, d, d) stack of regularized surrogate curvatures, ``w``
+    the (N, d) negated linear coefficients, ``beta`` the (N,) discounts and
+    ``scale`` = 1 + BR.  A round costs one stacked ``np.linalg.solve`` (the
+    decisions), one stacked ``np.linalg.cholesky`` (the update's
+    positive-definiteness check) and one scalar optimism root per expert.
+    Updates rebind ``A`` and ``w`` to new arrays, so views handed out
+    earlier keep their values.
+    """
+
+    beta: np.ndarray
+    scale: float
+    A: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def fresh(
+        cls, d: int, betas: Sequence[float], lam: float, B: float, R: float
+    ) -> "_Experts":
+        betas = np.asarray(betas, dtype=float)
+        for beta in betas.tolist():
+            if not (0.0 < beta < 1.0):
+                raise ValueError(f"beta must lie in (0, 1), got {beta}")
+        if min(lam, B, R) <= 0.0:
+            raise ValueError("lam, B and R must be positive")
+        n = betas.size
+        return cls(
+            beta=betas, scale=1.0 + B * R,
+            A=np.broadcast_to(lam * np.eye(d), (n, d, d)).copy(), w=np.zeros((n, d)),
+        )
+
+    def decide(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decisions X (N, d), predictions X z (N,) and q (N,) for feature z.
+
+        Expert i's stationarity condition beta_i A_i x + tanh(v/2) z =
+        beta_i w_i with v = z.x reduces to v + q_i tanh(v/2) = p_i with
+        p_i = z'A_i^{-1}w_i and q_i = z'A_i^{-1}z/beta_i; the roots stay
+        scalar, one :func:`solve_optimism_root` call per expert.
+        """
+        rhs = np.empty(self.w.shape + (2,))
+        rhs[:, :, 0] = self.w
+        rhs[:, :, 1] = z
+        sol = np.linalg.solve(self.A, rhs)
+        ainv_w = sol[:, :, 0]
+        ainv_z = sol[:, :, 1] / self.beta[:, None]
+        p = ainv_w @ z
+        q = ainv_z @ z
+        v = [solve_optimism_root(pi, qi) for pi, qi in zip(p.tolist(), q.tolist())]
+        X = ainv_w - np.tanh(0.5 * np.array(v))[:, None] * ainv_z
+        return X, X @ z, q
+
+    def residuals(self, z: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Sup-norm of beta A x + tanh((z.x)/2) z - beta w at each decision."""
+        beta = self.beta[:, None]
+        grad = (
+            beta * (self.A @ X[:, :, None])[:, :, 0]
+            + np.tanh(0.5 * (X @ z))[:, None] * z
+            - beta * self.w
+        )
+        return np.max(np.abs(grad), axis=1)
+
+    def absorb(
+        self, z: np.ndarray, y: float, X: np.ndarray, yhats: np.ndarray, q: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold the revealed label into every expert's statistics.
+
+        ``X``, ``yhats`` and ``q`` are this round's :meth:`decide` outputs.
+        Returns the curvature weights c2 (eta g g' = c2 z z') and the
+        stability increments c2 z'A_new^{-1}z.  With A_new = beta A +
+        c2 z z' the latter is c2 q/(1 + c2 q) (Sherman-Morrison), so it
+        needs no second solve.
+        """
+        u = y * yhats
+        s_pos = expit(u)
+        s_neg = expit(-u)
+        c2 = s_pos * s_neg / self.scale
+        g = (-y * s_neg)[:, None] * z                      # true logistic gradients
+        eta_g = (-(s_pos / self.scale) * y)[:, None] * z   # eta_t g_t, bounded form
+        A = self.beta[:, None, None] * self.A + c2[:, None, None] * np.outer(z, z)
+        _check_definite(A)
+        self.A = A
+        gx = np.einsum("nd,nd->n", g, X)
+        self.w = self.beta[:, None] * self.w - g + gx[:, None] * eta_g
+        c2q = c2 * q
+        return c2, c2q / (1.0 + c2q)
 
 
 @dataclass
@@ -115,13 +219,13 @@ class AioliState:
 
     ``A`` is the regularized surrogate curvature
     Atilde_t = lam beta^t I + sum beta^(t-s) eta_s g_s g_s', carried as
-    A_t = beta A_{t-1} + eta_t g_t g_t' from A_0 = lam I, and ``chol`` its
-    lower Cholesky factor as returned by ``cho_factor``; the next round's
-    decision solves against beta A_t and reuses that factor.  w holds the
-    negated discounted linear coefficients of the surrogates (constant terms
-    are dropped, they do not move the argmin).  ``stab_disc`` carries the
-    discounted stability sum sum beta^(t-s) eta_s g_s' Atilde_s^{-1} g_s
-    and ``beta_pow`` the plain beta^t, both used by the bound evaluators.
+    A_t = beta A_{t-1} + eta_t g_t g_t' from A_0 = lam I; the next round's
+    decision solves against beta A_t.  w holds the negated discounted
+    linear coefficients of the surrogates (constant terms are dropped, they
+    do not move the argmin).  ``stab_disc`` carries the discounted
+    stability sum sum beta^(t-s) eta_s g_s' Atilde_s^{-1} g_s and
+    ``beta_pow`` the plain beta^t, both used by the bound evaluators.
+    The learner functions below run it as a length-1 expert stack.
     """
 
     beta: float
@@ -129,7 +233,6 @@ class AioliState:
     B: float
     R: float
     A: np.ndarray
-    chol: tuple
     w: np.ndarray
     t: int = 0
     beta_pow: float = 1.0
@@ -137,37 +240,26 @@ class AioliState:
 
     @classmethod
     def fresh(cls, d: int, beta: float, lam: float, B: float, R: float) -> "AioliState":
-        if not (0.0 < beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {beta}")
-        if min(lam, B, R) <= 0.0:
-            raise ValueError("lam, B and R must be positive")
-        A = lam * np.eye(d)
-        return cls(beta=beta, lam=lam, B=B, R=R, A=A, chol=_factor(A), w=np.zeros(d))
+        experts = _Experts.fresh(d, [beta], lam, B, R)
+        return cls(beta=beta, lam=lam, B=B, R=R, A=experts.A[0], w=experts.w[0])
+
+    def _experts(self) -> _Experts:
+        return _Experts(
+            beta=np.array([self.beta]), scale=1.0 + self.B * self.R,
+            A=self.A[None], w=self.w[None],
+        )
 
 
 def aioli_predict(state: AioliState, z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Decision and prediction for the incoming feature ``z``.
-
-    The stationarity condition is beta A x + tanh(v/2) z = beta w with
-    v = z.x and A, w from the previous round, solved through
-    p = z'A^{-1}w and q = z'A^{-1}z/beta with the stored factor of A.
-    """
-    z = np.asarray(z, dtype=float)
-    ainv_w, ainv_z = cho_solve(state.chol, np.column_stack((state.w, z))).T
-    ainv_z /= state.beta
-    p = float(z @ ainv_w)
-    q = float(z @ ainv_z)
-    v = solve_optimism_root(p, q)
-    x = ainv_w - math.tanh(0.5 * v) * ainv_z
-    return x, float(x @ z)
+    """Decision and prediction for the incoming feature ``z``."""
+    X, yhats, _ = state._experts().decide(np.asarray(z, dtype=float))
+    return X[0], float(yhats[0])
 
 
 def stationarity_residual(state: AioliState, z: np.ndarray, x: np.ndarray) -> float:
     """Sup-norm of beta A x + tanh((z.x)/2) z - beta w at the returned decision."""
-    z = np.asarray(z, dtype=float)
-    beta = state.beta
-    grad = beta * (state.A @ x) + math.tanh(0.5 * float(z @ x)) * z - beta * state.w
-    return float(np.max(np.abs(grad)))
+    x = np.asarray(x, dtype=float)
+    return float(state._experts().residuals(np.asarray(z, dtype=float), x[None])[0])
 
 
 def aioli_update(
@@ -175,26 +267,18 @@ def aioli_update(
 ) -> AioliState:
     """Fold the revealed label into the discounted surrogate statistics."""
     z = np.asarray(z, dtype=float)
+    x = np.asarray(x_played, dtype=float)
     beta = state.beta
-    u = y * yhat
-    s_pos = float(expit(u))
-    s_neg = float(expit(-u))
-    scale = 1.0 + state.B * state.R
-    g = -y * s_neg * z                      # true logistic gradient
-    eta_g = -(s_pos / scale) * y * z        # eta_t g_t, bounded form
-    c2 = s_pos * s_neg / scale              # eta_t g_t g_t' = c2 * z z'
-
-    A = beta * state.A + c2 * np.outer(z, z)
-    chol = _factor(A)
-    stab_inc = c2 * float(z @ cho_solve(chol, z))
+    q = float(z @ np.linalg.solve(state.A, z)) / beta  # as aioli_predict takes it
+    experts = state._experts()
+    _, stab_inc = experts.absorb(z, y, x[None], np.array([yhat]), np.array([q]))
     return replace(
         state,
-        A=A,
-        chol=chol,
-        w=beta * state.w - g + float(g @ x_played) * eta_g,
+        A=experts.A[0],
+        w=experts.w[0],
         t=state.t + 1,
         beta_pow=beta * state.beta_pow,
-        stab_disc=beta * state.stab_disc + stab_inc,
+        stab_disc=beta * state.stab_disc + float(stab_inc[0]),
     )
 
 
@@ -223,34 +307,40 @@ class AioliRun:
 def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> AioliRun:
     if not np.all(np.abs(stream.y) == 1.0):
         raise ValueError("logistic streams need labels in {+1, -1}")
-    state = AioliState.fresh(stream.d, beta, lam, B, R)
+    experts = _Experts.fresh(stream.d, [beta], lam, B, R)
     T = stream.T
     yhats = np.empty(T)
-    losses = np.empty(T)
     stab = np.empty(T)
     pows = np.empty(T)
     resid = np.empty(T)
     coefs = np.empty(T)
-    scale = 1.0 + B * R
-    for t, rnd in enumerate(stream):
-        x, yhat = aioli_predict(state, rnd.z)
-        resid[t] = stationarity_residual(state, rnd.z, x)
-        yhats[t] = yhat
-        losses[t] = logistic_loss(yhat, rnd.y)
-        u = rnd.y * yhat
-        coefs[t] = float(expit(u)) * float(expit(-u)) / scale
-        state = aioli_update(state, rnd.z, rnd.y, x, yhat)
-        stab[t] = state.stab_disc
-        pows[t] = state.beta_pow
+    stab_disc, beta_pow = 0.0, 1.0
+    for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
+        X, yh, q = experts.decide(z)
+        resid[t] = experts.residuals(z, X)[0]
+        c2, stab_inc = experts.absorb(z, y, X, yh, q)
+        yhats[t] = yh[0]
+        coefs[t] = c2[0]
+        stab_disc = beta * stab_disc + float(stab_inc[0])
+        beta_pow = beta * beta_pow
+        stab[t] = stab_disc
+        pows[t] = beta_pow
+    state = AioliState(
+        beta=beta, lam=lam, B=B, R=R, A=experts.A[0], w=experts.w[0], t=T,
+        beta_pow=beta_pow, stab_disc=stab_disc,
+    )
     return AioliRun(
         stream=stream, beta=beta, lam=lam, B=B, R=R, yhats=yhats,
-        losses_at_play=losses, stab_disc=stab, beta_pows=pows,
-        residuals=resid, curvature_coefs=coefs, state=state,
+        losses_at_play=np.logaddexp(0.0, -stream.y * yhats), stab_disc=stab,
+        beta_pows=pows, residuals=resid, curvature_coefs=coefs, state=state,
     )
 
 
-def logistic_ledger(run: AioliRun) -> RegretLedger:
-    Z, y = run.stream.Z, run.stream.y
+def _stream_ledger(
+    stream: Stream, losses_at_play: np.ndarray, beta: float, phi_eval=None
+) -> RegretLedger:
+    """Ledger of ``losses_at_play`` against the logistic losses of ``stream``."""
+    Z, y = stream.Z, stream.y
 
     def eval_one(t: int, u: np.ndarray) -> float:
         return logistic_loss(float(Z[t - 1] @ u), y[t - 1])
@@ -258,13 +348,20 @@ def logistic_ledger(run: AioliRun) -> RegretLedger:
     def eval_batch(u: np.ndarray) -> np.ndarray:
         return np.logaddexp(0.0, -y * (Z @ u))
 
-    lam = run.lam
     return RegretLedger(
-        losses_at_play=run.losses_at_play,
+        losses_at_play=losses_at_play,
         loss_eval=eval_one,
-        beta=run.beta,
-        phi_eval=lambda t, u: 0.5 * lam * float(u @ u),
+        beta=beta,
+        phi_eval=phi_eval,
         loss_eval_batch=eval_batch,
+    )
+
+
+def logistic_ledger(run: AioliRun) -> RegretLedger:
+    lam = run.lam
+    return _stream_ledger(
+        run.stream, run.losses_at_play, run.beta,
+        phi_eval=lambda t, u: 0.5 * lam * float(u @ u),
     )
 
 
@@ -336,31 +433,37 @@ def theorem_dynamic_bound(run: AioliRun, path: ComparatorPath, gamma: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def mix_predict(yhats: np.ndarray, p: np.ndarray) -> float:
+def mix_predict(yhats: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     """Mixed prediction ln(sum p_i sigma(yhat_i) / sum p_i (1-sigma(yhat_i))).
 
     Satisfies the 1-mixability inequality
     l(yhat_mix, y) <= -ln sum_i p_i exp(-l(yhat_i, y)) for y in {+1,-1}.
     If one side collapses to zero numerically (all experts saturated) it is
-    clamped to the smallest positive float before the log.
+    clamped to the smallest positive float before the log.  ``yhats`` and
+    ``p`` hold one round, shape (N,), for a float, or T rounds, shape
+    (T, N), for a (T,) array; a round gets the same value either way.
     """
     yhats = np.asarray(yhats, dtype=float)
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
+    if yhats.shape != p.shape or yhats.ndim not in (1, 2):
+        raise ValueError("predictions and weights must both be (N,) or (T, N)")
+    if np.any(p < 0.0) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("weights must be nonnegative and sum to 1")
     tiny = np.finfo(float).tiny
-    s_pos = max(float(p @ expit(yhats)), tiny)
-    s_neg = max(float(p @ expit(-yhats)), tiny)
-    return math.log(s_pos) - math.log(s_neg)
+    s_pos = np.maximum((p * expit(yhats)).sum(axis=-1), tiny)
+    s_neg = np.maximum((p * expit(-yhats)).sum(axis=-1), tiny)
+    mix = np.log(s_pos) - np.log(s_neg)
+    return float(mix) if mix.ndim == 0 else mix
 
 
 @dataclass
 class EnsembleState:
-    """Exponential-weights meta learner over AIOLI base learners."""
+    """Exponential-weights meta learner over AIOLI base learners, which
+    advance together as one expert stack."""
 
     betas: np.ndarray
     log_q: np.ndarray
-    bases: list
+    experts: _Experts
     B: float
     R: float
     lam: float
@@ -372,14 +475,14 @@ class EnsembleState:
         betas = np.asarray(list(betas), dtype=float)
         if betas.size < 1:
             raise ValueError("need at least one base learner")
-        bases = [AioliState.fresh(d, float(b), lam, B, R) for b in betas]
+        experts = _Experts.fresh(d, betas, lam, B, R)
         return cls(
-            betas=betas, log_q=np.zeros(len(bases)), bases=bases, B=B, R=R, lam=lam
+            betas=betas, log_q=np.zeros(betas.size), experts=experts, B=B, R=R, lam=lam
         )
 
     @property
     def n_experts(self) -> int:
-        return len(self.bases)
+        return self.betas.size
 
 
 @dataclass
@@ -395,11 +498,7 @@ def ensemble_step(state: EnsembleState, z: np.ndarray, y: float) -> EnsembleStep
     """One full round: every base predicts, the mixture prediction is
     emitted, then base states and log-domain weights absorb the label."""
     z = np.asarray(z, dtype=float)
-    preds = []
-    for base in state.bases:
-        x, yhat = aioli_predict(base, z)
-        preds.append((x, yhat))
-    expert_yhats = np.array([yh for _, yh in preds])
+    X, expert_yhats, q = state.experts.decide(z)
     lq = state.log_q - state.log_q.max()
     p = np.exp(lq)
     p /= p.sum()
@@ -407,8 +506,7 @@ def ensemble_step(state: EnsembleState, z: np.ndarray, y: float) -> EnsembleStep
 
     expert_losses = np.logaddexp(0.0, -y * expert_yhats)
     state.log_q = state.log_q - expert_losses
-    for i, (x, yh) in enumerate(preds):
-        state.bases[i] = aioli_update(state.bases[i], z, y, x, yh)
+    state.experts.absorb(z, y, X, expert_yhats, q)
     return EnsembleStep(
         yhat=yhat_mix,
         expert_yhats=expert_yhats,
@@ -466,6 +564,13 @@ def run_ensemble(
         mix_losses=mix_losses, expert_losses=expert_losses,
         expert_yhats=expert_yhats, weights=weights, state=state,
     )
+
+
+def ensemble_ledger(run: EnsembleRun) -> RegretLedger:
+    """Ledger of the mixture's losses on the run's stream, undiscounted
+    (beta = 1) and without a comparator term; its dynamic regret is the
+    ensemble's."""
+    return _stream_ledger(run.stream, run.mix_losses, 1.0)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from driftlearn import cli, logreg
+from driftlearn import cli, logreg, streams
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +227,50 @@ class TestRunEnsemble:
         )
         assert code == 1 and "betas" in err
 
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--grid", "false"], ["--betas", ""], ["--betas", "0.5,,0.9"]],
+        ids=["grid-false-without-pool", "empty-pool", "empty-entry"],
+    )
+    def test_no_pool_is_a_usage_error(self, capsys, tmp_path, flags):
+        stream = make_stream(
+            capsys, tmp_path, name="lg.csv", kind="logistic-drift", seed=5
+        )
+        code, stdout, err = run_cli(
+            capsys, "run-ensemble", "--stream", str(stream), *flags
+        )
+        assert_one_error_line(code, err)
+        assert stdout == ""
+
+    def test_unconverged_optimism_root_is_one_error_line(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        stream = make_stream(capsys, tmp_path, name="lg.csv", kind="logistic-drift", d=3)
+        monkeypatch.setattr(logreg, "ROOT_MAX_ITERS", 1)
+        code, stdout, err = run_cli(capsys, "run-ensemble", "--stream", str(stream))
+        assert_one_error_line(code, err)
+        assert "optimism root" in err and stdout == ""
+
+    def test_dynamic_regret_is_mixture_minus_truth_losses(self, capsys, tmp_path):
+        stream = make_stream(
+            capsys, tmp_path, name="lg.csv", kind="logistic-drift", d=2, T=60,
+            noise=0.3, seed=5,
+        )
+        truth = stream.with_suffix(".truth.csv")
+        code, stdout, _ = run_cli(
+            capsys, "run-ensemble", "--stream", str(stream), "--truth", str(truth),
+            "--betas", "0.6,0.9",
+        )
+        assert code == 0
+        data = streams.stream_from_csv(stream.read_text())
+        path = streams.path_from_csv(truth.read_text())
+        run = logreg.run_ensemble(data, [0.6, 0.9], lam=1.0, B=1.0, R=1.0)
+        comp = sum(
+            logreg.logistic_loss(float(data.Z[t] @ path[t]), data.y[t])
+            for t in range(data.T)
+        )
+        assert json.loads(stdout)["dynamic_regret"] == float(run.mix_losses.sum() - comp)
 
 class TestRunO2nc:
     def test_short_run_summary(self, capsys, tmp_path):

@@ -321,6 +321,148 @@ class TestEnsemble:
             assert lemmas.check_mixability(run.expert_yhats[t], run.weights[t]).passed
 
 
+def per_expert_ensemble(stream, betas, lam, B, R):
+    """Reference copy of the ensemble with one AIOLI state per expert, each
+    advanced on its own through scipy cho_factor/cho_solve."""
+    d, n = stream.d, len(betas)
+    scale = 1.0 + B * R
+    tiny = np.finfo(float).tiny
+    A = [lam * np.eye(d) for _ in betas]
+    chol = [cho_factor(a, lower=True) for a in A]
+    w = [np.zeros(d) for _ in betas]
+    log_q = np.zeros(n)
+    expert_yhats, weights, expert_losses = (np.empty((stream.T, n)) for _ in range(3))
+    yhats = np.empty(stream.T)
+    for t, (z, y) in enumerate(zip(stream.Z, stream.y)):
+        xs = []
+        for i, beta in enumerate(betas):
+            ainv_w, ainv_z = cho_solve(chol[i], np.column_stack((w[i], z))).T
+            ainv_z /= beta
+            v = logreg.solve_optimism_root(float(z @ ainv_w), float(z @ ainv_z))
+            xs.append(ainv_w - math.tanh(0.5 * v) * ainv_z)
+            expert_yhats[t, i] = float(xs[i] @ z)
+        yh = expert_yhats[t]
+        lq = log_q - log_q.max()
+        p = np.exp(lq)
+        p /= p.sum()
+        s_pos = max(float(p @ expit(yh)), tiny)
+        s_neg = max(float(p @ expit(-yh)), tiny)
+        yhats[t] = math.log(s_pos) - math.log(s_neg)
+        weights[t] = p
+        expert_losses[t] = np.logaddexp(0.0, -y * yh)
+        log_q = log_q - expert_losses[t]
+        for i, beta in enumerate(betas):
+            u = y * yh[i]
+            sp, sn = float(expit(u)), float(expit(-u))
+            g = -y * sn * z
+            eta_g = -(sp / scale) * y * z
+            A[i] = beta * A[i] + (sp * sn / scale) * np.outer(z, z)
+            chol[i] = cho_factor(A[i], lower=True)
+            w[i] = beta * w[i] - g + float(g @ xs[i]) * eta_g
+    return dict(
+        expert_yhats=expert_yhats, weights=weights, yhats=yhats,
+        expert_losses=expert_losses,
+    )
+
+
+class TestStackedEnsembleMatchesPerExpertLoop:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 6),
+        T=st.integers(1, 200),
+        betas=st.lists(st.floats(0.5, 0.999), min_size=1, max_size=6),
+        lam=st.floats(0.1, 10.0),
+    )
+    def test_fields_agree(self, seed, d, T, betas, lam):
+        spec = StreamSpec(
+            d=d, T=T, kind="logistic-drift", segments=3, noise=0.3, seed=seed
+        )
+        stream, _ = gen_stream(spec)
+        run = logreg.run_ensemble(stream, betas, lam, B=1.0, R=1.0)
+        ref = per_expert_ensemble(stream, betas, lam, 1.0, 1.0)
+        for name, want in ref.items():
+            got = getattr(run, name)
+            assert got.shape == want.shape, name
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), name
+
+
+def per_round_mixability(yhats, p):
+    """One check_mixability call per round, absorbed into one verdict."""
+    total = lemmas.LemmaVerdict("mixability", 0, 0, float("inf"))
+    for row_yhats, row_p in zip(yhats, p):
+        total.absorb(lemmas.check_mixability(row_yhats, row_p))
+    return total
+
+
+class TestOnePassMixability:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        T=st.integers(1, 3 * lemmas.MIXABILITY_BLOCK),
+        n=st.integers(1, 8),
+        saturated=st.floats(0.0, 1.0),
+    )
+    def test_matches_per_round_loop(self, seed, T, n, saturated):
+        rng = np.random.default_rng(seed)
+        yhats = rng.uniform(-30.0, 30.0, (T, n))
+        mask = rng.random((T, n)) < saturated
+        yhats[mask] = rng.choice([-800.0, 800.0], size=int(mask.sum()))
+        p = rng.random((T, n)) * (rng.random((T, n)) < 0.8)
+        p[:, 0] += 1e-3
+        p /= p.sum(axis=1, keepdims=True)
+        one_pass = lemmas.check_mixability(yhats, p)
+        assert one_pass == per_round_mixability(yhats, p)
+        assert one_pass.instances == T
+        # the worst slack of the scalar formulas, computed round by round
+        tiny = np.finfo(float).tiny
+        worst = float("inf")
+        for row_yhats, row_p in zip(yhats, p):
+            s_pos = max(float(row_p @ expit(row_yhats)), tiny)
+            s_neg = max(float(row_p @ expit(-row_yhats)), tiny)
+            mix = math.log(s_pos) - math.log(s_neg)
+            worst = min(
+                worst,
+                -math.log(s_pos) - logreg.logistic_loss(mix, 1.0),
+                -math.log(s_neg) - logreg.logistic_loss(mix, -1.0),
+            )
+        assert abs(one_pass.worst_slack - worst) <= 1e-12 * (1.0 + abs(worst))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="both be"):
+            lemmas.check_mixability(np.zeros((3, 2)), np.full(2, 0.5))
+
+
+class TestEnsembleErrors:
+    def test_unconverged_root_raises(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        stream, _ = logistic_stream(rng, T=20)
+        monkeypatch.setattr(logreg, "ROOT_MAX_ITERS", 1)
+        with pytest.raises(logreg.RootNotConvergedError):
+            logreg.run_ensemble(stream, [0.6, 0.9], lam=1.0, B=1.0, R=1.0)
+
+    # diag(1, -1) is indefinite, yet z = e_1 gives a valid decision
+    # (q > 0), so the error comes from the update's factorization.
+    INDEFINITE = np.diag([1.0, -1.0])
+    MESSAGE = "surrogate curvature matrix is numerically indefinite; use a larger lambda"
+
+    def test_indefinite_matrix_single_learner(self):
+        z = np.array([1.0, 0.0])
+        state = logreg.AioliState.fresh(2, beta=0.9, lam=1.0, B=1.0, R=1.0)
+        state.A = self.INDEFINITE.copy()
+        x, yhat = logreg.aioli_predict(state, z)
+        with pytest.raises(RuntimeError) as exc:
+            logreg.aioli_update(state, z, 1.0, x, yhat)
+        assert str(exc.value) == self.MESSAGE
+
+    def test_indefinite_matrix_in_expert_stack(self, monkeypatch):
+        state = logreg.EnsembleState.fresh(2, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
+        A = state.experts.A.copy()
+        A[1] = self.INDEFINITE
+        monkeypatch.setattr(state.experts, "A", A)
+        with pytest.raises(RuntimeError) as exc:
+            logreg.ensemble_step(state, np.array([1.0, 0.0]), 1.0)
+        assert str(exc.value) == self.MESSAGE
+
+
 class TestGrid:
     def test_frozen_eleven_point_example(self):
         grid = logreg.build_grid(B=1.0, R=0.5, d=1, T=1024)
