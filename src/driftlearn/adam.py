@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -76,8 +76,7 @@ class AdamState:
 
 def adam_update(cfg: AdamConfig, state: AdamState, g: np.ndarray) -> AdamState:
     g = np.asarray(g, dtype=float)
-    return replace(
-        state,
+    return AdamState(
         m=cfg.beta1 * state.m + g,
         v=cfg.beta2 * state.v + float(g @ g),
         t=state.t + 1,
@@ -93,7 +92,7 @@ def eta_t(cfg: AdamConfig, state: AdamState) -> float:
 
 def clip_to_ball(a: np.ndarray, radius: float) -> np.ndarray:
     """Radial clip min(|a|, D) a/|a|, with 0 mapped to 0."""
-    norm = float(np.linalg.norm(a))
+    norm = math.sqrt(a @ a)
     if norm <= radius or norm == 0.0:
         return a
     return (radius / norm) * a

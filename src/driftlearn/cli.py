@@ -57,9 +57,9 @@ class Field:
 
 def _in_range(lo, hi, lo_open=False, hi_open=False):
     def check(v):
-        bad_lo = v <= lo if lo_open else v < lo
-        bad_hi = v >= hi if hi_open else v > hi
-        if bad_lo or bad_hi:
+        ok_lo = v > lo if lo_open else v >= lo
+        ok_hi = v < hi if hi_open else v <= hi
+        if not (ok_lo and ok_hi):  # NaN fails both
             lb = "(" if lo_open else "["
             rb = ")" if hi_open else "]"
             return f"must lie in {lb}{lo}, {hi}{rb}, got {v}"
@@ -69,11 +69,11 @@ def _in_range(lo, hi, lo_open=False, hi_open=False):
 
 
 def _positive(v):
-    return None if v > 0 else f"must be > 0, got {v}"
+    return None if 0 < v < math.inf else f"must be finite and > 0, got {v}"
 
 
 def _nonneg(v):
-    return None if v >= 0 else f"must be >= 0, got {v}"
+    return None if 0 <= v < math.inf else f"must be finite and >= 0, got {v}"
 
 
 def _at_least_one(v):

@@ -8,17 +8,31 @@ The forecaster plays, after seeing the feature z_t,
 which reduces to one symmetric positive-definite solve against the
 discounted Gram matrix.  All running statistics are kept in discounted form
 (A_t = lam beta^t I + sum beta^(t-s) z_s z_s', b_t = sum beta^(t-s) y_s z_s)
-so nothing ever scales like beta^(-t).  Each round factors A_t once, in the
-update; the next prediction reuses that factor through a rank-one identity.
+so nothing ever scales like beta^(-t).  The predict matrix
+beta A_{t-1} + z_t z_t' is A_t itself, so round t solves A_t against
+[beta b_{t-1}, z_t]: the first column is the decision x_t, the second gives
+the stability term y_t^2 z_t' A_t^{-1} z_t.
+
+A_t depends on the features only, never on the decisions, so every round is
+an independent solve and the learner advances a block of rounds at once:
+the Gram and label-sum recurrences run as one first-order linear filter over
+the block, one ``np.linalg.cholesky`` of the (B, d, d) stack checks positive
+definiteness, and one ``np.linalg.solve`` of the stack gives every round's
+decision and stability term.  The block length B is set by a private byte
+budget for one (B, d, d) stack, and results do not depend on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+# Unused here: bench/tracing.py counts factorizations by wrapping
+# linreg.cho_factor, so the name stays bound.
+from scipy.linalg import cho_factor  # noqa: F401
+from scipy.signal import lfilter
 
 from driftlearn.regret import (
     RegretLedger,
@@ -28,20 +42,55 @@ from driftlearn.regret import (
 )
 from driftlearn.streams import ComparatorPath, LabeledRound, Stream
 
+# Bytes of one (B, d, d) Gram stack; a block holds max(1, this // (8 d^2))
+# rounds.  The kernel's working set is a few such stacks.
+_BLOCK_BYTES = 1 << 15
+
 
 class SingularSystemError(RuntimeError):
     """The regularized Gram matrix lost positive definiteness."""
 
 
-def _factor(A: np.ndarray) -> tuple:
+def _advance(
+    A: np.ndarray, b: np.ndarray, beta: float, Z: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run the rounds (Z, y) of one block from the statistics (A, b).
+
+    Returns the stacks A_t (B, d, d) and b_t (B, d), the decisions x_t
+    (B, d), the predictions x_t.z_t (B,) and the stability terms
+    y_t^2 z_t' A_t^{-1} z_t (B,).  The filter s[n] = v[n] + beta s[n-1],
+    started from beta A (beta b), computes beta A_{t-1} + z_t z_t'
+    (beta b_{t-1} + y_t z_t) with the same two roundings as the per-round
+    recurrence, so the results do not depend on where blocks begin.
+    """
+    B, d = Z.shape
+    with np.errstate(over="ignore"):  # an overflow raises below, not warns
+        outer = (Z[:, :, None] * Z[:, None, :]).reshape(B, d * d)
+        yz = y[:, None] * Z
+    A_stack = lfilter(
+        [1.0], [1.0, -beta], outer, axis=0, zi=beta * A.reshape(1, d * d)
+    )[0].reshape(B, d, d)
+    b_stack = lfilter([1.0], [1.0, -beta], yz, axis=0, zi=beta * b[None])[0]
+    # inf and nan persist through both recurrences, so the last round shows
+    # an overflow anywhere in the block
+    if not (np.isfinite(A_stack[-1]).all() and np.isfinite(b_stack[-1]).all()):
+        raise ValueError("discounted statistics overflowed; rescale the stream")
     try:
-        return cho_factor(A, lower=True)
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
+        np.linalg.cholesky(A_stack)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "regularized Gram matrix is numerically singular "
             "(lam*beta^t underflowed against a rank-deficient history); "
             "use a larger lambda or a shorter horizon"
         ) from exc
+    rhs = np.empty((B, d, 2))
+    rhs[0, :, 0] = beta * b
+    rhs[1:, :, 0] = beta * b_stack[:-1]
+    rhs[:, :, 1] = Z
+    sol = np.linalg.solve(A_stack, rhs)
+    X = sol[:, :, 0]
+    stab = (y * y) * (Z * sol[:, :, 1]).sum(axis=1)
+    return A_stack, b_stack, X, (X * Z).sum(axis=1), stab
 
 
 @dataclass
@@ -50,18 +99,18 @@ class VawState:
 
     ``A`` is the regularized discounted Gram matrix
     A_t = lam beta^t I + sum_{s<=t} beta^(t-s) z_s z_s', carried as
-    A_t = beta A_{t-1} + z_t z_t' from A_0 = lam I, and ``chol`` its lower
-    Cholesky factor as returned by ``cho_factor``.  The lam beta^t part may
+    A_t = beta A_{t-1} + z_t z_t' from A_0 = lam I, and ``b`` the discounted
+    label sum b_t = beta b_{t-1} + y_t z_t.  The lam beta^t part may
     underflow to zero (the Gram term then carries the conditioning); a
     matrix that is no longer positive definite raises
     :class:`SingularSystemError`.  ``potential`` accumulates the discounted
-    stability terms y_t^2 z_t' A_t^{-1} z_t.
+    stability terms y_t^2 z_t' A_t^{-1} z_t.  No factor is stored: each
+    round solves against A_t afresh.
     """
 
     beta: float
     lam: float
     A: np.ndarray
-    chol: tuple
     b: np.ndarray
     t: int = 0
     maxy2: float = 0.0
@@ -71,45 +120,44 @@ class VawState:
     def fresh(cls, d: int, beta: float, lam: float) -> "VawState":
         if not (0.0 < beta <= 1.0):
             raise ValueError(f"beta must lie in (0, 1], got {beta}")
-        if lam <= 0.0:
-            raise ValueError(f"lambda must be > 0, got {lam}")
-        A = lam * np.eye(d)
-        return cls(beta=beta, lam=lam, A=A, chol=_factor(A), b=np.zeros(d))
+        if not (0.0 < lam < math.inf):
+            raise ValueError(f"lambda must be > 0 and finite, got {lam}")
+        return cls(beta=beta, lam=lam, A=lam * np.eye(d), b=np.zeros(d))
+
+
+def _one_round(state: VawState, z, y: float) -> tuple:
+    """:func:`_advance` on the single round (z, y), after checking ``z``."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != state.b.shape:
+        raise ValueError(f"feature dimension {z.shape} != state dimension {state.b.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("feature must be finite")
+    return _advance(state.A, state.b, state.beta, z[None], np.array([y]))
 
 
 def dvaw_predict(state: VawState, z: np.ndarray) -> tuple[np.ndarray, float]:
     """Decision and prediction for the incoming feature ``z``.
 
-    Solves (beta A_{t-1} + z z') x = beta b_{t-1} where t is the upcoming
-    round index.  With a = A_{t-1}^{-1} b_{t-1} and c = A_{t-1}^{-1} z from
-    the stored factor, the rank-one identity gives
-    x = a - c (z.a) / (beta + z.c); the denominator is at least beta > 0.
+    Solves (beta A_{t-1} + z z') x = beta b_{t-1}, where t is the upcoming
+    round index; the matrix is the A_t the update will store.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
-        raise ValueError("feature must be finite")
-    a, c = cho_solve(state.chol, np.column_stack((state.b, z))).T
-    x = a - c * (float(z @ a) / (state.beta + float(z @ c)))
-    return x, float(x @ z)
+    _, _, X, yhats, _ = _one_round(state, z, 0.0)
+    return X[0], float(yhats[0])
 
 
 def dvaw_update(state: VawState, rnd: LabeledRound) -> VawState:
     """Fold one revealed round into the discounted statistics."""
-    z = np.asarray(rnd.z, dtype=float)
-    if z.shape != state.b.shape:
-        raise ValueError(f"feature dimension {z.shape} != state dimension {state.b.shape}")
-    beta, y = state.beta, float(rnd.y)
-    A = beta * state.A + np.outer(z, z)
-    chol = _factor(A)
-    pot_inc = y * y * float(z @ cho_solve(chol, z))
+    y = float(rnd.y)
+    if not math.isfinite(y):
+        raise ValueError("label must be finite")
+    A, b, _, _, stab = _one_round(state, rnd.z, y)
     return replace(
         state,
-        A=A,
-        chol=chol,
-        b=beta * state.b + y * z,
+        A=A[0],
+        b=b[0],
         t=state.t + 1,
         maxy2=max(state.maxy2, y * y),
-        potential=state.potential + pot_inc,
+        potential=state.potential + float(stab[0]),
     )
 
 
@@ -132,23 +180,32 @@ class DvawRun:
 
 def run_dvaw(stream: Stream, beta: float, lam: float) -> DvawRun:
     state = VawState.fresh(stream.d, beta, lam)
-    T = stream.T
+    Z, y = stream.Z, stream.y
+    T, d = Z.shape
+    block = max(1, _BLOCK_BYTES // (8 * d * d))
     yhats = np.empty(T)
-    losses = np.empty(T)
     pots = np.empty(T)
-    for t, rnd in enumerate(stream):
-        _, yhat = dvaw_predict(state, rnd.z)
-        yhats[t] = yhat
-        losses[t] = 0.5 * (yhat - rnd.y) ** 2
-        prev_pot = state.potential
-        state = dvaw_update(state, rnd)
-        pots[t] = state.potential - prev_pot
+    A, b = state.A, state.b
+    for lo in range(0, T, block):
+        hi = min(lo + block, T)
+        A_stack, b_stack, _, yhats[lo:hi], pots[lo:hi] = _advance(
+            A, b, beta, Z[lo:hi], y[lo:hi]
+        )
+        A, b = A_stack[-1].copy(), b_stack[-1].copy()
+    state = replace(
+        state,
+        A=A,
+        b=b,
+        t=T,
+        maxy2=float((y * y).max(initial=0.0)),
+        potential=float(pots.sum()),
+    )
     return DvawRun(
         stream=stream,
         beta=beta,
         lam=lam,
         yhats=yhats,
-        losses_at_play=losses,
+        losses_at_play=0.5 * (yhats - y) ** 2,
         potential_increments=pots,
         state=state,
     )

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -204,6 +205,33 @@ class TestMalformedInput:
         )
         assert_one_error_line(code, err)
         assert "(T=40, d=2)" in err
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["run-vaw", "--lambda", "inf"], "lam"),
+            (["run-aioli", "--lambda", "inf"], "lam"),
+            (["run-ensemble", "--lambda", "inf"], "lam"),
+            (["run-o2nc", "--sigma", "inf", "--T", "5"], "sigma"),
+            (["run-vaw", "--beta", "nan"], "beta"),
+        ],
+    )
+    def test_rejected_with_one_error_line_naming_the_field(
+        self, capsys, tmp_path, argv, field
+    ):
+        kind = "piecewise-constant-target" if argv[0] == "run-vaw" else "logistic-drift"
+        stream = make_stream(capsys, tmp_path, kind=kind)
+        if argv[0] != "run-o2nc":
+            argv = argv + ["--stream", str(stream)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, err)
+        assert f"error: {field}:" in err and stdout == ""
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestRunEnsemble:

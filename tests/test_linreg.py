@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -251,3 +253,126 @@ class TestSingleMatrixMatchesTwoFactorizations:
         assert np.all(
             np.abs(run.potential_increments - pots) <= 1e-12 * (1.0 + np.abs(pots))
         )
+
+
+def per_round_scipy_dvaw(stream, beta, lam):
+    """Reference copy of the per-round learner: one scipy Cholesky factor of
+    A_t per round, and the next prediction through the rank-one identity
+    x = a - c (z.a) / (beta + z.c) with a = A^{-1} b and c = A^{-1} z."""
+    d = stream.d
+    A, b = lam * np.eye(d), np.zeros(d)
+    chol = cho_factor(A, lower=True)
+    potential = 0.0
+    T = stream.T
+    yhats, losses, pots = np.empty(T), np.empty(T), np.empty(T)
+    for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
+        a, c = cho_solve(chol, np.column_stack((b, z))).T
+        x = a - c * (float(z @ a) / (beta + float(z @ c)))
+        yhats[t] = float(x @ z)
+        losses[t] = 0.5 * (yhats[t] - y) ** 2
+        A = beta * A + np.outer(z, z)
+        chol = cho_factor(A, lower=True)
+        b = beta * b + y * z
+        prev = potential
+        potential += y * y * float(z @ cho_solve(chol, z))
+        pots[t] = potential - prev
+    return yhats, losses, pots, A, b, potential
+
+
+def assert_close(new, ref, rel=1e-12):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert np.all(np.abs(new - ref) <= rel * (1.0 + np.abs(ref)))
+
+
+def run_fields(run):
+    return (run.yhats, run.losses_at_play, run.potential_increments,
+            run.state.A, run.state.b, run.state.potential)
+
+
+class TestBlockedKernelMatchesPerRoundLoop:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 8),
+        block=st.integers(1, 40),
+        extra=st.integers(0, 60),
+        beta=st.floats(0.5, 1.0),
+        lam=st.floats(0.1, 10.0),
+        kind=st.sampled_from(["piecewise-constant-target", "rotating-target"]),
+    )
+    def test_fields_agree(self, seed, d, block, extra, beta, lam, kind):
+        # a budget of `block` rounds, so that T spans at least three blocks
+        T = 3 * block + extra
+        spec = StreamSpec(d=d, T=T, kind=kind, segments=3, noise=0.3, seed=seed)
+        stream, _ = gen_stream(spec)
+        with mock.patch.object(linreg, "_BLOCK_BYTES", block * 8 * d * d):
+            run = linreg.run_dvaw(stream, beta, lam)
+        for new, ref in zip(run_fields(run), per_round_scipy_dvaw(stream, beta, lam)):
+            assert_close(new, ref)
+
+    @pytest.mark.parametrize("d, T", [(8, 200), (5, 500)])
+    def test_default_budget_spans_several_blocks(self, d, T):
+        assert T >= 3 * (linreg._BLOCK_BYTES // (8 * d * d))
+        spec = StreamSpec(d=d, T=T, kind="rotating-target", segments=3, noise=0.3, seed=d)
+        stream, _ = gen_stream(spec)
+        run = linreg.run_dvaw(stream, 0.95, 0.5)
+        for new, ref in zip(run_fields(run), per_round_scipy_dvaw(stream, 0.95, 0.5)):
+            assert_close(new, ref)
+
+    def test_single_round_views_match_the_run(self):
+        rng = np.random.default_rng(9)
+        stream, _ = drifting_stream(rng, T=30, d=4)
+        run = linreg.run_dvaw(stream, 0.9, 1.0)
+        state = linreg.VawState.fresh(4, 0.9, 1.0)
+        for t, rnd in enumerate(stream):
+            _, yhat = linreg.dvaw_predict(state, rnd.z)
+            assert yhat == run.yhats[t]
+            state = linreg.dvaw_update(state, rnd)
+        assert np.array_equal(state.A, run.state.A)
+        assert np.array_equal(state.b, run.state.b)
+        assert state.t == run.state.t and state.maxy2 == run.state.maxy2
+        assert state.potential == pytest.approx(run.state.potential, rel=1e-12)
+
+
+class TestBlockSizeInvariance:
+    def test_one_round_blocks_equal_the_default(self, monkeypatch):
+        spec = StreamSpec(d=5, T=500, kind="piecewise-constant-target", segments=4,
+                          noise=0.1, seed=21)
+        stream, _ = gen_stream(spec)
+        default = linreg.run_dvaw(stream, 0.99, 1.0)
+        monkeypatch.setattr(linreg, "_BLOCK_BYTES", 1)
+        one_round = linreg.run_dvaw(stream, 0.99, 1.0)
+        for a, b in zip(run_fields(default), run_fields(one_round)):
+            assert np.array_equal(a, b)
+
+
+class TestKernelErrors:
+    def test_rank_deficient_stream_raises_singular_error(self):
+        T = 200
+        stream = Stream(np.tile([[1.0, 0.0]], (T, 1)), np.ones(T))
+        with pytest.raises(linreg.SingularSystemError, match="larger lambda"):
+            linreg.run_dvaw(stream, beta=0.01, lam=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        state = linreg.VawState.fresh(2, beta=0.9, lam=1.0)
+        z = np.array([1.0, bad])
+        with pytest.raises(ValueError, match="feature must be finite"):
+            linreg.dvaw_predict(state, z)
+        with pytest.raises(ValueError, match="feature must be finite"):
+            linreg.dvaw_update(state, LabeledRound(z, 1.0))
+
+    def test_non_finite_label_rejected(self):
+        state = linreg.VawState.fresh(2, beta=0.9, lam=1.0)
+        with pytest.raises(ValueError, match="label must be finite"):
+            linreg.dvaw_update(state, LabeledRound(np.ones(2), np.nan))
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0])
+    def test_bad_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            linreg.VawState.fresh(2, beta=0.9, lam=lam)
+
+    def test_overflowing_stream_raises(self):
+        stream = Stream(np.full((3, 2), 1e200), np.ones(3))
+        with pytest.raises(ValueError, match="overflowed"):
+            linreg.run_dvaw(stream, beta=0.9, lam=1.0)

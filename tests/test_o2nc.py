@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -179,6 +180,124 @@ class TestRunLoop:
         x = np.array([0.5, 0.5])
         noise = np.array([oracle.sample(x, rng) - obj.grad(x) for _ in range(40_000)])
         assert np.linalg.norm(noise.mean(axis=0)) <= 0.01
+
+
+def reference_objective(obj):
+    """The zoo objective with its gradient as written before the norms went
+    through math.sqrt (the max-of-affines gradient takes no norm)."""
+    radius = obj.lipschitz
+
+    def quadratic_grad(x):
+        r = float(np.linalg.norm(x))
+        if r <= radius or r == 0.0:
+            return np.asarray(x, dtype=float).copy()
+        return (radius / r) * np.asarray(x, dtype=float)
+
+    def norm_grad(x):
+        r = float(np.linalg.norm(x))
+        if r == 0.0:
+            return np.zeros(obj.dim)
+        return np.asarray(x, dtype=float) / r
+
+    grads = {"clamped-quadratic": quadratic_grad, "euclidean-norm": norm_grad}
+    return dataclasses.replace(obj, grad=grads.get(obj.name, obj.grad))
+
+
+def reference_o2nc(cfg, oracle, T, seed, x0):
+    """Copy of the driver loop as it ran with three true gradients a round:
+    one inside the oracle, one for the accumulator, one at the average."""
+    obj = reference_objective(oracle.objective)
+
+    def sample(x, rng):
+        g = obj.grad(x)
+        gap = obj.lipschitz - float(np.linalg.norm(g))
+        direction = rng.standard_normal(obj.dim)
+        nd = float(np.linalg.norm(direction))
+        magnitude = min(oracle.sigma * abs(float(rng.standard_normal())), max(gap, 0.0))
+        if nd == 0.0 or magnitude == 0.0:
+            return g
+        return g + (magnitude / nd) * direction
+
+    def delta_for(m, v, beta1_pow):
+        denom = cfg.nu + math.sqrt((1.0 - cfg.beta2) * v)
+        if cfg.variant == "clipped":
+            a = -cfg.gamma * (1.0 - cfg.beta1) * m / denom
+            norm = float(np.linalg.norm(a))
+            if norm <= cfg.D or norm == 0.0:
+                return a
+            return (cfg.D / norm) * a
+        damping = cfg.gamma * cfg.mu * (1.0 - beta1_pow)
+        denom = cfg.nu + damping + math.sqrt((1.0 - cfg.beta2) * v)
+        return -cfg.gamma * (1.0 - cfg.beta1) * m / denom
+
+    d = obj.dim
+    x = np.asarray(x0, dtype=float).copy()
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    m, v, beta1_pow = np.zeros(d), 0.0, 1.0
+    acc, xbar = np.zeros(d), x.copy()
+    rows = {k: [] for k in ("xs", "xbars", "scalings", "deltas", "grad_norms_at_xbar",
+                            "comparators", "dynreg_terms")}
+    zero = 0
+    for t in range(1, T + 1):
+        delta = delta_for(m, v, beta1_pow)
+        s_t = o2nc.exp_sample(rng)
+        x = x + s_t * delta
+        g = sample(x, rng)
+        acc = cfg.beta1 * acc + obj.grad(x)
+        acc_norm = float(np.linalg.norm(acc))
+        if acc_norm > 0.0:
+            u = -cfg.D * acc / acc_norm
+        else:
+            u = np.zeros(d)
+            zero += 1
+        term = float(g @ (delta - u))
+        if cfg.variant == "clip-free":
+            term += 0.5 * cfg.mu * (float(delta @ delta) - float(u @ u))
+        m, v, beta1_pow = cfg.beta1 * m + g, cfg.beta2 * v + float(g @ g), beta1_pow * cfg.beta1
+        xbar = o2nc.ema_update(xbar, x, cfg.beta1, t)
+        for k, val in (("xs", x), ("xbars", xbar), ("scalings", s_t), ("deltas", delta),
+                       ("grad_norms_at_xbar", float(np.linalg.norm(obj.grad(xbar)))),
+                       ("comparators", u), ("dynreg_terms", term)):
+            rows[k].append(val)
+    fields = {k: np.array(val) for k, val in rows.items()}
+    return fields, zero, int(rng.integers(T))
+
+
+OBJECTIVE_CASES = [
+    ("quadratic", lambda: o2nc.clamped_quadratic(4, radius=1.0), np.full(4, 1.5)),
+    ("norm", lambda: o2nc.euclidean_norm(4), np.ones(4)),
+    ("maxaffine", lambda: o2nc.max_affine(4, pieces=6, seed=5), np.zeros(4)),
+]
+VARIANT_CASES = [
+    ("clipped", small_clipped_cfg),
+    ("clip-free", lambda: small_clipped_cfg(variant="clip-free", mu=0.2)),
+]
+
+
+class TestOneTrueGradientPerRound:
+    @pytest.mark.parametrize("variant, make_cfg", VARIANT_CASES)
+    @pytest.mark.parametrize("name, make_obj, x0", OBJECTIVE_CASES)
+    def test_trace_equals_three_gradient_loop(self, name, make_obj, x0, variant, make_cfg):
+        cfg = make_cfg()
+        oracle = o2nc.StochasticOracle(make_obj(), sigma=0.4)
+        trace = o2nc.run_o2nc(cfg, oracle, T=300, seed=17, x0=x0)
+        fields, zero, final = reference_o2nc(cfg, oracle, 300, 17, x0)
+        for key, ref in fields.items():
+            assert np.array_equal(getattr(trace, key), ref), key
+        assert trace.zero_comparators == zero
+        assert trace.final_index == final
+
+    def test_two_gradient_calls_per_round(self):
+        base = o2nc.clamped_quadratic(3, radius=1.0)
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return base.grad(x)
+
+        oracle = o2nc.StochasticOracle(dataclasses.replace(base, grad=counted), sigma=0.2)
+        o2nc.run_o2nc(small_clipped_cfg(), oracle, T=50, seed=1, x0=np.ones(3))
+        assert len(calls) == 2 * 50
 
 
 class TestObjectiveZoo:
