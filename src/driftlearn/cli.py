@@ -81,7 +81,11 @@ def _at_least_one(v):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{SEED_ENV_VAR}: expected an integer, got {raw!r}") from None
 
 
 COMMON_FIELDS = [
@@ -174,11 +178,16 @@ def _jsonable(obj):
     return obj
 
 
-def _write_summary(values: dict, out: Optional[str], summary: dict) -> None:
-    payload = json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(payload)
-    if out:
-        Path(out).with_suffix(".summary.json").write_text(payload)
+def _write_json(payload: dict, path: Optional[Path] = None) -> None:
+    """Print ``payload`` as sorted JSON, and write the same text to ``path``."""
+    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    sys.stdout.write(text)
+    if path:
+        path.write_text(text)
+
+
+def _write_summary(out: Optional[str], summary: dict) -> None:
+    _write_json(summary, Path(out).with_suffix(".summary.json") if out else None)
 
 
 def _checks_exit(summary: dict) -> int:
@@ -249,7 +258,7 @@ def cmd_gen(values: dict) -> int:
     out = Path(values["out"])
     out.write_text(streams.stream_to_csv(stream, comment))
     out.with_suffix(".truth.csv").write_text(streams.path_to_csv(truth, comment))
-    _write_summary(values, None, {
+    _write_json({
         "subcommand": "gen", "config_hash": h, "seed": values["seed"],
         "T": stream.T, "d": stream.d, "out": str(out), "checks": {},
     })
@@ -301,7 +310,7 @@ def cmd_run_vaw(values: dict) -> int:
             Path(values["out"]).write_text(
                 regret.regret_trace_csv(ledger, truth, comment)
             )
-    _write_summary(values, values["out"], summary)
+    _write_summary(values["out"], summary)
     return _checks_exit(summary)
 
 
@@ -350,7 +359,7 @@ def cmd_run_aioli(values: dict) -> int:
     if values["out"] and truth is not None:
         comment = f"driftlearn run-aioli config_hash={h}"
         Path(values["out"]).write_text(regret.regret_trace_csv(ledger, truth, comment))
-    _write_summary(values, values["out"], summary)
+    _write_summary(values["out"], summary)
     return _checks_exit(summary)
 
 
@@ -420,12 +429,10 @@ def cmd_run_ensemble(values: dict) -> int:
         summary["dynamic_regret"] = regret.dynamic_regret(logreg.ensemble_ledger(run), truth)
     if values["out"]:
         comment = f"driftlearn run-ensemble config_hash={h}"
-        lines = [f"# {comment}", "t,mix_loss,best_expert_loss"]
-        best = run.expert_losses.min(axis=1)
-        for t in range(run.T):
-            lines.append(f"{t + 1},{float(run.mix_losses[t])!r},{float(best[t])!r}")
-        Path(values["out"]).write_text("\n".join(lines) + "\n")
-    _write_summary(values, values["out"], summary)
+        columns = [run.mix_losses, run.expert_losses.min(axis=1)]
+        text = streams.csv_text(["mix_loss", "best_expert_loss"], columns, comment)
+        Path(values["out"]).write_text(text)
+    _write_summary(values["out"], summary)
     return _checks_exit(summary)
 
 
@@ -447,6 +454,16 @@ O2NC_FIELDS = COMMON_FIELDS + [
 ]
 
 
+def _tune(values: dict) -> adam.TuningReport:
+    """Tuning report of the variant in ``values``; ``rho`` picks the margin form."""
+    args = [values[k] for k in ("eps", "c", "G", "sigma", "Fstar", "nu")]
+    if values["variant"] == "clipfree":
+        return adam.tune_clipfree(*args, values["rho"])
+    if values["rho"] is None:
+        return adam.tune_clipped(*args)
+    return adam.tune_clipped_margin(*args, values["rho"])
+
+
 def cmd_run_o2nc(values: dict) -> int:
     G, sigma = values["G"], values["sigma"]
     dim = values["dim"]
@@ -465,15 +482,8 @@ def cmd_run_o2nc(values: dict) -> int:
     nu = values["nu"] if values["nu"] is not None else G + sigma
     fstar = values["Fstar"] if values["Fstar"] is not None else max(objective.value(x0), 1e-6)
 
-    if values["variant"] == "clipped":
-        if values["rho"] is None:
-            rep = adam.tune_clipped(eps, values["c"], G, sigma, fstar, nu)
-        else:
-            rep = adam.tune_clipped_margin(eps, values["c"], G, sigma, fstar, nu, values["rho"])
-        variant = "clipped"
-    else:
-        rep = adam.tune_clipfree(eps, values["c"], G, sigma, fstar, nu, values["rho"])
-        variant = "clip-free"
+    rep = _tune({**values, "eps": eps, "G": G, "Fstar": fstar, "nu": nu})
+    variant = "clipped" if values["variant"] == "clipped" else "clip-free"
     if not rep.feasible:
         raise UsageError(f"tuning infeasible: {rep.reason}")
     cfg = adam.AdamConfig(
@@ -505,7 +515,7 @@ def cmd_run_o2nc(values: dict) -> int:
     if values["out"]:
         comment = f"driftlearn run-o2nc config_hash={h} seed={values['seed']}"
         Path(values["out"]).write_text(trace.to_csv(comment))
-    _write_summary(values, values["out"], summary)
+    _write_summary(values["out"], summary)
     return _checks_exit(summary)
 
 
@@ -523,25 +533,14 @@ TUNE_FIELDS = COMMON_FIELDS + [
 
 
 def cmd_tune_adam(values: dict) -> int:
-    args = (values["eps"], values["c"], values["G"], values["sigma"],
-            values["Fstar"], values["nu"])
-    if values["variant"] == "clipped":
-        if values["rho"] is None:
-            rep = adam.tune_clipped(*args)
-        else:
-            rep = adam.tune_clipped_margin(*args, values["rho"])
-    else:
-        rep = adam.tune_clipfree(*args, values["rho"])
+    rep = _tune(values)
     errors = adam.verify_report(rep)
     payload = rep.to_dict()
     payload["config_hash"] = _config_hash(values)
     payload["checks"] = {"resubstitution": not errors}
     if errors:
         payload["violations"] = errors
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
-    if values["out"]:
-        Path(values["out"]).write_text(text)
+    _write_json(payload, Path(values["out"]) if values["out"] else None)
     return EXIT_OK if not errors else EXIT_VIOLATION
 
 
@@ -561,7 +560,7 @@ def cmd_verify_lemmas(values: dict) -> int:
         "verdicts": {k: v.to_dict() for k, v in verdicts.items()},
         "checks": {k: v.passed for k, v in verdicts.items()},
     }
-    sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    _write_json(payload)
     return EXIT_OK if all(v.passed for v in verdicts.values()) else EXIT_VIOLATION
 
 

@@ -22,6 +22,7 @@ from scipy.signal import lfilter
 from scipy.special import expit
 
 from driftlearn.logreg import mix_predict
+from driftlearn.streams import philox_rng
 
 TOL = 1e-9
 IDENTITY_TOL = 1e-10
@@ -315,10 +316,6 @@ def check_self_confident_int(a0: float, a: Sequence[float], bound: float) -> Lem
 # ---------------------------------------------------------------------------
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
 def _rand_nonneg(rng, T, scale) -> np.ndarray:
     kind = rng.integers(3)
     if kind == 0:
@@ -452,7 +449,7 @@ def run_suite(lemma: str, instances: int = 1000, seed: int = 0) -> LemmaVerdict:
     if lemma not in SUITES:
         raise ValueError(f"unknown lemma suite {lemma!r}; known: {sorted(SUITES)}")
     gen = SUITES[lemma]
-    rng = _rng(seed)
+    rng = philox_rng(seed)
     total = LemmaVerdict(lemma=lemma, instances=0, violations=0, worst_slack=float("inf"))
     for _ in range(instances):
         total.absorb(gen(rng))

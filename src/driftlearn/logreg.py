@@ -361,7 +361,7 @@ def logistic_ledger(run: AioliRun) -> RegretLedger:
     lam = run.lam
     return _stream_ledger(
         run.stream, run.losses_at_play, run.beta,
-        phi_eval=lambda t, u: 0.5 * lam * float(u @ u),
+        phi_eval=lambda u: 0.5 * lam * float(u @ u),
     )
 
 

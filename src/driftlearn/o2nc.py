@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from driftlearn.adam import AdamConfig, AdamState, adam_update, delta_for
+from driftlearn.streams import csv_text, philox_rng
 
 
 class OracleBoundError(RuntimeError):
@@ -87,7 +88,7 @@ def euclidean_norm(dim: int) -> Objective:
 
 def max_affine(dim: int, pieces: int = 8, seed: int = 0) -> Objective:
     """F(x) = max_i (a_i . x + b_i): piecewise linear, non-smooth."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox_rng(seed)
     A = rng.standard_normal((pieces, dim))
     b = rng.standard_normal(pieces)
     G = float(np.linalg.norm(A, axis=1).max())
@@ -185,17 +186,10 @@ class O2ncTrace:
         return self.xbars[self.final_index]
 
     def to_csv(self, header_comment: Optional[str] = None) -> str:
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append("t,s_t,||delta||,||grad_at_xbar||,dynreg_term")
+        header = ["s_t", "||delta||", "||grad_at_xbar||", "dynreg_term"]
         dn = np.linalg.norm(self.deltas, axis=1)
-        for t in range(self.T):
-            lines.append(
-                f"{t + 1},{float(self.scalings[t])!r},{float(dn[t])!r},"
-                f"{float(self.grad_norms_at_xbar[t])!r},{float(self.dynreg_terms[t])!r}"
-            )
-        return "\n".join(lines) + "\n"
+        columns = [self.scalings, dn, self.grad_norms_at_xbar, self.dynreg_terms]
+        return csv_text(header, columns, header_comment)
 
 
 def run_o2nc(
@@ -212,7 +206,7 @@ def run_o2nc(
     d = obj.dim
     x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
     x0_saved = x.copy()
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox_rng(seed)
     state = AdamState.fresh(d)
     acc = np.zeros(d)
     xbar = x.copy()
@@ -291,7 +285,7 @@ def stationarity_surrogate(
     d = objective.dim
     if radius == 0.0:
         return float(np.linalg.norm(objective.grad(x)))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox_rng(seed)
     dirs = rng.standard_normal((samples, d))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), np.finfo(float).tiny)
     radii = radius * rng.random(samples) ** (1.0 / d)

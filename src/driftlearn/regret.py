@@ -14,7 +14,7 @@ Central objects:
               + (1-beta) * sum_t R_t(u_t) + beta * R_T(u_T)
 * ``path_variation``      P_T^g = sum_{t<T} sum_{s=0..t} p_{t,s} [f_s(u_{t+1}) - f_s(u_t)]_+
 * ``modular_bound_rhs``   the computable right-hand side of the template
-  bound driven by a comparator-dependent phi_t and stability terms.
+  bound driven by a comparator regularizer phi and stability terms.
 
 The F-differences behind ``ft_difference_term``, ``modular_bound_rhs`` and
 ``check_path_length_lemma`` come from one kernel over the comparator
@@ -40,10 +40,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from driftlearn.streams import ComparatorPath, geometric_weights
+from driftlearn.streams import ComparatorPath, csv_text, geometric_weights
 
 LossEval = Callable[[int, np.ndarray], float]
-PhiEval = Callable[[int, np.ndarray], float]
+PhiEval = Callable[[np.ndarray], float]
 BatchLossEval = Callable[[np.ndarray], np.ndarray]
 
 
@@ -54,7 +54,7 @@ class RegretLedger:
     losses_at_play  f_t(x_t) for t = 1..T.
     loss_eval       (t, u) -> f_t(u), t 1-based.
     beta            discount factor in (0, 1].
-    phi_eval        optional (t, u) -> phi_t(u) >= 0 comparator term.
+    phi_eval        optional u -> phi(u) >= 0, the comparator term of every round.
     lambdas         optional discounted stability terms; entry t-1 holds
                     beta^t * Lambda_t (suppliers fold the discount so the
                     ledger never sees a beta^(-t)).
@@ -255,7 +255,7 @@ def path_variation(
 
     P_T^g = sum_{t=1}^{T-1} sum_{s=0}^{t} p_{t,s} [f_s(u_{t+1}) - f_s(u_t)]_+
     with p_{t,s} = gamma^(t-s) / sum_{r=0}^{t} gamma^(t-r).  The s = 0 term
-    uses f_0 = phi_1 and is included by default whenever the ledger carries a
+    uses f_0 = phi and is included by default whenever the ledger carries a
     phi evaluator; the normalization always runs over s = 0..t.  Only rounds
     with u_{t+1} != u_t are visited: a stationary round adds exactly 0.
     """
@@ -276,7 +276,7 @@ def path_variation(
         diffs = ledger.losses_at(u_next, upto=t) - ledger.losses_at(u_now, upto=t)
         total += float(w[1:] @ np.maximum(diffs, 0.0))
         if include_f0:
-            d0 = ledger.phi_eval(1, u_next) - ledger.phi_eval(1, u_now)
+            d0 = ledger.phi_eval(u_next) - ledger.phi_eval(u_now)
             total += w[0] * max(d0, 0.0)
     return PathVariation(value=total, beta=gamma, includes_f0=bool(include_f0))
 
@@ -284,7 +284,7 @@ def path_variation(
 def ft_difference_term(ledger: RegretLedger, path: ComparatorPath) -> float:
     """beta * sum_{t=1}^{T-1} (F_t(u_{t+1}) - F_t(u_t)); may be negative.
 
-    F_t(u) = beta^t phi_t(u) + sum_{s<=t} beta^(t-s) f_s(u), so each moved
+    F_t(u) = beta^t phi(u) + sum_{s<=t} beta^(t-s) f_s(u), so each moved
     round adds D_t plus its phi difference; stationary rounds add nothing.
     """
     T = ledger.T
@@ -294,7 +294,7 @@ def ft_difference_term(ledger: RegretLedger, path: ComparatorPath) -> float:
     for t, diff in zip(*_comparator_differences(ledger, path)):
         if ledger.phi_eval is not None:
             diff += ledger._beta_pows[t] * (
-                ledger.phi_eval(t, path[t]) - ledger.phi_eval(t, path[t - 1])
+                ledger.phi_eval(path[t]) - ledger.phi_eval(path[t - 1])
             )
         total += diff
     return ledger.beta * float(total)
@@ -303,30 +303,22 @@ def ft_difference_term(ledger: RegretLedger, path: ComparatorPath) -> float:
 def modular_bound_rhs(ledger: RegretLedger, path: ComparatorPath) -> float:
     """Computable dynamic-regret upper bound from the reduction template.
 
-    RHS = beta*phi_1(u_1) + sum_t beta^t Lambda_t
-          + beta * sum_{t<T} (F_t(u_{t+1}) - F_t(u_t))
-          + beta * sum_{t<T} beta^t (phi_{t+1}(u_{t+1}) - phi_t(u_{t+1})),
+    RHS = beta*phi(u_1) + sum_t beta^t Lambda_t
+          + beta * sum_{t<T} (F_t(u_{t+1}) - F_t(u_t)),
 
-    where the stability terms arrive pre-discounted in ``ledger.lambdas``.
+    where the stability terms arrive pre-discounted in ``ledger.lambdas``;
+    the template's phi drift term is 0, since phi does not depend on t.
     """
     if ledger.phi_eval is None:
         raise ValueError("modular_bound_rhs requires phi_eval on the ledger")
     if ledger.lambdas is None:
         raise ValueError("modular_bound_rhs requires stability terms (lambdas)")
-    T, beta = ledger.T, ledger.beta
-    if path.T != T:
+    if path.T != ledger.T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
 
-    rhs = beta * ledger.phi_eval(1, path[0])
+    rhs = ledger.beta * ledger.phi_eval(path[0])
     rhs += float(ledger.lambdas.sum())
     rhs += ft_difference_term(ledger, path)
-    phi_drift = 0.0
-    for t in range(1, T):
-        u_next = path[t]
-        phi_drift += ledger._beta_pows[t] * (
-            ledger.phi_eval(t + 1, u_next) - ledger.phi_eval(t, u_next)
-        )
-    rhs += beta * phi_drift
     return float(rhs)
 
 
@@ -336,7 +328,7 @@ def check_path_length_lemma(
     """beta * sum_{t<T}(F_t^b(u_{t+1}) - F_t^b(u_t)) <= gamma/(1-gamma) P_T^g.
 
     Requires 0 < beta <= gamma < 1 and nonnegative f_0..f_T; F_t^b includes
-    the f_0 = phi_1 term with weight beta^t.
+    the f_0 = phi term with weight beta^t.
     """
     if not (0.0 < beta <= gamma < 1.0):
         raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
@@ -363,7 +355,7 @@ def quadratic_loss_ledger(
 ) -> RegretLedger:
     """Ledger over squared losses f_t(u) = (u.z_t - y_t)^2 / 2.
 
-    When ``lam`` is given, phi_t(u) = lam/2 |u|^2 (time independent).
+    When ``lam`` is given, phi(u) = lam/2 |u|^2.
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -376,7 +368,7 @@ def quadratic_loss_ledger(
 
     phi = None
     if lam is not None:
-        phi = lambda t, u: 0.5 * lam * float(u @ u)  # noqa: E731
+        phi = lambda u: 0.5 * lam * float(u @ u)  # noqa: E731
     return RegretLedger(
         losses_at_play=losses_at_play,
         loss_eval=eval_one,
@@ -392,14 +384,8 @@ def regret_trace_csv(
     ledger: RegretLedger, path: ComparatorPath, header_comment: Optional[str] = None
 ) -> str:
     """CSV trace `t,loss_play,loss_comp,cum_dynreg`."""
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("t,loss_play,loss_comp,cum_dynreg")
-    cum = 0.0
-    for t in range(1, ledger.T + 1):
-        lp = float(ledger.losses_at_play[t - 1])
-        lc = float(ledger.loss_eval(t, path[t - 1]))
-        cum += lp - lc
-        lines.append(f"{t},{lp!r},{lc!r},{cum!r}")
-    return "\n".join(lines) + "\n"
+    play, T = ledger.losses_at_play, ledger.T
+    comp = np.fromiter((ledger.loss_eval(t, path[t - 1]) for t in range(1, T + 1)), float, T)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats would
+        cum = np.cumsum(play - comp) + 0.0  # a sum from 0.0 never reads -0.0
+    return csv_text(["loss_play", "loss_comp", "cum_dynreg"], [play, comp, cum], header_comment)

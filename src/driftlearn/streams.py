@@ -1,4 +1,5 @@
-"""Synthetic non-stationary regression streams and geometric weights.
+"""Synthetic non-stationary regression streams, geometric weights, and the
+CSV codec of every artifact.
 
 Streams are generated with a counter-based Philox RNG so a given
 :class:`StreamSpec` reproduces bit-for-bit on any platform.  Features are
@@ -8,7 +9,8 @@ sphere of radius ``B``, so the declared norm bounds hold exactly.
 
 from __future__ import annotations
 
-import io
+import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -130,9 +132,12 @@ class ComparatorPath:
         return cls(np.tile(u, (T, 1)))
 
 
-def _rng(seed: int) -> np.random.Generator:
+def philox_rng(seed: int) -> np.random.Generator:
+    """The generator of every seeded draw; ``seed`` must lie in [0, 2**64)."""
     # Philox is counter-based with a published algorithm; identical seeds
     # reproduce identical draws across platforms.
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -176,14 +181,16 @@ def gen_stream(spec: StreamSpec) -> tuple[Stream, ComparatorPath]:
 
     Labels are ``y_t = u_t . z_t + noise * N(0,1)`` for the regression
     kinds, and the sign of that quantity (0 mapped to +1) for
-    ``logistic-drift``.  The same spec always yields identical output.
+    ``logistic-drift``.  The same spec always yields identical output;
+    radii or noise that overflow fail the finite check of :class:`Stream`.
     """
     spec.validate()
-    rng = _rng(spec.seed)
-    U = _truth_matrix(spec, rng)
-    Z = _sphere(rng, spec.T, spec.d, spec.R)
-    clean = np.einsum("td,td->t", U, Z)
-    y = clean + spec.noise * rng.standard_normal(spec.T)
+    rng = philox_rng(spec.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = _truth_matrix(spec, rng)
+        Z = _sphere(rng, spec.T, spec.d, spec.R)
+        clean = np.einsum("td,td->t", U, Z)
+        y = clean + spec.noise * rng.standard_normal(spec.T)
     if spec.kind == "logistic-drift":
         y = np.where(y >= 0.0, 1.0, -1.0)
     return Stream(Z, y), ComparatorPath(U)
@@ -203,35 +210,43 @@ def geometric_weights(beta: float, t: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization.  Header `t,y,z_0,...,z_{d-1}`; comparator truth goes to a
-# sibling `*.truth.csv` with header `t,u_0,...,u_{d-1}`.  Floats are written
-# with repr (shortest round-trip decimal) so re-parsing is bit-faithful.
+# CSV codec, one for every artifact: an optional `# comment` line, a header
+# `t,...`, then rows with t = 1..T and floats written with repr (shortest
+# round-trip decimal) so re-parsing is bit-faithful.  Streams have header
+# `t,y,z_0,...,z_{d-1}`; the comparator truth goes to a sibling `*.truth.csv`
+# with header `t,u_0,...,u_{d-1}`.
 # ---------------------------------------------------------------------------
 
 
+def csv_text(header: list[str], columns: list[np.ndarray], comment: str | None = None) -> str:
+    """Artifact CSV `t,<header>` of (T,) or (T, k) ``columns`` side by side.
+
+    Rows are formatted 256 at a time, never as one list of all T rows.
+    """
+    parts = [f"# {comment}\n"] if comment else []
+    parts.append(",".join(["t", *header]) + "\n")
+    for start in range(0, len(columns[0]), 256):
+        block = np.column_stack([c[start : start + 256] for c in columns]).tolist()
+        parts.append("".join([f"{t},{','.join(map(repr, row))}\n"
+                              for t, row in enumerate(block, start + 1)]))
+    return "".join(parts)
+
+
 def stream_to_csv(stream: Stream, header_comment: str | None = None) -> str:
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(f"# {header_comment}\n")
-    cols = ["t", "y"] + [f"z_{j}" for j in range(stream.d)]
-    buf.write(",".join(cols) + "\n")
-    for t in range(stream.T):
-        row = [str(t + 1), repr(float(stream.y[t]))]
-        row += [repr(float(v)) for v in stream.Z[t]]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    header = ["y"] + [f"z_{j}" for j in range(stream.d)]
+    return csv_text(header, [stream.y, stream.Z], header_comment)
 
 
 def path_to_csv(path: ComparatorPath, header_comment: str | None = None) -> str:
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(f"# {header_comment}\n")
-    cols = ["t"] + [f"u_{j}" for j in range(path.d)]
-    buf.write(",".join(cols) + "\n")
-    for t in range(path.T):
-        row = [str(t + 1)] + [repr(float(v)) for v in path.U[t]]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    return csv_text([f"u_{j}" for j in range(path.d)], [path.U], header_comment)
+
+
+def _content_lines(text: str) -> Iterator[str]:
+    """Stripped lines of ``text`` that are neither blank nor ``#`` comments."""
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line
 
 
 def _parse_csv(text: str, lead: list[str], prefix: str) -> np.ndarray:
@@ -240,37 +255,45 @@ def _parse_csv(text: str, lead: list[str], prefix: str) -> np.ndarray:
     Every row must have the header's column count, the ``t`` column must
     run 1..T, and at least one row must follow the header.
     """
-    rows = []
-    header = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if header is None:
-            header = cells
-            d = len(header) - len(lead)
-            if d < 1 or header != lead + [f"{prefix}{j}" for j in range(d)]:
-                want = ",".join(lead + [f"{prefix}0", "...", f"{prefix}{{d-1}}"])
-                raise StreamSpecError(f"CSV header must be {want}, got {line!r}")
-            continue
-        t = len(rows) + 1
-        if len(cells) != len(header):
-            raise StreamSpecError(
-                f"CSV row {t}: expected {len(header)} columns, got {len(cells)}"
-            )
-        try:
-            row = [float(v) for v in cells]
-        except ValueError as exc:
-            raise StreamSpecError(f"CSV row {t}: {exc}") from exc
-        if row[0] != t:
-            raise StreamSpecError(f"CSV row {t}: t must be {t}, got {cells[0]}")
-        rows.append(row)
+    lines = _content_lines(text)
+    header = next(lines, None)
     if header is None:
         raise StreamSpecError("empty CSV")
-    if not rows:
+    names = header.split(",")
+    d = len(names) - len(lead)
+    if d < 1 or names != lead + [f"{prefix}{j}" for j in range(d)]:
+        want = ",".join(lead + [f"{prefix}0", "...", f"{prefix}{{d-1}}"])
+        raise StreamSpecError(f"CSV header must be {want}, got {header!r}")
+    first = next(lines, None)
+    if first is None:
         raise StreamSpecError("CSV has a header but no rows")
-    return np.asarray(rows)
+
+    def rows() -> Iterator[str]:
+        for t, line in enumerate(itertools.chain([first], lines), 1):
+            width = line.count(",") + 1
+            if width != len(names):
+                raise StreamSpecError(
+                    f"CSV row {t}: expected {len(names)} columns, got {width}"
+                )
+            yield line
+
+    try:
+        data = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2)
+    except StreamSpecError:
+        raise
+    except ValueError as exc:  # numpy counts the data rows from 0
+        bad = re.search(r"could not convert string (.*) to \w+ at row (\d+)", str(exc))
+        if bad is None:
+            raise StreamSpecError(f"CSV: {exc}") from exc
+        raise StreamSpecError(
+            f"CSV row {int(bad[2]) + 1}: could not convert string to float: {bad[1]}"
+        ) from exc
+    wrong = np.flatnonzero(data[:, 0] != np.arange(1, len(data) + 1))
+    if wrong.size:
+        t = int(wrong[0]) + 1
+        cell = next(itertools.islice(_content_lines(text), t, None)).split(",")[0]
+        raise StreamSpecError(f"CSV row {t}: t must be {t}, got {cell}")
+    return data
 
 
 def stream_from_csv(text: str) -> Stream:

@@ -234,6 +234,61 @@ class TestNonFiniteParameters:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+class TestSeedsAndOverflow:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--seed", "-1"],
+            ["gen", "--seed", str(2**64)],
+            ["run-o2nc", "--seed", "-1", "--T", "5"],
+            ["run-o2nc", "--objective", "maxaffine", "--seed", "-1", "--T", "5"],
+            ["verify-lemmas", "--seed", "-1", "--instances", "2"],
+        ],
+    )
+    def test_seed_outside_uint64_is_one_error_line(self, capsys, tmp_path, argv):
+        if argv[0] == "gen":
+            argv = argv + ["--out", str(tmp_path / "s.csv")]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, err)
+        assert "error: seed must lie in [0, 2**64)" in err and stdout == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_seed_is_accepted(self, capsys, tmp_path):
+        code, stdout, _ = run_cli(
+            capsys, "gen", "--T", "3", "--seed", str(2**64 - 1),
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0 and json.loads(stdout)["seed"] == 2**64 - 1
+
+    def test_unparsable_seed_env_var_is_named(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "seven")
+        code, stdout, err = run_cli(capsys, "gen", "--out", str(tmp_path / "s.csv"))
+        assert_one_error_line(code, err)
+        assert f"error: {cli.SEED_ENV_VAR}:" in err and "'seven'" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--R", "1e308", "--d", "3", "--T", "5"],
+            ["--R", "1e308", "--kind", "rotating-target", "--d", "3", "--T", "50"],
+            ["--noise", "1e308", "--T", "50"],
+        ],
+        ids=["R", "R-rotating", "noise"],
+    )
+    def test_overflowing_stream_is_one_error_line_without_warning(
+        self, capsys, tmp_path, flags
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(
+                capsys, "gen", *flags, "--seed", "1", "--out", str(tmp_path / "s.csv")
+            )
+        assert_one_error_line(code, err)
+        assert "error: stream entries must be finite" in err and stdout == ""
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestRunEnsemble:
     def test_grid_pool_meta_regret_within_log_n(self, capsys, tmp_path):
         stream = make_stream(

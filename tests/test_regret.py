@@ -27,7 +27,7 @@ def random_quadratic_ledger(rng, T, d, beta, lam=None, with_lambdas=False):
 def oracle_ft_value(ledger, t, u):
     val = float(ledger.weights(t) @ ledger.losses_at(u, upto=t))
     if ledger.phi_eval is not None:
-        val += ledger.beta**t * ledger.phi_eval(t, u)
+        val += ledger.beta**t * ledger.phi_eval(u)
     return val
 
 
@@ -48,7 +48,7 @@ def oracle_path_variation(ledger, path, gamma):
         diffs = ledger.losses_at(u_next, upto=t) - ledger.losses_at(u_now, upto=t)
         total += float(w[1:] @ np.maximum(diffs, 0.0))
         if ledger.phi_eval is not None:
-            d0 = ledger.phi_eval(1, u_next) - ledger.phi_eval(1, u_now)
+            d0 = ledger.phi_eval(u_next) - ledger.phi_eval(u_now)
             total += w[0] * max(d0, 0.0)
     return total
 
@@ -90,7 +90,7 @@ def logistic_like_ledger(rng, T, d, beta, batch):
         losses_at_play=rng.random(T),
         loss_eval=lambda t, u: float(np.logaddexp(0.0, -y[t - 1] * (Z[t - 1] @ u))),
         beta=beta,
-        phi_eval=lambda t, u: 0.25 * float(u @ u),
+        phi_eval=lambda u: 0.25 * float(u @ u),
         loss_eval_batch=eval_batch if batch else None,
     )
 
@@ -219,7 +219,7 @@ class TestPathVariation:
             losses_at_play=np.zeros(2),
             loss_eval=lambda t, u: float(u[0]),
             beta=0.5,
-            phi_eval=lambda t, u: float(u[0]),
+            phi_eval=lambda u: float(u[0]),
         )
         path = ComparatorPath(np.array([[0.0], [1.0]]))
         pv = regret.path_variation(ledger, path, 0.5)
@@ -235,7 +235,7 @@ class TestPathVariation:
             losses_at_play=np.zeros(T),
             loss_eval=lambda t, u: float(Gmat[t - 1] @ u),
             beta=0.9,
-            phi_eval=lambda t, u: 0.0,
+            phi_eval=lambda u: 0.0,
         )
         U = rng.standard_normal((T, d))
         path = ComparatorPath(U)
@@ -272,7 +272,7 @@ class TestModularBound:
         rng = np.random.default_rng(12)
         T, d = 6, 2
         ledger = random_quadratic_ledger(rng, T, d, beta=0.7)
-        ledger.phi_eval = lambda t, u: 0.0
+        ledger.phi_eval = lambda u: 0.0
         ledger.lambdas = np.zeros(T)
         path = ComparatorPath.constant(rng.standard_normal(d), T)
         assert regret.modular_bound_rhs(ledger, path) == 0.0
@@ -284,7 +284,7 @@ class TestModularBound:
         path = ComparatorPath(rng.standard_normal((T, 2)))
         rhs = regret.modular_bound_rhs(ledger, path)
         manual = (
-            0.6 * ledger.phi_eval(1, path[0])
+            0.6 * ledger.phi_eval(path[0])
             + ledger.lambdas.sum()
             + regret.ft_difference_term(ledger, path)
         )

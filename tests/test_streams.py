@@ -1,11 +1,130 @@
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftlearn import streams
+from driftlearn import o2nc, regret, streams
+
+
+# ---------------------------------------------------------------------------
+# The per-row writers and reader that preceded the shared codec, kept as
+# oracles: the codec must reproduce their bytes and their arrays exactly.
+# ---------------------------------------------------------------------------
+
+
+def rowwise_stream_csv(stream, header_comment=None):
+    buf = io.StringIO()
+    if header_comment:
+        buf.write(f"# {header_comment}\n")
+    cols = ["t", "y"] + [f"z_{j}" for j in range(stream.d)]
+    buf.write(",".join(cols) + "\n")
+    for t in range(stream.T):
+        row = [str(t + 1), repr(float(stream.y[t]))]
+        row += [repr(float(v)) for v in stream.Z[t]]
+        buf.write(",".join(row) + "\n")
+    return buf.getvalue()
+
+
+def rowwise_path_csv(path, header_comment=None):
+    buf = io.StringIO()
+    if header_comment:
+        buf.write(f"# {header_comment}\n")
+    cols = ["t"] + [f"u_{j}" for j in range(path.d)]
+    buf.write(",".join(cols) + "\n")
+    for t in range(path.T):
+        row = [str(t + 1)] + [repr(float(v)) for v in path.U[t]]
+        buf.write(",".join(row) + "\n")
+    return buf.getvalue()
+
+
+def rowwise_regret_trace_csv(ledger, path, header_comment=None):
+    lines = []
+    if header_comment:
+        lines.append(f"# {header_comment}")
+    lines.append("t,loss_play,loss_comp,cum_dynreg")
+    cum = 0.0
+    for t in range(1, ledger.T + 1):
+        lp = float(ledger.losses_at_play[t - 1])
+        lc = float(ledger.loss_eval(t, path[t - 1]))
+        cum += lp - lc
+        lines.append(f"{t},{lp!r},{lc!r},{cum!r}")
+    return "\n".join(lines) + "\n"
+
+
+def rowwise_o2nc_csv(trace, header_comment=None):
+    lines = []
+    if header_comment:
+        lines.append(f"# {header_comment}")
+    lines.append("t,s_t,||delta||,||grad_at_xbar||,dynreg_term")
+    dn = np.linalg.norm(trace.deltas, axis=1)
+    for t in range(trace.T):
+        lines.append(
+            f"{t + 1},{float(trace.scalings[t])!r},{float(dn[t])!r},"
+            f"{float(trace.grad_norms_at_xbar[t])!r},{float(trace.dynreg_terms[t])!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def rowwise_ensemble_csv(mix_losses, expert_losses, comment):
+    lines = [f"# {comment}", "t,mix_loss,best_expert_loss"]
+    best = expert_losses.min(axis=1)
+    for t in range(len(mix_losses)):
+        lines.append(f"{t + 1},{float(mix_losses[t])!r},{float(best[t])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def rowwise_parse_csv(text, lead, prefix):
+    rows = []
+    header = None
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if header is None:
+            header = cells
+            d = len(header) - len(lead)
+            if d < 1 or header != lead + [f"{prefix}{j}" for j in range(d)]:
+                want = ",".join(lead + [f"{prefix}0", "...", f"{prefix}{{d-1}}"])
+                raise streams.StreamSpecError(f"CSV header must be {want}, got {line!r}")
+            continue
+        t = len(rows) + 1
+        if len(cells) != len(header):
+            raise streams.StreamSpecError(
+                f"CSV row {t}: expected {len(header)} columns, got {len(cells)}"
+            )
+        try:
+            row = [float(v) for v in cells]
+        except ValueError as exc:
+            raise streams.StreamSpecError(f"CSV row {t}: {exc}") from exc
+        if row[0] != t:
+            raise streams.StreamSpecError(f"CSV row {t}: t must be {t}, got {cells[0]}")
+        rows.append(row)
+    if header is None:
+        raise streams.StreamSpecError("empty CSV")
+    if not rows:
+        raise streams.StreamSpecError("CSV has a header but no rows")
+    return np.asarray(rows)
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300]
+FINITE = st.one_of(
+    st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+ANY_FLOAT = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+
+
+def table(columns, elements=FINITE, max_rows=12):
+    """(T, columns) float arrays with T >= 1; ``columns`` is a strategy."""
+    return columns.flatmap(lambda k: arrays(
+        np.float64, st.tuples(st.integers(1, max_rows), st.just(k)), elements=elements
+    ))
+
+
+COMMENTS = st.sampled_from([None, "", "driftlearn gen config_hash=abc seed=3"])
 
 
 class TestGenStream:
@@ -148,16 +267,139 @@ class TestCsvStrictParse:
             ("t,y\n1,0.5\n", "header"),
             ("t,u_0\n1,0.5\n", "header"),
             ("t,y,z_0\n1,abc,0.1\n", "row 1"),
+            ("t,y,z_0\n1,0.5,0.1\n\n# c\n2,0.5,0.1\n3,0.5,x\n", "row 3"),
+            ("t,y,z_0\n1,1_0,0.1\n", "row 1: could not convert"),
         ],
         ids=["empty", "comment-only", "header-only", "short-row", "long-row",
-             "t-gap", "wrong-name", "no-features", "truth-header", "bad-float"],
+             "t-gap", "wrong-name", "no-features", "truth-header", "bad-float",
+             "bad-float-row-3", "underscore-digits"],
     )
     def test_malformed_stream_rejected(self, text, message):
         with pytest.raises(streams.StreamSpecError, match=message):
             streams.stream_from_csv(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "t,y,z_0\n",
+            "t,y,z_0,z_1\n1,0.5,0.1\n",
+            "t,y,z_0\n1,0.5,0.1,0.2\n",
+            "t,y,z_0\n1,0.5,0.1\n3,0.5,0.1\n",
+            "t,y,z_0\n1.0,0.5,0.1\n 02 ,0.5,0.1\n2.5,0.5,0.1\n",
+            "t,y,z_1\n1,0.5,0.1\n",
+            "t,y,z_0\n1,0.5,0.1\n\n# c\n2,0.5,0.1\n3,0.5,x\n",
+            "t,y,z_0\n1,0.5,0.1\n2,0.5,\n",
+            "t,y,z_0\n1,0.5,0.1 # trailing note\n",
+        ],
+    )
+    def test_single_fault_messages_match_the_rowwise_reader(self, text):
+        with pytest.raises(streams.StreamSpecError) as want:
+            rowwise_parse_csv(text, ["t", "y"], "z_")
+        with pytest.raises(streams.StreamSpecError) as got:
+            streams.stream_from_csv(text)
+        assert str(got.value) == str(want.value)
 
     def test_truth_header_is_checked(self):
         with pytest.raises(streams.StreamSpecError, match="header"):
             streams.path_from_csv("t,y,z_0\n1,0.5,0.1\n")
         path = streams.path_from_csv("# c\nt,u_0,u_1\n1,0.5,0.1\n2,0.5,0.2\n")
         assert path.U.shape == (2, 2)
+
+
+class TestCodecMatchesRowwiseWriters:
+    @pytest.mark.parametrize("T", [255, 256, 257, 513])
+    def test_rows_across_block_boundaries(self, T):
+        rng = np.random.default_rng(T)
+        s = streams.Stream(Z=rng.standard_normal((T, 3)), y=rng.standard_normal(T))
+        text = streams.stream_to_csv(s, "c")
+        assert text == rowwise_stream_csv(s, "c")
+        assert np.array_equal(streams.stream_from_csv(text).Z, s.Z)
+
+    @given(data=table(st.integers(2, 7)), comment=COMMENTS)
+    def test_stream(self, data, comment):
+        s = streams.Stream(Z=data[:, 1:], y=data[:, 0])
+        assert streams.stream_to_csv(s, comment) == rowwise_stream_csv(s, comment)
+
+    @given(data=table(st.integers(1, 6), ANY_FLOAT), comment=COMMENTS)
+    def test_path(self, data, comment):
+        path = streams.ComparatorPath(data)
+        assert streams.path_to_csv(path, comment) == rowwise_path_csv(path, comment)
+
+    @given(data=table(st.just(2), ANY_FLOAT, max_rows=40), comment=COMMENTS)
+    @example(data=np.array([[1e308, -1e308], [1e308, -1e308]]), comment=None)
+    @example(data=np.array([[np.inf, np.inf], [1.0, 2.0]]), comment=None)
+    @example(data=np.array([[-0.0, 0.0], [-0.0, 0.0], [1.0, 0.5]]), comment="c")
+    def test_regret_trace(self, data, comment):
+        # any float pair, so the running sum also meets -0.0, overflow and nan
+        comp = data[:, 1]
+        ledger = regret.RegretLedger(
+            losses_at_play=data[:, 0], loss_eval=lambda t, u: float(comp[t - 1]), beta=1.0
+        )
+        path = streams.ComparatorPath(np.zeros((len(data), 1)))
+        got = regret.regret_trace_csv(ledger, path, comment)
+        assert got == rowwise_regret_trace_csv(ledger, path, comment)
+
+    @given(
+        columns=table(st.just(3), ANY_FLOAT),
+        deltas=st.integers(1, 6).flatmap(lambda d: arrays(
+            np.float64, (12, d), elements=st.floats(-1e150, 1e150)
+        )),
+        comment=COMMENTS,
+    )
+    def test_o2nc_trace(self, columns, deltas, comment):
+        T = len(columns)
+        trace = o2nc.O2ncTrace(
+            cfg=None, objective=None, x0=None, xs=None, xbars=None,
+            scalings=columns[:, 0], deltas=deltas[:T], grad_norms_at_xbar=columns[:, 1],
+            comparators=None, dynreg_terms=columns[:, 2], zero_comparators=0,
+            final_index=0,
+        )
+        assert trace.to_csv(comment) == rowwise_o2nc_csv(trace, comment)
+
+    @given(
+        mix=table(st.just(1), ANY_FLOAT, max_rows=20),
+        experts=st.integers(1, 5).flatmap(
+            lambda n: arrays(np.float64, (20, n), elements=ANY_FLOAT)
+        ),
+    )
+    def test_ensemble_trace(self, mix, experts):
+        # the columns cmd_run_ensemble hands to the codec
+        mix, experts = mix[:, 0], experts[: len(mix)]
+        comment = "driftlearn run-ensemble config_hash=abc"
+        columns = [mix, experts.min(axis=1)]
+        got = streams.csv_text(["mix_loss", "best_expert_loss"], columns, comment)
+        assert got == rowwise_ensemble_csv(mix, experts, comment)
+
+
+def _messy_csv(draw_text, header, data):
+    """``data`` as CSV with comments and blank lines between rows, CRLF or LF
+    line ends and spaces or tabs around cells."""
+    blank = st.sampled_from(["", "   ", "\t", "# note", "  # t,y,1,2"])
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    end = draw_text(st.sampled_from(["\n", "\r\n"]))
+    lines = [draw_text(blank) for _ in range(draw_text(st.integers(0, 2)))]
+    lines.append(header)
+    for t, row in enumerate(data.tolist(), 1):
+        lines += [draw_text(blank) for _ in range(draw_text(st.integers(0, 1)))]
+        cells = [str(t)] + [repr(v) for v in row]
+        lines.append(",".join(f"{draw_text(pad)}{c}{draw_text(pad)}" for c in cells))
+    return end.join(lines) + draw_text(st.sampled_from(["", end]))
+
+
+class TestCodecMatchesRowwiseReader:
+    @given(data=table(st.integers(2, 7)), draw=st.data())
+    def test_stream(self, data, draw):
+        header = ",".join(["t", "y"] + [f"z_{j}" for j in range(data.shape[1] - 1)])
+        text = _messy_csv(draw.draw, header, data)
+        want = rowwise_parse_csv(text, ["t", "y"], "z_")
+        got = streams.stream_from_csv(text)
+        assert got.Z.tobytes() == want[:, 2:].tobytes()
+        assert got.y.tobytes() == want[:, 1].tobytes()
+
+    @given(data=table(st.integers(1, 6), ANY_FLOAT), draw=st.data())
+    def test_path(self, data, draw):
+        header = ",".join(["t"] + [f"u_{j}" for j in range(data.shape[1])])
+        text = _messy_csv(draw.draw, header, data)
+        want = rowwise_parse_csv(text, ["t"], "u_")
+        assert streams.path_from_csv(text).U.tobytes() == want[:, 1:].tobytes()
