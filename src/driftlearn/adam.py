@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import NonlinearConstraint, minimize
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,11 @@ def ftrl_equivalence_residual(cfg: AdamConfig, grads: np.ndarray) -> float:
         J(D) = (1+r)/2 |D|^2 + c.D         (clip-free, r from the mu term)
 
     and the numeric side minimizes it with a generic constrained solver.
+    This is the one function in driftlearn that needs scipy, and it imports
+    ``scipy.optimize`` when called.
     """
+    from scipy.optimize import NonlinearConstraint, minimize
+
     grads = np.atleast_2d(np.asarray(grads, dtype=float))
     state = AdamState.fresh(grads.shape[1])
     for g in grads:

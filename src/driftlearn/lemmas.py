@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import expit
 
-from driftlearn.logreg import mix_predict
-from driftlearn.streams import philox_rng
+from driftlearn.logreg import mix_predict, sigmoid
+from driftlearn.streams import discounted_scan, philox_rng
 
 TOL = 1e-9
 IDENTITY_TOL = 1e-10
@@ -69,8 +67,7 @@ def _verdict(lemma: str, lhs, rhs, tol: float = TOL) -> LemmaVerdict:
 
 def discounted_sums(beta: float, x: np.ndarray) -> np.ndarray:
     """s_t = x_t + beta * s_{t-1} for t = 1..T (s_0 = 0)."""
-    x = np.asarray(x, dtype=float)
-    return lfilter([1.0], [1.0, -beta], x)
+    return discounted_scan(x, beta)
 
 
 def ema(beta: float, x: np.ndarray) -> np.ndarray:
@@ -207,7 +204,7 @@ def check_min_self_confident(
     b1pow = beta1 ** np.arange(1, T + 1)
     A = nu + gamma * mu * (1.0 - b1pow) + sqrtV
     eta = gamma * (1.0 - beta1) * b1pow / A
-    m = lfilter([1.0], [1.0, -beta1], grads, axis=0)  # sum beta1^(t-s) g_s
+    m = discounted_scan(grads, beta1)  # sum beta1^(t-s) g_s
     m_norm = np.linalg.norm(m, axis=1)
     lhs = np.abs(eta[:-1] - eta[1:]) * m_norm[:-1]
     kappa = np.sqrt(beta2 / ((beta2 - beta1**2) * (1.0 - beta2)))
@@ -250,10 +247,11 @@ def check_logistic_surrogate(C: float, a: float, b: float) -> LemmaVerdict:
     """
     if C <= 0.0 or abs(a) > C * (1.0 + 1e-12):
         raise ValueError("need C > 0 and |a| <= C")
+    a, b = float(a), float(b)
     f_a = float(np.logaddexp(0.0, -a))
     f_b = float(np.logaddexp(0.0, -b))
-    fp_b = -float(expit(-b))
-    curv = float(expit(b)) * float(expit(-b)) / (2.0 * (1.0 + C))
+    fp_b = -sigmoid(-b)
+    curv = sigmoid(b) * sigmoid(-b) / (2.0 * (1.0 + C))
     rhs_expansion = f_b + fp_b * (a - b) + curv * (a - b) ** 2
     return _verdict("logistic-surrogate", rhs_expansion, f_a)
 
@@ -278,7 +276,7 @@ def check_mixability(yhats: Sequence, p: Sequence) -> LemmaVerdict:
         lhs, rhs = [], []
         for y in (1.0, -1.0):
             lhs.append(np.logaddexp(0.0, -y * mix))
-            s = (block_p * expit(y * block_yhats)).sum(axis=1)
+            s = (block_p * sigmoid(y * block_yhats)).sum(axis=1)
             rhs.append(-np.log(np.maximum(s, tiny)))
         block = _verdict("mixability", np.ravel(lhs), np.ravel(rhs))
         block.instances = len(block_yhats)

@@ -14,12 +14,16 @@ beta A_{t-1} + z_t z_t' is A_t itself, so round t solves A_t against
 the stability term y_t^2 z_t' A_t^{-1} z_t.
 
 A_t depends on the features only, never on the decisions, so every round is
-an independent solve and the learner advances a block of rounds at once:
-the Gram and label-sum recurrences run as one first-order linear filter over
-the block, one ``np.linalg.cholesky`` of the (B, d, d) stack checks positive
-definiteness, and one ``np.linalg.solve`` of the stack gives every round's
-decision and stability term.  The block length B is set by a private byte
-budget for one (B, d, d) stack, and results do not depend on it.
+an independent solve and ``run_dvaw`` advances a block of rounds at once:
+the Gram and label-sum recurrences run as one exact discounted scan
+(``streams.discounted_scan``) over the block, one ``np.linalg.cholesky`` of
+the (B, d, d) stack checks positive definiteness, and one
+``np.linalg.solve`` of the stack gives every round's decision and stability
+term.  The block length B is set by a private byte budget for one (B, d, d)
+stack, and results do not depend on it.  ``dvaw_predict`` and
+``dvaw_update`` take one round as the direct step beta A_{t-1} + z_t z_t'
+with the same roundings, so they agree with ``run_dvaw`` bit for bit.  The
+module needs numpy only.
 """
 
 from __future__ import annotations
@@ -29,10 +33,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-# Unused here: bench/tracing.py counts factorizations by wrapping
-# linreg.cho_factor, so the name stays bound.
-from scipy.linalg import cho_factor  # noqa: F401
-from scipy.signal import lfilter
 
 from driftlearn.regret import (
     RegretLedger,
@@ -40,7 +40,7 @@ from driftlearn.regret import (
     path_variation,
     quadratic_loss_ledger,
 )
-from driftlearn.streams import ComparatorPath, LabeledRound, Stream
+from driftlearn.streams import ComparatorPath, LabeledRound, Stream, discounted_scan
 
 # Bytes of one (B, d, d) Gram stack; a block holds max(1, this // (8 d^2))
 # rounds.  The kernel's working set is a few such stacks.
@@ -51,6 +51,17 @@ class SingularSystemError(RuntimeError):
     """The regularized Gram matrix lost positive definiteness."""
 
 
+def __getattr__(name: str):
+    # bench/tracing.py counts factorizations by wrapping linreg.cho_factor,
+    # which nothing here calls; scipy is imported only when the name is read.
+    # ROADMAP item 0 moves that probe to np.linalg.cholesky and deletes this.
+    if name == "cho_factor":
+        from scipy.linalg import cho_factor
+
+        return cho_factor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _advance(
     A: np.ndarray, b: np.ndarray, beta: float, Z: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -58,31 +69,22 @@ def _advance(
 
     Returns the stacks A_t (B, d, d) and b_t (B, d), the decisions x_t
     (B, d), the predictions x_t.z_t (B,) and the stability terms
-    y_t^2 z_t' A_t^{-1} z_t (B,).  The filter s[n] = v[n] + beta s[n-1],
-    started from beta A (beta b), computes beta A_{t-1} + z_t z_t'
-    (beta b_{t-1} + y_t z_t) with the same two roundings as the per-round
-    recurrence, so the results do not depend on where blocks begin.
+    y_t^2 z_t' A_t^{-1} z_t (B,).  One discounted scan over the rows
+    [z_t z_t' ; y_t z_t], started from [A ; b], computes beta A_{t-1} +
+    z_t z_t' and beta b_{t-1} + y_t z_t with the same two roundings as the
+    per-round recurrence, so the results do not depend on where blocks begin.
     """
     B, d = Z.shape
+    V = np.empty((B, d + 1, d))
     with np.errstate(over="ignore"):  # an overflow raises below, not warns
-        outer = (Z[:, :, None] * Z[:, None, :]).reshape(B, d * d)
-        yz = y[:, None] * Z
-    A_stack = lfilter(
-        [1.0], [1.0, -beta], outer, axis=0, zi=beta * A.reshape(1, d * d)
-    )[0].reshape(B, d, d)
-    b_stack = lfilter([1.0], [1.0, -beta], yz, axis=0, zi=beta * b[None])[0]
-    # inf and nan persist through both recurrences, so the last round shows
-    # an overflow anywhere in the block
-    if not (np.isfinite(A_stack[-1]).all() and np.isfinite(b_stack[-1]).all()):
-        raise ValueError("discounted statistics overflowed; rescale the stream")
-    try:
-        np.linalg.cholesky(A_stack)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "regularized Gram matrix is numerically singular "
-            "(lam*beta^t underflowed against a rank-deficient history); "
-            "use a larger lambda or a shorter horizon"
-        ) from exc
+        np.multiply(Z[:, :, None], Z[:, None, :], out=V[:, :d])
+        np.multiply(y[:, None], Z, out=V[:, d])
+    S = discounted_scan(V, beta, np.vstack((A, b)))
+    A_stack, b_stack = S[:, :d], S[:, d]
+    # inf and nan persist through the scan, so the last round shows an
+    # overflow anywhere in the block
+    _check_finite(S[-1])
+    _check_definite(A_stack)
     rhs = np.empty((B, d, 2))
     rhs[0, :, 0] = beta * b
     rhs[1:, :, 0] = beta * b_stack[:-1]
@@ -91,6 +93,23 @@ def _advance(
     X = sol[:, :, 0]
     stab = (y * y) * (Z * sol[:, :, 1]).sum(axis=1)
     return A_stack, b_stack, X, (X * Z).sum(axis=1), stab
+
+
+def _check_finite(stats: np.ndarray) -> None:
+    if not np.isfinite(stats).all():
+        raise ValueError("discounted statistics overflowed; rescale the stream")
+
+
+def _check_definite(A: np.ndarray) -> None:
+    """Raise if a matrix of A (d, d), or of a stack of them, has no Cholesky factor."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            "regularized Gram matrix is numerically singular "
+            "(lam*beta^t underflowed against a rank-deficient history); "
+            "use a larger lambda or a shorter horizon"
+        ) from exc
 
 
 @dataclass
@@ -126,13 +145,26 @@ class VawState:
 
 
 def _one_round(state: VawState, z, y: float) -> tuple:
-    """:func:`_advance` on the single round (z, y), after checking ``z``."""
+    """The round (z, y) as one direct step from ``state``, after checking ``z``.
+
+    Returns A_t, b_t, x_t, x_t.z_t and y^2 z_t' A_t^{-1} z_t with the
+    roundings :func:`_advance` takes on a block of this one round.
+    """
     z = np.asarray(z, dtype=float)
     if z.shape != state.b.shape:
         raise ValueError(f"feature dimension {z.shape} != state dimension {state.b.shape}")
     if not np.isfinite(z).all():
         raise ValueError("feature must be finite")
-    return _advance(state.A, state.b, state.beta, z[None], np.array([y]))
+    beta = state.beta
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite raises
+        A = np.outer(z, z) + beta * state.A
+        b = y * z + beta * state.b
+    _check_finite(A)
+    _check_finite(b)
+    _check_definite(A)
+    sol = np.linalg.solve(A, np.column_stack((beta * state.b, z)))
+    x = sol[:, 0]
+    return A, b, x, float((x * z).sum()), (y * y) * float((z * sol[:, 1]).sum())
 
 
 def dvaw_predict(state: VawState, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -141,8 +173,8 @@ def dvaw_predict(state: VawState, z: np.ndarray) -> tuple[np.ndarray, float]:
     Solves (beta A_{t-1} + z z') x = beta b_{t-1}, where t is the upcoming
     round index; the matrix is the A_t the update will store.
     """
-    _, _, X, yhats, _ = _one_round(state, z, 0.0)
-    return X[0], float(yhats[0])
+    _, _, x, yhat, _ = _one_round(state, z, 0.0)
+    return x, yhat
 
 
 def dvaw_update(state: VawState, rnd: LabeledRound) -> VawState:
@@ -153,11 +185,11 @@ def dvaw_update(state: VawState, rnd: LabeledRound) -> VawState:
     A, b, _, _, stab = _one_round(state, rnd.z, y)
     return replace(
         state,
-        A=A[0],
-        b=b[0],
+        A=A,
+        b=b,
         t=state.t + 1,
         maxy2=max(state.maxy2, y * y),
-        potential=state.potential + float(stab[0]),
+        potential=state.potential + stab,
     )
 
 

@@ -34,16 +34,60 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-# Unused here: bench/tracing.py counts factorizations by wrapping
-# logreg.cho_factor, so the name stays bound.
-from scipy.linalg import cho_factor  # noqa: F401
-from scipy.special import expit
 
-from driftlearn.regret import RegretLedger, path_variation
-from driftlearn.streams import ComparatorPath, Stream
+from driftlearn.regret import RegretLedger, path_variation, row_dots
+from driftlearn.streams import ComparatorPath, Stream, discounted_scan
 
 ROOT_TOL = 1e-12
 ROOT_MAX_ITERS = 200
+
+# Multiplies x into the stack [-x, x]; see _sigmoid_pm.
+_MINUS_PLUS = np.array([-1.0, 1.0])
+_TINY = np.finfo(float).tiny
+
+
+def __getattr__(name: str):
+    # bench/tracing.py counts factorizations by wrapping logreg.cho_factor,
+    # which nothing here calls; scipy is imported only when the name is read.
+    # ROADMAP item 0 moves that probe to np.linalg.cholesky and deletes this.
+    if name == "cho_factor":
+        from scipy.linalg import cho_factor
+
+        return cho_factor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def sigmoid(x):
+    """The logistic function 1/(1 + exp(-x)), elementwise; 0 where exp(-x)
+    overflows.
+
+    A float (Python or numpy scalar) goes through ``math.exp`` and returns a
+    float; anything else through ``np.exp`` and returns an array.  Both
+    evaluate the same formula, but numpy's vectorized ``exp`` can differ
+    from the C library's in the last place, so the array form may differ
+    from the float form by a few units in the last place.
+    """
+    if isinstance(x, float):
+        try:
+            return 1.0 / (1.0 + math.exp(-x))
+        except OverflowError:
+            return 0.0
+    x = np.asarray(x, dtype=float)
+    return _sigmoid_of_negated(np.negative(x, out=np.empty(x.shape)))
+
+
+def _sigmoid_pm(x: np.ndarray) -> np.ndarray:
+    """sigmoid(x) and sigmoid(-x), stacked on a new leading axis."""
+    return _sigmoid_of_negated(np.multiply.outer(_MINUS_PLUS, x))
+
+
+def _sigmoid_of_negated(s: np.ndarray) -> np.ndarray:
+    """Overwrite ``s``, which holds -x, with sigmoid(x) and return it; every
+    step runs in that one buffer."""
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives 1/inf = 0
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def logistic_loss(yhat: float, y: float) -> float:
@@ -55,7 +99,7 @@ def logistic_grad(x: np.ndarray, z: np.ndarray, y: float) -> np.ndarray:
     """Gradient of x -> l(x.z, y): -y * sigma(-y * x.z) * z."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    return -y * float(expit(-y * float(x @ z))) * z
+    return -y * sigmoid(-y * float(x @ z)) * z
 
 
 class RootNotConvergedError(RuntimeError):
@@ -199,12 +243,11 @@ class _Experts:
         needs no second solve.
         """
         u = y * yhats
-        s_pos = expit(u)
-        s_neg = expit(-u)
+        s_pos, s_neg = _sigmoid_pm(u)
         c2 = s_pos * s_neg / self.scale
         g = (-y * s_neg)[:, None] * z                      # true logistic gradients
         eta_g = (-(s_pos / self.scale) * y)[:, None] * z   # eta_t g_t, bounded form
-        A = self.beta[:, None, None] * self.A + c2[:, None, None] * np.outer(z, z)
+        A = self.beta[:, None, None] * self.A + c2[:, None, None] * (z[:, None] * z)
         _check_definite(A)
         self.A = A
         gx = np.einsum("nd,nd->n", g, X)
@@ -348,12 +391,19 @@ def _stream_ledger(
     def eval_batch(u: np.ndarray) -> np.ndarray:
         return np.logaddexp(0.0, -y * (Z @ u))
 
+    def eval_path(U: np.ndarray) -> np.ndarray:
+        m = row_dots(Z, U)
+        m *= y
+        np.negative(m, out=m)  # -(y*m) == (-y)*m: rounding is sign-symmetric
+        return np.logaddexp(0.0, m, out=m)
+
     return RegretLedger(
         losses_at_play=losses_at_play,
         loss_eval=eval_one,
         beta=beta,
         phi_eval=phi_eval,
         loss_eval_batch=eval_batch,
+        path_losses=eval_path,
     )
 
 
@@ -391,20 +441,22 @@ def rescaled_bound_check(
     every prefix t = 1..T for each comparator.
 
     Returns the worst slack min (bound - regret) and whether every prefix
-    holds within 1e-9 (1 + |bound|).
+    holds within 1e-9 (1 + |bound|).  Each comparator's T bounds are one
+    array with :func:`aioli_rescaled_bound`'s operation order, and its
+    discounted regrets one :func:`~driftlearn.streams.discounted_scan`, so
+    both match the prefix-by-prefix evaluation bit for bit.
     """
     ledger = logistic_ledger(run)
+    scale = 1.0 + run.B * run.R
     worst = float("inf")
     ok = True
     for u in comparators:
-        r = 0.0
-        diffs = run.losses_at_play - ledger.losses_at(u)
-        for t in range(1, run.T + 1):
-            r = run.beta * r + float(diffs[t - 1])
-            bound = aioli_rescaled_bound(run, t, u)
-            worst = min(worst, bound - r)
-            if r > bound + 1e-9 * (1.0 + abs(bound)):
-                ok = False
+        u = np.asarray(u, dtype=float)
+        bounds = run.beta_pows * 0.5 * run.lam * (u @ u) + scale * run.stab_disc
+        regrets = discounted_scan(run.losses_at_play - ledger.losses_at(u), run.beta)
+        # fmin skips nan slacks, as the running min(worst, slack) would
+        worst = float(np.fmin.reduce(bounds - regrets, initial=worst))
+        ok = ok and not np.any(regrets > bounds + 1e-9 * (1.0 + np.abs(bounds)))
     return worst, ok
 
 
@@ -449,9 +501,15 @@ def mix_predict(yhats: np.ndarray, p: np.ndarray) -> float | np.ndarray:
         raise ValueError("predictions and weights must both be (N,) or (T, N)")
     if np.any(p < 0.0) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("weights must be nonnegative and sum to 1")
-    tiny = np.finfo(float).tiny
-    s_pos = np.maximum((p * expit(yhats)).sum(axis=-1), tiny)
-    s_neg = np.maximum((p * expit(-yhats)).sum(axis=-1), tiny)
+    return _mix(yhats, p)
+
+
+def _mix(yhats: np.ndarray, p: np.ndarray) -> float | np.ndarray:
+    """:func:`mix_predict` for float arrays the caller built, unchecked."""
+    weighted = _sigmoid_pm(yhats)
+    for side in weighted:  # in place; a broadcast in-place product copies the stack
+        side *= p
+    s_pos, s_neg = np.maximum(weighted.sum(axis=-1), _TINY)
     mix = np.log(s_pos) - np.log(s_neg)
     return float(mix) if mix.ndim == 0 else mix
 
@@ -502,7 +560,7 @@ def ensemble_step(state: EnsembleState, z: np.ndarray, y: float) -> EnsembleStep
     lq = state.log_q - state.log_q.max()
     p = np.exp(lq)
     p /= p.sum()
-    yhat_mix = mix_predict(expert_yhats, p)
+    yhat_mix = _mix(expert_yhats, p)  # normalized weights by construction
 
     expert_losses = np.logaddexp(0.0, -y * expert_yhats)
     state.log_q = state.log_q - expert_losses
@@ -552,8 +610,8 @@ def run_ensemble(
     expert_losses = np.empty((T, N))
     expert_yhats = np.empty((T, N))
     weights = np.empty((T, N))
-    for t, rnd in enumerate(stream):
-        step = ensemble_step(state, rnd.z, rnd.y)
+    for t, (z, y) in enumerate(zip(stream.Z, map(float, stream.y))):
+        step = ensemble_step(state, z, y)
         yhats[t] = step.yhat
         mix_losses[t] = step.mix_loss
         expert_losses[t] = step.expert_losses

@@ -47,6 +47,15 @@ PhiEval = Callable[[np.ndarray], float]
 BatchLossEval = Callable[[np.ndarray], np.ndarray]
 
 
+def row_dots(Z: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """[Z[0] @ U[0], ..., Z[T-1] @ U[T-1]] for (T, d) arrays.
+
+    A stack of (1, d) @ (d, 1) products goes through the same dot kernel as
+    ``Z[t] @ U[t]``, so every entry equals the per-row product bit for bit.
+    """
+    return np.matmul(Z[:, None, :], U[:, :, None])[:, 0, 0]
+
+
 @dataclass
 class RegretLedger:
     """Per-round losses of a learner plus evaluators of f_t at any point.
@@ -60,6 +69,10 @@ class RegretLedger:
                     ledger never sees a beta^(-t)).
     loss_eval_batch optional u -> array [f_1(u), ..., f_T(u)]; used to
                     vectorize the inner sums when available.
+    path_losses     optional (T, d) comparators U -> array [f_1(u_1), ...,
+                    f_T(u_T)], equal to ``loss_eval`` row by row; without
+                    it the comparator losses take one ``loss_eval`` call
+                    per round.
     squared_loss    optional (Z, y) marking f_t(u) = (u.z_t - y_t)^2 / 2;
                     the evaluators then use running discounted statistics
                     of Z and y in place of loss rows.  It must describe the
@@ -73,6 +86,7 @@ class RegretLedger:
     phi_eval: Optional[PhiEval] = None
     lambdas: Optional[np.ndarray] = None
     loss_eval_batch: Optional[BatchLossEval] = None
+    path_losses: Optional[BatchLossEval] = None
     squared_loss: Optional[tuple[np.ndarray, np.ndarray]] = None
     _beta_pows: np.ndarray = field(init=False, repr=False)
 
@@ -109,12 +123,23 @@ class RegretLedger:
         return self._beta_pows[t - 1 :: -1] if t > 0 else np.empty(0)
 
 
-def dynamic_regret(ledger: RegretLedger, path: ComparatorPath) -> float:
-    """Cumulative loss of the learner minus that of the comparator path."""
+def _comparator_losses(ledger: RegretLedger, path: ComparatorPath) -> np.ndarray:
+    """[f_1(u_1), ..., f_T(u_T)] from the ledger's ``path_losses``, else
+    from one ``loss_eval`` call per round."""
     if path.T != ledger.T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
-    comp = sum(ledger.loss_eval(t, path[t - 1]) for t in range(1, ledger.T + 1))
-    return float(ledger.losses_at_play.sum() - comp)
+    if ledger.path_losses is not None:
+        return np.ascontiguousarray(ledger.path_losses(path.U), dtype=float)
+    T = ledger.T
+    return np.fromiter((ledger.loss_eval(t, path[t - 1]) for t in range(1, T + 1)), float, T)
+
+
+def dynamic_regret(ledger: RegretLedger, path: ComparatorPath) -> float:
+    """Cumulative loss of the learner minus that of the comparator path."""
+    comp = _comparator_losses(ledger, path)
+    # the builtin sum over the rows as Python floats, in round order, as the
+    # per-round loop added them; the memoryview builds no list
+    return float(ledger.losses_at_play.sum() - sum(memoryview(comp)))
 
 
 def discounted_regret(ledger: RegretLedger, t: int, u: np.ndarray) -> float:
@@ -222,8 +247,8 @@ def d2d_identity_gap(ledger: RegretLedger, path: ComparatorPath) -> float:
     """|LHS - RHS| of the discounted-to-dynamic conversion identity.
 
     The identity holds exactly for any horizon, discount and comparator
-    sequence; the returned gap is float roundoff only.  The LHS sums
-    ``loss_eval`` round by round; a squared-loss ledger's RHS comes from its
+    sequence; the returned gap is float roundoff only.  The LHS sums the
+    ledger's loss rows f_t(u_t); a squared-loss ledger's RHS comes from its
     (Z, y) statistics instead, so the two sides are evaluated independently.
     """
     T, beta = ledger.T, ledger.beta
@@ -338,6 +363,7 @@ def check_path_length_lemma(
         beta=beta,
         phi_eval=ledger.phi_eval,
         loss_eval_batch=ledger.loss_eval_batch,
+        path_losses=ledger.path_losses,
         squared_loss=ledger.squared_loss,
     )
     lhs = ft_difference_term(probe, path)
@@ -366,6 +392,16 @@ def quadratic_loss_ledger(
     def eval_batch(u: np.ndarray) -> np.ndarray:
         return 0.5 * (Z @ u - y) ** 2
 
+    def eval_path(U: np.ndarray) -> np.ndarray:
+        # float ** 2 is C pow, which differs from numpy's square in the last
+        # place on about 0.1% of inputs; squaring as eval_one does keeps
+        # every row equal to it
+        r = row_dots(Z, U)
+        r -= y
+        squares = np.fromiter((v**2 for v in memoryview(r)), float, len(r))
+        squares *= 0.5
+        return squares
+
     phi = None
     if lam is not None:
         phi = lambda u: 0.5 * lam * float(u @ u)  # noqa: E731
@@ -376,6 +412,7 @@ def quadratic_loss_ledger(
         phi_eval=phi,
         lambdas=lambdas,
         loss_eval_batch=eval_batch,
+        path_losses=eval_path,
         squared_loss=(Z, y),
     )
 
@@ -384,8 +421,8 @@ def regret_trace_csv(
     ledger: RegretLedger, path: ComparatorPath, header_comment: Optional[str] = None
 ) -> str:
     """CSV trace `t,loss_play,loss_comp,cum_dynreg`."""
-    play, T = ledger.losses_at_play, ledger.T
-    comp = np.fromiter((ledger.loss_eval(t, path[t - 1]) for t in range(1, T + 1)), float, T)
+    play = ledger.losses_at_play
+    comp = _comparator_losses(ledger, path)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats would
         cum = np.cumsum(play - comp) + 0.0  # a sum from 0.0 never reads -0.0
     return csv_text(["loss_play", "loss_comp", "cum_dynreg"], [play, comp, cum], header_comment)

@@ -1,5 +1,5 @@
-"""Synthetic non-stationary regression streams, geometric weights, and the
-CSV codec of every artifact.
+"""Synthetic non-stationary regression streams, geometric weights, the exact
+discounted scan, and the CSV codec of every artifact.
 
 Streams are generated with a counter-based Philox RNG so a given
 :class:`StreamSpec` reproduces bit-for-bit on any platform.  Features are
@@ -148,15 +148,20 @@ def _sphere(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarr
     return radius * g / norms
 
 
+def _phase_ends(T: int, segments: int) -> list[int]:
+    """ceil(T*k/segments) for k = 1..segments: the last round of each phase."""
+    return [-(-T * k // segments) for k in range(1, segments + 1)]  # ceil division
+
+
 def segment_index(t: int, T: int, segments: int) -> int:
     """0-based drift-phase index of round ``t`` (1-based).
 
     Round t lies in phase k (0-based) iff ceil(T*k/segments) < t <=
     ceil(T*(k+1)/segments).
     """
-    for k in range(1, segments + 1):
-        if t <= -(-T * k // segments):  # ceil division
-            return k - 1
+    for k, end in enumerate(_phase_ends(T, segments)):
+        if t <= end:
+            return k
     return segments - 1
 
 
@@ -172,7 +177,8 @@ def _truth_matrix(spec: StreamSpec, rng: np.random.Generator) -> np.ndarray:
             U[:, 1] = spec.B * np.sin(theta)
         return U
     targets = _sphere(rng, spec.segments, d, spec.B)
-    seg = np.array([segment_index(t, T, spec.segments) for t in range(1, T + 1)])
+    # phase of round t: the first phase whose last round is >= t
+    seg = np.searchsorted(_phase_ends(T, spec.segments), np.arange(1, T + 1))
     return targets[seg]
 
 
@@ -207,6 +213,43 @@ def geometric_weights(beta: float, t: int) -> np.ndarray:
         raise ValueError(f"t must be >= 0, got {t}")
     w = beta ** np.arange(t, -1.0, -1.0)
     return w / w.sum()
+
+
+def discounted_scan(v: np.ndarray, beta: float, s0=None) -> np.ndarray:
+    """Discounted running sums s[n] = v[n] + beta*s[n-1] along axis 0.
+
+    ``s0`` is the state before the first row (zero when None), shaped like
+    one row of ``v``.  Each row takes exactly the two roundings the formula
+    shows, in order, so the result equals the first-order linear filter with
+    denominator [1, -beta] started from beta*s0 (a zero may differ in sign),
+    and a sequence scanned in pieces, each started from the last row of the
+    one before, gives the same rows as one scan of the whole.  inf and nan
+    carry forward to every later row, without a warning.  A 1-D ``v`` runs
+    on Python floats, which round the same way; any wider ``v`` costs two
+    ufunc calls per row.
+    """
+    v = np.asarray(v, dtype=float)
+    prev = np.zeros(v.shape[1:]) if s0 is None else np.asarray(s0, dtype=float)
+    if v.ndim < 1:
+        raise ValueError("v must have at least one axis")
+    if prev.shape != v.shape[1:]:
+        raise ValueError(f"s0 must have the shape {v.shape[1:]} of one row, got {prev.shape}")
+    beta = float(beta)
+    if v.ndim == 1:
+        def sums(acc: float) -> Iterator[float]:
+            for x in memoryview(np.ascontiguousarray(v)):  # Python floats, no list
+                acc = x + beta * acc
+                yield acc
+
+        return np.fromiter(sums(float(prev)), float, len(v))
+    out = np.empty_like(v)
+    carry = np.empty_like(prev)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, s in zip(v, out):
+            np.multiply(prev, beta, out=carry)
+            np.add(row, carry, out=s)
+            prev = s
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -456,3 +460,58 @@ class TestDeterminism:
         code, stdout, _ = run_cli(capsys, "gen", "--out", str(out))
         assert code == 0
         assert json.loads(stdout)["seed"] == 77
+
+
+# Every subcommand, small, in one fresh interpreter that then lists the scipy
+# modules it has loaded.
+NO_SCIPY_SCRIPT = """
+import io, sys
+from contextlib import redirect_stdout
+from driftlearn import cli
+
+d = sys.argv[1]
+runs = [
+    ["gen", "--d", "3", "--T", "60", "--segments", "2", "--noise", "0.1", "--seed", "1",
+     "--out", d + "/s.csv"],
+    ["run-vaw", "--beta", "0.95", "--stream", d + "/s.csv", "--out", d + "/v.csv"],
+    ["gen", "--kind", "logistic-drift", "--d", "2", "--T", "60", "--segments", "2",
+     "--seed", "2", "--out", d + "/l.csv"],
+    ["run-aioli", "--stream", d + "/l.csv", "--out", d + "/a.csv"],
+    ["run-ensemble", "--stream", d + "/l.csv", "--out", d + "/e.csv"],
+    ["run-o2nc", "--T", "50", "--seed", "3", "--out", d + "/o.csv"],
+    ["tune-adam", "--eps", "0.16", "--c", "1", "--G", "0.5", "--sigma", "0.5",
+     "--Fstar", "1", "--nu", "1"],
+    ["verify-lemmas", "--instances", "5", "--seed", "4"],
+]
+for argv in runs:
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+class TestNoScipyOnTheImportPath:
+    def test_import_and_every_subcommand_load_no_scipy(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, driftlearn.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+    def test_factorization_probe_names_still_resolve(self):
+        from scipy.linalg import cho_factor
+
+        from driftlearn import linreg
+
+        assert linreg.cho_factor is cho_factor and logreg.cho_factor is cho_factor
+        with pytest.raises(AttributeError, match="no_such_name"):
+            linreg.no_such_name  # noqa: B018

@@ -334,6 +334,28 @@ class TestBlockedKernelMatchesPerRoundLoop:
         assert state.potential == pytest.approx(run.state.potential, rel=1e-12)
 
 
+class TestOneRoundSteps:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 8),
+        T=st.integers(1, 40),
+        beta=st.floats(0.5, 1.0),
+        lam=st.floats(0.1, 10.0),
+    )
+    def test_predict_and_update_equal_the_blocked_run(self, seed, d, T, beta, lam):
+        spec = StreamSpec(d=d, T=T, segments=2, noise=0.3, seed=seed)
+        stream, _ = gen_stream(spec)
+        run = linreg.run_dvaw(stream, beta, lam)
+        state = linreg.VawState.fresh(d, beta, lam)
+        for t, rnd in enumerate(stream):
+            x, yhat = linreg.dvaw_predict(state, rnd.z)
+            assert yhat == run.yhats[t] and yhat == float((x * rnd.z).sum())
+            potential = state.potential
+            state = linreg.dvaw_update(state, rnd)
+            assert state.potential == potential + run.potential_increments[t]
+        assert np.array_equal(state.A, run.state.A) and np.array_equal(state.b, run.state.b)
+
+
 class TestBlockSizeInvariance:
     def test_one_round_blocks_equal_the_default(self, monkeypatch):
         spec = StreamSpec(d=5, T=500, kind="piecewise-constant-target", segments=4,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,23 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from driftlearn import lemmas, logreg, regret
-from driftlearn.streams import ComparatorPath, StreamSpec, gen_stream
+from driftlearn.streams import ComparatorPath, Stream, StreamSpec, gen_stream
+
+
+def prefix_loop_bound_check(run, comparators):
+    ledger = logreg.logistic_ledger(run)
+    worst = float("inf")
+    ok = True
+    for u in comparators:
+        r = 0.0
+        diffs = run.losses_at_play - ledger.losses_at(u)
+        for t in range(1, run.T + 1):
+            r = run.beta * r + float(diffs[t - 1])
+            bound = logreg.aioli_rescaled_bound(run, t, u)
+            worst = min(worst, bound - r)
+            if r > bound + 1e-9 * (1.0 + abs(bound)):
+                ok = False
+    return worst, ok
 
 
 def logistic_stream(rng, T=80, d=3, segments=2, noise=0.3, B=1.0, R=1.0):
@@ -17,6 +35,48 @@ def logistic_stream(rng, T=80, d=3, segments=2, noise=0.3, B=1.0, R=1.0):
         seed=seed, R=R, B=B,
     )
     return gen_stream(spec)
+
+
+def ulps_apart(a, b):
+    """Units in the last place between nonnegative float arrays a and b."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 708.4, -708.4, 709.78,
+                 -709.78, 709.79, -709.79, 720.0, -720.0, 745.2, -745.2, 800.0, -800.0,
+                 1e308, -1e308, np.inf, -np.inf]
+
+
+class TestSigmoid:
+    @given(x=st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats(allow_nan=False)))
+    def test_float_is_bit_identical_to_expit(self, x):
+        got = logreg.sigmoid(x)
+        assert type(got) is float
+        assert ulps_apart(got, expit(x)) == 0
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(logreg.sigmoid(math.nan))
+        assert np.isnan(logreg.sigmoid(np.array([math.nan]))).all()
+
+    def test_array_is_within_four_ulp_of_expit(self):
+        rng = np.random.default_rng(30)
+        x = np.concatenate([
+            SIGMOID_EDGES,
+            rng.standard_normal(20000) * 10.0 ** rng.integers(-3, 3, 20000),
+            rng.uniform(-750.0, 750.0, 20000),
+        ])
+        assert ulps_apart(logreg.sigmoid(x), expit(x)).max() <= 4
+        grid = x.reshape(-1, 1)[:100]
+        assert logreg.sigmoid(grid).shape == grid.shape
+
+    def test_no_warning_where_exp_overflows(self):
+        x = np.array([720.0, -720.0, 800.0, -800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logreg.sigmoid(x)
+            assert [logreg.sigmoid(float(v)) for v in x] == [1.0, 0.0, 1.0, 0.0]
+        assert got.tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 class TestLoss:
@@ -163,6 +223,22 @@ class TestRescaledBound:
                     worst = min(worst, bound - r)
             assert logreg.rescaled_bound_check(run, comparators) == (worst, True)
 
+    def test_one_pass_check_equals_the_prefix_loop(self):
+        # prefix_loop_bound_check is the per-prefix loop the check replaced;
+        # a run whose stability sums are cut to a tenth fails some prefixes
+        rng = np.random.default_rng(6)
+        outcomes = set()
+        for _ in range(12):
+            stream, truth = logistic_stream(rng, T=int(rng.integers(1, 150)))
+            beta = float(rng.uniform(0.3, 0.99))
+            run = logreg.run_aioli(stream, beta=beta, lam=1.0, B=1.0, R=1.0)
+            comparators = [np.zeros(stream.d), truth[0], 5.0 * truth[-1], list(truth[-1])]
+            for checked in (run, dataclasses.replace(run, stab_disc=0.1 * run.stab_disc)):
+                got = logreg.rescaled_bound_check(checked, comparators)
+                assert got == prefix_loop_bound_check(checked, comparators)
+                outcomes.add(got[1])
+        assert outcomes == {True, False}
+
     def test_stability_sum_obeys_potential_lemma(self):
         rng = np.random.default_rng(5)
         stream, _ = logistic_stream(rng, T=80)
@@ -234,6 +310,27 @@ class TestSingleMatrixMatchesTwoFactorizations:
         yhats, stabs = two_factorization_aioli(stream, beta, lam, 1.0, 1.0)
         assert np.all(np.abs(run.yhats - yhats) <= 1e-12 * (1.0 + np.abs(yhats)))
         assert np.all(np.abs(run.stab_disc - stabs) <= 1e-12 * (1.0 + np.abs(stabs)))
+
+
+class TestComparatorLossRows:
+    @given(seed=st.integers(0, 2**31 - 1), T=st.integers(1, 60), d=st.integers(1, 24),
+           layout=st.sampled_from(["C", "F", "reversed"]))
+    def test_path_losses_equal_loss_eval_rows(self, seed, T, d, layout):
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((T, d))
+        stream = Stream(Z, rng.choice([-1.0, 1.0], T))
+        U = 3.0 * rng.standard_normal((T, d))
+        U = {"C": U, "F": np.asfortranarray(U), "reversed": U[::-1]}[layout]
+        ledger = logreg.ensemble_ledger(logreg.EnsembleRun(
+            stream=stream, betas=np.array([0.9]), lam=1.0, B=1.0, R=1.0,
+            yhats=np.zeros(T), mix_losses=rng.random(T), expert_losses=np.zeros((T, 1)),
+            expert_yhats=np.zeros((T, 1)), weights=np.ones((T, 1)), state=None,
+        ))
+        rows = np.array([ledger.loss_eval(t, U[t - 1]) for t in range(1, T + 1)])
+        assert ulps_apart(ledger.path_losses(U), rows).max() == 0
+        path = ComparatorPath(U)
+        loop = sum(ledger.loss_eval(t, U[t - 1]) for t in range(1, T + 1))
+        assert regret.dynamic_regret(ledger, path) == float(ledger.losses_at_play.sum() - loop)
 
 
 class TestDynamicBound:

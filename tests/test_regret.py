@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from driftlearn import regret
-from driftlearn.streams import ComparatorPath, geometric_weights
+from driftlearn.streams import ComparatorPath, csv_text, geometric_weights
 
 
 def random_quadratic_ledger(rng, T, d, beta, lam=None, with_lambdas=False):
@@ -408,6 +408,50 @@ class TestOracleAgreement:
         path = ComparatorPath(U)
         assert np.isnan(regret.ft_difference_term(ledger, path))
         assert np.isnan(regret.path_variation(ledger, path, 0.5).value)
+
+
+def per_round_dynamic_regret(ledger, path):
+    comp = sum(ledger.loss_eval(t, path[t - 1]) for t in range(1, ledger.T + 1))
+    return float(ledger.losses_at_play.sum() - comp)
+
+
+def per_round_regret_trace_csv(ledger, path, header_comment=None):
+    play, T = ledger.losses_at_play, ledger.T
+    comp = np.fromiter((ledger.loss_eval(t, path[t - 1]) for t in range(1, T + 1)), float, T)
+    cum = np.cumsum(play - comp) + 0.0
+    return csv_text(["loss_play", "loss_comp", "cum_dynreg"], [play, comp, cum], header_comment)
+
+
+class TestComparatorLossRows:
+    # The per-round functions above are the loops that path_losses replaced:
+    # the rows, the regret and the trace must equal theirs bit for bit.
+    @given(seed=st.integers(0, 2**31 - 1), T=st.integers(1, 60), d=st.integers(1, 24),
+           layout=st.sampled_from(["C", "F", "reversed"]))
+    def test_quadratic_rows_regret_and_trace_match_the_loops(self, seed, T, d, layout):
+        rng = np.random.default_rng(seed)
+        ledger = random_quadratic_ledger(rng, T, d, beta=0.9, lam=1.0)
+        U = 2.0 * rng.standard_normal((T, d))
+        U = {"C": U, "F": np.asfortranarray(U), "reversed": U[::-1]}[layout]
+        rows = [ledger.loss_eval(t, U[t - 1]) for t in range(1, T + 1)]
+        assert ledger.path_losses(U).tolist() == rows
+        path = ComparatorPath(U)
+        assert regret.dynamic_regret(ledger, path) == per_round_dynamic_regret(ledger, path)
+        assert regret.regret_trace_csv(ledger, path, "c") == per_round_regret_trace_csv(
+            ledger, path, "c"
+        )
+
+    def test_ledger_without_row_evaluator_uses_loss_eval(self):
+        rng = np.random.default_rng(23)
+        ledger = logistic_like_ledger(rng, 30, 3, beta=0.8, batch=True)
+        assert ledger.path_losses is None
+        path = fuzz_path(rng, 30, 3, moving=True)
+        assert regret.dynamic_regret(ledger, path) == per_round_dynamic_regret(ledger, path)
+        assert regret.regret_trace_csv(ledger, path) == per_round_regret_trace_csv(ledger, path)
+
+    def test_length_mismatch_rejected_by_the_trace(self):
+        ledger = random_quadratic_ledger(np.random.default_rng(24), 5, 2, beta=0.5)
+        with pytest.raises(ValueError, match="path length"):
+            regret.regret_trace_csv(ledger, ComparatorPath(np.zeros((4, 2))))
 
 
 class TestIdentityGapIndependence:

@@ -161,6 +161,16 @@ class TestGenStream:
                 )
                 assert streams.segment_index(t, T, S) == expected
 
+    @pytest.mark.parametrize("T, S", [(10, 2), (10, 3), (7, 7), (100, 4), (5, 1),
+                                      (3, 8), (1, 3), (4000, 8), (997, 13)])
+    def test_truth_phases_match_the_per_round_loop(self, T, S):
+        # the phases as segment_index gives them, one round at a time
+        spec = streams.StreamSpec(d=3, T=T, segments=S, seed=T + S)
+        _, truth = streams.gen_stream(spec)
+        targets = streams._sphere(streams.philox_rng(spec.seed), S, 3, spec.B)
+        seg = [streams.segment_index(t, T, S) for t in range(1, T + 1)]
+        assert np.array_equal(truth.U, targets[seg])
+
     def test_feature_and_target_norms_are_exact(self):
         spec = streams.StreamSpec(d=4, T=30, segments=2, seed=2, R=0.7, B=1.3)
         s, truth = streams.gen_stream(spec)
@@ -226,6 +236,83 @@ class TestGeometricWeights:
     def test_bad_beta_rejected(self, beta):
         with pytest.raises(ValueError):
             streams.geometric_weights(beta, 3)
+
+
+def lfilter_oracle(v, beta, s0):
+    """scipy's first-order filter, the form the scan replaced."""
+    from scipy.signal import lfilter
+
+    if len(v) == 0:  # lfilter also returns a final state; nothing to compare
+        return np.empty_like(v)
+    if s0 is None:
+        return lfilter([1.0], [1.0, -beta], v, axis=0)
+    return lfilter([1.0], [1.0, -beta], v, axis=0, zi=beta * s0[None])[0]
+
+
+BETAS = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+# |v| <= 1e300 over at most 30 rows cannot overflow, so every row is finite
+SCAN_VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1e300, 1e300))
+
+
+def scan_inputs(draw_shape):
+    """(v, s0) with v 1-D (T,) or 2-D (T, k), T = 0..30, and s0 None or one row."""
+    return draw_shape.flatmap(lambda shape: st.tuples(
+        arrays(np.float64, shape, elements=SCAN_VALUES),
+        st.one_of(st.none(), arrays(np.float64, shape[1:], elements=SCAN_VALUES)),
+    ))
+
+
+SCAN_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 30)),
+    st.tuples(st.integers(0, 30), st.integers(1, 5)),
+)
+
+
+class TestDiscountedScan:
+    @given(inputs=scan_inputs(SCAN_SHAPES), beta=BETAS)
+    @example(inputs=(np.zeros((0, 3)), None), beta=0.5)
+    @example(inputs=(np.array([2.0]), np.array(3.0)), beta=1.0)
+    @example(inputs=(np.array([[-0.0, 1.0]]), None), beta=0.9)
+    def test_equals_the_linear_filter(self, inputs, beta):
+        # equal values: the same bits, except that a zero may carry the other
+        # sign (the filter's state update is 0*x - (-beta)*s, not beta*s)
+        v, s0 = inputs
+        got = streams.discounted_scan(v, beta, s0)
+        assert got.shape == v.shape
+        assert np.array_equal(got, lfilter_oracle(v, beta, s0))
+
+    @given(
+        inputs=scan_inputs(st.tuples(st.integers(1, 30), st.integers(1, 4))),
+        beta=BETAS,
+        bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+        where=st.tuples(st.integers(0, 29), st.integers(0, 3)),
+        one_d=st.booleans(),
+    )
+    def test_non_finite_entries_persist(self, inputs, beta, bad, where, one_d):
+        v, s0 = inputs
+        if one_d:
+            v, s0 = v[:, 0].copy(), None if s0 is None else s0[0].copy()
+        row = where[0] % len(v)
+        idx = (row,) if one_d else (row, where[1] % v.shape[1])
+        v[idx] = bad
+        got = streams.discounted_scan(v, beta, s0)
+        col = got if one_d else got[:, idx[1]]
+        assert not np.isfinite(col[row:]).any()
+        assert np.array_equal(got[:row], streams.discounted_scan(v[:row], beta, s0))
+
+    def test_pieces_started_from_the_last_row_equal_one_scan(self):
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((50, 2, 3))
+        whole = streams.discounted_scan(v, 0.97)
+        first = streams.discounted_scan(v[:17], 0.97)
+        rest = streams.discounted_scan(v[17:], 0.97, first[-1])
+        assert np.array_equal(np.concatenate([first, rest]), whole)
+
+    def test_state_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            streams.discounted_scan(np.zeros((4, 3)), 0.5, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="axis"):
+            streams.discounted_scan(np.float64(1.0), 0.5)
 
 
 class TestCsvRoundTrip:
