@@ -15,6 +15,7 @@ files.  The env var DRIFTLEARN_SEED supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -577,7 +578,10 @@ SUBCOMMANDS = {
 _FLAG_ALIASES = {"lam": ["--lambda"], "Fstar": ["--fstar"]}
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse parser, built once: a parse leaves no state on it, and a
+    fresh parser per call would leave cyclic garbage for the collector."""
     parser = _Parser(prog="driftlearn", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand")
     for name, (fields, _, help_text) in SUBCOMMANDS.items():

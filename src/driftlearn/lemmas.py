@@ -65,14 +65,9 @@ def _verdict(lemma: str, lhs, rhs, tol: float = TOL) -> LemmaVerdict:
     return LemmaVerdict(lemma=lemma, instances=1, violations=bad, worst_slack=slack)
 
 
-def discounted_sums(beta: float, x: np.ndarray) -> np.ndarray:
-    """s_t = x_t + beta * s_{t-1} for t = 1..T (s_0 = 0)."""
-    return discounted_scan(x, beta)
-
-
 def ema(beta: float, x: np.ndarray) -> np.ndarray:
     """V_t = beta V_{t-1} + (1-beta) x_t."""
-    return (1.0 - beta) * discounted_sums(beta, x)
+    return (1.0 - beta) * discounted_scan(x, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ the (B, d, d) stack checks positive definiteness, and one
 ``np.linalg.solve`` of the stack gives every round's decision and stability
 term.  The block length B is set by a private byte budget for one (B, d, d)
 stack, and results do not depend on it.  ``dvaw_predict`` and
-``dvaw_update`` take one round as the direct step beta A_{t-1} + z_t z_t'
-with the same roundings, so they agree with ``run_dvaw`` bit for bit.  The
-module needs numpy only.
+``dvaw_update`` check their input and run ``_advance`` on a block of one
+row, so they agree with ``run_dvaw`` bit for bit.  The module needs numpy
+only.
 """
 
 from __future__ import annotations
@@ -144,37 +144,25 @@ class VawState:
         return cls(beta=beta, lam=lam, A=lam * np.eye(d), b=np.zeros(d))
 
 
-def _one_round(state: VawState, z, y: float) -> tuple:
-    """The round (z, y) as one direct step from ``state``, after checking ``z``.
-
-    Returns A_t, b_t, x_t, x_t.z_t and y^2 z_t' A_t^{-1} z_t with the
-    roundings :func:`_advance` takes on a block of this one round.
-    """
+def _checked_feature(state: VawState, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != state.b.shape:
         raise ValueError(f"feature dimension {z.shape} != state dimension {state.b.shape}")
     if not np.isfinite(z).all():
         raise ValueError("feature must be finite")
-    beta = state.beta
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite raises
-        A = np.outer(z, z) + beta * state.A
-        b = y * z + beta * state.b
-    _check_finite(A)
-    _check_finite(b)
-    _check_definite(A)
-    sol = np.linalg.solve(A, np.column_stack((beta * state.b, z)))
-    x = sol[:, 0]
-    return A, b, x, float((x * z).sum()), (y * y) * float((z * sol[:, 1]).sum())
+    return z
 
 
 def dvaw_predict(state: VawState, z: np.ndarray) -> tuple[np.ndarray, float]:
     """Decision and prediction for the incoming feature ``z``.
 
     Solves (beta A_{t-1} + z z') x = beta b_{t-1}, where t is the upcoming
-    round index; the matrix is the A_t the update will store.
+    round index; the matrix is the A_t the update will store.  The label
+    does not enter, so the round runs through :func:`_advance` with y = 0.
     """
-    _, _, x, yhat, _ = _one_round(state, z, 0.0)
-    return x, yhat
+    z = _checked_feature(state, z)
+    _, _, X, yhats, _ = _advance(state.A, state.b, state.beta, z[None], np.zeros(1))
+    return X[0], float(yhats[0])
 
 
 def dvaw_update(state: VawState, rnd: LabeledRound) -> VawState:
@@ -182,14 +170,15 @@ def dvaw_update(state: VawState, rnd: LabeledRound) -> VawState:
     y = float(rnd.y)
     if not math.isfinite(y):
         raise ValueError("label must be finite")
-    A, b, _, _, stab = _one_round(state, rnd.z, y)
+    z = _checked_feature(state, rnd.z)
+    A, b, _, _, stab = _advance(state.A, state.b, state.beta, z[None], np.array([y]))
     return replace(
         state,
-        A=A,
-        b=b,
+        A=A[0],
+        b=b[0],
         t=state.t + 1,
         maxy2=max(state.maxy2, y * y),
-        potential=state.potential + stab,
+        potential=state.potential + float(stab[0]),
     )
 
 

@@ -25,6 +25,12 @@ single-learner functions are the N = 1 case.  The roots stay scalar, one
 ``solve_optimism_root`` call per expert and round: they take a few Newton
 steps each, and a masked Newton over the expert axis would pay numpy's
 fixed cost per call on every step for only N elements.
+
+Only the learner state is sequential.  ``run_ensemble``'s loop advances
+the expert stack and records the (T, N) expert predictions; the expert
+losses, the exponential weights, the mixture and its losses depend on
+those alone and are computed after the loop.  ``run_aioli`` likewise takes
+its discounted stability sums and beta^t after the loop.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ ROOT_MAX_ITERS = 200
 # Multiplies x into the stack [-x, x]; see _sigmoid_pm.
 _MINUS_PLUS = np.array([-1.0, 1.0])
 _TINY = np.finfo(float).tiny
+# Rows per block of run_ensemble's work after its loop; bounds the temporaries.
+_MIX_BLOCK = 64
 
 
 def __getattr__(name: str):
@@ -353,24 +361,22 @@ def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> Ai
     experts = _Experts.fresh(stream.d, [beta], lam, B, R)
     T = stream.T
     yhats = np.empty(T)
-    stab = np.empty(T)
-    pows = np.empty(T)
+    stab_incs = np.empty(T)
     resid = np.empty(T)
     coefs = np.empty(T)
-    stab_disc, beta_pow = 0.0, 1.0
     for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
         X, yh, q = experts.decide(z)
         resid[t] = experts.residuals(z, X)[0]
         c2, stab_inc = experts.absorb(z, y, X, yh, q)
         yhats[t] = yh[0]
         coefs[t] = c2[0]
-        stab_disc = beta * stab_disc + float(stab_inc[0])
-        beta_pow = beta * beta_pow
-        stab[t] = stab_disc
-        pows[t] = beta_pow
+        stab_incs[t] = stab_inc[0]
+    stab = discounted_scan(stab_incs, beta)
+    pows = np.cumprod(np.full(T, float(beta)))
     state = AioliState(
         beta=beta, lam=lam, B=B, R=R, A=experts.A[0], w=experts.w[0], t=T,
-        beta_pow=beta_pow, stab_disc=stab_disc,
+        beta_pow=float(pows[-1]) if T else 1.0,
+        stab_disc=float(stab[-1]) if T else 0.0,
     )
     return AioliRun(
         stream=stream, beta=beta, lam=lam, B=B, R=R, yhats=yhats,
@@ -515,66 +521,6 @@ def _mix(yhats: np.ndarray, p: np.ndarray) -> float | np.ndarray:
 
 
 @dataclass
-class EnsembleState:
-    """Exponential-weights meta learner over AIOLI base learners, which
-    advance together as one expert stack."""
-
-    betas: np.ndarray
-    log_q: np.ndarray
-    experts: _Experts
-    B: float
-    R: float
-    lam: float
-
-    @classmethod
-    def fresh(
-        cls, d: int, betas: Sequence[float], lam: float, B: float, R: float
-    ) -> "EnsembleState":
-        betas = np.asarray(list(betas), dtype=float)
-        if betas.size < 1:
-            raise ValueError("need at least one base learner")
-        experts = _Experts.fresh(d, betas, lam, B, R)
-        return cls(
-            betas=betas, log_q=np.zeros(betas.size), experts=experts, B=B, R=R, lam=lam
-        )
-
-    @property
-    def n_experts(self) -> int:
-        return self.betas.size
-
-
-@dataclass
-class EnsembleStep:
-    yhat: float
-    expert_yhats: np.ndarray
-    expert_losses: np.ndarray
-    mix_loss: float
-    p: np.ndarray
-
-
-def ensemble_step(state: EnsembleState, z: np.ndarray, y: float) -> EnsembleStep:
-    """One full round: every base predicts, the mixture prediction is
-    emitted, then base states and log-domain weights absorb the label."""
-    z = np.asarray(z, dtype=float)
-    X, expert_yhats, q = state.experts.decide(z)
-    lq = state.log_q - state.log_q.max()
-    p = np.exp(lq)
-    p /= p.sum()
-    yhat_mix = _mix(expert_yhats, p)  # normalized weights by construction
-
-    expert_losses = np.logaddexp(0.0, -y * expert_yhats)
-    state.log_q = state.log_q - expert_losses
-    state.experts.absorb(z, y, X, expert_yhats, q)
-    return EnsembleStep(
-        yhat=yhat_mix,
-        expert_yhats=expert_yhats,
-        expert_losses=expert_losses,
-        mix_loss=logistic_loss(yhat_mix, y),
-        p=p,
-    )
-
-
-@dataclass
 class EnsembleRun:
     stream: Stream
     betas: np.ndarray
@@ -586,7 +532,6 @@ class EnsembleRun:
     expert_losses: np.ndarray  # (T, N)
     expert_yhats: np.ndarray   # (T, N)
     weights: np.ndarray        # normalized p_t, (T, N)
-    state: EnsembleState
 
     @property
     def T(self) -> int:
@@ -601,26 +546,52 @@ class EnsembleRun:
 def run_ensemble(
     stream: Stream, betas: Sequence[float], lam: float, B: float, R: float
 ) -> EnsembleRun:
+    """Exponential-weights mixture over discounted-AIOLI experts, one per
+    discount in ``betas``.
+
+    The loop advances the expert stack only.  The losses, the weights (a
+    row softmax of the expert losses summed over earlier rounds), the
+    mixture and its losses follow it, with the roundings of a per-round
+    weight update.
+    """
     if not np.all(np.abs(stream.y) == 1.0):
         raise ValueError("logistic streams need labels in {+1, -1}")
-    state = EnsembleState.fresh(stream.d, betas, lam, B, R)
-    T, N = stream.T, state.n_experts
-    yhats = np.empty(T)
-    mix_losses = np.empty(T)
-    expert_losses = np.empty((T, N))
+    betas = np.asarray(list(betas), dtype=float)
+    if betas.size < 1:
+        raise ValueError("need at least one base learner")
+    experts = _Experts.fresh(stream.d, betas, lam, B, R)
+    T, N = stream.T, betas.size
     expert_yhats = np.empty((T, N))
+    for z, y, row in zip(stream.Z, map(float, stream.y), expert_yhats):
+        X, yh, q = experts.decide(z)
+        experts.absorb(z, y, X, yh, q)
+        row[:] = yh
+
+    # Row blocks keep numpy's broadcast buffers to the size of one block.
+    blocks = [slice(lo, lo + _MIX_BLOCK) for lo in range(0, T, _MIX_BLOCK)]
+    neg_y = np.negative(stream.y)
+    expert_losses = np.empty((T, N))
+    for rows in blocks:  # l(yhat, y) = ln(1 + exp(-y*yhat))
+        losses = np.multiply(expert_yhats[rows], neg_y[rows, None], out=expert_losses[rows])
+        np.logaddexp(0.0, losses, out=losses)
+    # log q_t = -C_t, with C_t the losses summed over rounds s < t; with
+    # m_t = min_i C_t,i, log q_t - max_i log q_t = m_t - C_t exactly
     weights = np.empty((T, N))
-    for t, (z, y) in enumerate(zip(stream.Z, map(float, stream.y))):
-        step = ensemble_step(state, z, y)
-        yhats[t] = step.yhat
-        mix_losses[t] = step.mix_loss
-        expert_losses[t] = step.expert_losses
-        expert_yhats[t] = step.expert_yhats
-        weights[t] = step.p
+    weights[:1] = 0.0
+    np.cumsum(expert_losses[:-1], axis=0, out=weights[1:])
+    yhats = np.empty(T)
+    for rows in blocks:
+        p = weights[rows]
+        np.subtract(p.min(axis=1, keepdims=True), p, out=p)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        yhats[rows] = _mix(expert_yhats[rows], p)
+    mix_losses = np.multiply(yhats, neg_y, out=neg_y)
+    np.logaddexp(0.0, mix_losses, out=mix_losses)
     return EnsembleRun(
-        stream=stream, betas=state.betas, lam=lam, B=B, R=R, yhats=yhats,
+        stream=stream, betas=betas, lam=lam, B=B, R=R, yhats=yhats,
         mix_losses=mix_losses, expert_losses=expert_losses,
-        expert_yhats=expert_yhats, weights=weights, state=state,
+        expert_yhats=expert_yhats, weights=weights,
     )
 
 

@@ -35,7 +35,7 @@ evaluated.  Costs, for T rounds in d dimensions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -357,15 +357,7 @@ def check_path_length_lemma(
     """
     if not (0.0 < beta <= gamma < 1.0):
         raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
-    probe = RegretLedger(
-        losses_at_play=ledger.losses_at_play,
-        loss_eval=ledger.loss_eval,
-        beta=beta,
-        phi_eval=ledger.phi_eval,
-        loss_eval_batch=ledger.loss_eval_batch,
-        path_losses=ledger.path_losses,
-        squared_loss=ledger.squared_loss,
-    )
+    probe = replace(ledger, beta=beta)
     lhs = ft_difference_term(probe, path)
     rhs = gamma / (1.0 - gamma) * path_variation(probe, path, gamma).value
     return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
@@ -386,21 +378,20 @@ def quadratic_loss_ledger(
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
 
+    # every evaluator squares as r * r: Python's float ** 2 is C pow, which
+    # differs from the correctly rounded product in the last place on about
+    # 0.1% of inputs, so one ledger would see two values of f_t(u)
     def eval_one(t: int, u: np.ndarray) -> float:
-        return 0.5 * float(Z[t - 1] @ u - y[t - 1]) ** 2
+        r = float(Z[t - 1] @ u - y[t - 1])
+        return 0.5 * (r * r)
 
     def eval_batch(u: np.ndarray) -> np.ndarray:
-        return 0.5 * (Z @ u - y) ** 2
+        return _half_squares(Z @ u - y)
 
     def eval_path(U: np.ndarray) -> np.ndarray:
-        # float ** 2 is C pow, which differs from numpy's square in the last
-        # place on about 0.1% of inputs; squaring as eval_one does keeps
-        # every row equal to it
         r = row_dots(Z, U)
         r -= y
-        squares = np.fromiter((v**2 for v in memoryview(r)), float, len(r))
-        squares *= 0.5
-        return squares
+        return _half_squares(r)
 
     phi = None
     if lam is not None:
@@ -415,6 +406,13 @@ def quadratic_loss_ledger(
         path_losses=eval_path,
         squared_loss=(Z, y),
     )
+
+
+def _half_squares(r: np.ndarray) -> np.ndarray:
+    """Overwrite the residuals ``r`` with r * r / 2 and return them."""
+    r *= r
+    r *= 0.5
+    return r
 
 
 def regret_trace_csv(

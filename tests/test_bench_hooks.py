@@ -1,0 +1,67 @@
+"""The library hooks that the traced benchmark (bench/tracing.py) relies on.
+
+The tracer wraps every public layer function, reads ``linreg.cho_factor``
+and ``logreg.cho_factor``, rebinds ``RegretLedger.__post_init__`` to count
+loss rows, wraps ``O2ncTrace.to_csv`` and the factories in
+``o2nc.OBJECTIVES``.  A library change that breaks one of these breaks the
+traced benchmark; these tests run its jobs at tiny sizes under the tracer.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from driftlearn import o2nc, regret, streams
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+T = 60
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("tracing"), importlib.import_module("workloads")
+
+
+def still_wrapped(layers) -> list:
+    left = []
+    for layer in layers:
+        for attr, obj in vars(importlib.import_module(f"driftlearn.{layer}")).items():
+            held = list(obj.values()) if isinstance(obj, dict) else [obj]
+            held += [v for t in held if isinstance(t, tuple) for v in t]
+            if any(hasattr(v, "__bench_original__") for v in held):
+                left.append(f"{layer}.{attr}")
+    if hasattr(regret.RegretLedger.__post_init__, "__wrapped__"):
+        left.append("regret.RegretLedger.__post_init__")
+    if hasattr(o2nc.O2ncTrace.to_csv, "__bench_original__"):
+        left.append("o2nc.O2ncTrace.to_csv")
+    return left
+
+
+def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
+    tracing, workloads = bench
+    spec = streams.StreamSpec(d=3, T=T, kind="rotating-target", segments=3, seed=1)
+    stream, truth = streams.gen_stream(spec)
+    logistic = tmp_path / "stream.csv"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.job_id = 0
+        steps = [
+            workloads.identity_step(stream, truth),
+            workloads.cli_step("gen", [
+                "gen", "--kind", "logistic-drift", "--d", 2, "--T", T, "--segments", 2,
+                "--noise", 0.2, "--seed", 1, "--out", logistic]),
+            workloads.cli_step("run-ensemble", [
+                "run-ensemble", "--grid", "true", "--stream", logistic]),
+            workloads.cli_step("run-o2nc", [
+                "run-o2nc", *workloads.O2NC_FLAGS, "--T", T, "--seed", 1]),
+        ]
+    finally:
+        tracer.uninstall()
+    assert [s.exit_code for s in steps] == [0, 0, 0, 0], [s.error for s in steps]
+    assert workloads.gate(steps, None) == []
+    assert tracer.counts["regret.loss_rows"] > 0
+    assert tracer.counts["o2nc.loop_grad_calls"] == 2 * T
+    assert still_wrapped(tracing.LAYERS) == []

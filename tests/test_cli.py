@@ -52,6 +52,34 @@ class TestUsage:
         assert code == 1
 
 
+class TestParserReuse:
+    def test_second_call_sees_no_values_from_the_first(self, capsys, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        code, _, _ = run_cli(
+            capsys, "gen", "--d", "3", "--T", "25", "--noise", "0.1", "--seed", "9",
+            "--out", str(tmp_path / "x.csv"), "--emit-config", str(first),
+        )
+        assert code == 0 and "d=3\n" in first.read_text()
+        code, _, _ = run_cli(
+            capsys, "gen", "--seed", "4", "--out", str(tmp_path / "y.csv"),
+            "--emit-config", str(second),
+        )
+        assert code == 0
+        emitted = dict(line.split("=", 1) for line in second.read_text().splitlines())
+        defaults = {f.name: str(f.default) for f in cli.GEN_FIELDS if f.default is not None}
+        assert {k: emitted[k] for k in defaults} == defaults
+        assert emitted["seed"] == "4"
+
+    def test_usage_error_after_a_success_is_one_error_line(self, capsys, tmp_path):
+        make_stream(capsys, tmp_path)
+        code, out, err = run_cli(capsys, "gen", "--d", "three", "--out", str(tmp_path / "z.csv"))
+        assert code == 1 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "three" in errors[0]
+        assert err.splitlines()[-1] == errors[0]
+
+
 class TestConfigRoundTrip:
     def test_emit_then_parse_is_identical(self, capsys, tmp_path):
         first = tmp_path / "a.cfg"

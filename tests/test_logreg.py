@@ -324,7 +324,7 @@ class TestComparatorLossRows:
         ledger = logreg.ensemble_ledger(logreg.EnsembleRun(
             stream=stream, betas=np.array([0.9]), lam=1.0, B=1.0, R=1.0,
             yhats=np.zeros(T), mix_losses=rng.random(T), expert_losses=np.zeros((T, 1)),
-            expert_yhats=np.zeros((T, 1)), weights=np.ones((T, 1)), state=None,
+            expert_yhats=np.zeros((T, 1)), weights=np.ones((T, 1)),
         ))
         rows = np.array([ledger.loss_eval(t, U[t - 1]) for t in range(1, T + 1)])
         assert ulps_apart(ledger.path_losses(U), rows).max() == 0
@@ -404,11 +404,9 @@ class TestEnsemble:
 
     def test_equal_losses_keep_weights_uniform(self):
         rng = np.random.default_rng(11)
-        stream, _ = logistic_stream(rng, T=3)
-        state = logreg.EnsembleState.fresh(stream.d, [0.9, 0.9], 1.0, 1.0, 1.0)
-        logreg.ensemble_step(state, stream.Z[0], stream.y[0])
-        step = logreg.ensemble_step(state, stream.Z[1], stream.y[1])
-        np.testing.assert_allclose(step.p, [0.5, 0.5], rtol=1e-15)
+        stream, _ = logistic_stream(rng, T=2)
+        run = logreg.run_ensemble(stream, [0.9, 0.9], 1.0, 1.0, 1.0)
+        np.testing.assert_allclose(run.weights[1], [0.5, 0.5], rtol=1e-15)
 
     def test_mixability_holds_every_round(self):
         rng = np.random.default_rng(12)
@@ -483,6 +481,73 @@ class TestStackedEnsembleMatchesPerExpertLoop:
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), name
 
 
+def per_round_ensemble(stream, betas, lam, B, R):
+    """The ensemble as one round at a time: each round mixes its weights,
+    then updates the log-domain weights by the expert losses."""
+    experts = logreg._Experts.fresh(stream.d, betas, lam, B, R)
+    T, n = stream.T, len(betas)
+    log_q = np.zeros(n)
+    yhats, mix_losses = np.empty(T), np.empty(T)
+    expert_losses, expert_yhats, weights = (np.empty((T, n)) for _ in range(3))
+    for t, (z, y) in enumerate(zip(stream.Z, map(float, stream.y))):
+        X, yh, q = experts.decide(z)
+        lq = log_q - log_q.max()
+        p = np.exp(lq)
+        p /= p.sum()
+        yhats[t] = logreg._mix(yh, p)
+        mix_losses[t] = logreg.logistic_loss(float(yhats[t]), y)
+        expert_losses[t] = np.logaddexp(0.0, -y * yh)
+        expert_yhats[t] = yh
+        weights[t] = p
+        log_q = log_q - expert_losses[t]
+        experts.absorb(z, y, X, yh, q)
+    return dict(yhats=yhats, mix_losses=mix_losses, expert_losses=expert_losses,
+                expert_yhats=expert_yhats, weights=weights)
+
+
+def per_round_aioli_sums(stream, beta, lam, B, R):
+    """run_aioli's stab_disc and beta_pows, carried as Python floats round
+    by round."""
+    experts = logreg._Experts.fresh(stream.d, [beta], lam, B, R)
+    stab, pows = np.empty(stream.T), np.empty(stream.T)
+    stab_disc, beta_pow = 0.0, 1.0
+    for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
+        X, yh, q = experts.decide(z)
+        _, stab_inc = experts.absorb(z, y, X, yh, q)
+        stab_disc = beta * stab_disc + float(stab_inc[0])
+        beta_pow = beta * beta_pow
+        stab[t], pows[t] = stab_disc, beta_pow
+    return stab, pows, stab_disc, beta_pow
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedDiagnosticsMatchPerRoundLoops:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 5),
+        T=st.integers(1, 300),
+        betas=st.lists(st.floats(0.3, 0.999), min_size=1, max_size=13),
+        lam=st.floats(0.1, 10.0),
+    )
+    def test_bit_identical(self, seed, d, T, betas, lam):
+        spec = StreamSpec(
+            d=d, T=T, kind="logistic-drift", segments=3, noise=0.3, seed=seed
+        )
+        stream, _ = gen_stream(spec)
+        run = logreg.run_ensemble(stream, betas, lam, B=1.0, R=1.0)
+        for name, want in per_round_ensemble(stream, betas, lam, 1.0, 1.0).items():
+            assert same_bits(getattr(run, name), want), name
+        solo = logreg.run_aioli(stream, betas[0], lam, B=1.0, R=1.0)
+        stab, pows, stab_disc, beta_pow = per_round_aioli_sums(
+            stream, betas[0], lam, 1.0, 1.0)
+        assert same_bits(solo.stab_disc, stab) and same_bits(solo.beta_pows, pows)
+        assert solo.state.stab_disc == stab_disc and solo.state.beta_pow == beta_pow
+
+
 def per_round_mixability(yhats, p):
     """One check_mixability call per round, absorbed into one verdict."""
     total = lemmas.LemmaVerdict("mixability", 0, 0, float("inf"))
@@ -551,12 +616,17 @@ class TestEnsembleErrors:
         assert str(exc.value) == self.MESSAGE
 
     def test_indefinite_matrix_in_expert_stack(self, monkeypatch):
-        state = logreg.EnsembleState.fresh(2, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
-        A = state.experts.A.copy()
-        A[1] = self.INDEFINITE
-        monkeypatch.setattr(state.experts, "A", A)
+        fresh = logreg._Experts.fresh
+
+        def with_indefinite_expert(*args):
+            experts = fresh(*args)
+            experts.A[1] = self.INDEFINITE
+            return experts
+
+        monkeypatch.setattr(logreg._Experts, "fresh", with_indefinite_expert)
+        stream = Stream(np.array([[1.0, 0.0]]), np.array([1.0]))
         with pytest.raises(RuntimeError) as exc:
-            logreg.ensemble_step(state, np.array([1.0, 0.0]), 1.0)
+            logreg.run_ensemble(stream, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
         assert str(exc.value) == self.MESSAGE
 
 

@@ -346,6 +346,29 @@ class TestPathLengthLemma:
             path = ComparatorPath(rng.standard_normal((T, 2)))
             assert regret.check_path_length_lemma(ledger, path, beta, gamma)
 
+    def test_probe_keeps_every_ledger_field_but_beta(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        ledger = random_quadratic_ledger(rng, 6, 2, beta=0.9, lam=1.0, with_lambdas=True)
+        probes = []
+        variation = regret.path_variation
+
+        def spy(probe, *args):
+            probes.append(probe)
+            return variation(probe, *args)
+
+        monkeypatch.setattr(regret, "path_variation", spy)
+        regret.check_path_length_lemma(
+            ledger, ComparatorPath(rng.standard_normal((6, 2))), 0.5, 0.8)
+        (probe,) = probes
+        assert probe.beta == 0.5
+        for f in dataclasses.fields(regret.RegretLedger):
+            if f.init and f.name != "beta":
+                got, want = getattr(probe, f.name), getattr(ledger, f.name)
+                if isinstance(want, tuple):
+                    assert all(g is w for g, w in zip(got, want)), f.name
+                else:
+                    assert got is want, f.name
+
     def test_bad_ordering_rejected(self):
         rng = np.random.default_rng(18)
         ledger = self._ledger(rng, 4, 1)
@@ -447,6 +470,17 @@ class TestComparatorLossRows:
         path = fuzz_path(rng, 30, 3, moving=True)
         assert regret.dynamic_regret(ledger, path) == per_round_dynamic_regret(ledger, path)
         assert regret.regret_trace_csv(ledger, path) == per_round_regret_trace_csv(ledger, path)
+
+    def test_every_evaluator_squares_the_same_way(self):
+        # r**2 (C pow) rounds this residual differently from r*r
+        r = 2.3480084736201086
+        assert r**2 != r * r
+        ledger = regret.quadratic_loss_ledger(
+            np.array([[1.0]]), np.array([0.0]), np.zeros(1), beta=0.9)
+        u = np.array([r])
+        one = ledger.loss_eval(1, u)
+        assert one == ledger.loss_eval_batch(u)[0] == ledger.path_losses(u[None])[0]
+        assert one == 0.5 * (r * r)
 
     def test_length_mismatch_rejected_by_the_trace(self):
         ledger = random_quadratic_ledger(np.random.default_rng(24), 5, 2, beta=0.5)
