@@ -255,12 +255,21 @@ def _check_inputs(eps, c, G, sigma, Fstar, nu) -> Optional[str]:
     return None
 
 
+def _eps_too_small(eps: float, one_minus_b1: float) -> str:
+    return f"eps={eps} too small: beta1 = 1 - {one_minus_b1!r} rounds to 1"
+
+
+def _nu_too_small(nu: float, gs: float) -> str:
+    return f"nu={nu} too small against G+sigma={gs}: beta2 = 1 - nu/(G+sigma) rounds to 1"
+
+
 def tune_clipped(eps, c, G, sigma, Fstar, nu) -> TuningReport:
     """Clipped-variant tuning with the relaxed beta2 floor.
 
     beta1 sits at its smallest admissible value 1-(eps/(16(G+sigma)))^2,
     D = (1-beta1) sqrt(eps)/sqrt(48 c), gamma = beta1 D / sqrt(1-beta1),
     beta2 >= max(1 - nu/(G+sigma), beta1^4), and T_min is the stated max.
+    An eps or nu so small that beta1 or beta2 rounds to 1 is infeasible.
     """
     bad = _check_inputs(eps, c, G, sigma, Fstar, nu)
     kw = dict(variant="clipped", eps=eps, c=c, G=G, sigma=sigma, Fstar=Fstar,
@@ -268,16 +277,21 @@ def tune_clipped(eps, c, G, sigma, Fstar, nu) -> TuningReport:
     if bad:
         return TuningReport(feasible=False, reason=bad, **kw)
     gs = G + sigma
-    one_minus_b1 = (eps / (16.0 * gs)) ** 2
-    if one_minus_b1 >= 1.0:
+    ratio = eps / (16.0 * gs)  # squared only below 1, where it cannot overflow
+    if ratio >= 1.0:
         return TuningReport(
             feasible=False, reason=f"eps={eps} too large: needs eps < 16(G+sigma)", **kw
         )
+    one_minus_b1 = ratio**2
     beta1 = 1.0 - one_minus_b1
+    if beta1 == 1.0:
+        return TuningReport(feasible=False, reason=_eps_too_small(eps, one_minus_b1), **kw)
     D = one_minus_b1 * math.sqrt(eps) / math.sqrt(48.0 * c)
     gamma = beta1 * D / math.sqrt(one_minus_b1)
     beta2_lo = max(1.0 - nu / gs, beta1**4)
     beta2 = beta2_lo
+    if beta2 == 1.0:
+        return TuningReport(feasible=False, reason=_nu_too_small(nu, gs), **kw)
     T_min = max(
         (1.0 / one_minus_b1)
         * max(16.0 * Fstar * math.sqrt(48.0 * c) / eps**1.5, 16.0 * gs / eps),
@@ -303,7 +317,8 @@ def tune_clipped_margin(eps, c, G, sigma, Fstar, nu, rho) -> TuningReport:
 
     beta1 = 1-(eps sqrt(1-rho^2)/(64(G+sigma)))^2; beta2 is reported as the
     interval [beta1^2+m, 1-m] with m = (1-rho)(1-beta1^2)/2 and pinned to
-    its midpoint (1+beta1^2)/2.
+    its midpoint (1+beta1^2)/2.  An eps so small that beta1 rounds to 1 is
+    infeasible.
     """
     kw = dict(variant="clipped", eps=eps, c=c, G=G, sigma=sigma, Fstar=Fstar,
               nu=nu, rho=rho)
@@ -314,14 +329,17 @@ def tune_clipped_margin(eps, c, G, sigma, Fstar, nu, rho) -> TuningReport:
         return TuningReport(feasible=False, reason=f"rho={rho} outside [0, 1)", **kw)
     gs = G + sigma
     root = math.sqrt(1.0 - rho * rho)
-    one_minus_b1 = (eps * root / (64.0 * gs)) ** 2
-    if one_minus_b1 >= 1.0:
+    ratio = eps * root / (64.0 * gs)
+    if ratio >= 1.0:
         return TuningReport(
             feasible=False,
             reason=f"eps={eps} too large: needs eps sqrt(1-rho^2) < 64(G+sigma)",
             **kw,
         )
+    one_minus_b1 = ratio**2
     beta1 = 1.0 - one_minus_b1
+    if beta1 == 1.0:
+        return TuningReport(feasible=False, reason=_eps_too_small(eps, one_minus_b1), **kw)
     m, lo, hi = _margin_interval(beta1, rho)
     beta2 = 0.5 * (lo + hi)  # = (1+beta1^2)/2 for every rho
     D = one_minus_b1 * math.sqrt(eps) / math.sqrt(48.0 * c)
@@ -344,7 +362,8 @@ def tune_clipfree(eps, c, G, sigma, Fstar, nu, rho: Optional[float] = None) -> T
     Without rho: beta1 = 1-(eps/(16(G+sigma)))^2, beta2 >= max(1-nu/(G+sigma),
     beta1^2).  With rho: beta1 = 1-(eps sqrt(1-rho^2)/(64(G+sigma)))^2 and
     beta2 in [beta1^2+m, 1-m].  Either way D = (1-beta1) sqrt(eps)/sqrt(96c),
-    gamma = beta1 D/sqrt(1-beta1) and mu = 24 c D/(1-beta1)^2.
+    gamma = beta1 D/sqrt(1-beta1) and mu = 24 c D/(1-beta1)^2.  An eps or
+    nu so small that beta1 or beta2 rounds to 1 is infeasible.
     """
     kw = dict(variant="clip-free", eps=eps, c=c, G=G, sigma=sigma, Fstar=Fstar,
               nu=nu, rho=rho)
@@ -353,14 +372,17 @@ def tune_clipfree(eps, c, G, sigma, Fstar, nu, rho: Optional[float] = None) -> T
         return TuningReport(feasible=False, reason=bad, **kw)
     gs = G + sigma
     if rho is None:
-        one_minus_b1 = (eps / (16.0 * gs)) ** 2
+        ratio = eps / (16.0 * gs)
     else:
         if not (0.0 <= rho < 1.0):
             return TuningReport(feasible=False, reason=f"rho={rho} outside [0, 1)", **kw)
-        one_minus_b1 = (eps * math.sqrt(1.0 - rho * rho) / (64.0 * gs)) ** 2
-    if one_minus_b1 >= 1.0:
+        ratio = eps * math.sqrt(1.0 - rho * rho) / (64.0 * gs)
+    if ratio >= 1.0:
         return TuningReport(feasible=False, reason=f"eps={eps} too large", **kw)
+    one_minus_b1 = ratio**2
     beta1 = 1.0 - one_minus_b1
+    if beta1 == 1.0:
+        return TuningReport(feasible=False, reason=_eps_too_small(eps, one_minus_b1), **kw)
     D = one_minus_b1 * math.sqrt(eps) / math.sqrt(96.0 * c)
     gamma = beta1 * D / math.sqrt(one_minus_b1)
     mu = 24.0 * c * D / one_minus_b1**2
@@ -368,6 +390,8 @@ def tune_clipfree(eps, c, G, sigma, Fstar, nu, rho: Optional[float] = None) -> T
         lo = max(1.0 - nu / gs, beta1 * beta1)
         hi = 1.0
         beta2 = lo
+        if beta2 == 1.0:
+            return TuningReport(feasible=False, reason=_nu_too_small(nu, gs), **kw)
         margin = None
         T_min = max(
             (1.0 / one_minus_b1)

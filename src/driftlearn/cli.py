@@ -165,17 +165,22 @@ def _maybe_emit_config(values: dict, args) -> bool:
     return True
 
 
-def _jsonable(obj):
+def _jsonable(obj, field: str = ""):
+    """``obj`` in plain JSON types: NaN, the placeholder of a value that was
+    not computed, becomes null, and +-inf, which JSON cannot hold, raises
+    ``ValueError`` naming the field."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return {k: _jsonable(v, f"{field}.{k}" if field else k) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v, f"{field}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
+            return None
+        raise ValueError(f"{field}: {obj} has no JSON form; the summary is not written")
     return obj
 
 

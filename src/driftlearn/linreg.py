@@ -20,16 +20,15 @@ the Gram and label-sum recurrences run as one exact discounted scan
 the (B, d, d) stack checks positive definiteness, and one
 ``np.linalg.solve`` of the stack gives every round's decision and stability
 term.  The block length B is set by a private byte budget for one (B, d, d)
-stack, and results do not depend on it.  ``dvaw_predict`` and
-``dvaw_update`` check their input and run ``_advance`` on a block of one
-row, so they agree with ``run_dvaw`` bit for bit.  The module needs numpy
-only.
+stack, and results do not depend on it.  ``run_dvaw`` is the one
+learner entry point, and ``vaw_static_bound`` takes its stability terms
+from the same kernel at beta = 1.  The module needs numpy only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,7 +39,7 @@ from driftlearn.regret import (
     path_variation,
     quadratic_loss_ledger,
 )
-from driftlearn.streams import ComparatorPath, LabeledRound, Stream, discounted_scan
+from driftlearn.streams import ComparatorPath, Stream, discounted_scan
 
 # Bytes of one (B, d, d) Gram stack; a block holds max(1, this // (8 d^2))
 # rounds.  The kernel's working set is a few such stacks.
@@ -113,76 +112,6 @@ def _check_definite(A: np.ndarray) -> None:
 
 
 @dataclass
-class VawState:
-    """Discounted sufficient statistics of the forecaster.
-
-    ``A`` is the regularized discounted Gram matrix
-    A_t = lam beta^t I + sum_{s<=t} beta^(t-s) z_s z_s', carried as
-    A_t = beta A_{t-1} + z_t z_t' from A_0 = lam I, and ``b`` the discounted
-    label sum b_t = beta b_{t-1} + y_t z_t.  The lam beta^t part may
-    underflow to zero (the Gram term then carries the conditioning); a
-    matrix that is no longer positive definite raises
-    :class:`SingularSystemError`.  ``potential`` accumulates the discounted
-    stability terms y_t^2 z_t' A_t^{-1} z_t.  No factor is stored: each
-    round solves against A_t afresh.
-    """
-
-    beta: float
-    lam: float
-    A: np.ndarray
-    b: np.ndarray
-    t: int = 0
-    maxy2: float = 0.0
-    potential: float = 0.0
-
-    @classmethod
-    def fresh(cls, d: int, beta: float, lam: float) -> "VawState":
-        if not (0.0 < beta <= 1.0):
-            raise ValueError(f"beta must lie in (0, 1], got {beta}")
-        if not (0.0 < lam < math.inf):
-            raise ValueError(f"lambda must be > 0 and finite, got {lam}")
-        return cls(beta=beta, lam=lam, A=lam * np.eye(d), b=np.zeros(d))
-
-
-def _checked_feature(state: VawState, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != state.b.shape:
-        raise ValueError(f"feature dimension {z.shape} != state dimension {state.b.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("feature must be finite")
-    return z
-
-
-def dvaw_predict(state: VawState, z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Decision and prediction for the incoming feature ``z``.
-
-    Solves (beta A_{t-1} + z z') x = beta b_{t-1}, where t is the upcoming
-    round index; the matrix is the A_t the update will store.  The label
-    does not enter, so the round runs through :func:`_advance` with y = 0.
-    """
-    z = _checked_feature(state, z)
-    _, _, X, yhats, _ = _advance(state.A, state.b, state.beta, z[None], np.zeros(1))
-    return X[0], float(yhats[0])
-
-
-def dvaw_update(state: VawState, rnd: LabeledRound) -> VawState:
-    """Fold one revealed round into the discounted statistics."""
-    y = float(rnd.y)
-    if not math.isfinite(y):
-        raise ValueError("label must be finite")
-    z = _checked_feature(state, rnd.z)
-    A, b, _, _, stab = _advance(state.A, state.b, state.beta, z[None], np.array([y]))
-    return replace(
-        state,
-        A=A[0],
-        b=b[0],
-        t=state.t + 1,
-        maxy2=max(state.maxy2, y * y),
-        potential=state.potential + float(stab[0]),
-    )
-
-
-@dataclass
 class DvawRun:
     """Trace of one discounted-VAW pass over a stream."""
 
@@ -192,44 +121,47 @@ class DvawRun:
     yhats: np.ndarray
     losses_at_play: np.ndarray
     potential_increments: np.ndarray  # discounted terms, one per round
-    state: VawState
 
     @property
     def T(self) -> int:
         return self.stream.T
 
 
-def run_dvaw(stream: Stream, beta: float, lam: float) -> DvawRun:
-    state = VawState.fresh(stream.d, beta, lam)
-    Z, y = stream.Z, stream.y
+def _rounds(
+    Z: np.ndarray, y: np.ndarray, beta: float, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and stability terms of the rounds (Z, y) from A_0 = lam I
+    and b_0 = 0, one :func:`_advance` call per block of rounds."""
     T, d = Z.shape
     block = max(1, _BLOCK_BYTES // (8 * d * d))
     yhats = np.empty(T)
-    pots = np.empty(T)
-    A, b = state.A, state.b
+    stab = np.empty(T)
+    A, b = lam * np.eye(d), np.zeros(d)
     for lo in range(0, T, block):
         hi = min(lo + block, T)
-        A_stack, b_stack, _, yhats[lo:hi], pots[lo:hi] = _advance(
+        A_stack, b_stack, _, yhats[lo:hi], stab[lo:hi] = _advance(
             A, b, beta, Z[lo:hi], y[lo:hi]
         )
-        A, b = A_stack[-1].copy(), b_stack[-1].copy()
-    state = replace(
-        state,
-        A=A,
-        b=b,
-        t=T,
-        maxy2=float((y * y).max(initial=0.0)),
-        potential=float(pots.sum()),
-    )
-    return DvawRun(
-        stream=stream,
-        beta=beta,
-        lam=lam,
-        yhats=yhats,
-        losses_at_play=0.5 * (yhats - y) ** 2,
-        potential_increments=pots,
-        state=state,
-    )
+        A, b = A_stack[-1], b_stack[-1]
+    return yhats, stab
+
+
+def run_dvaw(stream: Stream, beta: float, lam: float) -> DvawRun:
+    """One discounted-VAW pass over ``stream``, for beta in (0, 1] and lam in
+    (0, inf).  A label whose square overflows, or statistics or losses that
+    overflow, raise ``ValueError``."""
+    if not (0.0 < beta <= 1.0):
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    if not (0.0 < lam < math.inf):
+        raise ValueError(f"lambda must be > 0 and finite, got {lam}")
+    y = stream.y
+    with np.errstate(over="ignore"):  # an overflow raises here, not warns
+        _check_finite(y * y)
+        yhats, pots = _rounds(stream.Z, y, beta, lam)
+        losses = 0.5 * (yhats - y) ** 2
+        _check_finite(losses)
+    return DvawRun(stream=stream, beta=beta, lam=lam, yhats=yhats,
+                   losses_at_play=losses, potential_increments=pots)
 
 
 def vaw_ledger(run: DvawRun) -> RegretLedger:
@@ -252,26 +184,23 @@ def vaw_static_bound(
 
     Returns lam/2 |u|^2 + 1/2 sum_{s<=t} y_s^2 z_s' A_s^{-1} z_s with
     A_s = lam I + sum_{r<=s} z_r z_r'; it upper-bounds the prefix regret
-    sum_{s<=t} (f_s(x_s) - f_s(u)) for every comparator u.
+    sum_{s<=t} (f_s(x_s) - f_s(u)) for every comparator u.  The stability
+    terms are the learner's own at beta = 1.
     """
     if not 0 <= t <= stream.T:
         raise ValueError(f"prefix t must lie in [0, {stream.T}], got {t}")
     u = np.asarray(u, dtype=float)
-    total = 0.5 * lam * float(u @ u)
-    A = lam * np.eye(stream.d)
-    for s in range(t):
-        z, y = stream.Z[s], stream.y[s]
-        A = A + np.outer(z, z)
-        total += 0.5 * y * y * float(z @ np.linalg.solve(A, z))
-    return total
+    _, stab = _rounds(stream.Z[:t], stream.y[:t], 1.0, lam)
+    return 0.5 * lam * float(u @ u) + 0.5 * float(stab.sum())
 
 
 def dvaw_log_term(run: DvawRun) -> float:
     """(d/2) max_t y_t^2 * ln(1 + sum_t beta^(T-t) |z_t|^2 / (lam d))."""
-    T, d = run.T, run.stream.d
+    T, d, y = run.T, run.stream.d, run.stream.y
     pw = run.beta ** np.arange(T - 1, -1.0, -1.0)
     gram_mass = float(pw @ (run.stream.Z**2).sum(axis=1))
-    return 0.5 * d * run.state.maxy2 * np.log1p(gram_mass / (run.lam * d))
+    maxy2 = float((y * y).max(initial=0.0))
+    return 0.5 * d * maxy2 * np.log1p(gram_mass / (run.lam * d))
 
 
 def dvaw_dynamic_bound(

@@ -20,11 +20,11 @@ learners with their own discounts keep A as an (N, d, d) stack and w as
 (N, d).  A round makes one ``np.linalg.solve`` of the stack against
 [w, z] for all decisions and one ``np.linalg.cholesky`` of the updated
 stack, which raises if a matrix has turned indefinite.  The discount
-ensemble advances its N experts this way; ``run_aioli`` and the
-single-learner functions are the N = 1 case.  The roots stay scalar, one
-``solve_optimism_root`` call per expert and round: they take a few Newton
-steps each, and a masked Newton over the expert axis would pay numpy's
-fixed cost per call on every step for only N elements.
+ensemble advances its N experts this way and ``run_aioli`` is the N = 1
+case; those two runners are the only drivers of the stack.  The roots stay
+scalar, one ``solve_optimism_root`` call per expert and round: they take a
+few Newton steps each, and a masked Newton over the expert axis would pay
+numpy's fixed cost per call on every step for only N elements.
 
 Only the learner state is sequential.  ``run_ensemble``'s loop advances
 the expert stack and records the (T, N) expert predictions; the expert
@@ -36,7 +36,7 @@ its discounted stability sums and beta^t after the loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -175,15 +175,18 @@ def _check_definite(A: np.ndarray) -> None:
 
 @dataclass
 class _Experts:
-    """N discounted-AIOLI learners on one stream, advanced together.
+    """N discounted-AIOLI learners on one stream, advanced together; the one
+    AIOLI state, driven by ``run_aioli`` (N = 1) and ``run_ensemble``.
 
-    Expert i is the learner an :class:`AioliState` with discount
-    ``beta[i]``, matrix ``A[i]`` and coefficients ``w[i]`` describes:
-    ``A`` is the (N, d, d) stack of regularized surrogate curvatures, ``w``
-    the (N, d) negated linear coefficients, ``beta`` the (N,) discounts and
-    ``scale`` = 1 + BR.  A round costs one stacked ``np.linalg.solve`` (the
-    decisions), one stacked ``np.linalg.cholesky`` (the update's
-    positive-definiteness check) and one scalar optimism root per expert.
+    ``A`` is the (N, d, d) stack of regularized surrogate curvatures
+    Atilde_t = lam beta^t I + sum beta^(t-s) eta_s g_s g_s', carried as
+    A_t = beta A_{t-1} + eta_t g_t g_t' from A_0 = lam I; ``w`` holds the
+    (N, d) negated discounted linear coefficients of the surrogates
+    (constant terms are dropped, they do not move the argmin), ``beta``
+    the (N,) discounts and ``scale`` = 1 + BR.  A round costs one stacked
+    ``np.linalg.solve`` (the decisions), one stacked ``np.linalg.cholesky``
+    (the update's positive-definiteness check) and one scalar optimism root
+    per expert.
     Updates rebind ``A`` and ``w`` to new arrays, so views handed out
     earlier keep their values.
     """
@@ -215,7 +218,10 @@ class _Experts:
         Expert i's stationarity condition beta_i A_i x + tanh(v/2) z =
         beta_i w_i with v = z.x reduces to v + q_i tanh(v/2) = p_i with
         p_i = z'A_i^{-1}w_i and q_i = z'A_i^{-1}z/beta_i; the roots stay
-        scalar, one :func:`solve_optimism_root` call per expert.
+        scalar, one :func:`solve_optimism_root` call per expert.  A p or q
+        that is not finite raises ``ValueError`` before any root is sought;
+        the runners call this under one ``np.errstate`` that silences the
+        overflow itself.
         """
         rhs = np.empty(self.w.shape + (2,))
         rhs[:, :, 0] = self.w
@@ -225,7 +231,10 @@ class _Experts:
         ainv_z = sol[:, :, 1] / self.beta[:, None]
         p = ainv_w @ z
         q = ainv_z @ z
-        v = [solve_optimism_root(pi, qi) for pi, qi in zip(p.tolist(), q.tolist())]
+        ps, qs = p.tolist(), q.tolist()
+        if not all(map(math.isfinite, ps + qs)):  # cheaper than numpy at small N
+            raise ValueError("surrogate statistics overflowed; rescale the stream")
+        v = [solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)]
         X = ainv_w - np.tanh(0.5 * np.array(v))[:, None] * ainv_z
         return X, X @ z, q
 
@@ -265,75 +274,6 @@ class _Experts:
 
 
 @dataclass
-class AioliState:
-    """Discounted surrogate statistics of one AIOLI learner.
-
-    ``A`` is the regularized surrogate curvature
-    Atilde_t = lam beta^t I + sum beta^(t-s) eta_s g_s g_s', carried as
-    A_t = beta A_{t-1} + eta_t g_t g_t' from A_0 = lam I; the next round's
-    decision solves against beta A_t.  w holds the negated discounted
-    linear coefficients of the surrogates (constant terms are dropped, they
-    do not move the argmin).  ``stab_disc`` carries the discounted
-    stability sum sum beta^(t-s) eta_s g_s' Atilde_s^{-1} g_s and
-    ``beta_pow`` the plain beta^t, both used by the bound evaluators.
-    The learner functions below run it as a length-1 expert stack.
-    """
-
-    beta: float
-    lam: float
-    B: float
-    R: float
-    A: np.ndarray
-    w: np.ndarray
-    t: int = 0
-    beta_pow: float = 1.0
-    stab_disc: float = 0.0
-
-    @classmethod
-    def fresh(cls, d: int, beta: float, lam: float, B: float, R: float) -> "AioliState":
-        experts = _Experts.fresh(d, [beta], lam, B, R)
-        return cls(beta=beta, lam=lam, B=B, R=R, A=experts.A[0], w=experts.w[0])
-
-    def _experts(self) -> _Experts:
-        return _Experts(
-            beta=np.array([self.beta]), scale=1.0 + self.B * self.R,
-            A=self.A[None], w=self.w[None],
-        )
-
-
-def aioli_predict(state: AioliState, z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Decision and prediction for the incoming feature ``z``."""
-    X, yhats, _ = state._experts().decide(np.asarray(z, dtype=float))
-    return X[0], float(yhats[0])
-
-
-def stationarity_residual(state: AioliState, z: np.ndarray, x: np.ndarray) -> float:
-    """Sup-norm of beta A x + tanh((z.x)/2) z - beta w at the returned decision."""
-    x = np.asarray(x, dtype=float)
-    return float(state._experts().residuals(np.asarray(z, dtype=float), x[None])[0])
-
-
-def aioli_update(
-    state: AioliState, z: np.ndarray, y: float, x_played: np.ndarray, yhat: float
-) -> AioliState:
-    """Fold the revealed label into the discounted surrogate statistics."""
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x_played, dtype=float)
-    beta = state.beta
-    q = float(z @ np.linalg.solve(state.A, z)) / beta  # as aioli_predict takes it
-    experts = state._experts()
-    _, stab_inc = experts.absorb(z, y, x[None], np.array([yhat]), np.array([q]))
-    return replace(
-        state,
-        A=experts.A[0],
-        w=experts.w[0],
-        t=state.t + 1,
-        beta_pow=beta * state.beta_pow,
-        stab_disc=beta * state.stab_disc + float(stab_inc[0]),
-    )
-
-
-@dataclass
 class AioliRun:
     """Trace of one discounted-AIOLI pass over a +/-1 labeled stream."""
 
@@ -348,7 +288,6 @@ class AioliRun:
     beta_pows: np.ndarray        # beta^t for t = 1..T
     residuals: np.ndarray
     curvature_coefs: np.ndarray  # c2_t with eta_t g_t g_t' = c2_t z_t z_t'
-    state: AioliState
 
     @property
     def T(self) -> int:
@@ -364,24 +303,20 @@ def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> Ai
     stab_incs = np.empty(T)
     resid = np.empty(T)
     coefs = np.empty(T)
-    for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
-        X, yh, q = experts.decide(z)
-        resid[t] = experts.residuals(z, X)[0]
-        c2, stab_inc = experts.absorb(z, y, X, yh, q)
-        yhats[t] = yh[0]
-        coefs[t] = c2[0]
-        stab_incs[t] = stab_inc[0]
-    stab = discounted_scan(stab_incs, beta)
-    pows = np.cumprod(np.full(T, float(beta)))
-    state = AioliState(
-        beta=beta, lam=lam, B=B, R=R, A=experts.A[0], w=experts.w[0], t=T,
-        beta_pow=float(pows[-1]) if T else 1.0,
-        stab_disc=float(stab[-1]) if T else 0.0,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
+        for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
+            X, yh, q = experts.decide(z)
+            resid[t] = experts.residuals(z, X)[0]
+            c2, stab_inc = experts.absorb(z, y, X, yh, q)
+            yhats[t] = yh[0]
+            coefs[t] = c2[0]
+            stab_incs[t] = stab_inc[0]
     return AioliRun(
         stream=stream, beta=beta, lam=lam, B=B, R=R, yhats=yhats,
-        losses_at_play=np.logaddexp(0.0, -stream.y * yhats), stab_disc=stab,
-        beta_pows=pows, residuals=resid, curvature_coefs=coefs, state=state,
+        losses_at_play=np.logaddexp(0.0, -stream.y * yhats),
+        stab_disc=discounted_scan(stab_incs, beta),
+        beta_pows=np.cumprod(np.full(T, float(beta))), residuals=resid,
+        curvature_coefs=coefs,
     )
 
 
@@ -562,10 +497,11 @@ def run_ensemble(
     experts = _Experts.fresh(stream.d, betas, lam, B, R)
     T, N = stream.T, betas.size
     expert_yhats = np.empty((T, N))
-    for z, y, row in zip(stream.Z, map(float, stream.y), expert_yhats):
-        X, yh, q = experts.decide(z)
-        experts.absorb(z, y, X, yh, q)
-        row[:] = yh
+    with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
+        for z, y, row in zip(stream.Z, map(float, stream.y), expert_yhats):
+            X, yh, q = experts.decide(z)
+            experts.absorb(z, y, X, yh, q)
+            row[:] = yh
 
     # Row blocks keep numpy's broadcast buffers to the size of one block.
     blocks = [slice(lo, lo + _MIX_BLOCK) for lo in range(0, T, _MIX_BLOCK)]

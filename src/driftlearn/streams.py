@@ -24,14 +24,6 @@ class StreamSpecError(ValueError):
 
 
 @dataclass(frozen=True)
-class LabeledRound:
-    """One (feature, label) pair of an online regression stream."""
-
-    z: np.ndarray
-    y: float
-
-
-@dataclass(frozen=True)
 class StreamSpec:
     """Recipe for a synthetic drifting stream.
 
@@ -68,10 +60,9 @@ class StreamSpec:
 
 
 class Stream:
-    """A realized stream: feature matrix ``Z`` (T x d) and labels ``y`` (T).
-
-    Behaves as a sequence of :class:`LabeledRound`; round indices in the
-    accompanying math are 1-based, sequence access is 0-based.
+    """A realized stream: feature matrix ``Z`` (T x d) and labels ``y`` (T),
+    both finite.  Round t of the accompanying math, which counts from 1, is
+    row t - 1 of ``Z`` and ``y``; the learners take the arrays whole.
     """
 
     def __init__(self, Z: np.ndarray, y: np.ndarray):
@@ -91,16 +82,6 @@ class Stream:
     @property
     def d(self) -> int:
         return self.Z.shape[1]
-
-    def __len__(self) -> int:
-        return self.T
-
-    def __getitem__(self, i: int) -> LabeledRound:
-        return LabeledRound(z=self.Z[i], y=float(self.y[i]))
-
-    def __iter__(self) -> Iterator[LabeledRound]:
-        for i in range(self.T):
-            yield self[i]
 
 
 class ComparatorPath:

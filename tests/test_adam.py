@@ -288,6 +288,49 @@ class TestResubstitution:
                 assert adam.verify_report(rep) == []
 
 
+TUNERS = {
+    "clipped": lambda *a: adam.tune_clipped(*a),
+    "clipped-margin": lambda *a: adam.tune_clipped_margin(*a, 0.5),
+    "clipfree": lambda *a: adam.tune_clipfree(*a),
+    "clipfree-margin": lambda *a: adam.tune_clipfree(*a, 0.5),
+}
+
+
+class TestUnrepresentableTuning:
+    @pytest.mark.parametrize("form", TUNERS)
+    @pytest.mark.parametrize("eps", [1e-7, 1e-200])
+    def test_eps_that_rounds_beta1_to_one_is_infeasible(self, form, eps):
+        # 1 - beta1 = (eps/(16(G+sigma)))^2 is below half an ulp of 1 (or 0)
+        rep = TUNERS[form](eps, 1.0, 1.0, 0.1, 1.0, 0.5)
+        assert not rep.feasible and rep.reason.startswith(f"eps={eps} too small")
+        assert math.isnan(rep.beta1) and math.isnan(rep.T_min)
+        assert adam.verify_report(rep) == []
+
+    @pytest.mark.parametrize("form", ["clipped", "clipfree"])
+    def test_nu_that_rounds_beta2_to_one_is_infeasible(self, form):
+        rep = TUNERS[form](0.1, 1.0, 1.0, 0.0, 1.0, 1e-20)
+        assert not rep.feasible and rep.reason.startswith("nu=1e-20 too small")
+        assert adam.verify_report(rep) == []
+
+    @pytest.mark.parametrize("form", TUNERS)
+    def test_eps_whose_gap_would_overflow_is_too_large(self, form):
+        rep = TUNERS[form](1e200, 1.0, 1e-200, 1.0, 1.0, 0.5)
+        assert not rep.feasible and rep.reason.startswith("eps=1e+200 too large")
+
+    @pytest.mark.parametrize("form", TUNERS)
+    def test_every_eps_near_the_rounding_edge_gives_a_sound_report(self, form):
+        feasible = set()
+        for eps in np.geomspace(1e-9, 1e-6, 200).tolist():
+            rep = TUNERS[form](eps, 1.0, 1.0, 0.1, 1.0, 0.5)
+            feasible.add(rep.feasible)
+            assert adam.verify_report(rep) == [], (eps, rep)
+            if rep.feasible:
+                assert rep.beta1 < 1.0 and rep.beta2 < 1.0 and math.isfinite(rep.T_min)
+            else:
+                assert "too small" in rep.reason
+        assert feasible == {True, False}
+
+
 class TestInducedStepSizeCoupling:
     def test_nonincreasing_effective_inverse_step_when_beta2_ge_beta1_sq(self):
         # beta1/alpha_{t-1} - 1/alpha_t <= 0 with alpha from an actual trace

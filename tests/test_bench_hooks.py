@@ -4,7 +4,9 @@ The tracer wraps every public layer function, reads ``linreg.cho_factor``
 and ``logreg.cho_factor``, rebinds ``RegretLedger.__post_init__`` to count
 loss rows, wraps ``O2ncTrace.to_csv`` and the factories in
 ``o2nc.OBJECTIVES``.  A library change that breaks one of these breaks the
-traced benchmark; these tests run its jobs at tiny sizes under the tracer.
+traced benchmark; these tests run every workload's job (run-vaw with its
+trace, identity, run-aioli, run-ensemble, run-o2nc) at tiny sizes under the
+tracer.
 """
 
 import importlib
@@ -43,7 +45,7 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
     tracing, workloads = bench
     spec = streams.StreamSpec(d=3, T=T, kind="rotating-target", segments=3, seed=1)
     stream, truth = streams.gen_stream(spec)
-    logistic = tmp_path / "stream.csv"
+    regression, logistic = tmp_path / "piecewise.csv", tmp_path / "stream.csv"
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -51,8 +53,16 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
         steps = [
             workloads.identity_step(stream, truth),
             workloads.cli_step("gen", [
+                "gen", "--d", 3, "--T", T, "--segments", 2, "--noise", 0.1,
+                "--seed", 1, "--out", regression]),
+            workloads.cli_step("run-vaw", [
+                "run-vaw", "--beta", 0.99, "--lambda", 1, "--stream", regression,
+                "--out", tmp_path / "vaw.trace.csv"]),
+            workloads.cli_step("gen", [
                 "gen", "--kind", "logistic-drift", "--d", 2, "--T", T, "--segments", 2,
                 "--noise", 0.2, "--seed", 1, "--out", logistic]),
+            workloads.cli_step("run-aioli", [
+                "run-aioli", "--beta", 0.9, "--B", 1, "--R", 1, "--stream", logistic]),
             workloads.cli_step("run-ensemble", [
                 "run-ensemble", "--grid", "true", "--stream", logistic]),
             workloads.cli_step("run-o2nc", [
@@ -60,8 +70,9 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
         ]
     finally:
         tracer.uninstall()
-    assert [s.exit_code for s in steps] == [0, 0, 0, 0], [s.error for s in steps]
+    assert [s.exit_code for s in steps] == [0] * 7, [s.error for s in steps]
     assert workloads.gate(steps, None) == []
+    assert steps[2].summary["checks"] and (tmp_path / "vaw.trace.csv").exists()
     assert tracer.counts["regret.loss_rows"] > 0
     assert tracer.counts["o2nc.loop_grad_calls"] == 2 * T
     assert still_wrapped(tracing.LAYERS) == []

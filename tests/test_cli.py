@@ -320,6 +320,30 @@ class TestSeedsAndOverflow:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    # finite entries whose squares or products overflow inside a learner
+    @pytest.mark.parametrize(
+        "argv, rows, message",
+        [
+            (["run-vaw", "--beta", "0.9"], "1,1e160,1e-200",
+             "discounted statistics overflowed; rescale the stream"),
+            (["run-aioli"], "1,1.0,1e200", "surrogate statistics overflowed; rescale the stream"),
+            (["run-ensemble", "--betas", "0.5,0.9"], "1,1.0,1e200",
+             "surrogate statistics overflowed; rescale the stream"),
+        ],
+        ids=["vaw-label", "aioli-feature", "ensemble-feature"],
+    )
+    def test_overflow_in_the_learner_is_one_error_line_without_warning(
+        self, capsys, tmp_path, argv, rows, message
+    ):
+        stream = tmp_path / "huge.csv"
+        stream.write_text(f"t,y,z_0\n{rows}\n2,1.0,1.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(capsys, *argv, "--stream", str(stream))
+        assert_one_error_line(code, err)
+        assert err == f"error: {message}\n" and stdout == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestRunEnsemble:
     def test_grid_pool_meta_regret_within_log_n(self, capsys, tmp_path):
@@ -408,6 +432,15 @@ class TestRunO2nc:
         assert code == 0
         assert json.loads(stdout)["tuning"]["mu"] > 0
 
+    @pytest.mark.parametrize("eps", ["1e-8", "1e-200"])
+    def test_eps_that_rounds_beta1_to_one_is_infeasible(self, capsys, eps):
+        code, stdout, err = run_cli(
+            capsys, "run-o2nc", "--T", "5", "--dim", "2", "--eps", eps, "--seed", "1"
+        )
+        assert_one_error_line(code, err)
+        assert f"error: tuning infeasible: eps={float(eps)} too small" in err
+        assert stdout == ""
+
 
 class TestTuneAdam:
     def test_report_satisfies_resubstitution(self, capsys):
@@ -428,6 +461,43 @@ class TestTuneAdam:
         )
         rep = json.loads(stdout)
         assert code == 0 and rep["margin"] is not None
+
+    @pytest.mark.parametrize("flags", [[], ["--rho", "0.5"], ["--variant", "clipfree"]])
+    def test_tiny_eps_is_an_infeasible_report(self, capsys, flags):
+        code, stdout, err = run_cli(
+            capsys, "tune-adam", "--eps", "1e-7", "--c", "1", "--G", "1",
+            "--sigma", "0.1", "--Fstar", "1", "--nu", "0.5", *flags,
+        )
+        rep = json.loads(stdout)
+        assert code == 0 and err == ""
+        assert not rep["feasible"] and rep["reason"].startswith("eps=1e-07 too small")
+        assert rep["beta1"] is None and rep["T_min"] is None  # NaN placeholders
+        assert rep["checks"]["resubstitution"]
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["tune-adam", "--c", "1", "--G", "1", "--sigma", "0.1", "--nu", "0.5",
+              "--eps", "0.1"], "T_min"),
+            (["run-o2nc", "--T", "5", "--dim", "2", "--seed", "1"], "tuning.T_min"),
+        ],
+    )
+    def test_infinite_field_is_one_error_line(self, capsys, tmp_path, argv, field):
+        out = tmp_path / "rep.json"
+        code, stdout, err = run_cli(capsys, *argv, "--Fstar", "1e308", "--out", str(out))
+        assert_one_error_line(code, err)
+        assert err.startswith(f"error: {field}: inf has no JSON form") and stdout == ""
+        # tune-adam writes its report to --out; run-o2nc its trace, then the summary
+        report = out if argv[0] == "tune-adam" else out.with_suffix(".summary.json")
+        assert not report.exists()
+
+    def test_nan_is_null_and_infinities_name_their_field(self):
+        assert cli._jsonable({"a": [1.0, math.nan], "b": {"c": 2}}) == {
+            "a": [1.0, None], "b": {"c": 2}}
+        with pytest.raises(ValueError, match=r"^b\.c\[1\]: -inf has no JSON form"):
+            cli._jsonable({"a": 1.0, "b": {"c": [0.0, -math.inf]}})
 
 
 class TestVerifyLemmas:

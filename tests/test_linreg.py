@@ -7,7 +7,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from driftlearn import linreg, regret
-from driftlearn.streams import ComparatorPath, LabeledRound, Stream, StreamSpec, gen_stream
+from driftlearn.streams import ComparatorPath, Stream, StreamSpec, StreamSpecError, gen_stream
 
 
 def drifting_stream(rng, T=60, d=3, segments=3, noise=0.2):
@@ -16,25 +16,30 @@ def drifting_stream(rng, T=60, d=3, segments=3, noise=0.2):
     return gen_stream(spec)
 
 
+def kernel(Z, y, beta, lam):
+    """A_t, b_t, the decisions x_t, predictions and stability terms of every
+    round, from A_0 = lam I and b_0 = 0 in one block of the learner's kernel."""
+    Z, y = np.asarray(Z, dtype=float), np.asarray(y, dtype=float)
+    d = Z.shape[1]
+    return linreg._advance(lam * np.eye(d), np.zeros(d), beta, Z, y)
+
+
 class TestPredict:
     def test_empty_history_plays_zero(self):
-        state = linreg.VawState.fresh(3, beta=0.7, lam=2.0)
-        x, yhat = linreg.dvaw_predict(state, np.array([1.0, -2.0, 0.5]))
-        assert np.array_equal(x, np.zeros(3)) and yhat == 0.0
+        z = np.array([[1.0, -2.0, 0.5]])
+        _, _, X, yhats, _ = kernel(z, [0.3], beta=0.7, lam=2.0)
+        assert np.array_equal(X[0], np.zeros(3)) and yhats[0] == 0.0
+        assert linreg.run_dvaw(Stream(z, np.array([0.3])), 0.7, 2.0).yhats[0] == 0.0
 
     def test_undiscounted_scalar_example(self):
         # history (z=1, y=1), next z=1, lam=1: x = b/(lam + 1 + 1) = 1/3
-        state = linreg.VawState.fresh(1, beta=1.0, lam=1.0)
-        state = linreg.dvaw_update(state, LabeledRound(np.array([1.0]), 1.0))
-        x, _ = linreg.dvaw_predict(state, np.array([1.0]))
-        assert x[0] == pytest.approx(1 / 3, rel=1e-14)
+        _, _, X, _, _ = kernel([[1.0], [1.0]], [1.0, 0.0], beta=1.0, lam=1.0)
+        assert X[1, 0] == pytest.approx(1 / 3, rel=1e-14)
 
     def test_discounted_scalar_example(self):
         # beta=0.5: solve (lam b^2 + b + 1) x = b  ->  x = 0.5/1.75 = 2/7
-        state = linreg.VawState.fresh(1, beta=0.5, lam=1.0)
-        state = linreg.dvaw_update(state, LabeledRound(np.array([1.0]), 1.0))
-        x, _ = linreg.dvaw_predict(state, np.array([1.0]))
-        assert x[0] == pytest.approx(2 / 7, rel=1e-14)
+        _, _, X, _, _ = kernel([[1.0], [1.0]], [1.0, 0.0], beta=0.5, lam=1.0)
+        assert X[1, 0] == pytest.approx(2 / 7, rel=1e-14)
 
     def test_matches_numerical_minimizer(self):
         # independent check: minimize the forward-regularized objective directly
@@ -44,10 +49,9 @@ class TestPredict:
             Z = rng.standard_normal((T, d))
             y = rng.standard_normal(T)
             lam = 0.7
-            state = linreg.VawState.fresh(d, beta, lam)
+            _, _, X, _, _ = kernel(Z, y, beta, lam)
             for t in range(1, T + 1):
                 z_t = Z[t - 1]
-                x, _ = linreg.dvaw_predict(state, z_t)
 
                 def objective(v):
                     val = 0.5 * lam * beta**t * v @ v + 0.5 * (v @ z_t) ** 2
@@ -57,8 +61,7 @@ class TestPredict:
 
                 res = minimize(objective, x0=np.zeros(d), method="BFGS",
                                options={"gtol": 1e-12})
-                assert np.linalg.norm(x - res.x) <= 1e-6
-                state = linreg.dvaw_update(state, LabeledRound(z_t, y[t - 1]))
+                assert np.linalg.norm(X[t - 1] - res.x) <= 1e-6
 
 
 class TestUpdate:
@@ -66,42 +69,26 @@ class TestUpdate:
         rng = np.random.default_rng(1)
         Z = rng.standard_normal((7, 2))
         y = rng.standard_normal(7)
-        state = linreg.VawState.fresh(2, beta=1.0, lam=1.0)
-        for t in range(7):
-            state = linreg.dvaw_update(state, LabeledRound(Z[t], y[t]))
-        np.testing.assert_allclose(state.A, np.eye(2) + Z.T @ Z, rtol=1e-12)
-        np.testing.assert_allclose(state.b, Z.T @ y, rtol=1e-12)
+        A, b, _, _, _ = kernel(Z, y, beta=1.0, lam=1.0)
+        np.testing.assert_allclose(A[-1], np.eye(2) + Z.T @ Z, rtol=1e-12)
+        np.testing.assert_allclose(b[-1], Z.T @ y, rtol=1e-12)
 
     def test_two_half_discount_updates(self):
-        state = linreg.VawState.fresh(1, beta=0.5, lam=1.0)
-        for _ in range(2):
-            state = linreg.dvaw_update(state, LabeledRound(np.array([1.0]), 1.0))
+        A, b, _, _, _ = kernel([[1.0], [1.0]], [1.0, 1.0], beta=0.5, lam=1.0)
         # A_2 = lam beta^2 + beta z^2 + z^2 = 0.25 + 0.5 + 1
-        assert state.A[0, 0] == pytest.approx(1.75, rel=1e-15)
-        assert state.b[0] == pytest.approx(1.5, rel=1e-15)
+        assert A[1, 0, 0] == pytest.approx(1.75, rel=1e-15)
+        assert b[1, 0] == pytest.approx(1.5, rel=1e-15)
 
     def test_potential_single_round(self):
         # y^2 z (lam*beta + z^2)^{-1} z = 4 / (1 + 1) = 2
-        state = linreg.VawState.fresh(1, beta=1.0, lam=1.0)
-        state = linreg.dvaw_update(state, LabeledRound(np.array([1.0]), 2.0))
-        assert state.potential == pytest.approx(2.0, rel=1e-14)
+        run = linreg.run_dvaw(Stream(np.array([[1.0]]), np.array([2.0])), 1.0, 1.0)
+        assert run.potential_increments[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_gram_matrix_stays_symmetric(self):
         rng = np.random.default_rng(2)
-        state = linreg.VawState.fresh(3, beta=0.95, lam=1.0)
-        for _ in range(10_000):
-            z = rng.standard_normal(3)
-            state = linreg.dvaw_update(state, LabeledRound(z, float(rng.standard_normal())))
-        assert np.max(np.abs(state.A - state.A.T)) <= 1e-12
-
-    def test_underflowed_regularizer_raises_helpful_error(self):
-        # rank-deficient history along e1 with lam*beta^t underflowed to 0
-        state = linreg.VawState.fresh(2, beta=0.01, lam=1.0)
-        z = np.array([1.0, 0.0])
-        with pytest.raises(linreg.SingularSystemError, match="larger lambda"):
-            for _ in range(200):
-                linreg.dvaw_predict(state, z)
-                state = linreg.dvaw_update(state, LabeledRound(z, 1.0))
+        A, _, _, _, _ = kernel(rng.standard_normal((10_000, 3)),
+                               rng.standard_normal(10_000), beta=0.95, lam=1.0)
+        assert np.max(np.abs(A - A.transpose(0, 2, 1))) <= 1e-12
 
 
 class TestStaticBound:
@@ -211,7 +198,7 @@ class TestPotentialLemmaDelegation:
         mass = float(pw @ (stream.Z**2).sum(axis=1))
         rhs = stream.d * np.log(1 / 0.8) * float((stream.y**2).sum())
         rhs += float((stream.y**2).max()) * stream.d * np.log1p(mass / stream.d)
-        assert run.state.potential <= rhs + 1e-9
+        assert float(run.potential_increments.sum()) <= rhs + 1e-9
 
 
 def two_factorization_dvaw(stream, beta, lam):
@@ -276,7 +263,7 @@ def per_round_scipy_dvaw(stream, beta, lam):
         prev = potential
         potential += y * y * float(z @ cho_solve(chol, z))
         pots[t] = potential - prev
-    return yhats, losses, pots, A, b, potential
+    return yhats, losses, pots
 
 
 def assert_close(new, ref, rel=1e-12):
@@ -286,8 +273,7 @@ def assert_close(new, ref, rel=1e-12):
 
 
 def run_fields(run):
-    return (run.yhats, run.losses_at_play, run.potential_increments,
-            run.state.A, run.state.b, run.state.potential)
+    return run.yhats, run.losses_at_play, run.potential_increments
 
 
 class TestBlockedKernelMatchesPerRoundLoop:
@@ -319,42 +305,6 @@ class TestBlockedKernelMatchesPerRoundLoop:
         for new, ref in zip(run_fields(run), per_round_scipy_dvaw(stream, 0.95, 0.5)):
             assert_close(new, ref)
 
-    def test_single_round_views_match_the_run(self):
-        rng = np.random.default_rng(9)
-        stream, _ = drifting_stream(rng, T=30, d=4)
-        run = linreg.run_dvaw(stream, 0.9, 1.0)
-        state = linreg.VawState.fresh(4, 0.9, 1.0)
-        for t, rnd in enumerate(stream):
-            _, yhat = linreg.dvaw_predict(state, rnd.z)
-            assert yhat == run.yhats[t]
-            state = linreg.dvaw_update(state, rnd)
-        assert np.array_equal(state.A, run.state.A)
-        assert np.array_equal(state.b, run.state.b)
-        assert state.t == run.state.t and state.maxy2 == run.state.maxy2
-        assert state.potential == pytest.approx(run.state.potential, rel=1e-12)
-
-
-class TestOneRoundSteps:
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        d=st.integers(1, 8),
-        T=st.integers(1, 40),
-        beta=st.floats(0.5, 1.0),
-        lam=st.floats(0.1, 10.0),
-    )
-    def test_predict_and_update_equal_the_blocked_run(self, seed, d, T, beta, lam):
-        spec = StreamSpec(d=d, T=T, segments=2, noise=0.3, seed=seed)
-        stream, _ = gen_stream(spec)
-        run = linreg.run_dvaw(stream, beta, lam)
-        state = linreg.VawState.fresh(d, beta, lam)
-        for t, rnd in enumerate(stream):
-            x, yhat = linreg.dvaw_predict(state, rnd.z)
-            assert yhat == run.yhats[t] and yhat == float((x * rnd.z).sum())
-            potential = state.potential
-            state = linreg.dvaw_update(state, rnd)
-            assert state.potential == potential + run.potential_increments[t]
-        assert np.array_equal(state.A, run.state.A) and np.array_equal(state.b, run.state.b)
-
 
 class TestBlockSizeInvariance:
     def test_one_round_blocks_equal_the_default(self, monkeypatch):
@@ -376,25 +326,32 @@ class TestKernelErrors:
             linreg.run_dvaw(stream, beta=0.01, lam=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_feature_rejected(self, bad):
-        state = linreg.VawState.fresh(2, beta=0.9, lam=1.0)
-        z = np.array([1.0, bad])
-        with pytest.raises(ValueError, match="feature must be finite"):
-            linreg.dvaw_predict(state, z)
-        with pytest.raises(ValueError, match="feature must be finite"):
-            linreg.dvaw_update(state, LabeledRound(z, 1.0))
-
-    def test_non_finite_label_rejected(self):
-        state = linreg.VawState.fresh(2, beta=0.9, lam=1.0)
-        with pytest.raises(ValueError, match="label must be finite"):
-            linreg.dvaw_update(state, LabeledRound(np.ones(2), np.nan))
+    @pytest.mark.parametrize("where", ["feature", "label"])
+    def test_non_finite_stream_never_reaches_the_learner(self, bad, where):
+        Z, y = np.ones((2, 2)), np.ones(2)
+        (Z[1] if where == "feature" else y)[-1] = bad
+        with pytest.raises(StreamSpecError, match="stream entries must be finite"):
+            Stream(Z, y)
 
     @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0])
     def test_bad_lambda_rejected(self, lam):
-        with pytest.raises(ValueError, match="lambda"):
-            linreg.VawState.fresh(2, beta=0.9, lam=lam)
+        stream = Stream(np.ones((2, 2)), np.ones(2))
+        with pytest.raises(ValueError, match="lambda must be > 0 and finite"):
+            linreg.run_dvaw(stream, beta=0.9, lam=lam)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.5, np.nan])
+    def test_bad_beta_rejected(self, beta):
+        stream = Stream(np.ones((2, 2)), np.ones(2))
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
+            linreg.run_dvaw(stream, beta=beta, lam=1.0)
 
     def test_overflowing_stream_raises(self):
         stream = Stream(np.full((3, 2), 1e200), np.ones(3))
         with pytest.raises(ValueError, match="overflowed"):
+            linreg.run_dvaw(stream, beta=0.9, lam=1.0)
+
+    def test_label_whose_square_overflows_raises(self):
+        # y*z stays finite, so only y^2 (stability term, loss, log term) overflows
+        stream = Stream(np.array([[1e-200], [1.0]]), np.array([1e160, 1.0]))
+        with pytest.raises(ValueError, match="discounted statistics overflowed"):
             linreg.run_dvaw(stream, beta=0.9, lam=1.0)

@@ -146,11 +146,14 @@ class TestScalarSolve:
         assert abs(v + q * math.tanh(v / 2) - p) <= logreg.ROOT_TOL * max(1.0, abs(p))
 
 
+def one_expert(d, beta, lam=1.0, B=1.0, R=1.0):
+    return logreg._Experts.fresh(d, [beta], lam, B, R)
+
+
 class TestPredict:
     def test_empty_history_plays_zero(self):
-        state = logreg.AioliState.fresh(3, beta=0.9, lam=1.0, B=1.0, R=1.0)
-        x, yhat = logreg.aioli_predict(state, np.array([1.0, 0.0, -1.0]))
-        assert np.array_equal(x, np.zeros(3)) and yhat == 0.0
+        X, yhats, _ = one_expert(3, 0.9).decide(np.array([1.0, 0.0, -1.0]))
+        assert np.array_equal(X[0], np.zeros(3)) and yhats[0] == 0.0
 
     def test_stationarity_residual_small_on_fuzzed_runs(self):
         rng = np.random.default_rng(1)
@@ -160,29 +163,35 @@ class TestPredict:
 
 
 class TestUpdate:
+    # absorb's q argument is z'A^{-1}z/beta, which only the stability
+    # increment uses; with A = lam I = I it is |z|^2/beta.
+
     def test_balanced_score_curvature(self):
         # u = 0: eta g g' = z z' / (4 (1 + BR))
-        state = logreg.AioliState.fresh(2, beta=0.9, lam=1.0, B=1.0, R=1.0)
+        experts = one_expert(2, 0.9)
         z = np.array([0.8, -0.6])
-        new = logreg.aioli_update(state, z, 1.0, np.zeros(2), 0.0)
+        X, yhats, q = experts.decide(z)  # the empty history plays x = 0
+        experts.absorb(z, 1.0, X, yhats, q)
         np.testing.assert_allclose(
-            new.A - 0.9 * np.eye(2), np.outer(z, z) / 8.0, rtol=1e-14
+            experts.A[0] - 0.9 * np.eye(2), np.outer(z, z) / 8.0, rtol=1e-14
         )
 
     def test_confidently_correct_round_adds_no_curvature(self):
-        state = logreg.AioliState.fresh(1, beta=0.9, lam=1.0, B=1.0, R=1.0)
-        new = logreg.aioli_update(state, np.array([1.0]), 1.0, np.array([800.0]), 800.0)
-        assert new.A[0, 0] - 0.9 <= 1e-300
-        assert np.isfinite(new.w).all()
+        experts = one_expert(1, 0.9)
+        experts.absorb(np.array([1.0]), 1.0, np.array([[800.0]]), np.array([800.0]),
+                       np.array([1.0 / 0.9]))
+        assert experts.A[0, 0, 0] - 0.9 <= 1e-300
+        assert np.isfinite(experts.w).all()
 
     def test_single_update_matches_stable_product(self):
-        state = logreg.AioliState.fresh(2, beta=0.99, lam=1.0, B=2.0, R=0.5)
+        experts = one_expert(2, 0.99, B=2.0, R=0.5)
         z = np.array([0.3, 0.4])
         yhat = -0.7
-        new = logreg.aioli_update(state, z, -1.0, np.array([0.1, 0.2]), yhat)
+        experts.absorb(z, -1.0, np.array([[0.1, 0.2]]), np.array([yhat]),
+                       np.array([z @ z / 0.99]))
         u = -1.0 * yhat
         expected = expit(u) * expit(-u) / (1.0 + 2.0 * 0.5) * np.outer(z, z)
-        np.testing.assert_allclose(new.A - 0.99 * np.eye(2), expected, rtol=1e-14)
+        np.testing.assert_allclose(experts.A[0] - 0.99 * np.eye(2), expected, rtol=1e-14)
 
     def test_curvature_norm_never_exceeds_stable_cap(self):
         rng = np.random.default_rng(2)
@@ -517,7 +526,7 @@ def per_round_aioli_sums(stream, beta, lam, B, R):
         stab_disc = beta * stab_disc + float(stab_inc[0])
         beta_pow = beta * beta_pow
         stab[t], pows[t] = stab_disc, beta_pow
-    return stab, pows, stab_disc, beta_pow
+    return stab, pows
 
 
 def same_bits(a, b):
@@ -542,10 +551,8 @@ class TestBatchedDiagnosticsMatchPerRoundLoops:
         for name, want in per_round_ensemble(stream, betas, lam, 1.0, 1.0).items():
             assert same_bits(getattr(run, name), want), name
         solo = logreg.run_aioli(stream, betas[0], lam, B=1.0, R=1.0)
-        stab, pows, stab_disc, beta_pow = per_round_aioli_sums(
-            stream, betas[0], lam, 1.0, 1.0)
+        stab, pows = per_round_aioli_sums(stream, betas[0], lam, 1.0, 1.0)
         assert same_bits(solo.stab_disc, stab) and same_bits(solo.beta_pows, pows)
-        assert solo.state.stab_disc == stab_disc and solo.state.beta_pow == beta_pow
 
 
 def per_round_mixability(yhats, p):
@@ -606,28 +613,51 @@ class TestEnsembleErrors:
     INDEFINITE = np.diag([1.0, -1.0])
     MESSAGE = "surrogate curvature matrix is numerically indefinite; use a larger lambda"
 
-    def test_indefinite_matrix_single_learner(self):
-        z = np.array([1.0, 0.0])
-        state = logreg.AioliState.fresh(2, beta=0.9, lam=1.0, B=1.0, R=1.0)
-        state.A = self.INDEFINITE.copy()
-        x, yhat = logreg.aioli_predict(state, z)
+    def with_indefinite_expert(self, monkeypatch, i):
+        fresh = logreg._Experts.fresh
+
+        def patched(*args):
+            experts = fresh(*args)
+            experts.A[i] = self.INDEFINITE
+            return experts
+
+        monkeypatch.setattr(logreg._Experts, "fresh", patched)
+        return Stream(np.array([[1.0, 0.0]]), np.array([1.0]))
+
+    def test_indefinite_matrix_single_learner(self, monkeypatch):
+        stream = self.with_indefinite_expert(monkeypatch, 0)
         with pytest.raises(RuntimeError) as exc:
-            logreg.aioli_update(state, z, 1.0, x, yhat)
+            logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
         assert str(exc.value) == self.MESSAGE
 
     def test_indefinite_matrix_in_expert_stack(self, monkeypatch):
-        fresh = logreg._Experts.fresh
-
-        def with_indefinite_expert(*args):
-            experts = fresh(*args)
-            experts.A[1] = self.INDEFINITE
-            return experts
-
-        monkeypatch.setattr(logreg._Experts, "fresh", with_indefinite_expert)
-        stream = Stream(np.array([[1.0, 0.0]]), np.array([1.0]))
+        stream = self.with_indefinite_expert(monkeypatch, 1)
         with pytest.raises(RuntimeError) as exc:
             logreg.run_ensemble(stream, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
         assert str(exc.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("first", [1e200, -1e200, 1e160])
+    @pytest.mark.parametrize("runner", ["aioli", "ensemble"])
+    def test_overflowing_feature_raises_before_the_root_finder(
+        self, monkeypatch, first, runner
+    ):
+        calls = []
+        root = logreg.solve_optimism_root
+        monkeypatch.setattr(logreg, "solve_optimism_root",
+                            lambda p, q: calls.append((p, q)) or root(p, q))
+        stream = Stream(np.array([[first], [1.0]]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="^surrogate statistics overflowed"):
+            if runner == "aioli":
+                logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
+            else:
+                logreg.run_ensemble(stream, [0.5, 0.9], 1.0, 1.0, 1.0)
+        assert calls == []
+
+    def test_later_overflow_raises_too(self):
+        # the feature of round 2 overflows p = z'A^{-1}w as well as q
+        stream = Stream(np.array([[1.0, 0.5], [1e200, -1e200]]), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="overflowed"):
+            logreg.run_ensemble(stream, [0.5, 0.9], 1.0, 1.0, 1.0)
 
 
 class TestGrid:
