@@ -10,8 +10,12 @@ and the step size reads
     eta_t = gamma (1-beta1) beta1^t / (nu + sqrt((1-beta2) v_t)),
 
 so the (1-beta2) factor is applied at read time and a single recurrence
-drives v.  No bias-correction terms are kept.  The clipped variant applies
-Clip_D, the clip-free variant damps the denominator by gamma*mu*(1-beta1^t).
+drives v.  No bias-correction terms are kept.  Both variants take their
+step from one rule, `delta_for`: the clipped variant applies Clip_D, the
+clip-free variant damps the denominator by gamma*mu*(1-beta1^t).  One
+tuner, `tune`, derives the parameters of either variant from its
+convergence theorem, with the plain beta2 floor or, given rho, the margin
+condition; `verify_report` re-substitutes a report independently.
 
 `ftrl_equivalence_residual` verifies the closed forms against a numeric
 argmin of the underlying discounted objective, evaluated with all
@@ -27,6 +31,8 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
+
+VARIANTS = ("clipped", "clip-free")
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class AdamConfig:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if self.gamma <= 0.0 or self.nu <= 0.0:
             raise ValueError("gamma and nu must be positive")
-        if self.variant not in ("clipped", "clip-free"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"variant must be clipped or clip-free, got {self.variant!r}")
         if self.variant == "clipped" and self.D <= 0.0:
             raise ValueError("clipped variant needs a positive clip radius D")
@@ -65,7 +71,6 @@ class AdamState:
 
     m: np.ndarray
     v: float = 0.0
-    t: int = 0
     beta1_pow: float = 1.0
 
     @classmethod
@@ -78,7 +83,6 @@ def adam_update(cfg: AdamConfig, state: AdamState, g: np.ndarray) -> AdamState:
     return AdamState(
         m=cfg.beta1 * state.m + g,
         v=cfg.beta2 * state.v + float(g @ g),
-        t=state.t + 1,
         beta1_pow=state.beta1_pow * cfg.beta1,
     )
 
@@ -97,32 +101,16 @@ def clip_to_ball(a: np.ndarray, radius: float) -> np.ndarray:
     return (radius / norm) * a
 
 
-def _raw_direction(cfg: AdamConfig, state: AdamState) -> np.ndarray:
-    denom = cfg.nu + math.sqrt((1.0 - cfg.beta2) * state.v)
-    return -cfg.gamma * (1.0 - cfg.beta1) * state.m / denom
-
-
-def clipped_delta(cfg: AdamConfig, state: AdamState) -> np.ndarray:
-    """Clip_D[-gamma (1-beta1) m_t / (nu + sqrt((1-beta2) v_t))]."""
-    if cfg.variant != "clipped":
-        raise ValueError("clipped_delta requires a clipped-variant config")
-    return clip_to_ball(_raw_direction(cfg, state), cfg.D)
-
-
-def clipfree_delta(cfg: AdamConfig, state: AdamState) -> np.ndarray:
-    """Closed-form damped update with denominator
-    nu + gamma*mu*(1-beta1^t) + sqrt((1-beta2) v_t)."""
-    if cfg.variant != "clip-free":
-        raise ValueError("clipfree_delta requires a clip-free-variant config")
-    damping = cfg.gamma * cfg.mu * (1.0 - state.beta1_pow)
-    denom = cfg.nu + damping + math.sqrt((1.0 - cfg.beta2) * state.v)
-    return -cfg.gamma * (1.0 - cfg.beta1) * state.m / denom
-
-
 def delta_for(cfg: AdamConfig, state: AdamState) -> np.ndarray:
-    if cfg.variant == "clipped":
-        return clipped_delta(cfg, state)
-    return clipfree_delta(cfg, state)
+    """Delta_t = -gamma (1-beta1) m_t / (nu + sqrt((1-beta2) v_t)), clipped to
+    the ball of radius D in the clipped variant.  The clip-free variant
+    damps the denominator instead, to nu + gamma*mu*(1-beta1^t) + sqrt(...)."""
+    denom = cfg.nu
+    if cfg.variant == "clip-free":
+        denom += cfg.gamma * cfg.mu * (1.0 - state.beta1_pow)
+    denom += math.sqrt((1.0 - cfg.beta2) * state.v)
+    delta = -cfg.gamma * (1.0 - cfg.beta1) * state.m / denom
+    return clip_to_ball(delta, cfg.D) if cfg.variant == "clipped" else delta
 
 
 def ftrl_equivalence_residual(cfg: AdamConfig, grads: np.ndarray) -> float:
@@ -135,7 +123,8 @@ def ftrl_equivalence_residual(cfg: AdamConfig, grads: np.ndarray) -> float:
         J(D) = (1+r)/2 |D|^2 + c.D         (clip-free, r from the mu term)
 
     and the numeric side minimizes it with a generic constrained solver.
-    This is the one function in driftlearn that needs scipy, and it imports
+    This is the one function in driftlearn that needs scipy, which is not a
+    runtime dependency (it comes with the ``test`` extra); it imports
     ``scipy.optimize`` when called.
     """
     from scipy.optimize import NonlinearConstraint, minimize
@@ -247,167 +236,79 @@ class TuningReport:
         return asdict(self)
 
 
-def _check_inputs(eps, c, G, sigma, Fstar, nu) -> Optional[str]:
-    if min(eps, c, G, Fstar) <= 0 or sigma < 0 or nu <= 0:
-        return "eps, c, G, Fstar must be positive; sigma >= 0; nu > 0"
-    if nu > G + sigma:
-        return f"nu={nu} exceeds G+sigma={G + sigma}"
-    return None
+def tune(variant, eps, c, G, sigma, Fstar, nu, rho: Optional[float] = None) -> TuningReport:
+    """Parameters from the convergence theorem of ``variant``, "clipped" or
+    "clip-free"; passing ``rho`` selects the margin condition on beta2.
 
-
-def _eps_too_small(eps: float, one_minus_b1: float) -> str:
-    return f"eps={eps} too small: beta1 = 1 - {one_minus_b1!r} rounds to 1"
-
-
-def _nu_too_small(nu: float, gs: float) -> str:
-    return f"nu={nu} too small against G+sigma={gs}: beta2 = 1 - nu/(G+sigma) rounds to 1"
-
-
-def tune_clipped(eps, c, G, sigma, Fstar, nu) -> TuningReport:
-    """Clipped-variant tuning with the relaxed beta2 floor.
-
-    beta1 sits at its smallest admissible value 1-(eps/(16(G+sigma)))^2,
-    D = (1-beta1) sqrt(eps)/sqrt(48 c), gamma = beta1 D / sqrt(1-beta1),
-    beta2 >= max(1 - nu/(G+sigma), beta1^4), and T_min is the stated max.
-    An eps or nu so small that beta1 or beta2 rounds to 1 is infeasible.
-    """
-    bad = _check_inputs(eps, c, G, sigma, Fstar, nu)
-    kw = dict(variant="clipped", eps=eps, c=c, G=G, sigma=sigma, Fstar=Fstar,
-              nu=nu, rho=None)
-    if bad:
-        return TuningReport(feasible=False, reason=bad, **kw)
-    gs = G + sigma
-    ratio = eps / (16.0 * gs)  # squared only below 1, where it cannot overflow
-    if ratio >= 1.0:
-        return TuningReport(
-            feasible=False, reason=f"eps={eps} too large: needs eps < 16(G+sigma)", **kw
-        )
-    one_minus_b1 = ratio**2
-    beta1 = 1.0 - one_minus_b1
-    if beta1 == 1.0:
-        return TuningReport(feasible=False, reason=_eps_too_small(eps, one_minus_b1), **kw)
-    D = one_minus_b1 * math.sqrt(eps) / math.sqrt(48.0 * c)
-    gamma = beta1 * D / math.sqrt(one_minus_b1)
-    beta2_lo = max(1.0 - nu / gs, beta1**4)
-    beta2 = beta2_lo
-    if beta2 == 1.0:
-        return TuningReport(feasible=False, reason=_nu_too_small(nu, gs), **kw)
-    T_min = max(
-        (1.0 / one_minus_b1)
-        * max(16.0 * Fstar * math.sqrt(48.0 * c) / eps**1.5, 16.0 * gs / eps),
-        math.log(2.0) / (1.0 - beta2),
-    )
-    return TuningReport(
-        feasible=True, beta1=beta1, one_minus_beta1=one_minus_b1, beta2=beta2,
-        beta2_lo=beta2_lo, beta2_hi=1.0, D=D, gamma=gamma, T_min=T_min, **kw
-    )
-
-
-def _margin_interval(beta1: float, rho: float) -> tuple[float, float, float]:
-    m = 0.5 * (1.0 - rho) * (1.0 - beta1 * beta1)
-    lo = beta1 * beta1 + m
-    hi = 1.0 - m
-    # width = rho (1 - beta1^2) >= 0, so the interval cannot be empty
-    assert lo <= hi + 1e-15
-    return m, lo, hi
-
-
-def tune_clipped_margin(eps, c, G, sigma, Fstar, nu, rho) -> TuningReport:
-    """Clipped-variant tuning under the margin condition on beta2.
-
-    beta1 = 1-(eps sqrt(1-rho^2)/(64(G+sigma)))^2; beta2 is reported as the
-    interval [beta1^2+m, 1-m] with m = (1-rho)(1-beta1^2)/2 and pinned to
-    its midpoint (1+beta1^2)/2.  An eps so small that beta1 rounds to 1 is
-    infeasible.
-    """
-    kw = dict(variant="clipped", eps=eps, c=c, G=G, sigma=sigma, Fstar=Fstar,
-              nu=nu, rho=rho)
-    bad = _check_inputs(eps, c, G, sigma, Fstar, nu)
-    if bad:
-        return TuningReport(feasible=False, reason=bad, **kw)
-    if not (0.0 <= rho < 1.0):
-        return TuningReport(feasible=False, reason=f"rho={rho} outside [0, 1)", **kw)
-    gs = G + sigma
-    root = math.sqrt(1.0 - rho * rho)
-    ratio = eps * root / (64.0 * gs)
-    if ratio >= 1.0:
-        return TuningReport(
-            feasible=False,
-            reason=f"eps={eps} too large: needs eps sqrt(1-rho^2) < 64(G+sigma)",
-            **kw,
-        )
-    one_minus_b1 = ratio**2
-    beta1 = 1.0 - one_minus_b1
-    if beta1 == 1.0:
-        return TuningReport(feasible=False, reason=_eps_too_small(eps, one_minus_b1), **kw)
-    m, lo, hi = _margin_interval(beta1, rho)
-    beta2 = 0.5 * (lo + hi)  # = (1+beta1^2)/2 for every rho
-    D = one_minus_b1 * math.sqrt(eps) / math.sqrt(48.0 * c)
-    gamma = beta1 * D / math.sqrt(one_minus_b1)
-    T_min = max(
-        (1.0 / one_minus_b1)
-        * max(32.0 * Fstar * math.sqrt(c) / eps**1.5, 16.0 * gs / eps),
-        32.0 * G / (eps * math.sqrt(one_minus_b1) * root) * math.log1p(G / nu),
-        math.log(2.0) / (1.0 - beta2),
-    )
-    return TuningReport(
-        feasible=True, beta1=beta1, one_minus_beta1=one_minus_b1, beta2=beta2,
-        beta2_lo=lo, beta2_hi=hi, D=D, gamma=gamma, margin=m, T_min=T_min, **kw
-    )
-
-
-def tune_clipfree(eps, c, G, sigma, Fstar, nu, rho: Optional[float] = None) -> TuningReport:
-    """Clip-free tuning; passing ``rho`` selects the margin condition.
-
-    Without rho: beta1 = 1-(eps/(16(G+sigma)))^2, beta2 >= max(1-nu/(G+sigma),
-    beta1^2).  With rho: beta1 = 1-(eps sqrt(1-rho^2)/(64(G+sigma)))^2 and
-    beta2 in [beta1^2+m, 1-m].  Either way D = (1-beta1) sqrt(eps)/sqrt(96c),
-    gamma = beta1 D/sqrt(1-beta1) and mu = 24 c D/(1-beta1)^2.  An eps or
+    beta1 sits at its smallest admissible value 1-(eps/(16(G+sigma)))^2, or
+    1-(eps sqrt(1-rho^2)/(64(G+sigma)))^2 under the margin condition.  Then
+    D = (1-beta1) sqrt(eps)/sqrt(k c) with k = 48 (clipped) or 96
+    (clip-free), gamma = beta1 D/sqrt(1-beta1), and the clip-free
+    mu = 24 c D/(1-beta1)^2.  Without rho, beta2 is its floor
+    max(1 - nu/(G+sigma), beta1^4) (clipped) or max(1 - nu/(G+sigma),
+    beta1^2) (clip-free); with rho, beta2 is reported as the interval
+    [beta1^2+m, 1-m] with m = (1-rho)(1-beta1^2)/2 and pinned to its
+    midpoint (1+beta1^2)/2.  T_min is the theorem's stated max.  An eps or
     nu so small that beta1 or beta2 rounds to 1 is infeasible.
     """
-    kw = dict(variant="clip-free", eps=eps, c=c, G=G, sigma=sigma, Fstar=Fstar,
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be clipped or clip-free, got {variant!r}")
+    kw = dict(variant=variant, eps=eps, c=c, G=G, sigma=sigma, Fstar=Fstar,
               nu=nu, rho=rho)
-    bad = _check_inputs(eps, c, G, sigma, Fstar, nu)
-    if bad:
-        return TuningReport(feasible=False, reason=bad, **kw)
+
+    def infeasible(reason: str) -> TuningReport:
+        return TuningReport(feasible=False, reason=reason, **kw)
+
+    if min(eps, c, G, Fstar) <= 0 or sigma < 0 or nu <= 0:
+        return infeasible("eps, c, G, Fstar must be positive; sigma >= 0; nu > 0")
     gs = G + sigma
+    if nu > gs:
+        return infeasible(f"nu={nu} exceeds G+sigma={gs}")
     if rho is None:
-        ratio = eps / (16.0 * gs)
+        ratio = eps / (16.0 * gs)  # squared only below 1, where it cannot overflow
+        needs = "eps < 16(G+sigma)"
+    elif not (0.0 <= rho < 1.0):
+        return infeasible(f"rho={rho} outside [0, 1)")
     else:
-        if not (0.0 <= rho < 1.0):
-            return TuningReport(feasible=False, reason=f"rho={rho} outside [0, 1)", **kw)
-        ratio = eps * math.sqrt(1.0 - rho * rho) / (64.0 * gs)
+        root = math.sqrt(1.0 - rho * rho)
+        ratio = eps * root / (64.0 * gs)
+        needs = "eps sqrt(1-rho^2) < 64(G+sigma)"
     if ratio >= 1.0:
-        return TuningReport(feasible=False, reason=f"eps={eps} too large", **kw)
+        return infeasible(f"eps={eps} too large: needs {needs}")
     one_minus_b1 = ratio**2
     beta1 = 1.0 - one_minus_b1
     if beta1 == 1.0:
-        return TuningReport(feasible=False, reason=_eps_too_small(eps, one_minus_b1), **kw)
-    D = one_minus_b1 * math.sqrt(eps) / math.sqrt(96.0 * c)
+        return infeasible(f"eps={eps} too small: beta1 = 1 - {one_minus_b1!r} rounds to 1")
+    clipped = variant == "clipped"
+    root_c = math.sqrt((48.0 if clipped else 96.0) * c)
+    D = one_minus_b1 * math.sqrt(eps) / root_c
     gamma = beta1 * D / math.sqrt(one_minus_b1)
-    mu = 24.0 * c * D / one_minus_b1**2
+    mu = 0.0 if clipped else 24.0 * c * D / one_minus_b1**2
     if rho is None:
-        lo = max(1.0 - nu / gs, beta1 * beta1)
-        hi = 1.0
-        beta2 = lo
+        lo = max(1.0 - nu / gs, beta1**4 if clipped else beta1 * beta1)
+        hi, beta2, margin = 1.0, lo, None
         if beta2 == 1.0:
-            return TuningReport(feasible=False, reason=_nu_too_small(nu, gs), **kw)
-        margin = None
-        T_min = max(
-            (1.0 / one_minus_b1)
-            * max(16.0 * Fstar * math.sqrt(96.0 * c) / eps**1.5, 48.0 * gs / eps),
-            math.log(2.0) / (1.0 - beta2),
-        )
+            return infeasible(f"nu={nu} too small against G+sigma={gs}: "
+                              "beta2 = 1 - nu/(G+sigma) rounds to 1")
+        fstar_term = 16.0 * Fstar * root_c
+        margin_terms = ()
     else:
-        margin, lo, hi = _margin_interval(beta1, rho)
-        beta2 = 0.5 * (lo + hi)
-        T_min = max(
-            (1.0 / one_minus_b1)
-            * max(32.0 * Fstar * math.sqrt(96.0 * c) / eps**1.5, 48.0 * gs / eps),
-            math.log(2.0) / (1.0 - beta2),
-            32.0 * G / (eps * math.sqrt(one_minus_b1) * math.sqrt(1.0 - rho * rho))
+        margin = 0.5 * (1.0 - rho) * (1.0 - beta1 * beta1)
+        lo, hi = beta1 * beta1 + margin, 1.0 - margin
+        # width = rho (1 - beta1^2) >= 0, so the interval cannot be empty
+        assert lo <= hi + 1e-15
+        beta2 = 0.5 * (lo + hi)  # = (1+beta1^2)/2 for every rho
+        fstar_term = 32.0 * Fstar * (math.sqrt(c) if clipped else root_c)
+        margin_terms = (
+            32.0 * G / (eps * math.sqrt(one_minus_b1) * root)
             * math.log1p((gamma * mu + G) / nu),
         )
+    T_min = max(
+        (1.0 / one_minus_b1)
+        * max(fstar_term / eps**1.5, (16.0 if clipped else 48.0) * gs / eps),
+        math.log(2.0) / (1.0 - beta2),
+        *margin_terms,
+    )
     return TuningReport(
         feasible=True, beta1=beta1, one_minus_beta1=one_minus_b1, beta2=beta2,
         beta2_lo=lo, beta2_hi=hi, D=D, gamma=gamma, mu=mu, margin=margin,

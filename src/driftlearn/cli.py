@@ -184,16 +184,28 @@ def _jsonable(obj, field: str = ""):
     return obj
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+
+
 def _write_json(payload: dict, path: Optional[Path] = None) -> None:
-    """Print ``payload`` as sorted JSON, and write the same text to ``path``."""
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
+    """Write ``payload`` as sorted JSON to ``path``, then print the same text."""
+    text = _json_text(payload)
     if path:
         path.write_text(text)
+    sys.stdout.write(text)
 
 
-def _write_summary(out: Optional[str], summary: dict) -> None:
-    _write_json(summary, Path(out).with_suffix(".summary.json") if out else None)
+def _write_summary(out: Optional[str], summary: dict, trace: Optional[str] = None) -> None:
+    """Write ``trace`` to ``out``, the summary to the ``.summary.json`` beside
+    it, then print the summary.  The summary's JSON text is built first, so
+    a summary that has none leaves no file behind."""
+    text = _json_text(summary)
+    if out:
+        if trace is not None:
+            Path(out).write_text(trace)
+        Path(out).with_suffix(".summary.json").write_text(text)
+    sys.stdout.write(text)
 
 
 def _checks_exit(summary: dict) -> int:
@@ -292,6 +304,7 @@ def cmd_run_vaw(values: dict) -> int:
         "cumulative_loss": float(run.losses_at_play.sum()),
         "checks": {},
     }
+    trace = None
     if truth is not None:
         ledger = linreg.vaw_ledger(run)
         dyn = regret.dynamic_regret(ledger, truth)
@@ -313,10 +326,8 @@ def cmd_run_vaw(values: dict) -> int:
             }
         if values["out"]:
             comment = f"driftlearn run-vaw config_hash={h}"
-            Path(values["out"]).write_text(
-                regret.regret_trace_csv(ledger, truth, comment)
-            )
-    _write_summary(values["out"], summary)
+            trace = regret.regret_trace_csv(ledger, truth, comment)
+    _write_summary(values["out"], summary, trace)
     return _checks_exit(summary)
 
 
@@ -362,10 +373,11 @@ def cmd_run_aioli(values: dict) -> int:
         bound = logreg.theorem_dynamic_bound(run, truth, gamma)
         summary.update(dynamic_regret=dyn, gamma=gamma, dynamic_bound=bound)
         checks["dynamic_regret_le_bound"] = dyn <= bound + 1e-9 * (1.0 + abs(bound))
+    trace = None
     if values["out"] and truth is not None:
         comment = f"driftlearn run-aioli config_hash={h}"
-        Path(values["out"]).write_text(regret.regret_trace_csv(ledger, truth, comment))
-    _write_summary(values["out"], summary)
+        trace = regret.regret_trace_csv(ledger, truth, comment)
+    _write_summary(values["out"], summary, trace)
     return _checks_exit(summary)
 
 
@@ -433,17 +445,20 @@ def cmd_run_ensemble(values: dict) -> int:
     }
     if truth is not None:
         summary["dynamic_regret"] = regret.dynamic_regret(logreg.ensemble_ledger(run), truth)
+    trace = None
     if values["out"]:
         comment = f"driftlearn run-ensemble config_hash={h}"
         columns = [run.mix_losses, run.expert_losses.min(axis=1)]
-        text = streams.csv_text(["mix_loss", "best_expert_loss"], columns, comment)
-        Path(values["out"]).write_text(text)
-    _write_summary(values["out"], summary)
+        trace = streams.csv_text(["mix_loss", "best_expert_loss"], columns, comment)
+    _write_summary(values["out"], summary, trace)
     return _checks_exit(summary)
 
 
+# CLI spelling of each Adam variant -> its name in ``adam``
+_ADAM_VARIANTS = {"clipped": "clipped", "clipfree": "clip-free"}
+
 O2NC_FIELDS = COMMON_FIELDS + [
-    Field("variant", str, "clipped", choices=("clipped", "clipfree")),
+    Field("variant", str, "clipped", choices=tuple(_ADAM_VARIANTS)),
     Field("objective", str, "quadratic", choices=tuple(o2nc.OBJECTIVES)),
     Field("dim", int, 10, check=_at_least_one),
     Field("T", int, 1000, check=_at_least_one),
@@ -458,16 +473,6 @@ O2NC_FIELDS = COMMON_FIELDS + [
     Field("x0_scale", float, None, check=_nonneg),
     Field("out", str, None),
 ]
-
-
-def _tune(values: dict) -> adam.TuningReport:
-    """Tuning report of the variant in ``values``; ``rho`` picks the margin form."""
-    args = [values[k] for k in ("eps", "c", "G", "sigma", "Fstar", "nu")]
-    if values["variant"] == "clipfree":
-        return adam.tune_clipfree(*args, values["rho"])
-    if values["rho"] is None:
-        return adam.tune_clipped(*args)
-    return adam.tune_clipped_margin(*args, values["rho"])
 
 
 def cmd_run_o2nc(values: dict) -> int:
@@ -488,8 +493,8 @@ def cmd_run_o2nc(values: dict) -> int:
     nu = values["nu"] if values["nu"] is not None else G + sigma
     fstar = values["Fstar"] if values["Fstar"] is not None else max(objective.value(x0), 1e-6)
 
-    rep = _tune({**values, "eps": eps, "G": G, "Fstar": fstar, "nu": nu})
-    variant = "clipped" if values["variant"] == "clipped" else "clip-free"
+    variant = _ADAM_VARIANTS[values["variant"]]
+    rep = adam.tune(variant, eps, values["c"], G, sigma, fstar, nu, values["rho"])
     if not rep.feasible:
         raise UsageError(f"tuning infeasible: {rep.reason}")
     cfg = adam.AdamConfig(
@@ -518,15 +523,16 @@ def cmd_run_o2nc(values: dict) -> int:
         "zero_comparators": trace.zero_comparators,
         "checks": checks,
     }
+    text = None
     if values["out"]:
         comment = f"driftlearn run-o2nc config_hash={h} seed={values['seed']}"
-        Path(values["out"]).write_text(trace.to_csv(comment))
-    _write_summary(values["out"], summary)
+        text = trace.to_csv(comment)
+    _write_summary(values["out"], summary, text)
     return _checks_exit(summary)
 
 
 TUNE_FIELDS = COMMON_FIELDS + [
-    Field("variant", str, "clipped", choices=("clipped", "clipfree")),
+    Field("variant", str, "clipped", choices=tuple(_ADAM_VARIANTS)),
     Field("eps", float, required=True, check=_positive),
     Field("c", float, required=True, check=_positive),
     Field("G", float, required=True, check=_positive),
@@ -539,7 +545,10 @@ TUNE_FIELDS = COMMON_FIELDS + [
 
 
 def cmd_tune_adam(values: dict) -> int:
-    rep = _tune(values)
+    rep = adam.tune(
+        _ADAM_VARIANTS[values["variant"]], values["eps"], values["c"], values["G"],
+        values["sigma"], values["Fstar"], values["nu"], values["rho"],
+    )
     errors = adam.verify_report(rep)
     payload = rep.to_dict()
     payload["config_hash"] = _config_hash(values)

@@ -162,6 +162,9 @@ def solve_optimism_root(p: float, q: float) -> float:
     )
 
 
+_ILL_CONDITIONED = "surrogate statistics are ill-conditioned; rescale the stream"
+
+
 def _check_definite(A: np.ndarray) -> None:
     """Raise if a matrix of the stack A (N, d, d) has no Cholesky factor."""
     try:
@@ -219,14 +222,18 @@ class _Experts:
         beta_i w_i with v = z.x reduces to v + q_i tanh(v/2) = p_i with
         p_i = z'A_i^{-1}w_i and q_i = z'A_i^{-1}z/beta_i; the roots stay
         scalar, one :func:`solve_optimism_root` call per expert.  A p or q
-        that is not finite raises ``ValueError`` before any root is sought;
-        the runners call this under one ``np.errstate`` that silences the
-        overflow itself.
+        that is not finite, a singular A and a negative q (A_i is positive
+        definite, so only roundoff on a badly scaled stream gives one) raise
+        ``ValueError`` before any root is sought; the runners call this
+        under one ``np.errstate`` that silences the overflow itself.
         """
         rhs = np.empty(self.w.shape + (2,))
         rhs[:, :, 0] = self.w
         rhs[:, :, 1] = z
-        sol = np.linalg.solve(self.A, rhs)
+        try:
+            sol = np.linalg.solve(self.A, rhs)
+        except np.linalg.LinAlgError:
+            raise ValueError(_ILL_CONDITIONED) from None
         ainv_w = sol[:, :, 0]
         ainv_z = sol[:, :, 1] / self.beta[:, None]
         p = ainv_w @ z
@@ -234,6 +241,8 @@ class _Experts:
         ps, qs = p.tolist(), q.tolist()
         if not all(map(math.isfinite, ps + qs)):  # cheaper than numpy at small N
             raise ValueError("surrogate statistics overflowed; rescale the stream")
+        if min(qs) < 0.0:
+            raise ValueError(_ILL_CONDITIONED)
         v = [solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)]
         X = ainv_w - np.tanh(0.5 * np.array(v))[:, None] * ainv_z
         return X, X @ z, q

@@ -2,14 +2,15 @@
 
 One run executes, per round t = 1..T,
 
-    receive Delta_t from the update rule (state holds g_1..g_{t-1}),
+    receive Delta_t from `adam.delta_for` (state holds g_1..g_{t-1}),
     x_t = x_{t-1} + s_t * Delta_t   with s_t ~ Exp(1) i.i.d.,
-    g_t = stochastic gradient at x_t,
+    g_t = StochasticOracle.perturb(grad F(x_t)),
     fold g_t into the update state,
     xbar_t = (beta-beta^t)/(1-beta^t) xbar_{t-1} + (1-beta)/(1-beta^t) x_t,
 
-with beta = beta1.  The trace records the full diagnostic sequence plus the
-dynamic-regret terms against the drifting comparator
+with beta = beta1: two true gradients a round, at x_t and at xbar_t.  The
+trace records the scalings, the steps, the running averages, the gradient
+norms at them and the dynamic-regret terms against the drifting comparator
 
     u_t = -D * a_t / |a_t|,   a_t = sum_{s<=t} beta^(t-s) grad F(x_s),
 
@@ -122,11 +123,8 @@ class StochasticOracle:
     objective: Objective
     sigma: float
 
-    def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self._perturb(self.objective.grad(x), rng)
-
-    def _perturb(self, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """The noise step of :meth:`sample` on the true gradient ``g``."""
+    def perturb(self, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The stochastic gradient drawn around the true gradient ``g``."""
         gap = self.objective.lipschitz - math.sqrt(g @ g)
         direction = rng.standard_normal(self.objective.dim)
         nd = math.sqrt(direction @ direction)
@@ -136,16 +134,10 @@ class StochasticOracle:
         return g + (magnitude / nd) * direction
 
 
-def exp_from_uniform(u: float) -> float:
-    """Inverse-CDF exponential draw s = -ln(u) for u in (0, 1]."""
-    if not (0.0 < u <= 1.0):
-        raise ValueError(f"u must lie in (0, 1], got {u}")
-    return -math.log(u)
-
-
 def exp_sample(rng: np.random.Generator) -> float:
-    """Unit-mean exponential scaling factor."""
-    return exp_from_uniform(1.0 - float(rng.random()))
+    """Unit-mean exponential scaling factor, by the inverse CDF: s = -ln(u)
+    with u = 1 - rng.random() in (0, 1]."""
+    return -math.log(1.0 - float(rng.random()))
 
 
 def ema_update(xbar_prev: np.ndarray, x_t: np.ndarray, beta: float, t: int) -> np.ndarray:
@@ -162,17 +154,20 @@ def ema_update(xbar_prev: np.ndarray, x_t: np.ndarray, beta: float, t: int) -> n
 
 @dataclass
 class O2ncTrace:
-    """Full diagnostic record of one driver run."""
+    """Diagnostic record of one driver run.
+
+    The iterates are not stored: x_t is, bit for bit,
+    ``np.add.accumulate`` over the rows [x0, s_1 Delta_1, ..., s_T Delta_T],
+    and the comparator u_t is a function of the true gradients at them.
+    """
 
     cfg: AdamConfig
     objective: Objective
     x0: np.ndarray
-    xs: np.ndarray               # x_t, shape (T, d)
     xbars: np.ndarray            # running averages, shape (T, d)
     scalings: np.ndarray         # s_t
     deltas: np.ndarray           # Delta_t, shape (T, d)
     grad_norms_at_xbar: np.ndarray
-    comparators: np.ndarray      # u_t, shape (T, d)
     dynreg_terms: np.ndarray
     zero_comparators: int
     final_index: int             # uniform draw over 1..T (0-based here)
@@ -204,19 +199,16 @@ def run_o2nc(
         raise ValueError(f"T must be >= 1, got {T}")
     obj = oracle.objective
     d = obj.dim
-    x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    x0_saved = x.copy()
+    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = xbar = x0  # both are rebound each round, never written in place
     rng = philox_rng(seed)
     state = AdamState.fresh(d)
     acc = np.zeros(d)
-    xbar = x.copy()
 
-    xs = np.empty((T, d))
     xbars = np.empty((T, d))
     scalings = np.empty(T)
     deltas = np.empty((T, d))
     grad_norms = np.empty(T)
-    comparators = np.empty((T, d))
     dynreg = np.empty(T)
     zero_comparators = 0
     G = obj.lipschitz
@@ -226,7 +218,7 @@ def run_o2nc(
         s_t = exp_sample(rng)
         x = x + s_t * delta
         true_g = obj.grad(x)
-        g = oracle._perturb(true_g, rng)
+        g = oracle.perturb(true_g, rng)
         gnorm = math.sqrt(g @ g)
         if gnorm > G * (1.0 + 1e-9) + 1e-12:
             raise OracleBoundError(
@@ -246,20 +238,18 @@ def run_o2nc(
         xbar = ema_update(xbar, x, cfg.beta1, t)
 
         i = t - 1
-        xs[i] = x
         xbars[i] = xbar
         scalings[i] = s_t
         deltas[i] = delta
         g_bar = obj.grad(xbar)
         grad_norms[i] = math.sqrt(g_bar @ g_bar)
-        comparators[i] = u
         dynreg[i] = term
 
     final_index = int(rng.integers(T))
     return O2ncTrace(
-        cfg=cfg, objective=obj, x0=x0_saved, xs=xs, xbars=xbars,
+        cfg=cfg, objective=obj, x0=x0, xbars=xbars,
         scalings=scalings, deltas=deltas, grad_norms_at_xbar=grad_norms,
-        comparators=comparators, dynreg_terms=dynreg,
+        dynreg_terms=dynreg,
         zero_comparators=zero_comparators, final_index=final_index,
     )
 

@@ -228,10 +228,8 @@ def test_criterion_08_tuning_calculators_resubstitute():
             nu = float((G + sigma) * rng.uniform(0.05, 1.0))
             rho = float(rng.uniform(0.0, 0.99))
             for rep in (
-                adam.tune_clipped(eps, c, G, sigma, Fstar, nu),
-                adam.tune_clipped_margin(eps, c, G, sigma, Fstar, nu, rho),
-                adam.tune_clipfree(eps, c, G, sigma, Fstar, nu),
-                adam.tune_clipfree(eps, c, G, sigma, Fstar, nu, rho),
+                adam.tune(variant, eps, c, G, sigma, Fstar, nu, r)
+                for variant in adam.VARIANTS for r in (None, rho)
             ):
                 assert rep.feasible, (i, rep.reason)
                 assert rep.beta2_lo <= rep.beta2 <= rep.beta2_hi < 1.0 or rep.beta2_hi == 1.0
@@ -249,10 +247,7 @@ def test_criterion_09_driver_convergence(variant):
     nu = G + sigma
     fstar = objective.value(x0)
     with Budget(f"criterion-09 driver convergence ({variant})", 60.0):
-        if variant == "clipped":
-            rep = adam.tune_clipped(eps, c, G, sigma, fstar, nu)
-        else:
-            rep = adam.tune_clipfree(eps, c, G, sigma, fstar, nu)
+        rep = adam.tune(variant, eps, c, G, sigma, fstar, nu)
         cfg = adam.AdamConfig(
             beta1=rep.beta1, beta2=rep.beta2, gamma=rep.gamma, nu=nu,
             variant=variant, D=rep.D, mu=rep.mu,

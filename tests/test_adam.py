@@ -44,7 +44,7 @@ class TestStepSize:
     def test_empty_history(self):
         cfg = clipped_cfg()
         state = adam.AdamState.fresh(2)
-        state.t, state.beta1_pow = 1, cfg.beta1
+        state.beta1_pow = cfg.beta1
         assert adam.eta_t(cfg, state) == pytest.approx(
             cfg.gamma * (1 - cfg.beta1) * cfg.beta1 / cfg.nu
         )
@@ -65,14 +65,14 @@ class TestStepSize:
 class TestClippedDelta:
     def test_zero_momentum_maps_to_zero(self):
         cfg = clipped_cfg()
-        assert np.array_equal(adam.clipped_delta(cfg, adam.AdamState.fresh(3)), np.zeros(3))
+        assert np.array_equal(adam.delta_for(cfg, adam.AdamState.fresh(3)), np.zeros(3))
 
     def test_frozen_clip_example(self):
         cfg = clipped_cfg()
-        state = adam.AdamState(m=np.array([1.0, 0.0]), v=1.0, t=1, beta1_pow=0.9)
+        state = adam.AdamState(m=np.array([1.0, 0.0]), v=1.0, beta1_pow=0.9)
         raw = -cfg.gamma * 0.1 * state.m / (0.1 + math.sqrt(0.01 * 1.0))
         np.testing.assert_allclose(raw, [-0.5, 0.0], rtol=1e-14)
-        np.testing.assert_allclose(adam.clipped_delta(cfg, state), [-0.1, 0.0], rtol=1e-14)
+        np.testing.assert_allclose(adam.delta_for(cfg, state), [-0.1, 0.0], rtol=1e-14)
 
     def test_norm_never_exceeds_radius(self):
         rng = np.random.default_rng(1)
@@ -82,10 +82,9 @@ class TestClippedDelta:
             state = adam.AdamState(
                 m=rng.standard_normal(2) * 10.0 ** rng.integers(-2, 4),
                 v=float(rng.random() * 10.0 ** rng.integers(-2, 4)),
-                t=int(rng.integers(1, 100)),
                 beta1_pow=float(rng.random()),
             )
-            delta = adam.clipped_delta(cfg, state)
+            delta = adam.delta_for(cfg, state)
             assert np.linalg.norm(delta) <= D * (1.0 + 1e-12)
 
 
@@ -98,21 +97,21 @@ class TestClipFreeDelta:
         for _ in range(10):
             state = adam.adam_update(cfg, state, rng.standard_normal(3))
         np.testing.assert_allclose(
-            adam.clipfree_delta(cfg, state), adam.clipped_delta(ref, state), rtol=1e-14
+            adam.delta_for(cfg, state), adam.delta_for(ref, state), rtol=1e-14
         )
 
     def test_frozen_damped_example(self):
         cfg = clipfree_cfg()
-        state = adam.AdamState(m=np.array([1.0, 0.0]), v=1.0, t=1, beta1_pow=0.9)
+        state = adam.AdamState(m=np.array([1.0, 0.0]), v=1.0, beta1_pow=0.9)
         # -0.1 * m / (0.1 + 1*(1-0.9) + 0.1) = (-1/3, 0)
         np.testing.assert_allclose(
-            adam.clipfree_delta(cfg, state), [-1.0 / 3.0, 0.0], rtol=1e-14
+            adam.delta_for(cfg, state), [-1.0 / 3.0, 0.0], rtol=1e-14
         )
 
     def test_damping_saturates_at_gamma_mu(self):
         cfg = clipfree_cfg(gamma=2.0, mu=3.0)
-        state = adam.AdamState(m=np.array([1.0]), v=0.0, t=10**6, beta1_pow=0.0)
-        delta = adam.clipfree_delta(cfg, state)
+        state = adam.AdamState(m=np.array([1.0]), v=0.0, beta1_pow=0.0)
+        delta = adam.delta_for(cfg, state)
         expected = -2.0 * 0.1 * 1.0 / (0.1 + 2.0 * 3.0)
         assert delta[0] == pytest.approx(expected, rel=1e-14)
 
@@ -208,39 +207,39 @@ class TestRho:
 
 class TestTuneClipped:
     def test_frozen_beta1_boundary(self):
-        rep = adam.tune_clipped(eps=0.16, c=1.0, G=0.6, sigma=0.4, Fstar=1.0, nu=1.0)
+        rep = adam.tune("clipped", eps=0.16, c=1.0, G=0.6, sigma=0.4, Fstar=1.0, nu=1.0)
         assert rep.feasible
         assert rep.beta1 == pytest.approx(0.9999, abs=1e-15)
 
     def test_nu_at_cap_leaves_beta1_fourth_floor(self):
-        rep = adam.tune_clipped(eps=0.2, c=1.0, G=1.0, sigma=0.5, Fstar=1.0, nu=1.5)
+        rep = adam.tune("clipped", eps=0.2, c=1.0, G=1.0, sigma=0.5, Fstar=1.0, nu=1.5)
         assert rep.beta2 == pytest.approx(rep.beta1**4, rel=1e-14)
 
     def test_horizon_includes_second_moment_mixing_time(self):
-        rep = adam.tune_clipped(eps=0.2, c=1e-12, G=1.0, sigma=0.0, Fstar=1e-12, nu=1e-6)
+        rep = adam.tune("clipped", eps=0.2, c=1e-12, G=1.0, sigma=0.0, Fstar=1e-12, nu=1e-6)
         # with negligible c and Fstar the ln2/(1-beta2) branch dominates
         assert rep.T_min == pytest.approx(math.log(2.0) / (1.0 - rep.beta2), rel=1e-12)
 
     def test_nu_above_cap_is_infeasible(self):
-        rep = adam.tune_clipped(eps=0.1, c=1.0, G=1.0, sigma=0.0, Fstar=1.0, nu=2.0)
+        rep = adam.tune("clipped", eps=0.1, c=1.0, G=1.0, sigma=0.0, Fstar=1.0, nu=2.0)
         assert not rep.feasible and "nu" in rep.reason
 
 
 class TestTuneClippedMargin:
     def test_zero_rho_collapses_interval_to_center(self):
-        rep = adam.tune_clipped_margin(0.2, 1.0, 1.0, 0.1, 1.0, 0.5, rho=0.0)
+        rep = adam.tune("clipped", 0.2, 1.0, 1.0, 0.1, 1.0, 0.5, rho=0.0)
         center = 0.5 * (1.0 + rep.beta1**2)
         assert rep.beta2_lo == pytest.approx(rep.beta2_hi, rel=1e-15)
         assert rep.beta2 == pytest.approx(center, rel=1e-15)
 
     def test_midpoint_is_center_for_every_rho(self):
         for rho in (0.0, 0.3, 0.9):
-            rep = adam.tune_clipped_margin(0.2, 1.0, 1.0, 0.1, 1.0, 0.5, rho=rho)
+            rep = adam.tune("clipped", 0.2, 1.0, 1.0, 0.1, 1.0, 0.5, rho=rho)
             center = 0.5 * (1.0 + rep.beta1**2)
             assert 0.5 * (rep.beta2_lo + rep.beta2_hi) == pytest.approx(center, rel=1e-15)
 
     def test_interval_width_is_rho_times_gap(self):
-        rep = adam.tune_clipped_margin(0.2, 1.0, 1.0, 0.1, 1.0, 0.5, rho=0.4)
+        rep = adam.tune("clipped", 0.2, 1.0, 1.0, 0.1, 1.0, 0.5, rho=0.4)
         width = rep.beta2_hi - rep.beta2_lo
         assert width == pytest.approx(0.4 * (1.0 - rep.beta1**2), rel=1e-12)
 
@@ -248,19 +247,19 @@ class TestTuneClippedMargin:
 class TestTuneClipFree:
     def test_frozen_mu_chain(self):
         # G + sigma = 1, eps = 0.16 puts 1 - beta1 at 1e-4 exactly
-        rep = adam.tune_clipfree(eps=0.16, c=1.0, G=0.5, sigma=0.5, Fstar=1.0, nu=1.0)
+        rep = adam.tune("clip-free", eps=0.16, c=1.0, G=0.5, sigma=0.5, Fstar=1.0, nu=1.0)
         D_expected = 1e-4 * 0.4 / math.sqrt(96.0)
         assert rep.D == pytest.approx(D_expected, rel=1e-12)
         assert rep.mu == pytest.approx(24.0 * D_expected / 1e-8, rel=1e-12)
 
     def test_beta2_floor_is_square_not_fourth(self):
-        rep = adam.tune_clipfree(eps=0.2, c=1.0, G=1.0, sigma=0.5, Fstar=1.0, nu=1.5)
+        rep = adam.tune("clip-free", eps=0.2, c=1.0, G=1.0, sigma=0.5, Fstar=1.0, nu=1.5)
         assert rep.beta2 == pytest.approx(rep.beta1**2, rel=1e-14)
 
     def test_margin_variant_matches_clipped_interval_shape(self):
         kw = dict(eps=0.2, c=1.0, G=1.0, sigma=0.1, Fstar=1.0, nu=0.5)
-        free = adam.tune_clipfree(**kw, rho=0.3)
-        clip = adam.tune_clipped_margin(**kw, rho=0.3)
+        free = adam.tune("clip-free", **kw, rho=0.3)
+        clip = adam.tune("clipped", **kw, rho=0.3)
         assert free.beta1 == clip.beta1
         assert free.margin == pytest.approx(clip.margin, rel=1e-15)
         assert (free.beta2_lo, free.beta2_hi) == (clip.beta2_lo, clip.beta2_hi)
@@ -278,10 +277,8 @@ class TestResubstitution:
             nu = float((G + sigma) * rng.uniform(0.05, 1.0))
             rho = float(rng.uniform(0.0, 0.99))
             reports = [
-                adam.tune_clipped(eps, c, G, sigma, Fstar, nu),
-                adam.tune_clipped_margin(eps, c, G, sigma, Fstar, nu, rho),
-                adam.tune_clipfree(eps, c, G, sigma, Fstar, nu),
-                adam.tune_clipfree(eps, c, G, sigma, Fstar, nu, rho),
+                adam.tune(variant, eps, c, G, sigma, Fstar, nu, r)
+                for variant in adam.VARIANTS for r in (None, rho)
             ]
             for rep in reports:
                 assert rep.feasible, rep.reason
@@ -289,10 +286,10 @@ class TestResubstitution:
 
 
 TUNERS = {
-    "clipped": lambda *a: adam.tune_clipped(*a),
-    "clipped-margin": lambda *a: adam.tune_clipped_margin(*a, 0.5),
-    "clipfree": lambda *a: adam.tune_clipfree(*a),
-    "clipfree-margin": lambda *a: adam.tune_clipfree(*a, 0.5),
+    "clipped": lambda *a: adam.tune("clipped", *a),
+    "clipped-margin": lambda *a: adam.tune("clipped", *a, 0.5),
+    "clipfree": lambda *a: adam.tune("clip-free", *a),
+    "clipfree-margin": lambda *a: adam.tune("clip-free", *a, 0.5),
 }
 
 
@@ -315,7 +312,12 @@ class TestUnrepresentableTuning:
     @pytest.mark.parametrize("form", TUNERS)
     def test_eps_whose_gap_would_overflow_is_too_large(self, form):
         rep = TUNERS[form](1e200, 1.0, 1e-200, 1.0, 1.0, 0.5)
-        assert not rep.feasible and rep.reason.startswith("eps=1e+200 too large")
+        needs = "eps sqrt(1-rho^2) < 64(G+sigma)" if "margin" in form else "eps < 16(G+sigma)"
+        assert not rep.feasible and rep.reason == f"eps=1e+200 too large: needs {needs}"
+
+    def test_unknown_variant_is_rejected(self):
+        with pytest.raises(ValueError, match="clipped or clip-free, got 'clipfree'"):
+            adam.tune("clipfree", 0.1, 1.0, 1.0, 0.1, 1.0, 0.5)
 
     @pytest.mark.parametrize("form", TUNERS)
     def test_every_eps_near_the_rounding_edge_gives_a_sound_report(self, form):

@@ -320,23 +320,36 @@ class TestSeedsAndOverflow:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    # finite entries whose squares or products overflow inside a learner
+    # finite entries whose squares or products overflow inside a learner, and
+    # features so badly scaled that the surrogate statistics cannot be solved
+    ILL_SCALED = (
+        "t,y,z_0,z_1,z_2\n"
+        "1,1.0,-4.725876767584841e+26,5.863372815313004e+26,-6.63535198304047e+26\n"
+        "2,-1.0,-6.134178486140281e+21,-1.6051493968851136e+22,7.293494040178567e+21\n"
+    )
+
     @pytest.mark.parametrize(
-        "argv, rows, message",
+        "argv, text, message",
         [
-            (["run-vaw", "--beta", "0.9"], "1,1e160,1e-200",
+            (["run-vaw", "--beta", "0.9"], "t,y,z_0\n1,1e160,1e-200\n2,1.0,1.0\n",
              "discounted statistics overflowed; rescale the stream"),
-            (["run-aioli"], "1,1.0,1e200", "surrogate statistics overflowed; rescale the stream"),
-            (["run-ensemble", "--betas", "0.5,0.9"], "1,1.0,1e200",
+            (["run-aioli"], "t,y,z_0\n1,1.0,1e200\n2,1.0,1.0\n",
              "surrogate statistics overflowed; rescale the stream"),
+            (["run-ensemble", "--betas", "0.5,0.9"], "t,y,z_0\n1,1.0,1e200\n2,1.0,1.0\n",
+             "surrogate statistics overflowed; rescale the stream"),
+            (["run-aioli"], ILL_SCALED,
+             "surrogate statistics are ill-conditioned; rescale the stream"),
+            (["run-ensemble", "--betas", "0.5,0.9"], ILL_SCALED,
+             "surrogate statistics are ill-conditioned; rescale the stream"),
         ],
-        ids=["vaw-label", "aioli-feature", "ensemble-feature"],
+        ids=["vaw-label", "aioli-feature", "ensemble-feature", "aioli-ill-scaled",
+             "ensemble-ill-scaled"],
     )
     def test_overflow_in_the_learner_is_one_error_line_without_warning(
-        self, capsys, tmp_path, argv, rows, message
+        self, capsys, tmp_path, argv, text, message
     ):
         stream = tmp_path / "huge.csv"
-        stream.write_text(f"t,y,z_0\n{rows}\n2,1.0,1.0\n")
+        stream.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, stdout, err = run_cli(capsys, *argv, "--stream", str(stream))
@@ -489,9 +502,18 @@ class TestStrictJson:
         code, stdout, err = run_cli(capsys, *argv, "--Fstar", "1e308", "--out", str(out))
         assert_one_error_line(code, err)
         assert err.startswith(f"error: {field}: inf has no JSON form") and stdout == ""
-        # tune-adam writes its report to --out; run-o2nc its trace, then the summary
-        report = out if argv[0] == "tune-adam" else out.with_suffix(".summary.json")
-        assert not report.exists()
+        # tune-adam writes its report to --out; run-o2nc its trace and the summary
+        assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["tune-adam", "--eps", "0.16", "--c", "1", "--G", "0.5", "--sigma", "0.5",
+         "--Fstar", "1", "--nu", "1"],
+        ["run-o2nc", "--T", "5", "--dim", "2", "--seed", "1"],
+    ])
+    def test_unwritable_out_is_one_error_line_without_output(self, capsys, tmp_path, argv):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "no" / "o.json"))
+        assert_one_error_line(code, err)
+        assert "No such file or directory" in err and stdout == ""
 
     def test_nan_is_null_and_infinities_name_their_field(self):
         assert cli._jsonable({"a": [1.0, math.nan], "b": {"c": 2}}) == {
@@ -546,6 +568,43 @@ class TestDeterminism:
             logs.append(stdout.replace(name, ""))
         assert outs[0] == outs[1]
         assert logs[0] == logs[1]
+
+    # Exact text of the Adam tuning reports and the o2nc artifacts, written by
+    # a reference build and kept in tests/golden: any change to the tuner,
+    # the step rule or the driver loop that moves a bit shows up here.
+    TUNE_FLAGS = ["--eps", "0.16", "--c", "1", "--G", "0.5", "--sigma", "0.5",
+                  "--Fstar", "1", "--nu", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["tune-adam", "--variant", "clipped", *TUNE_FLAGS], "tune-clipped"),
+            (["tune-adam", "--variant", "clipped", *TUNE_FLAGS, "--rho", "0.5"],
+             "tune-clipped-rho"),
+            (["tune-adam", "--variant", "clipfree", *TUNE_FLAGS], "tune-clipfree"),
+            (["tune-adam", "--variant", "clipfree", *TUNE_FLAGS, "--rho", "0.5"],
+             "tune-clipfree-rho"),
+            (["run-o2nc", "--variant", "clipped", "--T", "200", "--seed", "1"],
+             "o2nc-clipped"),
+            (["run-o2nc", "--variant", "clipfree", "--T", "200", "--seed", "1"],
+             "o2nc-clipfree"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_adam_artifacts_match_the_golden_text(self, capsys, tmp_path, argv, golden):
+        expected = Path(__file__).parent / "golden"
+        if argv[0] == "tune-adam":
+            code, stdout, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert stdout == (expected / f"{golden}.json").read_text()
+            return
+        out = tmp_path / "o.csv"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, err) == (0, "")
+        summary = (expected / f"{golden}.summary.json").read_text()
+        assert out.read_text() == (expected / f"{golden}.csv").read_text()
+        assert out.with_suffix(".summary.json").read_text() == summary
+        assert stdout == summary
 
     def test_verify_lemmas_twice_identical_stdout(self, capsys):
         _, out1, _ = run_cli(capsys, "verify-lemmas", "--instances", "25", "--seed", "4")

@@ -613,16 +613,16 @@ class TestEnsembleErrors:
     INDEFINITE = np.diag([1.0, -1.0])
     MESSAGE = "surrogate curvature matrix is numerically indefinite; use a larger lambda"
 
-    def with_indefinite_expert(self, monkeypatch, i):
+    def with_indefinite_expert(self, monkeypatch, i, A=INDEFINITE, z=(1.0, 0.0)):
         fresh = logreg._Experts.fresh
 
         def patched(*args):
             experts = fresh(*args)
-            experts.A[i] = self.INDEFINITE
+            experts.A[i] = A
             return experts
 
         monkeypatch.setattr(logreg._Experts, "fresh", patched)
-        return Stream(np.array([[1.0, 0.0]]), np.array([1.0]))
+        return Stream(np.array([z]), np.array([1.0]))
 
     def test_indefinite_matrix_single_learner(self, monkeypatch):
         stream = self.with_indefinite_expert(monkeypatch, 0)
@@ -635,6 +635,21 @@ class TestEnsembleErrors:
         with pytest.raises(RuntimeError) as exc:
             logreg.run_ensemble(stream, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
         assert str(exc.value) == self.MESSAGE
+
+    # z = e_2 meets the negative eigenvalue of diag(1, -1), so q = -1/beta < 0;
+    # a zero matrix cannot be solved at all.  Both stand for the roundoff of
+    # a badly scaled stream, and neither reaches the root finder.
+    @pytest.mark.parametrize("A", [INDEFINITE, np.zeros((2, 2))], ids=["negative-q", "singular"])
+    @pytest.mark.parametrize("runner", ["aioli", "ensemble"])
+    def test_ill_conditioned_statistics_raise_one_value_error(self, monkeypatch, A, runner):
+        stream = self.with_indefinite_expert(monkeypatch, 0, A, z=(0.0, 1.0))
+        monkeypatch.setattr(logreg, "solve_optimism_root", None)
+        with pytest.raises(ValueError) as exc:
+            if runner == "aioli":
+                logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
+            else:
+                logreg.run_ensemble(stream, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
+        assert str(exc.value) == "surrogate statistics are ill-conditioned; rescale the stream"
 
     @pytest.mark.parametrize("first", [1e200, -1e200, 1e160])
     @pytest.mark.parametrize("runner", ["aioli", "ensemble"])

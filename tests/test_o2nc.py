@@ -13,16 +13,28 @@ def small_clipped_cfg(**kw):
     return adam.AdamConfig(**base)
 
 
+class FixedUniform:
+    """A generator stand-in whose ``random()`` always returns ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+def iterates(trace):
+    """x_1..x_T rebuilt from the trace: the running sum of x0 and s_t Delta_t."""
+    steps = trace.scalings[:, None] * trace.deltas
+    return np.add.accumulate(np.vstack([trace.x0, steps]))[1:]
+
+
 class TestExpSample:
     def test_inverse_cdf_at_half(self):
-        assert o2nc.exp_from_uniform(0.5) == pytest.approx(math.log(2), rel=1e-15)
+        assert o2nc.exp_sample(FixedUniform(0.5)) == pytest.approx(math.log(2), rel=1e-15)
 
     def test_boundary_gives_zero(self):
-        assert o2nc.exp_from_uniform(1.0) == 0.0
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            o2nc.exp_from_uniform(0.0)
+        assert o2nc.exp_sample(FixedUniform(0.0)) == 0.0
 
     def test_unit_mean_monte_carlo(self):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(123)))
@@ -86,40 +98,40 @@ class TestEmaUpdate:
 
 
 class TestComparatorPath:
-    """The drifting comparator u_t = -D a_t/|a_t| that run_o2nc records."""
+    """The drifting comparator u_t = -D a_t/|a_t| behind run_o2nc's
+    dynamic-regret terms g_t.(Delta_t - u_t).  With a noise-free oracle g_t
+    is the true gradient at x_t, so every term follows from the iterates."""
 
-    def run(self, obj, sigma, x0, T=200, D=0.05):
+    def run(self, obj, x0, T=200, D=0.05):
         cfg = small_clipped_cfg(D=D)
-        oracle = o2nc.StochasticOracle(obj, sigma=sigma)
+        oracle = o2nc.StochasticOracle(obj, sigma=0.0)
         return o2nc.run_o2nc(cfg, oracle, T=T, seed=4, x0=x0)
 
     def test_single_gradient_normalized(self):
+        # g = (3, 4), Delta_1 = 0 and u_1 = -(0.6, 0.8): the term is g.(-u_1) = 5
         obj = o2nc.clamped_quadratic(2, radius=10.0)
-        trace = self.run(obj, 0.0, np.array([3.0, 4.0]), T=1, D=1.0)
-        np.testing.assert_allclose(trace.comparators[0], [-0.6, -0.8], rtol=1e-15)
+        trace = self.run(obj, np.array([3.0, 4.0]), T=1, D=1.0)
+        assert trace.dynreg_terms[0] == pytest.approx(5.0, rel=1e-15)
 
-    def test_norm_is_exactly_the_radius(self):
-        trace = self.run(o2nc.max_affine(3, pieces=5, seed=2), 0.3, np.ones(3), D=2.5)
-        norms = np.linalg.norm(trace.comparators, axis=1)
-        moving = norms > 0.0
-        assert moving.any()
-        np.testing.assert_allclose(norms[moving], 2.5, rtol=1e-12)
-
-    def test_matches_recomputed_true_gradient_accumulator(self):
-        obj = o2nc.clamped_quadratic(3, radius=1.0)
-        trace = self.run(obj, 0.2, np.array([0.5, -0.3, 0.2]))
+    @pytest.mark.parametrize("obj, x0, D", [
+        (o2nc.clamped_quadratic(3, radius=1.0), np.array([0.5, -0.3, 0.2]), 0.05),
+        (o2nc.max_affine(3, pieces=5, seed=2), np.ones(3), 2.5),
+    ], ids=["quadratic", "maxaffine"])
+    def test_matches_recomputed_true_gradient_accumulator(self, obj, x0, D):
+        trace = self.run(obj, x0, D=D)
         a = np.zeros(3)
-        for t in range(trace.T):
-            a = 0.9 * a + obj.grad(trace.xs[t])
-            np.testing.assert_allclose(
-                trace.comparators[t], -0.05 * a / np.linalg.norm(a), rtol=1e-12
-            )
+        for t, x in enumerate(iterates(trace)):
+            g = obj.grad(x)
+            a = 0.9 * a + g
+            u = -D * a / np.linalg.norm(a)
+            term = float(g @ (trace.deltas[t] - u))
+            assert trace.dynreg_terms[t] == pytest.approx(term, rel=1e-12, abs=1e-15)
         assert trace.zero_comparators == 0
 
     def test_zero_history_yields_zero_comparator(self):
         obj = o2nc.clamped_quadratic(2, radius=1.0)
-        trace = self.run(obj, 0.0, np.zeros(2), T=4)
-        assert np.array_equal(trace.comparators, np.zeros((4, 2)))
+        trace = self.run(obj, np.zeros(2), T=4)
+        assert np.array_equal(trace.dynreg_terms, np.zeros(4))
         assert trace.zero_comparators == 4
 
 
@@ -129,15 +141,15 @@ class TestRunLoop:
         oracle = o2nc.StochasticOracle(obj, sigma=0.1)
         x0 = np.array([0.5, 0.0, 0.0])
         trace = o2nc.run_o2nc(small_clipped_cfg(), oracle, T=1, seed=0, x0=x0)
-        np.testing.assert_array_equal(trace.xs[0], x0)
         np.testing.assert_array_equal(trace.deltas[0], np.zeros(3))
+        np.testing.assert_array_equal(trace.xbars[0], x0)  # xbar_1 = x_1 exactly
 
     def test_clipped_moves_bounded_by_scaled_radius(self):
         obj = o2nc.euclidean_norm(4)
         oracle = o2nc.StochasticOracle(obj, sigma=0.2)
         cfg = small_clipped_cfg(D=0.02)
         trace = o2nc.run_o2nc(cfg, oracle, T=400, seed=3, x0=np.ones(4))
-        steps = np.diff(np.vstack([trace.x0, trace.xs]), axis=0)
+        steps = np.diff(np.vstack([trace.x0, iterates(trace)]), axis=0)
         caps = trace.scalings * 0.02
         assert np.all(np.linalg.norm(steps, axis=1) <= caps * (1.0 + 1e-9))
 
@@ -147,7 +159,8 @@ class TestRunLoop:
         cfg = small_clipped_cfg()
         t1 = o2nc.run_o2nc(cfg, oracle, T=200, seed=42, x0=np.zeros(3))
         t2 = o2nc.run_o2nc(cfg, oracle, T=200, seed=42, x0=np.zeros(3))
-        assert np.array_equal(t1.xs, t2.xs)
+        assert np.array_equal(t1.xbars, t2.xbars)
+        assert np.array_equal(t1.deltas, t2.deltas)
         assert np.array_equal(t1.scalings, t2.scalings)
         assert t1.final_index == t2.final_index
         assert t1.to_csv() == t2.to_csv()
@@ -159,7 +172,7 @@ class TestRunLoop:
             oracle = o2nc.StochasticOracle(obj, sigma=0.5)
             for _ in range(300):
                 x = rng.standard_normal(3) * 3
-                g = oracle.sample(x, rng)
+                g = oracle.perturb(obj.grad(x), rng)
                 assert np.linalg.norm(g) <= obj.lipschitz * (1 + 1e-12)
 
     def test_run_aborts_when_oracle_violates_declared_bound(self):
@@ -178,7 +191,8 @@ class TestRunLoop:
         oracle = o2nc.StochasticOracle(obj, sigma=0.3)
         rng = np.random.Generator(np.random.Philox(key=np.uint64(9)))
         x = np.array([0.5, 0.5])
-        noise = np.array([oracle.sample(x, rng) - obj.grad(x) for _ in range(40_000)])
+        g = obj.grad(x)
+        noise = np.array([oracle.perturb(g, rng) - g for _ in range(40_000)])
         assert np.linalg.norm(noise.mean(axis=0)) <= 0.01
 
 
@@ -236,7 +250,7 @@ def reference_o2nc(cfg, oracle, T, seed, x0):
     m, v, beta1_pow = np.zeros(d), 0.0, 1.0
     acc, xbar = np.zeros(d), x.copy()
     rows = {k: [] for k in ("xs", "xbars", "scalings", "deltas", "grad_norms_at_xbar",
-                            "comparators", "dynreg_terms")}
+                            "dynreg_terms")}
     zero = 0
     for t in range(1, T + 1):
         delta = delta_for(m, v, beta1_pow)
@@ -257,7 +271,7 @@ def reference_o2nc(cfg, oracle, T, seed, x0):
         xbar = o2nc.ema_update(xbar, x, cfg.beta1, t)
         for k, val in (("xs", x), ("xbars", xbar), ("scalings", s_t), ("deltas", delta),
                        ("grad_norms_at_xbar", float(np.linalg.norm(obj.grad(xbar)))),
-                       ("comparators", u), ("dynreg_terms", term)):
+                       ("dynreg_terms", term)):
             rows[k].append(val)
     fields = {k: np.array(val) for k, val in rows.items()}
     return fields, zero, int(rng.integers(T))
@@ -282,6 +296,7 @@ class TestOneTrueGradientPerRound:
         oracle = o2nc.StochasticOracle(make_obj(), sigma=0.4)
         trace = o2nc.run_o2nc(cfg, oracle, T=300, seed=17, x0=x0)
         fields, zero, final = reference_o2nc(cfg, oracle, 300, 17, x0)
+        assert np.array_equal(iterates(trace), fields.pop("xs"))
         for key, ref in fields.items():
             assert np.array_equal(getattr(trace, key), ref), key
         assert trace.zero_comparators == zero
@@ -360,7 +375,7 @@ class TestConvergenceSmoke:
     def test_tuned_clipped_run_reduces_gradient(self):
         # scaled-down version of the full acceptance run
         obj = o2nc.clamped_quadratic(5, radius=1.0)
-        rep = adam.tune_clipped(eps=0.3, c=0.02, G=1.0, sigma=0.1, Fstar=0.5, nu=1.1)
+        rep = adam.tune("clipped", eps=0.3, c=0.02, G=1.0, sigma=0.1, Fstar=0.5, nu=1.1)
         cfg = adam.AdamConfig(
             beta1=rep.beta1, beta2=rep.beta2, gamma=rep.gamma, nu=1.1,
             variant="clipped", D=rep.D,

@@ -437,10 +437,9 @@ class TestCodecMatchesRowwiseWriters:
     def test_o2nc_trace(self, columns, deltas, comment):
         T = len(columns)
         trace = o2nc.O2ncTrace(
-            cfg=None, objective=None, x0=None, xs=None, xbars=None,
+            cfg=None, objective=None, x0=None, xbars=None,
             scalings=columns[:, 0], deltas=deltas[:T], grad_norms_at_xbar=columns[:, 1],
-            comparators=None, dynreg_terms=columns[:, 2], zero_comparators=0,
-            final_index=0,
+            dynreg_terms=columns[:, 2], zero_comparators=0, final_index=0,
         )
         assert trace.to_csv(comment) == rowwise_o2nc_csv(trace, comment)
 
