@@ -303,9 +303,13 @@ def tune(variant, eps, c, G, sigma, Fstar, nu, rho: Optional[float] = None) -> T
             32.0 * G / (eps * math.sqrt(one_minus_b1) * root)
             * math.log1p((gamma * mu + G) / nu),
         )
+    try:
+        eps_pow = eps**1.5
+    except OverflowError:
+        return infeasible(f"eps={eps} too large: eps**1.5 overflows")
     T_min = max(
         (1.0 / one_minus_b1)
-        * max(fstar_term / eps**1.5, (16.0 if clipped else 48.0) * gs / eps),
+        * max(fstar_term / eps_pow, (16.0 if clipped else 48.0) * gs / eps),
         math.log(2.0) / (1.0 - beta2),
         *margin_terms,
     )

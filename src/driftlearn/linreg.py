@@ -88,7 +88,12 @@ def _advance(
     rhs[0, :, 0] = beta * b
     rhs[1:, :, 0] = beta * b_stack[:-1]
     rhs[:, :, 1] = Z
-    sol = np.linalg.solve(A_stack, rhs)
+    try:  # a badly scaled stream can pass the factorization, yet be singular to LU
+        sol = np.linalg.solve(A_stack, rhs)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "discounted statistics are ill-conditioned; rescale the stream"
+        ) from None
     X = sol[:, :, 0]
     stab = (y * y) * (Z * sol[:, :, 1]).sum(axis=1)
     return A_stack, b_stack, X, (X * Z).sum(axis=1), stab

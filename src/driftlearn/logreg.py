@@ -12,8 +12,8 @@ forms sigma(u)sigma(-u) z z'/(1+BR) and -sigma(u) y z/(1+BR) with
 u = y*yhat, and only those are accumulated, into one regularized matrix
 Atilde_t = lam beta^t I + sum_{s<=t} beta^(t-s) eta_s g_s g_s'.
 
-The argmin reduces to one scalar equation v + q*tanh(v/2) = p solved by a
-safeguarded Newton/bisection on the bracket [p-q, p+q].
+The argmin reduces to one scalar equation v + q*tanh(v/2) = p, solved for
+|p| by Newton from a closed-form lower bound of the root.
 
 Every learner here runs on one kernel over a leading expert axis: N
 learners with their own discounts keep A as an (N, d, d) stack and w as
@@ -44,7 +44,6 @@ import numpy as np
 from driftlearn.regret import RegretLedger, path_variation, row_dots
 from driftlearn.streams import ComparatorPath, Stream, discounted_scan
 
-ROOT_TOL = 1e-12
 ROOT_MAX_ITERS = 200
 
 # Multiplies x into the stack [-x, x]; see _sigmoid_pm.
@@ -103,13 +102,6 @@ def logistic_loss(yhat: float, y: float) -> float:
     return float(np.logaddexp(0.0, -y * yhat))
 
 
-def logistic_grad(x: np.ndarray, z: np.ndarray, y: float) -> np.ndarray:
-    """Gradient of x -> l(x.z, y): -y * sigma(-y * x.z) * z."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return -y * sigmoid(-y * float(x @ z)) * z
-
-
 class RootNotConvergedError(RuntimeError):
     """The optimism root finder used up ROOT_MAX_ITERS iterations."""
 
@@ -117,48 +109,31 @@ class RootNotConvergedError(RuntimeError):
 def solve_optimism_root(p: float, q: float) -> float:
     """Root of v + q*tanh(v/2) = p with q >= 0.
 
-    Since |tanh| <= 1 the root lies in [p-q, p+q]; a Newton iteration is
-    safeguarded by that bracket (the map is strictly increasing) and gives
-    way to a bisection step whenever the last step failed to halve the
-    residual, which stops Newton from bouncing across the inflection at
-    v = 0 when q is large.  It stops at |residual| <= ROOT_TOL or when the
-    step falls below the spacing of doubles, and the root it returns meets
-    |residual| <= ROOT_TOL * max(1, |p|): doubles near p are about
-    2.2e-16 |p| apart, so an absolute 1e-12 is out of reach once |p| is
-    above about 1e4.  Raises :class:`RootNotConvergedError` when that target
-    is not met within ROOT_MAX_ITERS iterations.
+    The root is odd in p, so this solves f(v) = v + q*tanh(v/2) - |p| = 0,
+    which is increasing and concave on v >= 0, and applies the sign of p.
+    Both |p|/(1 + q/2) (tanh x <= x) and |p| - q (tanh < 1) lie below the
+    root, so Newton starts at the larger of the two and climbs without
+    overshooting.  It stops at the first step that does not move v up
+    (f' >= 1, so that is f(v) >= 0 or a step below the spacing of doubles),
+    which leaves v in [p-q, p+q] and a residual of a few units in the last
+    place of p.  Raises :class:`RootNotConvergedError` when no step stops it
+    within ROOT_MAX_ITERS iterations (p = nan).
     """
     if q < 0.0:
         raise ValueError(f"curvature scalar q must be >= 0, got {q}")
-    if q == 0.0:
-        return p
-    lo, hi = p - q, p + q
-    v = min(max(p, lo), hi)
-    r_prev = math.inf
+    a = abs(p)
+    v = max(a / (1.0 + 0.5 * q), a - q)
     for _ in range(ROOT_MAX_ITERS):
         th = math.tanh(0.5 * v)
-        r = v + q * th - p
-        if abs(r) <= ROOT_TOL:
-            return v
-        if r > 0.0:
-            hi = v
-        else:
-            lo = v
         # d/dv [q tanh(v/2)] = q sech^2(v/2)/2, written through th so it
-        # cannot overflow for large |v|
-        v_new = v - r / (1.0 + 0.5 * q * (1.0 - th * th))
-        if not (lo < v_new < hi) or abs(r) > 0.5 * abs(r_prev):
-            v_new = 0.5 * (lo + hi)
-        r_prev = r
-        if v_new == v:  # the step is below the spacing of doubles at v
-            break
+        # cannot overflow for large v
+        v_new = v - (v + q * th - a) / (1.0 + 0.5 * q * (1.0 - th * th))
+        if v_new <= v:  # f(v) >= 0, or the step is below the spacing at v
+            return math.copysign(v, p)
         v = v_new
-    r = v + q * math.tanh(0.5 * v) - p
-    if abs(r) <= ROOT_TOL * max(1.0, abs(p)):
-        return v
     raise RootNotConvergedError(
-        f"optimism root v + q*tanh(v/2) = p not found for p={p!r}, q={q!r}: "
-        f"residual {r!r} after {ROOT_MAX_ITERS} iterations"
+        f"optimism root v + q*tanh(v/2) = p not found for p={p!r}, q={q!r} "
+        f"after {ROOT_MAX_ITERS} iterations"
     )
 
 

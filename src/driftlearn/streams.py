@@ -134,18 +134,6 @@ def _phase_ends(T: int, segments: int) -> list[int]:
     return [-(-T * k // segments) for k in range(1, segments + 1)]  # ceil division
 
 
-def segment_index(t: int, T: int, segments: int) -> int:
-    """0-based drift-phase index of round ``t`` (1-based).
-
-    Round t lies in phase k (0-based) iff ceil(T*k/segments) < t <=
-    ceil(T*(k+1)/segments).
-    """
-    for k, end in enumerate(_phase_ends(T, segments)):
-        if t <= end:
-            return k
-    return segments - 1
-
-
 def _truth_matrix(spec: StreamSpec, rng: np.random.Generator) -> np.ndarray:
     T, d = spec.T, spec.d
     if spec.kind == "rotating-target":

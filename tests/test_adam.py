@@ -315,6 +315,13 @@ class TestUnrepresentableTuning:
         needs = "eps sqrt(1-rho^2) < 64(G+sigma)" if "margin" in form else "eps < 16(G+sigma)"
         assert not rep.feasible and rep.reason == f"eps=1e+200 too large: needs {needs}"
 
+    @pytest.mark.parametrize("form", TUNERS)
+    def test_eps_whose_power_overflows_is_infeasible(self, form):
+        # eps^1.5 in T_min is above the largest double
+        rep = TUNERS[form](1e299, 1.0, 1e300, 0.0, 1.0, 1e300)
+        assert not rep.feasible and rep.reason == "eps=1e+299 too large: eps**1.5 overflows"
+        assert adam.verify_report(rep) == []
+
     def test_unknown_variant_is_rejected(self):
         with pytest.raises(ValueError, match="clipped or clip-free, got 'clipfree'"):
             adam.tune("clipfree", 0.1, 1.0, 1.0, 0.1, 1.0, 0.5)

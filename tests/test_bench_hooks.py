@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from driftlearn import o2nc, regret, streams
+from driftlearn import logreg, o2nc, regret, streams
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 T = 60
@@ -75,4 +75,7 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
     assert steps[2].summary["checks"] and (tmp_path / "vaw.trace.csv").exists()
     assert tracer.counts["regret.loss_rows"] > 0
     assert tracer.counts["o2nc.loop_grad_calls"] == 2 * T
+    # logreg.root_calls is one root per expert and round: AIOLI's, then the grid pool's
+    spans = importlib.import_module("layers").JobSpans(tracer, 0)
+    assert spans.calls("logreg.solve_optimism_root") == T * (1 + logreg.build_grid(1, 1, 2, T).n)
     assert still_wrapped(tracing.LAYERS) == []

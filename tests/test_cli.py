@@ -7,6 +7,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from driftlearn import cli, logreg, streams
 
@@ -333,6 +334,8 @@ class TestSeedsAndOverflow:
         [
             (["run-vaw", "--beta", "0.9"], "t,y,z_0\n1,1e160,1e-200\n2,1.0,1.0\n",
              "discounted statistics overflowed; rescale the stream"),
+            (["run-vaw"], "t,y,z_0,z_1\n1,-1e40,-1e40,-1e40\n",
+             "discounted statistics are ill-conditioned; rescale the stream"),
             (["run-aioli"], "t,y,z_0\n1,1.0,1e200\n2,1.0,1.0\n",
              "surrogate statistics overflowed; rescale the stream"),
             (["run-ensemble", "--betas", "0.5,0.9"], "t,y,z_0\n1,1.0,1e200\n2,1.0,1.0\n",
@@ -342,8 +345,8 @@ class TestSeedsAndOverflow:
             (["run-ensemble", "--betas", "0.5,0.9"], ILL_SCALED,
              "surrogate statistics are ill-conditioned; rescale the stream"),
         ],
-        ids=["vaw-label", "aioli-feature", "ensemble-feature", "aioli-ill-scaled",
-             "ensemble-ill-scaled"],
+        ids=["vaw-label", "vaw-ill-scaled", "aioli-feature", "ensemble-feature",
+             "aioli-ill-scaled", "ensemble-ill-scaled"],
     )
     def test_overflow_in_the_learner_is_one_error_line_without_warning(
         self, capsys, tmp_path, argv, text, message
@@ -356,6 +359,18 @@ class TestSeedsAndOverflow:
         assert_one_error_line(code, err)
         assert err == f"error: {message}\n" and stdout == ""
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+    # In round 2, q (about 1e76) is far above |p| (about 5e37), and the root
+    # is about 1e-38.  The feature 1e38 breaks the bound's R = 1, so
+    # run-aioli's checks fail.
+    @pytest.mark.parametrize("argv, expected", [(["run-aioli"], 2), (["run-ensemble"], 0)])
+    def test_root_with_q_far_above_p_is_found(self, capsys, tmp_path, argv, expected):
+        stream = tmp_path / "s.csv"
+        stream.write_text("t,y,z_0\n1,1.0,1.0\n2,1.0,1e38\n3,1.0,1.0\n")
+        code, stdout, err = run_cli(capsys, *argv, "--stream", str(stream))
+        assert (code, err) == (expected, "")
+        json.loads(stdout)
 
 
 class TestRunEnsemble:
@@ -487,6 +502,14 @@ class TestTuneAdam:
         assert rep["beta1"] is None and rep["T_min"] is None  # NaN placeholders
         assert rep["checks"]["resubstitution"]
 
+    def test_eps_whose_power_overflows_is_an_infeasible_report(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "tune-adam", "--eps", "1e299", "--c", "1", "--G", "1e300",
+            "--sigma", "0", "--Fstar", "1", "--nu", "1e300",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(stdout)["reason"] == "eps=1e+299 too large: eps**1.5 overflows"
+
 
 class TestStrictJson:
     @pytest.mark.parametrize(
@@ -538,6 +561,35 @@ class TestVerifyLemmas:
         assert list(json.loads(stdout)["verdicts"]) == ["mixability"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# Stream entries across the whole float range: 0 or +-[1, 1.8) * 10^k, as text.
+ENTRY = st.one_of(
+    st.just("0"),
+    st.builds(
+        lambda sign, m, k: f"{sign}{m!r}e{k}",
+        st.sampled_from(["", "-"]), st.floats(1.0, 1.8, exclude_max=True),
+        st.integers(-308, 308),
+    ),
+)
+
+
+@st.composite
+def stream_commands(draw):
+    """A stream-reading subcommand and a stream for it: d 1-3, T 1-6, labels
+    +-1 for the logistic learners and any entry for VAW."""
+    command = draw(st.sampled_from(["run-vaw", "run-aioli", "run-ensemble"]))
+    d, T = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    label = ENTRY if command == "run-vaw" else st.sampled_from(["1.0", "-1.0"])
+    lines = ["t,y," + ",".join(f"z_{i}" for i in range(d))]
+    for t in range(1, T + 1):
+        row = [draw(label)] + [draw(ENTRY) for _ in range(d)]
+        lines.append(f"{t}," + ",".join(row))
+    return command, "\n".join(lines) + "\n"
+
+
 class TestExitCodeContract:
     def test_passing_checks_exit_zero(self):
         assert cli._checks_exit({"checks": {"a": True, "b": True}}) == 0
@@ -545,6 +597,29 @@ class TestExitCodeContract:
 
     def test_failed_check_exits_two(self):
         assert cli._checks_exit({"checks": {"a": True, "b": False}}) == 2
+
+    # Exit 1 is one error line and leaves no file behind; exits 0 and 2 print
+    # strict JSON and nothing on stderr.  The examples share tmp_path, so
+    # each starts by clearing the outputs of the one before.
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=stream_commands())
+    def test_stream_commands_exit_cleanly(self, capsys, tmp_path, case):
+        command, text = case
+        stream = tmp_path / "s.csv"
+        out = tmp_path / "o.csv"
+        summary = out.with_suffix(".summary.json")
+        stream.write_text(text)
+        out.unlink(missing_ok=True)
+        summary.unlink(missing_ok=True)
+        code, stdout, err = run_cli(capsys, command, "--stream", str(stream), "--out", str(out))
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert_one_error_line(code, err)
+            assert "optimism root" not in err and stdout == ""
+            assert not out.exists() and not summary.exists()
+        else:
+            assert err == ""
+            json.loads(stdout, parse_constant=_reject_constant)
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
@@ -35,6 +35,16 @@ def logistic_stream(rng, T=80, d=3, segments=2, noise=0.3, B=1.0, R=1.0):
         seed=seed, R=R, B=B,
     )
     return gen_stream(spec)
+
+
+def logistic_grad(x, z, y):
+    """Gradient of x -> l(x.z, y): -y * sigma(-y * x.z) * z."""
+    return -y * float(expit(-y * float(x @ z))) * z
+
+
+# The optimism root's residual target: doubles near p are about 2.2e-16 |p|
+# apart, so an absolute 1e-12 is out of reach once |p| is above about 1e4.
+ROOT_TOL = 1e-12
 
 
 def ulps_apart(a, b):
@@ -89,11 +99,16 @@ class TestLoss:
         assert np.isfinite(loss)
 
     def test_gradient_at_origin(self):
+        # the first update from x = 0 stores -g, the true gradient, as w
         z = np.array([0.5, -1.0])
         for y in (1.0, -1.0):
             np.testing.assert_allclose(
-                logreg.logistic_grad(np.zeros(2), z, y), -y * 0.5 * z, rtol=1e-15
+                logistic_grad(np.zeros(2), z, y), -y * 0.5 * z, rtol=1e-15
             )
+            experts = one_expert(2, 0.9)
+            X, yhats, q = experts.decide(z)
+            experts.absorb(z, y, X, yhats, q)
+            np.testing.assert_allclose(experts.w[0], -logistic_grad(X[0], z, y), rtol=1e-15)
 
 
 class TestScalarSolve:
@@ -128,7 +143,7 @@ class TestScalarSolve:
     )
     def test_meets_scaled_target_where_iterations_used_to_run_out(self, p, q):
         v = logreg.solve_optimism_root(p, q)
-        assert abs(v + q * math.tanh(v / 2) - p) <= logreg.ROOT_TOL * max(1.0, abs(p))
+        assert abs(v + q * math.tanh(v / 2) - p) <= ROOT_TOL * max(1.0, abs(p))
         assert p - q <= v <= p + q
 
     def test_running_out_of_iterations_raises(self, monkeypatch):
@@ -139,11 +154,14 @@ class TestScalarSolve:
             logreg.solve_optimism_root(2.0, 1.0)
         assert issubclass(logreg.RootNotConvergedError, RuntimeError)
 
-    @given(p=st.floats(-1e8, 1e8), q=st.floats(0.0, 1e4))
+    # Above 1e300 the residual v + q*tanh(v/2) below can itself overflow.
+    @given(p=st.floats(-1e300, 1e300), q=st.floats(0.0, 1e300))
+    @example(p=4.878048780487805e+37, q=1.084010840108401e+76)  # q >> |p|
+    @example(p=191.0, q=71.0)  # |p|/(1 + q/2) alone is one ulp below p - q
     def test_root_in_bracket_meets_scaled_target(self, p, q):
         v = logreg.solve_optimism_root(p, q)
         assert p - q <= v <= p + q
-        assert abs(v + q * math.tanh(v / 2) - p) <= logreg.ROOT_TOL * max(1.0, abs(p))
+        assert abs(v + q * math.tanh(v / 2) - p) <= ROOT_TOL * max(1.0, abs(p))
 
 
 def one_expert(d, beta, lam=1.0, B=1.0, R=1.0):

@@ -127,6 +127,13 @@ def table(columns, elements=FINITE, max_rows=12):
 COMMENTS = st.sampled_from([None, "", "driftlearn gen config_hash=abc seed=3"])
 
 
+def segment_index(t, T, S):
+    """0-based drift phase of round t (1-based), one round at a time: the
+    first phase whose last round, as ``streams._phase_ends`` gives it, is at
+    or after t."""
+    return next(k for k, end in enumerate(streams._phase_ends(T, S)) if t <= end)
+
+
 class TestGenStream:
     def test_zero_noise_single_segment_is_exactly_realizable(self):
         spec = streams.StreamSpec(d=1, T=20, segments=1, noise=0.0, seed=5, B=2.0)
@@ -159,7 +166,7 @@ class TestGenStream:
                 expected = next(
                     k - 1 for k in range(1, S + 1) if t <= math.ceil(T * k / S)
                 )
-                assert streams.segment_index(t, T, S) == expected
+                assert segment_index(t, T, S) == expected
 
     @pytest.mark.parametrize("T, S", [(10, 2), (10, 3), (7, 7), (100, 4), (5, 1),
                                       (3, 8), (1, 3), (4000, 8), (997, 13)])
@@ -168,7 +175,7 @@ class TestGenStream:
         spec = streams.StreamSpec(d=3, T=T, segments=S, seed=T + S)
         _, truth = streams.gen_stream(spec)
         targets = streams._sphere(streams.philox_rng(spec.seed), S, 3, spec.B)
-        seg = [streams.segment_index(t, T, S) for t in range(1, T + 1)]
+        seg = [segment_index(t, T, S) for t in range(1, T + 1)]
         assert np.array_equal(truth.U, targets[seg])
 
     def test_feature_and_target_norms_are_exact(self):
