@@ -93,9 +93,23 @@ def eta_t(cfg: AdamConfig, state: AdamState) -> float:
     return cfg.gamma * (1.0 - cfg.beta1) * state.beta1_pow / denom
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x|, equal to math.sqrt(x @ x) bit for bit wherever x @ x is finite.
+
+    ``np.vdot`` runs the same dot as ``x @ x`` but raises no overflow warning.
+    Past |x| of about 1.3e154 the squares overflow, and |x| is taken from x
+    scaled by its largest entry instead; an inf or nan entry gives inf or nan.
+    """
+    sq = np.vdot(x, x)
+    if sq < math.inf:
+        return math.sqrt(sq)
+    m = float(np.abs(x).max())
+    return m * math.sqrt(np.vdot(x / m, x / m)) if 0.0 < m < math.inf else m
+
+
 def clip_to_ball(a: np.ndarray, radius: float) -> np.ndarray:
     """Radial clip min(|a|, D) a/|a|, with 0 mapped to 0."""
-    norm = math.sqrt(a @ a)
+    norm = _norm(a)
     if norm <= radius or norm == 0.0:
         return a
     return (radius / norm) * a
@@ -307,6 +321,10 @@ def tune(variant, eps, c, G, sigma, Fstar, nu, rho: Optional[float] = None) -> T
         eps_pow = eps**1.5
     except OverflowError:
         return infeasible(f"eps={eps} too large: eps**1.5 overflows")
+    if eps_pow == 0.0:
+        return infeasible(f"eps={eps} too small: eps**1.5 underflows")
+    if gs * gs / (1.0 - beta2) == math.inf:  # the bound on Adam's second moment v
+        return infeasible(f"G+sigma={gs} too large: (G+sigma)**2/(1-beta2) overflows")
     T_min = max(
         (1.0 / one_minus_b1)
         * max(fstar_term / eps_pow, (16.0 if clipped else 48.0) * gs / eps),

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from driftlearn.adam import AdamConfig, AdamState, adam_update, delta_for
+from driftlearn.adam import AdamConfig, AdamState, _norm, adam_update, delta_for
 from driftlearn.streams import csv_text, philox_rng
 
 
@@ -56,14 +56,14 @@ def clamped_quadratic(dim: int, radius: float = 1.0) -> Objective:
     """
 
     def value(x: np.ndarray) -> float:
-        r = float(np.linalg.norm(x))
+        r = _norm(x)
         if r <= radius:
             return 0.5 * r * r
         return radius * r - 0.5 * radius * radius
 
     def grad(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        r = math.sqrt(x @ x)
+        r = _norm(x)
         if r <= radius or r == 0.0:
             return x.copy()
         return (radius / r) * x
@@ -75,11 +75,11 @@ def euclidean_norm(dim: int) -> Objective:
     """F(x) = |x|; non-smooth at the origin, 1-Lipschitz."""
 
     def value(x: np.ndarray) -> float:
-        return float(np.linalg.norm(x))
+        return _norm(x)
 
     def grad(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        r = math.sqrt(x @ x)
+        r = _norm(x)
         if r == 0.0:
             return np.zeros(dim)
         return x / r
@@ -125,7 +125,7 @@ class StochasticOracle:
 
     def perturb(self, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """The stochastic gradient drawn around the true gradient ``g``."""
-        gap = self.objective.lipschitz - math.sqrt(g @ g)
+        gap = self.objective.lipschitz - _norm(g)
         direction = rng.standard_normal(self.objective.dim)
         nd = math.sqrt(direction @ direction)
         magnitude = min(self.sigma * abs(float(rng.standard_normal())), max(gap, 0.0))
@@ -219,13 +219,13 @@ def run_o2nc(
         x = x + s_t * delta
         true_g = obj.grad(x)
         g = oracle.perturb(true_g, rng)
-        gnorm = math.sqrt(g @ g)
+        gnorm = _norm(g)
         if gnorm > G * (1.0 + 1e-9) + 1e-12:
             raise OracleBoundError(
                 f"round {t}: |g|={gnorm} exceeds declared bound G={G}"
             )
         acc = cfg.beta1 * acc + true_g
-        acc_norm = math.sqrt(acc @ acc)
+        acc_norm = _norm(acc)
         if acc_norm > 0.0:
             u = -cfg.D * acc / acc_norm
         else:
@@ -242,7 +242,7 @@ def run_o2nc(
         scalings[i] = s_t
         deltas[i] = delta
         g_bar = obj.grad(xbar)
-        grad_norms[i] = math.sqrt(g_bar @ g_bar)
+        grad_norms[i] = _norm(g_bar)
         dynreg[i] = term
 
     final_index = int(rng.integers(T))

@@ -322,6 +322,22 @@ class TestUnrepresentableTuning:
         assert not rep.feasible and rep.reason == "eps=1e+299 too large: eps**1.5 overflows"
         assert adam.verify_report(rep) == []
 
+    @pytest.mark.parametrize("form", TUNERS)
+    def test_eps_whose_power_underflows_is_infeasible(self, form):
+        # eps^1.5 in T_min's denominator is below the smallest double
+        rep = TUNERS[form](1e-217, 1.0, 1e-212, 0.0, 1.0, 1e-212)
+        assert not rep.feasible and rep.reason == "eps=1e-217 too small: eps**1.5 underflows"
+        assert adam.verify_report(rep) == []
+
+    @pytest.mark.parametrize("form", TUNERS)
+    def test_gradients_whose_second_moment_overflows_are_infeasible(self, form):
+        # |g|^2 <= (G+sigma)^2, so Adam's v stays below (G+sigma)^2/(1-beta2),
+        # which is above the largest double here
+        rep = TUNERS[form](1e154, 1.0, 1e155, 0.0, 1.0, 1e155)
+        assert not rep.feasible
+        assert rep.reason == "G+sigma=1e+155 too large: (G+sigma)**2/(1-beta2) overflows"
+        assert adam.verify_report(rep) == []
+
     def test_unknown_variant_is_rejected(self):
         with pytest.raises(ValueError, match="clipped or clip-free, got 'clipfree'"):
             adam.tune("clipfree", 0.1, 1.0, 1.0, 0.1, 1.0, 0.5)

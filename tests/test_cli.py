@@ -469,6 +469,37 @@ class TestRunO2nc:
         assert f"error: tuning infeasible: eps={float(eps)} too small" in err
         assert stdout == ""
 
+    def test_far_start_point_has_a_finite_value(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "run-o2nc", "--x0-scale", "1e160", "--T", "5", "--seed", "1", "--dim", "3"
+        )
+        summary = json.loads(stdout)
+        assert code == 0 and err == ""
+        assert summary["tuning"]["Fstar"] == 1e160 - 0.5
+        assert summary["grad_norm_at_x0"] == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--G", "1.0e155"], "G+sigma=1e+155 too large"),
+        (["--eps", "1e-217", "--G", "1e-212", "--sigma", "0", "--nu", "1e-212"],
+         "eps=1e-217 too small: eps**1.5 underflows"),
+    ])
+    def test_unrepresentable_tuning_is_one_error_line(self, capsys, flags, reason):
+        # the first once overflowed the oracle's gradient norm, the second
+        # divided by eps**1.5 = 0
+        code, stdout, err = run_cli(
+            capsys, "run-o2nc", "--T", "1", "--dim", "1", "--seed", "0", *flags)
+        assert_one_error_line(code, err)
+        assert f"error: tuning infeasible: {reason}" in err and stdout == ""
+
+    def test_huge_scale_reaches_the_tuner_without_warning(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "run-o2nc", "--eps", "1e299", "--c", "1", "--G", "1e300", "--sigma", "0",
+            "--Fstar", "1", "--nu", "1e300", "--T", "5",
+        )
+        assert_one_error_line(code, err)
+        assert "error: tuning infeasible: eps=1e+299 too large: eps**1.5 overflows" in err
+        assert stdout == ""
+
 
 class TestTuneAdam:
     def test_report_satisfies_resubstitution(self, capsys):
@@ -590,6 +621,58 @@ def stream_commands(draw):
     return command, "\n".join(lines) + "\n"
 
 
+# A positive parameter across the whole float range: [1, 1.8) * 10^k, as text.
+MAGNITUDE = st.builds(
+    lambda m, k: f"{m!r}e{k}", st.floats(1.0, 1.8, exclude_max=True), st.integers(-308, 308)
+)
+O2NC_PARAMETERS = {
+    "eps": MAGNITUDE, "c": MAGNITUDE, "G": MAGNITUDE, "Fstar": MAGNITUDE, "nu": MAGNITUDE,
+    "sigma": st.one_of(st.just("0"), MAGNITUDE),
+    "rho": st.one_of(st.just("0"), st.floats(0.0, 1.0, exclude_max=True).map(repr),
+                     MAGNITUDE.filter(lambda text: float(text) < 1.0)),
+}
+
+
+@st.composite
+def tuning_commands(draw):
+    """run-o2nc or tune-adam with both variants and, for run-o2nc, every
+    objective, dim 1-3 and T 1-4.  tune-adam takes every parameter and
+    run-o2nc a drawn subset (the rest keep their defaults); rho is set or not
+    on both, and run-o2nc may set --x0-scale too."""
+    command = draw(st.sampled_from(["run-o2nc", "tune-adam"]))
+    argv = [command, "--variant", draw(st.sampled_from(["clipped", "clipfree"]))]
+    names = ["eps", "c", "G", "sigma", "Fstar", "nu"]
+    if command == "run-o2nc":
+        argv += ["--objective", draw(st.sampled_from(["quadratic", "norm", "maxaffine"])),
+                 "--dim", str(draw(st.integers(1, 3))), "--T", str(draw(st.integers(1, 4))),
+                 "--seed", str(draw(st.integers(0, 2**32)))]
+        names = [n for n in names if draw(st.booleans())]
+        if draw(st.booleans()):
+            argv += ["--x0-scale", draw(st.one_of(st.just("0"), MAGNITUDE))]
+    if draw(st.booleans()):
+        names.append("rho")
+    for name in names:
+        argv += [f"--{name}", draw(O2NC_PARAMETERS[name])]
+    return argv
+
+
+def assert_clean_exit(capsys, argv, out):
+    """Exit 1 is one error line and leaves no file behind; exits 0 and 2
+    print strict JSON and nothing on stderr."""
+    summary = out.with_suffix(".summary.json")
+    out.unlink(missing_ok=True)
+    summary.unlink(missing_ok=True)
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert_one_error_line(code, err)
+        assert "optimism root" not in err and stdout == ""
+        assert not out.exists() and not summary.exists()
+    else:
+        assert err == ""
+        json.loads(stdout, parse_constant=_reject_constant)
+
+
 class TestExitCodeContract:
     def test_passing_checks_exit_zero(self):
         assert cli._checks_exit({"checks": {"a": True, "b": True}}) == 0
@@ -598,28 +681,20 @@ class TestExitCodeContract:
     def test_failed_check_exits_two(self):
         assert cli._checks_exit({"checks": {"a": True, "b": False}}) == 2
 
-    # Exit 1 is one error line and leaves no file behind; exits 0 and 2 print
-    # strict JSON and nothing on stderr.  The examples share tmp_path, so
-    # each starts by clearing the outputs of the one before.
+    # The examples share tmp_path, so assert_clean_exit starts by clearing
+    # the outputs of the one before.
     @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=stream_commands())
     def test_stream_commands_exit_cleanly(self, capsys, tmp_path, case):
         command, text = case
         stream = tmp_path / "s.csv"
-        out = tmp_path / "o.csv"
-        summary = out.with_suffix(".summary.json")
         stream.write_text(text)
-        out.unlink(missing_ok=True)
-        summary.unlink(missing_ok=True)
-        code, stdout, err = run_cli(capsys, command, "--stream", str(stream), "--out", str(out))
-        assert code in (0, 1, 2)
-        if code == 1:
-            assert_one_error_line(code, err)
-            assert "optimism root" not in err and stdout == ""
-            assert not out.exists() and not summary.exists()
-        else:
-            assert err == ""
-            json.loads(stdout, parse_constant=_reject_constant)
+        assert_clean_exit(capsys, [command, "--stream", str(stream)], tmp_path / "o.csv")
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=tuning_commands())
+    def test_tuning_commands_exit_cleanly(self, capsys, tmp_path, argv):
+        assert_clean_exit(capsys, argv, tmp_path / "o.csv")
 
 
 class TestDeterminism:

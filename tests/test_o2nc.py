@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from driftlearn import adam, o2nc
 
@@ -340,6 +341,34 @@ class TestObjectiveZoo:
             h = 1e-7 * rng.standard_normal(2)
             # first-order expansion along the active piece
             assert obj.value(x + h) >= obj.value(x) + g @ h - 1e-12
+
+
+class TestOverflowFreeNorm:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    def test_dot_wherever_it_is_finite_and_hypot_past_it(self, entries):
+        x = np.array(entries)
+        with np.errstate(over="ignore"):
+            sq = x @ x
+        if math.isfinite(sq):
+            assert adam._norm(x) == math.sqrt(sq)
+        else:
+            assert math.isclose(adam._norm(x), math.hypot(*entries), rel_tol=1e-14)
+
+    def test_non_finite_entries(self):
+        assert adam._norm(np.array([1.0, -math.inf])) == math.inf
+        assert math.isnan(adam._norm(np.array([math.nan, 1e300])))
+
+    @pytest.mark.parametrize("make, value", [
+        (lambda: o2nc.clamped_quadratic(3, radius=2.0), 2.0 * 3e160 - 2.0),
+        (lambda: o2nc.euclidean_norm(3), 3e160),
+    ])
+    def test_far_point_keeps_its_gradient_and_value(self, make, value):
+        # |x| = 3e160: x @ x overflows, which once made the gradient 0 and
+        # the value inf
+        obj = make()
+        x = np.array([1e160, -2e160, 2e160])
+        np.testing.assert_allclose(obj.grad(x), obj.lipschitz * x / 3e160, rtol=1e-15)
+        assert obj.value(x) == pytest.approx(value, rel=1e-15)
 
 
 class TestStationaritySurrogate:

@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from driftlearn import regret
 from driftlearn.streams import ComparatorPath, csv_text, geometric_weights
@@ -378,22 +381,45 @@ class TestPathLengthLemma:
             )
 
 
+# Block budgets of the squared-loss kernel: one round a block, the module's
+# own, and one block for every round these tests request.
+BUDGETS = pytest.mark.parametrize(
+    "budget", [0, None, 10**9], ids=["one-round-blocks", "default", "one-block"])
+
+
+@contextlib.contextmanager
+def squared_loss_kernel(budget):
+    """Run the squared-loss kernel with ``budget`` (None: the module's own)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(regret, "_BLOCK_FLOATS", budget)
+        yield
+
+
+def assert_regrets_match_oracle(ledger, path, upto):
+    """R_t(u_t) and R_t(u_{t+1}) against direct sums, for rounds t < upto."""
+    diag, ahead = regret._regrets_along_path(ledger, path)
+    for t in range(1, upto):
+        ref = oracle_regret(ledger, t, path[t - 1])
+        assert abs(diag[t - 1] - ref) <= ORACLE_RTOL * (1.0 + abs(ref))
+        if t < ledger.T:
+            ref = oracle_regret(ledger, t, path[t])
+            assert abs(ahead[t - 1] - ref) <= ORACLE_RTOL * (1.0 + abs(ref))
+
+
 class TestOracleAgreement:
+    @BUDGETS
     @given(case=fuzz_cases, lam=st.sampled_from([None, 0.7]))
-    def test_squared_loss_ledgers(self, case, lam):
+    @example(case={"seed": 1, "T": 1, "d": 3, "beta": 0.5, "moving": True}, lam=0.7)
+    @example(case={"seed": 2, "T": 40, "d": 6, "beta": 0.9, "moving": True}, lam=None)
+    def test_squared_loss_ledgers(self, budget, case, lam):
         rng = np.random.default_rng(case["seed"])
         T, d, beta = case["T"], case["d"], case["beta"]
         ledger = random_quadratic_ledger(rng, T, d, beta=beta, lam=lam)
         path = fuzz_path(rng, T, d, case["moving"])
-        self._agree(ledger, path)
-        # the closed form R_t(u) against direct sums, term by term
-        diag, ahead = regret._regrets_along_path(ledger, path)
-        for t in range(1, T + 1):
-            ref = oracle_regret(ledger, t, path[t - 1])
-            assert abs(diag[t - 1] - ref) <= ORACLE_RTOL * (1.0 + abs(ref))
-            if t < T:
-                ref = oracle_regret(ledger, t, path[t])
-                assert abs(ahead[t - 1] - ref) <= ORACLE_RTOL * (1.0 + abs(ref))
+        with squared_loss_kernel(budget):
+            self._agree(ledger, path)
+            assert_regrets_match_oracle(ledger, path, T + 1)
 
     @given(case=fuzz_cases, batch=st.booleans())
     def test_non_squared_ledger(self, case, batch):
@@ -422,6 +448,53 @@ class TestOracleAgreement:
         assert regret.ft_difference_term(ledger, path) == 0.0
         assert regret.path_variation(ledger, path, 0.5).value == 0.0
         assert calls == []
+
+    @BUDGETS
+    def test_constant_path_requests_no_round(self, budget):
+        rng = np.random.default_rng(26)
+        ledger = random_quadratic_ledger(rng, 30, 3, beta=0.8, lam=1.0)
+        with squared_loss_kernel(budget):
+            value = regret.ft_difference_term(ledger, ComparatorPath.constant(np.ones(3), 30))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_blocks_follow_the_budget(self, monkeypatch):
+        ledger = random_quadratic_ledger(np.random.default_rng(27), 30, 3, beta=0.9)
+        rounds = np.arange(1, 31)
+
+        def blocks():
+            return [b for b, *_ in regret._squared_loss_blocks(ledger, rounds)]
+
+        monkeypatch.setattr(regret, "_BLOCK_FLOATS", 0)
+        assert blocks() == [slice(i, i + 1) for i in range(30)]
+        monkeypatch.setattr(regret, "_BLOCK_FLOATS", 10**9)
+        assert blocks() == [slice(0, 30)]
+
+    # A row whose products overflow, or that holds an inf, makes the later
+    # statistics non-finite.  The rounds before it keep their values: a block
+    # that spans the row gives them a zero weight for it, and 0 * inf is nan.
+    @BUDGETS
+    @pytest.mark.parametrize("field, value", [
+        ("Z", 1e300), ("Z", math.inf), ("y", 1e200), ("y", -math.inf), ("play", math.inf),
+    ])
+    @pytest.mark.parametrize("row", [12, 11])  # 1-based, of T = 12
+    def test_overflowing_row_leaves_earlier_rounds_finite(self, budget, field, value, row):
+        rng = np.random.default_rng(28)
+        clean = random_quadratic_ledger(rng, 12, 3, beta=0.8, lam=0.5)
+        path = ComparatorPath(rng.standard_normal((12, 3)))
+        Z, y = (a.copy() for a in clean.squared_loss)
+        play = clean.losses_at_play.copy()
+        columns = {"Z": Z[:, 0], "y": y, "play": play}  # views of the copies
+        columns[field][row - 1] = value
+        # the loss rows stay clean: the oracles see rows < row only
+        ledger = dataclasses.replace(clean, losses_at_play=play, squared_loss=(Z, y))
+        with squared_loss_kernel(budget), np.errstate(over="ignore", invalid="ignore"):
+            diffs = regret._f_differences(ledger, path)  # rounds 1..T-1
+            assert np.isfinite(diffs[: row - 1]).all()
+            for t in range(1, row):
+                hi = oracle_ft_value(ledger, t, path[t])
+                lo = oracle_ft_value(ledger, t, path[t - 1])
+                assert abs(diffs[t - 1] - (hi - lo)) <= ORACLE_RTOL * (abs(hi) + abs(lo))
+            assert_regrets_match_oracle(ledger, path, row)
 
     def test_nan_comparator_counts_as_a_move(self):
         rng = np.random.default_rng(20)
@@ -512,3 +585,27 @@ class TestIdentityGapIndependence:
         Z, y = ledger.squared_loss
         with pytest.raises(ValueError):
             dataclasses.replace(ledger, squared_loss=(Z[:4], y[:4]))
+
+
+class TestSquaredLossMemory:
+    # On a path that moves every round, the evaluators hold a few T-length
+    # arrays (the moved rounds and their differences, or the two regret
+    # columns, and the row sums that find non-finite rows) besides one
+    # block's temporaries.  Those stay within the block budget, and with the
+    # Gram stacks of the block before and of its decayed start, within three
+    # budgets.  A Python list with an entry per round takes about 36 bytes a
+    # round and breaks the bound.
+    @pytest.mark.parametrize("evaluator", [regret.ft_difference_term, regret.d2d_identity_gap])
+    def test_peak_is_a_few_arrays_plus_the_block_budget(self, evaluator):
+        T, d = 8000, 20
+        rng = np.random.default_rng(29)
+        ledger = random_quadratic_ledger(rng, T, d, beta=0.99, lam=1.0)
+        path = ComparatorPath(rng.standard_normal((T, d)))
+        evaluator(ledger, path)
+        tracemalloc.start()
+        try:
+            evaluator(ledger, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (4 * T + 3 * regret._BLOCK_FLOATS)
