@@ -488,7 +488,12 @@ def cmd_run_o2nc(values: dict) -> int:
         G = objective.lipschitz
     x0_scale = values["x0_scale"] if values["x0_scale"] is not None else G
     x0 = x0_scale / math.sqrt(dim) * np.ones(dim)
-    g0 = o2nc.euclidean_norm(dim).value(objective.grad(x0))  # |grad F(x0)|, without overflow
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            grad0 = objective.grad(x0)
+        except FloatingPointError:  # max-affine: A @ x0 leaves the floats
+            raise UsageError(f"x0_scale: F(x0) is not finite at x0_scale={x0_scale!r}") from None
+    g0 = o2nc.euclidean_norm(dim).value(grad0)  # |grad F(x0)|, without overflow
     eps = values["eps"] if values["eps"] is not None else max(0.3 * g0, 1e-6)
     nu = values["nu"] if values["nu"] is not None else G + sigma
     fstar = values["Fstar"] if values["Fstar"] is not None else max(objective.value(x0), 1e-6)

@@ -227,13 +227,14 @@ def run_o2nc(
         acc = cfg.beta1 * acc + true_g
         acc_norm = _norm(acc)
         if acc_norm > 0.0:
-            u = -cfg.D * acc / acc_norm
+            # -D * acc overflows where D |acc| does; the scaled form cannot
+            u = -cfg.D * acc / acc_norm if cfg.D * acc_norm < math.inf else (-cfg.D / acc_norm) * acc
         else:
             u = np.zeros(d)
             zero_comparators += 1
-        term = float(g @ (delta - u))
+        term = float(np.vdot(g, delta - u))  # vdot: an overflow gives inf, no warning
         if cfg.variant == "clip-free":
-            term += 0.5 * cfg.mu * (float(delta @ delta) - float(u @ u))
+            term += 0.5 * cfg.mu * (float(np.vdot(delta, delta)) - float(np.vdot(u, u)))
         state = adam_update(cfg, state, g)
         xbar = ema_update(xbar, x, cfg.beta1, t)
 

@@ -1,5 +1,5 @@
-"""Synthetic non-stationary regression streams, geometric weights, the exact
-discounted scan, and the CSV codec of every artifact.
+"""Synthetic non-stationary regression streams, the exact discounted scan,
+and the CSV codec of every artifact.
 
 Streams are generated with a counter-based Philox RNG so a given
 :class:`StreamSpec` reproduces bit-for-bit on any platform.  Features are
@@ -169,19 +169,6 @@ def gen_stream(spec: StreamSpec) -> tuple[Stream, ComparatorPath]:
     if spec.kind == "logistic-drift":
         y = np.where(y >= 0.0, 1.0, -1.0)
     return Stream(Z, y), ComparatorPath(U)
-
-
-def geometric_weights(beta: float, t: int) -> np.ndarray:
-    """Normalized geometric weights over indices s = 0..t.
-
-    Entry s is proportional to beta**(t-s); the vector sums to 1.
-    """
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    w = beta ** np.arange(t, -1.0, -1.0)
-    return w / w.sum()
 
 
 def discounted_scan(v: np.ndarray, beta: float, s0=None) -> np.ndarray:

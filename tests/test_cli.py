@@ -7,7 +7,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from driftlearn import cli, logreg, streams
 
@@ -693,6 +693,12 @@ class TestExitCodeContract:
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=tuning_commands())
+    # A @ x0 overflows in the max-affine objective; D * a_t overflows in the
+    # comparator u_t = -D a_t/|a_t| (the summary's sum of terms is then inf)
+    @example(argv=["run-o2nc", "--variant", "clipped", "--objective", "maxaffine", "--dim", "1",
+                   "--T", "1", "--seed", "0", "--x0-scale", "1.5e308"])
+    @example(argv=["run-o2nc", "--variant", "clipped", "--objective", "quadratic", "--dim", "1",
+                   "--T", "1", "--seed", "0", "--c", "1e-170", "--G", "1e152"])
     def test_tuning_commands_exit_cleanly(self, capsys, tmp_path, argv):
         assert_clean_exit(capsys, argv, tmp_path / "o.csv")
 

@@ -129,6 +129,23 @@ class TestComparatorPath:
             assert trace.dynreg_terms[t] == pytest.approx(term, rel=1e-12, abs=1e-15)
         assert trace.zero_comparators == 0
 
+    def test_comparator_past_the_largest_double(self):
+        # |g| = 1e153 and D = 5e154: D |a_t| passes the largest double from
+        # round 5 on, while u_t has norm D and every term g.(Delta_t - u_t)
+        # is about D |g| = 5e307
+        D = 5e154
+        obj = o2nc.clamped_quadratic(2, radius=1e160)
+        trace = self.run(obj, np.array([6e152, 8e152]), T=8, D=D)
+        a, overflows = np.zeros(2), 0
+        for t, x in enumerate(iterates(trace)):
+            g = obj.grad(x)
+            a = 0.9 * a + g
+            norm = math.hypot(*a)
+            overflows += D * norm == math.inf
+            term = float(np.vdot(g, trace.deltas[t] - (-D / norm) * a))
+            assert trace.dynreg_terms[t] == pytest.approx(term, rel=1e-12)
+        assert overflows == 4
+
     def test_zero_history_yields_zero_comparator(self):
         obj = o2nc.clamped_quadratic(2, radius=1.0)
         trace = self.run(obj, np.zeros(2), T=4)

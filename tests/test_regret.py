@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from driftlearn import regret
-from driftlearn.streams import ComparatorPath, csv_text, geometric_weights
+from driftlearn import linreg, regret
+from driftlearn.streams import ComparatorPath, StreamSpec, csv_text, gen_stream
 
 
 def random_quadratic_ledger(rng, T, d, beta, lam=None, with_lambdas=False):
@@ -41,6 +41,17 @@ def oracle_ft_difference_term(ledger, path):
         total += hi - lo
         scale += abs(hi) + abs(lo)
     return ledger.beta * total, ledger.beta * scale
+
+
+def geometric_weights(beta, t):
+    """Normalized geometric weights over indices s = 0..t: entry s is
+    proportional to beta**(t-s), and the vector sums to 1."""
+    if not (0.0 < beta <= 1.0):
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    w = beta ** np.arange(t, -1.0, -1.0)
+    return w / w.sum()
 
 
 def oracle_path_variation(ledger, path, gamma):
@@ -110,6 +121,37 @@ fuzz_cases = st.fixed_dictionaries({
     "beta": st.floats(0.05, 1.0),
     "moving": st.booleans(),
 })
+
+
+class TestGeometricWeights:
+    def test_uniform_at_beta_one(self):
+        np.testing.assert_allclose(
+            geometric_weights(1.0, 2), [1 / 3, 1 / 3, 1 / 3], rtol=1e-15
+        )
+
+    def test_half_discount_two_rounds(self):
+        np.testing.assert_allclose(
+            geometric_weights(0.5, 1), [1 / 3, 2 / 3], rtol=1e-15
+        )
+
+    def test_single_index(self):
+        np.testing.assert_allclose(geometric_weights(0.5, 0), [1.0])
+
+    def test_sum_one_and_monotone(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            beta = float(rng.uniform(0.01, 1.0))
+            t = int(rng.integers(0, 200))
+            w = geometric_weights(beta, t)
+            assert abs(w.sum() - 1.0) <= 1e-12
+            assert np.all(w > 0.0)
+            if beta < 1.0:
+                assert np.all(np.diff(w) >= 0.0)  # decreasing in the lag t-s
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5, 1.5])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(ValueError):
+            geometric_weights(beta, 3)
 
 
 class TestDynamicRegret:
@@ -353,13 +395,13 @@ class TestPathLengthLemma:
         rng = np.random.default_rng(19)
         ledger = random_quadratic_ledger(rng, 6, 2, beta=0.9, lam=1.0, with_lambdas=True)
         probes = []
-        variation = regret.path_variation
+        totals = regret._variation_totals
 
         def spy(probe, *args):
             probes.append(probe)
-            return variation(probe, *args)
+            return totals(probe, *args)
 
-        monkeypatch.setattr(regret, "path_variation", spy)
+        monkeypatch.setattr(regret, "_variation_totals", spy)
         regret.check_path_length_lemma(
             ledger, ComparatorPath(rng.standard_normal((6, 2))), 0.5, 0.8)
         (probe,) = probes
@@ -379,6 +421,64 @@ class TestPathLengthLemma:
             regret.check_path_length_lemma(
                 ledger, ComparatorPath(np.zeros((4, 1))), 0.9, 0.5
             )
+
+
+def full_lemma_verdict(ledger, path, beta, gamma):
+    """The lemma's verdict from the whole sum P_T, as the check read before
+    it stopped at its first certificate."""
+    probe = dataclasses.replace(ledger, beta=beta)
+    lhs = regret.ft_difference_term(probe, path)
+    rhs = gamma / (1.0 - gamma) * regret.path_variation(probe, path, gamma).value
+    return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
+
+
+class TestLemmaEarlyExit:
+    # The check stops at the first partial sum of P_T that certifies the
+    # inequality.  Its verdict must be the one the whole sum gives, also where
+    # a later term is nan: a y of 1e200 makes that row's losses inf at every
+    # comparator, so the terms of the rounds from it on are inf - inf = nan,
+    # while the F-differences (from G_t and h_t, not y^2) stay finite.  For a
+    # squared-loss ledger the lemma holds, so the failing verdicts come from
+    # the faults: a nan comparator, and statistics that disagree with the loss
+    # rows (the left side reads the statistics, P_T the rows), which fail with
+    # every term finite and so run to the end.
+    @settings(max_examples=100)
+    @given(case=fuzz_cases, gamma=st.floats(0.05, 0.95), lam=st.sampled_from([None, 0.7]),
+           fault=st.sampled_from([None, "disagreeing-statistics", "late-inf-loss",
+                                  "nan-comparator"]))
+    @example(case={"seed": 3, "T": 30, "d": 3, "beta": 0.9, "moving": True}, gamma=0.95,
+             lam=0.7, fault="late-inf-loss")
+    @example(case={"seed": 5, "T": 12, "d": 2, "beta": 0.5, "moving": False}, gamma=0.5,
+             lam=0.7, fault="nan-comparator")
+    def test_verdict_is_the_full_sums(self, case, gamma, lam, fault):
+        rng = np.random.default_rng(case["seed"])
+        T, d, beta = max(case["T"], 2), case["d"], min(case["beta"], gamma)
+        Z, y = rng.standard_normal((T, d)), rng.standard_normal(T)
+        path = fuzz_path(rng, T, d, case["moving"])
+        if fault == "late-inf-loss":
+            y[T - 2] = 1e200  # row T-1: only the last round sees it
+        elif fault == "nan-comparator":
+            path.U[int(rng.integers(T)), 0] = math.nan
+        ledger = regret.quadratic_loss_ledger(Z, y, np.zeros(T), beta=0.5, lam=lam)
+        if fault == "disagreeing-statistics":
+            ledger = dataclasses.replace(ledger, squared_loss=(Z, 10.0 * y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            verdict = regret.check_path_length_lemma(ledger, path, beta, gamma)
+            assert verdict == full_lemma_verdict(ledger, path, beta, gamma)
+
+    def test_rotating_target_certifies_before_the_last_round(self):
+        T = 400
+        stream, truth = gen_stream(StreamSpec(kind="rotating-target", d=5, T=T, segments=3, seed=1))
+        ledger = linreg.vaw_ledger(linreg.run_dvaw(stream, 0.99, 1.0))
+        assert len(regret._moved_rounds(truth)) == T - 1
+        rows = []
+        batch = ledger.loss_eval_batch
+        ledger.loss_eval_batch = lambda u: rows.append(1) or batch(u)
+        assert regret.check_path_length_lemma(ledger, truth, 0.99, 0.995)
+        assert 0 < len(rows) < T - 1  # each comparator once, and not all of them
+        rows.clear()
+        assert full_lemma_verdict(ledger, truth, 0.99, 0.995)
+        assert len(rows) == T  # the whole sum: u_1..u_T, once each
 
 
 # Block budgets of the squared-loss kernel: one round a block, the module's
@@ -448,6 +548,20 @@ class TestOracleAgreement:
         assert regret.ft_difference_term(ledger, path) == 0.0
         assert regret.path_variation(ledger, path, 0.5).value == 0.0
         assert calls == []
+
+    def test_each_distinct_comparator_is_evaluated_once(self):
+        # moves at rounds 3, 5 and 8 of T = 10: four distinct comparators
+        rng = np.random.default_rng(25)
+        ledger = logistic_like_ledger(rng, 10, 3, 0.8, batch=True)
+        calls = []
+        batch = ledger.loss_eval_batch
+        ledger.loss_eval_batch = lambda u: calls.append(1) or batch(u)
+        pieces = rng.standard_normal((4, 3))
+        path = ComparatorPath(pieces[[0, 0, 0, 1, 1, 2, 2, 2, 3, 3]])
+        for evaluate in (regret.ft_difference_term, lambda *a: regret.path_variation(*a, 0.5)):
+            calls.clear()
+            evaluate(ledger, path)
+            assert len(calls) == 4
 
     @BUDGETS
     def test_constant_path_requests_no_round(self, budget):

@@ -214,37 +214,6 @@ class TestGenStream:
             streams.gen_stream(streams.StreamSpec(**{"seed": 0, **kwargs}))
 
 
-class TestGeometricWeights:
-    def test_uniform_at_beta_one(self):
-        np.testing.assert_allclose(
-            streams.geometric_weights(1.0, 2), [1 / 3, 1 / 3, 1 / 3], rtol=1e-15
-        )
-
-    def test_half_discount_two_rounds(self):
-        np.testing.assert_allclose(
-            streams.geometric_weights(0.5, 1), [1 / 3, 2 / 3], rtol=1e-15
-        )
-
-    def test_single_index(self):
-        np.testing.assert_allclose(streams.geometric_weights(0.5, 0), [1.0])
-
-    def test_sum_one_and_monotone(self):
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            beta = float(rng.uniform(0.01, 1.0))
-            t = int(rng.integers(0, 200))
-            w = streams.geometric_weights(beta, t)
-            assert abs(w.sum() - 1.0) <= 1e-12
-            assert np.all(w > 0.0)
-            if beta < 1.0:
-                assert np.all(np.diff(w) >= 0.0)  # decreasing in the lag t-s
-
-    @pytest.mark.parametrize("beta", [0.0, -0.5, 1.5])
-    def test_bad_beta_rejected(self, beta):
-        with pytest.raises(ValueError):
-            streams.geometric_weights(beta, 3)
-
-
 def lfilter_oracle(v, beta, s0):
     """scipy's first-order filter, the form the scan replaced."""
     from scipy.signal import lfilter
