@@ -213,6 +213,13 @@ def _checks_exit(summary: dict) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_VIOLATION
 
 
+def _ieee_floats():
+    """Context for the evaluators that read a truth path: a comparator whose
+    losses or norms overflow gives inf (and inf - inf nan) without a warning,
+    as Python floats do, and the strict summary then reports it."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _resolve_gamma(values: dict, beta: float) -> float:
     """Variation discount for bound reports; defaults to (1+beta)/2."""
     gamma = values.get("gamma")
@@ -306,27 +313,28 @@ def cmd_run_vaw(values: dict) -> int:
     }
     trace = None
     if truth is not None:
-        ledger = linreg.vaw_ledger(run)
-        dyn = regret.dynamic_regret(ledger, truth)
-        summary["dynamic_regret"] = dyn
-        if beta < 1.0:
-            gamma = _resolve_gamma(values, beta)
-            bound_path = linreg.dvaw_dynamic_bound(run, truth, gamma, form="path")
-            bound_ft = linreg.dvaw_dynamic_bound(run, truth, form="ftdiff")
-            modular = regret.modular_bound_rhs(ledger, truth)
-            summary.update(
-                gamma=gamma, bound_path_form=bound_path,
-                bound_ftdiff_form=bound_ft, modular_rhs=modular,
-            )
-            tol = 1e-9 * (1.0 + abs(dyn))
-            summary["checks"] = {
-                "dynamic_regret_le_path_bound": dyn <= bound_path + tol,
-                "dynamic_regret_le_ftdiff_bound": dyn <= bound_ft + tol,
-                "dynamic_regret_le_modular_rhs": dyn <= modular + tol,
-            }
-        if values["out"]:
-            comment = f"driftlearn run-vaw config_hash={h}"
-            trace = regret.regret_trace_csv(ledger, truth, comment)
+        with _ieee_floats():
+            ledger = linreg.vaw_ledger(run)
+            dyn = regret.dynamic_regret(ledger, truth)
+            summary["dynamic_regret"] = dyn
+            if beta < 1.0:
+                gamma = _resolve_gamma(values, beta)
+                bound_path = linreg.dvaw_dynamic_bound(run, truth, gamma, form="path")
+                bound_ft = linreg.dvaw_dynamic_bound(run, truth, form="ftdiff")
+                modular = regret.modular_bound_rhs(ledger, truth)
+                summary.update(
+                    gamma=gamma, bound_path_form=bound_path,
+                    bound_ftdiff_form=bound_ft, modular_rhs=modular,
+                )
+                tol = 1e-9 * (1.0 + abs(dyn))
+                summary["checks"] = {
+                    "dynamic_regret_le_path_bound": dyn <= bound_path + tol,
+                    "dynamic_regret_le_ftdiff_bound": dyn <= bound_ft + tol,
+                    "dynamic_regret_le_modular_rhs": dyn <= modular + tol,
+                }
+            if values["out"]:
+                comment = f"driftlearn run-vaw config_hash={h}"
+                trace = regret.regret_trace_csv(ledger, truth, comment)
     _write_summary(values["out"], summary, trace)
     return _checks_exit(summary)
 
@@ -357,7 +365,8 @@ def cmd_run_aioli(values: dict) -> int:
     comparators = [np.zeros(stream.d)]
     if truth is not None:
         comparators += [truth[0], truth[-1]]
-    worst, ok = logreg.rescaled_bound_check(run, comparators)
+    with _ieee_floats():
+        worst, ok = logreg.rescaled_bound_check(run, comparators)
     checks["discounted_regret_le_rescaled_bound"] = ok
     summary = {
         "subcommand": "run-aioli", "config_hash": h, "beta": beta, "lam": lam,
@@ -367,16 +376,17 @@ def cmd_run_aioli(values: dict) -> int:
         "rescaled_bound_worst_slack": worst,
         "checks": checks,
     }
-    if truth is not None:
-        dyn = regret.dynamic_regret(ledger, truth)
-        gamma = _resolve_gamma(values, beta)
-        bound = logreg.theorem_dynamic_bound(run, truth, gamma)
-        summary.update(dynamic_regret=dyn, gamma=gamma, dynamic_bound=bound)
-        checks["dynamic_regret_le_bound"] = dyn <= bound + 1e-9 * (1.0 + abs(bound))
     trace = None
-    if values["out"] and truth is not None:
-        comment = f"driftlearn run-aioli config_hash={h}"
-        trace = regret.regret_trace_csv(ledger, truth, comment)
+    if truth is not None:
+        with _ieee_floats():
+            dyn = regret.dynamic_regret(ledger, truth)
+            gamma = _resolve_gamma(values, beta)
+            bound = logreg.theorem_dynamic_bound(run, truth, gamma)
+            summary.update(dynamic_regret=dyn, gamma=gamma, dynamic_bound=bound)
+            checks["dynamic_regret_le_bound"] = dyn <= bound + 1e-9 * (1.0 + abs(bound))
+            if values["out"]:
+                comment = f"driftlearn run-aioli config_hash={h}"
+                trace = regret.regret_trace_csv(ledger, truth, comment)
     _write_summary(values["out"], summary, trace)
     return _checks_exit(summary)
 
@@ -444,7 +454,8 @@ def cmd_run_ensemble(values: dict) -> int:
         },
     }
     if truth is not None:
-        summary["dynamic_regret"] = regret.dynamic_regret(logreg.ensemble_ledger(run), truth)
+        with _ieee_floats():
+            summary["dynamic_regret"] = regret.dynamic_regret(logreg.ensemble_ledger(run), truth)
     trace = None
     if values["out"]:
         comment = f"driftlearn run-ensemble config_hash={h}"
@@ -510,7 +521,7 @@ def cmd_run_o2nc(values: dict) -> int:
     trace = o2nc.run_o2nc(cfg, oracle, values["T"], values["seed"], x0)
     tail = max(1, values["T"] // 10)
     tail_mean = float(trace.grad_norms_at_xbar[-tail:].mean())
-    delta_norms = np.linalg.norm(trace.deltas, axis=1)
+    delta_norms = trace.delta_norms()
     checks = {}
     if variant == "clipped":
         checks["delta_norm_le_D"] = bool(np.all(delta_norms <= rep.D * (1.0 + 1e-12)))

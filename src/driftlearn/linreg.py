@@ -33,12 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from driftlearn.regret import (
-    RegretLedger,
-    ft_difference_term,
-    path_variation,
-    quadratic_loss_ledger,
-)
+from driftlearn.regret import RegretLedger, ft_difference_term, path_variation
 from driftlearn.streams import ComparatorPath, Stream, discounted_scan
 
 # Bytes of one (B, d, d) Gram stack; a block holds max(1, this // (8 d^2))
@@ -170,15 +165,12 @@ def run_dvaw(stream: Stream, beta: float, lam: float) -> DvawRun:
 
 
 def vaw_ledger(run: DvawRun) -> RegretLedger:
-    """Regret ledger for a run, with phi = lam/2 |u|^2 and discounted
-    stability terms supplied from the recorded potential increments."""
-    return quadratic_loss_ledger(
-        run.stream.Z,
-        run.stream.y,
-        run.losses_at_play,
-        beta=run.beta,
-        lam=run.lam,
-        lambdas=run.potential_increments,
+    """Squared-loss regret ledger for a run, with phi = lam/2 |u|^2 and
+    discounted stability terms supplied from the recorded potential
+    increments."""
+    return RegretLedger(
+        run.losses_at_play, run.beta, run.stream.Z, run.stream.y, "squared",
+        lam=run.lam, lambdas=run.potential_increments,
     )
 
 
@@ -233,4 +225,4 @@ def dvaw_dynamic_bound(
     if gamma is None or not (0.0 < beta <= gamma < 1.0):
         raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
     pv = path_variation(ledger, path, gamma, include_f0=True)
-    return base + gamma / (1.0 - gamma) * pv.value
+    return base + gamma / (1.0 - gamma) * pv

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from driftlearn.regret import RegretLedger, path_variation, row_dots
+from driftlearn.regret import RegretLedger, path_variation
 from driftlearn.streams import ComparatorPath, Stream, discounted_scan
 
 ROOT_MAX_ITERS = 200
@@ -304,39 +304,10 @@ def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> Ai
     )
 
 
-def _stream_ledger(
-    stream: Stream, losses_at_play: np.ndarray, beta: float, phi_eval=None
-) -> RegretLedger:
-    """Ledger of ``losses_at_play`` against the logistic losses of ``stream``."""
-    Z, y = stream.Z, stream.y
-
-    def eval_one(t: int, u: np.ndarray) -> float:
-        return logistic_loss(float(Z[t - 1] @ u), y[t - 1])
-
-    def eval_batch(u: np.ndarray) -> np.ndarray:
-        return np.logaddexp(0.0, -y * (Z @ u))
-
-    def eval_path(U: np.ndarray) -> np.ndarray:
-        m = row_dots(Z, U)
-        m *= y
-        np.negative(m, out=m)  # -(y*m) == (-y)*m: rounding is sign-symmetric
-        return np.logaddexp(0.0, m, out=m)
-
-    return RegretLedger(
-        losses_at_play=losses_at_play,
-        loss_eval=eval_one,
-        beta=beta,
-        phi_eval=phi_eval,
-        loss_eval_batch=eval_batch,
-        path_losses=eval_path,
-    )
-
-
 def logistic_ledger(run: AioliRun) -> RegretLedger:
-    lam = run.lam
-    return _stream_ledger(
-        run.stream, run.losses_at_play, run.beta,
-        phi_eval=lambda u: 0.5 * lam * float(u @ u),
+    """Logistic-loss regret ledger for a run, with phi = lam/2 |u|^2."""
+    return RegretLedger(
+        run.losses_at_play, run.beta, run.stream.Z, run.stream.y, "logistic", lam=run.lam
     )
 
 
@@ -400,7 +371,7 @@ def theorem_dynamic_bound(run: AioliRun, path: ComparatorPath, gamma: float) -> 
     bound = beta * lam * float(path[0] @ path[0])
     bound += d * scale * np.log1p(run.R**2 * geo / (d * lam * scale))
     pv = path_variation(logistic_ledger(run), path, gamma, include_f0=True)
-    bound += gamma / (1.0 - gamma) * pv.value
+    bound += gamma / (1.0 - gamma) * pv
     bound += (1.0 - beta) / beta * d * scale * T
     return float(bound)
 
@@ -519,7 +490,7 @@ def ensemble_ledger(run: EnsembleRun) -> RegretLedger:
     """Ledger of the mixture's losses on the run's stream, undiscounted
     (beta = 1) and without a comparator term; its dynamic regret is the
     ensemble's."""
-    return _stream_ledger(run.stream, run.mix_losses, 1.0)
+    return RegretLedger(run.mix_losses, 1.0, run.stream.Z, run.stream.y, "logistic")
 
 
 @dataclass(frozen=True)

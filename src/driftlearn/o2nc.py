@@ -180,10 +180,18 @@ class O2ncTrace:
     def xbar_final(self) -> np.ndarray:
         return self.xbars[self.final_index]
 
+    def delta_norms(self) -> np.ndarray:
+        """|Delta_t| per round: ``np.linalg.norm``'s bits where that is finite,
+        and ``adam._norm`` on the rows whose squares overflow."""
+        with np.errstate(over="ignore"):
+            dn = np.linalg.norm(self.deltas, axis=1)
+        for i in np.flatnonzero(dn == math.inf):
+            dn[i] = _norm(self.deltas[i])
+        return dn
+
     def to_csv(self, header_comment: Optional[str] = None) -> str:
         header = ["s_t", "||delta||", "||grad_at_xbar||", "dynreg_term"]
-        dn = np.linalg.norm(self.deltas, axis=1)
-        columns = [self.scalings, dn, self.grad_norms_at_xbar, self.dynreg_terms]
+        columns = [self.scalings, self.delta_norms(), self.grad_norms_at_xbar, self.dynreg_terms]
         return csv_text(header, columns, header_comment)
 
 

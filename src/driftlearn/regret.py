@@ -7,6 +7,9 @@ already at beta = 0.9.
 
 Central objects:
 
+* ``RegretLedger``        the learner's losses f_t(x_t) plus the data that
+  defines f_t at any point: features Z, labels y, a loss kind (squared or
+  logistic, both functions of the margin z_t.u) and phi(u) = lam/2 |u|^2
 * ``dynamic_regret``      sum_t f_t(x_t) - f_t(u_t)
 * ``discounted_regret``   R_t(u) = sum_{s<=t} beta^(t-s) (f_s(x_s) - f_s(u))
 * ``d2d_identity_gap``    |LHS - RHS| of the conversion identity
@@ -14,22 +17,23 @@ Central objects:
               + (1-beta) * sum_t R_t(u_t) + beta * R_T(u_T)
 * ``path_variation``      P_T^g = sum_{t<T} sum_{s=0..t} p_{t,s} [f_s(u_{t+1}) - f_s(u_t)]_+
 * ``modular_bound_rhs``   the computable right-hand side of the template
-  bound driven by a comparator regularizer phi and stability terms.
+  bound driven by the comparator regularizer phi and stability terms.
 
 The F-differences behind ``ft_difference_term``, ``modular_bound_rhs`` and
 ``check_path_length_lemma`` come from one kernel over the comparator
 differences D_t = sum_{s<=t} beta^(t-s) (f_s(u_{t+1}) - f_s(u_t)).  A round
 with u_{t+1} == u_t (exact compare, NaN counts as a move) is stationary:
 its term is exactly 0 for finite losses, so it is skipped and no loss is
-evaluated.  Costs, for T rounds in d dimensions:
+evaluated.  The phi parts are one vectorized difference of
+lam/2 |u_t|^2 over the path.  Costs, for T rounds in d dimensions:
 
-* squared-loss ledgers (``squared_loss`` set): the F-difference and the
+* squared-loss ledgers: the F-difference and the
   conversion identity take G_t = sum_{s<=t} beta^(t-s) z_s z_s' and h_t at
   the rounds they need from one block kernel, one stacked product per block
   of k rounds over L rows in k d (L + d) <= 8192 floats: O(T d^2) time on a
   sparse path, O(T k d^2) on a path that moves every round (k = 12 at d = 20);
-* other ledgers: O(T) per moved round for the F-difference, O(T^2) for the
-  conversion identity, both in O(T) memory;
+* logistic ledgers: O(T) per moved round for the F-difference, O(T^2) for
+  the conversion identity, both in O(T) memory;
 * ``path_variation``: O(T d) per moved round for every ledger (its positive
   part has no running form), so O(T^2 d) on a path that moves every round.
   Each distinct comparator's loss row is evaluated once, whole, and sliced
@@ -46,15 +50,13 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import repeat, starmap
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from driftlearn.streams import ComparatorPath, csv_text
 
-LossEval = Callable[[int, np.ndarray], float]
-PhiEval = Callable[[np.ndarray], float]
-BatchLossEval = Callable[[np.ndarray], np.ndarray]
+_LOSSES = ("squared", "logistic")
 
 
 def row_dots(Z: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -68,65 +70,100 @@ def row_dots(Z: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RegretLedger:
-    """Per-round losses of a learner plus evaluators of f_t at any point.
+    """Per-round losses of a learner plus the data that defines f_t.
 
     losses_at_play  f_t(x_t) for t = 1..T.
-    loss_eval       (t, u) -> f_t(u), t 1-based.
     beta            discount factor in (0, 1].
-    phi_eval        optional u -> phi(u) >= 0, the comparator term of every round.
+    Z, y            (T, d) features and (T,) labels of the rounds.
+    loss            "squared":  f_t(u) = (z_t.u - y_t)^2 / 2;
+                    "logistic": f_t(u) = ln(1 + exp(-y_t z_t.u)).
+    lam             optional phi(u) = lam/2 |u|^2 >= 0, the comparator term
+                    of every round (f_0 of the path variation).
     lambdas         optional discounted stability terms; entry t-1 holds
                     beta^t * Lambda_t (suppliers fold the discount so the
                     ledger never sees a beta^(-t)).
-    loss_eval_batch optional u -> array [f_1(u), ..., f_T(u)]; used to
-                    vectorize the inner sums when available.
-    path_losses     optional (T, d) comparators U -> array [f_1(u_1), ...,
-                    f_T(u_T)], equal to ``loss_eval`` row by row; without
-                    it the comparator losses take one ``loss_eval`` call
-                    per round.
-    squared_loss    optional (Z, y) marking f_t(u) = (u.z_t - y_t)^2 / 2;
-                    the evaluators then use running discounted statistics
-                    of Z and y in place of loss rows.  It must describe the
-                    same losses as ``loss_eval``: ``d2d_identity_gap``
-                    checks the one against the other.
+
+    ``loss_eval(t, u)``, ``loss_eval_batch(u)`` and ``path_losses(U)`` give
+    f_t(u), the row [f_1(u), ..., f_T(u)] and [f_1(u_1), ..., f_T(u_T)], all
+    through ``_loss``.  ``loss_eval`` and ``path_losses`` take per-row dots
+    and agree bit for bit; ``loss_eval_batch`` takes one matrix-vector
+    product, whose BLAS kernel may add a row's products in another order.
+    The evaluators below take every row of one comparator from
+    ``self.loss_eval_batch`` and every comparator row from
+    ``self.path_losses``, so an instance may rebind them (to count rows, or
+    to feed rows that disagree with the statistics).  A squared-loss
+    ledger's F-differences and identity right side read running discounted
+    statistics of Z and y instead of rows; ``d2d_identity_gap`` checks the
+    one against the other.
     """
 
     losses_at_play: np.ndarray
-    loss_eval: LossEval
     beta: float
-    phi_eval: Optional[PhiEval] = None
+    Z: np.ndarray
+    y: np.ndarray
+    loss: str
+    lam: Optional[float] = None
     lambdas: Optional[np.ndarray] = None
-    loss_eval_batch: Optional[BatchLossEval] = None
-    path_losses: Optional[BatchLossEval] = None
-    squared_loss: Optional[tuple[np.ndarray, np.ndarray]] = None
     _beta_pows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.losses_at_play = np.asarray(self.losses_at_play, dtype=float)
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        if self.loss not in _LOSSES:
+            raise ValueError(f"loss must be one of {_LOSSES}, got {self.loss!r}")
+        self.Z = np.asarray(self.Z, dtype=float)
+        self.y = np.asarray(self.y, dtype=float)
+        if self.Z.ndim != 2 or self.Z.shape[0] != self.T or self.y.shape != (self.T,):
+            raise ValueError("Z and y must have one row per round")
+        if self.lam is not None and not (0.0 <= self.lam < math.inf):
+            raise ValueError(f"lam must be >= 0 and finite, got {self.lam}")
         if self.lambdas is not None:
             self.lambdas = np.asarray(self.lambdas, dtype=float)
             if self.lambdas.shape != self.losses_at_play.shape:
                 raise ValueError("lambdas must have one entry per round")
             if np.any(self.lambdas < -1e-12):
                 raise ValueError("stability terms must be nonnegative")
-        if self.squared_loss is not None:
-            Z, y = (np.asarray(a, dtype=float) for a in self.squared_loss)
-            if Z.ndim != 2 or Z.shape[0] != self.T or y.shape != (self.T,):
-                raise ValueError("squared_loss must be (Z, y) with one row per round")
-            self.squared_loss = (Z, y)
         self._beta_pows = self.beta ** np.arange(self.T + 1, dtype=float)
 
     @property
     def T(self) -> int:
         return len(self.losses_at_play)
 
+    def _loss(self, m: np.ndarray, y) -> np.ndarray:
+        """f of the margins ``m`` = z.u against labels ``y``, overwriting ``m``.
+
+        The square is r * r: Python's float ** 2 is C pow, which differs from
+        the correctly rounded product in the last place on about 0.1% of
+        inputs.  -(y*m) == (-y)*m, since rounding is sign-symmetric.
+        """
+        if self.loss == "squared":
+            m -= y
+            m *= m
+            m *= 0.5
+            return m
+        m *= y
+        np.negative(m, out=m)
+        return np.logaddexp(0.0, m, out=m)
+
+    def loss_eval(self, t: int, u: np.ndarray) -> float:
+        """f_t(u), t 1-based."""
+        margin = np.array(self.Z[t - 1] @ u)  # 0-d, so that _loss works in place
+        return float(self._loss(margin, self.y[t - 1]))
+
+    def loss_eval_batch(self, u: np.ndarray) -> np.ndarray:
+        """[f_1(u), ..., f_T(u)]."""
+        return self._loss(self.Z @ u, self.y)
+
+    def path_losses(self, U: np.ndarray) -> np.ndarray:
+        """[f_1(u_1), ..., f_T(u_T)] for (T, d) comparators U."""
+        return self._loss(row_dots(self.Z, U), self.y)
+
     def losses_at(self, u: np.ndarray, upto: Optional[int] = None) -> np.ndarray:
-        """Array [f_1(u), ..., f_k(u)] with k = upto (default T)."""
+        """Array [f_1(u), ..., f_k(u)] with k = upto (default T): the whole
+        row, sliced after evaluation."""
         k = self.T if upto is None else upto
-        if self.loss_eval_batch is not None:
-            return self.loss_eval_batch(u)[:k]
-        return np.array([self.loss_eval(s, u) for s in range(1, k + 1)])
+        return self.loss_eval_batch(u)[:k]
 
     def weights(self, t: int) -> np.ndarray:
         """[beta^(t-1), ..., beta^0]: discount weights for rounds 1..t."""
@@ -134,14 +171,10 @@ class RegretLedger:
 
 
 def _comparator_losses(ledger: RegretLedger, path: ComparatorPath) -> np.ndarray:
-    """[f_1(u_1), ..., f_T(u_T)] from the ledger's ``path_losses``, else
-    from one ``loss_eval`` call per round."""
+    """[f_1(u_1), ..., f_T(u_T)] from the ledger's ``path_losses``."""
     if path.T != ledger.T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
-    if ledger.path_losses is not None:
-        return np.ascontiguousarray(ledger.path_losses(path.U), dtype=float)
-    T = ledger.T
-    return np.fromiter((ledger.loss_eval(t, path[t - 1]) for t in range(1, T + 1)), float, T)
+    return np.ascontiguousarray(ledger.path_losses(path.U), dtype=float)
 
 
 def dynamic_regret(ledger: RegretLedger, path: ComparatorPath) -> float:
@@ -181,7 +214,7 @@ def _squared_loss_blocks(ledger: RegretLedger, rounds: np.ndarray | range):
     the rows (last, t_k].  A block ends before a non-finite row past its
     first round, whose zero weight would give the earlier rounds 0*inf = nan.
     """
-    Z, y = ledger.squared_loss
+    Z, y = ledger.Z, ledger.y
     play, pows = ledger.losses_at_play, ledger._beta_pows
     d = Z.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # a false alarm only cuts
@@ -224,9 +257,17 @@ def _moved_pairs(evaluate: Callable, U: np.ndarray, moved: np.ndarray):
         yield t, now, ahead
 
 
-def _phi_steps(phi: PhiEval, U: np.ndarray, moved: np.ndarray):
-    """Iterator of phi(u_{t+1}) - phi(u_t) over the moved rounds t."""
-    return starmap(lambda t, now, ahead: ahead - now, _moved_pairs(phi, U, moved))
+def _phi_differences(lam: float, U: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """phi(u_{t+1}) - phi(u_t) at the moved rounds t, for phi(u) = lam/2 |u|^2.
+
+    Each phi(u_t) is (lam/2) * (u_t @ u_t), the per-row Python expression bit
+    for bit (see ``row_dots``); like Python floats, an overflow gives inf and
+    inf - inf gives nan without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = row_dots(U, U)
+        phi *= 0.5 * lam
+        return phi[moved] - phi[moved - 1]
 
 
 def _f_differences(ledger: RegretLedger, path: ComparatorPath) -> np.ndarray:
@@ -234,14 +275,14 @@ def _f_differences(ledger: RegretLedger, path: ComparatorPath) -> np.ndarray:
 
     F_t(u) = beta^t phi(u) + sum_{s<=t} beta^(t-s) f_s(u).  For a squared-loss
     ledger the loss part is D_t = (v-w)'(G_t (v+w)/2 - h_t) with v = u_{t+1},
-    w = u_t, stacked per block; any other ledger sums its loss rows up to t,
+    w = u_t, stacked per block; a logistic ledger sums its loss rows up to t,
     whole rows sliced after evaluation (see ``path_variation``).
     """
     if path.T != ledger.T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
     moved = _moved_rounds(path)
     U = path.U
-    if ledger.squared_loss is None:
+    if ledger.loss != "squared":
         def loss_step(t, now, ahead):
             return ledger.weights(t) @ (ahead[:t] - now[:t])
 
@@ -254,8 +295,8 @@ def _f_differences(ledger: RegretLedger, path: ComparatorPath) -> np.ndarray:
             Gs = np.matmul(G, (v + w)[:, :, None])[:, :, 0]
             diffs[b] = row_dots(v - w, 0.5 * Gs - h)
     phi_part = 0.0  # without phi, adding it still turns a -0.0 into 0.0
-    if ledger.phi_eval is not None:
-        phi_part = np.fromiter(_phi_steps(ledger.phi_eval, U, moved), float, len(moved))
+    if ledger.lam is not None:
+        phi_part = _phi_differences(ledger.lam, U, moved)
         phi_part *= ledger._beta_pows[moved]
     diffs += phi_part
     return diffs
@@ -268,12 +309,12 @@ def _regrets_along_path(
 
     A squared-loss ledger takes both from the closed form
     R_t(u) = P_t - (u'G_t u/2 - u'h_t + c_t/2), with P_t the discounted play
-    sum, one stacked product per block; any other ledger sums loss rows, one
+    sum, one stacked product per block; a logistic ledger sums loss rows, one
     column of f_s(u_{t+1}) at a time.
     """
     T, U, play = ledger.T, path.U, ledger.losses_at_play
     diag, ahead = np.empty(T), np.empty(T - 1)
-    if ledger.squared_loss is not None:
+    if ledger.loss == "squared":
         for b, G, h, c, P in _squared_loss_blocks(ledger, range(1, T + 1)):
             for out, V in ((diag, U[b]), (ahead, U[b.start + 1 : b.stop + 1])):
                 n = len(V)  # the rounds t < T have a u_{t+1}
@@ -295,8 +336,9 @@ def d2d_identity_gap(ledger: RegretLedger, path: ComparatorPath) -> float:
 
     The identity holds exactly for any horizon, discount and comparator
     sequence; the returned gap is float roundoff only.  The LHS sums the
-    ledger's loss rows f_t(u_t); a squared-loss ledger's RHS comes from its
-    (Z, y) statistics instead, so the two sides are evaluated independently.
+    ledger's ``path_losses`` rows f_t(u_t); a squared-loss ledger's RHS comes
+    from its (Z, y) statistics instead, so the two sides are evaluated
+    independently.
     """
     beta = ledger.beta
     lhs = dynamic_regret(ledger, path)  # checks the path length
@@ -306,27 +348,18 @@ def d2d_identity_gap(ledger: RegretLedger, path: ComparatorPath) -> float:
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class PathVariation:
-    """Value of P_T^beta together with the convention it was computed under."""
-
-    value: float
-    beta: float
-    includes_f0: bool
-
-
 def path_variation(
     ledger: RegretLedger,
     path: ComparatorPath,
     gamma: float,
     include_f0: Optional[bool] = None,
-) -> PathVariation:
+) -> float:
     """Comparator variation through geometrically weighted loss differences.
 
     P_T^g = sum_{t=1}^{T-1} sum_{s=0}^{t} p_{t,s} [f_s(u_{t+1}) - f_s(u_t)]_+
     with p_{t,s} = gamma^(t-s) / sum_{r=0}^{t} gamma^(t-r).  The s = 0 term
-    uses f_0 = phi and is included by default whenever the ledger carries a
-    phi evaluator; the normalization always runs over s = 0..t.  Only rounds
+    uses f_0 = phi and is included by default whenever the ledger carries
+    ``lam``; the normalization always runs over s = 0..t.  Only rounds
     with u_{t+1} != u_t are visited: a stationary round adds exactly 0.
     """
     if not (0.0 < gamma < 1.0):
@@ -334,18 +367,17 @@ def path_variation(
     if path.T != ledger.T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
     if include_f0 is None:
-        include_f0 = ledger.phi_eval is not None
-    if include_f0 and ledger.phi_eval is None:
-        raise ValueError("include_f0 requires the ledger to carry phi_eval")
+        include_f0 = ledger.lam is not None
+    if include_f0 and ledger.lam is None:
+        raise ValueError("include_f0 requires the ledger to carry lam")
     moved = _moved_rounds(path)
-    steps = _phi_steps(ledger.phi_eval, path.U, moved) if include_f0 else None
-    total = _last(_variation_totals(ledger, path.U, moved, gamma, steps))
-    return PathVariation(value=total, beta=gamma, includes_f0=bool(include_f0))
+    steps = _phi_differences(ledger.lam, path.U, moved) if include_f0 else None
+    return float(_last(_variation_totals(ledger, path.U, moved, gamma, steps)))
 
 
 def _variation_totals(
     ledger: RegretLedger, U: np.ndarray, moved: np.ndarray, gamma: float,
-    phi_steps: Optional[Iterable[float]],
+    phi_steps: Optional[np.ndarray],
 ):
     """Yield the partial sums of P_T^g: 0.0, then the sum after each moved round.
 
@@ -390,9 +422,9 @@ def _terms_finite(ledger: RegretLedger, U: np.ndarray, phi_steps: Optional[np.nd
     is at most r = d max|z| max|u| + max|y| in size (the factor 2 below covers
     the dot's roundoff), so every loss and every difference of two is finite.
     """
-    if ledger.squared_loss is None:
+    if ledger.loss != "squared":
         return False
-    Z, y = ledger.squared_loss
+    Z, y = ledger.Z, ledger.y
 
     def peak(a: np.ndarray) -> float:  # max |a|, nan if a holds one; no temporary
         return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
@@ -420,11 +452,12 @@ def modular_bound_rhs(ledger: RegretLedger, path: ComparatorPath) -> float:
     where the stability terms arrive pre-discounted in ``ledger.lambdas``;
     the template's phi drift term is 0, since phi does not depend on t.
     """
-    if ledger.phi_eval is None:
-        raise ValueError("modular_bound_rhs requires phi_eval on the ledger")
+    if ledger.lam is None:
+        raise ValueError("modular_bound_rhs requires lam (phi) on the ledger")
     if ledger.lambdas is None:
         raise ValueError("modular_bound_rhs requires stability terms (lambdas)")
-    rhs = ledger.beta * ledger.phi_eval(path[0])
+    u = path[0]
+    rhs = ledger.beta * (0.5 * ledger.lam * float(u @ u))
     rhs += float(ledger.lambdas.sum())
     rhs += ft_difference_term(ledger, path)  # checks the path length
     return float(rhs)
@@ -441,78 +474,25 @@ def check_path_length_lemma(
     the first partial sum that satisfies the inequality settles it.  A nan
     term would make the full sum nan and the verdict False, so the check
     stops early only when ``_terms_finite`` proves there is none.
+
+    Only the F-difference depends on beta: it runs on a new ledger at
+    ``beta``, which evaluates rows with the class's evaluators, and P_T^g
+    takes its rows from ``ledger`` itself.
     """
     if not (0.0 < beta <= gamma < 1.0):
         raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
-    probe = replace(ledger, beta=beta)
-    lhs = ft_difference_term(probe, path)  # checks the path length
+    lhs = ft_difference_term(replace(ledger, beta=beta), path)  # checks the path length
     c = gamma / (1.0 - gamma)
 
     def holds(P: float) -> bool:
         return lhs <= c * P + 1e-9 * (1.0 + abs(c * P))
 
     moved = _moved_rounds(path)
-    steps = None
-    if probe.phi_eval is not None:
-        steps = np.fromiter(_phi_steps(probe.phi_eval, path.U, moved), float, len(moved))
-    totals = _variation_totals(probe, path.U, moved, gamma, steps)
-    if _terms_finite(probe, path.U, steps):
+    steps = None if ledger.lam is None else _phi_differences(ledger.lam, path.U, moved)
+    totals = _variation_totals(ledger, path.U, moved, gamma, steps)
+    if _terms_finite(ledger, path.U, steps):
         return any(map(holds, totals))
     return holds(_last(totals))
-
-
-def quadratic_loss_ledger(
-    Z: np.ndarray,
-    y: np.ndarray,
-    losses_at_play: np.ndarray,
-    beta: float,
-    lam: Optional[float] = None,
-    lambdas: Optional[np.ndarray] = None,
-) -> RegretLedger:
-    """Ledger over squared losses f_t(u) = (u.z_t - y_t)^2 / 2.
-
-    When ``lam`` is given, phi(u) = lam/2 |u|^2.
-    """
-    Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    # every evaluator squares as r * r: Python's float ** 2 is C pow, which
-    # differs from the correctly rounded product in the last place on about
-    # 0.1% of inputs, so one ledger would see two values of f_t(u)
-    def eval_one(t: int, u: np.ndarray) -> float:
-        r = float(Z[t - 1] @ u - y[t - 1])
-        return 0.5 * (r * r)
-
-    def eval_batch(u: np.ndarray) -> np.ndarray:
-        r = Z @ u
-        r -= y
-        return _half_squares(r)
-
-    def eval_path(U: np.ndarray) -> np.ndarray:
-        r = row_dots(Z, U)
-        r -= y
-        return _half_squares(r)
-
-    phi = None
-    if lam is not None:
-        phi = lambda u: 0.5 * lam * float(u @ u)  # noqa: E731
-    return RegretLedger(
-        losses_at_play=losses_at_play,
-        loss_eval=eval_one,
-        beta=beta,
-        phi_eval=phi,
-        lambdas=lambdas,
-        loss_eval_batch=eval_batch,
-        path_losses=eval_path,
-        squared_loss=(Z, y),
-    )
-
-
-def _half_squares(r: np.ndarray) -> np.ndarray:
-    """Overwrite the residuals ``r`` with r * r / 2 and return them."""
-    r *= r
-    r *= 0.5
-    return r
 
 
 def regret_trace_csv(

@@ -46,7 +46,7 @@ def test_criterion_01_conversion_identity_fuzz():
             Z = rng.standard_normal((T, d))
             y = rng.standard_normal(T)
             play = rng.random(T)
-            ledger = regret.quadratic_loss_ledger(Z, y, play, beta=beta)
+            ledger = regret.RegretLedger(play, beta, Z, y, "squared")
             path = ComparatorPath(rng.standard_normal((T, d)))
             lhs = regret.dynamic_regret(ledger, path)
             gap = regret.d2d_identity_gap(ledger, path)

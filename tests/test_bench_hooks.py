@@ -73,7 +73,11 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
     assert [s.exit_code for s in steps] == [0] * 7, [s.error for s in steps]
     assert workloads.gate(steps, None) == []
     assert steps[2].summary["checks"] and (tmp_path / "vaw.trace.csv").exists()
-    assert tracer.counts["regret.loss_rows"] > 0
+    # whole loss rows of T entries, one per comparator a ledger evaluates:
+    # the identity job's lemma certifies after 6 moved rounds (7 comparators),
+    # run-vaw's path variation takes 2, run-aioli's rescaled-bound check 3 and
+    # its path variation 2; comparator rows (path_losses) are not counted
+    assert tracer.counts["regret.loss_rows"] == (7 + 2 + 3 + 2) * T
     assert tracer.counts["o2nc.loop_grad_calls"] == 2 * T
     # logreg.root_calls is one root per expert and round: AIOLI's, then the grid pool's
     spans = importlib.import_module("layers").JobSpans(tracer, 0)

@@ -609,16 +609,22 @@ ENTRY = st.one_of(
 
 @st.composite
 def stream_commands(draw):
-    """A stream-reading subcommand and a stream for it: d 1-3, T 1-6, labels
-    +-1 for the logistic learners and any entry for VAW."""
+    """A stream-reading subcommand, a stream for it and maybe a truth path:
+    d 1-3, T 1-6, labels +-1 for the logistic learners and any entry for VAW
+    and the comparators.  The truth text is None when not drawn."""
     command = draw(st.sampled_from(["run-vaw", "run-aioli", "run-ensemble"]))
     d, T = draw(st.integers(1, 3)), draw(st.integers(1, 6))
     label = ENTRY if command == "run-vaw" else st.sampled_from(["1.0", "-1.0"])
-    lines = ["t,y," + ",".join(f"z_{i}" for i in range(d))]
-    for t in range(1, T + 1):
-        row = [draw(label)] + [draw(ENTRY) for _ in range(d)]
-        lines.append(f"{t}," + ",".join(row))
-    return command, "\n".join(lines) + "\n"
+
+    def table(first, cells):
+        lines = [",".join(["t", *first, *(f"{cells}_{i}" for i in range(d))])]
+        for t in range(1, T + 1):
+            row = [draw(label) for _ in first] + [draw(ENTRY) for _ in range(d)]
+            lines.append(",".join([str(t), *row]))
+        return "\n".join(lines) + "\n"
+
+    text = table(["y"], "z")
+    return command, text, table([], "u") if draw(st.booleans()) else None
 
 
 # A positive parameter across the whole float range: [1, 1.8) * 10^k, as text.
@@ -658,19 +664,29 @@ def tuning_commands(draw):
 
 def assert_clean_exit(capsys, argv, out):
     """Exit 1 is one error line and leaves no file behind; exits 0 and 2
-    print strict JSON and nothing on stderr."""
-    summary = out.with_suffix(".summary.json")
-    out.unlink(missing_ok=True)
-    summary.unlink(missing_ok=True)
-    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    print strict JSON and nothing on stderr.  ``out`` None runs without
+    ``--out``."""
+    written = []
+    if out is not None:
+        written = [out, out.with_suffix(".summary.json")]
+        for path in written:
+            path.unlink(missing_ok=True)
+        argv = [*argv, "--out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv)
     assert code in (0, 1, 2)
     if code == 1:
         assert_one_error_line(code, err)
         assert "optimism root" not in err and stdout == ""
-        assert not out.exists() and not summary.exists()
+        assert not any(path.exists() for path in written)
     else:
         assert err == ""
         json.loads(stdout, parse_constant=_reject_constant)
+
+
+COMPARATOR_OVERFLOW = ("t,y,z_0\n1,1.0,1.0\n2,-1.0,1.0\n3,1.0,0\n",
+                       "t,u_0\n1,1.5e200\n2,0\n3,1.0\n")
+DELTA_NORM_OVERFLOW = ["run-o2nc", "--variant", "clipped", "--objective", "quadratic",
+                       "--dim", "2", "--T", "3", "--seed", "0", "--c", "1e-170", "--G", "3e151"]
 
 
 class TestExitCodeContract:
@@ -682,25 +698,40 @@ class TestExitCodeContract:
         assert cli._checks_exit({"checks": {"a": True, "b": False}}) == 2
 
     # The examples share tmp_path, so assert_clean_exit starts by clearing
-    # the outputs of the one before.
+    # the outputs of the one before.  A truth path beside the stream takes
+    # the runs through the dynamic regret, the bounds and the regret trace.
     @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=stream_commands())
+    # a comparator of 1.5e200: its squared residual and |u_1|^2 overflow
+    @example(case=("run-vaw", *COMPARATOR_OVERFLOW))
+    @example(case=("run-aioli", *COMPARATOR_OVERFLOW))
     def test_stream_commands_exit_cleanly(self, capsys, tmp_path, case):
-        command, text = case
+        command, text, truth = case
         stream = tmp_path / "s.csv"
         stream.write_text(text)
+        stream.with_suffix(".truth.csv").unlink(missing_ok=True)
+        if truth is not None:
+            stream.with_suffix(".truth.csv").write_text(truth)
         assert_clean_exit(capsys, [command, "--stream", str(stream)], tmp_path / "o.csv")
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(argv=tuning_commands())
+    @given(argv=tuning_commands(), write=st.booleans())
     # A @ x0 overflows in the max-affine objective; D * a_t overflows in the
-    # comparator u_t = -D a_t/|a_t| (the summary's sum of terms is then inf)
+    # comparator u_t = -D a_t/|a_t| (the summary's sum of terms is then inf);
+    # the squares of a Delta_t of about 2.75e154 overflow in its norm
     @example(argv=["run-o2nc", "--variant", "clipped", "--objective", "maxaffine", "--dim", "1",
-                   "--T", "1", "--seed", "0", "--x0-scale", "1.5e308"])
+                   "--T", "1", "--seed", "0", "--x0-scale", "1.5e308"], write=True)
     @example(argv=["run-o2nc", "--variant", "clipped", "--objective", "quadratic", "--dim", "1",
-                   "--T", "1", "--seed", "0", "--c", "1e-170", "--G", "1e152"])
-    def test_tuning_commands_exit_cleanly(self, capsys, tmp_path, argv):
-        assert_clean_exit(capsys, argv, tmp_path / "o.csv")
+                   "--T", "1", "--seed", "0", "--c", "1e-170", "--G", "1e152"], write=True)
+    @example(argv=DELTA_NORM_OVERFLOW, write=True)
+    @example(argv=DELTA_NORM_OVERFLOW, write=False)
+    def test_tuning_commands_exit_cleanly(self, capsys, tmp_path, argv, write):
+        assert_clean_exit(capsys, argv, tmp_path / "o.csv" if write else None)
+
+    def test_delta_norm_past_the_square_overflow(self, capsys):
+        code, stdout, err = run_cli(capsys, *DELTA_NORM_OVERFLOW)
+        assert (code, err) == (0, "")
+        assert json.loads(stdout)["max_delta_norm"] == pytest.approx(2.75e154, rel=1e-3)
 
 
 class TestDeterminism:

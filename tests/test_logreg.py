@@ -339,35 +339,13 @@ class TestSingleMatrixMatchesTwoFactorizations:
         assert np.all(np.abs(run.stab_disc - stabs) <= 1e-12 * (1.0 + np.abs(stabs)))
 
 
-class TestComparatorLossRows:
-    @given(seed=st.integers(0, 2**31 - 1), T=st.integers(1, 60), d=st.integers(1, 24),
-           layout=st.sampled_from(["C", "F", "reversed"]))
-    def test_path_losses_equal_loss_eval_rows(self, seed, T, d, layout):
-        rng = np.random.default_rng(seed)
-        Z = rng.standard_normal((T, d))
-        stream = Stream(Z, rng.choice([-1.0, 1.0], T))
-        U = 3.0 * rng.standard_normal((T, d))
-        U = {"C": U, "F": np.asfortranarray(U), "reversed": U[::-1]}[layout]
-        ledger = logreg.ensemble_ledger(logreg.EnsembleRun(
-            stream=stream, betas=np.array([0.9]), lam=1.0, B=1.0, R=1.0,
-            yhats=np.zeros(T), mix_losses=rng.random(T), expert_losses=np.zeros((T, 1)),
-            expert_yhats=np.zeros((T, 1)), weights=np.ones((T, 1)),
-        ))
-        rows = np.array([ledger.loss_eval(t, U[t - 1]) for t in range(1, T + 1)])
-        assert ulps_apart(ledger.path_losses(U), rows).max() == 0
-        path = ComparatorPath(U)
-        loop = sum(ledger.loss_eval(t, U[t - 1]) for t in range(1, T + 1))
-        assert regret.dynamic_regret(ledger, path) == float(ledger.losses_at_play.sum() - loop)
-
-
 class TestDynamicBound:
     def test_constant_path_has_no_variation_term(self):
         rng = np.random.default_rng(6)
         stream, _ = logistic_stream(rng, T=40, segments=1)
         run = logreg.run_aioli(stream, beta=0.9, lam=1.0, B=1.0, R=1.0)
         path = ComparatorPath.constant(np.full(stream.d, 0.1), stream.T)
-        pv = regret.path_variation(logreg.logistic_ledger(run), path, 0.95)
-        assert pv.value == 0.0
+        assert regret.path_variation(logreg.logistic_ledger(run), path, 0.95) == 0.0
 
     def test_fourth_term_vanishes_as_beta_tends_to_one(self):
         values = [

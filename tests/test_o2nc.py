@@ -183,6 +183,27 @@ class TestRunLoop:
         assert t1.final_index == t2.final_index
         assert t1.to_csv() == t2.to_csv()
 
+    def test_delta_norms_past_the_square_overflow(self):
+        # rows of |Delta| up to 1e300: np.linalg.norm's bits while the squares
+        # stay finite, the scaled adam._norm past about 1.3e154
+        rng = np.random.default_rng(5)
+        scales = np.array([1.0, 1e150, 1e156, 1e200, 1e300])
+        deltas = rng.standard_normal((5, 3)) * scales[:, None]
+        trace = o2nc.O2ncTrace(
+            cfg=None, objective=None, x0=None, xbars=None, scalings=np.ones(5),
+            deltas=deltas, grad_norms_at_xbar=np.ones(5), dynreg_terms=np.ones(5),
+            zero_comparators=0, final_index=0,
+        )
+        norms = trace.delta_norms()
+        with np.errstate(over="ignore"):
+            plain = np.linalg.norm(deltas, axis=1)
+        finite = np.isfinite(plain)
+        assert finite.tolist() == [True, True, False, False, False]
+        assert norms[finite].tolist() == plain[finite].tolist()
+        assert norms[~finite].tolist() == [adam._norm(row) for row in deltas[~finite]]
+        for norm, row in zip(norms, deltas):
+            assert norm == pytest.approx(math.hypot(*row), rel=1e-15)
+
     def test_oracle_noise_stays_within_declared_bound(self):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(7)))
         for obj in (o2nc.clamped_quadratic(3, 2.0), o2nc.euclidean_norm(3),

@@ -16,7 +16,18 @@ def random_quadratic_ledger(rng, T, d, beta, lam=None, with_lambdas=False):
     y = rng.standard_normal(T)
     play = rng.random(T)
     lambdas = rng.random(T) * 0.1 if with_lambdas else None
-    return regret.quadratic_loss_ledger(Z, y, play, beta=beta, lam=lam, lambdas=lambdas)
+    return regret.RegretLedger(play, beta, Z, y, "squared", lam=lam, lambdas=lambdas)
+
+
+def random_logistic_ledger(rng, T, d, beta, lam=0.5):
+    Z = rng.standard_normal((T, d))
+    y = rng.choice([-1.0, 1.0], T)
+    return regret.RegretLedger(rng.random(T), beta, Z, y, "logistic", lam=lam)
+
+
+def phi(ledger, u):
+    """phi(u) = lam/2 |u|^2, as a Python float expression."""
+    return 0.5 * ledger.lam * float(u @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -29,8 +40,8 @@ def random_quadratic_ledger(rng, T, d, beta, lam=None, with_lambdas=False):
 
 def oracle_ft_value(ledger, t, u):
     val = float(ledger.weights(t) @ ledger.losses_at(u, upto=t))
-    if ledger.phi_eval is not None:
-        val += ledger.beta**t * ledger.phi_eval(u)
+    if ledger.lam is not None:
+        val += ledger.beta**t * phi(ledger, u)
     return val
 
 
@@ -61,8 +72,8 @@ def oracle_path_variation(ledger, path, gamma):
         w = geometric_weights(gamma, t)
         diffs = ledger.losses_at(u_next, upto=t) - ledger.losses_at(u_now, upto=t)
         total += float(w[1:] @ np.maximum(diffs, 0.0))
-        if ledger.phi_eval is not None:
-            d0 = ledger.phi_eval(u_next) - ledger.phi_eval(u_now)
+        if ledger.lam is not None:
+            d0 = phi(ledger, u_next) - phi(ledger, u_now)
             total += w[0] * max(d0, 0.0)
     return total
 
@@ -90,23 +101,6 @@ def fuzz_path(rng, T, d, moving):
         return ComparatorPath(rng.standard_normal((T, d)))
     pieces = rng.standard_normal((int(rng.integers(1, 5)), d))
     return ComparatorPath(pieces[np.sort(rng.integers(0, len(pieces), T))])
-
-
-def logistic_like_ledger(rng, T, d, beta, batch):
-    """A non-squared ledger, with or without a batch evaluator."""
-    Z = rng.standard_normal((T, d))
-    y = rng.choice([-1.0, 1.0], T)
-
-    def eval_batch(u):
-        return np.logaddexp(0.0, -y * (Z @ u))
-
-    return regret.RegretLedger(
-        losses_at_play=rng.random(T),
-        loss_eval=lambda t, u: float(np.logaddexp(0.0, -y[t - 1] * (Z[t - 1] @ u))),
-        beta=beta,
-        phi_eval=lambda u: 0.25 * float(u @ u),
-        loss_eval_batch=eval_batch if batch else None,
-    )
 
 
 # Drift of the running-statistics and skip-rule evaluators against the oracles
@@ -165,10 +159,9 @@ class TestDynamicRegret:
         assert regret.dynamic_regret(ledger, path) == 0.0
 
     def test_single_round(self):
-        ledger = regret.RegretLedger(
-            losses_at_play=np.array([3.0]), loss_eval=lambda t, u: 1.0, beta=1.0
-        )
-        assert regret.dynamic_regret(ledger, ComparatorPath(np.zeros((1, 1)))) == 2.0
+        # f_1(0) = (0 - 1)^2 / 2
+        ledger = regret.RegretLedger(np.array([3.0]), 1.0, np.ones((1, 1)), np.ones(1), "squared")
+        assert regret.dynamic_regret(ledger, ComparatorPath(np.zeros((1, 1)))) == 2.5
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(1)
@@ -209,9 +202,7 @@ class TestDiscountedRegret:
     def test_frozen_half_discount_example(self):
         # plays [1, 2, 4] against a zero-loss comparator: 0.25 + 1 + 4
         ledger = regret.RegretLedger(
-            losses_at_play=np.array([1.0, 2.0, 4.0]),
-            loss_eval=lambda t, u: 0.0,
-            beta=0.5,
+            np.array([1.0, 2.0, 4.0]), 0.5, np.zeros((3, 1)), np.zeros(3), "squared"
         )
         assert abs(regret.discounted_regret(ledger, 3, np.zeros(1)) - 5.25) <= 1e-12
 
@@ -255,53 +246,39 @@ class TestPathVariation:
         rng = np.random.default_rng(9)
         ledger = random_quadratic_ledger(rng, 10, 2, beta=0.8, lam=1.0)
         path = ComparatorPath.constant(rng.standard_normal(2), 10)
-        assert regret.path_variation(ledger, path, 0.5).value == 0.0
+        assert regret.path_variation(ledger, path, 0.5) == 0.0
 
     def test_unit_jump_with_unit_weights_sums_to_one(self):
-        # f_0(u) = f_1(u) = u[0]; jump from 0 to 1 gives [diff]_+ = 1 at both
-        # s = 0 and s = 1, and the normalized weights sum to 1.
-        ledger = regret.RegretLedger(
-            losses_at_play=np.zeros(2),
-            loss_eval=lambda t, u: float(u[0]),
-            beta=0.5,
-            phi_eval=lambda u: float(u[0]),
-        )
+        # f_0(u) = f_1(u) = u^2/2; the jump from 0 to 1 gives [diff]_+ = 1/2
+        # at both s = 0 and s = 1, and the normalized weights 1/3, 2/3 sum to 1.
+        ledger = regret.RegretLedger(np.zeros(2), 0.5, np.ones((2, 1)), np.zeros(2), "squared",
+                                     lam=1.0)
         path = ComparatorPath(np.array([[0.0], [1.0]]))
-        pv = regret.path_variation(ledger, path, 0.5)
-        assert abs(pv.value - 1.0) <= 1e-15
-        assert pv.includes_f0
+        assert abs(regret.path_variation(ledger, path, 0.5) - 0.5) <= 1e-15
+        without_f0 = regret.path_variation(ledger, path, 0.5, include_f0=False)
+        assert abs(without_f0 - 1.0 / 3.0) <= 1e-15
 
     def test_lipschitz_upper_bound(self):
-        # linear losses f_s(u) = g_s . u are G-Lipschitz with G = max |g_s|
+        # logistic losses f_s(u) = ln(1 + exp(-y_s z_s.u)) are G-Lipschitz
+        # with G = max |z_s|; phi = 0
         rng = np.random.default_rng(10)
         T, d = 12, 3
-        Gmat = rng.standard_normal((T, d))
-        ledger = regret.RegretLedger(
-            losses_at_play=np.zeros(T),
-            loss_eval=lambda t, u: float(Gmat[t - 1] @ u),
-            beta=0.9,
-            phi_eval=lambda u: 0.0,
-        )
+        ledger = random_logistic_ledger(rng, T, d, beta=0.9, lam=0.0)
         U = rng.standard_normal((T, d))
         path = ComparatorPath(U)
-        G = float(np.linalg.norm(Gmat, axis=1).max())
+        G = float(np.linalg.norm(ledger.Z, axis=1).max())
         hops = float(np.linalg.norm(np.diff(U, axis=0), axis=1).sum())
         for gamma in (0.3, 0.8, 0.99):
-            pv = regret.path_variation(ledger, path, gamma)
-            assert pv.value <= G * hops + 1e-9
+            assert regret.path_variation(ledger, path, gamma) <= G * hops + 1e-9
 
     def test_nonnegative_and_grows_with_jump_size(self):
         # f_s(u) = u^2/2 around 0; a bigger jump away from 0 costs more
-        ledger = regret.RegretLedger(
-            losses_at_play=np.zeros(5),
-            loss_eval=lambda t, u: 0.5 * float(u @ u),
-            beta=0.5,
-        )
+        ledger = regret.RegretLedger(np.zeros(5), 0.5, np.ones((5, 1)), np.zeros(5), "squared")
         values = []
         for jump in (0.0, 1.0, 2.0):
             U = np.zeros((5, 1))
             U[3:] = jump
-            values.append(regret.path_variation(ledger, ComparatorPath(U), 0.5).value)
+            values.append(regret.path_variation(ledger, ComparatorPath(U), 0.5))
         assert values[0] == 0.0
         assert values[0] <= values[1] <= values[2]
 
@@ -316,8 +293,7 @@ class TestModularBound:
     def test_all_terms_vanish(self):
         rng = np.random.default_rng(12)
         T, d = 6, 2
-        ledger = random_quadratic_ledger(rng, T, d, beta=0.7)
-        ledger.phi_eval = lambda u: 0.0
+        ledger = random_quadratic_ledger(rng, T, d, beta=0.7, lam=0.0)
         ledger.lambdas = np.zeros(T)
         path = ComparatorPath.constant(rng.standard_normal(d), T)
         assert regret.modular_bound_rhs(ledger, path) == 0.0
@@ -329,7 +305,7 @@ class TestModularBound:
         path = ComparatorPath(rng.standard_normal((T, 2)))
         rhs = regret.modular_bound_rhs(ledger, path)
         manual = (
-            0.6 * ledger.phi_eval(path[0])
+            0.6 * phi(ledger, path[0])
             + ledger.lambdas.sum()
             + regret.ft_difference_term(ledger, path)
         )
@@ -344,7 +320,7 @@ class TestModularBound:
             play = rng.random(T)
             lambdas = rng.random(T) * 0.05
             beta, lam = 0.9, 0.8
-            ledger = regret.quadratic_loss_ledger(Z, y, play, beta, lam, lambdas)
+            ledger = regret.RegretLedger(play, beta, Z, y, "squared", lam, lambdas)
             path = ComparatorPath(rng.standard_normal((T, d)))
 
             def f(s, u):
@@ -374,7 +350,7 @@ class TestPathLengthLemma:
     def _ledger(self, rng, T, d, lam=0.3):
         Z = rng.standard_normal((T, d))
         y = rng.standard_normal(T)
-        return regret.quadratic_loss_ledger(Z, y, np.zeros(T), beta=0.5, lam=lam)
+        return regret.RegretLedger(np.zeros(T), 0.5, Z, y, "squared", lam=lam)
 
     def test_constant_path_holds(self):
         rng = np.random.default_rng(16)
@@ -394,25 +370,27 @@ class TestPathLengthLemma:
     def test_probe_keeps_every_ledger_field_but_beta(self, monkeypatch):
         rng = np.random.default_rng(19)
         ledger = random_quadratic_ledger(rng, 6, 2, beta=0.9, lam=1.0, with_lambdas=True)
-        probes = []
-        totals = regret._variation_totals
+        probes, sources = [], []
+        ft_difference_term, variation_totals = regret.ft_difference_term, regret._variation_totals
 
         def spy(probe, *args):
             probes.append(probe)
-            return totals(probe, *args)
+            return ft_difference_term(probe, *args)
 
-        monkeypatch.setattr(regret, "_variation_totals", spy)
+        def totals_spy(source, *args):
+            sources.append(source)
+            return variation_totals(source, *args)
+
+        monkeypatch.setattr(regret, "ft_difference_term", spy)
+        monkeypatch.setattr(regret, "_variation_totals", totals_spy)
         regret.check_path_length_lemma(
             ledger, ComparatorPath(rng.standard_normal((6, 2))), 0.5, 0.8)
         (probe,) = probes
         assert probe.beta == 0.5
         for f in dataclasses.fields(regret.RegretLedger):
             if f.init and f.name != "beta":
-                got, want = getattr(probe, f.name), getattr(ledger, f.name)
-                if isinstance(want, tuple):
-                    assert all(g is w for g, w in zip(got, want)), f.name
-                else:
-                    assert got is want, f.name
+                assert getattr(probe, f.name) is getattr(ledger, f.name), f.name
+        assert sources == [ledger]  # P_T^g does not depend on beta
 
     def test_bad_ordering_rejected(self):
         rng = np.random.default_rng(18)
@@ -426,9 +404,8 @@ class TestPathLengthLemma:
 def full_lemma_verdict(ledger, path, beta, gamma):
     """The lemma's verdict from the whole sum P_T, as the check read before
     it stopped at its first certificate."""
-    probe = dataclasses.replace(ledger, beta=beta)
-    lhs = regret.ft_difference_term(probe, path)
-    rhs = gamma / (1.0 - gamma) * regret.path_variation(probe, path, gamma).value
+    lhs = regret.ft_difference_term(dataclasses.replace(ledger, beta=beta), path)
+    rhs = gamma / (1.0 - gamma) * regret.path_variation(ledger, path, gamma)
     return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
 
 
@@ -440,8 +417,9 @@ class TestLemmaEarlyExit:
     # while the F-differences (from G_t and h_t, not y^2) stay finite.  For a
     # squared-loss ledger the lemma holds, so the failing verdicts come from
     # the faults: a nan comparator, and statistics that disagree with the loss
-    # rows (the left side reads the statistics, P_T the rows), which fail with
-    # every term finite and so run to the end.
+    # rows (the left side reads the statistics, P_T the rows the instance's
+    # own evaluator gives), which fail with every term finite and so run to
+    # the end.
     @settings(max_examples=100)
     @given(case=fuzz_cases, gamma=st.floats(0.05, 0.95), lam=st.sampled_from([None, 0.7]),
            fault=st.sampled_from([None, "disagreeing-statistics", "late-inf-loss",
@@ -459,9 +437,11 @@ class TestLemmaEarlyExit:
             y[T - 2] = 1e200  # row T-1: only the last round sees it
         elif fault == "nan-comparator":
             path.U[int(rng.integers(T)), 0] = math.nan
-        ledger = regret.quadratic_loss_ledger(Z, y, np.zeros(T), beta=0.5, lam=lam)
+        ledger = regret.RegretLedger(np.zeros(T), 0.5, Z, y, "squared", lam=lam)
         if fault == "disagreeing-statistics":
-            ledger = dataclasses.replace(ledger, squared_loss=(Z, 10.0 * y))
+            rows = ledger.loss_eval_batch
+            ledger = dataclasses.replace(ledger, y=10.0 * y)
+            ledger.loss_eval_batch = rows
         with np.errstate(over="ignore", invalid="ignore"):
             verdict = regret.check_path_length_lemma(ledger, path, beta, gamma)
             assert verdict == full_lemma_verdict(ledger, path, beta, gamma)
@@ -521,11 +501,11 @@ class TestOracleAgreement:
             self._agree(ledger, path)
             assert_regrets_match_oracle(ledger, path, T + 1)
 
-    @given(case=fuzz_cases, batch=st.booleans())
-    def test_non_squared_ledger(self, case, batch):
+    @given(case=fuzz_cases, lam=st.sampled_from([None, 0.5]))
+    def test_logistic_ledgers(self, case, lam):
         rng = np.random.default_rng(case["seed"])
         T, d = case["T"], case["d"]
-        ledger = logistic_like_ledger(rng, T, d, case["beta"], batch)
+        ledger = random_logistic_ledger(rng, T, d, case["beta"], lam)
         self._agree(ledger, fuzz_path(rng, T, d, case["moving"]))
 
     def _agree(self, ledger, path):
@@ -535,24 +515,24 @@ class TestOracleAgreement:
         assert abs(regret.d2d_identity_gap(ledger, path) - gap_ref) <= ORACLE_RTOL * scale
         for gamma in (0.3, 0.9):
             pv = regret.path_variation(ledger, path, gamma)
-            assert pv.value == oracle_path_variation(ledger, path, gamma)
+            assert pv == oracle_path_variation(ledger, path, gamma)
 
     def test_stationary_rounds_evaluate_no_loss(self):
         rng = np.random.default_rng(19)
         T, d = 30, 3
-        ledger = logistic_like_ledger(rng, T, d, 0.8, batch=True)
+        ledger = random_logistic_ledger(rng, T, d, 0.8)
         calls = []
         batch = ledger.loss_eval_batch
         ledger.loss_eval_batch = lambda u: calls.append(1) or batch(u)
         path = ComparatorPath.constant(rng.standard_normal(d), T)
         assert regret.ft_difference_term(ledger, path) == 0.0
-        assert regret.path_variation(ledger, path, 0.5).value == 0.0
+        assert regret.path_variation(ledger, path, 0.5) == 0.0
         assert calls == []
 
     def test_each_distinct_comparator_is_evaluated_once(self):
         # moves at rounds 3, 5 and 8 of T = 10: four distinct comparators
         rng = np.random.default_rng(25)
-        ledger = logistic_like_ledger(rng, 10, 3, 0.8, batch=True)
+        ledger = random_logistic_ledger(rng, 10, 3, 0.8)
         calls = []
         batch = ledger.loss_eval_batch
         ledger.loss_eval_batch = lambda u: calls.append(1) or batch(u)
@@ -595,12 +575,13 @@ class TestOracleAgreement:
         rng = np.random.default_rng(28)
         clean = random_quadratic_ledger(rng, 12, 3, beta=0.8, lam=0.5)
         path = ComparatorPath(rng.standard_normal((12, 3)))
-        Z, y = (a.copy() for a in clean.squared_loss)
+        Z, y = clean.Z.copy(), clean.y.copy()
         play = clean.losses_at_play.copy()
         columns = {"Z": Z[:, 0], "y": y, "play": play}  # views of the copies
         columns[field][row - 1] = value
         # the loss rows stay clean: the oracles see rows < row only
-        ledger = dataclasses.replace(clean, losses_at_play=play, squared_loss=(Z, y))
+        ledger = dataclasses.replace(clean, losses_at_play=play, Z=Z, y=y)
+        ledger.loss_eval_batch = clean.loss_eval_batch
         with squared_loss_kernel(budget), np.errstate(over="ignore", invalid="ignore"):
             diffs = regret._f_differences(ledger, path)  # rounds 1..T-1
             assert np.isfinite(diffs[: row - 1]).all()
@@ -617,7 +598,7 @@ class TestOracleAgreement:
         U[2:, 0] = np.nan
         path = ComparatorPath(U)
         assert np.isnan(regret.ft_difference_term(ledger, path))
-        assert np.isnan(regret.path_variation(ledger, path, 0.5).value)
+        assert np.isnan(regret.path_variation(ledger, path, 0.5))
 
 
 def per_round_dynamic_regret(ledger, path):
@@ -632,38 +613,44 @@ def per_round_regret_trace_csv(ledger, path, header_comment=None):
     return csv_text(["loss_play", "loss_comp", "cum_dynreg"], [play, comp, cum], header_comment)
 
 
+EPS = np.finfo(float).eps
+
+
 class TestComparatorLossRows:
     # The per-round functions above are the loops that path_losses replaced:
-    # the rows, the regret and the trace must equal theirs bit for bit.
+    # the rows, the regret and the trace must equal theirs bit for bit, for
+    # both loss kinds.  loss_eval_batch takes one matrix-vector product, and
+    # BLAS may add a row's d products in another order than the per-row dot,
+    # so its rows are held to the margins' roundoff, and to the same bits
+    # where a row's dot is one product (d = 1).
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
     @given(seed=st.integers(0, 2**31 - 1), T=st.integers(1, 60), d=st.integers(1, 24),
            layout=st.sampled_from(["C", "F", "reversed"]))
-    def test_quadratic_rows_regret_and_trace_match_the_loops(self, seed, T, d, layout):
+    def test_rows_regret_and_trace_match_the_loops(self, loss, seed, T, d, layout):
         rng = np.random.default_rng(seed)
-        ledger = random_quadratic_ledger(rng, T, d, beta=0.9, lam=1.0)
+        make = {"squared": random_quadratic_ledger, "logistic": random_logistic_ledger}[loss]
+        ledger = make(rng, T, d, beta=0.9, lam=1.0)
         U = 2.0 * rng.standard_normal((T, d))
         U = {"C": U, "F": np.asfortranarray(U), "reversed": U[::-1]}[layout]
         rows = [ledger.loss_eval(t, U[t - 1]) for t in range(1, T + 1)]
         assert ledger.path_losses(U).tolist() == rows
+        batch = np.array([ledger.loss_eval_batch(U[t - 1])[t - 1] for t in range(1, T + 1)])
+        if d == 1:
+            assert batch.tolist() == rows
+        scale = np.abs(ledger.Z * U).sum(axis=1) + np.abs(ledger.y) + 1.0
+        assert np.all(np.abs(batch - rows) <= 8 * d * EPS * scale**2)
         path = ComparatorPath(U)
         assert regret.dynamic_regret(ledger, path) == per_round_dynamic_regret(ledger, path)
         assert regret.regret_trace_csv(ledger, path, "c") == per_round_regret_trace_csv(
             ledger, path, "c"
         )
 
-    def test_ledger_without_row_evaluator_uses_loss_eval(self):
-        rng = np.random.default_rng(23)
-        ledger = logistic_like_ledger(rng, 30, 3, beta=0.8, batch=True)
-        assert ledger.path_losses is None
-        path = fuzz_path(rng, 30, 3, moving=True)
-        assert regret.dynamic_regret(ledger, path) == per_round_dynamic_regret(ledger, path)
-        assert regret.regret_trace_csv(ledger, path) == per_round_regret_trace_csv(ledger, path)
-
     def test_every_evaluator_squares_the_same_way(self):
         # r**2 (C pow) rounds this residual differently from r*r
         r = 2.3480084736201086
         assert r**2 != r * r
-        ledger = regret.quadratic_loss_ledger(
-            np.array([[1.0]]), np.array([0.0]), np.zeros(1), beta=0.9)
+        ledger = regret.RegretLedger(np.zeros(1), 0.9, np.array([[1.0]]), np.array([0.0]),
+                                     "squared")
         u = np.array([r])
         one = ledger.loss_eval(1, u)
         assert one == ledger.loss_eval_batch(u)[0] == ledger.path_losses(u[None])[0]
@@ -677,8 +664,8 @@ class TestComparatorLossRows:
 
 class TestIdentityGapIndependence:
     def test_statistics_that_disagree_with_loss_eval_break_the_identity(self):
-        # The squared-loss RHS comes from (Z, y); the LHS from loss_eval.  A
-        # ledger whose statistics differ from its loss rows in one y entry
+        # The squared-loss RHS comes from (Z, y); the LHS from the loss rows.
+        # A ledger whose statistics differ from its loss rows in one y entry
         # must fail the identity, or the acceptance check would be empty.
         rng = np.random.default_rng(21)
         T, d = 50, 3
@@ -686,19 +673,29 @@ class TestIdentityGapIndependence:
         path = ComparatorPath(rng.standard_normal((T, d)))
         dyn = regret.dynamic_regret(ledger, path)
         assert regret.d2d_identity_gap(ledger, path) <= 1e-9 * (1.0 + abs(dyn))
-        Z, y = ledger.squared_loss
-        y_off = y.copy()
+        y_off = ledger.y.copy()
         y_off[T // 2] += 1.0
-        tampered = dataclasses.replace(ledger, squared_loss=(Z, y_off))
+        tampered = dataclasses.replace(ledger, y=y_off)
+        tampered.path_losses = ledger.path_losses  # rows of the untampered labels
         assert regret.dynamic_regret(tampered, path) == dyn
         assert regret.d2d_identity_gap(tampered, path) >= 1e-3 * (1.0 + abs(dyn))
 
-    def test_mismatched_statistics_rejected(self):
+    MISMATCHES = {
+        "short-statistics": lambda ledger: {"Z": ledger.Z[:4], "y": ledger.y[:4]},
+        "flat-features": lambda ledger: {"Z": ledger.Z[:, 0]},
+        "column-labels": lambda ledger: {"y": ledger.y[:, None]},
+        "unknown-loss": lambda ledger: {"loss": "hinge"},
+        "negative-lam": lambda ledger: {"lam": -1.0},
+        "nan-lam": lambda ledger: {"lam": math.nan},
+        "inf-lam": lambda ledger: {"lam": math.inf},
+    }
+
+    @pytest.mark.parametrize("fault", sorted(MISMATCHES))
+    def test_mismatched_statistics_rejected(self, fault):
         rng = np.random.default_rng(22)
-        ledger = random_quadratic_ledger(rng, 5, 2, beta=0.5)
-        Z, y = ledger.squared_loss
+        ledger = random_quadratic_ledger(rng, 5, 2, beta=0.5, lam=1.0)
         with pytest.raises(ValueError):
-            dataclasses.replace(ledger, squared_loss=(Z[:4], y[:4]))
+            dataclasses.replace(ledger, **self.MISMATCHES[fault](ledger))
 
 
 class TestSquaredLossMemory:

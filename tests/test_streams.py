@@ -40,15 +40,15 @@ def rowwise_path_csv(path, header_comment=None):
     return buf.getvalue()
 
 
-def rowwise_regret_trace_csv(ledger, path, header_comment=None):
+def rowwise_regret_trace_csv(play, comp, header_comment=None):
     lines = []
     if header_comment:
         lines.append(f"# {header_comment}")
     lines.append("t,loss_play,loss_comp,cum_dynreg")
     cum = 0.0
-    for t in range(1, ledger.T + 1):
-        lp = float(ledger.losses_at_play[t - 1])
-        lc = float(ledger.loss_eval(t, path[t - 1]))
+    for t in range(1, len(play) + 1):
+        lp = float(play[t - 1])
+        lc = float(comp[t - 1])
         cum += lp - lc
         lines.append(f"{t},{lp!r},{lc!r},{cum!r}")
     return "\n".join(lines) + "\n"
@@ -395,13 +395,12 @@ class TestCodecMatchesRowwiseWriters:
     @example(data=np.array([[-0.0, 0.0], [-0.0, 0.0], [1.0, 0.5]]), comment="c")
     def test_regret_trace(self, data, comment):
         # any float pair, so the running sum also meets -0.0, overflow and nan
-        comp = data[:, 1]
-        ledger = regret.RegretLedger(
-            losses_at_play=data[:, 0], loss_eval=lambda t, u: float(comp[t - 1]), beta=1.0
-        )
-        path = streams.ComparatorPath(np.zeros((len(data), 1)))
-        got = regret.regret_trace_csv(ledger, path, comment)
-        assert got == rowwise_regret_trace_csv(ledger, path, comment)
+        play, comp = data[:, 0], data[:, 1]
+        T = len(data)
+        ledger = regret.RegretLedger(play, 1.0, np.zeros((T, 1)), np.zeros(T), "squared")
+        ledger.path_losses = lambda U: comp  # comparator rows no loss kind gives
+        got = regret.regret_trace_csv(ledger, streams.ComparatorPath(np.zeros((T, 1))), comment)
+        assert got == rowwise_regret_trace_csv(play, comp, comment)
 
     @given(
         columns=table(st.just(3), ANY_FLOAT),
