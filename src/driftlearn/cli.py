@@ -95,6 +95,10 @@ COMMON_FIELDS = [
 ]
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+
+
 def _resolve_config(fields: list[Field], args: argparse.Namespace) -> dict:
     """defaults < config file < explicit CLI flags, with validation."""
     by_name = {f.name: f for f in fields}
@@ -105,6 +109,8 @@ def _resolve_config(fields: list[Field], args: argparse.Namespace) -> dict:
             text = Path(cfg_path).read_text()
         except OSError as exc:
             raise UsageError(f"config: cannot read {cfg_path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"config: cannot read {cfg_path}: {_not_utf8(exc)}") from None
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -235,6 +241,8 @@ def _read_csv(key: str, path: Path, parse: Callable[[str], object]):
         return parse(path.read_text())
     except OSError as exc:
         raise UsageError(f"{key}: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{key}: cannot read {path}: {_not_utf8(exc)}") from None
     except streams.StreamSpecError as exc:
         raise UsageError(f"{key}: {path}: {exc}") from exc
 
@@ -521,7 +529,7 @@ def cmd_run_o2nc(values: dict) -> int:
     trace = o2nc.run_o2nc(cfg, oracle, values["T"], values["seed"], x0)
     tail = max(1, values["T"] // 10)
     tail_mean = float(trace.grad_norms_at_xbar[-tail:].mean())
-    delta_norms = trace.delta_norms()
+    delta_norms = trace.delta_norms
     checks = {}
     if variant == "clipped":
         checks["delta_norm_le_D"] = bool(np.all(delta_norms <= rep.D * (1.0 + 1e-12)))

@@ -5,31 +5,39 @@ One run executes, per round t = 1..T,
     receive Delta_t from `adam.delta_for` (state holds g_1..g_{t-1}),
     x_t = x_{t-1} + s_t * Delta_t   with s_t ~ Exp(1) i.i.d.,
     g_t = StochasticOracle.perturb(grad F(x_t)),
-    fold g_t into the update state,
-    xbar_t = (beta-beta^t)/(1-beta^t) xbar_{t-1} + (1-beta)/(1-beta^t) x_t,
+    fold g_t into the update state.
 
-with beta = beta1: two true gradients a round, at x_t and at xbar_t.  The
-trace records the scalings, the steps, the running averages, the gradient
-norms at them and the dynamic-regret terms against the drifting comparator
+Only this part is sequential, and the loop does nothing else: it records
+s_t, Delta_t, g_t and grad F(x_t).  After it, `run_o2nc` computes the rest
+from those rows, with the roundings of the per-round formulas: the check
+|g_t| <= G, the dynamic-regret terms against the drifting comparator
 
     u_t = -D * a_t / |a_t|,   a_t = sum_{s<=t} beta^(t-s) grad F(x_s),
 
-built from true gradients (synthetic objectives expose them); a zero
-accumulator yields u_t = 0 and is counted.  The returned point is drawn
-uniformly from the running averages, and the full gradient-norm trace is
-kept since it carries strictly more information than the single draw.
+built from true gradients (synthetic objectives expose them; a zero
+accumulator yields u_t = 0 and is counted), the iterates x_t, the running
+averages
+
+    xbar_t = (beta-beta^t)/(1-beta^t) xbar_{t-1} + (1-beta)/(1-beta^t) x_t,
+
+with beta = beta1, and the gradient norms at them: two true gradients a
+round, at x_t and at xbar_t.  The returned point is drawn uniformly from
+the running averages, and the full gradient-norm trace is kept since it
+carries strictly more information than the single draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from driftlearn.adam import AdamConfig, AdamState, _norm, adam_update, delta_for
-from driftlearn.streams import csv_text, philox_rng
+from driftlearn.regret import row_dots
+from driftlearn.streams import csv_text, discounted_scan, philox_rng
 
 
 class OracleBoundError(RuntimeError):
@@ -117,7 +125,9 @@ class StochasticOracle:
     The noise direction is uniform on the sphere and its magnitude is
     min(sigma * |N(0,1)|, G - |grad F(x)|), which keeps |g| <= G almost
     surely while preserving zero-mean noise; the cap slightly reduces the
-    effective variance.
+    effective variance.  One draw of d + 1 standard normals gives the
+    direction and then the magnitude's normal, the same values as a draw of
+    d followed by a draw of one.
     """
 
     objective: Objective
@@ -126,9 +136,10 @@ class StochasticOracle:
     def perturb(self, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """The stochastic gradient drawn around the true gradient ``g``."""
         gap = self.objective.lipschitz - _norm(g)
-        direction = rng.standard_normal(self.objective.dim)
+        normals = rng.standard_normal(self.objective.dim + 1)
+        direction = normals[:-1]
         nd = math.sqrt(direction @ direction)
-        magnitude = min(self.sigma * abs(float(rng.standard_normal())), max(gap, 0.0))
+        magnitude = min(self.sigma * abs(float(normals[-1])), max(gap, 0.0))
         if nd == 0.0 or magnitude == 0.0:
             return g
         return g + (magnitude / nd) * direction
@@ -152,19 +163,50 @@ def ema_update(xbar_prev: np.ndarray, x_t: np.ndarray, beta: float, t: int) -> n
     return c_prev * np.asarray(xbar_prev, dtype=float) + c_new * np.asarray(x_t, dtype=float)
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """[_norm(x) for x in X], bit for bit: the square root of one batched row
+    dot, with `_norm` on the rows whose square is inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):  # np.vdot warns of neither
+        norms = np.sqrt(row_dots(X, X))
+    for i in np.flatnonzero(~np.isfinite(norms)):
+        norms[i] = _norm(X[i])
+    return norms
+
+
+def _to_comparators(acc: np.ndarray, D: float) -> int:
+    """Overwrite each row a_t of ``acc`` with u_t = -D a_t/|a_t|, and return
+    the number of rows with |a_t| not > 0 (zero or nan), whose u_t is 0.
+
+    u_t is (-D a_t)/|a_t| where D |a_t| is finite.  Elsewhere -D a_t may
+    overflow, and u_t is (-D/|a_t|) a_t, which cannot.
+    """
+    norms = _row_norms(acc)
+    live = norms > 0.0
+    with np.errstate(over="ignore"):
+        fits = live & (D * norms < math.inf)
+    big = live & ~fits
+    acc[big] = (-D / norms[big])[:, None] * acc[big]
+    np.multiply(acc, -D, out=acc, where=fits[:, None])
+    np.divide(acc, norms[:, None], out=acc, where=fits[:, None])
+    acc[~live] = 0.0
+    return int(np.count_nonzero(~live))
+
+
 @dataclass
 class O2ncTrace:
     """Diagnostic record of one driver run.
 
-    The iterates are not stored: x_t is, bit for bit,
-    ``np.add.accumulate`` over the rows [x0, s_1 Delta_1, ..., s_T Delta_T],
-    and the comparator u_t is a function of the true gradients at them.
+    The iterates, the running averages and the comparators are not stored:
+    x_t is, bit for bit, ``np.add.accumulate`` over the rows
+    [x0 + s_1 Delta_1, s_2 Delta_2, ..., s_T Delta_T], u_t is a function of
+    the true gradients at them, and of the running averages only the drawn
+    one, ``xbar_final`` (the average at ``final_index``), is kept.
     """
 
     cfg: AdamConfig
     objective: Objective
     x0: np.ndarray
-    xbars: np.ndarray            # running averages, shape (T, d)
+    xbar_final: np.ndarray       # running average at final_index
     scalings: np.ndarray         # s_t
     deltas: np.ndarray           # Delta_t, shape (T, d)
     grad_norms_at_xbar: np.ndarray
@@ -176,13 +218,10 @@ class O2ncTrace:
     def T(self) -> int:
         return len(self.scalings)
 
-    @property
-    def xbar_final(self) -> np.ndarray:
-        return self.xbars[self.final_index]
-
+    @cached_property
     def delta_norms(self) -> np.ndarray:
-        """|Delta_t| per round: ``np.linalg.norm``'s bits where that is finite,
-        and ``adam._norm`` on the rows whose squares overflow."""
+        """|Delta_t| per round, computed once: ``np.linalg.norm``'s bits where
+        that is finite, and ``adam._norm`` on the rows whose squares overflow."""
         with np.errstate(over="ignore"):
             dn = np.linalg.norm(self.deltas, axis=1)
         for i in np.flatnonzero(dn == math.inf):
@@ -191,7 +230,7 @@ class O2ncTrace:
 
     def to_csv(self, header_comment: Optional[str] = None) -> str:
         header = ["s_t", "||delta||", "||grad_at_xbar||", "dynreg_term"]
-        columns = [self.scalings, self.delta_norms(), self.grad_norms_at_xbar, self.dynreg_terms]
+        columns = [self.scalings, self.delta_norms, self.grad_norms_at_xbar, self.dynreg_terms]
         return csv_text(header, columns, header_comment)
 
 
@@ -202,62 +241,74 @@ def run_o2nc(
     seed: int,
     x0: Optional[np.ndarray] = None,
 ) -> O2ncTrace:
-    """Execute the conversion loop for ``T`` rounds from ``x0``."""
+    """Execute the conversion loop for ``T`` rounds from ``x0``.
+
+    Raises OracleBoundError naming the first round whose |g_t| exceeds the
+    objective's declared Lipschitz bound; the check runs on the recorded
+    rows, so such a run still takes all T rounds first.
+    """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     obj = oracle.objective
     d = obj.dim
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    x = xbar = x0  # both are rebound each round, never written in place
+    x = x0  # rebound each round, never written in place
     rng = philox_rng(seed)
     state = AdamState.fresh(d)
-    acc = np.zeros(d)
 
-    xbars = np.empty((T, d))
+    # The sequential core; everything else is computed from its rows below.
     scalings = np.empty(T)
     deltas = np.empty((T, d))
-    grad_norms = np.empty(T)
-    dynreg = np.empty(T)
-    zero_comparators = 0
-    G = obj.lipschitz
-
-    for t in range(1, T + 1):
+    grads = np.empty((T, d))       # g_t
+    true_grads = np.empty((T, d))  # grad F(x_t)
+    for i in range(T):
         delta = delta_for(cfg, state)
         s_t = exp_sample(rng)
         x = x + s_t * delta
         true_g = obj.grad(x)
         g = oracle.perturb(true_g, rng)
-        gnorm = _norm(g)
-        if gnorm > G * (1.0 + 1e-9) + 1e-12:
-            raise OracleBoundError(
-                f"round {t}: |g|={gnorm} exceeds declared bound G={G}"
-            )
-        acc = cfg.beta1 * acc + true_g
-        acc_norm = _norm(acc)
-        if acc_norm > 0.0:
-            # -D * acc overflows where D |acc| does; the scaled form cannot
-            u = -cfg.D * acc / acc_norm if cfg.D * acc_norm < math.inf else (-cfg.D / acc_norm) * acc
-        else:
-            u = np.zeros(d)
-            zero_comparators += 1
-        term = float(np.vdot(g, delta - u))  # vdot: an overflow gives inf, no warning
-        if cfg.variant == "clip-free":
-            term += 0.5 * cfg.mu * (float(np.vdot(delta, delta)) - float(np.vdot(u, u)))
         state = adam_update(cfg, state, g)
-        xbar = ema_update(xbar, x, cfg.beta1, t)
-
-        i = t - 1
-        xbars[i] = xbar
         scalings[i] = s_t
         deltas[i] = delta
-        g_bar = obj.grad(xbar)
-        grad_norms[i] = _norm(g_bar)
-        dynreg[i] = term
-
+        grads[i] = g
+        true_grads[i] = true_g
     final_index = int(rng.integers(T))
+
+    G = obj.lipschitz
+    gnorms = _row_norms(grads)
+    over = np.flatnonzero(gnorms > G * (1.0 + 1e-9) + 1e-12)
+    if len(over):
+        i = int(over[0])
+        raise OracleBoundError(
+            f"round {i + 1}: |g|={float(gnorms[i])} exceeds declared bound G={G}"
+        )
+    # Each (T, d) array is dropped once read, which keeps the peak at four.
+    del gnorms
+    comparators = discounted_scan(true_grads, cfg.beta1)  # a_t, made u_t in place
+    del true_grads
+    zero_comparators = _to_comparators(comparators, cfg.D)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, like per-row np.vdot
+        if cfg.variant == "clip-free":
+            extra = (0.5 * cfg.mu) * (row_dots(deltas, deltas) - row_dots(comparators, comparators))
+        np.subtract(deltas, comparators, out=comparators)
+        dynreg = row_dots(grads, comparators)  # g_t.(Delta_t - u_t)
+        if cfg.variant == "clip-free":
+            dynreg += extra
+    del grads, comparators
+
+    xs = scalings[:, None] * deltas  # x_t: the running sum of x0 and s_t Delta_t
+    xs[0] += x0
+    np.add.accumulate(xs, axis=0, out=xs)
+    xbar = x0
+    grads_at_xbar = np.empty((T, d))
+    for i, x in enumerate(xs):
+        xbar = ema_update(xbar, x, cfg.beta1, i + 1)
+        grads_at_xbar[i] = obj.grad(xbar)
+        if i == final_index:
+            xbar_final = xbar
     return O2ncTrace(
-        cfg=cfg, objective=obj, x0=x0, xbars=xbars,
-        scalings=scalings, deltas=deltas, grad_norms_at_xbar=grad_norms,
+        cfg=cfg, objective=obj, x0=x0, xbar_final=xbar_final,
+        scalings=scalings, deltas=deltas, grad_norms_at_xbar=_row_norms(grads_at_xbar),
         dynreg_terms=dynreg,
         zero_comparators=zero_comparators, final_index=final_index,
     )

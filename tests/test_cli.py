@@ -239,6 +239,19 @@ class TestMalformedInput:
         assert_one_error_line(code, err)
         assert "(T=40, d=2)" in err
 
+    @pytest.mark.parametrize("role", ["stream", "truth", "config"])
+    def test_non_utf8_input_names_the_file(self, capsys, tmp_path, role):
+        stream = make_stream(capsys, tmp_path, name="s.csv")
+        bad = {"stream": stream, "truth": stream.with_suffix(".truth.csv"),
+               "config": tmp_path / "run.cfg"}[role]
+        bad.write_bytes(b"t,y,z_0,z\xff\n1,0.5,0.1,0.2\n")  # 0xff at offset 9
+        argv = ["run-vaw", "--beta", "0.9", "--stream", str(stream)]
+        if role == "config":
+            argv += ["--config", str(bad)]
+        code, _, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, err)
+        assert f"error: {role}: cannot read {bad}: not UTF-8 text (byte 0xff at offset 9)" in err
+
 
 class TestNonFiniteParameters:
     @pytest.mark.parametrize(

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from driftlearn import adam, o2nc
+from driftlearn import adam, o2nc, regret
+from driftlearn.streams import philox_rng
 
 
 def small_clipped_cfg(**kw):
@@ -160,7 +162,8 @@ class TestRunLoop:
         x0 = np.array([0.5, 0.0, 0.0])
         trace = o2nc.run_o2nc(small_clipped_cfg(), oracle, T=1, seed=0, x0=x0)
         np.testing.assert_array_equal(trace.deltas[0], np.zeros(3))
-        np.testing.assert_array_equal(trace.xbars[0], x0)  # xbar_1 = x_1 exactly
+        assert trace.final_index == 0
+        np.testing.assert_array_equal(trace.xbar_final, x0)  # xbar_1 = x_1 exactly
 
     def test_clipped_moves_bounded_by_scaled_radius(self):
         obj = o2nc.euclidean_norm(4)
@@ -177,7 +180,7 @@ class TestRunLoop:
         cfg = small_clipped_cfg()
         t1 = o2nc.run_o2nc(cfg, oracle, T=200, seed=42, x0=np.zeros(3))
         t2 = o2nc.run_o2nc(cfg, oracle, T=200, seed=42, x0=np.zeros(3))
-        assert np.array_equal(t1.xbars, t2.xbars)
+        assert np.array_equal(t1.xbar_final, t2.xbar_final)
         assert np.array_equal(t1.deltas, t2.deltas)
         assert np.array_equal(t1.scalings, t2.scalings)
         assert t1.final_index == t2.final_index
@@ -190,11 +193,11 @@ class TestRunLoop:
         scales = np.array([1.0, 1e150, 1e156, 1e200, 1e300])
         deltas = rng.standard_normal((5, 3)) * scales[:, None]
         trace = o2nc.O2ncTrace(
-            cfg=None, objective=None, x0=None, xbars=None, scalings=np.ones(5),
+            cfg=None, objective=None, x0=None, xbar_final=None, scalings=np.ones(5),
             deltas=deltas, grad_norms_at_xbar=np.ones(5), dynreg_terms=np.ones(5),
             zero_comparators=0, final_index=0,
         )
-        norms = trace.delta_norms()
+        norms = trace.delta_norms
         with np.errstate(over="ignore"):
             plain = np.linalg.norm(deltas, axis=1)
         finite = np.isfinite(plain)
@@ -214,16 +217,24 @@ class TestRunLoop:
                 g = oracle.perturb(obj.grad(x), rng)
                 assert np.linalg.norm(g) <= obj.lipschitz * (1 + 1e-12)
 
-    def test_run_aborts_when_oracle_violates_declared_bound(self):
-        # an objective lying about its Lipschitz constant must be caught
-        liar = o2nc.Objective(
-            "liar", 2, lambda x: float(x @ x), lambda x: 2.0 * np.asarray(x),
-            lipschitz=0.1, smooth=True,
-        )
-        oracle = o2nc.StochasticOracle(liar, sigma=0.0)
-        cfg = small_clipped_cfg()
-        with pytest.raises(o2nc.OracleBoundError, match="exceeds"):
-            o2nc.run_o2nc(cfg, oracle, T=5, seed=0, x0=np.array([5.0, 5.0]))
+    @pytest.mark.parametrize("value, grad, x0, sigma, message", [
+        # |grad F(x0)| = 14.1 already
+        (lambda x: float(x @ x), lambda x: 2.0 * np.asarray(x), [5.0, 5.0], 0.0,
+         "round 1: |g|=14.142135623730951 exceeds declared bound G=0.1"),
+        # an ascent direction: |g_t| = |x_t| grows from 0.05 and first
+        # passes 0.1 at round 16, with later rounds over the bound as well
+        (lambda x: -0.5 * float(x @ x), lambda x: -np.asarray(x), [0.03, 0.04], 0.02,
+         "round 16: |g|=0.1070015273360457 exceeds declared bound G=0.1"),
+    ], ids=["first-round", "later-round"])
+    def test_run_aborts_when_oracle_violates_declared_bound(self, value, grad, x0, sigma,
+                                                           message):
+        # an objective lying about its Lipschitz constant must be caught, at
+        # the first round that breaks the bound
+        liar = o2nc.Objective("liar", 2, value, grad, lipschitz=0.1, smooth=True)
+        oracle = o2nc.StochasticOracle(liar, sigma=sigma)
+        with pytest.raises(o2nc.OracleBoundError) as err:
+            o2nc.run_o2nc(small_clipped_cfg(), oracle, T=400, seed=3, x0=np.array(x0))
+        assert str(err.value) == message
 
     def test_oracle_noise_is_mean_zero(self):
         obj = o2nc.clamped_quadratic(2, radius=5.0)
@@ -336,6 +347,7 @@ class TestOneTrueGradientPerRound:
         trace = o2nc.run_o2nc(cfg, oracle, T=300, seed=17, x0=x0)
         fields, zero, final = reference_o2nc(cfg, oracle, 300, 17, x0)
         assert np.array_equal(iterates(trace), fields.pop("xs"))
+        assert np.array_equal(trace.xbar_final, fields.pop("xbars")[final])
         for key, ref in fields.items():
             assert np.array_equal(getattr(trace, key), ref), key
         assert trace.zero_comparators == zero
@@ -352,6 +364,52 @@ class TestOneTrueGradientPerRound:
         oracle = o2nc.StochasticOracle(dataclasses.replace(base, grad=counted), sigma=0.2)
         o2nc.run_o2nc(small_clipped_cfg(), oracle, T=50, seed=1, x0=np.ones(3))
         assert len(calls) == 2 * 50
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestBatchedKernels:
+    """The batched kernels run_o2nc computes its diagnostics with after the
+    loop, held to the per-round operations they replace, bit for bit."""
+
+    @given(pair=st.integers(1, 39).flatmap(lambda d: st.tuples(*[
+        arrays(np.float64, (17, d), elements=st.floats(-1e3, 1e3))] * 2)))
+    def test_row_dots_equal_per_row_vdot(self, pair):
+        X, Y = pair
+        assert bits(regret.row_dots(X, Y)).tolist() == bits(list(map(np.vdot, X, Y))).tolist()
+
+    def test_row_dots_on_the_bench_shape(self):
+        rng = philox_rng(3)
+        X, Y = rng.standard_normal((15000, 10)), rng.standard_normal((15000, 10))
+        assert np.array_equal(bits(regret.row_dots(X, Y)), bits(list(map(np.vdot, X, Y))))
+
+    @given(X=st.tuples(st.integers(1, 40), st.integers(1, 12)).flatmap(lambda shape: arrays(
+        np.float64, shape, elements=st.one_of(
+            st.floats(-10.0, 10.0),
+            st.floats(),                 # inf, nan and squares that overflow
+            st.floats(-1e160, 1e160),
+            st.floats(-1e-160, 1e-160),  # squares that underflow
+        ))), zero=st.lists(st.booleans(), min_size=40, max_size=40))
+    def test_row_norms_equal_per_row_norm(self, X, zero):
+        X[np.array(zero[: len(X)])] = 0.0
+        expected = np.array([adam._norm(row) for row in X])
+        got = o2nc._row_norms(X)
+        nan = np.isnan(expected)
+        assert np.isnan(got).tolist() == nan.tolist()
+        assert bits(got[~nan]).tolist() == bits(expected[~nan]).tolist()
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), rounds=st.integers(1, 30))
+    def test_one_normal_draw_of_d_plus_one(self, seed, d, rounds):
+        # StochasticOracle.perturb draws d + 1 normals at once, in place of d
+        # and then one; on Philox that is the same stream of values
+        merged, split = philox_rng(seed), philox_rng(seed)
+        for _ in range(rounds):
+            assert merged.random() == split.random()
+            both = np.append(split.standard_normal(d), split.standard_normal())
+            assert bits(merged.standard_normal(d + 1)).tolist() == bits(both).tolist()
+        assert merged.integers(1000) == split.integers(1000)
 
 
 class TestObjectiveZoo:

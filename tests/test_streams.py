@@ -412,7 +412,7 @@ class TestCodecMatchesRowwiseWriters:
     def test_o2nc_trace(self, columns, deltas, comment):
         T = len(columns)
         trace = o2nc.O2ncTrace(
-            cfg=None, objective=None, x0=None, xbars=None,
+            cfg=None, objective=None, x0=None, xbar_final=None,
             scalings=columns[:, 0], deltas=deltas[:T], grad_norms_at_xbar=columns[:, 1],
             dynreg_terms=columns[:, 2], zero_comparators=0, final_index=0,
         )
