@@ -118,12 +118,22 @@ def clip_to_ball(a: np.ndarray, radius: float) -> np.ndarray:
 def delta_for(cfg: AdamConfig, state: AdamState) -> np.ndarray:
     """Delta_t = -gamma (1-beta1) m_t / (nu + sqrt((1-beta2) v_t)), clipped to
     the ball of radius D in the clipped variant.  The clip-free variant
-    damps the denominator instead, to nu + gamma*mu*(1-beta1^t) + sqrt(...)."""
+    damps the denominator instead, to nu + gamma*mu*(1-beta1^t) + sqrt(...).
+
+    An entry whose product -gamma (1-beta1) m_t overflows before the
+    division is taken as (-gamma (1-beta1) / denom) m_t instead; every other
+    entry keeps the product-first bits."""
     denom = cfg.nu
     if cfg.variant == "clip-free":
         denom += cfg.gamma * cfg.mu * (1.0 - state.beta1_pow)
     denom += math.sqrt((1.0 - cfg.beta2) * state.v)
-    delta = -cfg.gamma * (1.0 - cfg.beta1) * state.m / denom
+    scale = -cfg.gamma * (1.0 - cfg.beta1)
+    if abs(scale) <= 1.0:  # |scale * m_i| <= |m_i|: no product overflows
+        delta = scale * state.m / denom
+    else:
+        with np.errstate(over="ignore"):
+            step = scale * state.m
+        delta = np.divide(step, denom, out=(scale / denom) * state.m, where=np.isfinite(step))
     return clip_to_ball(delta, cfg.D) if cfg.variant == "clipped" else delta
 
 

@@ -224,5 +224,5 @@ def dvaw_dynamic_bound(
         raise ValueError(f"unknown bound form {form!r}")
     if gamma is None or not (0.0 < beta <= gamma < 1.0):
         raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
-    pv = path_variation(ledger, path, gamma, include_f0=True)
+    pv = path_variation(ledger, path, gamma)
     return base + gamma / (1.0 - gamma) * pv

@@ -349,7 +349,7 @@ def rescaled_bound_check(
     for u in comparators:
         u = np.asarray(u, dtype=float)
         bounds = run.beta_pows * 0.5 * run.lam * (u @ u) + scale * run.stab_disc
-        regrets = discounted_scan(run.losses_at_play - ledger.losses_at(u), run.beta)
+        regrets = discounted_scan(run.losses_at_play - ledger.loss_eval_batch(u), run.beta)
         # fmin skips nan slacks, as the running min(worst, slack) would
         worst = float(np.fmin.reduce(bounds - regrets, initial=worst))
         ok = ok and not np.any(regrets > bounds + 1e-9 * (1.0 + np.abs(bounds)))
@@ -370,7 +370,7 @@ def theorem_dynamic_bound(run: AioliRun, path: ComparatorPath, gamma: float) -> 
     geo = (1.0 - beta**T) / (1.0 - beta)
     bound = beta * lam * float(path[0] @ path[0])
     bound += d * scale * np.log1p(run.R**2 * geo / (d * lam * scale))
-    pv = path_variation(logistic_ledger(run), path, gamma, include_f0=True)
+    pv = path_variation(logistic_ledger(run), path, gamma)
     bound += gamma / (1.0 - gamma) * pv
     bound += (1.0 - beta) / beta * d * scale * T
     return float(bound)

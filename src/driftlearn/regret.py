@@ -32,12 +32,13 @@ lam/2 |u_t|^2 over the path.  Costs, for T rounds in d dimensions:
   the rounds they need from one block kernel, one stacked product per block
   of k rounds over L rows in k d (L + d) <= 8192 floats: O(T d^2) time on a
   sparse path, O(T k d^2) on a path that moves every round (k = 12 at d = 20);
-* logistic ledgers: O(T) per moved round for the F-difference, O(T^2) for
-  the conversion identity, both in O(T) memory;
-* ``path_variation``: O(T d) per moved round for every ledger (its positive
-  part has no running form), so O(T^2 d) on a path that moves every round.
-  Each distinct comparator's loss row is evaluated once, whole, and sliced
-  after: round t's u_{t+1} row is kept as the next moved round's u_t row;
+* logistic ledgers: O(t d) per moved round t for the F-difference, O(T^2 d)
+  for the conversion identity, both in O(T) memory;
+* ``path_variation``: O(t d) per moved round t for every ledger (its
+  positive part has no running form), so O(T^2 d) on a path that moves every
+  round.  Each distinct comparator's loss row is evaluated once, through the
+  last round that reads it: round t's u_{t+1} row runs through the next moved
+  round, where it is that round's u_t row;
 * ``check_path_length_lemma``: the F-difference, then the partial sums of
   P_T up to the first that certifies the inequality, when an O(T d) test
   proves every term finite (the partial sums then never decrease); on the
@@ -49,7 +50,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,12 +61,15 @@ _LOSSES = ("squared", "logistic")
 
 
 def row_dots(Z: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """[Z[0] @ U[0], ..., Z[T-1] @ U[T-1]] for (T, d) arrays.
+    """[Z[0] @ U[0], ..., Z[T-1] @ U[T-1]] for (T, d) arrays, or
+    [Z[0] @ u, ..., Z[T-1] @ u] for one (d,) vector u.
 
     A stack of (1, d) @ (d, 1) products goes through the same dot kernel as
-    ``Z[t] @ U[t]``, so every entry equals the per-row product bit for bit.
+    ``Z[t] @ U[t]``, so every entry equals the per-row product bit for bit,
+    whatever the memory layout, and a prefix ``Z[:k]`` gives the first k
+    entries of the whole.
     """
-    return np.matmul(Z[:, None, :], U[:, :, None])[:, 0, 0]
+    return np.matmul(Z[:, None, :], U[..., None])[:, 0, 0]
 
 
 @dataclass
@@ -83,12 +87,12 @@ class RegretLedger:
                     beta^t * Lambda_t (suppliers fold the discount so the
                     ledger never sees a beta^(-t)).
 
-    ``loss_eval(t, u)``, ``loss_eval_batch(u)`` and ``path_losses(U)`` give
-    f_t(u), the row [f_1(u), ..., f_T(u)] and [f_1(u_1), ..., f_T(u_T)], all
-    through ``_loss``.  ``loss_eval`` and ``path_losses`` take per-row dots
-    and agree bit for bit; ``loss_eval_batch`` takes one matrix-vector
-    product, whose BLAS kernel may add a row's products in another order.
-    The evaluators below take every row of one comparator from
+    ``loss_eval(t, u)``, ``loss_eval_batch(u, upto)`` and ``path_losses(U)``
+    give f_t(u), the row [f_1(u), ..., f_k(u)] and [f_1(u_1), ..., f_T(u_T)],
+    all through ``_loss`` of the margins from ``row_dots``, so every one of
+    them gives the same f_t(u) bit for bit, and a row through k is the first
+    k entries of the whole row.  The evaluators below take every row of one
+    comparator, through the last round they read, from
     ``self.loss_eval_batch`` and every comparator row from
     ``self.path_losses``, so an instance may rebind them (to count rows, or
     to feed rows that disagree with the statistics).  A squared-loss
@@ -148,22 +152,17 @@ class RegretLedger:
 
     def loss_eval(self, t: int, u: np.ndarray) -> float:
         """f_t(u), t 1-based."""
-        margin = np.array(self.Z[t - 1] @ u)  # 0-d, so that _loss works in place
-        return float(self._loss(margin, self.y[t - 1]))
+        row = slice(t - 1, t)
+        return float(self._loss(row_dots(self.Z[row], np.asarray(u)), self.y[row])[0])
 
-    def loss_eval_batch(self, u: np.ndarray) -> np.ndarray:
-        """[f_1(u), ..., f_T(u)]."""
-        return self._loss(self.Z @ u, self.y)
+    def loss_eval_batch(self, u: np.ndarray, upto: Optional[int] = None) -> np.ndarray:
+        """[f_1(u), ..., f_k(u)] with k = upto (default T)."""
+        k = self.T if upto is None else upto
+        return self._loss(row_dots(self.Z[:k], np.asarray(u)), self.y[:k])
 
     def path_losses(self, U: np.ndarray) -> np.ndarray:
         """[f_1(u_1), ..., f_T(u_T)] for (T, d) comparators U."""
         return self._loss(row_dots(self.Z, U), self.y)
-
-    def losses_at(self, u: np.ndarray, upto: Optional[int] = None) -> np.ndarray:
-        """Array [f_1(u), ..., f_k(u)] with k = upto (default T): the whole
-        row, sliced after evaluation."""
-        k = self.T if upto is None else upto
-        return self.loss_eval_batch(u)[:k]
 
     def weights(self, t: int) -> np.ndarray:
         """[beta^(t-1), ..., beta^0]: discount weights for rounds 1..t."""
@@ -189,7 +188,7 @@ def discounted_regret(ledger: RegretLedger, t: int, u: np.ndarray) -> float:
     """R_t(u) = sum_{s<=t} beta^(t-s) (f_s(x_s) - f_s(u))."""
     if not 1 <= t <= ledger.T:
         raise ValueError(f"round t must lie in [1, {ledger.T}], got {t}")
-    diffs = ledger.losses_at_play[:t] - ledger.losses_at(u, upto=t)
+    diffs = ledger.losses_at_play[:t] - ledger.loss_eval_batch(u, t)
     return float(ledger.weights(t) @ diffs)
 
 
@@ -242,18 +241,19 @@ def _squared_loss_blocks(ledger: RegretLedger, rounds: np.ndarray | range):
 
 
 def _moved_pairs(evaluate: Callable, U: np.ndarray, moved: np.ndarray):
-    """Yield (t, evaluate(u_t), evaluate(u_{t+1})) for the moved rounds t.
+    """Yield (t, evaluate(u_t, t), evaluate(u_{t+1}, t')) for the moved rounds t.
 
     The comparator stays put between two moved rounds (entries equal under
     the compare that finds the moves), so round t's u_{t+1} is the next moved
-    round's u_t: each distinct comparator is evaluated once.  Consume the
-    triples through ``starmap``, which holds none of them between calls, so
-    that an evaluation finds only the kept value alive.
+    round's u_t: each distinct comparator is evaluated once, through the next
+    moved round t' (through t at the last).  Consume the triples through
+    ``starmap``, which holds none of them between calls, so that an
+    evaluation finds only the kept value alive.
     """
     ahead = None
-    for t in moved:
-        now = evaluate(U[t - 1]) if ahead is None else ahead
-        ahead = evaluate(U[t])
+    for t, upto in zip(moved, chain(moved[1:], moved[-1:])):
+        now = evaluate(U[t - 1], t) if ahead is None else ahead
+        ahead = evaluate(U[t], upto)
         yield t, now, ahead
 
 
@@ -275,8 +275,7 @@ def _f_differences(ledger: RegretLedger, path: ComparatorPath) -> np.ndarray:
 
     F_t(u) = beta^t phi(u) + sum_{s<=t} beta^(t-s) f_s(u).  For a squared-loss
     ledger the loss part is D_t = (v-w)'(G_t (v+w)/2 - h_t) with v = u_{t+1},
-    w = u_t, stacked per block; a logistic ledger sums its loss rows up to t,
-    whole rows sliced after evaluation (see ``path_variation``).
+    w = u_t, stacked per block; a logistic ledger sums its loss rows up to t.
     """
     if path.T != ledger.T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
@@ -286,7 +285,7 @@ def _f_differences(ledger: RegretLedger, path: ComparatorPath) -> np.ndarray:
         def loss_step(t, now, ahead):
             return ledger.weights(t) @ (ahead[:t] - now[:t])
 
-        rows = _moved_pairs(ledger.losses_at, U, moved)
+        rows = _moved_pairs(ledger.loss_eval_batch, U, moved)
         diffs = np.fromiter(starmap(loss_step, rows), float, len(moved))
     else:
         diffs = np.empty(len(moved))
@@ -321,12 +320,12 @@ def _regrets_along_path(
                 GV = np.matmul(G[:n], V[:, :, None])[:, :, 0]
                 out[b] = P[:n] - (0.5 * row_dots(GV, V) - row_dots(V, h[:n]) + 0.5 * c[:n])
         return diag, ahead
-    col = ledger.losses_at(U[0], upto=1)  # f_s(u_t) for s <= t
+    col = ledger.loss_eval_batch(U[0], 1)  # f_s(u_t) for s <= t
     for t in range(1, T + 1):
         w = ledger.weights(t)
         diag[t - 1] = w @ (play[:t] - col)
         if t < T:
-            col = ledger.losses_at(U[t], upto=t + 1)
+            col = ledger.loss_eval_batch(U[t], t + 1)
             ahead[t - 1] = w @ (play[:t] - col[:t])
     return diag, ahead
 
@@ -348,30 +347,21 @@ def d2d_identity_gap(ledger: RegretLedger, path: ComparatorPath) -> float:
     return abs(lhs - rhs)
 
 
-def path_variation(
-    ledger: RegretLedger,
-    path: ComparatorPath,
-    gamma: float,
-    include_f0: Optional[bool] = None,
-) -> float:
+def path_variation(ledger: RegretLedger, path: ComparatorPath, gamma: float) -> float:
     """Comparator variation through geometrically weighted loss differences.
 
     P_T^g = sum_{t=1}^{T-1} sum_{s=0}^{t} p_{t,s} [f_s(u_{t+1}) - f_s(u_t)]_+
     with p_{t,s} = gamma^(t-s) / sum_{r=0}^{t} gamma^(t-r).  The s = 0 term
-    uses f_0 = phi and is included by default whenever the ledger carries
-    ``lam``; the normalization always runs over s = 0..t.  Only rounds
+    uses f_0 = phi and is included exactly when the ledger carries ``lam``;
+    the normalization always runs over s = 0..t.  Only rounds
     with u_{t+1} != u_t are visited: a stationary round adds exactly 0.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if path.T != ledger.T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
-    if include_f0 is None:
-        include_f0 = ledger.lam is not None
-    if include_f0 and ledger.lam is None:
-        raise ValueError("include_f0 requires the ledger to carry lam")
     moved = _moved_rounds(path)
-    steps = _phi_differences(ledger.lam, path.U, moved) if include_f0 else None
+    steps = None if ledger.lam is None else _phi_differences(ledger.lam, path.U, moved)
     return float(_last(_variation_totals(ledger, path.U, moved, gamma, steps)))
 
 
@@ -384,10 +374,7 @@ def _variation_totals(
     ``phi_steps`` gives phi(u_{t+1}) - phi(u_t) at the moved rounds, or is
     None to leave out the s = 0 term.  Round t's weights are the last t + 1
     entries of one power array over their sum, the same bits as
-    gamma**[t, ..., 0] normalized afresh.  The loss rows are whole rows
-    sliced after evaluation, never ``Z[:t] @ u``: BLAS takes another kernel
-    for a block's trailing rows, so a sliced product can differ in the last
-    bit from the slice of the whole one.
+    gamma**[t, ..., 0] normalized afresh.
     """
     T = ledger.T
     # T floats, built at the first next(): after _moved_rounds freed its (T, d) mask
@@ -402,7 +389,7 @@ def _variation_totals(
     steps = repeat(None) if phi_steps is None else phi_steps
     total = 0.0
     yield total
-    rows = _moved_pairs(ledger.losses_at, U, moved)
+    rows = _moved_pairs(ledger.loss_eval_batch, U, moved)
     for (term, w0), step in zip(starmap(loss_term, rows), steps):
         total += term
         if step is not None:

@@ -149,7 +149,7 @@ def test_criterion_04_discounted_logistic_bounds():
                 ball / max(1.0, float(np.linalg.norm(ball))),
             ]
             for u in comparators:
-                diffs = run.losses_at_play - ledger.losses_at(u)
+                diffs = run.losses_at_play - ledger.loss_eval_batch(u)
                 r = 0.0
                 for t in range(1, run.T + 1):
                     r = beta * r + float(diffs[t - 1])

@@ -6,10 +6,12 @@ loss rows, wraps ``O2ncTrace.to_csv`` and the factories in
 ``o2nc.OBJECTIVES``.  A library change that breaks one of these breaks the
 traced benchmark; these tests run every workload's job (run-vaw with its
 trace, identity, run-aioli, run-ensemble, run-o2nc) at tiny sizes under the
-tracer.
+tracer.  The benchmark also gates every job's summaries against
+``bench/reference``; the last test runs that gate at seed 0, at full size.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -73,11 +75,13 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
     assert [s.exit_code for s in steps] == [0] * 7, [s.error for s in steps]
     assert workloads.gate(steps, None) == []
     assert steps[2].summary["checks"] and (tmp_path / "vaw.trace.csv").exists()
-    # whole loss rows of T entries, one per comparator a ledger evaluates:
-    # the identity job's lemma certifies after 6 moved rounds (7 comparators),
-    # run-vaw's path variation takes 2, run-aioli's rescaled-bound check 3 and
-    # its path variation 2; comparator rows (path_losses) are not counted
-    assert tracer.counts["regret.loss_rows"] == (7 + 2 + 3 + 2) * T
+    # f_s(u) rows, each comparator's through the last round that reads it:
+    # the identity job's lemma certifies after moved rounds 1..6, taking u_1
+    # through 1 and u_{t+1} through t + 1 (1 + 2 + ... + 7 = 28); run-vaw's
+    # and run-aioli's path variations move once, at round T/2, and take u_t
+    # and u_{t+1} through it (2 * 30 each); run-aioli's rescaled-bound check
+    # takes 3 whole rows of T; comparator rows (path_losses) are not counted
+    assert tracer.counts["regret.loss_rows"] == 28 + 2 * 30 + 2 * 30 + 3 * T
     assert tracer.counts["o2nc.loop_grad_calls"] == 2 * T
     # logreg.root_calls is one root per expert and round: AIOLI's, then the grid pool's
     spans = importlib.import_module("layers").JobSpans(tracer, 0)
@@ -86,3 +90,14 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
     # round each, which the bench's adam.updates metric counts
     assert spans.calls("adam.adam_update") == spans.calls("adam.delta_for") == T
     assert still_wrapped(tracing.LAYERS) == []
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (BENCH / "reference").glob("*.json")))
+def test_seed_zero_jobs_pass_the_reference_gate(bench, tmp_path, name):
+    _, workloads = bench
+    workload = workloads.make_workloads()[name]
+    setup = workloads.cli_step("setup", workload.setup_args(tmp_path, 0))
+    assert setup.exit_code == 0, setup.error
+    steps = workload.prepare(tmp_path)()
+    reference = json.loads((BENCH / "reference" / f"{name}.json").read_text())
+    assert workloads.gate(steps, reference["seeds"]["0"]) == []

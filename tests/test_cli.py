@@ -738,6 +738,10 @@ class TestExitCodeContract:
                    "--T", "1", "--seed", "0", "--c", "1e-170", "--G", "1e152"], write=True)
     @example(argv=DELTA_NORM_OVERFLOW, write=True)
     @example(argv=DELTA_NORM_OVERFLOW, write=False)
+    # the clip-free -gamma (1-beta1) m_t overflows before its division
+    @example(argv=["run-o2nc", "--variant", "clipfree", "--objective", "quadratic", "--dim", "2",
+                   "--T", "20", "--seed", "3", "--c", "1e-300", "--G", "1e150",
+                   "--sigma", "1e149"], write=True)
     def test_tuning_commands_exit_cleanly(self, capsys, tmp_path, argv, write):
         assert_clean_exit(capsys, argv, tmp_path / "o.csv" if write else None)
 

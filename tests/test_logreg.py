@@ -18,7 +18,7 @@ def prefix_loop_bound_check(run, comparators):
     ok = True
     for u in comparators:
         r = 0.0
-        diffs = run.losses_at_play - ledger.losses_at(u)
+        diffs = run.losses_at_play - ledger.loss_eval_batch(u)
         for t in range(1, run.T + 1):
             r = run.beta * r + float(diffs[t - 1])
             bound = logreg.aioli_rescaled_bound(run, t, u)
@@ -241,7 +241,7 @@ class TestRescaledBound:
             comparators.append(ball / max(1.0, float(np.linalg.norm(ball))))
             worst = float("inf")
             for u in comparators:
-                diffs = run.losses_at_play - ledger.losses_at(u)
+                diffs = run.losses_at_play - ledger.loss_eval_batch(u)
                 r = 0.0
                 for t in range(1, run.T + 1):
                     r = beta * r + float(diffs[t - 1])

@@ -39,7 +39,7 @@ def phi(ledger, u):
 
 
 def oracle_ft_value(ledger, t, u):
-    val = float(ledger.weights(t) @ ledger.losses_at(u, upto=t))
+    val = float(ledger.weights(t) @ ledger.loss_eval_batch(u, t))
     if ledger.lam is not None:
         val += ledger.beta**t * phi(ledger, u)
     return val
@@ -70,7 +70,7 @@ def oracle_path_variation(ledger, path, gamma):
     for t in range(1, ledger.T):
         u_now, u_next = path[t - 1], path[t]
         w = geometric_weights(gamma, t)
-        diffs = ledger.losses_at(u_next, upto=t) - ledger.losses_at(u_now, upto=t)
+        diffs = ledger.loss_eval_batch(u_next, t) - ledger.loss_eval_batch(u_now, t)
         total += float(w[1:] @ np.maximum(diffs, 0.0))
         if ledger.lam is not None:
             d0 = phi(ledger, u_next) - phi(ledger, u_now)
@@ -79,7 +79,7 @@ def oracle_path_variation(ledger, path, gamma):
 
 
 def oracle_regret(ledger, t, u):
-    return float(ledger.weights(t) @ (ledger.losses_at_play[:t] - ledger.losses_at(u, upto=t)))
+    return float(ledger.weights(t) @ (ledger.losses_at_play[:t] - ledger.loss_eval_batch(u, t)))
 
 
 def oracle_d2d_identity_gap(ledger, path):
@@ -255,7 +255,7 @@ class TestPathVariation:
                                      lam=1.0)
         path = ComparatorPath(np.array([[0.0], [1.0]]))
         assert abs(regret.path_variation(ledger, path, 0.5) - 0.5) <= 1e-15
-        without_f0 = regret.path_variation(ledger, path, 0.5, include_f0=False)
+        without_f0 = regret.path_variation(dataclasses.replace(ledger, lam=None), path, 0.5)
         assert abs(without_f0 - 1.0 / 3.0) <= 1e-15
 
     def test_lipschitz_upper_bound(self):
@@ -453,7 +453,7 @@ class TestLemmaEarlyExit:
         assert len(regret._moved_rounds(truth)) == T - 1
         rows = []
         batch = ledger.loss_eval_batch
-        ledger.loss_eval_batch = lambda u: rows.append(1) or batch(u)
+        ledger.loss_eval_batch = lambda *args: rows.append(1) or batch(*args)
         assert regret.check_path_length_lemma(ledger, truth, 0.99, 0.995)
         assert 0 < len(rows) < T - 1  # each comparator once, and not all of them
         rows.clear()
@@ -523,25 +523,32 @@ class TestOracleAgreement:
         ledger = random_logistic_ledger(rng, T, d, 0.8)
         calls = []
         batch = ledger.loss_eval_batch
-        ledger.loss_eval_batch = lambda u: calls.append(1) or batch(u)
+        ledger.loss_eval_batch = lambda *args: calls.append(1) or batch(*args)
         path = ComparatorPath.constant(rng.standard_normal(d), T)
         assert regret.ft_difference_term(ledger, path) == 0.0
         assert regret.path_variation(ledger, path, 0.5) == 0.0
         assert calls == []
 
     def test_each_distinct_comparator_is_evaluated_once(self):
-        # moves at rounds 3, 5 and 8 of T = 10: four distinct comparators
+        # moves at rounds 3, 5 and 8 of T = 10: four distinct comparators,
+        # each evaluated through the last moved round that reads it
         rng = np.random.default_rng(25)
         ledger = random_logistic_ledger(rng, 10, 3, 0.8)
-        calls = []
+        lengths = []
         batch = ledger.loss_eval_batch
-        ledger.loss_eval_batch = lambda u: calls.append(1) or batch(u)
+
+        def counted(*args):
+            rows = batch(*args)
+            lengths.append(len(rows))
+            return rows
+
+        ledger.loss_eval_batch = counted
         pieces = rng.standard_normal((4, 3))
         path = ComparatorPath(pieces[[0, 0, 0, 1, 1, 2, 2, 2, 3, 3]])
         for evaluate in (regret.ft_difference_term, lambda *a: regret.path_variation(*a, 0.5)):
-            calls.clear()
+            lengths.clear()
             evaluate(ledger, path)
-            assert len(calls) == 4
+            assert lengths == [3, 5, 8, 8]
 
     @BUDGETS
     def test_constant_path_requests_no_round(self, budget):
@@ -613,16 +620,30 @@ def per_round_regret_trace_csv(ledger, path, header_comment=None):
     return csv_text(["loss_play", "loss_comp", "cum_dynreg"], [play, comp, cum], header_comment)
 
 
-EPS = np.finfo(float).eps
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 class TestComparatorLossRows:
+    # The one margin kernel behind every loss row: the rows through any k
+    # are the per-row dots, and the first k entries of the whole, bit for
+    # bit, in every memory layout the ledgers and the CSV reader produce.
+    @given(seed=st.integers(0, 2**31 - 1), T=st.integers(1, 1000), d=st.integers(1, 64),
+           layout=st.sampled_from(["C", "column-slice", "reversed", "F"]), data=st.data())
+    def test_row_dots_prefixes_equal_per_row_vdot(self, seed, T, d, layout, data):
+        rng = np.random.default_rng(seed)
+        wide = rng.standard_normal((T, d + 2))
+        Z = {"C": np.ascontiguousarray(wide[:, :d]), "column-slice": wide[:, 1 : d + 1],
+             "reversed": np.ascontiguousarray(wide[:, :d])[::-1],
+             "F": np.asfortranarray(wide[:, :d])}[layout]
+        u, k = rng.standard_normal(d), data.draw(st.integers(0, T))
+        prefix = bits(regret.row_dots(Z[:k], u))
+        assert prefix.tolist() == bits([np.vdot(z, u) for z in Z[:k]]).tolist()
+        assert prefix.tolist() == bits(regret.row_dots(Z, u)[:k]).tolist()
+
     # The per-round functions above are the loops that path_losses replaced:
     # the rows, the regret and the trace must equal theirs bit for bit, for
-    # both loss kinds.  loss_eval_batch takes one matrix-vector product, and
-    # BLAS may add a row's d products in another order than the per-row dot,
-    # so its rows are held to the margins' roundoff, and to the same bits
-    # where a row's dot is one product (d = 1).
+    # both loss kinds, and so must every row of loss_eval_batch.
     @pytest.mark.parametrize("loss", ["squared", "logistic"])
     @given(seed=st.integers(0, 2**31 - 1), T=st.integers(1, 60), d=st.integers(1, 24),
            layout=st.sampled_from(["C", "F", "reversed"]))
@@ -634,11 +655,8 @@ class TestComparatorLossRows:
         U = {"C": U, "F": np.asfortranarray(U), "reversed": U[::-1]}[layout]
         rows = [ledger.loss_eval(t, U[t - 1]) for t in range(1, T + 1)]
         assert ledger.path_losses(U).tolist() == rows
-        batch = np.array([ledger.loss_eval_batch(U[t - 1])[t - 1] for t in range(1, T + 1)])
-        if d == 1:
-            assert batch.tolist() == rows
-        scale = np.abs(ledger.Z * U).sum(axis=1) + np.abs(ledger.y) + 1.0
-        assert np.all(np.abs(batch - rows) <= 8 * d * EPS * scale**2)
+        assert [ledger.loss_eval_batch(U[t - 1])[t - 1] for t in range(1, T + 1)] == rows
+        assert [ledger.loss_eval_batch(U[t - 1], t)[-1] for t in range(1, T + 1)] == rows
         path = ComparatorPath(U)
         assert regret.dynamic_regret(ledger, path) == per_round_dynamic_regret(ledger, path)
         assert regret.regret_trace_csv(ledger, path, "c") == per_round_regret_trace_csv(
