@@ -362,7 +362,7 @@ AIOLI_FIELDS = COMMON_FIELDS + [
 def cmd_run_aioli(values: dict) -> int:
     stream, truth = _load_stream(values)
     beta, B, R = values["beta"], values["B"], values["R"]
-    lam = values["lam"] if values["lam"] is not None else 1.0 / (B * B)
+    lam = values["lam"] if values["lam"] is not None else logreg.default_lam(B)
     run = logreg.run_aioli(stream, beta, lam, B, R)
     ledger = logreg.logistic_ledger(run)
     h = _config_hash(values)
@@ -438,13 +438,11 @@ def cmd_run_ensemble(values: dict) -> int:
         if values["grid"]:
             raise UsageError("betas: give an explicit pool or --grid true, not both")
         betas = _parse_betas(values["betas"])
-        lam = values["lam"] if values["lam"] is not None else 1.0 / (B * B)
     elif values["grid"] is False:
         raise UsageError("grid: --grid false needs an explicit pool in --betas")
     else:
-        grid = logreg.build_grid(B, R, stream.d, stream.T)
-        betas = list(grid.betas)
-        lam = values["lam"] if values["lam"] is not None else grid.lam
+        betas = list(logreg.build_grid(B, R, stream.d, stream.T).betas)
+    lam = values["lam"] if values["lam"] is not None else logreg.default_lam(B)
     run = logreg.run_ensemble(stream, betas, lam, B, R)
     n = len(betas)
     mix = lemmas.check_mixability(run.expert_yhats, run.weights)

@@ -155,7 +155,7 @@ def run_dvaw(stream: Stream, beta: float, lam: float) -> DvawRun:
     if not (0.0 < lam < math.inf):
         raise ValueError(f"lambda must be > 0 and finite, got {lam}")
     y = stream.y
-    with np.errstate(over="ignore"):  # an overflow raises here, not warns
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan raises here, not warns
         _check_finite(y * y)
         yhats, pots = _rounds(stream.Z, y, beta, lam)
         losses = 0.5 * (yhats - y) ** 2

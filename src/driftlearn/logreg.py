@@ -369,7 +369,8 @@ def theorem_dynamic_bound(run: AioliRun, path: ComparatorPath, gamma: float) -> 
     scale = 1.0 + run.B * run.R
     geo = (1.0 - beta**T) / (1.0 - beta)
     bound = beta * lam * float(path[0] @ path[0])
-    bound += d * scale * np.log1p(run.R**2 * geo / (d * lam * scale))
+    # numpy's scalar power: C pow, as Python's float **, but inf past the floats
+    bound += d * scale * np.log1p(np.float64(run.R) ** 2 * geo / (d * lam * scale))
     pv = path_variation(logistic_ledger(run), path, gamma)
     bound += gamma / (1.0 - gamma) * pv
     bound += (1.0 - beta) / beta * d * scale * T
@@ -493,12 +494,20 @@ def ensemble_ledger(run: EnsembleRun) -> RegretLedger:
     return RegretLedger(run.mix_losses, 1.0, run.stream.Z, run.stream.y, "logistic")
 
 
+def default_lam(B: float) -> float:
+    """lam = 1/B^2, the regularizer AIOLI and the ensemble take by default.
+    Raises ValueError naming B where that is not a positive finite float."""
+    lam = 1.0 / (B * B) if B * B > 0.0 else 0.0
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"B: the default lam = 1/B^2 is not a positive finite float at B={B!r}")
+    return lam
+
+
 @dataclass(frozen=True)
 class DiscountGrid:
     """Geometric pool of discount factors for learning beta."""
 
     betas: tuple
-    lam: float
     eta_min: float
     eta_max: float
     n: int
@@ -509,12 +518,14 @@ def build_grid(B: float, R: float, d: int, T: int) -> DiscountGrid:
     """Discount-factor pool beta_i = eta_i/(1+eta_i), eta_i = 2^(i-1) eta_min.
 
     eta_min = sqrt(d(1+BR)/(CB)) with C = max(1, 2R), eta_max = dT,
-    N = ceil(log2(eta_max/eta_min)) + 1, and lam is fixed to 1/B^2.
+    N = ceil(log2(eta_max/eta_min)) + 1.
     """
     if min(B, R, d, T) <= 0:
         raise ValueError("B, R, d and T must be positive")
     C = max(1.0, 2.0 * R)
     eta_min = math.sqrt(d * (1.0 + B * R) / (C * B))
+    if not 0.0 < eta_min < math.inf:
+        raise ValueError(f"B: eta_min is not a positive finite float at B={B!r}, R={R!r}")
     eta_max = float(d * T)
     degenerate = eta_max < eta_min
     if degenerate:
@@ -525,6 +536,5 @@ def build_grid(B: float, R: float, d: int, T: int) -> DiscountGrid:
     etas = eta_min * 2.0 ** np.arange(n)
     betas = tuple(float(e / (1.0 + e)) for e in etas)
     return DiscountGrid(
-        betas=betas, lam=1.0 / (B * B), eta_min=eta_min, eta_max=eta_max,
-        n=n, degenerate=degenerate,
+        betas=betas, eta_min=eta_min, eta_max=eta_max, n=n, degenerate=degenerate,
     )

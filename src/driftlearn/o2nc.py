@@ -20,10 +20,11 @@ averages
 
     xbar_t = (beta-beta^t)/(1-beta^t) xbar_{t-1} + (1-beta)/(1-beta^t) x_t,
 
-with beta = beta1, and the gradient norms at them: two true gradients a
-round, at x_t and at xbar_t.  The returned point is drawn uniformly from
-the running averages, and the full gradient-norm trace is kept since it
-carries strictly more information than the single draw.
+with beta = beta1 (xbar_t by one `discounted_scan` with a discount per
+row, from `ema_coefficients`), and the gradient norms at them: two true
+gradients a round, at x_t and at xbar_t.  The returned point is drawn
+uniformly from the running averages, and the full gradient-norm trace is
+kept since it carries strictly more information than the single draw.
 """
 
 from __future__ import annotations
@@ -151,16 +152,12 @@ def exp_sample(rng: np.random.Generator) -> float:
     return -math.log(1.0 - float(rng.random()))
 
 
-def ema_update(xbar_prev: np.ndarray, x_t: np.ndarray, beta: float, t: int) -> np.ndarray:
-    """Running average with coefficients (beta-beta^t)/(1-beta^t) and
-    (1-beta)/(1-beta^t); they are nonnegative and sum to 1, and t = 1
-    returns x_t exactly."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    bt = beta**t
-    c_prev = (beta - bt) / (1.0 - bt)
-    c_new = (1.0 - beta) / (1.0 - bt)
-    return c_prev * np.asarray(xbar_prev, dtype=float) + c_new * np.asarray(x_t, dtype=float)
+def ema_coefficients(beta: float, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """(beta-beta^t)/(1-beta^t) and (1-beta)/(1-beta^t), the running average's
+    coefficients of xbar_{t-1} and x_t, for t = 1..T.  beta^t is Python's float
+    power: ``np.power`` does not always give its bits."""
+    powers = np.fromiter((beta**t for t in range(1, T + 1)), float, T)
+    return (beta - powers) / (1.0 - powers), (1.0 - beta) / (1.0 - powers)
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -244,7 +241,8 @@ def run_o2nc(
     """Execute the conversion loop for ``T`` rounds from ``x0``.
 
     Raises OracleBoundError naming the first round whose |g_t| exceeds the
-    objective's declared Lipschitz bound; the check runs on the recorded
+    objective's declared Lipschitz bound, and ValueError naming the first
+    round whose dynamic-regret term is nan; the checks run on the recorded
     rows, so such a run still takes all T rounds first.
     """
     if T < 1:
@@ -295,56 +293,24 @@ def run_o2nc(
         if cfg.variant == "clip-free":
             dynreg += extra
     del grads, comparators
+    nan = np.flatnonzero(np.isnan(dynreg))
+    if len(nan):
+        i = int(nan[0])
+        raise ValueError(f"round {i + 1}: the dynamic-regret term is nan (its products overflow)")
 
+    c_prev, c_new = ema_coefficients(cfg.beta1, T)
     xs = scalings[:, None] * deltas  # x_t: the running sum of x0 and s_t Delta_t
     xs[0] += x0
     np.add.accumulate(xs, axis=0, out=xs)
-    xbar = x0
-    grads_at_xbar = np.empty((T, d))
-    for i, x in enumerate(xs):
-        xbar = ema_update(xbar, x, cfg.beta1, i + 1)
-        grads_at_xbar[i] = obj.grad(xbar)
-        if i == final_index:
-            xbar_final = xbar
+    xs *= c_new[:, None]
+    xbars = discounted_scan(xs, c_prev, x0)  # xbar_t, started from x0
+    del xs
+    xbar_final = xbars[final_index].copy()
+    for xbar in xbars:  # overwritten by grad F(xbar_t)
+        xbar[...] = obj.grad(xbar)
     return O2ncTrace(
         cfg=cfg, objective=obj, x0=x0, xbar_final=xbar_final,
-        scalings=scalings, deltas=deltas, grad_norms_at_xbar=_row_norms(grads_at_xbar),
+        scalings=scalings, deltas=deltas, grad_norms_at_xbar=_row_norms(xbars),
         dynreg_terms=dynreg,
         zero_comparators=zero_comparators, final_index=final_index,
     )
-
-
-def stationarity_surrogate(
-    point,
-    objective: Objective,
-    radius: float,
-    samples: int,
-    seed: int,
-    c: float = 0.0,
-) -> float:
-    """Upper-bound witness for the smoothed-gradient stationarity measure.
-
-    Uses the uniform distribution on the ball of the given radius around
-    the point (one feasible choice among all mean-preserving distributions)
-    and returns |mean grad F(point + delta)| + c * mean |delta|^2.  With
-    radius = 0 this is exactly |grad F(point)|.
-    """
-    if radius < 0.0 or samples < 1:
-        raise ValueError("need radius >= 0 and samples >= 1")
-    x = point.xbar_final if isinstance(point, O2ncTrace) else np.asarray(point, dtype=float)
-    d = objective.dim
-    if radius == 0.0:
-        return float(np.linalg.norm(objective.grad(x)))
-    rng = philox_rng(seed)
-    dirs = rng.standard_normal((samples, d))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), np.finfo(float).tiny)
-    radii = radius * rng.random(samples) ** (1.0 / d)
-    perturbations = dirs * radii[:, None]
-    mean_grad = np.zeros(d)
-    mean_sq = 0.0
-    for delta in perturbations:
-        mean_grad += objective.grad(x + delta)
-        mean_sq += float(delta @ delta)
-    mean_grad /= samples
-    mean_sq /= samples
-    return float(np.linalg.norm(mean_grad)) + c * mean_sq

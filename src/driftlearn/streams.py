@@ -171,18 +171,20 @@ def gen_stream(spec: StreamSpec) -> tuple[Stream, ComparatorPath]:
     return Stream(Z, y), ComparatorPath(U)
 
 
-def discounted_scan(v: np.ndarray, beta: float, s0=None) -> np.ndarray:
-    """Discounted running sums s[n] = v[n] + beta*s[n-1] along axis 0.
+def discounted_scan(v: np.ndarray, beta, s0=None) -> np.ndarray:
+    """Discounted running sums s[n] = v[n] + beta[n]*s[n-1] along axis 0.
 
-    ``s0`` is the state before the first row (zero when None), shaped like
-    one row of ``v``.  Each row takes exactly the two roundings the formula
-    shows, in order, so the result equals the first-order linear filter with
-    denominator [1, -beta] started from beta*s0 (a zero may differ in sign),
-    and a sequence scanned in pieces, each started from the last row of the
-    one before, gives the same rows as one scan of the whole.  inf and nan
-    carry forward to every later row, without a warning.  A 1-D ``v`` runs
-    on Python floats, which round the same way; any wider ``v`` costs two
-    ufunc calls per row.
+    ``beta`` is one float for every row or a sequence of one per row, and
+    ``s0`` the state before the first row (zero when None), shaped like one
+    row of ``v``.  Each row takes exactly the two roundings the formula
+    shows, in order, so a float ``beta`` gives the first-order linear filter
+    with denominator [1, -beta] started from beta*s0 (a zero may differ in
+    sign), and the bits of that float repeated per row.  A sequence scanned
+    in pieces, each started from the last row of the one before, gives the
+    same rows as one scan of the whole.  inf and nan carry forward to every
+    later row, without a warning.  A 1-D ``v`` with a float ``beta`` runs on
+    Python floats, which round the same way; any other costs two ufunc calls
+    per row.
     """
     v = np.asarray(v, dtype=float)
     prev = np.zeros(v.shape[1:]) if s0 is None else np.asarray(s0, dtype=float)
@@ -190,7 +192,12 @@ def discounted_scan(v: np.ndarray, beta: float, s0=None) -> np.ndarray:
         raise ValueError("v must have at least one axis")
     if prev.shape != v.shape[1:]:
         raise ValueError(f"s0 must have the shape {v.shape[1:]} of one row, got {prev.shape}")
-    beta = float(beta)
+    scalar = np.ndim(beta) == 0
+    beta = float(beta) if scalar else np.ascontiguousarray(beta, dtype=float)
+    if not scalar and beta.shape != v.shape[:1]:
+        raise ValueError(f"beta must be a float or {len(v)} floats, got shape {beta.shape}")
+    if v.ndim == 1 and not scalar:  # as a column of one-entry rows
+        return discounted_scan(v[:, None], beta, prev[None])[:, 0]
     if v.ndim == 1:
         def sums(acc: float) -> Iterator[float]:
             for x in memoryview(np.ascontiguousarray(v)):  # Python floats, no list
@@ -198,11 +205,12 @@ def discounted_scan(v: np.ndarray, beta: float, s0=None) -> np.ndarray:
                 yield acc
 
         return np.fromiter(sums(float(prev)), float, len(v))
+    betas = itertools.repeat(beta) if scalar else memoryview(beta)
     out = np.empty_like(v)
     carry = np.empty_like(prev)
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, s in zip(v, out):
-            np.multiply(prev, beta, out=carry)
+        for row, s, b in zip(v, out, betas):
+            np.multiply(prev, b, out=carry)
             np.add(row, carry, out=s)
             prev = s
     return out

@@ -171,7 +171,7 @@ def test_criterion_05_ensemble_meta_regret():
             )
             stream, _ = gen_stream(spec)
             grid = logreg.build_grid(B=1.0, R=1.0, d=stream.d, T=stream.T)
-            run = logreg.run_ensemble(stream, grid.betas, grid.lam, B=1.0, R=1.0)
+            run = logreg.run_ensemble(stream, grid.betas, logreg.default_lam(1.0), B=1.0, R=1.0)
             assert run.meta_regret <= math.log(grid.n) + 1e-9, i
             for t in range(run.T):
                 assert lemmas.check_mixability(run.expert_yhats[t], run.weights[t]).passed

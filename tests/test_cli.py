@@ -452,6 +452,49 @@ class TestRunEnsemble:
         )
         assert json.loads(stdout)["dynamic_regret"] == float(run.mix_losses.sum() - comp)
 
+
+# B*B underflows to 0 (1/B^2 once divided by zero) or overflows (1/B^2 is 0)
+DEFAULT_LAM_OUTSIDE_THE_FLOATS = [
+    [command, "--B", B, *pool]
+    for B in ("1e-200", "1e300")
+    for command, pool in (("run-aioli", []), ("run-ensemble", []),
+                          ("run-ensemble", ["--betas", "0.5,0.9"]))
+]
+LOGISTIC_STREAM = "t,y,z_0\n1,1.0,0.5\n2,-1.0,0.25\n"
+# the grid's C*B overflows, so eta_min is 0 (log2(eta_max/eta_min) once divided by zero)
+GRID_ETA_MIN_ZERO = ["run-ensemble", "--B", "1.0e308", "--lam", "1"]
+B_CASES = [(argv, LOGISTIC_STREAM, None)
+           for argv in [*DEFAULT_LAM_OUTSIDE_THE_FLOATS, GRID_ETA_MIN_ZERO]]
+
+
+class TestDefaultLam:
+    @pytest.mark.parametrize("argv", DEFAULT_LAM_OUTSIDE_THE_FLOATS)
+    def test_default_lam_outside_the_floats_names_b(self, capsys, tmp_path, argv):
+        stream = tmp_path / "s.csv"
+        stream.write_text(LOGISTIC_STREAM)
+        code, stdout, err = run_cli(capsys, *argv, "--stream", str(stream))
+        assert_one_error_line(code, err)
+        assert err == (f"error: B: the default lam = 1/B^2 is not a positive finite float"
+                       f" at B={float(argv[2])!r}\n") and stdout == ""
+
+    def test_grid_eta_min_outside_the_floats_names_b(self, capsys, tmp_path):
+        stream = tmp_path / "s.csv"
+        stream.write_text(LOGISTIC_STREAM)
+        code, stdout, err = run_cli(capsys, *GRID_ETA_MIN_ZERO, "--stream", str(stream))
+        assert_one_error_line(code, err)
+        assert err == "error: B: eta_min is not a positive finite float at B=1e+308, R=1.0\n"
+        assert stdout == ""
+
+    @pytest.mark.parametrize("argv", [["run-aioli"], ["run-ensemble", "--betas", "0.5,0.9"]])
+    def test_explicit_lam_needs_no_default(self, capsys, tmp_path, argv):
+        stream = tmp_path / "s.csv"
+        stream.write_text(LOGISTIC_STREAM)
+        code, stdout, err = run_cli(
+            capsys, *argv, "--B", "1e-200", "--lam", "1", "--stream", str(stream))
+        assert (code, err) == (0, "")
+        assert json.loads(stdout)["lam"] == 1.0
+
+
 class TestRunO2nc:
     def test_short_run_summary(self, capsys, tmp_path):
         out = tmp_path / "o.csv"
@@ -512,6 +555,14 @@ class TestRunO2nc:
         assert_one_error_line(code, err)
         assert "error: tuning infeasible: eps=1e+299 too large: eps**1.5 overflows" in err
         assert stdout == ""
+
+    def test_clipfree_nan_term_is_one_error_line_without_output(self, capsys, tmp_path):
+        # g_1.u_1 and |u_1|^2 overflow, and the term is inf - inf
+        out = tmp_path / "o.csv"
+        code, stdout, err = run_cli(capsys, *CLIPFREE_NAN_TERM, "--out", str(out))
+        assert_one_error_line(code, err)
+        assert err == "error: round 1: the dynamic-regret term is nan (its products overflow)\n"
+        assert stdout == "" and not out.exists() and not out.with_suffix(".summary.json").exists()
 
 
 class TestTuneAdam:
@@ -620,12 +671,40 @@ ENTRY = st.one_of(
 )
 
 
+# A positive parameter across the whole float range: [1, 1.8) * 10^k, as text.
+MAGNITUDE = st.builds(
+    lambda m, k: f"{m!r}e{k}", st.floats(1.0, 1.8, exclude_max=True), st.integers(-308, 308)
+)
+O2NC_PARAMETERS = {
+    "eps": MAGNITUDE, "c": MAGNITUDE, "G": MAGNITUDE, "Fstar": MAGNITUDE, "nu": MAGNITUDE,
+    "sigma": st.one_of(st.just("0"), MAGNITUDE),
+    "rho": st.one_of(st.just("0"), st.floats(0.0, 1.0, exclude_max=True).map(repr),
+                     MAGNITUDE.filter(lambda text: float(text) < 1.0)),
+}
+
+
+# A discount in (0, 1), or any positive magnitude
+DISCOUNT = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr), MAGNITUDE)
+LEARNER_FLAGS = {
+    "run-vaw": {"beta": DISCOUNT, "lam": MAGNITUDE, "gamma": DISCOUNT},
+    "run-aioli": {"beta": DISCOUNT, "lam": MAGNITUDE, "gamma": DISCOUNT,
+                  "B": MAGNITUDE, "R": MAGNITUDE},
+    "run-ensemble": {"lam": MAGNITUDE, "B": MAGNITUDE, "R": MAGNITUDE,
+                     "betas": st.lists(DISCOUNT, min_size=1, max_size=3).map(",".join)},
+}
+
+
 @st.composite
 def stream_commands(draw):
-    """A stream-reading subcommand, a stream for it and maybe a truth path:
-    d 1-3, T 1-6, labels +-1 for the logistic learners and any entry for VAW
-    and the comparators.  The truth text is None when not drawn."""
-    command = draw(st.sampled_from(["run-vaw", "run-aioli", "run-ensemble"]))
+    """A stream-reading subcommand with a drawn subset of its learner flags,
+    a stream for it and maybe a truth path: d 1-3, T 1-6, labels +-1 for the
+    logistic learners and any entry for VAW and the comparators.  The
+    truth text is None when not drawn."""
+    command = draw(st.sampled_from(list(LEARNER_FLAGS)))
+    argv = [command]
+    for name, values in LEARNER_FLAGS[command].items():
+        if draw(st.booleans()):
+            argv += [f"--{name}", draw(values)]
     d, T = draw(st.integers(1, 3)), draw(st.integers(1, 6))
     label = ENTRY if command == "run-vaw" else st.sampled_from(["1.0", "-1.0"])
 
@@ -637,19 +716,7 @@ def stream_commands(draw):
         return "\n".join(lines) + "\n"
 
     text = table(["y"], "z")
-    return command, text, table([], "u") if draw(st.booleans()) else None
-
-
-# A positive parameter across the whole float range: [1, 1.8) * 10^k, as text.
-MAGNITUDE = st.builds(
-    lambda m, k: f"{m!r}e{k}", st.floats(1.0, 1.8, exclude_max=True), st.integers(-308, 308)
-)
-O2NC_PARAMETERS = {
-    "eps": MAGNITUDE, "c": MAGNITUDE, "G": MAGNITUDE, "Fstar": MAGNITUDE, "nu": MAGNITUDE,
-    "sigma": st.one_of(st.just("0"), MAGNITUDE),
-    "rho": st.one_of(st.just("0"), st.floats(0.0, 1.0, exclude_max=True).map(repr),
-                     MAGNITUDE.filter(lambda text: float(text) < 1.0)),
-}
+    return argv, text, table([], "u") if draw(st.booleans()) else None
 
 
 @st.composite
@@ -698,6 +765,9 @@ def assert_clean_exit(capsys, argv, out):
 
 COMPARATOR_OVERFLOW = ("t,y,z_0\n1,1.0,1.0\n2,-1.0,1.0\n3,1.0,0\n",
                        "t,u_0\n1,1.5e200\n2,0\n3,1.0\n")
+CLIPFREE_NAN_TERM = ["run-o2nc", "--variant", "clipfree", "--objective", "quadratic",
+                     "--dim", "2", "--T", "20", "--seed", "3", "--c", "1e-300", "--G", "1e150",
+                     "--sigma", "1e149"]
 DELTA_NORM_OVERFLOW = ["run-o2nc", "--variant", "clipped", "--objective", "quadratic",
                        "--dim", "2", "--T", "3", "--seed", "0", "--c", "1e-170", "--G", "3e151"]
 
@@ -716,16 +786,28 @@ class TestExitCodeContract:
     @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=stream_commands())
     # a comparator of 1.5e200: its squared residual and |u_1|^2 overflow
-    @example(case=("run-vaw", *COMPARATOR_OVERFLOW))
-    @example(case=("run-aioli", *COMPARATOR_OVERFLOW))
+    @example(case=(["run-vaw"], *COMPARATOR_OVERFLOW))
+    @example(case=(["run-aioli"], *COMPARATOR_OVERFLOW))
+    # B outside the floats: the default lam = 1/B^2, the grid's eta_min
+    @example(case=B_CASES[0])
+    @example(case=B_CASES[1])
+    @example(case=B_CASES[2])
+    @example(case=B_CASES[3])
+    @example(case=B_CASES[4])
+    @example(case=B_CASES[5])
+    @example(case=B_CASES[6])
+    # the LU solve of A_2 = 1e-323 gives inf, and inf * 0 once warned in run-vaw
+    @example(case=(["run-vaw", "--beta", "5e-324"], "t,y,z_0\n1,1.0e0,1.0e0\n2,0,0\n", None))
+    # R**2 in run-aioli's dynamic bound overflows (a Python float ** once raised)
+    @example(case=(["run-aioli", "--R", "1.0e155"], "t,y,z_0\n1,1.0,0\n", "t,u_0\n1,0\n"))
     def test_stream_commands_exit_cleanly(self, capsys, tmp_path, case):
-        command, text, truth = case
+        argv, text, truth = case
         stream = tmp_path / "s.csv"
         stream.write_text(text)
         stream.with_suffix(".truth.csv").unlink(missing_ok=True)
         if truth is not None:
             stream.with_suffix(".truth.csv").write_text(truth)
-        assert_clean_exit(capsys, [command, "--stream", str(stream)], tmp_path / "o.csv")
+        assert_clean_exit(capsys, [*argv, "--stream", str(stream)], tmp_path / "o.csv")
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=tuning_commands(), write=st.booleans())
@@ -738,10 +820,9 @@ class TestExitCodeContract:
                    "--T", "1", "--seed", "0", "--c", "1e-170", "--G", "1e152"], write=True)
     @example(argv=DELTA_NORM_OVERFLOW, write=True)
     @example(argv=DELTA_NORM_OVERFLOW, write=False)
-    # the clip-free -gamma (1-beta1) m_t overflows before its division
-    @example(argv=["run-o2nc", "--variant", "clipfree", "--objective", "quadratic", "--dim", "2",
-                   "--T", "20", "--seed", "3", "--c", "1e-300", "--G", "1e150",
-                   "--sigma", "1e149"], write=True)
+    # the clip-free -gamma (1-beta1) m_t overflows before its division, and
+    # the dynamic-regret term of round 1 is nan
+    @example(argv=CLIPFREE_NAN_TERM, write=True)
     def test_tuning_commands_exit_cleanly(self, capsys, tmp_path, argv, write):
         assert_clean_exit(capsys, argv, tmp_path / "o.csv" if write else None)
 

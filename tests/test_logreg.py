@@ -677,7 +677,6 @@ class TestGrid:
         assert grid.n == 11
         assert grid.eta_min == pytest.approx(math.sqrt(1.5), rel=1e-12)
         assert grid.eta_max == 1024.0
-        assert grid.lam == pytest.approx(1.0)
 
     def test_pool_is_increasing_inside_unit_interval(self):
         grid = logreg.build_grid(B=2.0, R=1.0, d=3, T=500)
@@ -692,3 +691,19 @@ class TestGrid:
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             logreg.build_grid(B=0.0, R=1.0, d=1, T=10)
+
+    # C*B overflows (eta_min is 0), both sides overflow (nan), C*B is subnormal (inf)
+    @pytest.mark.parametrize("B, R", [(1e308, 1.0), (1e308, 1e300), (1e-320, 1.0)])
+    def test_eta_min_outside_the_floats_names_b(self, B, R):
+        with pytest.raises(ValueError, match=r"^B: eta_min"):
+            logreg.build_grid(B=B, R=R, d=1, T=10)
+
+    @pytest.mark.parametrize("B", [1.0, 2.0, 0.3, 1e-150, 1e150])
+    def test_default_lam_is_one_over_b_squared(self, B):
+        assert logreg.default_lam(B) == 1.0 / (B * B)
+
+    # B*B underflows to 0, 1/B^2 overflows, and B*B overflows (1/B^2 is 0)
+    @pytest.mark.parametrize("B", [1e-200, 1e-160, 1e300])
+    def test_default_lam_outside_the_floats_names_b(self, B):
+        with pytest.raises(ValueError, match=r"^B: .*lam"):
+            logreg.default_lam(B)

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from driftlearn import adam, o2nc, regret
-from driftlearn.streams import philox_rng
+from driftlearn.streams import discounted_scan, philox_rng
+from oracles import stationarity_surrogate
 
 
 def small_clipped_cfg(**kw):
@@ -68,36 +69,48 @@ class TestExponentialScalingIdentity:
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
-class TestEmaUpdate:
+def running_averages(xs, beta, x0):
+    """xbar_1..xbar_T as run_o2nc forms them: one scan of the rows c_new_t x_t
+    with the discounts c_prev_t, started from x0."""
+    c_prev, c_new = o2nc.ema_coefficients(beta, len(xs))
+    return discounted_scan(c_new[:, None] * xs, c_prev, x0)
+
+
+class TestEmaCoefficients:
     def test_first_round_returns_iterate(self):
-        xbar = o2nc.ema_update(np.array([5.0, 5.0]), np.array([1.0, 2.0]), 0.9, 1)
-        np.testing.assert_allclose(xbar, [1.0, 2.0], rtol=1e-15)
+        c_prev, c_new = o2nc.ema_coefficients(0.9, 1)
+        assert (c_prev[0], c_new[0]) == (0.0, 1.0)
+        xbar = running_averages(np.array([[1.0, 2.0]]), 0.9, np.array([5.0, 5.0]))
+        np.testing.assert_array_equal(xbar[0], [1.0, 2.0])
 
     def test_second_round_half_discount_coefficients(self):
-        xbar1 = np.array([3.0])
-        x2 = np.array([6.0])
-        xbar2 = o2nc.ema_update(xbar1, x2, 0.5, 2)
-        assert xbar2[0] == pytest.approx(3.0 / 3.0 + 2.0 * 6.0 / 3.0, rel=1e-15)
+        xbar = running_averages(np.array([[3.0], [6.0]]), 0.5, np.array([5.0]))
+        assert xbar[1, 0] == pytest.approx(3.0 / 3.0 + 2.0 * 6.0 / 3.0, rel=1e-15)
 
     def test_unrolled_weights_are_normalized_geometric(self):
         beta, T = 0.8, 12
         rng = np.random.default_rng(0)
         xs = rng.standard_normal((T, 2))
-        xbar = xs[0].copy()
-        for t in range(2, T + 1):
-            xbar = o2nc.ema_update(xbar, xs[t - 1], beta, t)
+        xbar = running_averages(xs, beta, np.zeros(2))[-1]
         weights = (1 - beta) * beta ** np.arange(T - 1, -1.0, -1.0) / (1 - beta**T)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(xbar, weights @ xs, rtol=1e-10)
 
     def test_coefficients_sum_to_one_every_round(self):
         for beta in (0.3, 0.9, 0.999):
-            for t in range(1, 50):
-                bt = beta**t
-                c_prev = (beta - bt) / (1 - bt)
-                c_new = (1 - beta) / (1 - bt)
-                assert c_prev >= 0 and c_new >= 0
-                assert abs(c_prev + c_new - 1.0) <= 1e-12
+            c_prev, c_new = o2nc.ema_coefficients(beta, 49)
+            assert np.all(c_prev >= 0) and np.all(c_new >= 0)
+            assert np.all(np.abs(c_prev + c_new - 1.0) <= 1e-12)
+
+    @given(beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           T=st.integers(1, 3000))
+    def test_coefficients_are_the_per_round_formula(self, beta, T):
+        # beta**t in Python floats: np.power gives other bits for some t
+        c_prev, c_new = o2nc.ema_coefficients(beta, T)
+        for t in range(1, T + 1, max(1, T // 200)):
+            bt = beta**t
+            assert c_prev[t - 1] == (beta - bt) / (1.0 - bt)
+            assert c_new[t - 1] == (1.0 - beta) / (1.0 - bt)
 
 
 class TestComparatorPath:
@@ -318,7 +331,8 @@ def reference_o2nc(cfg, oracle, T, seed, x0):
         if cfg.variant == "clip-free":
             term += 0.5 * cfg.mu * (float(delta @ delta) - float(u @ u))
         m, v, beta1_pow = cfg.beta1 * m + g, cfg.beta2 * v + float(g @ g), beta1_pow * cfg.beta1
-        xbar = o2nc.ema_update(xbar, x, cfg.beta1, t)
+        bt = cfg.beta1**t
+        xbar = (cfg.beta1 - bt) / (1.0 - bt) * xbar + (1.0 - cfg.beta1) / (1.0 - bt) * x
         for k, val in (("xs", x), ("xbars", xbar), ("scalings", s_t), ("deltas", delta),
                        ("grad_norms_at_xbar", float(np.linalg.norm(obj.grad(xbar)))),
                        ("dynreg_terms", term)):
@@ -471,7 +485,7 @@ class TestStationaritySurrogate:
     def test_zero_radius_is_exact_gradient_norm(self):
         obj = o2nc.clamped_quadratic(3, radius=2.0)
         x = np.array([0.3, -0.2, 0.1])
-        w = o2nc.stationarity_surrogate(x, obj, radius=0.0, samples=10, seed=0)
+        w = stationarity_surrogate(x, obj, radius=0.0, samples=10, seed=0)
         assert w == pytest.approx(float(np.linalg.norm(x)), rel=1e-15)
 
     def test_linear_objective_keeps_constant_gradient(self):
@@ -481,7 +495,7 @@ class TestStationaritySurrogate:
             lipschitz=float(np.linalg.norm(a)), smooth=True,
         )
         c = 0.7
-        w = o2nc.stationarity_surrogate(
+        w = stationarity_surrogate(
             np.zeros(2), obj, radius=1.0, samples=2000, seed=1, c=c
         )
         mean_sq_expected = 1.0 * 2 / (2 + 2)  # E|delta|^2 = r^2 d/(d+2)
@@ -490,7 +504,7 @@ class TestStationaritySurrogate:
     def test_absolute_value_cancels_by_symmetry(self):
         obj = o2nc.euclidean_norm(1)
         samples = 40_000
-        w = o2nc.stationarity_surrogate(
+        w = stationarity_surrogate(
             np.zeros(1), obj, radius=1.0, samples=samples, seed=2, c=0.0
         )
         assert w <= 3.0 / math.sqrt(samples)

@@ -244,6 +244,25 @@ SCAN_SHAPES = st.one_of(
 )
 
 
+def per_row_recurrence(v, betas, s0):
+    """s[n] = v[n] + betas[n]*s[n-1], one row at a time: Python floats for a
+    1-D ``v``, numpy rows for a wider one."""
+    prev = np.zeros(v.shape[1:]) if s0 is None else s0
+    if v.ndim == 1:
+        prev = float(prev)
+    out = np.empty_like(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, beta in enumerate(betas.tolist()):
+            prev = (float(v[n]) if v.ndim == 1 else v[n]) + beta * prev
+            out[n] = prev
+    return out
+
+
+def bits(values):
+    """The IEEE bit patterns, so that nan equals nan and -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 class TestDiscountedScan:
     @given(inputs=scan_inputs(SCAN_SHAPES), beta=BETAS)
     @example(inputs=(np.zeros((0, 3)), None), beta=0.5)
@@ -275,6 +294,38 @@ class TestDiscountedScan:
         col = got if one_d else got[:, idx[1]]
         assert not np.isfinite(col[row:]).any()
         assert np.array_equal(got[:row], streams.discounted_scan(v[:row], beta, s0))
+
+    @given(
+        inputs=scan_inputs(SCAN_SHAPES),
+        data=st.data(),
+        bad=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+        where=st.tuples(st.integers(0, 29), st.integers(0, 4)),
+    )
+    def test_per_row_discounts_equal_the_recurrence(self, inputs, data, bad, where):
+        v, s0 = inputs
+        betas = data.draw(arrays(np.float64, len(v), elements=st.floats(0.0, 1.0)))
+        if bad is not None and len(v):
+            row = where[0] % len(v)
+            v[(row,) if v.ndim == 1 else (row, where[1] % v.shape[1])] = bad
+        got = streams.discounted_scan(v, betas, s0)
+        want = per_row_recurrence(v, betas, s0)
+        assert got.shape == v.shape and bits(got) == bits(want)
+
+    @given(inputs=scan_inputs(SCAN_SHAPES), beta=BETAS,
+           bad=st.sampled_from([None, np.inf, -np.inf, np.nan]), where=st.integers(0, 29))
+    def test_a_float_equals_it_repeated_per_row(self, inputs, beta, bad, where):
+        # a 1-D v: the Python-float loop against the per-row discounts' path
+        v, s0 = inputs
+        if bad is not None and len(v):
+            v[where % len(v)] = bad
+        repeated = streams.discounted_scan(v, np.full(len(v), beta), s0)
+        assert bits(streams.discounted_scan(v, beta, s0)) == bits(repeated)
+
+    def test_per_row_discounts_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="beta must be a float or 4 floats"):
+            streams.discounted_scan(np.zeros((4, 3)), np.full(3, 0.5))
+        with pytest.raises(ValueError, match="beta must be a float or 4 floats"):
+            streams.discounted_scan(np.zeros(4), np.full((4, 1), 0.5))
 
     def test_pieces_started_from_the_last_row_equal_one_scan(self):
         rng = np.random.default_rng(3)
