@@ -16,17 +16,11 @@ clip-free variant damps the denominator by gamma*mu*(1-beta1^t).  One
 tuner, `tune`, derives the parameters of either variant from its
 convergence theorem, with the plain beta2 floor or, given rho, the margin
 condition; `verify_report` re-substitutes a report independently.
-
-`ftrl_equivalence_residual` verifies the closed forms against a numeric
-argmin of the underlying discounted objective, evaluated with all
-beta1^(-s) factors folded away (the raw rescaled sums overflow even at
-moderate horizons; the folded objective is algebraically identical).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -87,12 +81,6 @@ def adam_update(cfg: AdamConfig, state: AdamState, g: np.ndarray) -> AdamState:
     )
 
 
-def eta_t(cfg: AdamConfig, state: AdamState) -> float:
-    """gamma (1-beta1) beta1^t / (nu + sqrt((1-beta2) v_t))."""
-    denom = cfg.nu + math.sqrt((1.0 - cfg.beta2) * state.v)
-    return cfg.gamma * (1.0 - cfg.beta1) * state.beta1_pow / denom
-
-
 def _norm(x: np.ndarray) -> float:
     """|x|, equal to math.sqrt(x @ x) bit for bit wherever x @ x is finite.
 
@@ -135,98 +123,6 @@ def delta_for(cfg: AdamConfig, state: AdamState) -> np.ndarray:
             step = scale * state.m
         delta = np.divide(step, denom, out=(scale / denom) * state.m, where=np.isfinite(step))
     return clip_to_ball(delta, cfg.D) if cfg.variant == "clipped" else delta
-
-
-def ftrl_equivalence_residual(cfg: AdamConfig, grads: np.ndarray) -> float:
-    """|Delta_closed_form - Delta_numeric_argmin| after replaying ``grads``.
-
-    The discounted objective, multiplied by the positive constant
-    beta1^t/(something that keeps coefficients O(1)), is
-
-        J(D) = 1/2 |D|^2 + c.D             (+ ball constraint, clipped)
-        J(D) = (1+r)/2 |D|^2 + c.D         (clip-free, r from the mu term)
-
-    and the numeric side minimizes it with a generic constrained solver.
-    This is the one function in driftlearn that needs scipy, which is not a
-    runtime dependency (it comes with the ``test`` extra); it imports
-    ``scipy.optimize`` when called.
-    """
-    from scipy.optimize import NonlinearConstraint, minimize
-
-    grads = np.atleast_2d(np.asarray(grads, dtype=float))
-    state = AdamState.fresh(grads.shape[1])
-    for g in grads:
-        state = adam_update(cfg, state, g)
-
-    # Folded quadratic coefficient a = beta1^t / eta_t, plus the composite
-    # term mu * sum_{s<=t} beta1^(t-s) = mu (1-beta1^t)/(1-beta1).
-    a = (cfg.nu + math.sqrt((1.0 - cfg.beta2) * state.v)) / (
-        cfg.gamma * (1.0 - cfg.beta1)
-    )
-    if cfg.variant == "clip-free":
-        a += cfg.mu * (1.0 - state.beta1_pow) / (1.0 - cfg.beta1)
-    c = state.m / a  # normalized linear coefficient: J/a = |D|^2/2 + c.D
-
-    def fun(x: np.ndarray) -> float:
-        return 0.5 * float(x @ x) + float(c @ x)
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return x + c
-
-    closed = delta_for(cfg, state)
-    if cfg.variant == "clipped":
-        cons = [
-            {
-                "type": "ineq",
-                "fun": lambda x: cfg.D**2 - float(x @ x),
-                "jac": lambda x: -2.0 * x,
-            }
-        ]
-        res = minimize(
-            fun, np.zeros_like(c), jac=jac, method="SLSQP", constraints=cons,
-            options={"ftol": 1e-16, "maxiter": 500},
-        )
-        numeric = res.x
-
-        # SLSQP tolerates small constraint violations and can stall on an
-        # active boundary; judge the returned point by its projected-gradient
-        # optimality and escalate to the interior-point solver when loose.
-        def kkt(x: np.ndarray) -> float:
-            return float(np.linalg.norm(x - clip_to_ball(x - jac(x), cfg.D)))
-
-        if kkt(numeric) > 1e-10 * (1.0 + float(np.linalg.norm(numeric))):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # quasi-Newton noise on flat faces
-                hi = minimize(
-                    fun, clip_to_ball(numeric, cfg.D), jac=jac, method="trust-constr",
-                    constraints=[NonlinearConstraint(
-                        lambda x: float(x @ x), -np.inf, cfg.D**2,
-                        jac=lambda x: 2.0 * x.reshape(1, -1),
-                    )],
-                    options={"gtol": 1e-14, "xtol": 1e-14, "maxiter": 2000},
-                )
-            if kkt(hi.x) < kkt(numeric):
-                numeric = hi.x
-    else:
-        res = minimize(
-            fun, np.zeros_like(c), jac=jac, method="BFGS",
-            options={"gtol": 1e-12, "maxiter": 500},
-        )
-        numeric = res.x
-    return float(np.linalg.norm(closed - numeric))
-
-
-def rho_of(beta1: float, beta2: float) -> float:
-    """Normalized distance of beta2 from the center (1+beta1^2)/2.
-
-    rho = |beta2 - (1+beta1^2)/2| / ((1-beta1^2)/2); it is < 1 exactly when
-    beta2 lies strictly inside (beta1^2, 1).
-    """
-    if not (0.0 < beta1 < 1.0):
-        raise ValueError(f"beta1 must lie in (0, 1), got {beta1}")
-    center = 0.5 * (1.0 + beta1 * beta1)
-    half_width = 0.5 * (1.0 - beta1 * beta1)
-    return abs(beta2 - center) / half_width
 
 
 @dataclass(frozen=True)

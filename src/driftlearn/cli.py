@@ -434,6 +434,7 @@ def _parse_betas(raw: str) -> list[float]:
 def cmd_run_ensemble(values: dict) -> int:
     stream, truth = _load_stream(values)
     B, R = values["B"], values["R"]
+    lam = values["lam"] if values["lam"] is not None else logreg.default_lam(B)
     if values["betas"] is not None:
         if values["grid"]:
             raise UsageError("betas: give an explicit pool or --grid true, not both")
@@ -442,7 +443,6 @@ def cmd_run_ensemble(values: dict) -> int:
         raise UsageError("grid: --grid false needs an explicit pool in --betas")
     else:
         betas = list(logreg.build_grid(B, R, stream.d, stream.T).betas)
-    lam = values["lam"] if values["lam"] is not None else logreg.default_lam(B)
     run = logreg.run_ensemble(stream, betas, lam, B, R)
     n = len(betas)
     mix = lemmas.check_mixability(run.expert_yhats, run.weights)

@@ -100,15 +100,19 @@ def _check_finite(stats: np.ndarray) -> None:
 
 
 def _check_definite(A: np.ndarray) -> None:
-    """Raise if a matrix of A (d, d), or of a stack of them, has no Cholesky factor."""
+    """Raise if a matrix of A (d, d), or of a stack of them, has no Cholesky
+    factor, or one with a squared pivot below the smallest normal float (a
+    solve would take the reciprocal of a subnormal or zero pivot)."""
     try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
+        pivots = np.diagonal(np.linalg.cholesky(A), axis1=-2, axis2=-1)
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(1)
+    if (pivots * pivots).min() < np.finfo(float).tiny:
         raise SingularSystemError(
             "regularized Gram matrix is numerically singular "
             "(lam*beta^t underflowed against a rank-deficient history); "
             "use a larger lambda or a shorter horizon"
-        ) from exc
+        )
 
 
 @dataclass

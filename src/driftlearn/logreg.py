@@ -97,11 +97,6 @@ def _sigmoid_of_negated(s: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def logistic_loss(yhat: float, y: float) -> float:
-    """l(yhat, y) = ln(1 + exp(-y*yhat)), overflow-safe."""
-    return float(np.logaddexp(0.0, -y * yhat))
-
-
 class RootNotConvergedError(RuntimeError):
     """The optimism root finder used up ROOT_MAX_ITERS iterations."""
 
@@ -311,36 +306,18 @@ def logistic_ledger(run: AioliRun) -> RegretLedger:
     )
 
 
-def aioli_rescaled_bound(run: AioliRun, t: int, u: np.ndarray) -> float:
-    """Discounted-form upper bound on the discounted regret at prefix ``t``.
-
-    Returns beta^t lam/2 |u|^2 + (1+BR) sum_{s<=t} beta^(t-s)
-    eta_s g_s' Atilde_s^{-1} g_s, valid for any |u| <= B.  The empty prefix
-    t = 0 carries only the regularizer term.
-    """
-    if not 0 <= t <= run.T:
-        raise ValueError(f"prefix t must lie in [0, {run.T}], got {t}")
-    u = np.asarray(u, dtype=float)
-    if t == 0:
-        return float(0.5 * run.lam * (u @ u))
-    scale = 1.0 + run.B * run.R
-    return float(
-        run.beta_pows[t - 1] * 0.5 * run.lam * (u @ u)
-        + scale * run.stab_disc[t - 1]
-    )
-
-
 def rescaled_bound_check(
     run: AioliRun, comparators: Sequence[np.ndarray]
 ) -> tuple[float, bool]:
-    """Check the discounted regret against :func:`aioli_rescaled_bound` at
-    every prefix t = 1..T for each comparator.
+    """Check the discounted regret against its discounted-form bound
+    beta^t lam/2 |u|^2 + (1+BR) sum_{s<=t} beta^(t-s) eta_s g_s' Atilde_s^{-1} g_s,
+    valid for any |u| <= B, at every prefix t = 1..T for each comparator.
 
     Returns the worst slack min (bound - regret) and whether every prefix
     holds within 1e-9 (1 + |bound|).  Each comparator's T bounds are one
-    array with :func:`aioli_rescaled_bound`'s operation order, and its
-    discounted regrets one :func:`~driftlearn.streams.discounted_scan`, so
-    both match the prefix-by-prefix evaluation bit for bit.
+    array and its discounted regrets one
+    :func:`~driftlearn.streams.discounted_scan`; both match a
+    prefix-by-prefix evaluation of the same operations bit for bit.
     """
     ledger = logistic_ledger(run)
     scale = 1.0 + run.B * run.R
@@ -510,7 +487,6 @@ class DiscountGrid:
     betas: tuple
     eta_min: float
     eta_max: float
-    n: int
     degenerate: bool  # eta_max < eta_min collapsed the pool to one entry
 
 
@@ -518,7 +494,9 @@ def build_grid(B: float, R: float, d: int, T: int) -> DiscountGrid:
     """Discount-factor pool beta_i = eta_i/(1+eta_i), eta_i = 2^(i-1) eta_min.
 
     eta_min = sqrt(d(1+BR)/(CB)) with C = max(1, 2R), eta_max = dT,
-    N = ceil(log2(eta_max/eta_min)) + 1.
+    N = ceil(log2(eta_max/eta_min)) + 1, and N = 1 when eta_max < eta_min.
+    Raises ValueError naming B and R when eta_min is not a positive finite
+    float or a discount of the pool rounds to 1.
     """
     if min(B, R, d, T) <= 0:
         raise ValueError("B, R, d and T must be positive")
@@ -528,13 +506,12 @@ def build_grid(B: float, R: float, d: int, T: int) -> DiscountGrid:
         raise ValueError(f"B: eta_min is not a positive finite float at B={B!r}, R={R!r}")
     eta_max = float(d * T)
     degenerate = eta_max < eta_min
-    if degenerate:
-        n = 1
-    else:
-        n = int(math.ceil(math.log2(eta_max / eta_min))) + 1
-        n = max(n, 1)
+    n = 1 if degenerate else int(math.ceil(math.log2(eta_max / eta_min))) + 1
     etas = eta_min * 2.0 ** np.arange(n)
     betas = tuple(float(e / (1.0 + e)) for e in etas)
-    return DiscountGrid(
-        betas=betas, eta_min=eta_min, eta_max=eta_max, n=n, degenerate=degenerate,
-    )
+    if betas[-1] == 1.0:
+        raise ValueError(
+            f"B: the pool discount eta/(1+eta) rounds to 1 at eta={float(etas[-1])!r}, "
+            f"B={B!r}, R={R!r}"
+        )
+    return DiscountGrid(betas=betas, eta_min=eta_min, eta_max=eta_max, degenerate=degenerate)

@@ -54,7 +54,6 @@ class Objective:
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
-    smooth: bool
 
 
 def clamped_quadratic(dim: int, radius: float = 1.0) -> Objective:
@@ -77,7 +76,7 @@ def clamped_quadratic(dim: int, radius: float = 1.0) -> Objective:
             return x.copy()
         return (radius / r) * x
 
-    return Objective("clamped-quadratic", dim, value, grad, lipschitz=radius, smooth=True)
+    return Objective("clamped-quadratic", dim, value, grad, lipschitz=radius)
 
 
 def euclidean_norm(dim: int) -> Objective:
@@ -93,7 +92,7 @@ def euclidean_norm(dim: int) -> Objective:
             return np.zeros(dim)
         return x / r
 
-    return Objective("euclidean-norm", dim, value, grad, lipschitz=1.0, smooth=False)
+    return Objective("euclidean-norm", dim, value, grad, lipschitz=1.0)
 
 
 def max_affine(dim: int, pieces: int = 8, seed: int = 0) -> Objective:
@@ -109,7 +108,7 @@ def max_affine(dim: int, pieces: int = 8, seed: int = 0) -> Objective:
     def grad(x: np.ndarray) -> np.ndarray:
         return A[int(np.argmax(A @ x + b))].copy()
 
-    return Objective("max-affine", dim, value, grad, lipschitz=G, smooth=False)
+    return Objective("max-affine", dim, value, grad, lipschitz=G)
 
 
 OBJECTIVES = {

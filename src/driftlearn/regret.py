@@ -11,10 +11,10 @@ Central objects:
   defines f_t at any point: features Z, labels y, a loss kind (squared or
   logistic, both functions of the margin z_t.u) and phi(u) = lam/2 |u|^2
 * ``dynamic_regret``      sum_t f_t(x_t) - f_t(u_t)
-* ``discounted_regret``   R_t(u) = sum_{s<=t} beta^(t-s) (f_s(x_s) - f_s(u))
 * ``d2d_identity_gap``    |LHS - RHS| of the conversion identity
       D-Reg = beta * sum_{t<T} (R_t(u_t) - R_t(u_{t+1}))
               + (1-beta) * sum_t R_t(u_t) + beta * R_T(u_T)
+  over the discounted regrets R_t(u) = sum_{s<=t} beta^(t-s) (f_s(x_s) - f_s(u))
 * ``path_variation``      P_T^g = sum_{t<T} sum_{s=0..t} p_{t,s} [f_s(u_{t+1}) - f_s(u_t)]_+
 * ``modular_bound_rhs``   the computable right-hand side of the template
   bound driven by the comparator regularizer phi and stability terms.
@@ -182,14 +182,6 @@ def dynamic_regret(ledger: RegretLedger, path: ComparatorPath) -> float:
     # the builtin sum over the rows as Python floats, in round order, as the
     # per-round loop added them; the memoryview builds no list
     return float(ledger.losses_at_play.sum() - sum(memoryview(comp)))
-
-
-def discounted_regret(ledger: RegretLedger, t: int, u: np.ndarray) -> float:
-    """R_t(u) = sum_{s<=t} beta^(t-s) (f_s(x_s) - f_s(u))."""
-    if not 1 <= t <= ledger.T:
-        raise ValueError(f"round t must lie in [1, {ledger.T}], got {t}")
-    diffs = ledger.losses_at_play[:t] - ledger.loss_eval_batch(u, t)
-    return float(ledger.weights(t) @ diffs)
 
 
 def _moved_rounds(path: ComparatorPath) -> np.ndarray:

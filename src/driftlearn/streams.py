@@ -107,11 +107,6 @@ class ComparatorPath:
     def __getitem__(self, i: int) -> np.ndarray:
         return self.U[i]
 
-    @classmethod
-    def constant(cls, u: np.ndarray, T: int) -> "ComparatorPath":
-        u = np.asarray(u, dtype=float)
-        return cls(np.tile(u, (T, 1)))
-
 
 def philox_rng(seed: int) -> np.random.Generator:
     """The generator of every seeded draw; ``seed`` must lie in [0, 2**64)."""

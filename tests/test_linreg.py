@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 
 from driftlearn import linreg, regret
 from driftlearn.streams import ComparatorPath, Stream, StreamSpec, StreamSpecError, gen_stream
+import oracles
 
 
 def drifting_stream(rng, T=60, d=3, segments=3, noise=0.2):
@@ -144,7 +145,7 @@ class TestDynamicBound:
         rng = np.random.default_rng(4)
         stream, _ = drifting_stream(rng, T=30, segments=1)
         run = linreg.run_dvaw(stream, beta=0.9, lam=1.0)
-        path = ComparatorPath.constant(rng.standard_normal(stream.d), stream.T)
+        path = oracles.constant_path(rng.standard_normal(stream.d), stream.T)
         with_term = linreg.dvaw_dynamic_bound(run, path, 0.95)
         base = (
             0.5 * 0.9 * 1.0 * float(path[0] @ path[0])
@@ -324,6 +325,19 @@ class TestKernelErrors:
         stream = Stream(np.tile([[1.0, 0.0]], (T, 1)), np.ones(T))
         with pytest.raises(linreg.SingularSystemError, match="larger lambda"):
             linreg.run_dvaw(stream, beta=0.01, lam=1.0)
+
+    def test_subnormal_pivot_raises_singular_error(self):
+        # A_2 = beta A_1 = 1e-323 is positive but subnormal: its reciprocal
+        # in a solve is inf
+        stream = Stream(np.array([[1.0], [0.0]]), np.array([1.0, 0.0]))
+        with pytest.raises(linreg.SingularSystemError, match="larger lambda"):
+            linreg.run_dvaw(stream, beta=5e-324, lam=1.0)
+
+    def test_smallest_normal_pivot_square_still_solves(self):
+        # a 1x1 Gram matrix equal to the smallest normal float is its pivot square
+        tiny = np.finfo(float).tiny
+        run = linreg.run_dvaw(Stream(np.zeros((1, 1)), np.zeros(1)), beta=1.0, lam=tiny)
+        assert run.yhats.tolist() == [0.0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["feature", "label"])

