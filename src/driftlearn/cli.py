@@ -227,10 +227,12 @@ def _ieee_floats():
 
 
 def _resolve_gamma(values: dict, beta: float) -> float:
-    """Variation discount for bound reports; defaults to (1+beta)/2."""
+    """Variation discount for bound reports, checked before the run; defaults to (1+beta)/2."""
     gamma = values.get("gamma")
     if gamma is None:
         return 0.5 * (1.0 + beta)
+    if beta == 1.0:
+        raise UsageError("gamma: no gamma-bound is reported at beta=1; leave gamma out")
     if gamma < beta:
         raise UsageError(f"gamma: must be >= beta={beta}, got {gamma}")
     return gamma
@@ -309,8 +311,9 @@ VAW_FIELDS = COMMON_FIELDS + [
 
 
 def cmd_run_vaw(values: dict) -> int:
-    stream, truth = _load_stream(values)
     beta, lam = values["beta"], values["lam"]
+    gamma = _resolve_gamma(values, beta)
+    stream, truth = _load_stream(values)
     run = linreg.run_dvaw(stream, beta, lam)
     h = _config_hash(values)
     summary = {
@@ -326,7 +329,6 @@ def cmd_run_vaw(values: dict) -> int:
             dyn = regret.dynamic_regret(ledger, truth)
             summary["dynamic_regret"] = dyn
             if beta < 1.0:
-                gamma = _resolve_gamma(values, beta)
                 bound_path = linreg.dvaw_dynamic_bound(run, truth, gamma, form="path")
                 bound_ft = linreg.dvaw_dynamic_bound(run, truth, form="ftdiff")
                 modular = regret.modular_bound_rhs(ledger, truth)
@@ -360,8 +362,9 @@ AIOLI_FIELDS = COMMON_FIELDS + [
 
 
 def cmd_run_aioli(values: dict) -> int:
-    stream, truth = _load_stream(values)
     beta, B, R = values["beta"], values["B"], values["R"]
+    gamma = _resolve_gamma(values, beta)
+    stream, truth = _load_stream(values)
     lam = values["lam"] if values["lam"] is not None else logreg.default_lam(B)
     run = logreg.run_aioli(stream, beta, lam, B, R)
     ledger = logreg.logistic_ledger(run)
@@ -388,7 +391,6 @@ def cmd_run_aioli(values: dict) -> int:
     if truth is not None:
         with _ieee_floats():
             dyn = regret.dynamic_regret(ledger, truth)
-            gamma = _resolve_gamma(values, beta)
             bound = logreg.theorem_dynamic_bound(run, truth, gamma)
             summary.update(dynamic_regret=dyn, gamma=gamma, dynamic_bound=bound)
             checks["dynamic_regret_le_bound"] = dyn <= bound + 1e-9 * (1.0 + abs(bound))

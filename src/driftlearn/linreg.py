@@ -21,8 +21,7 @@ the (B, d, d) stack checks positive definiteness, and one
 ``np.linalg.solve`` of the stack gives every round's decision and stability
 term.  The block length B is set by a private byte budget for one (B, d, d)
 stack, and results do not depend on it.  ``run_dvaw`` is the one
-learner entry point, and ``vaw_static_bound`` takes its stability terms
-from the same kernel at beta = 1.  The module needs numpy only.
+learner entry point.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -176,23 +175,6 @@ def vaw_ledger(run: DvawRun) -> RegretLedger:
         run.losses_at_play, run.beta, run.stream.Z, run.stream.y, "squared",
         lam=run.lam, lambdas=run.potential_increments,
     )
-
-
-def vaw_static_bound(
-    stream: Stream, lam: float, t: int, u: np.ndarray
-) -> float:
-    """Static-comparator regret bound for the undiscounted forecaster.
-
-    Returns lam/2 |u|^2 + 1/2 sum_{s<=t} y_s^2 z_s' A_s^{-1} z_s with
-    A_s = lam I + sum_{r<=s} z_r z_r'; it upper-bounds the prefix regret
-    sum_{s<=t} (f_s(x_s) - f_s(u)) for every comparator u.  The stability
-    terms are the learner's own at beta = 1.
-    """
-    if not 0 <= t <= stream.T:
-        raise ValueError(f"prefix t must lie in [0, {stream.T}], got {t}")
-    u = np.asarray(u, dtype=float)
-    _, stab = _rounds(stream.Z[:t], stream.y[:t], 1.0, lam)
-    return 0.5 * lam * float(u @ u) + 0.5 * float(stab.sum())
 
 
 def dvaw_log_term(run: DvawRun) -> float:

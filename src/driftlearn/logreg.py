@@ -132,18 +132,10 @@ def solve_optimism_root(p: float, q: float) -> float:
     )
 
 
-_ILL_CONDITIONED = "surrogate statistics are ill-conditioned; rescale the stream"
-
-
-def _check_definite(A: np.ndarray) -> None:
-    """Raise if a matrix of the stack A (N, d, d) has no Cholesky factor."""
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            "surrogate curvature matrix is numerically indefinite; "
-            "use a larger lambda"
-        ) from exc
+# What failed in an expert, and the remedy besides a larger beta
+_INDEFINITE = ("surrogate curvature matrix is numerically indefinite", "lambda")
+_ILL_CONDITIONED = ("surrogate statistics are ill-conditioned", "rescale the stream")
+_OVERFLOWED = ("surrogate statistics overflowed", "rescale the stream")
 
 
 @dataclass
@@ -156,10 +148,10 @@ class _Experts:
     A_t = beta A_{t-1} + eta_t g_t g_t' from A_0 = lam I; ``w`` holds the
     (N, d) negated discounted linear coefficients of the surrogates
     (constant terms are dropped, they do not move the argmin), ``beta``
-    the (N,) discounts and ``scale`` = 1 + BR.  A round costs one stacked
-    ``np.linalg.solve`` (the decisions), one stacked ``np.linalg.cholesky``
-    (the update's positive-definiteness check) and one scalar optimism root
-    per expert.
+    the (N,) discounts, ``scale`` = 1 + BR and ``t`` the rounds absorbed.
+    A round costs one stacked ``np.linalg.solve`` (the decisions), one
+    stacked ``np.linalg.cholesky`` (the update's positive-definiteness
+    check) and one scalar optimism root per expert.
     Updates rebind ``A`` and ``w`` to new arrays, so views handed out
     earlier keep their values.
     """
@@ -168,6 +160,7 @@ class _Experts:
     scale: float
     A: np.ndarray
     w: np.ndarray
+    t: int = 0
 
     @classmethod
     def fresh(
@@ -200,19 +193,17 @@ class _Experts:
         rhs = np.empty(self.w.shape + (2,))
         rhs[:, :, 0] = self.w
         rhs[:, :, 1] = z
-        try:
-            sol = np.linalg.solve(self.A, rhs)
-        except np.linalg.LinAlgError:
-            raise ValueError(_ILL_CONDITIONED) from None
+        sol = self._checked(np.linalg.solve, ValueError, _ILL_CONDITIONED, self.A, rhs)
         ainv_w = sol[:, :, 0]
         ainv_z = sol[:, :, 1] / self.beta[:, None]
         p = ainv_w @ z
         q = ainv_z @ z
         ps, qs = p.tolist(), q.tolist()
         if not all(map(math.isfinite, ps + qs)):  # cheaper than numpy at small N
-            raise ValueError("surrogate statistics overflowed; rescale the stream")
+            i = next(i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
+            raise ValueError(self._failure(i, _OVERFLOWED))
         if min(qs) < 0.0:
-            raise ValueError(_ILL_CONDITIONED)
+            raise ValueError(self._failure(qs.index(min(qs)), _ILL_CONDITIONED))
         v = [solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)]
         X = ainv_w - np.tanh(0.5 * np.array(v))[:, None] * ainv_z
         return X, X @ z, q
@@ -244,12 +235,33 @@ class _Experts:
         g = (-y * s_neg)[:, None] * z                      # true logistic gradients
         eta_g = (-(s_pos / self.scale) * y)[:, None] * z   # eta_t g_t, bounded form
         A = self.beta[:, None, None] * self.A + c2[:, None, None] * (z[:, None] * z)
-        _check_definite(A)
+        self._checked(np.linalg.cholesky, RuntimeError, _INDEFINITE, A)
         self.A = A
+        self.t += 1
         gx = np.einsum("nd,nd->n", g, X)
         self.w = self.beta[:, None] * self.w - g + gx[:, None] * eta_g
         c2q = c2 * q
         return c2, c2q / (1.0 + c2q)
+
+    def _checked(self, factor, error: type, failure: tuple, *stacks):
+        """``factor(*stacks)``; a ``LinAlgError`` raises ``error`` for the
+        first expert whose entries of ``stacks`` ``factor`` rejects."""
+        try:
+            return factor(*stacks)
+        except np.linalg.LinAlgError:
+            pass
+        for i, args in enumerate(zip(*stacks)):
+            try:
+                factor(*args)
+            except np.linalg.LinAlgError:
+                break
+        raise error(self._failure(i, failure))
+
+    def _failure(self, i: int, failure: tuple) -> str:
+        """Expert i's failure in this round; a tiny beta underflows lam beta^t."""
+        what, remedy = failure
+        beta = float(self.beta[i])
+        return f"{what} at round {self.t + 1} for beta={beta}; use a larger beta or {remedy}"
 
 
 @dataclass

@@ -19,26 +19,27 @@ Central objects:
 * ``modular_bound_rhs``   the computable right-hand side of the template
   bound driven by the comparator regularizer phi and stability terms.
 
-The F-differences behind ``ft_difference_term``, ``modular_bound_rhs`` and
-``check_path_length_lemma`` come from one kernel over the comparator
-differences D_t = sum_{s<=t} beta^(t-s) (f_s(u_{t+1}) - f_s(u_t)).  A round
-with u_{t+1} == u_t (exact compare, NaN counts as a move) is stationary:
-its term is exactly 0 for finite losses, so it is skipped and no loss is
-evaluated.  The phi parts are one vectorized difference of
-lam/2 |u_t|^2 over the path.  Costs, for T rounds in d dimensions:
+``d2d_identity_gap`` and the F-differences behind ``ft_difference_term``,
+``modular_bound_rhs`` and ``check_path_length_lemma`` read running
+statistics of Z and y that only a squared-loss ledger has, and raise
+``ValueError`` on a logistic one; the other evaluators take either kind.
+The F-differences come from one kernel over the comparator differences
+D_t = sum_{s<=t} beta^(t-s) (f_s(u_{t+1}) - f_s(u_t)).  A round with
+u_{t+1} == u_t (exact compare, NaN counts as a move) is stationary: its
+term is exactly 0 for finite losses, so it is skipped and no loss is
+evaluated.  The phi parts are one vectorized difference of lam/2 |u_t|^2
+over the path.  Costs, for T rounds in d dimensions:
 
-* squared-loss ledgers: the F-difference and the
-  conversion identity take G_t = sum_{s<=t} beta^(t-s) z_s z_s' and h_t at
-  the rounds they need from one block kernel, one stacked product per block
-  of k rounds over L rows in k d (L + d) <= 8192 floats: O(T d^2) time on a
-  sparse path, O(T k d^2) on a path that moves every round (k = 12 at d = 20);
-* logistic ledgers: O(t d) per moved round t for the F-difference, O(T^2 d)
-  for the conversion identity, both in O(T) memory;
-* ``path_variation``: O(t d) per moved round t for every ledger (its
-  positive part has no running form), so O(T^2 d) on a path that moves every
-  round.  Each distinct comparator's loss row is evaluated once, through the
-  last round that reads it: round t's u_{t+1} row runs through the next moved
-  round, where it is that round's u_t row;
+* the F-difference and the conversion identity take
+  G_t = sum_{s<=t} beta^(t-s) z_s z_s' and h_t at the rounds they need from
+  one block kernel, one stacked product per block of k rounds over L rows in
+  k d (L + d) <= 8192 floats: O(T d^2) time on a sparse path, O(T k d^2) on
+  a path that moves every round (k = 12 at d = 20);
+* ``path_variation``: O(t d) per moved round t (its positive part has no
+  running form), so O(T^2 d) on a path that moves every round.  Each
+  distinct comparator's loss row is evaluated once, through the last round
+  that reads it: round t's u_{t+1} row runs through the next moved round,
+  where it is that round's u_t row;
 * ``check_path_length_lemma``: the F-difference, then the partial sums of
   P_T up to the first that certifies the inequality, when an O(T d) test
   proves every term finite (the partial sums then never decrease); on the
@@ -95,10 +96,10 @@ class RegretLedger:
     comparator, through the last round they read, from
     ``self.loss_eval_batch`` and every comparator row from
     ``self.path_losses``, so an instance may rebind them (to count rows, or
-    to feed rows that disagree with the statistics).  A squared-loss
-    ledger's F-differences and identity right side read running discounted
-    statistics of Z and y instead of rows; ``d2d_identity_gap`` checks the
-    one against the other.
+    to feed rows that disagree with the statistics).  The F-differences and
+    the identity's right side read running discounted statistics of Z and y
+    instead of rows, which only a squared-loss ledger has;
+    ``d2d_identity_gap`` checks the one against the other.
     """
 
     losses_at_play: np.ndarray
@@ -164,10 +165,6 @@ class RegretLedger:
         """[f_1(u_1), ..., f_T(u_T)] for (T, d) comparators U."""
         return self._loss(row_dots(self.Z, U), self.y)
 
-    def weights(self, t: int) -> np.ndarray:
-        """[beta^(t-1), ..., beta^0]: discount weights for rounds 1..t."""
-        return self._beta_pows[t - 1 :: -1] if t > 0 else np.empty(0)
-
 
 def _comparator_losses(ledger: RegretLedger, path: ComparatorPath) -> np.ndarray:
     """[f_1(u_1), ..., f_T(u_T)] from the ledger's ``path_losses``."""
@@ -205,6 +202,8 @@ def _squared_loss_blocks(ledger: RegretLedger, rounds: np.ndarray | range):
     the rows (last, t_k].  A block ends before a non-finite row past its
     first round, whose zero weight would give the earlier rounds 0*inf = nan.
     """
+    if ledger.loss != "squared":
+        raise ValueError(f"running statistics need a squared loss, got loss={ledger.loss!r}")
     Z, y = ledger.Z, ledger.y
     play, pows = ledger.losses_at_play, ledger._beta_pows
     d = Z.shape[1]
@@ -265,26 +264,19 @@ def _phi_differences(lam: float, U: np.ndarray, moved: np.ndarray) -> np.ndarray
 def _f_differences(ledger: RegretLedger, path: ComparatorPath) -> np.ndarray:
     """F_t(u_{t+1}) - F_t(u_t) at the rounds t with u_{t+1} != u_t.
 
-    F_t(u) = beta^t phi(u) + sum_{s<=t} beta^(t-s) f_s(u).  For a squared-loss
-    ledger the loss part is D_t = (v-w)'(G_t (v+w)/2 - h_t) with v = u_{t+1},
-    w = u_t, stacked per block; a logistic ledger sums its loss rows up to t.
+    F_t(u) = beta^t phi(u) + sum_{s<=t} beta^(t-s) f_s(u).  The loss part is
+    D_t = (v-w)'(G_t (v+w)/2 - h_t) with v = u_{t+1}, w = u_t, stacked per
+    block of the squared-loss statistics.
     """
     if path.T != ledger.T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
     moved = _moved_rounds(path)
     U = path.U
-    if ledger.loss != "squared":
-        def loss_step(t, now, ahead):
-            return ledger.weights(t) @ (ahead[:t] - now[:t])
-
-        rows = _moved_pairs(ledger.loss_eval_batch, U, moved)
-        diffs = np.fromiter(starmap(loss_step, rows), float, len(moved))
-    else:
-        diffs = np.empty(len(moved))
-        for b, G, h, _, _ in _squared_loss_blocks(ledger, moved):
-            v, w = U[moved[b]], U[moved[b] - 1]
-            Gs = np.matmul(G, (v + w)[:, :, None])[:, :, 0]
-            diffs[b] = row_dots(v - w, 0.5 * Gs - h)
+    diffs = np.empty(len(moved))
+    for b, G, h, _, _ in _squared_loss_blocks(ledger, moved):
+        v, w = U[moved[b]], U[moved[b] - 1]
+        Gs = np.matmul(G, (v + w)[:, :, None])[:, :, 0]
+        diffs[b] = row_dots(v - w, 0.5 * Gs - h)
     phi_part = 0.0  # without phi, adding it still turns a -0.0 into 0.0
     if ledger.lam is not None:
         phi_part = _phi_differences(ledger.lam, U, moved)
@@ -298,27 +290,17 @@ def _regrets_along_path(
 ) -> tuple[np.ndarray, np.ndarray]:
     """R_t(u_t) for t = 1..T and R_t(u_{t+1}) for t = 1..T-1.
 
-    A squared-loss ledger takes both from the closed form
-    R_t(u) = P_t - (u'G_t u/2 - u'h_t + c_t/2), with P_t the discounted play
-    sum, one stacked product per block; a logistic ledger sums loss rows, one
-    column of f_s(u_{t+1}) at a time.
+    Both come from the closed form R_t(u) = P_t - (u'G_t u/2 - u'h_t + c_t/2)
+    of the squared-loss statistics, with P_t the discounted play sum, one
+    stacked product per block.
     """
-    T, U, play = ledger.T, path.U, ledger.losses_at_play
+    T, U = ledger.T, path.U
     diag, ahead = np.empty(T), np.empty(T - 1)
-    if ledger.loss == "squared":
-        for b, G, h, c, P in _squared_loss_blocks(ledger, range(1, T + 1)):
-            for out, V in ((diag, U[b]), (ahead, U[b.start + 1 : b.stop + 1])):
-                n = len(V)  # the rounds t < T have a u_{t+1}
-                GV = np.matmul(G[:n], V[:, :, None])[:, :, 0]
-                out[b] = P[:n] - (0.5 * row_dots(GV, V) - row_dots(V, h[:n]) + 0.5 * c[:n])
-        return diag, ahead
-    col = ledger.loss_eval_batch(U[0], 1)  # f_s(u_t) for s <= t
-    for t in range(1, T + 1):
-        w = ledger.weights(t)
-        diag[t - 1] = w @ (play[:t] - col)
-        if t < T:
-            col = ledger.loss_eval_batch(U[t], t + 1)
-            ahead[t - 1] = w @ (play[:t] - col[:t])
+    for b, G, h, c, P in _squared_loss_blocks(ledger, range(1, T + 1)):
+        for out, V in ((diag, U[b]), (ahead, U[b.start + 1 : b.stop + 1])):
+            n = len(V)  # the rounds t < T have a u_{t+1}
+            GV = np.matmul(G[:n], V[:, :, None])[:, :, 0]
+            out[b] = P[:n] - (0.5 * row_dots(GV, V) - row_dots(V, h[:n]) + 0.5 * c[:n])
     return diag, ahead
 
 
@@ -327,9 +309,9 @@ def d2d_identity_gap(ledger: RegretLedger, path: ComparatorPath) -> float:
 
     The identity holds exactly for any horizon, discount and comparator
     sequence; the returned gap is float roundoff only.  The LHS sums the
-    ledger's ``path_losses`` rows f_t(u_t); a squared-loss ledger's RHS comes
-    from its (Z, y) statistics instead, so the two sides are evaluated
-    independently.
+    ledger's ``path_losses`` rows f_t(u_t) and the RHS comes from its (Z, y)
+    statistics, so the two sides are evaluated independently.  The ledger
+    must be a squared-loss one.
     """
     beta = ledger.beta
     lhs = dynamic_regret(ledger, path)  # checks the path length
@@ -397,12 +379,10 @@ def _last(values):
 def _terms_finite(ledger: RegretLedger, U: np.ndarray, phi_steps: Optional[np.ndarray]) -> bool:
     """True when every term of P_T^g is provably finite, from O(T d) maxima.
 
-    Only squared-loss ledgers qualify: with finite Z, y and U, every residual
-    is at most r = d max|z| max|u| + max|y| in size (the factor 2 below covers
-    the dot's roundoff), so every loss and every difference of two is finite.
+    On a squared-loss ledger with finite Z, y and U, every residual is at
+    most r = d max|z| max|u| + max|y| in size (the factor 2 below covers the
+    dot's roundoff), so every loss and every difference of two is finite.
     """
-    if ledger.loss != "squared":
-        return False
     Z, y = ledger.Z, ledger.y
 
     def peak(a: np.ndarray) -> float:  # max |a|, nan if a holds one; no temporary
@@ -455,8 +435,7 @@ def check_path_length_lemma(
     stops early only when ``_terms_finite`` proves there is none.
 
     Only the F-difference depends on beta: it runs on a new ledger at
-    ``beta``, which evaluates rows with the class's evaluators, and P_T^g
-    takes its rows from ``ledger`` itself.
+    ``beta``, and P_T^g takes its rows from ``ledger`` itself.
     """
     if not (0.0 < beta <= gamma < 1.0):
         raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")

@@ -9,11 +9,12 @@ import warnings
 import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
 
+from driftlearn import linreg
 from driftlearn.adam import AdamConfig, AdamState, adam_update, clip_to_ball, delta_for
 from driftlearn.logreg import AioliRun
 from driftlearn.o2nc import O2ncTrace, Objective
 from driftlearn.regret import RegretLedger
-from driftlearn.streams import ComparatorPath, philox_rng
+from driftlearn.streams import ComparatorPath, Stream, philox_rng
 
 
 def constant_path(u: np.ndarray, T: int) -> ComparatorPath:
@@ -153,12 +154,17 @@ def ftrl_equivalence_residual(cfg: AdamConfig, grads: np.ndarray) -> float:
     return float(np.linalg.norm(closed - numeric))
 
 
+def discount_weights(beta: float, t: int) -> np.ndarray:
+    """[beta^(t-1), ..., beta^0]: the discount weights of rounds 1..t."""
+    return beta ** np.arange(t - 1, -1.0, -1.0)
+
+
 def discounted_regret(ledger: RegretLedger, t: int, u: np.ndarray) -> float:
     """R_t(u) = sum_{s<=t} beta^(t-s) (f_s(x_s) - f_s(u))."""
     if not 1 <= t <= ledger.T:
         raise ValueError(f"round t must lie in [1, {ledger.T}], got {t}")
     diffs = ledger.losses_at_play[:t] - ledger.loss_eval_batch(u, t)
-    return float(ledger.weights(t) @ diffs)
+    return float(discount_weights(ledger.beta, t) @ diffs)
 
 
 def logistic_loss(yhat: float, y: float) -> float:
@@ -184,3 +190,18 @@ def aioli_rescaled_bound(run: AioliRun, t: int, u: np.ndarray) -> float:
         run.beta_pows[t - 1] * 0.5 * run.lam * (u @ u)
         + scale * run.stab_disc[t - 1]
     )
+
+
+def vaw_static_bound(stream: Stream, lam: float, t: int, u: np.ndarray) -> float:
+    """Static-comparator regret bound for the undiscounted forecaster.
+
+    Returns lam/2 |u|^2 + 1/2 sum_{s<=t} y_s^2 z_s' A_s^{-1} z_s with
+    A_s = lam I + sum_{r<=s} z_r z_r'; it upper-bounds the prefix regret
+    sum_{s<=t} (f_s(x_s) - f_s(u)) for every comparator u.  The stability
+    terms are the learner's own, from its round kernel at beta = 1.
+    """
+    if not 0 <= t <= stream.T:
+        raise ValueError(f"prefix t must lie in [0, {stream.T}], got {t}")
+    u = np.asarray(u, dtype=float)
+    _, stab = linreg._rounds(stream.Z[:t], stream.y[:t], 1.0, lam)
+    return 0.5 * lam * float(u @ u) + 0.5 * float(stab.sum())

@@ -88,9 +88,9 @@ def test_criterion_02_static_forecaster_bound():
                 prefix = np.cumsum(run.losses_at_play - losses_u)
                 bound = 0.5 * lam * float(u @ u) + stab
                 assert np.all(prefix <= bound + 1e-9 * (1.0 + np.abs(bound))), i
-            # consistency of the library evaluator with the incremental oracle
+            # the bound from the learner's stability terms against the incremental form
             t_spot = int(rng.integers(1, T + 1))
-            lib = linreg.vaw_static_bound(stream, lam, t_spot, comparators[2])
+            lib = oracles.vaw_static_bound(stream, lam, t_spot, comparators[2])
             ref = 0.5 * lam * float(comparators[2] @ comparators[2]) + stab[t_spot - 1]
             assert lib == pytest.approx(ref, rel=1e-9)
 

@@ -144,6 +144,27 @@ class TestRunVaw:
         )
         assert code == 1 and "gamma" in err
 
+    # A gamma is checked before the run: whether the stream has a truth path,
+    # and so whether a bound is computed, does not decide it.  At beta = 1
+    # run-vaw computes no bound that gamma could enter.
+    @pytest.mark.parametrize("truth", [True, False], ids=["truth", "no-truth"])
+    @pytest.mark.parametrize("argv, message", [
+        (["run-vaw", "--beta", "0.9", "--gamma", "0.5"], "gamma: must be >= beta=0.9, got 0.5"),
+        (["run-aioli", "--beta", "0.9", "--gamma", "0.5"], "gamma: must be >= beta=0.9, got 0.5"),
+        (["run-vaw", "--beta", "1", "--gamma", "0.5"],
+         "gamma: no gamma-bound is reported at beta=1; leave gamma out"),
+        (["run-vaw", "--gamma", "0.95"],
+         "gamma: no gamma-bound is reported at beta=1; leave gamma out"),
+    ], ids=["vaw-below-beta", "aioli-below-beta", "vaw-beta-one", "vaw-default-beta"])
+    def test_bad_gamma_fails_with_or_without_truth(self, capsys, tmp_path, truth, argv, message):
+        kind = "piecewise-constant-target" if argv[0] == "run-vaw" else "logistic-drift"
+        stream = make_stream(capsys, tmp_path, kind=kind)
+        if not truth:
+            stream.with_suffix(".truth.csv").unlink()
+        code, stdout, err = run_cli(capsys, *argv, "--stream", str(stream))
+        assert_one_error_line(code, err)
+        assert err.splitlines()[-1] == f"error: {message}" and stdout == ""
+
     def test_undiscounted_run_reports_loss_only(self, capsys, tmp_path):
         stream = make_stream(capsys, tmp_path)
         code, stdout, _ = run_cli(
@@ -351,13 +372,17 @@ class TestSeedsAndOverflow:
             (["run-vaw"], "t,y,z_0,z_1\n1,-1e40,-1e40,-1e40\n",
              "discounted statistics are ill-conditioned; rescale the stream"),
             (["run-aioli"], "t,y,z_0\n1,1.0,1e200\n2,1.0,1.0\n",
-             "surrogate statistics overflowed; rescale the stream"),
+             "surrogate statistics overflowed at round 1 for beta=0.9; "
+             "use a larger beta or rescale the stream"),
             (["run-ensemble", "--betas", "0.5,0.9"], "t,y,z_0\n1,1.0,1e200\n2,1.0,1.0\n",
-             "surrogate statistics overflowed; rescale the stream"),
+             "surrogate statistics overflowed at round 1 for beta=0.5; "
+             "use a larger beta or rescale the stream"),
             (["run-aioli"], ILL_SCALED,
-             "surrogate statistics are ill-conditioned; rescale the stream"),
+             "surrogate statistics are ill-conditioned at round 2 for beta=0.9; "
+             "use a larger beta or rescale the stream"),
             (["run-ensemble", "--betas", "0.5,0.9"], ILL_SCALED,
-             "surrogate statistics are ill-conditioned; rescale the stream"),
+             "surrogate statistics are ill-conditioned at round 2 for beta=0.5; "
+             "use a larger beta or rescale the stream"),
             # A_2 = 1e-323 is positive but subnormal, and LU once took its
             # reciprocal as inf
             (["run-vaw", "--beta", "5e-324"], "t,y,z_0\n1,1,1\n2,0,0\n",
@@ -379,6 +404,36 @@ class TestSeedsAndOverflow:
         assert err == f"error: {message}\n" and stdout == ""
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    # A tiny AIOLI discount underflows lam beta^t: the message names the round
+    # and the failing expert's beta, and a larger beta, which it advises, runs.
+    @pytest.mark.parametrize("stream_kw, argv, message, larger", [
+        ({}, ["run-aioli", "--beta", "1e-20"],
+         "surrogate curvature matrix is numerically indefinite at round 1 for beta=1e-20; "
+         "use a larger beta or lambda", ["run-aioli", "--beta", "1e-4"]),
+        ({}, ["run-aioli", "--beta", "1e-20", "--lambda", "1e100"],
+         "surrogate curvature matrix is numerically indefinite at round 6 for beta=1e-20; "
+         "use a larger beta or lambda", ["run-aioli", "--beta", "1e-4", "--lambda", "1e100"]),
+        ({}, ["run-ensemble", "--betas", "1e-20,0.9"],
+         "surrogate curvature matrix is numerically indefinite at round 1 for beta=1e-20; "
+         "use a larger beta or lambda", ["run-ensemble", "--betas", "1e-4,0.9"]),
+        ({}, ["run-aioli", "--beta", "1e-320"],
+         "surrogate statistics overflowed at round 1 for beta=1e-320; "
+         "use a larger beta or rescale the stream", ["run-aioli", "--beta", "1e-4"]),
+        (dict(d=3, T=1200, segments=4, noise=0.2, seed=1), ["run-aioli", "--beta", "1e-6"],
+         "surrogate statistics are ill-conditioned at round 159 for beta=1e-06; "
+         "use a larger beta or rescale the stream", ["run-aioli", "--beta", "1e-5"]),
+    ], ids=["indefinite", "indefinite-large-lambda", "ensemble-indefinite", "overflow",
+            "ill-conditioned"])
+    def test_tiny_discount_names_round_and_beta(
+        self, capsys, tmp_path, stream_kw, argv, message, larger
+    ):
+        kw = dict(d=2, T=30, segments=2, noise=0.0, seed=1) | stream_kw
+        stream = make_stream(capsys, tmp_path, kind="logistic-drift", **kw)
+        code, stdout, err = run_cli(capsys, *argv, "--stream", str(stream))
+        assert_one_error_line(code, err)
+        assert err == f"error: {message}\n" and stdout == ""
+        code, _, _ = run_cli(capsys, *larger, "--stream", str(stream))
+        assert code == 0
 
     # In round 2, q (about 1e76) is far above |p| (about 5e37), and the root
     # is about 1e-38.  The feature 1e38 breaks the bound's R = 1, so

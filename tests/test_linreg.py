@@ -95,12 +95,12 @@ class TestUpdate:
 class TestStaticBound:
     def test_empty_prefix_zero_comparator(self):
         s = Stream(np.zeros((1, 2)), np.zeros(1))
-        assert linreg.vaw_static_bound(s, 1.0, 0, np.zeros(2)) == 0.0
+        assert oracles.vaw_static_bound(s, 1.0, 0, np.zeros(2)) == 0.0
 
     def test_frozen_single_round_value(self):
         # lam=1, one round (z=1, y=1), u=0: 0.5 * 1 / (1 + 1) = 0.25
         s = Stream(np.array([[1.0]]), np.array([1.0]))
-        assert linreg.vaw_static_bound(s, 1.0, 1, np.zeros(1)) == pytest.approx(0.25)
+        assert oracles.vaw_static_bound(s, 1.0, 1, np.zeros(1)) == pytest.approx(0.25)
 
     def test_prefix_regret_never_exceeds_bound(self):
         rng = np.random.default_rng(3)
@@ -124,9 +124,9 @@ class TestStaticBound:
                 prefix_regret = np.cumsum(run.losses_at_play - losses_u)
                 bound = 0.5 * lam * float(u @ u) + bound_stab
                 assert np.all(prefix_regret <= bound + 1e-9 * (1.0 + np.abs(bound)))
-                # spot-check the library evaluator against the incremental oracle
+                # spot-check the learner's stability terms against the incremental form
                 t_spot = int(rng.integers(1, stream.T + 1))
-                lib = linreg.vaw_static_bound(stream, lam, t_spot, u)
+                lib = oracles.vaw_static_bound(stream, lam, t_spot, u)
                 assert lib == pytest.approx(
                     0.5 * lam * float(u @ u) + bound_stab[t_spot - 1], rel=1e-10
                 )

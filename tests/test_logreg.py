@@ -608,7 +608,8 @@ class TestEnsembleErrors:
     # diag(1, -1) is indefinite, yet z = e_1 gives a valid decision
     # (q > 0), so the error comes from the update's factorization.
     INDEFINITE = np.diag([1.0, -1.0])
-    MESSAGE = "surrogate curvature matrix is numerically indefinite; use a larger lambda"
+    MESSAGE = ("surrogate curvature matrix is numerically indefinite at round 1 for "
+               "beta={}; use a larger beta or lambda")
 
     def with_indefinite_expert(self, monkeypatch, i, A=INDEFINITE, z=(1.0, 0.0)):
         fresh = logreg._Experts.fresh
@@ -625,13 +626,13 @@ class TestEnsembleErrors:
         stream = self.with_indefinite_expert(monkeypatch, 0)
         with pytest.raises(RuntimeError) as exc:
             logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
-        assert str(exc.value) == self.MESSAGE
+        assert str(exc.value) == self.MESSAGE.format(0.9)
 
     def test_indefinite_matrix_in_expert_stack(self, monkeypatch):
         stream = self.with_indefinite_expert(monkeypatch, 1)
         with pytest.raises(RuntimeError) as exc:
             logreg.run_ensemble(stream, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
-        assert str(exc.value) == self.MESSAGE
+        assert str(exc.value) == self.MESSAGE.format(0.8)  # the second expert's
 
     # z = e_2 meets the negative eigenvalue of diag(1, -1), so q = -1/beta < 0;
     # a zero matrix cannot be solved at all.  Both stand for the roundoff of
@@ -646,7 +647,9 @@ class TestEnsembleErrors:
                 logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
             else:
                 logreg.run_ensemble(stream, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
-        assert str(exc.value) == "surrogate statistics are ill-conditioned; rescale the stream"
+        beta = 0.9 if runner == "aioli" else 0.6
+        assert str(exc.value) == (f"surrogate statistics are ill-conditioned at round 1 for "
+                                  f"beta={beta}; use a larger beta or rescale the stream")
 
     @pytest.mark.parametrize("first", [1e200, -1e200, 1e160])
     @pytest.mark.parametrize("runner", ["aioli", "ensemble"])

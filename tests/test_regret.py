@@ -40,7 +40,7 @@ def phi(ledger, u):
 
 
 def oracle_ft_value(ledger, t, u):
-    val = float(ledger.weights(t) @ ledger.loss_eval_batch(u, t))
+    val = float(oracles.discount_weights(ledger.beta, t) @ ledger.loss_eval_batch(u, t))
     if ledger.lam is not None:
         val += ledger.beta**t * phi(ledger, u)
     return val
@@ -80,7 +80,8 @@ def oracle_path_variation(ledger, path, gamma):
 
 
 def oracle_regret(ledger, t, u):
-    return float(ledger.weights(t) @ (ledger.losses_at_play[:t] - ledger.loss_eval_batch(u, t)))
+    diffs = ledger.losses_at_play[:t] - ledger.loss_eval_batch(u, t)
+    return float(oracles.discount_weights(ledger.beta, t) @ diffs)
 
 
 def oracle_d2d_identity_gap(ledger, path):
@@ -502,12 +503,36 @@ class TestOracleAgreement:
             self._agree(ledger, path)
             assert_regrets_match_oracle(ledger, path, T + 1)
 
+    # A logistic ledger has no running statistics: the conversion identity
+    # holds on its loss rows, and path_variation reads those rows.
     @given(case=fuzz_cases, lam=st.sampled_from([None, 0.5]))
     def test_logistic_ledgers(self, case, lam):
         rng = np.random.default_rng(case["seed"])
         T, d = case["T"], case["d"]
         ledger = random_logistic_ledger(rng, T, d, case["beta"], lam)
-        self._agree(ledger, fuzz_path(rng, T, d, case["moving"]))
+        path = fuzz_path(rng, T, d, case["moving"])
+        gap, scale = oracle_d2d_identity_gap(ledger, path)
+        assert gap <= ORACLE_RTOL * scale
+        for gamma in (0.3, 0.9):
+            pv = regret.path_variation(ledger, path, gamma)
+            assert pv == oracle_path_variation(ledger, path, gamma)
+
+    @pytest.mark.parametrize("evaluator", [
+        regret.ft_difference_term, regret.modular_bound_rhs, regret.d2d_identity_gap,
+        lambda ledger, path: regret.check_path_length_lemma(ledger, path, 0.5, 0.9),
+    ], ids=["ft-difference", "modular-bound", "identity-gap", "path-length-lemma"])
+    @pytest.mark.parametrize("moving", [True, False], ids=["moving", "constant"])
+    def test_statistics_evaluators_reject_a_logistic_ledger(self, evaluator, moving):
+        rng = np.random.default_rng(30)
+        ledger = dataclasses.replace(
+            random_logistic_ledger(rng, 6, 2, 0.8), lambdas=np.zeros(6)
+        )
+        u = rng.standard_normal((6, 2))
+        path = ComparatorPath(u) if moving else oracles.constant_path(u[0], 6)
+        with pytest.raises(ValueError) as exc:
+            evaluator(ledger, path)
+        message = str(exc.value)
+        assert "\n" not in message and "loss='logistic'" in message
 
     def _agree(self, ledger, path):
         ref, scale = oracle_ft_difference_term(ledger, path)
@@ -526,7 +551,6 @@ class TestOracleAgreement:
         batch = ledger.loss_eval_batch
         ledger.loss_eval_batch = lambda *args: calls.append(1) or batch(*args)
         path = oracles.constant_path(rng.standard_normal(d), T)
-        assert regret.ft_difference_term(ledger, path) == 0.0
         assert regret.path_variation(ledger, path, 0.5) == 0.0
         assert calls == []
 
@@ -546,10 +570,8 @@ class TestOracleAgreement:
         ledger.loss_eval_batch = counted
         pieces = rng.standard_normal((4, 3))
         path = ComparatorPath(pieces[[0, 0, 0, 1, 1, 2, 2, 2, 3, 3]])
-        for evaluate in (regret.ft_difference_term, lambda *a: regret.path_variation(*a, 0.5)):
-            lengths.clear()
-            evaluate(ledger, path)
-            assert lengths == [3, 5, 8, 8]
+        regret.path_variation(ledger, path, 0.5)
+        assert lengths == [3, 5, 8, 8]
 
     @BUDGETS
     def test_constant_path_requests_no_round(self, budget):

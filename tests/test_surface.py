@@ -15,12 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "driftlearn").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
-ALLOWED = {
-    "linreg.vaw_static_bound": (
-        "the only implementation of the static VAW bound; it runs the private "
-        "_rounds kernel, so a copy outside src/ could drift from the learner"
-    ),
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _public_defs(path: Path):
