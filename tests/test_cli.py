@@ -927,11 +927,14 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         assert logs[0] == logs[1]
 
-    # Exact text of the Adam tuning reports and the o2nc artifacts, written by
-    # a reference build and kept in tests/golden: any change to the tuner,
-    # the step rule or the driver loop that moves a bit shows up here.
+    # Exact text of the Adam tuning reports, the o2nc artifacts and the
+    # run-vaw artifacts, written by a reference build and kept in
+    # tests/golden: any change to the tuner, the step rule, the driver loop,
+    # the VAW learner or its bounds that moves a bit shows up here.
     TUNE_FLAGS = ["--eps", "0.16", "--c", "1", "--G", "0.5", "--sigma", "0.5",
                   "--Fstar", "1", "--nu", "1"]
+    VAW_GEN = ["--d", "3", "--T", "200", "--seed", "1"]
+    VAW_RUN = ["run-vaw", "--beta", "0.9", "--lambda", "1"]
 
     @pytest.mark.parametrize(
         "argv, golden",
@@ -946,16 +949,24 @@ class TestDeterminism:
              "o2nc-clipped"),
             (["run-o2nc", "--variant", "clipfree", "--T", "200", "--seed", "1"],
              "o2nc-clipfree"),
+            # the stream is written by gen into tmp_path first
+            (["gen", "--kind", "piecewise-constant-target", *VAW_GEN, "--segments", "4",
+              "--noise", "0.1"], "vaw-piecewise"),
+            (["gen", "--kind", "rotating-target", *VAW_GEN], "vaw-rotating"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
-    def test_adam_artifacts_match_the_golden_text(self, capsys, tmp_path, argv, golden):
+    def test_artifacts_match_the_golden_text(self, capsys, tmp_path, argv, golden):
         expected = Path(__file__).parent / "golden"
         if argv[0] == "tune-adam":
             code, stdout, err = run_cli(capsys, *argv)
             assert (code, err) == (0, "")
             assert stdout == (expected / f"{golden}.json").read_text()
             return
+        if argv[0] == "gen":
+            stream = tmp_path / "s.csv"
+            assert run_cli(capsys, *argv, "--out", str(stream))[0] == 0
+            argv = [*self.VAW_RUN, "--stream", str(stream)]
         out = tmp_path / "o.csv"
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert (code, err) == (0, "")
