@@ -139,18 +139,19 @@ class TuningReport:
     rho: Optional[float]
     feasible: bool
     reason: str = ""
-    beta1: float = float("nan")
+    # None marks a value an infeasible report never computed
+    beta1: Optional[float] = None
     # 1 - beta1 at full precision; beta1 alone cannot represent it once it
     # sits within ulps of 1, and every derived formula consumes this gap.
-    one_minus_beta1: float = float("nan")
-    beta2: float = float("nan")
-    beta2_lo: float = float("nan")
-    beta2_hi: float = float("nan")
-    D: float = float("nan")
-    gamma: float = float("nan")
+    one_minus_beta1: Optional[float] = None
+    beta2: Optional[float] = None
+    beta2_lo: Optional[float] = None
+    beta2_hi: Optional[float] = None
+    D: Optional[float] = None
+    gamma: Optional[float] = None
     mu: float = 0.0
     margin: Optional[float] = None
-    T_min: float = float("nan")
+    T_min: Optional[float] = None
 
     def to_dict(self) -> dict:
         return asdict(self)

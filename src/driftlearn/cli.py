@@ -172,9 +172,9 @@ def _maybe_emit_config(values: dict, args) -> bool:
 
 
 def _jsonable(obj, field: str = ""):
-    """``obj`` in plain JSON types: NaN, the placeholder of a value that was
-    not computed, becomes null, and +-inf, which JSON cannot hold, raises
-    ``ValueError`` naming the field."""
+    """``obj`` in plain JSON types: None, the placeholder of a value that was
+    not computed, becomes null, and nan and +-inf, which JSON cannot hold,
+    raise ``ValueError`` naming the field."""
     if isinstance(obj, dict):
         return {k: _jsonable(v, f"{field}.{k}" if field else k) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
@@ -184,8 +184,6 @@ def _jsonable(obj, field: str = ""):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
-        if math.isnan(obj):
-            return None
         raise ValueError(f"{field}: {obj} has no JSON form; the summary is not written")
     return obj
 
@@ -329,13 +327,11 @@ def cmd_run_vaw(values: dict) -> int:
             dyn = regret.dynamic_regret(ledger, truth)
             summary["dynamic_regret"] = dyn
             if beta < 1.0:
-                bound_path = linreg.dvaw_dynamic_bound(run, truth, gamma, form="path")
-                bound_ft = linreg.dvaw_dynamic_bound(run, truth, form="ftdiff")
-                modular = regret.modular_bound_rhs(ledger, truth)
-                summary.update(
-                    gamma=gamma, bound_path_form=bound_path,
-                    bound_ftdiff_form=bound_ft, modular_rhs=modular,
-                )
+                bound_path, bound_ft, modular = linreg.dvaw_bounds(run, truth, gamma)
+                summary.update({
+                    "gamma": gamma, "bound_path_form": bound_path,
+                    "bound_ftdiff_form": bound_ft, "modular_rhs": modular,
+                })
                 tol = 1e-9 * (1.0 + abs(dyn))
                 summary["checks"] = {
                     "dynamic_regret_le_path_bound": dyn <= bound_path + tol,

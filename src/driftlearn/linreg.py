@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -168,12 +167,9 @@ def run_dvaw(stream: Stream, beta: float, lam: float) -> DvawRun:
 
 
 def vaw_ledger(run: DvawRun) -> RegretLedger:
-    """Squared-loss regret ledger for a run, with phi = lam/2 |u|^2 and
-    discounted stability terms supplied from the recorded potential
-    increments."""
+    """Squared-loss regret ledger for a run, with phi = lam/2 |u|^2."""
     return RegretLedger(
-        run.losses_at_play, run.beta, run.stream.Z, run.stream.y, "squared",
-        lam=run.lam, lambdas=run.potential_increments,
+        run.losses_at_play, run.beta, run.stream.Z, run.stream.y, "squared", lam=run.lam,
     )
 
 
@@ -186,29 +182,38 @@ def dvaw_log_term(run: DvawRun) -> float:
     return 0.5 * d * maxy2 * np.log1p(gram_mass / (run.lam * d))
 
 
-def dvaw_dynamic_bound(
-    run: DvawRun,
-    path: ComparatorPath,
-    gamma: Optional[float] = None,
-    form: str = "path",
-) -> float:
-    """Dynamic-regret upper bound for a discounted-VAW run.
+def dvaw_bounds(
+    run: DvawRun, path: ComparatorPath, gamma: float
+) -> tuple[float, float, float]:
+    """The dynamic-regret upper bounds of a discounted-VAW run, for
+    0 < beta <= gamma < 1: (path form, ftdiff form, modular RHS).
 
-    form="path":    beta lam/2 |u_1|^2 + log term + gamma/(1-gamma) P_T^g
-                    + (1-beta)/beta * d/2 * sum y_t^2     (needs beta<=gamma<1)
-    form="ftdiff":  same with the path term replaced by the exact
-                    beta * sum_{t<T} (F_t(u_{t+1}) - F_t(u_t)).
+    path form:     beta lam/2 |u_1|^2 + log term + gamma/(1-gamma) P_T^g
+                   + (1-beta)/beta * d/2 * sum y_t^2
+    ftdiff form:   the same with the path term replaced by the exact
+                   FD = beta * sum_{t<T} (F_t(u_{t+1}) - F_t(u_t))
+    modular RHS:   the reduction template beta phi(u_1)
+                   + sum_t beta^t Lambda_t + FD, with the run's stability
+                   terms beta^t Lambda_t; its phi drift term is 0, since
+                   phi does not depend on t.
+
+    One ledger serves P_T^g and FD, and FD is taken once for both bounds
+    that add it.
     """
     beta, lam, d = run.beta, run.lam, run.stream.d
-    base = 0.5 * beta * lam * float(path[0] @ path[0])
+    if not (0.0 < beta <= gamma < 1.0):
+        raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
+    u = path[0]
+    base = 0.5 * beta * lam * float(u @ u)
     base += dvaw_log_term(run)
     base += (1.0 - beta) / beta * 0.5 * d * float((run.stream.y**2).sum())
     ledger = vaw_ledger(run)
-    if form == "ftdiff":
-        return base + ft_difference_term(ledger, path)
-    if form != "path":
-        raise ValueError(f"unknown bound form {form!r}")
-    if gamma is None or not (0.0 < beta <= gamma < 1.0):
-        raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
+    fd = ft_difference_term(ledger, path)  # checks the path length
     pv = path_variation(ledger, path, gamma)
-    return base + gamma / (1.0 - gamma) * pv
+    stab = run.potential_increments
+    if np.any(stab < -1e-12):
+        raise ValueError("stability terms must be nonnegative")
+    modular = beta * (0.5 * lam * float(u @ u))
+    modular += float(stab.sum())
+    modular += fd
+    return base + gamma / (1.0 - gamma) * pv, base + fd, modular

@@ -16,13 +16,14 @@ Central objects:
               + (1-beta) * sum_t R_t(u_t) + beta * R_T(u_T)
   over the discounted regrets R_t(u) = sum_{s<=t} beta^(t-s) (f_s(x_s) - f_s(u))
 * ``path_variation``      P_T^g = sum_{t<T} sum_{s=0..t} p_{t,s} [f_s(u_{t+1}) - f_s(u_t)]_+
-* ``modular_bound_rhs``   the computable right-hand side of the template
-  bound driven by the comparator regularizer phi and stability terms.
+* ``ft_difference_term``  beta * sum_{t<T} (F_t(u_{t+1}) - F_t(u_t)), the
+  F-difference of the reduction template that ``linreg.dvaw_bounds`` adds
+  to the comparator term and the learner's stability terms.
 
-``d2d_identity_gap`` and the F-differences behind ``ft_difference_term``,
-``modular_bound_rhs`` and ``check_path_length_lemma`` read running
-statistics of Z and y that only a squared-loss ledger has, and raise
-``ValueError`` on a logistic one; the other evaluators take either kind.
+``d2d_identity_gap`` and the F-differences behind ``ft_difference_term`` and
+``check_path_length_lemma`` read running statistics of Z and y that only a
+squared-loss ledger has, and raise ``ValueError`` on a logistic one; the
+other evaluators take either kind.
 The F-differences come from one kernel over the comparator differences
 D_t = sum_{s<=t} beta^(t-s) (f_s(u_{t+1}) - f_s(u_t)).  A round with
 u_{t+1} == u_t (exact compare, NaN counts as a move) is stationary: its
@@ -84,9 +85,6 @@ class RegretLedger:
                     "logistic": f_t(u) = ln(1 + exp(-y_t z_t.u)).
     lam             optional phi(u) = lam/2 |u|^2 >= 0, the comparator term
                     of every round (f_0 of the path variation).
-    lambdas         optional discounted stability terms; entry t-1 holds
-                    beta^t * Lambda_t (suppliers fold the discount so the
-                    ledger never sees a beta^(-t)).
 
     ``loss_eval(t, u)``, ``loss_eval_batch(u, upto)`` and ``path_losses(U)``
     give f_t(u), the row [f_1(u), ..., f_k(u)] and [f_1(u_1), ..., f_T(u_T)],
@@ -108,7 +106,6 @@ class RegretLedger:
     y: np.ndarray
     loss: str
     lam: Optional[float] = None
-    lambdas: Optional[np.ndarray] = None
     _beta_pows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -123,12 +120,6 @@ class RegretLedger:
             raise ValueError("Z and y must have one row per round")
         if self.lam is not None and not (0.0 <= self.lam < math.inf):
             raise ValueError(f"lam must be >= 0 and finite, got {self.lam}")
-        if self.lambdas is not None:
-            self.lambdas = np.asarray(self.lambdas, dtype=float)
-            if self.lambdas.shape != self.losses_at_play.shape:
-                raise ValueError("lambdas must have one entry per round")
-            if np.any(self.lambdas < -1e-12):
-                raise ValueError("stability terms must be nonnegative")
         self._beta_pows = self.beta ** np.arange(self.T + 1, dtype=float)
 
     @property
@@ -400,26 +391,6 @@ def ft_difference_term(ledger: RegretLedger, path: ComparatorPath) -> float:
     round adds D_t plus its phi difference; stationary rounds add nothing.
     """
     return ledger.beta * float(_f_differences(ledger, path).sum())
-
-
-def modular_bound_rhs(ledger: RegretLedger, path: ComparatorPath) -> float:
-    """Computable dynamic-regret upper bound from the reduction template.
-
-    RHS = beta*phi(u_1) + sum_t beta^t Lambda_t
-          + beta * sum_{t<T} (F_t(u_{t+1}) - F_t(u_t)),
-
-    where the stability terms arrive pre-discounted in ``ledger.lambdas``;
-    the template's phi drift term is 0, since phi does not depend on t.
-    """
-    if ledger.lam is None:
-        raise ValueError("modular_bound_rhs requires lam (phi) on the ledger")
-    if ledger.lambdas is None:
-        raise ValueError("modular_bound_rhs requires stability terms (lambdas)")
-    u = path[0]
-    rhs = ledger.beta * (0.5 * ledger.lam * float(u @ u))
-    rhs += float(ledger.lambdas.sum())
-    rhs += ft_difference_term(ledger, path)  # checks the path length
-    return float(rhs)
 
 
 def check_path_length_lemma(

@@ -101,9 +101,6 @@ class ComparatorPath:
     def d(self) -> int:
         return self.U.shape[1]
 
-    def __len__(self) -> int:
-        return self.T
-
     def __getitem__(self, i: int) -> np.ndarray:
         return self.U[i]
 

@@ -113,10 +113,9 @@ def test_criterion_03_discounted_forecaster_dynamic_bound():
                 for gamma in sorted({beta, 0.5 * (1.0 + beta), 0.999}):
                     if gamma < beta:
                         continue
-                    bound = linreg.dvaw_dynamic_bound(run, truth, gamma, form="path")
-                    assert dyn <= bound + 1e-9 * (1.0 + abs(bound)), (i, beta, gamma)
-                bound_ft = linreg.dvaw_dynamic_bound(run, truth, form="ftdiff")
-                assert dyn <= bound_ft + 1e-9 * (1.0 + abs(bound_ft)), (i, beta)
+                    # the path form, the F-difference form and the modular RHS
+                    for bound in linreg.dvaw_bounds(run, truth, gamma):
+                        assert dyn <= bound + 1e-9 * (1.0 + abs(bound)), (i, beta, gamma)
 
         # adapting to drift: discounting beats no discounting on a 4-segment stream
         spec = StreamSpec(d=5, T=2000, segments=4, noise=0.1, seed=424242)

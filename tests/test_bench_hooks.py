@@ -8,8 +8,12 @@ traced benchmark; these tests run every workload's job (run-vaw with its
 trace, identity, run-aioli, run-ensemble, run-o2nc) at tiny sizes under the
 tracer.  The benchmark also gates every job's summaries against
 ``bench/reference``; the last test runs that gate at seed 0, at full size.
+The tracer finds a span by its name, so a renamed function silences the
+metric that reads it; the span-name tests keep every name that
+``bench/layers.py`` reads resolving in ``driftlearn``.
 """
 
+import ast
 import importlib
 import json
 from pathlib import Path
@@ -101,3 +105,45 @@ def test_seed_zero_jobs_pass_the_reference_gate(bench, tmp_path, name):
     steps = workload.prepare(tmp_path)()
     reference = json.loads((BENCH / "reference" / f"{name}.json").read_text())
     assert workloads.gate(steps, reference["seeds"]["0"]) == []
+
+
+# Span names bench/layers.py reads that name no driftlearn function, so the
+# metrics built from them read 0 until the benchmark reads the new names.
+DEAD_SPANS = {
+    "adam.tune_clipped", "adam.tune_clipped_margin", "adam.tune_clipfree",
+    "linreg.vaw_static_bound", "logreg.aioli_rescaled_bound",
+    "linreg.dvaw_dynamic_bound", "regret.modular_bound_rhs",
+}
+
+
+def span_names() -> set:
+    """The string arguments of JobSpans.inclusive, self_time and calls in
+    bench/layers.py, and the entries of its LINREG_BOUNDS and LOGREG_BOUNDS."""
+    names = set()
+    for node in ast.walk(ast.parse((BENCH / "layers.py").read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("inclusive", "self_time", "calls")):
+            names |= {a.value for a in node.args if isinstance(a, ast.Constant)}
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("LINREG_BOUNDS", "LOGREG_BOUNDS")
+                for t in node.targets):
+            names |= {e.value for e in node.value.elts}
+    return names
+
+
+def resolves(name: str) -> bool:
+    layer, *attrs = name.split(".")
+    obj = importlib.import_module(f"driftlearn.{layer}")
+    for attr in attrs:
+        obj = getattr(obj, attr, None)
+    return callable(obj)
+
+
+def test_every_span_name_the_bench_reads_resolves():
+    names = span_names()
+    assert DEAD_SPANS <= names
+    assert [n for n in sorted(names - DEAD_SPANS) if not resolves(n)] == []
+
+
+def test_every_dead_span_name_is_still_dead():
+    assert [n for n in sorted(DEAD_SPANS) if resolves(n)] == []

@@ -705,11 +705,13 @@ class TestStrictJson:
         assert_one_error_line(code, err)
         assert "No such file or directory" in err and stdout == ""
 
-    def test_nan_is_null_and_infinities_name_their_field(self):
-        assert cli._jsonable({"a": [1.0, math.nan], "b": {"c": 2}}) == {
+    def test_none_is_null_and_non_finite_floats_name_their_field(self):
+        assert cli._jsonable({"a": [1.0, None], "b": {"c": 2}}) == {
             "a": [1.0, None], "b": {"c": 2}}
         with pytest.raises(ValueError, match=r"^b\.c\[1\]: -inf has no JSON form"):
             cli._jsonable({"a": 1.0, "b": {"c": [0.0, -math.inf]}})
+        with pytest.raises(ValueError, match=r"^a\[1\]: nan has no JSON form"):
+            cli._jsonable({"a": [1.0, math.nan], "b": {"c": 2}})
 
 
 class TestVerifyLemmas:
@@ -814,10 +816,19 @@ def tuning_commands(draw):
     return argv
 
 
+def _holds_null(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(map(_holds_null, value))
+    return value is None
+
+
 def assert_clean_exit(capsys, argv, out):
     """Exit 1 is one error line and leaves no file behind; exits 0 and 2
-    print strict JSON and nothing on stderr.  ``out`` None runs without
-    ``--out``."""
+    print strict JSON and nothing on stderr, and a stream command's summary
+    holds no null (every field of it is computed).  ``out`` None runs
+    without ``--out``."""
     written = []
     if out is not None:
         written = [out, out.with_suffix(".summary.json")]
@@ -832,7 +843,8 @@ def assert_clean_exit(capsys, argv, out):
         assert not any(path.exists() for path in written)
     else:
         assert err == ""
-        json.loads(stdout, parse_constant=_reject_constant)
+        summary = json.loads(stdout, parse_constant=_reject_constant)
+        assert not (argv[0] in LEARNER_FLAGS and _holds_null(summary)), stdout
 
 
 COMPARATOR_OVERFLOW = ("t,y,z_0\n1,1.0,1.0\n2,-1.0,1.0\n3,1.0,0\n",
@@ -840,6 +852,29 @@ COMPARATOR_OVERFLOW = ("t,y,z_0\n1,1.0,1.0\n2,-1.0,1.0\n3,1.0,0\n",
 CLIPFREE_NAN_TERM = ["run-o2nc", "--variant", "clipfree", "--objective", "quadratic",
                      "--dim", "2", "--T", "20", "--seed", "3", "--c", "1e-300", "--G", "1e150",
                      "--sigma", "1e149"]
+# A nan the program computes: each once printed null and exited 2.
+NAN_BOUND_PATH_FORM = (
+    ["run-vaw", "--beta", "0.42609051349199173", "--lam", "1.0774184539075853e-69"],
+    "t,y,z_0,z_1,z_2\n1,-1.1105602148957785e94,0,0,0\n2,0,0,0,0\n"
+    "3,-1.2254971536289365e152,0,-1.027162703190314e-138,0\n"
+    "4,0,1.1459860745231683e-44,-1.5e-211,0\n5,1.4004507985105628e37,0,0,-1.6413599791255813e-20\n",
+    "t,u_0,u_1,u_2\n1,0,1.5709321361495299e-158,0\n"
+    "2,0,-1.1978561401252854e46,-1.4004687583257254e118\n"
+    "3,-1.0387427671990448e21,-1.6188101748581527e-275,0\n4,-1.5426071133405594e166,0,0\n"
+    "5,-1.3909803177593545e179,1.332576144794572e230,0\n",
+)
+NAN_DYNAMIC_BOUND = (
+    ["run-aioli", "--beta", "0.33525401782442077", "--lam", "1.4853607129229052e200",
+     "--R", "1.4853607129229052e200"],
+    "t,y,z_0\n1,1.0,0\n2,-1.0,-1.5820973785000634e65\n",
+    "t,u_0\n1,0\n2,0\n",
+)
+NAN_STATIONARITY_RESIDUAL = (
+    ["run-aioli", "--beta", "1e-10"],
+    "t,y,z_0\n1,1.0,0\n2,-1.0,-1.2330151128626592e141\n3,1.0,0\n4,1.0,1.5e173\n"
+    "5,-1.0,0\n6,1.0,1.5e-299\n",
+    None,
+)
 DELTA_NORM_OVERFLOW = ["run-o2nc", "--variant", "clipped", "--objective", "quadratic",
                        "--dim", "2", "--T", "3", "--seed", "0", "--c", "1e-170", "--G", "3e151"]
 
@@ -873,14 +908,36 @@ class TestExitCodeContract:
     @example(case=(["run-vaw", "--beta", "5e-324"], "t,y,z_0\n1,1.0e0,1.0e0\n2,0,0\n", None))
     # R**2 in run-aioli's dynamic bound overflows (a Python float ** once raised)
     @example(case=(["run-aioli", "--R", "1.0e155"], "t,y,z_0\n1,1.0,0\n", "t,u_0\n1,0\n"))
+    # a nan bound or residual, which must not print as null
+    @example(case=NAN_BOUND_PATH_FORM)
+    @example(case=NAN_DYNAMIC_BOUND)
+    @example(case=NAN_STATIONARITY_RESIDUAL)
     def test_stream_commands_exit_cleanly(self, capsys, tmp_path, case):
+        assert_clean_exit(capsys, self._stream_argv(tmp_path, case), tmp_path / "o.csv")
+
+    @staticmethod
+    def _stream_argv(tmp_path, case):
+        """Write the case's stream (and truth path, or none) to tmp_path and
+        return its argv with ``--stream``."""
         argv, text, truth = case
         stream = tmp_path / "s.csv"
         stream.write_text(text)
         stream.with_suffix(".truth.csv").unlink(missing_ok=True)
         if truth is not None:
             stream.with_suffix(".truth.csv").write_text(truth)
-        assert_clean_exit(capsys, [*argv, "--stream", str(stream)], tmp_path / "o.csv")
+        return [*argv, "--stream", str(stream)]
+
+    @pytest.mark.parametrize("case, field", [
+        (NAN_BOUND_PATH_FORM, "bound_path_form"),
+        (NAN_DYNAMIC_BOUND, "dynamic_bound"),
+        (NAN_STATIONARITY_RESIDUAL, "max_stationarity_residual"),
+    ], ids=["run-vaw", "run-aioli-bound", "run-aioli-residual"])
+    def test_a_computed_nan_names_its_field(self, capsys, tmp_path, case, field):
+        out = tmp_path / "o.csv"
+        code, stdout, err = run_cli(capsys, *self._stream_argv(tmp_path, case), "--out", str(out))
+        assert_one_error_line(code, err)
+        assert err == f"error: {field}: nan has no JSON form; the summary is not written\n"
+        assert stdout == "" and not out.exists() and not out.with_suffix(".summary.json").exists()
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=tuning_commands(), write=st.booleans())

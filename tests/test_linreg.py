@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -133,12 +134,12 @@ class TestStaticBound:
 
 
 class TestDynamicBound:
-    def test_zero_stream_gives_zero_bound(self):
+    def test_zero_stream_gives_zero_bounds(self):
         T, d = 10, 2
         stream = Stream(np.tile([[1.0, 0.0]], (T, 1)), np.zeros(T))
         run = linreg.run_dvaw(stream, beta=0.9, lam=1.0)
         path = ComparatorPath(np.zeros((T, d)))
-        assert linreg.dvaw_dynamic_bound(run, path, 0.95) == 0.0
+        assert linreg.dvaw_bounds(run, path, 0.95) == (0.0, 0.0, 0.0)
         assert regret.dynamic_regret(linreg.vaw_ledger(run), path) == 0.0
 
     def test_constant_path_drops_variation_term(self):
@@ -146,15 +147,40 @@ class TestDynamicBound:
         stream, _ = drifting_stream(rng, T=30, segments=1)
         run = linreg.run_dvaw(stream, beta=0.9, lam=1.0)
         path = oracles.constant_path(rng.standard_normal(stream.d), stream.T)
-        with_term = linreg.dvaw_dynamic_bound(run, path, 0.95)
+        bound_path, bound_ft, modular = linreg.dvaw_bounds(run, path, 0.95)
+        phi = 0.5 * 1.0 * float(path[0] @ path[0])
         base = (
-            0.5 * 0.9 * 1.0 * float(path[0] @ path[0])
+            0.9 * phi
             + linreg.dvaw_log_term(run)
             + (1 - 0.9) / 0.9 * 0.5 * stream.d * float((stream.y**2).sum())
         )
-        assert with_term == pytest.approx(base, rel=1e-12)
+        assert bound_path == pytest.approx(base, rel=1e-12)
+        assert bound_ft == pytest.approx(base, rel=1e-12)
+        assert modular == pytest.approx(
+            0.9 * phi + run.potential_increments.sum(), rel=1e-12)
 
-    def test_bound_dominates_measured_regret_both_forms(self):
+    def test_bounds_share_the_base_and_the_f_difference(self):
+        # each bound is its expression over the public pieces, bit for bit:
+        # the template's phi drift term is exactly 0 for a phi fixed in t
+        rng = np.random.default_rng(13)
+        stream, truth = drifting_stream(rng, T=50, segments=4, noise=0.3)
+        beta, lam, gamma = 0.6, 0.5, 0.8
+        run = linreg.run_dvaw(stream, beta=beta, lam=lam)
+        ledger = linreg.vaw_ledger(run)
+        u = truth[0]
+        base = (
+            0.5 * beta * lam * float(u @ u)
+            + linreg.dvaw_log_term(run)
+            + (1.0 - beta) / beta * 0.5 * stream.d * float((stream.y**2).sum())
+        )
+        fd = regret.ft_difference_term(ledger, truth)
+        pv = regret.path_variation(ledger, truth, gamma)
+        modular = (beta * (0.5 * lam * float(u @ u))
+                   + float(run.potential_increments.sum()) + fd)
+        assert linreg.dvaw_bounds(run, truth, gamma) == (
+            base + gamma / (1.0 - gamma) * pv, base + fd, modular)
+
+    def test_bounds_dominate_measured_regret(self):
         rng = np.random.default_rng(5)
         for _ in range(15):
             stream, truth = drifting_stream(rng, T=60, segments=3, noise=0.3)
@@ -162,27 +188,60 @@ class TestDynamicBound:
             run = linreg.run_dvaw(stream, beta=beta, lam=1.0)
             dyn = regret.dynamic_regret(linreg.vaw_ledger(run), truth)
             for gamma in (beta, min(0.999, 0.5 * (1 + beta))):
-                b_path = linreg.dvaw_dynamic_bound(run, truth, gamma)
-                assert dyn <= b_path + 1e-9 * (1.0 + abs(b_path))
-            b_ft = linreg.dvaw_dynamic_bound(run, truth, form="ftdiff")
-            assert dyn <= b_ft + 1e-9 * (1.0 + abs(b_ft))
+                for bound in linreg.dvaw_bounds(run, truth, gamma):
+                    assert dyn <= bound + 1e-9 * (1.0 + abs(bound))
 
     def test_modular_rhs_dominates_measured_regret(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             stream, truth = drifting_stream(rng, T=40, segments=2, noise=0.2)
             run = linreg.run_dvaw(stream, beta=0.9, lam=0.5)
-            ledger = linreg.vaw_ledger(run)
-            dyn = regret.dynamic_regret(ledger, truth)
-            rhs = regret.modular_bound_rhs(ledger, truth)
+            dyn = regret.dynamic_regret(linreg.vaw_ledger(run), truth)
+            _, _, rhs = linreg.dvaw_bounds(run, truth, 0.95)
             assert dyn <= rhs + 1e-9 * (1.0 + abs(rhs))
+
+    def test_modular_rhs_matches_slow_direct_summation(self):
+        rng = np.random.default_rng(14)
+        for T in (5, 40, 200):
+            d = 3
+            stream = Stream(rng.standard_normal((T, d)), rng.standard_normal(T))
+            beta, lam = 0.9, 0.8
+            run = linreg.run_dvaw(stream, beta, lam)
+            path = ComparatorPath(rng.standard_normal((T, d)))
+            Z, y = stream.Z, stream.y
+
+            def f(s, u):
+                return 0.5 * float(Z[s - 1] @ u - y[s - 1]) ** 2
+
+            def F(t, u):
+                return beta**t * 0.5 * lam * float(u @ u) + sum(
+                    beta ** (t - s) * f(s, u) for s in range(1, t + 1)
+                )
+
+            slow = beta * 0.5 * lam * float(path[0] @ path[0])
+            slow += run.potential_increments.sum()
+            slow += beta * sum(
+                F(t, path[t]) - F(t, path[t - 1]) for t in range(1, T)
+            )
+            _, _, fast = linreg.dvaw_bounds(run, path, 0.95)
+            assert abs(fast - slow) <= 1e-8 * (1.0 + abs(slow))
 
     def test_bad_gamma_ordering_rejected(self):
         rng = np.random.default_rng(7)
         stream, truth = drifting_stream(rng, T=10)
         run = linreg.run_dvaw(stream, beta=0.9, lam=1.0)
-        with pytest.raises(ValueError):
-            linreg.dvaw_dynamic_bound(run, truth, gamma=0.5)
+        with pytest.raises(ValueError, match=r"^need 0 < beta <= gamma < 1, got beta=0.9 gamma=0.5$"):
+            linreg.dvaw_bounds(run, truth, 0.5)
+
+    def test_negative_stability_term_rejected(self):
+        rng = np.random.default_rng(15)
+        stream, truth = drifting_stream(rng, T=10)
+        run = linreg.run_dvaw(stream, beta=0.9, lam=1.0)
+        pots = run.potential_increments.copy()
+        pots[3] = -2e-12
+        run = dataclasses.replace(run, potential_increments=pots)
+        with pytest.raises(ValueError, match="^stability terms must be nonnegative$"):
+            linreg.dvaw_bounds(run, truth, 0.95)
 
 
 class TestPotentialLemmaDelegation:

@@ -12,12 +12,11 @@ from driftlearn.streams import ComparatorPath, StreamSpec, csv_text, gen_stream
 import oracles
 
 
-def random_quadratic_ledger(rng, T, d, beta, lam=None, with_lambdas=False):
+def random_quadratic_ledger(rng, T, d, beta, lam=None):
     Z = rng.standard_normal((T, d))
     y = rng.standard_normal(T)
     play = rng.random(T)
-    lambdas = rng.random(T) * 0.1 if with_lambdas else None
-    return regret.RegretLedger(play, beta, Z, y, "squared", lam=lam, lambdas=lambdas)
+    return regret.RegretLedger(play, beta, Z, y, "squared", lam=lam)
 
 
 def random_logistic_ledger(rng, T, d, beta, lam=0.5):
@@ -291,63 +290,6 @@ class TestPathVariation:
             regret.path_variation(ledger, ComparatorPath(np.zeros((4, 1))), 1.0)
 
 
-class TestModularBound:
-    def test_all_terms_vanish(self):
-        rng = np.random.default_rng(12)
-        T, d = 6, 2
-        ledger = random_quadratic_ledger(rng, T, d, beta=0.7, lam=0.0)
-        ledger.lambdas = np.zeros(T)
-        path = oracles.constant_path(rng.standard_normal(d), T)
-        assert regret.modular_bound_rhs(ledger, path) == 0.0
-
-    def test_time_independent_phi_kills_drift_term(self):
-        rng = np.random.default_rng(13)
-        T = 8
-        ledger = random_quadratic_ledger(rng, T, 2, beta=0.6, lam=0.5, with_lambdas=True)
-        path = ComparatorPath(rng.standard_normal((T, 2)))
-        rhs = regret.modular_bound_rhs(ledger, path)
-        manual = (
-            0.6 * phi(ledger, path[0])
-            + ledger.lambdas.sum()
-            + regret.ft_difference_term(ledger, path)
-        )
-        assert rhs == pytest.approx(manual, abs=0.0)  # drift term is exactly 0
-
-    def test_matches_slow_direct_summation(self):
-        rng = np.random.default_rng(14)
-        for T in (5, 40, 200):
-            d = 3
-            Z = rng.standard_normal((T, d))
-            y = rng.standard_normal(T)
-            play = rng.random(T)
-            lambdas = rng.random(T) * 0.05
-            beta, lam = 0.9, 0.8
-            ledger = regret.RegretLedger(play, beta, Z, y, "squared", lam, lambdas)
-            path = ComparatorPath(rng.standard_normal((T, d)))
-
-            def f(s, u):
-                return 0.5 * float(Z[s - 1] @ u - y[s - 1]) ** 2
-
-            def F(t, u):
-                return beta**t * 0.5 * lam * float(u @ u) + sum(
-                    beta ** (t - s) * f(s, u) for s in range(1, t + 1)
-                )
-
-            slow = beta * 0.5 * lam * float(path[0] @ path[0]) + lambdas.sum()
-            slow += beta * sum(
-                F(t, path[t]) - F(t, path[t - 1]) for t in range(1, T)
-            )
-            fast = regret.modular_bound_rhs(ledger, path)
-            assert abs(fast - slow) <= 1e-8 * (1.0 + abs(slow))
-
-    def test_missing_pieces_rejected(self):
-        rng = np.random.default_rng(15)
-        ledger = random_quadratic_ledger(rng, 4, 2, beta=0.5)
-        path = ComparatorPath(np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            regret.modular_bound_rhs(ledger, path)
-
-
 class TestPathLengthLemma:
     def _ledger(self, rng, T, d, lam=0.3):
         Z = rng.standard_normal((T, d))
@@ -371,7 +313,7 @@ class TestPathLengthLemma:
 
     def test_probe_keeps_every_ledger_field_but_beta(self, monkeypatch):
         rng = np.random.default_rng(19)
-        ledger = random_quadratic_ledger(rng, 6, 2, beta=0.9, lam=1.0, with_lambdas=True)
+        ledger = random_quadratic_ledger(rng, 6, 2, beta=0.9, lam=1.0)
         probes, sources = [], []
         ft_difference_term, variation_totals = regret.ft_difference_term, regret._variation_totals
 
@@ -518,15 +460,13 @@ class TestOracleAgreement:
             assert pv == oracle_path_variation(ledger, path, gamma)
 
     @pytest.mark.parametrize("evaluator", [
-        regret.ft_difference_term, regret.modular_bound_rhs, regret.d2d_identity_gap,
+        regret.ft_difference_term, regret.d2d_identity_gap,
         lambda ledger, path: regret.check_path_length_lemma(ledger, path, 0.5, 0.9),
-    ], ids=["ft-difference", "modular-bound", "identity-gap", "path-length-lemma"])
+    ], ids=["ft-difference", "identity-gap", "path-length-lemma"])
     @pytest.mark.parametrize("moving", [True, False], ids=["moving", "constant"])
     def test_statistics_evaluators_reject_a_logistic_ledger(self, evaluator, moving):
         rng = np.random.default_rng(30)
-        ledger = dataclasses.replace(
-            random_logistic_ledger(rng, 6, 2, 0.8), lambdas=np.zeros(6)
-        )
+        ledger = random_logistic_ledger(rng, 6, 2, 0.8)
         u = rng.standard_normal((6, 2))
         path = ComparatorPath(u) if moving else oracles.constant_path(u[0], 6)
         with pytest.raises(ValueError) as exc:
