@@ -440,7 +440,7 @@ def cmd_run_ensemble(values: dict) -> int:
     elif values["grid"] is False:
         raise UsageError("grid: --grid false needs an explicit pool in --betas")
     else:
-        betas = list(logreg.build_grid(B, R, stream.d, stream.T).betas)
+        betas = list(logreg.build_grid(B, R, stream.d, stream.T))
     run = logreg.run_ensemble(stream, betas, lam, B, R)
     n = len(betas)
     mix = lemmas.check_mixability(run.expert_yhats, run.weights)

@@ -5,9 +5,9 @@ Each ``check_*`` evaluates one concrete instance and returns a
 checks over seeded random instances whose generators respect each
 statement's hypotheses exactly (bounds, monotonicity, parameter ranges).
 
-A violation is counted only when LHS - RHS > 1e-9 * (1 + |RHS|), so exact
-equality cases (beta = 1, a = b, the mixability equality) do not trip the
-oracles.  Where a raw formula overflows, the algebraically identical
+A violation is counted whenever LHS - RHS is not <= 1e-9 * (1 + |RHS|):
+exact equality cases (beta = 1, a = b, the mixability equality) do not
+trip the oracles, and a nan gap does.  Where a raw formula overflows, the algebraically identical
 stable form is substituted (e.g. e^b f'(b)^2 = sigma(b) sigma(-b) for the
 logistic surrogate).
 """
@@ -56,11 +56,12 @@ class LemmaVerdict:
 
 
 def _verdict(lemma: str, lhs, rhs, tol: float = TOL) -> LemmaVerdict:
-    """Count violations of elementwise lhs <= rhs with relative slack."""
+    """Count violations of elementwise lhs <= rhs with relative slack; a
+    nan gap is a violation."""
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
     gaps = lhs - rhs
-    bad = int(np.sum(gaps > tol * (1.0 + np.abs(rhs))))
+    bad = int(np.sum(~(gaps <= tol * (1.0 + np.abs(rhs)))))
     slack = float(np.min(rhs - lhs)) if len(gaps) else float("inf")
     return LemmaVerdict(lemma=lemma, instances=1, violations=bad, worst_slack=slack)
 

@@ -7,13 +7,17 @@ AIOLI plays the minimizer of an optimistic discounted FTRL objective
 where h_t(x) = l(x.z_t, +1) + l(x.z_t, -1) and fhat_s is a quadratic
 surrogate of the logistic loss with curvature eta_s = exp(y_s yhat_s)/(1+BR).
 The raw eta_s overflows when the learner is confidently correct, so it is
-never materialized: the products eta*g and eta*g*g' reduce to the bounded
-forms sigma(u)sigma(-u) z z'/(1+BR) and -sigma(u) y z/(1+BR) with
-u = y*yhat, and only those are accumulated, into one regularized matrix
-Atilde_t = lam beta^t I + sum_{s<=t} beta^(t-s) eta_s g_s g_s'.
+never materialized.  A round is written in the margin u = y*yhat: with
+c2 = sigma(u)sigma(-u)/(1+BR), g = -y sigma(-u) z and g.x = -y sigma(-u) yhat
+(y^2 = 1), it adds eta g g' = c2 z z' to the regularized matrix
+Atilde_t = lam beta^t I + sum_{s<=t} beta^(t-s) eta_s g_s g_s' and moves the
+surrogates' linear term by one outer product:
+
+    A <- beta A + c2 z z',    w <- beta w + (y sigma(-u) + c2 yhat) z.
 
 The argmin reduces to one scalar equation v + q*tanh(v/2) = p, solved for
-|p| by Newton from a closed-form lower bound of the root.
+|p| by Newton from a closed-form lower bound of the root; v = z.x_t is
+the prediction yhat_t.
 
 Every learner here runs on one kernel over a leading expert axis: N
 learners with their own discounts keep A as an (N, d, d) stack and w as
@@ -179,12 +183,13 @@ class _Experts:
         )
 
     def decide(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decisions X (N, d), predictions X z (N,) and q (N,) for feature z.
+        """Decisions X (N, d), predictions v (N,) and q (N,) for feature z.
 
         Expert i's stationarity condition beta_i A_i x + tanh(v/2) z =
         beta_i w_i with v = z.x reduces to v + q_i tanh(v/2) = p_i with
-        p_i = z'A_i^{-1}w_i and q_i = z'A_i^{-1}z/beta_i; the roots stay
-        scalar, one :func:`solve_optimism_root` call per expert.  A p or q
+        p_i = z'A_i^{-1}w_i and q_i = z'A_i^{-1}z/beta_i, so the root v_i
+        is expert i's prediction z.x_i.  The roots stay scalar, one
+        :func:`solve_optimism_root` call per expert.  A p or q
         that is not finite, a singular A and a negative q (A_i is positive
         definite, so only roundoff on a badly scaled stream gives one) raise
         ``ValueError`` before any root is sought; the runners call this
@@ -204,9 +209,8 @@ class _Experts:
             raise ValueError(self._failure(i, _OVERFLOWED))
         if min(qs) < 0.0:
             raise ValueError(self._failure(qs.index(min(qs)), _ILL_CONDITIONED))
-        v = [solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)]
-        X = ainv_w - np.tanh(0.5 * np.array(v))[:, None] * ainv_z
-        return X, X @ z, q
+        v = np.array([solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)])
+        return ainv_w - np.tanh(0.5 * v)[:, None] * ainv_z, v, q
 
     def residuals(self, z: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Sup-norm of beta A x + tanh((z.x)/2) z - beta w at each decision."""
@@ -219,29 +223,24 @@ class _Experts:
         return np.max(np.abs(grad), axis=1)
 
     def absorb(
-        self, z: np.ndarray, y: float, X: np.ndarray, yhats: np.ndarray, q: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, z: np.ndarray, y: float, yhats: np.ndarray, q: np.ndarray
+    ) -> np.ndarray:
         """Fold the revealed label into every expert's statistics.
 
-        ``X``, ``yhats`` and ``q`` are this round's :meth:`decide` outputs.
-        Returns the curvature weights c2 (eta g g' = c2 z z') and the
-        stability increments c2 z'A_new^{-1}z.  With A_new = beta A +
-        c2 z z' the latter is c2 q/(1 + c2 q) (Sherman-Morrison), so it
-        needs no second solve.
+        ``yhats`` and ``q`` are this round's :meth:`decide` outputs.
+        Returns the stability increments c2 z'A_new^{-1}z.  With A_new =
+        beta A + c2 z z' they are c2 q/(1 + c2 q) (Sherman-Morrison), so
+        they need no second solve.
         """
-        u = y * yhats
-        s_pos, s_neg = _sigmoid_pm(u)
+        s_pos, s_neg = _sigmoid_pm(y * yhats)
         c2 = s_pos * s_neg / self.scale
-        g = (-y * s_neg)[:, None] * z                      # true logistic gradients
-        eta_g = (-(s_pos / self.scale) * y)[:, None] * z   # eta_t g_t, bounded form
         A = self.beta[:, None, None] * self.A + c2[:, None, None] * (z[:, None] * z)
         self._checked(np.linalg.cholesky, RuntimeError, _INDEFINITE, A)
         self.A = A
         self.t += 1
-        gx = np.einsum("nd,nd->n", g, X)
-        self.w = self.beta[:, None] * self.w - g + gx[:, None] * eta_g
+        self.w = self.beta[:, None] * self.w + (y * s_neg + c2 * yhats)[:, None] * z
         c2q = c2 * q
-        return c2, c2q / (1.0 + c2q)
+        return c2q / (1.0 + c2q)
 
     def _checked(self, factor, error: type, failure: tuple, *stacks):
         """``factor(*stacks)``; a ``LinAlgError`` raises ``error`` for the
@@ -278,7 +277,6 @@ class AioliRun:
     stab_disc: np.ndarray        # prefix values of the discounted stability sum
     beta_pows: np.ndarray        # beta^t for t = 1..T
     residuals: np.ndarray
-    curvature_coefs: np.ndarray  # c2_t with eta_t g_t g_t' = c2_t z_t z_t'
 
     @property
     def T(self) -> int:
@@ -293,21 +291,17 @@ def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> Ai
     yhats = np.empty(T)
     stab_incs = np.empty(T)
     resid = np.empty(T)
-    coefs = np.empty(T)
     with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
         for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
             X, yh, q = experts.decide(z)
             resid[t] = experts.residuals(z, X)[0]
-            c2, stab_inc = experts.absorb(z, y, X, yh, q)
+            stab_incs[t] = experts.absorb(z, y, yh, q)[0]
             yhats[t] = yh[0]
-            coefs[t] = c2[0]
-            stab_incs[t] = stab_inc[0]
     return AioliRun(
         stream=stream, beta=beta, lam=lam, B=B, R=R, yhats=yhats,
         losses_at_play=np.logaddexp(0.0, -stream.y * yhats),
         stab_disc=discounted_scan(stab_incs, beta),
         beta_pows=np.cumprod(np.full(T, float(beta))), residuals=resid,
-        curvature_coefs=coefs,
     )
 
 
@@ -385,7 +379,7 @@ def mix_predict(yhats: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     p = np.asarray(p, dtype=float)
     if yhats.shape != p.shape or yhats.ndim not in (1, 2):
         raise ValueError("predictions and weights must both be (N,) or (T, N)")
-    if np.any(p < 0.0) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
+    if not (np.all(p >= 0.0) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9)):  # nan fails
         raise ValueError("weights must be nonnegative and sum to 1")
     return _mix(yhats, p)
 
@@ -444,8 +438,8 @@ def run_ensemble(
     expert_yhats = np.empty((T, N))
     with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
         for z, y, row in zip(stream.Z, map(float, stream.y), expert_yhats):
-            X, yh, q = experts.decide(z)
-            experts.absorb(z, y, X, yh, q)
+            _, yh, q = experts.decide(z)
+            experts.absorb(z, y, yh, q)
             row[:] = yh
 
     # Row blocks keep numpy's broadcast buffers to the size of one block.
@@ -492,18 +486,9 @@ def default_lam(B: float) -> float:
     return lam
 
 
-@dataclass(frozen=True)
-class DiscountGrid:
-    """Geometric pool of discount factors for learning beta."""
-
-    betas: tuple
-    eta_min: float
-    eta_max: float
-    degenerate: bool  # eta_max < eta_min collapsed the pool to one entry
-
-
-def build_grid(B: float, R: float, d: int, T: int) -> DiscountGrid:
-    """Discount-factor pool beta_i = eta_i/(1+eta_i), eta_i = 2^(i-1) eta_min.
+def build_grid(B: float, R: float, d: int, T: int) -> tuple[float, ...]:
+    """Geometric pool of discount factors for learning beta:
+    beta_i = eta_i/(1+eta_i), eta_i = 2^(i-1) eta_min.
 
     eta_min = sqrt(d(1+BR)/(CB)) with C = max(1, 2R), eta_max = dT,
     N = ceil(log2(eta_max/eta_min)) + 1, and N = 1 when eta_max < eta_min.
@@ -517,8 +502,7 @@ def build_grid(B: float, R: float, d: int, T: int) -> DiscountGrid:
     if not 0.0 < eta_min < math.inf:
         raise ValueError(f"B: eta_min is not a positive finite float at B={B!r}, R={R!r}")
     eta_max = float(d * T)
-    degenerate = eta_max < eta_min
-    n = 1 if degenerate else int(math.ceil(math.log2(eta_max / eta_min))) + 1
+    n = 1 if eta_max < eta_min else int(math.ceil(math.log2(eta_max / eta_min))) + 1
     etas = eta_min * 2.0 ** np.arange(n)
     betas = tuple(float(e / (1.0 + e)) for e in etas)
     if betas[-1] == 1.0:
@@ -526,4 +510,4 @@ def build_grid(B: float, R: float, d: int, T: int) -> DiscountGrid:
             f"B: the pool discount eta/(1+eta) rounds to 1 at eta={float(etas[-1])!r}, "
             f"B={B!r}, R={R!r}"
         )
-    return DiscountGrid(betas=betas, eta_min=eta_min, eta_max=eta_max, degenerate=degenerate)
+    return betas

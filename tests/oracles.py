@@ -11,7 +11,7 @@ from scipy.optimize import NonlinearConstraint, minimize
 
 from driftlearn import linreg
 from driftlearn.adam import AdamConfig, AdamState, adam_update, clip_to_ball, delta_for
-from driftlearn.logreg import AioliRun
+from driftlearn.logreg import AioliRun, sigmoid
 from driftlearn.o2nc import O2ncTrace, Objective
 from driftlearn.regret import RegretLedger
 from driftlearn.streams import ComparatorPath, Stream, philox_rng
@@ -190,6 +190,13 @@ def aioli_rescaled_bound(run: AioliRun, t: int, u: np.ndarray) -> float:
         run.beta_pows[t - 1] * 0.5 * run.lam * (u @ u)
         + scale * run.stab_disc[t - 1]
     )
+
+
+def aioli_curvature_weights(run: AioliRun) -> np.ndarray:
+    """c2_t = sigma(u_t) sigma(-u_t)/(1+BR) with the margin u_t = y_t yhat_t:
+    round t's surrogate curvature is eta_t g_t g_t' = c2_t z_t z_t'."""
+    u = run.stream.y * run.yhats
+    return sigmoid(u) * sigmoid(-u) / (1.0 + run.B * run.R)
 
 
 def vaw_static_bound(stream: Stream, lam: float, t: int, u: np.ndarray) -> float:

@@ -170,9 +170,9 @@ def test_criterion_05_ensemble_meta_regret():
                 seed=int(rng.integers(2**31)), R=1.0, B=1.0,
             )
             stream, _ = gen_stream(spec)
-            grid = logreg.build_grid(B=1.0, R=1.0, d=stream.d, T=stream.T)
-            run = logreg.run_ensemble(stream, grid.betas, logreg.default_lam(1.0), B=1.0, R=1.0)
-            assert run.meta_regret <= math.log(len(grid.betas)) + 1e-9, i
+            betas = logreg.build_grid(B=1.0, R=1.0, d=stream.d, T=stream.T)
+            run = logreg.run_ensemble(stream, betas, logreg.default_lam(1.0), B=1.0, R=1.0)
+            assert run.meta_regret <= math.log(len(betas)) + 1e-9, i
             for t in range(run.T):
                 assert lemmas.check_mixability(run.expert_yhats[t], run.weights[t]).passed
 

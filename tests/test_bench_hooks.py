@@ -89,7 +89,7 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
     assert tracer.counts["o2nc.loop_grad_calls"] == 2 * T
     # logreg.root_calls is one root per expert and round: AIOLI's, then the grid pool's
     spans = importlib.import_module("layers").JobSpans(tracer, 0)
-    assert spans.calls("logreg.solve_optimism_root") == T * (1 + len(logreg.build_grid(1, 1, 2, T).betas))
+    assert spans.calls("logreg.solve_optimism_root") == T * (1 + len(logreg.build_grid(1, 1, 2, T)))
     # run-o2nc steps Adam through adam.delta_for and adam.adam_update once a
     # round each, which the bench's adam.updates metric counts
     assert spans.calls("adam.adam_update") == spans.calls("adam.delta_for") == T

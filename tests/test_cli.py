@@ -985,13 +985,16 @@ class TestDeterminism:
         assert logs[0] == logs[1]
 
     # Exact text of the Adam tuning reports, the o2nc artifacts and the
-    # run-vaw artifacts, written by a reference build and kept in
-    # tests/golden: any change to the tuner, the step rule, the driver loop,
-    # the VAW learner or its bounds that moves a bit shows up here.
+    # run-vaw, run-aioli and run-ensemble artifacts, written by a reference
+    # build and kept in tests/golden: any change to the tuner, the step rule,
+    # the driver loop, the VAW or AIOLI learners, the ensemble or their
+    # bounds that moves a bit shows up here.
     TUNE_FLAGS = ["--eps", "0.16", "--c", "1", "--G", "0.5", "--sigma", "0.5",
                   "--Fstar", "1", "--nu", "1"]
     VAW_GEN = ["--d", "3", "--T", "200", "--seed", "1"]
     VAW_RUN = ["run-vaw", "--beta", "0.9", "--lambda", "1"]
+    LOGISTIC_GEN = ["gen", "--kind", "logistic-drift", "--d", "3", "--T", "200",
+                    "--segments", "4", "--noise", "0.2", "--seed", "1"]
 
     @pytest.mark.parametrize(
         "argv, golden",
@@ -1006,10 +1009,12 @@ class TestDeterminism:
              "o2nc-clipped"),
             (["run-o2nc", "--variant", "clipfree", "--T", "200", "--seed", "1"],
              "o2nc-clipfree"),
-            # the stream is written by gen into tmp_path first
-            (["gen", "--kind", "piecewise-constant-target", *VAW_GEN, "--segments", "4",
-              "--noise", "0.1"], "vaw-piecewise"),
-            (["gen", "--kind", "rotating-target", *VAW_GEN], "vaw-rotating"),
+            # (gen, run): gen writes the stream and its truth into tmp_path first
+            ((["gen", "--kind", "piecewise-constant-target", *VAW_GEN, "--segments", "4",
+               "--noise", "0.1"], VAW_RUN), "vaw-piecewise"),
+            ((["gen", "--kind", "rotating-target", *VAW_GEN], VAW_RUN), "vaw-rotating"),
+            ((LOGISTIC_GEN, ["run-aioli", "--beta", "0.9"]), "aioli-logistic"),
+            ((LOGISTIC_GEN, ["run-ensemble", "--grid", "true"]), "ensemble-logistic"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
@@ -1020,10 +1025,11 @@ class TestDeterminism:
             assert (code, err) == (0, "")
             assert stdout == (expected / f"{golden}.json").read_text()
             return
-        if argv[0] == "gen":
+        if isinstance(argv, tuple):
+            gen, run = argv
             stream = tmp_path / "s.csv"
-            assert run_cli(capsys, *argv, "--out", str(stream))[0] == 0
-            argv = [*self.VAW_RUN, "--stream", str(stream)]
+            assert run_cli(capsys, *gen, "--out", str(stream))[0] == 0
+            argv = [*run, "--stream", str(stream)]
         out = tmp_path / "o.csv"
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert (code, err) == (0, "")

@@ -221,3 +221,22 @@ class TestSuiteMachinery:
     def test_run_all_covers_everything(self):
         out = lemmas.run_all(instances=5, seed=0)
         assert set(out) == set(lemmas.SUITES)
+
+
+class TestNanInstances:
+    # a gap that is not <= the tolerance is a violation, nan included
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            (lemmas.check_self_confident_tuning, ([math.nan], 1.0)),
+            (lemmas.check_beta_coupling, (0.5, 0.5, [0.0, 1.0], [math.nan])),
+            (lemmas.check_logistic_surrogate, (1.0, 0.5, math.nan)),
+            (lemmas.check_abel_sum, (0.5, [math.nan])),
+        ],
+        ids=["self-confident-tuning", "beta-coupling", "logistic-surrogate", "abel-sum"],
+    )
+    def test_nan_gap_is_a_violation(self, check, args):
+        with np.errstate(invalid="ignore"):
+            verdict = check(*args)
+        assert (verdict.instances, verdict.violations) == (1, 1)
+        assert not verdict.passed

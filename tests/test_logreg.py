@@ -108,7 +108,7 @@ class TestLoss:
             )
             experts = one_expert(2, 0.9)
             X, yhats, q = experts.decide(z)
-            experts.absorb(z, y, X, yhats, q)
+            experts.absorb(z, y, yhats, q)
             np.testing.assert_allclose(experts.w[0], -logistic_grad(X[0], z, y), rtol=1e-15)
 
 
@@ -189,16 +189,15 @@ class TestUpdate:
         # u = 0: eta g g' = z z' / (4 (1 + BR))
         experts = one_expert(2, 0.9)
         z = np.array([0.8, -0.6])
-        X, yhats, q = experts.decide(z)  # the empty history plays x = 0
-        experts.absorb(z, 1.0, X, yhats, q)
+        _, yhats, q = experts.decide(z)  # the empty history plays x = 0
+        experts.absorb(z, 1.0, yhats, q)
         np.testing.assert_allclose(
             experts.A[0] - 0.9 * np.eye(2), np.outer(z, z) / 8.0, rtol=1e-14
         )
 
     def test_confidently_correct_round_adds_no_curvature(self):
         experts = one_expert(1, 0.9)
-        experts.absorb(np.array([1.0]), 1.0, np.array([[800.0]]), np.array([800.0]),
-                       np.array([1.0 / 0.9]))
+        experts.absorb(np.array([1.0]), 1.0, np.array([800.0]), np.array([1.0 / 0.9]))
         assert experts.A[0, 0, 0] - 0.9 <= 1e-300
         assert np.isfinite(experts.w).all()
 
@@ -206,19 +205,56 @@ class TestUpdate:
         experts = one_expert(2, 0.99, B=2.0, R=0.5)
         z = np.array([0.3, 0.4])
         yhat = -0.7
-        experts.absorb(z, -1.0, np.array([[0.1, 0.2]]), np.array([yhat]),
-                       np.array([z @ z / 0.99]))
+        experts.absorb(z, -1.0, np.array([yhat]), np.array([z @ z / 0.99]))
         u = -1.0 * yhat
         expected = expit(u) * expit(-u) / (1.0 + 2.0 * 0.5) * np.outer(z, z)
         np.testing.assert_allclose(experts.A[0] - 0.99 * np.eye(2), expected, rtol=1e-14)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 5),
+        T=st.integers(1, 60),
+        beta=st.floats(0.5, 0.999),
+        lam=st.floats(0.1, 10.0),
+    )
+    def test_margin_form_matches_textbook_update(self, seed, d, T, beta, lam):
+        # absorb takes w <- beta w + (y sigma(-u) + c2 yhat) z; the textbook
+        # update is beta w - g + (g.x) eta g with x the decision of decide
+        stream, _ = gen_stream(StreamSpec(d=d, T=T, kind="logistic-drift", segments=3,
+                                          noise=0.3, seed=seed))
+        experts = one_expert(d, beta, lam)
+        for z, y in zip(stream.Z[:-1], stream.y[:-1].tolist()):
+            _, yh, q = experts.decide(z)
+            experts.absorb(z, y, yh, q)
+        z, y = stream.Z[-1], float(stream.y[-1])
+        X, yh, q = experts.decide(z)
+        x, w = X[0], experts.w[0]
+        u = y * float(x @ z)
+        g = -y * float(expit(-u)) * z
+        eta_g = -y * float(expit(u)) / 2.0 * z  # 1 + BR = 2
+        want = beta * w - g + float(g @ x) * eta_g
+        experts.absorb(z, y, yh, q)
+        # a few ulps of the terms, with |g|.|x| the magnitude of the dot product
+        size = np.abs(beta * w) + np.abs(g) + float(np.abs(g) @ np.abs(x)) * np.abs(eta_g)
+        assert np.all(np.abs(experts.w[0] - want) <= 8 * np.finfo(float).eps * size)
 
     def test_curvature_norm_never_exceeds_stable_cap(self):
         rng = np.random.default_rng(2)
         stream, _ = logistic_stream(rng, T=120, R=1.5)
         run = logreg.run_aioli(stream, beta=0.9, lam=1.0, B=1.0, R=1.5)
         cap = 1.5**2 / (4.0 * (1.0 + 1.0 * 1.5))
-        # |eta g g'| = c2 |z|^2 <= R^2/(4(1+BR)) per round
-        assert np.all(run.curvature_coefs * 1.5**2 <= cap * (1 + 1e-12))
+        # the increment A_t - beta A_{t-1} = eta g g' = c2 z z' has spectral
+        # norm c2 |z|^2 <= R^2/(4(1+BR)) per round
+        experts = one_expert(stream.d, 0.9, R=1.5)
+        norms = np.empty(stream.T)
+        for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
+            _, yh, q = experts.decide(z)
+            A_prev = experts.A[0]
+            experts.absorb(z, y, yh, q)
+            norms[t] = np.linalg.norm(experts.A[0] - 0.9 * A_prev, ord=2)
+        assert np.all(norms <= cap * (1 + 1e-12))
+        c2 = oracles.aioli_curvature_weights(run)
+        np.testing.assert_allclose(norms, c2 * (stream.Z**2).sum(axis=1), rtol=1e-12, atol=1e-15)
 
 
 class TestRescaledBound:
@@ -272,7 +308,7 @@ class TestRescaledBound:
         stream, _ = logistic_stream(rng, T=80)
         beta, lam = 0.9, 1.0
         run = logreg.run_aioli(stream, beta=beta, lam=lam, B=1.0, R=1.0)
-        scaled = np.sqrt(run.curvature_coefs)[:, None] * stream.Z
+        scaled = np.sqrt(oracles.aioli_curvature_weights(run))[:, None] * stream.Z
         verdict = lemmas.check_discounted_potential(
             beta, lam, scaled, np.ones(stream.T)
         )
@@ -387,6 +423,17 @@ class TestMixPredict:
             p /= p.sum()
             assert lemmas.check_mixability(yhats, p).passed
 
+    @pytest.mark.parametrize(
+        "p", [[math.nan, math.nan], [math.nan, 1.0], [-0.5, 1.5], [0.5, 0.4], [math.inf, 0.0]],
+        ids=["all-nan", "one-nan", "negative", "short-sum", "inf"],
+    )
+    def test_weights_off_the_simplex_are_rejected(self, p):
+        message = "weights must be nonnegative and sum to 1"
+        with pytest.raises(ValueError, match=message):
+            logreg.mix_predict(np.array([0.3, -0.2]), np.array(p))
+        with pytest.raises(ValueError, match=message):  # one round in a (T, N) call
+            lemmas.check_mixability(np.zeros((2, 2)), np.array([[0.5, 0.5], p]))
+
     def test_saturated_experts_are_clamped(self):
         mixed = logreg.mix_predict(np.array([800.0, 900.0]), np.array([0.5, 0.5]))
         assert np.isfinite(mixed) and mixed > 0
@@ -496,7 +543,7 @@ def per_round_ensemble(stream, betas, lam, B, R):
     yhats, mix_losses = np.empty(T), np.empty(T)
     expert_losses, expert_yhats, weights = (np.empty((T, n)) for _ in range(3))
     for t, (z, y) in enumerate(zip(stream.Z, map(float, stream.y))):
-        X, yh, q = experts.decide(z)
+        _, yh, q = experts.decide(z)
         lq = log_q - log_q.max()
         p = np.exp(lq)
         p /= p.sum()
@@ -506,7 +553,7 @@ def per_round_ensemble(stream, betas, lam, B, R):
         expert_yhats[t] = yh
         weights[t] = p
         log_q = log_q - expert_losses[t]
-        experts.absorb(z, y, X, yh, q)
+        experts.absorb(z, y, yh, q)
     return dict(yhats=yhats, mix_losses=mix_losses, expert_losses=expert_losses,
                 expert_yhats=expert_yhats, weights=weights)
 
@@ -518,8 +565,8 @@ def per_round_aioli_sums(stream, beta, lam, B, R):
     stab, pows = np.empty(stream.T), np.empty(stream.T)
     stab_disc, beta_pow = 0.0, 1.0
     for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
-        X, yh, q = experts.decide(z)
-        _, stab_inc = experts.absorb(z, y, X, yh, q)
+        _, yh, q = experts.decide(z)
+        stab_inc = experts.absorb(z, y, yh, q)
         stab_disc = beta * stab_disc + float(stab_inc[0])
         beta_pow = beta * beta_pow
         stab[t], pows[t] = stab_disc, beta_pow
@@ -677,20 +724,25 @@ class TestEnsembleErrors:
 
 class TestGrid:
     def test_frozen_eleven_point_example(self):
-        grid = logreg.build_grid(B=1.0, R=0.5, d=1, T=1024)
-        assert len(grid.betas) == 11
-        assert grid.eta_min == pytest.approx(math.sqrt(1.5), rel=1e-12)
-        assert grid.eta_max == 1024.0
+        # eta_min = sqrt(d(1+BR)/(CB)) = sqrt(1.5); the etas double up to the
+        # first one at or past eta_max = dT = 1024
+        betas = logreg.build_grid(B=1.0, R=0.5, d=1, T=1024)
+        assert isinstance(betas, tuple) and len(betas) == 11
+        eta_min = math.sqrt(1.5)
+        assert betas[0] == pytest.approx(eta_min / (1.0 + eta_min), rel=1e-15)
+        etas = np.array(betas) / (1.0 - np.array(betas))
+        np.testing.assert_allclose(etas, eta_min * 2.0 ** np.arange(11), rtol=1e-12)
+        assert etas[-2] < 1024.0 <= etas[-1]
 
     def test_pool_is_increasing_inside_unit_interval(self):
-        grid = logreg.build_grid(B=2.0, R=1.0, d=3, T=500)
-        betas = np.array(grid.betas)
+        betas = np.array(logreg.build_grid(B=2.0, R=1.0, d=3, T=500))
         assert np.all(np.diff(betas) > 0)
         assert np.all((betas > 0) & (betas < 1))
 
     def test_tiny_horizon_collapses_pool(self):
-        grid = logreg.build_grid(B=1.0, R=0.5, d=1, T=1)
-        assert grid.degenerate and len(grid.betas) == 1
+        # eta_max = dT = 1 lies below eta_min = sqrt(1.5): the pool is beta_1 alone
+        eta_min = math.sqrt(1.5)
+        assert logreg.build_grid(B=1.0, R=0.5, d=1, T=1) == (eta_min / (1.0 + eta_min),)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -706,11 +758,10 @@ class TestGrid:
            d=st.integers(1, 50), T=st.integers(1, 10**6))
     def test_every_pool_lies_inside_the_unit_interval_or_names_b(self, log_b, log_r, d, T):
         try:
-            grid = logreg.build_grid(B=10.0**log_b, R=10.0**log_r, d=d, T=T)
+            betas = np.array(logreg.build_grid(B=10.0**log_b, R=10.0**log_r, d=d, T=T))
         except ValueError as exc:
             assert str(exc).startswith("B: ")
             return
-        betas = np.array(grid.betas)
         assert np.all((betas > 0.0) & (betas < 1.0))
 
     @pytest.mark.parametrize("B", [1.0, 2.0, 0.3, 1e-150, 1e150])
