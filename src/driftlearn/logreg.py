@@ -153,7 +153,7 @@ class _Experts:
     (N, d) negated discounted linear coefficients of the surrogates
     (constant terms are dropped, they do not move the argmin), ``beta``
     the (N,) discounts, ``scale`` = 1 + BR and ``t`` the rounds absorbed.
-    A round costs one stacked ``np.linalg.solve`` (the decisions), one
+    A round costs one stacked ``np.linalg.solve`` (p and q), one
     stacked ``np.linalg.cholesky`` (the update's positive-definiteness
     check) and one scalar optimism root per expert.
     Updates rebind ``A`` and ``w`` to new arrays, so views handed out
@@ -182,8 +182,12 @@ class _Experts:
             A=np.broadcast_to(lam * np.eye(d), (n, d, d)).copy(), w=np.zeros((n, d)),
         )
 
-    def decide(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decisions X (N, d), predictions v (N,) and q (N,) for feature z.
+    def decide(
+        self, z: np.ndarray
+    ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+        """The pair (A_i^{-1}w_i, A_i^{-1}z/beta_i) of (N, d) arrays,
+        predictions v (N,) and q (N,) for feature z; :meth:`decisions`
+        builds the decisions x_i from the pair and v.
 
         Expert i's stationarity condition beta_i A_i x + tanh(v/2) z =
         beta_i w_i with v = z.x reduces to v + q_i tanh(v/2) = p_i with
@@ -210,7 +214,14 @@ class _Experts:
         if min(qs) < 0.0:
             raise ValueError(self._failure(qs.index(min(qs)), _ILL_CONDITIONED))
         v = np.array([solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)])
-        return ainv_w - np.tanh(0.5 * v)[:, None] * ainv_z, v, q
+        return (ainv_w, ainv_z), v, q
+
+    @staticmethod
+    def decisions(ainv: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+        """Decisions x_i = A_i^{-1}w_i - tanh(v_i/2) A_i^{-1}z/beta_i (N, d)
+        from :meth:`decide`'s pair and roots."""
+        ainv_w, ainv_z = ainv
+        return ainv_w - np.tanh(0.5 * v)[:, None] * ainv_z
 
     def residuals(self, z: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Sup-norm of beta A x + tanh((z.x)/2) z - beta w at each decision."""
@@ -293,8 +304,8 @@ def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> Ai
     resid = np.empty(T)
     with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
         for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
-            X, yh, q = experts.decide(z)
-            resid[t] = experts.residuals(z, X)[0]
+            ainv, yh, q = experts.decide(z)
+            resid[t] = experts.residuals(z, experts.decisions(ainv, yh))[0]
             stab_incs[t] = experts.absorb(z, y, yh, q)[0]
             yhats[t] = yh[0]
     return AioliRun(
@@ -438,7 +449,7 @@ def run_ensemble(
     expert_yhats = np.empty((T, N))
     with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
         for z, y, row in zip(stream.Z, map(float, stream.y), expert_yhats):
-            _, yh, q = experts.decide(z)
+            yh, q = experts.decide(z)[1:]  # the pair is dropped here, not held
             experts.absorb(z, y, yh, q)
             row[:] = yh
 

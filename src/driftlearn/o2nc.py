@@ -21,10 +21,12 @@ averages
     xbar_t = (beta-beta^t)/(1-beta^t) xbar_{t-1} + (1-beta)/(1-beta^t) x_t,
 
 with beta = beta1 (xbar_t by one `discounted_scan` with a discount per
-row, from `ema_coefficients`), and the gradient norms at them: two true
-gradients a round, at x_t and at xbar_t.  The returned point is drawn
-uniformly from the running averages, and the full gradient-norm trace is
-kept since it carries strictly more information than the single draw.
+row, from `ema_coefficients`), and the gradient norms at them.  The loop
+takes one true gradient a round, at x_t; the gradients at every xbar_t
+come from one `Objective.grad_rows` call after it.  The returned point is
+drawn uniformly from the running averages, and the full gradient-norm
+trace is kept since it carries strictly more information than the single
+draw.
 """
 
 from __future__ import annotations
@@ -47,13 +49,18 @@ class OracleBoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class Objective:
-    """Deterministic objective with true gradients available."""
+    """Deterministic objective with true gradients available.
+
+    ``grad_rows`` maps a (T, d) array to the (T, d) array of ``grad`` at each
+    row, bit for bit.
+    """
 
     name: str
     dim: int
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
+    grad_rows: Callable[[np.ndarray], np.ndarray]
 
 
 def clamped_quadratic(dim: int, radius: float = 1.0) -> Objective:
@@ -76,7 +83,13 @@ def clamped_quadratic(dim: int, radius: float = 1.0) -> Objective:
             return x.copy()
         return (radius / r) * x
 
-    return Objective("clamped-quadratic", dim, value, grad, lipschitz=radius)
+    def grad_rows(X: np.ndarray) -> np.ndarray:
+        r = _row_norms(X)
+        scaled = ~(r <= radius) & (r != 0.0)  # grad's branches; a nan norm scales
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.multiply((radius / r)[:, None], X, out=X.copy(), where=scaled[:, None])
+
+    return Objective("clamped-quadratic", dim, value, grad, radius, grad_rows)
 
 
 def euclidean_norm(dim: int) -> Objective:
@@ -92,7 +105,13 @@ def euclidean_norm(dim: int) -> Objective:
             return np.zeros(dim)
         return x / r
 
-    return Objective("euclidean-norm", dim, value, grad, lipschitz=1.0)
+    def grad_rows(X: np.ndarray) -> np.ndarray:
+        r = _row_norms(X)
+        live = (r != 0.0)[:, None]
+        with np.errstate(invalid="ignore"):  # inf/inf, as grad's x / r gives
+            return np.divide(X, r[:, None], out=np.zeros_like(X), where=live)
+
+    return Objective("euclidean-norm", dim, value, grad, 1.0, grad_rows)
 
 
 def max_affine(dim: int, pieces: int = 8, seed: int = 0) -> Objective:
@@ -108,7 +127,13 @@ def max_affine(dim: int, pieces: int = 8, seed: int = 0) -> Objective:
     def grad(x: np.ndarray) -> np.ndarray:
         return A[int(np.argmax(A @ x + b))].copy()
 
-    return Objective("max-affine", dim, value, grad, lipschitz=G)
+    def grad_rows(X: np.ndarray) -> np.ndarray:
+        # one gemv a row, the product grad's A @ x makes; X @ A.T rounds otherwise
+        scores = np.matmul(A, X[:, :, None])[:, :, 0]
+        scores += b
+        return A[np.argmax(scores, axis=1)]
+
+    return Objective("max-affine", dim, value, grad, G, grad_rows)
 
 
 OBJECTIVES = {
@@ -279,9 +304,10 @@ def run_o2nc(
         raise OracleBoundError(
             f"round {i + 1}: |g|={float(gnorms[i])} exceeds declared bound G={G}"
         )
-    # Each (T, d) array is dropped once read, which keeps the peak at four.
+    # Each (T, d) array is dropped once read, and both scans run in place,
+    # which keeps the peak at three.
     del gnorms
-    comparators = discounted_scan(true_grads, cfg.beta1)  # a_t, made u_t in place
+    comparators = discounted_scan(true_grads, cfg.beta1, out=true_grads)  # a_t, then u_t
     del true_grads
     zero_comparators = _to_comparators(comparators, cfg.D)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, like per-row np.vdot
@@ -298,18 +324,17 @@ def run_o2nc(
         raise ValueError(f"round {i + 1}: the dynamic-regret term is nan (its products overflow)")
 
     c_prev, c_new = ema_coefficients(cfg.beta1, T)
-    xs = scalings[:, None] * deltas  # x_t: the running sum of x0 and s_t Delta_t
-    xs[0] += x0
-    np.add.accumulate(xs, axis=0, out=xs)
-    xs *= c_new[:, None]
-    xbars = discounted_scan(xs, c_prev, x0)  # xbar_t, started from x0
-    del xs
+    xbars = scalings[:, None] * deltas  # x_t: the running sum of x0 and s_t Delta_t
+    xbars[0] += x0
+    np.add.accumulate(xbars, axis=0, out=xbars)
+    xbars *= c_new[:, None]
+    discounted_scan(xbars, c_prev, x0, out=xbars)  # xbar_t, started from x0
     xbar_final = xbars[final_index].copy()
-    for xbar in xbars:  # overwritten by grad F(xbar_t)
-        xbar[...] = obj.grad(xbar)
+    grads_at_xbar = obj.grad_rows(xbars)
+    del xbars
     return O2ncTrace(
         cfg=cfg, objective=obj, x0=x0, xbar_final=xbar_final,
-        scalings=scalings, deltas=deltas, grad_norms_at_xbar=_row_norms(xbars),
+        scalings=scalings, deltas=deltas, grad_norms_at_xbar=_row_norms(grads_at_xbar),
         dynreg_terms=dynreg,
         zero_comparators=zero_comparators, final_index=final_index,
     )

@@ -86,7 +86,7 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
     # and u_{t+1} through it (2 * 30 each); run-aioli's rescaled-bound check
     # takes 3 whole rows of T; comparator rows (path_losses) are not counted
     assert tracer.counts["regret.loss_rows"] == 28 + 2 * 30 + 2 * 30 + 3 * T
-    assert tracer.counts["o2nc.loop_grad_calls"] == 2 * T
+    assert tracer.counts["o2nc.loop_grad_calls"] == T
     # logreg.root_calls is one root per expert and round: AIOLI's, then the grid pool's
     spans = importlib.import_module("layers").JobSpans(tracer, 0)
     assert spans.calls("logreg.solve_optimism_root") == T * (1 + len(logreg.build_grid(1, 1, 2, T)))

@@ -107,7 +107,8 @@ class TestLoss:
                 logistic_grad(np.zeros(2), z, y), -y * 0.5 * z, rtol=1e-15
             )
             experts = one_expert(2, 0.9)
-            X, yhats, q = experts.decide(z)
+            ainv, yhats, q = experts.decide(z)
+            X = experts.decisions(ainv, yhats)
             experts.absorb(z, y, yhats, q)
             np.testing.assert_allclose(experts.w[0], -logistic_grad(X[0], z, y), rtol=1e-15)
 
@@ -171,7 +172,9 @@ def one_expert(d, beta, lam=1.0, B=1.0, R=1.0):
 
 class TestPredict:
     def test_empty_history_plays_zero(self):
-        X, yhats, _ = one_expert(3, 0.9).decide(np.array([1.0, 0.0, -1.0]))
+        experts = one_expert(3, 0.9)
+        ainv, yhats, _ = experts.decide(np.array([1.0, 0.0, -1.0]))
+        X = experts.decisions(ainv, yhats)
         assert np.array_equal(X[0], np.zeros(3)) and yhats[0] == 0.0
 
     def test_stationarity_residual_small_on_fuzzed_runs(self):
@@ -227,8 +230,8 @@ class TestUpdate:
             _, yh, q = experts.decide(z)
             experts.absorb(z, y, yh, q)
         z, y = stream.Z[-1], float(stream.y[-1])
-        X, yh, q = experts.decide(z)
-        x, w = X[0], experts.w[0]
+        ainv, yh, q = experts.decide(z)
+        x, w = experts.decisions(ainv, yh)[0], experts.w[0]
         u = y * float(x @ z)
         g = -y * float(expit(-u)) * z
         eta_g = -y * float(expit(u)) / 2.0 * z  # 1 + BR = 2

@@ -243,7 +243,7 @@ class TestRunLoop:
                                                            message):
         # an objective lying about its Lipschitz constant must be caught, at
         # the first round that breaks the bound
-        liar = o2nc.Objective("liar", 2, value, grad, lipschitz=0.1)
+        liar = o2nc.Objective("liar", 2, value, grad, 0.1, grad_rows=grad)  # grad is linear
         oracle = o2nc.StochasticOracle(liar, sigma=sigma)
         with pytest.raises(o2nc.OracleBoundError) as err:
             o2nc.run_o2nc(small_clipped_cfg(), oracle, T=400, seed=3, x0=np.array(x0))
@@ -367,7 +367,7 @@ class TestOneTrueGradientPerRound:
         assert trace.zero_comparators == zero
         assert trace.final_index == final
 
-    def test_two_gradient_calls_per_round(self):
+    def test_one_gradient_call_per_round(self):
         base = o2nc.clamped_quadratic(3, radius=1.0)
         calls = []
 
@@ -377,7 +377,7 @@ class TestOneTrueGradientPerRound:
 
         oracle = o2nc.StochasticOracle(dataclasses.replace(base, grad=counted), sigma=0.2)
         o2nc.run_o2nc(small_clipped_cfg(), oracle, T=50, seed=1, x0=np.ones(3))
-        assert len(calls) == 2 * 50
+        assert len(calls) == 50  # at x_t; the averages take grad_rows
 
 
 def bits(values):
@@ -453,6 +453,110 @@ class TestObjectiveZoo:
             assert obj.value(x + h) >= obj.value(x) + g @ h - 1e-12
 
 
+def nan_with_payload(payload, negative):
+    """The nan whose 52 fraction bits are ``payload`` (not 0), signed."""
+    word = (0xFFF << 52 if negative else 0x7FF << 52) | payload
+    return float(np.array([word], dtype=np.uint64).view(np.float64)[0])
+
+
+# Row entries for the row gradients: ordinary values, zeros, squares that
+# overflow (|x| past about 1.3e154) and that underflow, inf, and nans of
+# every sign and payload.
+ROW_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1e160, -3e200, 5e-324]),
+    st.floats(-1e160, 1e160),
+    st.floats(-1e-160, 1e-160),
+    st.floats(),
+    st.builds(nan_with_payload, st.integers(1, 2**52 - 1), st.booleans()),
+)
+
+
+def per_row_grads(obj, X):
+    return np.array([obj.grad(x) for x in X], dtype=float).reshape(X.shape)
+
+
+def assert_same_rows(got, want):
+    """nan where ``want`` has nan, and ``want``'s bits everywhere else.  A
+    nan's sign and payload are left out: numpy's loops pass on one operand's
+    or the other's by how they vectorize, and every artifact writes `nan`."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.isnan(got).tolist() == nan.tolist()
+    assert bits(got[~nan]).tolist() == bits(want[~nan]).tolist()
+
+
+class TestRowGradients:
+    # Each factory's grad_rows must give grad's bits on every row.
+
+    @pytest.mark.parametrize("make", [
+        lambda d: o2nc.clamped_quadratic(d, radius=2.0),
+        lambda d: o2nc.clamped_quadratic(d, radius=1.0),
+        o2nc.euclidean_norm,
+        lambda d: o2nc.max_affine(d, pieces=8, seed=3),
+        lambda d: o2nc.max_affine(d, pieces=1, seed=0),
+    ], ids=["quadratic-r2", "quadratic-r1", "norm", "maxaffine", "maxaffine-one-piece"])
+    @given(X=st.tuples(st.integers(1, 30), st.integers(1, 12)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=ROW_ENTRIES)),
+        zero=st.lists(st.booleans(), min_size=30, max_size=30))
+    def test_equal_grad_row_by_row(self, make, X, zero):
+        X[np.array(zero[: len(X)])] = 0.0
+        obj = make(X.shape[1])
+        with np.errstate(all="ignore"):  # both may warn of inf/inf or inf - inf
+            want, got = per_row_grads(obj, X), obj.grad_rows(X)
+        assert_same_rows(got, want)
+
+    def test_rows_at_the_radius_keep_their_bits(self):
+        # |x| == radius exactly takes grad's copy branch, one ulp past it scales
+        obj = o2nc.clamped_quadratic(3, radius=5.0)
+        X = np.array([[3.0, 4.0, 0.0], [0.0, -5.0, 0.0], [-3.0, 0.0, -4.0],
+                      [3.0, np.nextafter(4.0, 5.0), 0.0], [0.0, 0.0, 0.0],
+                      [-0.0, 0.0, -0.0], [np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0],
+                      [1e200, -1e200, 0.0], [5e-324, 0.0, 0.0]])
+        with np.errstate(all="ignore"):
+            want = per_row_grads(obj, X)
+        assert_same_rows(obj.grad_rows(X), want)
+        assert np.array_equal(obj.grad_rows(X)[:3], X[:3])
+        assert not np.array_equal(obj.grad_rows(X)[3], X[3])
+
+    def test_norm_rows_at_zero_inf_and_overflow(self):
+        obj = o2nc.euclidean_norm(2)
+        X = np.array([[0.0, 0.0], [-0.0, -0.0], [1e300, 1e300], [np.inf, 1.0],
+                      [-np.inf, np.inf], [np.nan, 0.0], [5e-324, -5e-324], [3.0, 4.0]])
+        with np.errstate(all="ignore"):
+            want = per_row_grads(obj, X)
+        assert_same_rows(obj.grad_rows(X), want)
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 40), pieces=st.integers(2, 10))
+    def test_max_affine_near_ties(self, seed, dim, pieces):
+        # each row moved onto the plane where its top two pieces score alike,
+        # so the argmax turns on the last bits of the scores; X @ A.T, which
+        # sums in another order, flips a share of them
+        obj = o2nc.max_affine(dim, pieces=pieces, seed=seed)
+        A, b = reference_pieces(dim, pieces, seed)
+        X = philox_rng(seed + 1).standard_normal((200, dim))
+        scores = np.array([A @ x + b for x in X])
+        top = np.argsort(-scores, axis=1)[:, :2]
+        rows = np.arange(len(X))
+        diff = A[top[:, 0]] - A[top[:, 1]]
+        gap = scores[rows, top[:, 0]] - scores[rows, top[:, 1]]
+        X -= (gap / np.einsum("ij,ij->i", diff, diff))[:, None] * diff
+        assert bits(obj.grad_rows(X)).tolist() == bits(per_row_grads(obj, X)).tolist()
+
+    @pytest.mark.parametrize("dim, T", [(10, 15000), (3, 2000), (1, 500), (33, 300)])
+    def test_max_affine_on_run_shapes(self, dim, T):
+        obj = o2nc.max_affine(dim, seed=dim)
+        X = philox_rng(T).standard_normal((T, dim))
+        assert bits(obj.grad_rows(X)).tolist() == bits(per_row_grads(obj, X)).tolist()
+
+
+def reference_pieces(dim, pieces, seed):
+    """max_affine's (A, b), drawn as the factory draws them."""
+    rng = philox_rng(seed)
+    A = rng.standard_normal((pieces, dim))
+    return A, rng.standard_normal(pieces)
+
+
 class TestOverflowFreeNorm:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
     def test_dot_wherever_it_is_finite_and_hypot_past_it(self, entries):
@@ -493,6 +597,7 @@ class TestStationaritySurrogate:
         obj = o2nc.Objective(
             "affine", 2, lambda x: float(a @ x), lambda x: a.copy(),
             lipschitz=float(np.linalg.norm(a)),
+            grad_rows=lambda X: np.tile(a, (len(X), 1)),
         )
         c = 0.7
         w = stationarity_surrogate(

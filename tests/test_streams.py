@@ -244,6 +244,15 @@ SCAN_SHAPES = st.one_of(
 )
 
 
+COLUMNS = streams.COLUMN_SCAN_MAX
+# 1-D, 2-D and 3-D rows, with widths on both sides of the column route's limit
+ROUTE_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 30)),
+    st.tuples(st.integers(0, 30), st.integers(1, 2 * COLUMNS + 2)),
+    st.tuples(st.integers(0, 30), st.integers(1, 6), st.integers(1, 6)),
+)
+
+
 def per_row_recurrence(v, betas, s0):
     """s[n] = v[n] + betas[n]*s[n-1], one row at a time: Python floats for a
     1-D ``v``, numpy rows for a wider one."""
@@ -321,6 +330,41 @@ class TestDiscountedScan:
         repeated = streams.discounted_scan(v, np.full(len(v), beta), s0)
         assert bits(streams.discounted_scan(v, beta, s0)) == bits(repeated)
 
+    @given(
+        inputs=scan_inputs(ROUTE_SHAPES),
+        data=st.data(),
+        per_row=st.booleans(),
+        in_place=st.booleans(),
+        bad=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+        where=st.integers(0, 10**6),
+    )
+    @example(inputs=(np.ones((3, COLUMNS)), None), data=None, per_row=False, in_place=True,
+             bad=None, where=0)
+    @example(inputs=(np.ones((3, COLUMNS + 1)), np.full(COLUMNS + 1, -0.0)), data=None,
+             per_row=False, in_place=True, bad=np.nan, where=4)
+    def test_both_routes_equal_the_recurrence(self, inputs, data, per_row, in_place, bad,
+                                              where):
+        # rows of at most COLUMN_SCAN_MAX entries scan by columns, wider rows
+        # by rows; either way, and into v itself, the bits of the recurrence
+        v, s0 = inputs
+        beta = 0.9 if data is None else data.draw(BETAS)
+        betas = np.full(len(v), beta)
+        if per_row:
+            betas = data.draw(arrays(np.float64, len(v), elements=st.floats(0.0, 1.0)))
+        if bad is not None and v.size:
+            v.reshape(-1)[where % v.size] = bad
+        want = per_row_recurrence(v, betas, s0)
+        out = v if in_place else None
+        got = streams.discounted_scan(v, betas if per_row else beta, s0, out=out)
+        assert got.shape == v.shape and bits(got) == bits(want)
+        assert (got is v) == in_place
+
+    def test_out_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="out must be a float array of the shape"):
+            streams.discounted_scan(np.zeros((4, 3)), 0.5, out=np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="out must be a float array of the shape"):
+            streams.discounted_scan(np.zeros(4), 0.5, out=np.zeros(4, dtype=np.float32))
+
     def test_per_row_discounts_of_the_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="beta must be a float or 4 floats"):
             streams.discounted_scan(np.zeros((4, 3)), np.full(3, 0.5))
@@ -342,7 +386,37 @@ class TestDiscountedScan:
             streams.discounted_scan(np.float64(1.0), 0.5)
 
 
+def rowwise_csv_text(header, columns, comment=None):
+    """The codec's writer as it was: one f-string and one join a row."""
+    parts = [f"# {comment}\n"] if comment else []
+    parts.append(",".join(["t", *header]) + "\n")
+    rows = np.column_stack(columns).tolist()
+    parts += [f"{t},{','.join(map(repr, row))}\n" for t, row in enumerate(rows, 1)]
+    return "".join(parts)
+
+
+CSV_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.225073858507201e-308, 1e-310, 1e300, 0.1, 1e16, 123456789.0]),
+    st.floats(),
+)
+
+
 class TestCsvRoundTrip:
+    @given(
+        T=st.one_of(st.integers(1, 3), st.integers(254, 258), st.integers(511, 514)),
+        widths=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        data=st.data(),
+        comment=COMMENTS,
+    )
+    def test_csv_text_equals_the_row_writer(self, T, widths, data, comment):
+        # width 0 is a 1-D column; T straddles the 256-row blocks
+        columns = [data.draw(arrays(np.float64, (T, k) if k else (T,), elements=CSV_VALUES))
+                   for k in widths]
+        header = [f"c_{j}" for j in range(sum(max(k, 1) for k in widths))]
+        got = streams.csv_text(header, columns, comment)
+        assert got == rowwise_csv_text(header, columns, comment)
+
     def test_stream_and_truth_round_trip_exactly(self):
         spec = streams.StreamSpec(d=3, T=17, segments=2, noise=0.4, seed=13)
         s, truth = streams.gen_stream(spec)
