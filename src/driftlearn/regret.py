@@ -21,28 +21,30 @@ Central objects:
   to the comparator term and the learner's stability terms.
 
 ``d2d_identity_gap`` and the F-differences behind ``ft_difference_term`` and
-``check_path_length_lemma`` read running statistics of Z and y that only a
-squared-loss ledger has, and raise ``ValueError`` on a logistic one; the
-other evaluators take either kind.
-The F-differences come from one kernel over the comparator differences
+``check_path_length_lemma`` read Z and y through a block kernel whose
+carried statistics only a squared-loss ledger has, and raise ``ValueError``
+on a logistic one; the other evaluators take either kind.
+The F-differences come from the comparator differences
 D_t = sum_{s<=t} beta^(t-s) (f_s(u_{t+1}) - f_s(u_t)).  A round with
 u_{t+1} == u_t (exact compare, NaN counts as a move) is stationary: its
 term is exactly 0 for finite losses, so it is skipped and no loss is
 evaluated.  The phi parts are one vectorized difference of lam/2 |u_t|^2
 over the path.  Costs, for T rounds in d dimensions:
 
-* the F-difference and the conversion identity take
-  G_t = sum_{s<=t} beta^(t-s) z_s z_s' and h_t at the rounds they need from
-  one block kernel, one stacked product per block of k rounds over L rows in
-  k d (L + d) <= 8192 floats: O(T d^2) time on a sparse path, O(T k d^2) on
-  a path that moves every round (k = 12 at d = 20);
+* the F-difference and the conversion identity take D_t, and the identity
+  R_t(u_t), from one kernel in margin form: a block of k rounds over L rows
+  contracts the rows with its round vectors, O(k L d), and carries one
+  (d, d) G_l between blocks, O(L d^2 + k d^2).  A block holds as many rounds
+  as keep its temporaries within 8192 floats: O(T d^2) time on a sparse
+  path, O(T (k + d) d) on a path that moves every round (k = 37 at d = 20);
 * ``path_variation``: O(t d) per moved round t (its positive part has no
   running form), so O(T^2 d) on a path that moves every round.  Each
   distinct comparator's loss row is evaluated once, through the last round
   that reads it: round t's u_{t+1} row runs through the next moved round,
   where it is that round's u_t row;
-* ``check_path_length_lemma``: the F-difference, then the partial sums of
-  P_T up to the first that certifies the inequality, when an O(T d) test
+* ``check_path_length_lemma``: one scan for the moved rounds and one phi
+  pass, shared by the F-difference and by the partial sums of P_T, which
+  run up to the first that certifies the inequality when an O(T d) test
   proves every term finite (the partial sums then never decrease); on the
   identity-rotating bench stream that is about 1450 of 3999 moved rounds.
 """
@@ -94,10 +96,11 @@ class RegretLedger:
     comparator, through the last round they read, from
     ``self.loss_eval_batch`` and every comparator row from
     ``self.path_losses``, so an instance may rebind them (to count rows, or
-    to feed rows that disagree with the statistics).  The F-differences and
-    the identity's right side read running discounted statistics of Z and y
-    instead of rows, which only a squared-loss ledger has;
-    ``d2d_identity_gap`` checks the one against the other.
+    to feed rows that disagree with Z and y).  The F-differences and the
+    identity's right side read Z and y themselves instead, through margins
+    within a block and discounted statistics carried between blocks, which
+    only a squared-loss ledger has; ``d2d_identity_gap`` checks the one
+    against the other.
     """
 
     losses_at_play: np.ndarray
@@ -177,49 +180,110 @@ def _moved_rounds(path: ComparatorPath) -> np.ndarray:
     return np.flatnonzero(np.any(path.U[1:] != path.U[:-1], axis=1)) + 1
 
 
-# Floats of a block's temporaries, k*d*(L + d) for k rounds over L rows (the
-# weighted rows and the Gram stack); a block holds as many rounds as fit, at least 1.
+def _peak(a: np.ndarray) -> float:
+    """max |a| (0 when empty), nan if a holds one; builds no temporary."""
+    return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+
+
+# Floats of a block's temporaries, for k rounds over L rows: k L for the
+# weights and for each of the two margin arrays it holds at once, 2 L for
+# the taper of the weights, d L for the weighted rows that advance the
+# carried statistics and 4 k d for its vectors.  A block holds as many rounds
+# as fit, at least 1.
 _BLOCK_FLOATS = 8192
 
 
-def _squared_loss_blocks(ledger: RegretLedger, rounds: np.ndarray | range):
-    """Yield (b, G, h, c, P) for blocks ``rounds[b]`` of increasing rounds.
+def _margin_blocks(ledger: RegretLedger, U: np.ndarray, rounds: np.ndarray | range,
+                   diag: bool):
+    """Yield (b, D, R) for blocks ``rounds[b]`` of increasing rounds t_j.
 
-    For the k rounds t_j of a block, G[j], h[j], c[j] and P[j] are the sums
-    over s <= t_j of beta^(t_j-s) z_s z_s', y_s z_s, y_s^2 and f_s(x_s), so
-    that sum_{s<=t} beta^(t-s) f_s(u) = u'G u/2 - u'h + c/2.  Each is
-    beta^(t_j-last) times the state carried from the block's start ``last``
-    plus one product of the (k, L) lower-triangular weights beta^(t_j-s) with
-    the rows (last, t_k].  A block ends before a non-finite row past its
-    first round, whose zero weight would give the earlier rounds 0*inf = nan.
+    D[j] = sum_{s<=t_j} beta^(t_j-s) (f_s(v) - f_s(w)) with v = u_{t_j+1} and
+    w = u_{t_j}, for the t_j < T, in the product form
+    (z_s.(v-w)) (z_s.(v+w)/2 - y_s), where nothing cancels as it would in a
+    difference of two losses.  With ``diag``, R[j] = R_{t_j}(u_{t_j}), the
+    discounted play sum less sum_{s<=t_j} beta^(t_j-s) f_s(u_{t_j}); else R
+    is None.
+
+    A block spans the rows (l, t_k] after the last round l of the block
+    before.  Those rows enter through their margins with the block's
+    vectors, one (k, L) product per vector set, weighted by the
+    lower-triangular beta^(t_j-s).  The rows up to l enter through
+    G_l = sum_{s<=l} beta^(l-s) z_s z_s', h_l, c_l and P_l (the same sums of
+    y_s z_s, y_s^2 and f_s(x_s)), decayed by beta^(t_j-l), since
+    sum_{s<=l} beta^(l-s) f_s(u) = u'G_l u/2 - u'h_l + c_l/2; the block
+    advances them to t_k with one (d, L) @ (L, d) product.
+
+    A weight multiplies a margin before any other factor does, so a zero
+    weight meets only finite values, as long as the margins, y_s and
+    f_s(x_s) are.  A block ends before a row past its first round where a
+    bound on them overflows, whose zero weight would give the earlier rounds
+    0*inf = nan.
     """
     if ledger.loss != "squared":
         raise ValueError(f"running statistics need a squared loss, got loss={ledger.loss!r}")
     Z, y = ledger.Z, ledger.y
     play, pows = ledger.losses_at_play, ledger._beta_pows
-    d = Z.shape[1]
+    T, d = Z.shape
     with np.errstate(over="ignore", invalid="ignore"):  # a false alarm only cuts
-        cuts = np.append(np.flatnonzero(~np.isfinite(Z @ np.ones(d) + y + play)), len(Z)) + 1
-    G, h, c, P = np.zeros((1, d, d)), np.zeros((1, d)), np.zeros(1), np.zeros(1)
+        # |z_s.x| <= |z_s| sqrt(d) max|x|, and the kernel's vectors x have
+        # entries of at most 2 max|U| (v - w); a factor 2 more covers roundoff.
+        # A non-finite U makes every sum that reads it non-finite: no bound
+        scale = _peak(U)
+        reach = np.sqrt(np.einsum("sa,sa->s", Z, Z))
+        reach *= 4.0 * math.sqrt(d) * (scale if math.isfinite(scale) else 0.0)
+        reach += y
+        reach += play
+        cuts = np.append(np.flatnonzero(~np.isfinite(reach)), T) + 1
+    del reach  # T floats that the blocks need not hold
+    G, h, c, P = np.zeros((d, d)), np.zeros(d), 0.0, 0.0
+    # k rounds over L rows cost per_row[k-1] * L + fixed[k-1] floats; as L >= k,
+    # that is at least 3 k^2, so no more than len(ks) rounds fit
+    ks = np.arange(1, max(1, math.isqrt(_BLOCK_FLOATS // 3)) + 1)
+    per_row, fixed = 3 * ks + d + 2, 4 * d * ks
     i = last = 0
     while i < len(rounds):
-        t = np.asarray(rounds[i : i + max(1, _BLOCK_FLOATS // (d * d))])
-        cost = np.arange(1, len(t) + 1) * d * (t - last + d)
+        t = np.asarray(rounds[i : i + len(ks)])
+        cost = per_row[: len(t)] * (t - last) + fixed[: len(t)]
         cut = cuts[np.searchsorted(cuts, t[0], "right")]  # first past t_1, or T + 1
         k = max(1, min(np.searchsorted(cost, _BLOCK_FLOATS, "right"), np.searchsorted(t, cut)))
-        t, b, rows = t[:k], slice(i, i + k), slice(last, t[k - 1])
-        E = np.subtract.outer(t - last - 1, np.arange(t[-1] - last))  # t_j - s
-        W = np.where(E < 0, 0.0, pows[np.maximum(E, 0)])
-        Zb, yb = Z[rows], y[rows]
-        ZW = np.einsum("js,sa->jas", W, Zb)  # (k, d, L); einsum takes no buffers
-        decay, carried = pows[t - last], G[-1]
-        G = ZW @ Zb
-        G += np.einsum("j,ab->jab", decay, carried)
-        h = decay[:, None] * h[-1] + ZW @ yb
-        c = decay * c[-1] + (W * yb) @ yb
-        P = decay * P[-1] + W @ play[rows]
-        yield b, G, h, c, P
-        i, last = i + k, int(t[-1])
+        t, b = t[:k], slice(i, i + k)
+        lag, L = t - last, int(t[-1]) - last
+        Zr, yb, pb = Z[last : last + L].T, y[last : last + L], play[last : last + L]
+        # row r of the view is taper[r : r + L], beta^(L-1-r-s) then zeros: row
+        # L - (t_j - l) holds round t_j's weights beta^(t_j-s) over its rows
+        taper = np.zeros(2 * L - 1)
+        taper[:L] = pows[L - 1 :: -1]
+        W = np.ndarray((L, L), buffer=taper, strides=2 * taper.strides)[L - lag]
+        decay = pows[lag]
+        n = np.searchsorted(t, T)  # the rounds t_j < T have a u_{t_j+1}
+        u = U[t - 1]
+        mid = U[t[:n]]
+        step = mid - u[:n]
+        mid += u[:n]
+        mid *= 0.5
+        A = step @ Zr
+        A *= W[:n]
+        B = mid @ Zr
+        B -= yb
+        D = row_dots(A, B)
+        del A, B  # a block holds two margin arrays at once
+        D += decay[:n] * row_dots(step, mid @ G - h)
+        R = None
+        if diag:
+            M = u @ Zr
+            M -= yb
+            loss = 0.5 * row_dots(W * M, M)
+            del M
+            loss += decay * (row_dots(u, 0.5 * (u @ G) - h) + 0.5 * c)
+            R = decay * P + W @ pb - loss
+        yield b, D, R
+        i, last = i + k, last + L
+        if i < len(rounds):
+            ZW = Zr * W[-1]  # W[-1] = beta^(t_k-s) over every row of the block
+            G = pows[L] * G + ZW @ Zr.T
+            h = pows[L] * h + ZW @ yb
+            c = pows[L] * c + (W[-1] * yb) @ yb
+            P = pows[L] * P + W[-1] @ pb
 
 
 def _moved_pairs(evaluate: Callable, U: np.ndarray, moved: np.ndarray):
@@ -252,47 +316,33 @@ def _phi_differences(lam: float, U: np.ndarray, moved: np.ndarray) -> np.ndarray
         return phi[moved] - phi[moved - 1]
 
 
-def _f_differences(ledger: RegretLedger, path: ComparatorPath) -> np.ndarray:
-    """F_t(u_{t+1}) - F_t(u_t) at the rounds t with u_{t+1} != u_t.
-
-    F_t(u) = beta^t phi(u) + sum_{s<=t} beta^(t-s) f_s(u).  The loss part is
-    D_t = (v-w)'(G_t (v+w)/2 - h_t) with v = u_{t+1}, w = u_t, stacked per
-    block of the squared-loss statistics.
-    """
+def _moves(
+    ledger: RegretLedger, path: ComparatorPath
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The moved rounds of ``path``, and ``_phi_differences`` at them (None
+    on a ledger without phi), after checking the path's length."""
     if path.T != ledger.T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
     moved = _moved_rounds(path)
-    U = path.U
-    diffs = np.empty(len(moved))
-    for b, G, h, _, _ in _squared_loss_blocks(ledger, moved):
-        v, w = U[moved[b]], U[moved[b] - 1]
-        Gs = np.matmul(G, (v + w)[:, :, None])[:, :, 0]
-        diffs[b] = row_dots(v - w, 0.5 * Gs - h)
-    phi_part = 0.0  # without phi, adding it still turns a -0.0 into 0.0
-    if ledger.lam is not None:
-        phi_part = _phi_differences(ledger.lam, U, moved)
-        phi_part *= ledger._beta_pows[moved]
-    diffs += phi_part
-    return diffs
+    return moved, None if ledger.lam is None else _phi_differences(ledger.lam, path.U, moved)
 
 
-def _regrets_along_path(
-    ledger: RegretLedger, path: ComparatorPath
-) -> tuple[np.ndarray, np.ndarray]:
-    """R_t(u_t) for t = 1..T and R_t(u_{t+1}) for t = 1..T-1.
+def _ft_difference(
+    ledger: RegretLedger, U: np.ndarray, moved: np.ndarray, phi_steps: Optional[np.ndarray]
+) -> float:
+    """beta * sum over the moved rounds t of F_t(u_{t+1}) - F_t(u_t).
 
-    Both come from the closed form R_t(u) = P_t - (u'G_t u/2 - u'h_t + c_t/2)
-    of the squared-loss statistics, with P_t the discounted play sum, one
-    stacked product per block.
+    F_t(u) = beta^t phi(u) + sum_{s<=t} beta^(t-s) f_s(u): each round adds
+    the kernel's D_t and beta^t times its ``phi_steps`` entry (None: no phi).
     """
-    T, U = ledger.T, path.U
-    diag, ahead = np.empty(T), np.empty(T - 1)
-    for b, G, h, c, P in _squared_loss_blocks(ledger, range(1, T + 1)):
-        for out, V in ((diag, U[b]), (ahead, U[b.start + 1 : b.stop + 1])):
-            n = len(V)  # the rounds t < T have a u_{t+1}
-            GV = np.matmul(G[:n], V[:, :, None])[:, :, 0]
-            out[b] = P[:n] - (0.5 * row_dots(GV, V) - row_dots(V, h[:n]) + 0.5 * c[:n])
-    return diag, ahead
+    diffs = np.empty(len(moved))
+    for b, D, _ in _margin_blocks(ledger, U, moved, False):
+        diffs[b] = D
+    phi_part = 0.0  # without phi, adding it still turns a -0.0 into 0.0
+    if phi_steps is not None:
+        phi_part = phi_steps * ledger._beta_pows[moved]
+    diffs += phi_part
+    return ledger.beta * float(diffs.sum())
 
 
 def d2d_identity_gap(ledger: RegretLedger, path: ComparatorPath) -> float:
@@ -300,15 +350,20 @@ def d2d_identity_gap(ledger: RegretLedger, path: ComparatorPath) -> float:
 
     The identity holds exactly for any horizon, discount and comparator
     sequence; the returned gap is float roundoff only.  The LHS sums the
-    ledger's ``path_losses`` rows f_t(u_t) and the RHS comes from its (Z, y)
-    statistics, so the two sides are evaluated independently.  The ledger
-    must be a squared-loss one.
+    ledger's ``path_losses`` rows f_t(u_t).  The RHS reads Z and y through
+    the block kernel, as
+    (1-beta) sum_t R_t(u_t) + beta R_T(u_T) + beta sum_{t<T} D_t,
+    since R_t(u_t) - R_t(u_{t+1}) is the loss difference D_t exactly (0 at a
+    stationary round), so the two sides are evaluated independently.  The
+    ledger must be a squared-loss one.
     """
-    beta = ledger.beta
+    beta, T = ledger.beta, ledger.T
     lhs = dynamic_regret(ledger, path)  # checks the path length
-    diag, ahead = _regrets_along_path(ledger, path)
+    diag, diffs = np.empty(T), np.empty(T - 1)
+    for b, D, R in _margin_blocks(ledger, path.U, range(1, T + 1), True):
+        diag[b], diffs[b] = R, D  # the slice of diffs stops at T - 1
     rhs = (1.0 - beta) * diag.sum() + beta * diag[-1]
-    rhs += beta * (diag[:-1] - ahead).sum()
+    rhs += beta * diffs.sum()
     return abs(lhs - rhs)
 
 
@@ -323,10 +378,7 @@ def path_variation(ledger: RegretLedger, path: ComparatorPath, gamma: float) -> 
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if path.T != ledger.T:
-        raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
-    moved = _moved_rounds(path)
-    steps = None if ledger.lam is None else _phi_differences(ledger.lam, path.U, moved)
+    moved, steps = _moves(ledger, path)
     return float(_last(_variation_totals(ledger, path.U, moved, gamma, steps)))
 
 
@@ -375,11 +427,7 @@ def _terms_finite(ledger: RegretLedger, U: np.ndarray, phi_steps: Optional[np.nd
     dot's roundoff), so every loss and every difference of two is finite.
     """
     Z, y = ledger.Z, ledger.y
-
-    def peak(a: np.ndarray) -> float:  # max |a|, nan if a holds one; no temporary
-        return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-
-    r = Z.shape[1] * peak(Z) * peak(U) + peak(y)
+    r = Z.shape[1] * _peak(Z) * _peak(U) + _peak(y)
     finite_phi = phi_steps is None or bool(np.isfinite(phi_steps).all())
     return 2.0 * r * r < math.inf and finite_phi
 
@@ -390,7 +438,8 @@ def ft_difference_term(ledger: RegretLedger, path: ComparatorPath) -> float:
     F_t(u) = beta^t phi(u) + sum_{s<=t} beta^(t-s) f_s(u), so each moved
     round adds D_t plus its phi difference; stationary rounds add nothing.
     """
-    return ledger.beta * float(_f_differences(ledger, path).sum())
+    moved, steps = _moves(ledger, path)
+    return _ft_difference(ledger, path.U, moved, steps)
 
 
 def check_path_length_lemma(
@@ -410,14 +459,13 @@ def check_path_length_lemma(
     """
     if not (0.0 < beta <= gamma < 1.0):
         raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
-    lhs = ft_difference_term(replace(ledger, beta=beta), path)  # checks the path length
+    moved, steps = _moves(ledger, path)
+    lhs = _ft_difference(replace(ledger, beta=beta), path.U, moved, steps)
     c = gamma / (1.0 - gamma)
 
     def holds(P: float) -> bool:
         return lhs <= c * P + 1e-9 * (1.0 + abs(c * P))
 
-    moved = _moved_rounds(path)
-    steps = None if ledger.lam is None else _phi_differences(ledger.lam, path.U, moved)
     totals = _variation_totals(ledger, path.U, moved, gamma, steps)
     if _terms_finite(ledger, path.U, steps):
         return any(map(holds, totals))

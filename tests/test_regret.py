@@ -315,17 +315,17 @@ class TestPathLengthLemma:
         rng = np.random.default_rng(19)
         ledger = random_quadratic_ledger(rng, 6, 2, beta=0.9, lam=1.0)
         probes, sources = [], []
-        ft_difference_term, variation_totals = regret.ft_difference_term, regret._variation_totals
+        ft_difference, variation_totals = regret._ft_difference, regret._variation_totals
 
         def spy(probe, *args):
             probes.append(probe)
-            return ft_difference_term(probe, *args)
+            return ft_difference(probe, *args)
 
         def totals_spy(source, *args):
             sources.append(source)
             return variation_totals(source, *args)
 
-        monkeypatch.setattr(regret, "ft_difference_term", spy)
+        monkeypatch.setattr(regret, "_ft_difference", spy)
         monkeypatch.setattr(regret, "_variation_totals", totals_spy)
         regret.check_path_length_lemma(
             ledger, ComparatorPath(rng.standard_normal((6, 2))), 0.5, 0.8)
@@ -420,15 +420,43 @@ def squared_loss_kernel(budget):
         yield
 
 
+def kernel_columns(ledger, rounds, U, diag):
+    """D_t (nan at round T) and, with ``diag``, R_t(u_t) (else nan) at ``rounds``,
+    gathered from the blocks of the squared-loss kernel."""
+    D, R = np.full(len(rounds), math.nan), np.full(len(rounds), math.nan)
+    for b, Db, Rb in regret._margin_blocks(ledger, U, rounds, diag):
+        D[b.start : b.start + len(Db)] = Db
+        if diag:
+            R[b] = Rb
+    return D, R
+
+
+def oracle_loss_difference(ledger, t, v, w):
+    """sum_{s<=t} beta^(t-s) (f_s(v) - f_s(w)), and the sum of its two sides' sizes."""
+    weights = oracles.discount_weights(ledger.beta, t)
+    hi = float(weights @ ledger.loss_eval_batch(v, t))
+    lo = float(weights @ ledger.loss_eval_batch(w, t))
+    return hi - lo, abs(hi) + abs(lo)
+
+
 def assert_regrets_match_oracle(ledger, path, upto):
-    """R_t(u_t) and R_t(u_{t+1}) against direct sums, for rounds t < upto."""
-    diag, ahead = regret._regrets_along_path(ledger, path)
+    """R_t(u_t) and D_t against direct sums, for rounds t < upto: both from the
+    identity's pass over every round, and D_t from the F-difference's pass
+    over the moved rounds."""
+    T, U = ledger.T, path.U
+    D, R = kernel_columns(ledger, range(1, T + 1), U, True)
+    moved = regret._moved_rounds(path)
+    moved_D, _ = kernel_columns(ledger, moved, U, False)
     for t in range(1, upto):
         ref = oracle_regret(ledger, t, path[t - 1])
-        assert abs(diag[t - 1] - ref) <= ORACLE_RTOL * (1.0 + abs(ref))
-        if t < ledger.T:
-            ref = oracle_regret(ledger, t, path[t])
-            assert abs(ahead[t - 1] - ref) <= ORACLE_RTOL * (1.0 + abs(ref))
+        assert abs(R[t - 1] - ref) <= ORACLE_RTOL * (1.0 + abs(ref))
+        if t < T:
+            ref, scale = oracle_loss_difference(ledger, t, path[t], path[t - 1])
+            assert abs(D[t - 1] - ref) <= ORACLE_RTOL * scale
+    for t, value in zip(moved, moved_D):
+        if t < upto:
+            ref, scale = oracle_loss_difference(ledger, t, path[t], path[t - 1])
+            assert abs(value - ref) <= ORACLE_RTOL * scale
 
 
 class TestOracleAgreement:
@@ -436,6 +464,12 @@ class TestOracleAgreement:
     @given(case=fuzz_cases, lam=st.sampled_from([None, 0.7]))
     @example(case={"seed": 1, "T": 1, "d": 3, "beta": 0.5, "moving": True}, lam=0.7)
     @example(case={"seed": 2, "T": 40, "d": 6, "beta": 0.9, "moving": True}, lam=None)
+    # a path that spans several default-budget blocks of the identity's pass
+    @example(case={"seed": 3, "T": 300, "d": 20, "beta": 0.99, "moving": True}, lam=0.7)
+    # beta^(t-s) underflows to 0 past a lag of about 250 rows: inside the
+    # one-block budget's blocks, and inside the default budget's one block
+    # over the 303 rows up to the last of this path's three moved rounds
+    @example(case={"seed": 4, "T": 400, "d": 3, "beta": 0.05, "moving": False}, lam=0.7)
     def test_squared_loss_ledgers(self, budget, case, lam):
         rng = np.random.default_rng(case["seed"])
         T, d, beta = case["T"], case["d"], case["beta"]
@@ -522,16 +556,24 @@ class TestOracleAgreement:
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_blocks_follow_the_budget(self, monkeypatch):
-        ledger = random_quadratic_ledger(np.random.default_rng(27), 30, 3, beta=0.9)
-        rounds = np.arange(1, 31)
+        rng = np.random.default_rng(27)
+        ledger = random_quadratic_ledger(rng, 30, 3, beta=0.9)
+        U, rounds = rng.standard_normal((30, 3)), np.arange(1, 31)
 
-        def blocks():
-            return [b for b, *_ in regret._squared_loss_blocks(ledger, rounds)]
+        def blocks(diag):
+            return [b for b, *_ in regret._margin_blocks(ledger, U, rounds, diag)]
 
         monkeypatch.setattr(regret, "_BLOCK_FLOATS", 0)
-        assert blocks() == [slice(i, i + 1) for i in range(30)]
+        assert blocks(True) == blocks(False) == [slice(i, i + 1) for i in range(30)]
         monkeypatch.setattr(regret, "_BLOCK_FLOATS", 10**9)
-        assert blocks() == [slice(0, 30)]
+        assert blocks(True) == blocks(False) == [slice(0, 30)]
+        # a non-finite comparator makes every sum that reads it non-finite,
+        # so it cuts no block; a non-finite row (15) ends the block before it
+        U[4, 0], U[9, 1] = math.inf, math.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert blocks(True) == blocks(False) == [slice(0, 30)]
+            ledger.y[14] = math.inf
+            assert blocks(True) == blocks(False) == [slice(0, 14), slice(14, 30)]
 
     # A row whose products overflow, or that holds an inf, makes the later
     # statistics non-finite.  The rounds before it keep their values: a block
@@ -553,12 +595,6 @@ class TestOracleAgreement:
         ledger = dataclasses.replace(clean, losses_at_play=play, Z=Z, y=y)
         ledger.loss_eval_batch = clean.loss_eval_batch
         with squared_loss_kernel(budget), np.errstate(over="ignore", invalid="ignore"):
-            diffs = regret._f_differences(ledger, path)  # rounds 1..T-1
-            assert np.isfinite(diffs[: row - 1]).all()
-            for t in range(1, row):
-                hi = oracle_ft_value(ledger, t, path[t])
-                lo = oracle_ft_value(ledger, t, path[t - 1])
-                assert abs(diffs[t - 1] - (hi - lo)) <= ORACLE_RTOL * (abs(hi) + abs(lo))
             assert_regrets_match_oracle(ledger, path, row)
 
     def test_nan_comparator_counts_as_a_move(self):
@@ -644,20 +680,23 @@ class TestComparatorLossRows:
 
 
 class TestIdentityGapIndependence:
-    def test_statistics_that_disagree_with_loss_eval_break_the_identity(self):
-        # The squared-loss RHS comes from (Z, y); the LHS from the loss rows.
-        # A ledger whose statistics differ from its loss rows in one y entry
-        # must fail the identity, or the acceptance check would be empty.
+    # The squared-loss RHS reads the rows of (Z, y); the LHS the loss rows.  A
+    # ledger whose Z or y differs from its loss rows in one entry must fail
+    # the identity, or the acceptance check would be empty: the RHS takes the
+    # loss differences D_t, not R_t(u_{t+1}), so the sum does not telescope.
+    @pytest.mark.parametrize("field, entry", [("y", (25,)), ("Z", (25, 0))],  # at T // 2
+                             ids=["y", "Z"])
+    def test_statistics_that_disagree_with_loss_eval_break_the_identity(self, field, entry):
         rng = np.random.default_rng(21)
         T, d = 50, 3
         ledger = random_quadratic_ledger(rng, T, d, beta=0.9)
         path = ComparatorPath(rng.standard_normal((T, d)))
         dyn = regret.dynamic_regret(ledger, path)
         assert regret.d2d_identity_gap(ledger, path) <= 1e-9 * (1.0 + abs(dyn))
-        y_off = ledger.y.copy()
-        y_off[T // 2] += 1.0
-        tampered = dataclasses.replace(ledger, y=y_off)
-        tampered.path_losses = ledger.path_losses  # rows of the untampered labels
+        off = getattr(ledger, field).copy()
+        off[entry] += 1.0
+        tampered = dataclasses.replace(ledger, **{field: off})
+        tampered.path_losses = ledger.path_losses  # rows of the untampered data
         assert regret.dynamic_regret(tampered, path) == dyn
         assert regret.d2d_identity_gap(tampered, path) >= 1e-3 * (1.0 + abs(dyn))
 
@@ -681,12 +720,12 @@ class TestIdentityGapIndependence:
 
 class TestSquaredLossMemory:
     # On a path that moves every round, the evaluators hold a few T-length
-    # arrays (the moved rounds and their differences, or the two regret
-    # columns, and the row sums that find non-finite rows) besides one
-    # block's temporaries.  Those stay within the block budget, and with the
-    # Gram stacks of the block before and of its decayed start, within three
-    # budgets.  A Python list with an entry per round takes about 36 bytes a
-    # round and breaks the bound.
+    # arrays (the moved rounds, their phi steps and differences, or the
+    # regret and difference columns, and the row bounds that find
+    # non-finite rows) besides one block's temporaries.  Those stay within
+    # the block budget, and with the carried (d, d) statistics and the
+    # block's small arrays, within three budgets.  A Python list with an
+    # entry per round takes about 36 bytes a round and breaks the bound.
     @pytest.mark.parametrize("evaluator", [regret.ft_difference_term, regret.d2d_identity_gap])
     def test_peak_is_a_few_arrays_plus_the_block_budget(self, evaluator):
         T, d = 8000, 20
