@@ -251,8 +251,10 @@ def _load_stream(values: dict) -> tuple[streams.Stream, Optional[streams.Compara
     path = Path(values["stream"])
     stream = _read_csv("stream", path, streams.stream_from_csv)
     truth = None
-    truth_path = Path(values["truth"]) if values.get("truth") else path.with_suffix(".truth.csv")
-    if truth_path.exists():
+    explicit = values.get("truth")
+    # only the sibling default is optional: an explicit path must be read
+    truth_path = Path(explicit) if explicit else path.with_suffix(".truth.csv")
+    if explicit or truth_path.exists():
         truth = _read_csv("truth", truth_path, streams.path_from_csv)
         if (truth.T, truth.d) != (stream.T, stream.d):
             raise UsageError(

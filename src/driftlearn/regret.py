@@ -38,13 +38,13 @@ over the path.  Costs, for T rounds in d dimensions:
   as keep its temporaries within 8192 floats: O(T d^2) time on a sparse
   path, O(T (k + d) d) on a path that moves every round (k = 37 at d = 20);
 * ``path_variation``: O(t d) per moved round t (its positive part has no
-  running form), so O(T^2 d) on a path that moves every round.  Each
-  distinct comparator's loss row is evaluated once, through the last round
-  that reads it: round t's u_{t+1} row runs through the next moved round,
-  where it is that round's u_t row;
+  running form), so O(T^2 d) on a path that moves every round.  One loop
+  over the moved rounds evaluates each distinct comparator's loss row once,
+  through the last round that reads it: round t's u_{t+1} row runs through
+  the next moved round, where it is that round's u_t row;
 * ``check_path_length_lemma``: one scan for the moved rounds and one phi
-  pass, shared by the F-difference and by the partial sums of P_T, which
-  run up to the first that certifies the inequality when an O(T d) test
+  pass, shared by the F-difference and by the same loop, which stops at the
+  first partial sum of P_T that certifies the inequality when an O(T d) test
   proves every term finite (the partial sums then never decrease); on the
   identity-rotating bench stream that is about 1450 of 3999 moved rounds.
 """
@@ -52,9 +52,7 @@ over the path.  Costs, for T rounds in d dimensions:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat, starmap
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,7 +92,8 @@ class RegretLedger:
     them gives the same f_t(u) bit for bit, and a row through k is the first
     k entries of the whole row.  The evaluators below take every row of one
     comparator, through the last round they read, from
-    ``self.loss_eval_batch`` and every comparator row from
+    ``self.loss_eval_batch`` (P_T^g's loop, once per distinct comparator, up
+    to the lemma's early stop) and every comparator row from
     ``self.path_losses``, so an instance may rebind them (to count rows, or
     to feed rows that disagree with Z and y).  The F-differences and the
     identity's right side read Z and y themselves instead, through margins
@@ -286,23 +285,6 @@ def _margin_blocks(ledger: RegretLedger, U: np.ndarray, rounds: np.ndarray | ran
             P = pows[L] * P + W[-1] @ pb
 
 
-def _moved_pairs(evaluate: Callable, U: np.ndarray, moved: np.ndarray):
-    """Yield (t, evaluate(u_t, t), evaluate(u_{t+1}, t')) for the moved rounds t.
-
-    The comparator stays put between two moved rounds (entries equal under
-    the compare that finds the moves), so round t's u_{t+1} is the next moved
-    round's u_t: each distinct comparator is evaluated once, through the next
-    moved round t' (through t at the last).  Consume the triples through
-    ``starmap``, which holds none of them between calls, so that an
-    evaluation finds only the kept value alive.
-    """
-    ahead = None
-    for t, upto in zip(moved, chain(moved[1:], moved[-1:])):
-        now = evaluate(U[t - 1], t) if ahead is None else ahead
-        ahead = evaluate(U[t], upto)
-        yield t, now, ahead
-
-
 def _phi_differences(lam: float, U: np.ndarray, moved: np.ndarray) -> np.ndarray:
     """phi(u_{t+1}) - phi(u_t) at the moved rounds t, for phi(u) = lam/2 |u|^2.
 
@@ -379,44 +361,47 @@ def path_variation(ledger: RegretLedger, path: ComparatorPath, gamma: float) -> 
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     moved, steps = _moves(ledger, path)
-    return float(_last(_variation_totals(ledger, path.U, moved, gamma, steps)))
+    return float(_variation(ledger, path.U, moved, gamma, steps, None))
 
 
-def _variation_totals(
+def _variation(
     ledger: RegretLedger, U: np.ndarray, moved: np.ndarray, gamma: float,
-    phi_steps: Optional[np.ndarray],
-):
-    """Yield the partial sums of P_T^g: 0.0, then the sum after each moved round.
+    phi_steps: Optional[np.ndarray], settles: Optional[Callable[[float], bool]],
+) -> float:
+    """P_T^g, or the first of its partial sums (0.0, then the sum after each
+    moved round) that ``settles`` accepts; ``settles`` None reads the whole sum.
 
     ``phi_steps`` gives phi(u_{t+1}) - phi(u_t) at the moved rounds, or is
     None to leave out the s = 0 term.  Round t's weights are the last t + 1
     entries of one power array over their sum, the same bits as
-    gamma**[t, ..., 0] normalized afresh.
+    gamma**[t, ..., 0] normalized afresh.  The comparator stays put between
+    two moved rounds (entries equal under the compare that finds the moves),
+    so round t's u_{t+1} row, evaluated through the next moved round (through
+    t at the last), is that round's u_t row: each distinct comparator's row
+    is evaluated once, and a row is evaluated while only the kept one is alive.
     """
-    T = ledger.T
-    # T floats, built at the first next(): after _moved_rounds freed its (T, d) mask
+    total = 0.0
+    if settles is not None and settles(total):
+        return total
+    T, last = ledger.T, len(moved) - 1
+    # T floats, not built when 0.0 settles
     gp = gamma ** np.arange(T - 1, -1.0, -1.0)
-
-    def loss_term(t, now, ahead):
+    now = None
+    for i, t in enumerate(moved):
+        if now is None:
+            now = ledger.loss_eval_batch(U[t - 1], t)
+        ahead = ledger.loss_eval_batch(U[t], moved[min(i + 1, last)])
         w = gp[T - 1 - t :]
         w = w / w.sum()
         up = ahead[:t] - now[:t]
-        return float(w[1:] @ np.maximum(up, 0.0, out=up)), w[0]
-
-    steps = repeat(None) if phi_steps is None else phi_steps
-    total = 0.0
-    yield total
-    rows = _moved_pairs(ledger.loss_eval_batch, U, moved)
-    for (term, w0), step in zip(starmap(loss_term, rows), steps):
-        total += term
-        if step is not None:
-            total += w0 * max(step, 0.0)
-        yield total
-
-
-def _last(values):
-    """The last item of a nonempty iterable, holding no other."""
-    return deque(values, maxlen=1).pop()
+        total += float(w[1:] @ np.maximum(up, 0.0, out=up))
+        if phi_steps is not None:
+            total += w[0] * max(phi_steps[i], 0.0)
+        now = ahead
+        del up, w  # the next row is evaluated with only `now` alive
+        if settles is not None and settles(total):
+            break
+    return total
 
 
 def _terms_finite(ledger: RegretLedger, U: np.ndarray, phi_steps: Optional[np.ndarray]) -> bool:
@@ -464,12 +449,10 @@ def check_path_length_lemma(
     c = gamma / (1.0 - gamma)
 
     def holds(P: float) -> bool:
-        return lhs <= c * P + 1e-9 * (1.0 + abs(c * P))
+        return bool(lhs <= c * P + 1e-9 * (1.0 + abs(c * P)))
 
-    totals = _variation_totals(ledger, path.U, moved, gamma, steps)
-    if _terms_finite(ledger, path.U, steps):
-        return any(map(holds, totals))
-    return holds(_last(totals))
+    settles = holds if _terms_finite(ledger, path.U, steps) else None
+    return holds(_variation(ledger, path.U, moved, gamma, steps, settles))
 
 
 def regret_trace_csv(

@@ -85,10 +85,15 @@ class Stream:
 
 
 class ComparatorPath:
-    """A time-varying comparator sequence ``u_1..u_T`` as a (T, d) array."""
+    """A time-varying comparator sequence ``u_1..u_T`` as a (T, d) array.
+
+    ``U`` is kept C-contiguous: a column view of a wider array (as a parsed
+    CSV gives) is copied, so the path does not pin the array it came from
+    and its rows compare without buffering.
+    """
 
     def __init__(self, U: np.ndarray):
-        U = np.asarray(U, dtype=float)
+        U = np.ascontiguousarray(U, dtype=float)
         if U.ndim != 2:
             raise StreamSpecError("U must be a (T, d) array")
         self.U = U

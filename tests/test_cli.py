@@ -49,10 +49,6 @@ class TestUsage:
         assert code == 1
         assert "bogus_key" in err
 
-    def test_missing_stream_fails_cleanly(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "run-vaw", "--stream", str(tmp_path / "nope.csv"))
-        assert code == 1
-
 
 class TestParserReuse:
     def test_second_call_sees_no_values_from_the_first(self, capsys, tmp_path):
@@ -260,6 +256,19 @@ class TestMalformedInput:
         )
         assert_one_error_line(code, err)
         assert "(T=40, d=2)" in err
+
+    @pytest.mark.parametrize("command", ["run-vaw", "run-aioli", "run-ensemble"])
+    @pytest.mark.parametrize("role", ["stream", "truth"])
+    def test_missing_input_exits_one(self, capsys, tmp_path, role, command):
+        # only the sibling *.truth.csv is optional; a named --truth must be read
+        stream = make_stream(capsys, tmp_path, name="s.csv", kind="logistic-drift")
+        missing = tmp_path / "nope.csv"
+        argv = [command, "--stream", str(missing if role == "stream" else stream)]
+        if role == "truth":
+            argv += ["--truth", str(missing)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, err)
+        assert f"error: {role}: cannot read {missing}:" in err and stdout == ""
 
     @pytest.mark.parametrize("role", ["stream", "truth", "config"])
     def test_non_utf8_input_names_the_file(self, capsys, tmp_path, role):

@@ -315,18 +315,18 @@ class TestPathLengthLemma:
         rng = np.random.default_rng(19)
         ledger = random_quadratic_ledger(rng, 6, 2, beta=0.9, lam=1.0)
         probes, sources = [], []
-        ft_difference, variation_totals = regret._ft_difference, regret._variation_totals
+        ft_difference, variation = regret._ft_difference, regret._variation
 
         def spy(probe, *args):
             probes.append(probe)
             return ft_difference(probe, *args)
 
-        def totals_spy(source, *args):
+        def variation_spy(source, *args):
             sources.append(source)
-            return variation_totals(source, *args)
+            return variation(source, *args)
 
         monkeypatch.setattr(regret, "_ft_difference", spy)
-        monkeypatch.setattr(regret, "_variation_totals", totals_spy)
+        monkeypatch.setattr(regret, "_variation", variation_spy)
         regret.check_path_length_lemma(
             ledger, ComparatorPath(rng.standard_normal((6, 2))), 0.5, 0.8)
         (probe,) = probes
@@ -740,3 +740,27 @@ class TestSquaredLossMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (4 * T + 3 * regret._BLOCK_FLOATS)
+
+    # P_T^g holds the moved rounds, their phi steps, one power array of the
+    # weights, and per round two comparator rows, their difference, the
+    # normalized weights and a row evaluation's temporary: about seven
+    # T-length arrays.  A per-round Python list adds about four more.
+    @pytest.mark.parametrize("reader, args", [
+        (regret.path_variation, (0.995,)), (regret.check_path_length_lemma, (0.99, 0.995))],
+        ids=["path_variation", "check_path_length_lemma"])
+    def test_path_variation_peak_is_a_few_arrays(self, reader, args, monkeypatch):
+        T, d = 2000, 20
+        rng = np.random.default_rng(29)
+        ledger = random_quadratic_ledger(rng, T, d, beta=0.99, lam=1.0)
+        path = ComparatorPath(rng.standard_normal((T, d)))
+        # no partial sum certifies an infinite left side, so the lemma reads
+        # the whole of P_T, and its F-difference stage is left out
+        monkeypatch.setattr(regret, "_ft_difference", lambda *_: math.inf)
+        reader(ledger, path, *args)
+        tracemalloc.start()
+        try:
+            reader(ledger, path, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * T

@@ -425,6 +425,14 @@ class TestCsvRoundTrip:
         assert np.array_equal(s.Z, s2.Z) and np.array_equal(s.y, s2.y)
         assert np.array_equal(truth.U, truth2.U)
 
+    def test_parsed_path_owns_a_contiguous_array(self):
+        # the parse array holds the t column too: a path that kept a column
+        # view of it would pin it, and its rows would compare through buffers
+        path = streams.path_from_csv("t,u_0,u_1\n1,0.5,0.1\n2,0.5,0.2\n")
+        assert path.U.flags.c_contiguous and path.U.base is None
+        strided = np.arange(12.0).reshape(3, 4)[:, 1:]
+        assert streams.ComparatorPath(strided).U.flags.c_contiguous
+
     @given(
         data=st.integers(1, 5).flatmap(
             lambda d: arrays(

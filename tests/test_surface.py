@@ -6,6 +6,10 @@ own ``def``, or in ``bench/*.py``.  A reference is a name, an attribute or
 an imported name in the syntax tree; a string or a docstring is not one.
 Reference computations that only tests call belong in ``tests/oracles.py``.
 A name kept for another reason is listed in ``ALLOWED`` with that reason.
+
+Every private top-level function and class, and every private method of any
+class, must be referenced in ``src/`` outside its own ``def``: a helper that
+only tests reach is dead code.  Dunder names are exempt.
 """
 
 import ast
@@ -18,20 +22,24 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 ALLOWED: dict[str, str] = {}
 
 
-def _public_defs(path: Path):
-    """(qualified name, bare name, def node) of every public function, class
-    and method of a public class in one module."""
+def _defs(path: Path, private: bool):
+    """(qualified name, bare name, def node) of every private (or public)
+    function and class of one module, and every private method of any class
+    (or public method of a public class).  Dunder names are neither."""
+
+    def wanted(name: str) -> bool:
+        dunder = name.startswith("__") and name.endswith("__")
+        return name.startswith("_") == private and not dunder
+
     module = path.stem
     for node in ast.parse(path.read_text()).body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
-        if node.name.startswith("_"):
-            continue
-        yield f"{module}.{node.name}", node.name, node
-        if isinstance(node, ast.ClassDef):
+        if wanted(node.name):
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef) and (private or wanted(node.name)):
             for item in node.body:
-                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not item.name.startswith("_")):
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and wanted(item.name):
                     yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
@@ -46,11 +54,13 @@ def _references(path: Path):
             yield node.name.rsplit(".", 1)[-1], node.lineno
 
 
-def unreferenced() -> list[str]:
-    refs = {path: list(_references(path)) for path in SRC + BENCH}
+def unreferenced(private: bool = False) -> list[str]:
+    """Public names that nothing in ``src/`` or ``bench/`` references outside
+    their own ``def``, or with ``private`` the private ones ``src/`` does not."""
+    refs = {path: list(_references(path)) for path in SRC + ([] if private else BENCH)}
     missing = []
     for path in SRC:
-        for qualified, name, node in _public_defs(path):
+        for qualified, name, node in _defs(path, private):
             inside = range(node.lineno, node.end_lineno + 1)
             if not any(
                 ref == name and not (where == path and line in inside)
@@ -72,3 +82,8 @@ def test_every_public_name_is_reached_from_src_or_bench():
 def test_every_allowlisted_name_exists_and_still_needs_its_entry():
     assert set(ALLOWED) <= set(unreferenced())
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_every_private_name_is_reached_from_src():
+    missing = unreferenced(private=True)
+    assert missing == [], f"private names nothing in src/ reaches: {missing}; delete them"
