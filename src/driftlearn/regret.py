@@ -38,19 +38,22 @@ over the path.  Costs, for T rounds in d dimensions:
   as keep its temporaries within 8192 floats: O(T d^2) time on a sparse
   path, O(T (k + d) d) on a path that moves every round (k = 37 at d = 20);
 * ``path_variation``: O(t d) per moved round t (its positive part has no
-  running form), so O(T^2 d) on a path that moves every round.  One loop
-  over the moved rounds evaluates each distinct comparator's loss row once,
-  through the last round that reads it: round t's u_{t+1} row runs through
-  the next moved round, where it is that round's u_t row;
+  running form), so O(T^2 d) on a path that moves every round.  A block of
+  k moved rounds (k = 32 at the budget) evaluates its k + 1 distinct
+  comparators once, in one (k+1, d) @ (d, R) margin product per chunk of R
+  rows, whose temporaries stay within the same 8192 floats (R = 114 at
+  d = 20), and one gemv a chunk weights the rows that all its rounds read;
 * ``check_path_length_lemma``: one scan for the moved rounds and one phi
-  pass, shared by the F-difference and by the same loop, which stops at the
-  first partial sum of P_T that certifies the inequality when an O(T d) test
-  proves every term finite (the partial sums then never decrease); on the
-  identity-rotating bench stream that is about 1450 of 3999 moved rounds.
+  pass, shared by the F-difference and by the same blocks, which stop at
+  the first block end whose partial sum of P_T certifies the inequality
+  when an O(T d) test proves every term finite (the partial sums then never
+  decrease); on the identity-rotating bench stream that is after 1472 of
+  3999 moved rounds.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -90,16 +93,15 @@ class RegretLedger:
     give f_t(u), the row [f_1(u), ..., f_k(u)] and [f_1(u_1), ..., f_T(u_T)],
     all through ``_loss`` of the margins from ``row_dots``, so every one of
     them gives the same f_t(u) bit for bit, and a row through k is the first
-    k entries of the whole row.  The evaluators below take every row of one
-    comparator, through the last round they read, from
-    ``self.loss_eval_batch`` (P_T^g's loop, once per distinct comparator, up
-    to the lemma's early stop) and every comparator row from
-    ``self.path_losses``, so an instance may rebind them (to count rows, or
-    to feed rows that disagree with Z and y).  The F-differences and the
-    identity's right side read Z and y themselves instead, through margins
-    within a block and discounted statistics carried between blocks, which
-    only a squared-loss ledger has; ``d2d_identity_gap`` checks the one
-    against the other.
+    k entries of the whole row.  The evaluators below take every comparator
+    row from ``self.path_losses``, and P_T^g takes its losses from
+    ``self._loss`` of block margins of Z, once per distinct comparator and
+    block, up to the lemma's early stop, so an instance may rebind either
+    (to count rows, or to feed rows that disagree with Z and y).  The
+    F-differences and the identity's right side read Z and y themselves,
+    through margins within a block and discounted statistics carried between
+    blocks, which only a squared-loss ledger has; ``d2d_identity_gap`` checks
+    the one against the other.
     """
 
     losses_at_play: np.ndarray
@@ -349,6 +351,29 @@ def d2d_identity_gap(ledger: RegretLedger, path: ComparatorPath) -> float:
     return abs(lhs - rhs)
 
 
+def _chunk_rows(k: int, d: int) -> int:
+    """Rows of a chunk of P_T^g for a block of k moved rounds in d dimensions.
+
+    A chunk holds the block's (k+1, d) comparators and its (k+1, rows)
+    losses, whose differences overwrite them, and one array as large at
+    once: the buffer of at most 8192 floats that numpy's broadcast of y
+    into them takes, or the weights of the rounds that end inside it.
+    """
+    return max(1, (_BLOCK_FLOATS - (k + 1) * d) // (2 * k + 2))
+
+
+def _positive_steps(ledger: RegretLedger, V: np.ndarray, a: int, b: int) -> np.ndarray:
+    """[f_s(V[j+1]) - f_s(V[j])]_+ for rows s = a..b-1 (0-based), (len(V)-1, b-a).
+
+    One (len(V), d) @ (d, b-a) product gives the margins and the ledger's
+    ``_loss`` the losses, in place; the differences overwrite the rows they
+    no longer need (numpy runs an output that trails its input unbuffered).
+    """
+    F = ledger._loss(V @ ledger.Z[a:b].T, ledger.y[a:b])
+    up = np.subtract(F[1:], F[:-1], out=F[:-1])
+    return np.maximum(up, 0.0, out=up)
+
+
 def path_variation(ledger: RegretLedger, path: ComparatorPath, gamma: float) -> float:
     """Comparator variation through geometrically weighted loss differences.
 
@@ -369,38 +394,67 @@ def _variation(
     phi_steps: Optional[np.ndarray], settles: Optional[Callable[[float], bool]],
 ) -> float:
     """P_T^g, or the first of its partial sums (0.0, then the sum after each
-    moved round) that ``settles`` accepts; ``settles`` None reads the whole sum.
+    block of moved rounds) that ``settles`` accepts; ``settles`` None reads
+    the whole sum.
 
     ``phi_steps`` gives phi(u_{t+1}) - phi(u_t) at the moved rounds, or is
-    None to leave out the s = 0 term.  Round t's weights are the last t + 1
-    entries of one power array over their sum, the same bits as
-    gamma**[t, ..., 0] normalized afresh.  The comparator stays put between
-    two moved rounds (entries equal under the compare that finds the moves),
-    so round t's u_{t+1} row, evaluated through the next moved round (through
-    t at the last), is that round's u_t row: each distinct comparator's row
-    is evaluated once, and a row is evaluated while only the kept one is alive.
+    None to leave out the s = 0 term.  A block of moved rounds t_1 < ... <
+    t_k reads its k + 1 distinct comparators against the rows s < t_k in
+    chunks (``_positive_steps``).  The rounds that read a whole chunk take
+    one gemv for it; a round that ends inside the chunk takes its own
+    weights, and its rows past t_j are set to 0 in its differences before
+    any weight meets them.  Round t's normalizer sum_{r<=t} gamma^r is the
+    powers through t_1 and a running sum after.  The block's terms enter
+    the total in round order.
     """
     total = 0.0
     if settles is not None and settles(total):
         return total
-    T, last = ledger.T, len(moved) - 1
-    # T floats, not built when 0.0 settles
-    gp = gamma ** np.arange(T - 1, -1.0, -1.0)
-    now = None
-    for i, t in enumerate(moved):
-        if now is None:
-            now = ledger.loss_eval_batch(U[t - 1], t)
-        ahead = ledger.loss_eval_batch(U[t], moved[min(i + 1, last)])
-        w = gp[T - 1 - t :]
-        w = w / w.sum()
-        up = ahead[:t] - now[:t]
-        total += float(w[1:] @ np.maximum(up, 0.0, out=up))
-        if phi_steps is not None:
-            total += w[0] * max(phi_steps[i], 0.0)
-        now = ahead
-        del up, w  # the next row is evaluated with only `now` alive
-        if settles is not None and settles(total):
-            break
+    T, d = ledger.Z.shape
+    k = max(1, math.isqrt(_BLOCK_FLOATS // 8))  # 32 at the module's budget
+    # the last block is the smallest, and its chunks the longest
+    pad = _chunk_rows(len(moved) - k * ((len(moved) - 1) // k), d)
+    # q[i] = gamma^(T-1-i), then zeros for a window that runs past row T-1;
+    # T + pad floats, not built when 0.0 settles
+    q = np.zeros(T + pad)
+    q[:T] = np.arange(T - 1, -1.0, -1.0)
+    np.power(gamma, q[:T], out=q[:T])
+    window = np.ndarray((T + 1, pad), buffer=q, strides=2 * q.strides)  # row o: q[o : o+pad]
+    # a chunk also forms the losses of rows past a round's t_j, which may
+    # overflow where no term reads them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(moved), k):
+            t = moved[i : i + k]
+            # u_{t_1}, then u_{t_j+1}, which is u_{t_{j+1}}: the path holds
+            # still between moves
+            V = U[np.append(t[0] - 1, t)]
+            sums = np.zeros(len(t))
+            ends = t.tolist()
+            last, rows = ends[-1], _chunk_rows(len(ends), d)
+            for a in range(0, last, rows):
+                b = min(a + rows, last)
+                j = bisect.bisect_right(ends, a)  # the rounds t_j > a read rows from a
+                n = bisect.bisect_left(ends, b)  # and those from n on all of a..b-1
+                up = _positive_steps(ledger, V[j:], a, b)
+                # round t_j weights row s (0-based) by gamma^(t_j-1-s): for
+                # the rounds that read the whole chunk, gamma^(t_j-b) times
+                # one gemv with gamma^(b-1-s)
+                sums[n:] += q[T - 1 - t[n:] + b] * (up[n - j :] @ q[T - (b - a) : T])
+                if n > j:  # the rounds t_j < b take q[T-t_j+s], and 0 past t_j
+                    for m in range(j, n):
+                        up[m - j, ends[m] - a :] = 0.0
+                    sums[j:n] += row_dots(window[T - t[j:n] + a, : b - a], up[: n - j])
+                del up  # the next chunk's losses are formed without these
+            # sum_{r=0..t_j} gamma^r: the part up to t_1, then the powers that
+            # each later round adds
+            norms = np.cumsum(np.add.reduceat(q[:T], T - 1 - t[::-1])[::-1])
+            if phi_steps is not None:
+                sums += q[T - 1 - t] * np.maximum(phi_steps[i : i + k], 0.0)
+            sums /= norms
+            for term in sums.tolist():
+                total += term
+            if settles is not None and settles(total):
+                break
     return total
 
 
@@ -435,12 +489,13 @@ def check_path_length_lemma(
     Requires 0 < beta <= gamma < 1 and nonnegative f_0..f_T; F_t^b includes
     the f_0 = phi term with weight beta^t.  P_T^g sums nonnegative terms, so
     while every term is finite its float partial sums never decrease, and
-    the first partial sum that satisfies the inequality settles it.  A nan
+    the first one at a block end of ``_variation`` that satisfies the
+    inequality settles it.  A nan
     term would make the full sum nan and the verdict False, so the check
     stops early only when ``_terms_finite`` proves there is none.
 
     Only the F-difference depends on beta: it runs on a new ledger at
-    ``beta``, and P_T^g takes its rows from ``ledger`` itself.
+    ``beta``, and P_T^g reads ``ledger`` itself.
     """
     if not (0.0 < beta <= gamma < 1.0):
         raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")

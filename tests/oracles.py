@@ -5,6 +5,7 @@ scipy, a test dependency of driftlearn and not a runtime one.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
@@ -165,6 +166,57 @@ def discounted_regret(ledger: RegretLedger, t: int, u: np.ndarray) -> float:
         raise ValueError(f"round t must lie in [1, {ledger.T}], got {t}")
     diffs = ledger.losses_at_play[:t] - ledger.loss_eval_batch(u, t)
     return float(discount_weights(ledger.beta, t) @ diffs)
+
+
+def exact_path_variation(
+    ledger: RegretLedger, path: ComparatorPath, gamma: float
+) -> tuple[Fraction, Fraction]:
+    """P_T^g of a squared-loss ledger in exact rational arithmetic, and the
+    size S of its terms.
+
+    Every double is a dyadic rational, so the margins z_s.u, the losses
+    f_s(u) = (z_s.u - y_s)^2 / 2, their differences and positive parts, the
+    powers gamma^(t-s) and the normalizers sum_{r<=t} gamma^r are all exact.
+    The f_0 = phi = lam/2 |u|^2 term is included when the ledger has ``lam``.
+    S = sum_t sum_s p_{t,s} (a_s(u_{t+1}) + a_s(u_t)) with
+    a_s(u) = (sum_i |z_si u_i| + |y_s|)^2 / 2 and a_0 = phi, the scale that
+    the roundoff of any float evaluation of one term is a multiple of.
+    For small instances only: gamma^t has about 53 t bits.
+    """
+    if ledger.loss != "squared":
+        raise ValueError(f"exact P_T^g needs a squared loss, got loss={ledger.loss!r}")
+    if path.T != ledger.T:
+        raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
+    Z = [[Fraction(v) for v in row] for row in ledger.Z.tolist()]
+    y = [Fraction(v) for v in ledger.y.tolist()]
+    U = [[Fraction(v) for v in row] for row in path.U.tolist()]
+    g = Fraction(gamma)
+    lam = None if ledger.lam is None else Fraction(ledger.lam)
+
+    def loss(s, u):
+        r = sum(z * v for z, v in zip(Z[s], u)) - y[s]
+        return r * r / 2
+
+    def size(s, u):
+        r = sum(abs(z * v) for z, v in zip(Z[s], u)) + abs(y[s])
+        return r * r / 2
+
+    def phi(u):
+        return lam / 2 * sum(v * v for v in u)
+
+    total = scale = Fraction(0)
+    for t in range(1, ledger.T):
+        w, v = U[t - 1], U[t]
+        pows = [g ** (t - s) for s in range(t + 1)]
+        term = sum(pows[s] * max(loss(s - 1, v) - loss(s - 1, w), 0) for s in range(1, t + 1))
+        sizes = sum(pows[s] * (size(s - 1, v) + size(s - 1, w)) for s in range(1, t + 1))
+        if lam is not None:
+            term += pows[0] * max(phi(v) - phi(w), 0)
+            sizes += pows[0] * (phi(v) + phi(w))
+        norm = sum(pows)
+        total += term / norm
+        scale += sizes / norm
+    return total, scale
 
 
 def logistic_loss(yhat: float, y: float) -> float:

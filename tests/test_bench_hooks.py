@@ -79,13 +79,11 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
     assert [s.exit_code for s in steps] == [0] * 7, [s.error for s in steps]
     assert workloads.gate(steps, None) == []
     assert steps[2].summary["checks"] and (tmp_path / "vaw.trace.csv").exists()
-    # f_s(u) rows, each comparator's through the last round that reads it:
-    # the identity job's lemma certifies after moved rounds 1..6, taking u_1
-    # through 1 and u_{t+1} through t + 1 (1 + 2 + ... + 7 = 28); run-vaw's
-    # and run-aioli's path variations move once, at round T/2, and take u_t
-    # and u_{t+1} through it (2 * 30 each); run-aioli's rescaled-bound check
-    # takes 3 whole rows of T; comparator rows (path_losses) are not counted
-    assert tracer.counts["regret.loss_rows"] == 28 + 2 * 30 + 2 * 30 + 3 * T
+    # f_s(u) rows that loss_eval and loss_eval_batch give: run-aioli's
+    # rescaled-bound check takes 3 whole rows of T.  The path variations read
+    # the ledger's _loss of block margins, and comparator rows (path_losses)
+    # are not counted either
+    assert tracer.counts["regret.loss_rows"] == 3 * T
     assert tracer.counts["o2nc.loop_grad_calls"] == T
     # logreg.root_calls is one root per expert and round: AIOLI's, then the grid pool's
     spans = importlib.import_module("layers").JobSpans(tracer, 0)

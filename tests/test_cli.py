@@ -1047,6 +1047,30 @@ class TestDeterminism:
         assert out.with_suffix(".summary.json").read_text() == summary
         assert stdout == summary
 
+    # run-vaw's P_T^g takes (k+1, d) @ (d, rows) products, which OpenBLAS
+    # may split between threads; the artifacts must not depend on that
+    def test_run_vaw_is_byte_identical_on_one_blas_thread(self, capsys, tmp_path):
+        stream = tmp_path / "s.csv"
+        assert run_cli(capsys, "gen", "--kind", "rotating-target", "--d", "20", "--T", "800",
+                       "--seed", "3", "--out", str(stream))[0] == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        artifacts = []
+        for threads in (None, "1"):
+            env = base if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
+            out = tmp_path / f"vaw-{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "driftlearn.cli", "run-vaw", "--beta", "0.99",
+                 "--stream", str(stream), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+            summary = out.with_suffix(".summary.json").read_text()
+            artifacts.append((proc.stdout.replace(out.name, ""), summary.replace(out.name, ""),
+                              out.read_bytes()))
+        assert artifacts[0] == artifacts[1]
+
     def test_verify_lemmas_twice_identical_stdout(self, capsys):
         _, out1, _ = run_cli(capsys, "verify-lemmas", "--instances", "25", "--seed", "4")
         _, out2, _ = run_cli(capsys, "verify-lemmas", "--instances", "25", "--seed", "4")

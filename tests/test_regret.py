@@ -2,13 +2,14 @@ import contextlib
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from driftlearn import linreg, regret
-from driftlearn.streams import ComparatorPath, StreamSpec, csv_text, gen_stream
+from driftlearn.streams import ComparatorPath, Stream, StreamSpec, csv_text, gen_stream
 import oracles
 
 
@@ -66,16 +67,31 @@ def geometric_weights(beta, t):
 
 
 def oracle_path_variation(ledger, path, gamma):
-    total = 0.0
+    # a stationary round adds 0, which its terms are while its losses are
+    # finite (an overflowing row would give it inf - inf)
+    total = scale = 0.0
     for t in range(1, ledger.T):
         u_now, u_next = path[t - 1], path[t]
+        if np.array_equal(u_now, u_next):
+            continue
         w = geometric_weights(gamma, t)
-        diffs = ledger.loss_eval_batch(u_next, t) - ledger.loss_eval_batch(u_now, t)
-        total += float(w[1:] @ np.maximum(diffs, 0.0))
+        hi, lo = ledger.loss_eval_batch(u_next, t), ledger.loss_eval_batch(u_now, t)
+        total += float(w[1:] @ np.maximum(hi - lo, 0.0))
+        scale += float(w[1:] @ (np.abs(hi) + np.abs(lo)))
         if ledger.lam is not None:
-            d0 = phi(ledger, u_next) - phi(ledger, u_now)
-            total += w[0] * max(d0, 0.0)
-    return total
+            hi0, lo0 = phi(ledger, u_next), phi(ledger, u_now)
+            total += w[0] * max(hi0 - lo0, 0.0)
+            scale += w[0] * (abs(hi0) + abs(lo0))
+    return total, scale
+
+
+def assert_path_variation_matches(value, ref, scale):
+    """``value`` is ``ref`` within ORACLE_RTOL of ``scale``, or both are the
+    same non-finite value (nan counts as equal to nan)."""
+    if math.isfinite(ref):
+        assert abs(value - ref) <= ORACLE_RTOL * scale, (value, ref, scale)
+    else:
+        assert value == ref or (math.isnan(value) and math.isnan(ref)), (value, ref)
 
 
 def oracle_regret(ledger, t, u):
@@ -354,24 +370,35 @@ def full_lemma_verdict(ledger, path, beta, gamma):
 
 
 class TestLemmaEarlyExit:
-    # The check stops at the first partial sum of P_T that certifies the
-    # inequality.  Its verdict must be the one the whole sum gives, also where
-    # a later term is nan: a y of 1e200 makes that row's losses inf at every
-    # comparator, so the terms of the rounds from it on are inf - inf = nan,
-    # while the F-differences (from G_t and h_t, not y^2) stay finite.  For a
-    # squared-loss ledger the lemma holds, so the failing verdicts come from
-    # the faults: a nan comparator, and statistics that disagree with the loss
-    # rows (the left side reads the statistics, P_T the rows the instance's
-    # own evaluator gives), which fail with every term finite and so run to
+    # The check stops at the first block end whose partial sum of P_T
+    # certifies the inequality.  Its verdict must be the one the whole sum
+    # gives, also where a later term is nan: a y of 1e200 makes that row's
+    # losses inf at every comparator, so the terms of the rounds from it on
+    # are inf - inf = nan, while the F-differences (from G_t and h_t, not
+    # y^2) stay finite.  A row whose features are 1e200 times larger has
+    # finite losses only at the zero comparator; it sits in the rows past
+    # t_j of the rounds before it in a block, where its difference is +inf
+    # ("inf-row") or inf - inf ("nan-row"), and no value of those rows may
+    # enter round t_j's term, not even times a zero weight: P_T must match
+    # the per-round sum, which never reads them.  For a squared-loss ledger
+    # the lemma holds, so the failing verdicts come from the faults: a nan
+    # comparator, and loss rows of 0 that P_T reads while the left side
+    # reads the statistics, which fail with every term finite and so run to
     # the end.
     @settings(max_examples=100)
     @given(case=fuzz_cases, gamma=st.floats(0.05, 0.95), lam=st.sampled_from([None, 0.7]),
-           fault=st.sampled_from([None, "disagreeing-statistics", "late-inf-loss",
-                                  "nan-comparator"]))
+           fault=st.sampled_from([None, "vanishing-rows", "late-inf-loss", "nan-comparator",
+                                  "inf-row", "nan-row"]))
     @example(case={"seed": 3, "T": 30, "d": 3, "beta": 0.9, "moving": True}, gamma=0.95,
              lam=0.7, fault="late-inf-loss")
     @example(case={"seed": 5, "T": 12, "d": 2, "beta": 0.5, "moving": False}, gamma=0.5,
              lam=0.7, fault="nan-comparator")
+    @example(case={"seed": 6, "T": 30, "d": 3, "beta": 0.9, "moving": True}, gamma=0.9,
+             lam=0.7, fault="inf-row")
+    @example(case={"seed": 7, "T": 30, "d": 3, "beta": 0.9, "moving": True}, gamma=0.9,
+             lam=None, fault="nan-row")
+    @example(case={"seed": 12, "T": 30, "d": 3, "beta": 0.9, "moving": True}, gamma=0.9,
+             lam=None, fault="vanishing-rows")  # verdict False
     def test_verdict_is_the_full_sums(self, case, gamma, lam, fault):
         rng = np.random.default_rng(case["seed"])
         T, d, beta = max(case["T"], 2), case["d"], min(case["beta"], gamma)
@@ -381,14 +408,19 @@ class TestLemmaEarlyExit:
             y[T - 2] = 1e200  # row T-1: only the last round sees it
         elif fault == "nan-comparator":
             path.U[int(rng.integers(T)), 0] = math.nan
+        elif fault in ("inf-row", "nan-row"):
+            Z[T - 2] *= 1e200  # row T-1, read by round T-1 alone
+            path.U[T - 2] = 0.0  # u_{T-1}: f_{T-1} is finite there
+            if fault == "nan-row":
+                path.U[T - 1] *= 1e-200  # and at u_T, so round T-1's term is finite
         ledger = regret.RegretLedger(np.zeros(T), 0.5, Z, y, "squared", lam=lam)
-        if fault == "disagreeing-statistics":
-            rows = ledger.loss_eval_batch
-            ledger = dataclasses.replace(ledger, y=10.0 * y)
-            ledger.loss_eval_batch = rows
+        if fault == "vanishing-rows":
+            ledger._loss = lambda m, y: np.zeros_like(m)
         with np.errstate(over="ignore", invalid="ignore"):
             verdict = regret.check_path_length_lemma(ledger, path, beta, gamma)
             assert verdict == full_lemma_verdict(ledger, path, beta, gamma)
+            pv = regret.path_variation(ledger, path, gamma)
+            assert_path_variation_matches(pv, *oracle_path_variation(ledger, path, gamma))
 
     def test_rotating_target_certifies_before_the_last_round(self):
         T = 400
@@ -396,17 +428,21 @@ class TestLemmaEarlyExit:
         ledger = linreg.vaw_ledger(linreg.run_dvaw(stream, 0.99, 1.0))
         assert len(regret._moved_rounds(truth)) == T - 1
         rows = []
-        batch = ledger.loss_eval_batch
-        ledger.loss_eval_batch = lambda *args: rows.append(1) or batch(*args)
+        loss = ledger._loss
+        ledger._loss = lambda m, y: rows.append(m.size) or loss(m, y)
         assert regret.check_path_length_lemma(ledger, truth, 0.99, 0.995)
-        assert 0 < len(rows) < T - 1  # each comparator once, and not all of them
+        early = sum(rows)
         rows.clear()
         assert full_lemma_verdict(ledger, truth, 0.99, 0.995)
-        assert len(rows) == T  # the whole sum: u_1..u_T, once each
+        # the whole sum evaluates a loss for each of the rows its rounds
+        # read, 1 + 2 + ... + (T-1), and the lemma stops well before that
+        assert sum(rows) >= (T - 1) * T // 2
+        assert 0 < early < sum(rows) // 2
 
 
-# Block budgets of the squared-loss kernel: one round a block, the module's
-# own, and one block for every round these tests request.
+# Block budgets of the squared-loss kernel and of P_T^g's blocks: one round a
+# block (and one row a P_T^g chunk), the module's own, and one block for
+# every round these tests request.
 BUDGETS = pytest.mark.parametrize(
     "budget", [0, None, 10**9], ids=["one-round-blocks", "default", "one-block"])
 
@@ -480,7 +516,8 @@ class TestOracleAgreement:
             assert_regrets_match_oracle(ledger, path, T + 1)
 
     # A logistic ledger has no running statistics: the conversion identity
-    # holds on its loss rows, and path_variation reads those rows.
+    # holds on its loss rows, and path_variation takes the same losses from
+    # its block margins.
     @given(case=fuzz_cases, lam=st.sampled_from([None, 0.5]))
     def test_logistic_ledgers(self, case, lam):
         rng = np.random.default_rng(case["seed"])
@@ -491,7 +528,7 @@ class TestOracleAgreement:
         assert gap <= ORACLE_RTOL * scale
         for gamma in (0.3, 0.9):
             pv = regret.path_variation(ledger, path, gamma)
-            assert pv == oracle_path_variation(ledger, path, gamma)
+            assert_path_variation_matches(pv, *oracle_path_variation(ledger, path, gamma))
 
     @pytest.mark.parametrize("evaluator", [
         regret.ft_difference_term, regret.d2d_identity_gap,
@@ -515,37 +552,32 @@ class TestOracleAgreement:
         assert abs(regret.d2d_identity_gap(ledger, path) - gap_ref) <= ORACLE_RTOL * scale
         for gamma in (0.3, 0.9):
             pv = regret.path_variation(ledger, path, gamma)
-            assert pv == oracle_path_variation(ledger, path, gamma)
+            assert_path_variation_matches(pv, *oracle_path_variation(ledger, path, gamma))
 
     def test_stationary_rounds_evaluate_no_loss(self):
         rng = np.random.default_rng(19)
         T, d = 30, 3
         ledger = random_logistic_ledger(rng, T, d, 0.8)
         calls = []
-        batch = ledger.loss_eval_batch
-        ledger.loss_eval_batch = lambda *args: calls.append(1) or batch(*args)
+        loss = ledger._loss
+        ledger._loss = lambda m, y: calls.append(m.shape) or loss(m, y)
         path = oracles.constant_path(rng.standard_normal(d), T)
         assert regret.path_variation(ledger, path, 0.5) == 0.0
         assert calls == []
 
     def test_each_distinct_comparator_is_evaluated_once(self):
-        # moves at rounds 3, 5 and 8 of T = 10: four distinct comparators,
-        # each evaluated through the last moved round that reads it
+        # moves at rounds 3, 5 and 8 of T = 10 make one block of four
+        # distinct comparators, and its rows 1..8 one chunk: one loss
+        # evaluation of each comparator on each row
         rng = np.random.default_rng(25)
         ledger = random_logistic_ledger(rng, 10, 3, 0.8)
-        lengths = []
-        batch = ledger.loss_eval_batch
-
-        def counted(*args):
-            rows = batch(*args)
-            lengths.append(len(rows))
-            return rows
-
-        ledger.loss_eval_batch = counted
+        shapes = []
+        loss = ledger._loss
+        ledger._loss = lambda m, y: shapes.append(m.shape) or loss(m, y)
         pieces = rng.standard_normal((4, 3))
         path = ComparatorPath(pieces[[0, 0, 0, 1, 1, 2, 2, 2, 3, 3]])
         regret.path_variation(ledger, path, 0.5)
-        assert lengths == [3, 5, 8, 8]
+        assert shapes == [(4, 8)]
 
     @BUDGETS
     def test_constant_path_requests_no_round(self, budget):
@@ -605,6 +637,74 @@ class TestOracleAgreement:
         path = ComparatorPath(U)
         assert np.isnan(regret.ft_difference_term(ledger, path))
         assert np.isnan(regret.path_variation(ledger, path, 0.5))
+
+
+def gamma_n(n):
+    """Higham's gamma_n = n u / (1 - n u), with the unit roundoff u = 2^-53."""
+    u = Fraction(1, 2**53)
+    return n * u / (1 - n * u)
+
+
+class TestExactPathVariation:
+    # path_variation against the exact rational P_T^g.  Before its weight, a
+    # term's float error is at most gamma_{2d+5} (a_s(v) + a_s(w)): the
+    # margin's d products and sums, the residual, the square and the
+    # difference; the positive part adds none.  A weight is off by at most
+    # gamma_{t+7} relative (two powers within 2u each and their product, the
+    # normalizer's t sums, the division) and its product by one more u, and
+    # the sums over at most t rows, a chunk's sum into its round's and T
+    # rounds add at most gamma_{2t+T}.  So the whole is within gamma_n S,
+    # n = 4T + 2d + 16, for the oracle's size S of the terms.  The budgets
+    # run one round and one row a chunk, two rounds and a few rows, the
+    # module's own, and one block and chunk for every round.
+    @pytest.mark.parametrize("budget", [0, 32, None, 10**9],
+                             ids=["one-row-chunks", "small", "default", "one-block"])
+    @given(seed=st.integers(0, 2**31 - 1), T=st.integers(1, 12), d=st.integers(1, 3),
+           gamma=st.floats(0.05, 0.95), lam=st.sampled_from([None, 0.7]), moving=st.booleans())
+    @example(seed=1, T=12, d=3, gamma=0.95, lam=0.7, moving=True)
+    @example(seed=2, T=12, d=2, gamma=0.05, lam=None, moving=False)
+    def test_within_the_forward_error_bound(self, budget, seed, T, d, gamma, lam, moving):
+        rng = np.random.default_rng(seed)
+        ledger = random_quadratic_ledger(rng, T, d, beta=0.9, lam=lam)
+        path = fuzz_path(rng, T, d, moving)
+        exact, size = oracles.exact_path_variation(ledger, path, gamma)
+        with squared_loss_kernel(budget):
+            pv = regret.path_variation(ledger, path, gamma)
+        assert abs(Fraction(pv) - exact) <= gamma_n(4 * T + 2 * d + 16) * size
+
+    def test_logistic_ledger_rejected(self):
+        ledger = random_logistic_ledger(np.random.default_rng(31), 4, 2, 0.8)
+        with pytest.raises(ValueError, match="loss='logistic'"):
+            oracles.exact_path_variation(ledger, ComparatorPath(np.zeros((4, 2))), 0.5)
+
+
+class TestPowerOfTwoScaling:
+    # Z by 2^k, lam by 4^k and the path by 2^-k scale every product z_i u_i
+    # by exactly 1 and phi by 4^k 2^(-2k) = 1, and the learner's solves and
+    # factors by powers of two, so P_T^g, the lemma verdict and all three
+    # dvaw_bounds keep their bits on the bench streams of two workloads
+    SPECS = {
+        "vaw-piecewise": StreamSpec(kind="piecewise-constant-target", d=5, T=4000, segments=8,
+                                    noise=0.1, seed=1),
+        "identity-rotating": StreamSpec(kind="rotating-target", d=20, T=4000, segments=3, seed=1),
+    }
+
+    @staticmethod
+    def numbers(stream, truth, lam):
+        run = linreg.run_dvaw(stream, 0.99, lam)
+        ledger = linreg.vaw_ledger(run)
+        return [regret.path_variation(ledger, truth, 0.995),
+                regret.check_path_length_lemma(ledger, truth, 0.99, 0.995),
+                *linreg.dvaw_bounds(run, truth, 0.995)]
+
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    def test_scaled_problems_keep_every_bit(self, spec):
+        stream, truth = gen_stream(self.SPECS[spec])
+        base = self.numbers(stream, truth, 1.0)
+        for k in (3, -5, 20):
+            scaled = self.numbers(Stream(stream.Z * 2.0**k, stream.y),
+                                  ComparatorPath(truth.U * 2.0**-k), 4.0**k)
+            assert bits(scaled).tolist() == bits(base).tolist(), k
 
 
 def per_round_dynamic_regret(ledger, path):
@@ -741,10 +841,11 @@ class TestSquaredLossMemory:
             tracemalloc.stop()
         assert peak <= 8 * (4 * T + 3 * regret._BLOCK_FLOATS)
 
-    # P_T^g holds the moved rounds, their phi steps, one power array of the
-    # weights, and per round two comparator rows, their difference, the
-    # normalized weights and a row evaluation's temporary: about seven
-    # T-length arrays.  A per-round Python list adds about four more.
+    # P_T^g holds the moved rounds, their phi steps and one power array of
+    # the weights, besides one chunk's temporaries within the block budget:
+    # its losses and one array as large (numpy's buffer for the broadcast of
+    # y into them, or the gathered weights), about 7.5 T floats in all at
+    # this T.  A per-round Python list adds about four T-length arrays.
     @pytest.mark.parametrize("reader, args", [
         (regret.path_variation, (0.995,)), (regret.check_path_length_lemma, (0.99, 0.995))],
         ids=["path_variation", "check_path_length_lemma"])
