@@ -21,9 +21,15 @@ the prediction yhat_t.
 
 Every learner here runs on one kernel over a leading expert axis: N
 learners with their own discounts keep A as an (N, d, d) stack and w as
-(N, d).  A round makes one ``np.linalg.solve`` of the stack against
-[w, z] for all decisions and one ``np.linalg.cholesky`` of the updated
-stack, which raises if a matrix has turned indefinite.  The discount
+(N, d).  A round makes one stacked solve against [w, z] for all decisions
+and one stacked Cholesky factorization of the updated stack, which fails
+if a matrix has turned indefinite.  Both call numpy's LAPACK gufuncs
+(``numpy.linalg._umath_linalg``) directly: at these small stacks the
+public wrappers cost more than the gufunc.  A gufunc does not raise;
+numpy fills a stack entry that LAPACK rejects with nan.  Only a round
+whose solution or factor holds a nan calls ``np.linalg.solve`` or
+``np.linalg.cholesky``, which raise ``LinAlgError`` on the same LAPACK
+flag: they are the referee that names the first failing expert.  The discount
 ensemble advances its N experts this way and ``run_aioli`` is the N = 1
 case; those two runners are the only drivers of the stack.  The roots stay
 scalar, one ``solve_optimism_root`` call per expert and round: they take a
@@ -44,6 +50,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from driftlearn.regret import RegretLedger, path_variation
 from driftlearn.streams import ComparatorPath, Stream, discounted_scan
@@ -153,9 +160,11 @@ class _Experts:
     (N, d) negated discounted linear coefficients of the surrogates
     (constant terms are dropped, they do not move the argmin), ``beta``
     the (N,) discounts, ``scale`` = 1 + BR and ``t`` the rounds absorbed.
-    A round costs one stacked ``np.linalg.solve`` (p and q), one
-    stacked ``np.linalg.cholesky`` (the update's positive-definiteness
-    check) and one scalar optimism root per expert.
+    A round costs one stacked LAPACK solve (p and q), one stacked
+    Cholesky factorization (the update's positive-definiteness check),
+    both through numpy's gufuncs, and one scalar optimism root per expert.
+    ``np.linalg.solve`` and ``np.linalg.cholesky`` run only on a round
+    whose gufunc output holds a nan, as the referee of which expert failed.
     Updates rebind ``A`` and ``w`` to new arrays, so views handed out
     earlier keep their values.
     """
@@ -197,18 +206,21 @@ class _Experts:
         that is not finite, a singular A and a negative q (A_i is positive
         definite, so only roundoff on a badly scaled stream gives one) raise
         ``ValueError`` before any root is sought; the runners call this
-        under one ``np.errstate`` that silences the overflow itself.
+        under one ``np.errstate`` that silences the overflow itself, and
+        the invalid flag of a failed solve.
         """
         rhs = np.empty(self.w.shape + (2,))
         rhs[:, :, 0] = self.w
         rhs[:, :, 1] = z
-        sol = self._checked(np.linalg.solve, ValueError, _ILL_CONDITIONED, self.A, rhs)
+        sol = _umath_linalg.solve(self.A, rhs)
         ainv_w = sol[:, :, 0]
         ainv_z = sol[:, :, 1] / self.beta[:, None]
         p = ainv_w @ z
         q = ainv_z @ z
         ps, qs = p.tolist(), q.tolist()
         if not all(map(math.isfinite, ps + qs)):  # cheaper than numpy at small N
+            # a singular A comes back as nan: the public solve names it
+            self._checked(np.linalg.solve, ValueError, _ILL_CONDITIONED, self.A, rhs)
             i = next(i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
             raise ValueError(self._failure(i, _OVERFLOWED))
         if min(qs) < 0.0:
@@ -241,12 +253,15 @@ class _Experts:
         ``yhats`` and ``q`` are this round's :meth:`decide` outputs.
         Returns the stability increments c2 z'A_new^{-1}z.  With A_new =
         beta A + c2 z z' they are c2 q/(1 + c2 q) (Sherman-Morrison), so
-        they need no second solve.
+        they need no second solve.  A factor that holds a nan (an
+        indefinite A, or one LAPACK could not factor) hands A to the public
+        Cholesky, which raises for the first expert it rejects.
         """
         s_pos, s_neg = _sigmoid_pm(y * yhats)
         c2 = s_pos * s_neg / self.scale
         A = self.beta[:, None, None] * self.A + c2[:, None, None] * (z[:, None] * z)
-        self._checked(np.linalg.cholesky, RuntimeError, _INDEFINITE, A)
+        if math.isnan(_umath_linalg.cholesky_lo(A).sum()):
+            self._checked(np.linalg.cholesky, RuntimeError, _INDEFINITE, A)
         self.A = A
         self.t += 1
         self.w = self.beta[:, None] * self.w + (y * s_neg + c2 * yhats)[:, None] * z

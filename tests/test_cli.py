@@ -1004,6 +1004,8 @@ class TestDeterminism:
     VAW_RUN = ["run-vaw", "--beta", "0.9", "--lambda", "1"]
     LOGISTIC_GEN = ["gen", "--kind", "logistic-drift", "--d", "3", "--T", "200",
                     "--segments", "4", "--noise", "0.2", "--seed", "1"]
+    LOGISTIC_600 = ["--kind", "logistic-drift", "--d", "3", "--T", "600", "--segments", "4",
+                    "--noise", "0.2", "--seed", "3"]
 
     @pytest.mark.parametrize(
         "argv, golden",
@@ -1048,21 +1050,28 @@ class TestDeterminism:
         assert stdout == summary
 
     # run-vaw's P_T^g takes (k+1, d) @ (d, rows) products, which OpenBLAS
-    # may split between threads; the artifacts must not depend on that
-    def test_run_vaw_is_byte_identical_on_one_blas_thread(self, capsys, tmp_path):
+    # may split between threads, and the logistic learners make a LAPACK
+    # solve and Cholesky factorization a round; the artifacts must not
+    # depend on the thread count
+    @pytest.mark.parametrize("gen, run", [
+        (["--kind", "rotating-target", "--d", "20", "--T", "800", "--seed", "3"],
+         ["run-vaw", "--beta", "0.99"]),
+        (LOGISTIC_600, ["run-aioli", "--beta", "0.9"]),
+        (LOGISTIC_600, ["run-ensemble", "--grid", "true"]),
+    ], ids=["run-vaw", "run-aioli", "run-ensemble"])
+    def test_stream_runs_are_byte_identical_on_one_blas_thread(self, capsys, tmp_path, gen, run):
         stream = tmp_path / "s.csv"
-        assert run_cli(capsys, "gen", "--kind", "rotating-target", "--d", "20", "--T", "800",
-                       "--seed", "3", "--out", str(stream))[0] == 0
+        assert run_cli(capsys, "gen", *gen, "--out", str(stream))[0] == 0
         src = str(Path(cli.__file__).resolve().parents[1])
         base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         artifacts = []
         for threads in (None, "1"):
             env = base if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
-            out = tmp_path / f"vaw-{threads}.csv"
+            out = tmp_path / f"run-{threads}.csv"
             proc = subprocess.run(
-                [sys.executable, "-m", "driftlearn.cli", "run-vaw", "--beta", "0.99",
-                 "--stream", str(stream), "--out", str(out)],
+                [sys.executable, "-m", "driftlearn.cli", *run, "--stream", str(stream),
+                 "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from numpy.linalg import _umath_linalg
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
@@ -647,6 +649,11 @@ class TestOnePassMixability:
             lemmas.check_mixability(np.zeros((3, 2)), np.full(2, 0.5))
 
 
+# The public LAPACK wrappers in the gufuncs' place: a reference learner
+# whose every round goes through np.linalg.
+PUBLIC_LAPACK = SimpleNamespace(solve=np.linalg.solve, cholesky_lo=np.linalg.cholesky)
+
+
 class TestEnsembleErrors:
     def test_unconverged_root_raises(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -723,6 +730,137 @@ class TestEnsembleErrors:
         stream = Stream(np.array([[1.0, 0.5], [1e200, -1e200]]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="overflowed"):
             logreg.run_ensemble(stream, [0.5, 0.9], 1.0, 1.0, 1.0)
+
+    # Five edge stacks, one in place of an expert's fresh A, with round 1
+    # at z = e_1 and warnings as errors: the failures keep the messages of
+    # the public wrappers' path, and the runs that finish keep its bits.
+    EDGES = {
+        "nan": (np.full((2, 2), np.nan), ValueError, "surrogate statistics overflowed"),
+        "indefinite": (INDEFINITE, RuntimeError,
+                       "surrogate curvature matrix is numerically indefinite"),
+        "zero": (np.zeros((2, 2)), ValueError, "surrogate statistics are ill-conditioned"),
+        "inf": (np.diag([np.inf, 1.0]), None, None),
+        "tiny": (np.diag([1e-300, 1.0]), None, None),
+    }
+
+    @pytest.mark.parametrize("edge", list(EDGES))
+    @pytest.mark.parametrize("runner", ["aioli", "ensemble"])
+    def test_edge_stacks_end_as_with_the_public_wrappers(self, monkeypatch, edge, runner):
+        A, error, what = self.EDGES[edge]
+        i, beta = (0, 0.9) if runner == "aioli" else (1, 0.8)
+        self.with_indefinite_expert(monkeypatch, i, A)
+        stream = Stream(np.array([[1.0, 0.0], [0.5, -0.3], [0.2, 0.9]]),
+                        np.array([1.0, -1.0, 1.0]))
+
+        def run():
+            if runner == "aioli":
+                r = logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
+                return r.yhats, r.residuals, r.stab_disc
+            r = logreg.run_ensemble(stream, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
+            return r.yhats, r.weights, r.expert_yhats
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error is not None:
+                with pytest.raises(error) as exc:
+                    run()
+                assert str(exc.value).startswith(f"{what} at round 1 for beta={beta}; ")
+                return
+            got = run()
+            monkeypatch.setattr(logreg, "_umath_linalg", PUBLIC_LAPACK)
+            want = run()
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+class TestLapackGufuncs:
+    # _Experts calls numpy's LAPACK gufuncs without the public wrappers and
+    # trusts two things: the gufunc gives the public call's bits, and a
+    # stack entry the public call rejects comes back as nan.  A numpy that
+    # moves or changes the private module fails here first.
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 16), d=st.integers(1, 6))
+    def test_gufuncs_give_the_public_bits(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, d, d))
+        A = M @ M.transpose(0, 2, 1) + rng.uniform(1e-3, 2.0) * np.eye(d)
+        rhs = rng.standard_normal((n, d, 2))
+        assert same_bits(_umath_linalg.solve(A, rhs), np.linalg.solve(A, rhs))
+        assert same_bits(_umath_linalg.cholesky_lo(A), np.linalg.cholesky(A))
+
+    EDGES = {"zero": np.zeros((2, 2)), "indefinite": np.diag([1.0, -1.0]),
+             "nan": np.full((2, 2), np.nan)}
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["solve", "cholesky"])
+    def test_a_rejected_entry_comes_back_as_nan(self, edge, at, name):
+        stack = np.stack([np.eye(2), 2.0 * np.eye(2), np.diag([3.0, 0.5])])
+        stack[at] = self.EDGES[edge]
+        rhs = np.ones((3, 2, 2))
+        public, args = {"solve": (np.linalg.solve, (stack, rhs)),
+                        "cholesky": (np.linalg.cholesky, (stack,))}[name]
+        gufunc = {"solve": _umath_linalg.solve, "cholesky": _umath_linalg.cholesky_lo}[name]
+        with np.errstate(invalid="ignore"):  # the flag of a rejected entry
+            out = gufunc(*args)
+        for i, entry in enumerate(zip(*args)):
+            try:
+                public(*entry)
+                rejected = False
+            except np.linalg.LinAlgError:
+                rejected = True
+            if rejected:  # LAPACK's flag: numpy fills the whole entry
+                assert np.isnan(out[i]).all(), i
+            elif edge == "nan" and i == at:  # passed, but nan in gives nan out
+                assert np.isnan(out[i]).any(), i
+            else:
+                assert not np.isnan(out[i]).any(), i
+                assert same_bits(out[i], public(*entry)), i
+
+
+class TestPublicLinalgOnlyReferees:
+    def test_healthy_runs_never_call_the_public_wrappers(self, monkeypatch):
+        stream, _ = logistic_stream(np.random.default_rng(27), T=300)
+
+        def runs():
+            solo = logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
+            pool = logreg.run_ensemble(stream, logreg.build_grid(1.0, 1.0, 3, 300),
+                                       1.0, 1.0, 1.0)
+            return solo.yhats, solo.residuals, solo.stab_disc, pool.yhats, pool.weights
+
+        want = runs()
+
+        def referee(*args):
+            raise AssertionError("a healthy round called the public wrapper")
+
+        monkeypatch.setattr(np.linalg, "solve", referee)
+        monkeypatch.setattr(np.linalg, "cholesky", referee)
+        assert all(same_bits(g, w) for g, w in zip(runs(), want))
+
+
+class TestPowerOfTwoScaling:
+    # Z by 2^k, B by 2^-k, R by 2^k and lam by 4^k keep every margin z.x,
+    # B R and p; A, w and the solutions scale by powers of two, so the
+    # learners keep their bits on the logistic-pool bench stream, and the
+    # stationarity residual, a gradient in units of Z, scales by 2^k
+    SPEC = StreamSpec(kind="logistic-drift", d=3, T=1200, segments=4, noise=0.2, seed=1)
+
+    @pytest.mark.parametrize("k", [3, -4, 17])
+    def test_aioli_keeps_its_bits(self, k):
+        stream, _ = gen_stream(self.SPEC)
+        base = logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
+        run = logreg.run_aioli(Stream(stream.Z * 2.0**k, stream.y), 0.9, 4.0**k,
+                               2.0**-k, 2.0**k)
+        for name in ("yhats", "losses_at_play", "stab_disc"):
+            assert same_bits(getattr(run, name), getattr(base, name)), name
+        assert same_bits(run.residuals, base.residuals * 2.0**k)
+
+    @pytest.mark.parametrize("k", [3, -4, 17])
+    def test_ensemble_keeps_its_bits(self, k):
+        stream, _ = gen_stream(self.SPEC)
+        betas = logreg.build_grid(1.0, 1.0, stream.d, stream.T)
+        base = logreg.run_ensemble(stream, betas, 1.0, 1.0, 1.0)
+        run = logreg.run_ensemble(Stream(stream.Z * 2.0**k, stream.y), betas, 4.0**k,
+                                  2.0**-k, 2.0**k)
+        assert same_bits(run.yhats, base.yhats) and same_bits(run.weights, base.weights)
 
 
 class TestGrid:
