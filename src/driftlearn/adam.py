@@ -12,7 +12,10 @@ and the step size reads
 so the (1-beta2) factor is applied at read time and a single recurrence
 drives v.  No bias-correction terms are kept.  Both variants take their
 step from one rule, `delta_for`: the clipped variant applies Clip_D, the
-clip-free variant damps the denominator by gamma*mu*(1-beta1^t).  One
+clip-free variant damps the denominator by gamma*mu*(1-beta1^t).
+`delta_for` and `adam_update` are the whole per-round cost of Adam in the
+o2nc driver, one call each a round, so the clip takes `_norm`'s square
+inline and calls `_norm` only where that square is not finite.  One
 tuner, `tune`, derives the parameters of either variant from its
 convergence theorem, with the plain beta2 floor or, given rho, the margin
 condition; `verify_report` re-substitutes a report independently.
@@ -73,12 +76,10 @@ class AdamState:
 
 
 def adam_update(cfg: AdamConfig, state: AdamState, g: np.ndarray) -> AdamState:
-    g = np.asarray(g, dtype=float)
-    return AdamState(
-        m=cfg.beta1 * state.m + g,
-        v=cfg.beta2 * state.v + float(g @ g),
-        beta1_pow=state.beta1_pow * cfg.beta1,
-    )
+    """The state after folding in the float array ``g``; |g|^2 is np.vdot's,
+    which gives g @ g's bits without its overflow warning."""
+    return AdamState(cfg.beta1 * state.m + g, cfg.beta2 * state.v + float(np.vdot(g, g)),
+                     state.beta1_pow * cfg.beta1)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -95,14 +96,6 @@ def _norm(x: np.ndarray) -> float:
     return m * math.sqrt(np.vdot(x / m, x / m)) if 0.0 < m < math.inf else m
 
 
-def clip_to_ball(a: np.ndarray, radius: float) -> np.ndarray:
-    """Radial clip min(|a|, D) a/|a|, with 0 mapped to 0."""
-    norm = _norm(a)
-    if norm <= radius or norm == 0.0:
-        return a
-    return (radius / norm) * a
-
-
 def delta_for(cfg: AdamConfig, state: AdamState) -> np.ndarray:
     """Delta_t = -gamma (1-beta1) m_t / (nu + sqrt((1-beta2) v_t)), clipped to
     the ball of radius D in the clipped variant.  The clip-free variant
@@ -110,7 +103,9 @@ def delta_for(cfg: AdamConfig, state: AdamState) -> np.ndarray:
 
     An entry whose product -gamma (1-beta1) m_t overflows before the
     division is taken as (-gamma (1-beta1) / denom) m_t instead; every other
-    entry keeps the product-first bits."""
+    entry keeps the product-first bits.  The clip is the radial
+    min(|Delta|, D) Delta/|Delta|, with 0 mapped to 0; |Delta| is `_norm`'s,
+    taken inline while the square is finite."""
     denom = cfg.nu
     if cfg.variant == "clip-free":
         denom += cfg.gamma * cfg.mu * (1.0 - state.beta1_pow)
@@ -122,7 +117,13 @@ def delta_for(cfg: AdamConfig, state: AdamState) -> np.ndarray:
         with np.errstate(over="ignore"):
             step = scale * state.m
         delta = np.divide(step, denom, out=(scale / denom) * state.m, where=np.isfinite(step))
-    return clip_to_ball(delta, cfg.D) if cfg.variant == "clipped" else delta
+    if cfg.variant != "clipped":
+        return delta
+    sq = np.vdot(delta, delta)
+    norm = math.sqrt(sq) if sq < math.inf else _norm(delta)
+    if norm <= cfg.D or norm == 0.0:
+        return delta
+    return (cfg.D / norm) * delta
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,18 @@
 One run executes, per round t = 1..T,
 
     receive Delta_t from `adam.delta_for` (state holds g_1..g_{t-1}),
-    x_t = x_{t-1} + s_t * Delta_t   with s_t ~ Exp(1) i.i.d.,
-    g_t = StochasticOracle.perturb(grad F(x_t)),
-    fold g_t into the update state.
+    x_t = x_{t-1} + s_t * Delta_t   with s_t = -ln(1 - r_t) ~ Exp(1) i.i.d.,
+    g_t = grad F(x_t) plus the `StochasticOracle` noise,
+    fold g_t into the update state with `adam.adam_update`.
 
 Only this part is sequential, and the loop does nothing else: it records
-s_t, Delta_t, g_t and grad F(x_t).  After it, `run_o2nc` computes the rest
-from those rows, with the roundings of the per-round formulas: the check
-|g_t| <= G, the dynamic-regret terms against the drifting comparator
+s_t, Delta_t, g_t and grad F(x_t).  A round makes those two calls into
+`adam` and one `Objective.grad` call, and calls no other function written
+in Python; it draws r_t, uniform on [0, 1), and the oracle's d + 1
+normals itself, in that order, the normals into one buffer made before
+the loop.  After it, `run_o2nc` computes the rest from those rows, with
+the roundings of the per-round formulas: the check |g_t| <= G, the
+dynamic-regret terms against the drifting comparator
 
     u_t = -D * a_t / |a_t|,   a_t = sum_{s<=t} beta^(t-s) grad F(x_s),
 
@@ -145,35 +149,19 @@ OBJECTIVES = {
 
 @dataclass
 class StochasticOracle:
-    """Unbiased bounded-noise gradient oracle.
+    """Unbiased bounded-noise gradient oracle, drawn by `run_o2nc`.
 
     The noise direction is uniform on the sphere and its magnitude is
     min(sigma * |N(0,1)|, G - |grad F(x)|), which keeps |g| <= G almost
     surely while preserving zero-mean noise; the cap slightly reduces the
     effective variance.  One draw of d + 1 standard normals gives the
     direction and then the magnitude's normal, the same values as a draw of
-    d followed by a draw of one.
+    d followed by a draw of one.  A zero direction or magnitude returns the
+    true gradient itself.
     """
 
     objective: Objective
     sigma: float
-
-    def perturb(self, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """The stochastic gradient drawn around the true gradient ``g``."""
-        gap = self.objective.lipschitz - _norm(g)
-        normals = rng.standard_normal(self.objective.dim + 1)
-        direction = normals[:-1]
-        nd = math.sqrt(direction @ direction)
-        magnitude = min(self.sigma * abs(float(normals[-1])), max(gap, 0.0))
-        if nd == 0.0 or magnitude == 0.0:
-            return g
-        return g + (magnitude / nd) * direction
-
-
-def exp_sample(rng: np.random.Generator) -> float:
-    """Unit-mean exponential scaling factor, by the inverse CDF: s = -ln(u)
-    with u = 1 - rng.random() in (0, 1]."""
-    return -math.log(1.0 - float(rng.random()))
 
 
 def ema_coefficients(beta: float, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +250,8 @@ def run_o2nc(
     seed: int,
     x0: Optional[np.ndarray] = None,
 ) -> O2ncTrace:
-    """Execute the conversion loop for ``T`` rounds from ``x0``.
+    """Execute the conversion loop for ``T`` rounds from ``x0``, a point of
+    shape (d,) (ValueError before the first round otherwise).
 
     Raises OracleBoundError naming the first round whose |g_t| exceeds the
     objective's declared Lipschitz bound, and ValueError naming the first
@@ -274,21 +263,36 @@ def run_o2nc(
     obj = oracle.objective
     d = obj.dim
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
+    if x0.shape != (d,):
+        raise ValueError(f"x0 must have the shape ({d},) of one point, got {x0.shape}")
     x = x0  # rebound each round, never written in place
     rng = philox_rng(seed)
     state = AdamState.fresh(d)
 
     # The sequential core; everything else is computed from its rows below.
+    # A round calls into adam twice and takes one true gradient, and calls
+    # no other function written in Python: the draws, s_t = -ln(1 - r) and
+    # then the oracle's d + 1 normals, the norms (_norm's finite-square
+    # path) and the noise step are inline, on names bound once here.
     scalings = np.empty(T)
     deltas = np.empty((T, d))
     grads = np.empty((T, d))       # g_t
     true_grads = np.empty((T, d))  # grad F(x_t)
+    grad, G, sigma, inf = obj.grad, obj.lipschitz, oracle.sigma, math.inf
+    uniform, normal, sqrt, log, vdot = rng.random, rng.standard_normal, math.sqrt, math.log, np.vdot
+    normals = np.empty(d + 1)
+    direction = normals[:-1]
     for i in range(T):
         delta = delta_for(cfg, state)
-        s_t = exp_sample(rng)
+        s_t = -log(1.0 - uniform())
         x = x + s_t * delta
-        true_g = obj.grad(x)
-        g = oracle.perturb(true_g, rng)
+        true_g = grad(x)
+        sq = vdot(true_g, true_g)
+        gap = G - (sqrt(sq) if sq < inf else _norm(true_g))
+        normal(out=normals)
+        nd = sqrt(vdot(direction, direction))
+        magnitude = min(sigma * abs(float(normals[-1])), max(gap, 0.0))
+        g = true_g if nd == 0.0 or magnitude == 0.0 else true_g + (magnitude / nd) * direction
         state = adam_update(cfg, state, g)
         scalings[i] = s_t
         deltas[i] = delta
@@ -296,7 +300,6 @@ def run_o2nc(
         true_grads[i] = true_g
     final_index = int(rng.integers(T))
 
-    G = obj.lipschitz
     gnorms = _row_norms(grads)
     over = np.flatnonzero(gnorms > G * (1.0 + 1e-9) + 1e-12)
     if len(over):

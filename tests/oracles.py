@@ -1,6 +1,8 @@
 """Oracles only the tests call: reference quantities that no subcommand or
-bound check of the library computes.  ``ftrl_equivalence_residual`` needs
-scipy, a test dependency of driftlearn and not a runtime one.
+bound check of the library computes, and the referees that the library's
+inlined steps are held to bit for bit (`clip_to_ball`, `reference_delta_for`,
+`exp_sample`, `perturb`).  ``ftrl_equivalence_residual`` needs scipy, a test
+dependency of driftlearn and not a runtime one.
 """
 
 import math
@@ -11,9 +13,9 @@ import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
 
 from driftlearn import linreg
-from driftlearn.adam import AdamConfig, AdamState, adam_update, clip_to_ball, delta_for
+from driftlearn.adam import AdamConfig, AdamState, _norm, adam_update, delta_for
 from driftlearn.logreg import AioliRun, sigmoid
-from driftlearn.o2nc import O2ncTrace, Objective
+from driftlearn.o2nc import O2ncTrace, Objective, StochasticOracle
 from driftlearn.regret import RegretLedger
 from driftlearn.streams import ComparatorPath, Stream, philox_rng
 
@@ -57,6 +59,51 @@ def stationarity_surrogate(
     mean_grad /= samples
     mean_sq /= samples
     return float(np.linalg.norm(mean_grad)) + c * mean_sq
+
+
+def clip_to_ball(a: np.ndarray, radius: float) -> np.ndarray:
+    """Radial clip min(|a|, D) a/|a|, with 0 mapped to 0."""
+    norm = _norm(a)
+    if norm <= radius or norm == 0.0:
+        return a
+    return (radius / norm) * a
+
+
+def reference_delta_for(cfg: AdamConfig, state: AdamState) -> np.ndarray:
+    """`adam.delta_for` as written with the clip in `clip_to_ball`: the
+    referee its inline clip is held to, bit for bit."""
+    denom = cfg.nu
+    if cfg.variant == "clip-free":
+        denom += cfg.gamma * cfg.mu * (1.0 - state.beta1_pow)
+    denom += math.sqrt((1.0 - cfg.beta2) * state.v)
+    scale = -cfg.gamma * (1.0 - cfg.beta1)
+    if abs(scale) <= 1.0:
+        delta = scale * state.m / denom
+    else:
+        with np.errstate(over="ignore"):
+            step = scale * state.m
+        delta = np.divide(step, denom, out=(scale / denom) * state.m, where=np.isfinite(step))
+    return clip_to_ball(delta, cfg.D) if cfg.variant == "clipped" else delta
+
+
+def exp_sample(rng: np.random.Generator) -> float:
+    """Unit-mean exponential scaling factor, by the inverse CDF: s = -ln(u)
+    with u = 1 - rng.random() in (0, 1]."""
+    return -math.log(1.0 - float(rng.random()))
+
+
+def perturb(oracle: StochasticOracle, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The stochastic gradient ``oracle`` draws around the true gradient ``g``,
+    as a function of its own: one draw of d + 1 normals, the direction and
+    then the magnitude's normal."""
+    gap = oracle.objective.lipschitz - _norm(g)
+    normals = rng.standard_normal(oracle.objective.dim + 1)
+    direction = normals[:-1]
+    nd = math.sqrt(direction @ direction)
+    magnitude = min(oracle.sigma * abs(float(normals[-1])), max(gap, 0.0))
+    if nd == 0.0 or magnitude == 0.0:
+        return g
+    return g + (magnitude / nd) * direction
 
 
 def eta_t(cfg: AdamConfig, state: AdamState) -> float:

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftlearn import adam
 import oracles
@@ -87,6 +90,79 @@ class TestClippedDelta:
             )
             delta = adam.delta_for(cfg, state)
             assert np.linalg.norm(delta) <= D * (1.0 + 1e-12)
+
+
+def step_outcome(step, cfg, state):
+    """The bits of ``step(cfg, state)``, or the warning it raised, with
+    every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            delta = step(cfg, state)
+        except RuntimeWarning as err:
+            return str(err)
+    return delta.shape, delta.view(np.uint64).tolist()
+
+
+# Moment entries: ordinary values, zeros, and entries up to 1e300 and past,
+# whose squares and scaled steps overflow.
+MOMENTS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e160, 1.5e308]),
+)
+
+
+@st.composite
+def step_cases(draw):
+    """(|scale| > 1, cfg, state): gamma is drawn through |scale| =
+    gamma (1-beta1), on one side of 1 or the other, and m may be all zero."""
+    variant = draw(st.sampled_from(adam.VARIANTS))
+    beta1 = draw(st.floats(0.01, 0.99))
+    big = draw(st.booleans())
+    scale = draw(st.floats(1.001, 1e12) if big else st.floats(1e-4, 0.999))
+    cfg = adam.AdamConfig(
+        beta1=beta1, beta2=draw(st.floats(0.01, 0.999)), gamma=scale / (1.0 - beta1),
+        nu=draw(st.floats(1e-6, 10.0)), variant=variant, D=draw(st.floats(1e-3, 1e3)),
+        mu=draw(st.floats(0.0, 10.0)),
+    )
+    m = draw(arrays(np.float64, draw(st.integers(1, 12)), elements=MOMENTS))
+    if draw(st.booleans()):
+        m[:] = 0.0
+    v = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+    return big, cfg, adam.AdamState(m=m, v=v, beta1_pow=draw(st.floats(0.0, 1.0)))
+
+
+def step_case(variant, gamma, m, nu=1.0):
+    cfg = adam.AdamConfig(beta1=0.5, beta2=0.9, gamma=gamma, nu=nu, variant=variant, D=2.0,
+                          mu=0.5)
+    return abs(gamma * 0.5) > 1.0, cfg, adam.AdamState(m=np.array(m), v=0.0, beta1_pow=0.25)
+
+
+class TestDeltaForAgainstItsReferee:
+    # delta_for clips inline, with _norm's finite-square path taken there;
+    # oracles.reference_delta_for is the rule with the clip in clip_to_ball.
+    # np.dot or @ in place of np.vdot warns where the squares overflow.
+
+    @given(case=step_cases())
+    @example(case=step_case("clipped", 1.0, [0.0, 0.0]))
+    @example(case=step_case("clipped", 1.0, [1e300, -1e300, 3.0]))
+    @example(case=step_case("clipped", 1.0, [1e160, 1.0], nu=1e-6))
+    @example(case=step_case("clipped", 8.0, [1e300, 1.0]))
+    @example(case=step_case("clipped", 8.0, [1e308, 1.0], nu=10.0))  # only the product overflows
+    @example(case=step_case("clip-free", 8.0, [1e300, 0.0]))
+    @example(case=step_case("clip-free", 1.0, [0.0]))
+    def test_bits_and_warnings_match(self, case):
+        big, cfg, state = case
+        assert (abs(-cfg.gamma * (1.0 - cfg.beta1)) > 1.0) == big
+        assert step_outcome(adam.delta_for, cfg, state) == step_outcome(
+            oracles.reference_delta_for, cfg, state)
+
+    def test_overflowing_squares_take_the_scaled_norm(self):
+        # |Delta| about 1.4e300: the squares overflow, the clip still lands on D
+        _, cfg, state = step_case("clipped", 1.0, [1e300, -1e300, 3.0])
+        assert isinstance(step_outcome(adam.delta_for, cfg, state), tuple)  # no warning
+        assert np.linalg.norm(adam.delta_for(cfg, state)) == pytest.approx(cfg.D, rel=1e-15)
 
 
 class TestClipFreeDelta:

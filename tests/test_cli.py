@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -1050,18 +1051,26 @@ class TestDeterminism:
         assert stdout == summary
 
     # run-vaw's P_T^g takes (k+1, d) @ (d, rows) products, which OpenBLAS
-    # may split between threads, and the logistic learners make a LAPACK
-    # solve and Cholesky factorization a round; the artifacts must not
-    # depend on the thread count
+    # may split between threads, the logistic learners make a LAPACK
+    # solve and Cholesky factorization a round, and run-o2nc (the bench's
+    # o2nc-long flags, None for its stream) takes BLAS dots a round and
+    # batched ones after; the artifacts must not depend on the thread count
     @pytest.mark.parametrize("gen, run", [
         (["--kind", "rotating-target", "--d", "20", "--T", "800", "--seed", "3"],
          ["run-vaw", "--beta", "0.99"]),
         (LOGISTIC_600, ["run-aioli", "--beta", "0.9"]),
         (LOGISTIC_600, ["run-ensemble", "--grid", "true"]),
-    ], ids=["run-vaw", "run-aioli", "run-ensemble"])
-    def test_stream_runs_are_byte_identical_on_one_blas_thread(self, capsys, tmp_path, gen, run):
-        stream = tmp_path / "s.csv"
-        assert run_cli(capsys, "gen", *gen, "--out", str(stream))[0] == 0
+        (None, ["run-o2nc", "--T", "2000", "--seed", "1"]),
+    ], ids=["run-vaw", "run-aioli", "run-ensemble", "run-o2nc"])
+    def test_stream_runs_are_byte_identical_on_one_blas_thread(self, capsys, tmp_path,
+                                                               monkeypatch, gen, run):
+        if gen is None:
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+            run = [*run, *map(str, importlib.import_module("workloads").O2NC_FLAGS)]
+        else:
+            stream = tmp_path / "s.csv"
+            assert run_cli(capsys, "gen", *gen, "--out", str(stream))[0] == 0
+            run = [*run, "--stream", str(stream)]
         src = str(Path(cli.__file__).resolve().parents[1])
         base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -1070,8 +1079,7 @@ class TestDeterminism:
             env = base if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
             out = tmp_path / f"run-{threads}.csv"
             proc = subprocess.run(
-                [sys.executable, "-m", "driftlearn.cli", *run, "--stream", str(stream),
-                 "--out", str(out)],
+                [sys.executable, "-m", "driftlearn.cli", *run, "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from driftlearn import adam, o2nc, regret
 from driftlearn.streams import discounted_scan, philox_rng
-from oracles import stationarity_surrogate
+from oracles import exp_sample, perturb, reference_delta_for, stationarity_surrogate
 
 
 def small_clipped_cfg(**kw):
@@ -35,14 +35,14 @@ def iterates(trace):
 
 class TestExpSample:
     def test_inverse_cdf_at_half(self):
-        assert o2nc.exp_sample(FixedUniform(0.5)) == pytest.approx(math.log(2), rel=1e-15)
+        assert exp_sample(FixedUniform(0.5)) == pytest.approx(math.log(2), rel=1e-15)
 
     def test_boundary_gives_zero(self):
-        assert o2nc.exp_sample(FixedUniform(0.0)) == 0.0
+        assert exp_sample(FixedUniform(0.0)) == 0.0
 
     def test_unit_mean_monte_carlo(self):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(123)))
-        draws = np.array([o2nc.exp_sample(rng) for _ in range(100_000)])
+        draws = np.array([exp_sample(rng) for _ in range(100_000)])
         assert abs(draws.mean() - 1.0) <= 0.02
         assert np.all(draws >= 0.0)
 
@@ -178,6 +178,23 @@ class TestRunLoop:
         assert trace.final_index == 0
         np.testing.assert_array_equal(trace.xbar_final, x0)  # xbar_1 = x_1 exactly
 
+    @pytest.mark.parametrize("x0", [np.ones(1), np.ones(4), np.ones((3, 1)), np.float64(1.0)],
+                             ids=["short", "long", "column", "scalar"])
+    def test_x0_of_another_shape_is_rejected_before_the_first_round(self, x0):
+        # np.ones(1) once broadcast through every round and then failed in
+        # discounted_scan with a message that named its s0
+        base = o2nc.clamped_quadratic(3, radius=1.0)
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return base.grad(x)
+
+        oracle = o2nc.StochasticOracle(dataclasses.replace(base, grad=counted), sigma=0.1)
+        with pytest.raises(ValueError, match=r"^x0 must have the shape \(3,\) of one point, got "):
+            o2nc.run_o2nc(small_clipped_cfg(), oracle, T=20, seed=0, x0=x0)
+        assert calls == []
+
     def test_clipped_moves_bounded_by_scaled_radius(self):
         obj = o2nc.euclidean_norm(4)
         oracle = o2nc.StochasticOracle(obj, sigma=0.2)
@@ -227,7 +244,7 @@ class TestRunLoop:
             oracle = o2nc.StochasticOracle(obj, sigma=0.5)
             for _ in range(300):
                 x = rng.standard_normal(3) * 3
-                g = oracle.perturb(obj.grad(x), rng)
+                g = perturb(oracle, obj.grad(x), rng)
                 assert np.linalg.norm(g) <= obj.lipschitz * (1 + 1e-12)
 
     @pytest.mark.parametrize("value, grad, x0, sigma, message", [
@@ -255,7 +272,7 @@ class TestRunLoop:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(9)))
         x = np.array([0.5, 0.5])
         g = obj.grad(x)
-        noise = np.array([oracle.perturb(g, rng) - g for _ in range(40_000)])
+        noise = np.array([perturb(oracle, g, rng) - g for _ in range(40_000)])
         assert np.linalg.norm(noise.mean(axis=0)) <= 0.01
 
 
@@ -280,9 +297,12 @@ def reference_objective(obj):
     return dataclasses.replace(obj, grad=grads.get(obj.name, obj.grad))
 
 
-def reference_o2nc(cfg, oracle, T, seed, x0):
+def reference_o2nc(cfg, oracle, T, seed, x0, referees=False):
     """Copy of the driver loop as it ran with three true gradients a round:
-    one inside the oracle, one for the accumulator, one at the average."""
+    one inside the oracle, one for the accumulator, one at the average.
+    With ``referees`` each round takes Delta_t and g_t from the referees in
+    oracles, `reference_delta_for` and `perturb`, as run_o2nc did before its
+    clip and its draws went inline; s_t is always `exp_sample`'s."""
     obj = reference_objective(oracle.objective)
 
     def sample(x, rng):
@@ -307,6 +327,13 @@ def reference_o2nc(cfg, oracle, T, seed, x0):
         denom = cfg.nu + damping + math.sqrt((1.0 - cfg.beta2) * v)
         return -cfg.gamma * (1.0 - cfg.beta1) * m / denom
 
+    if referees:
+        def delta_for(m, v, beta1_pow):
+            return reference_delta_for(cfg, adam.AdamState(m, v, beta1_pow))
+
+        def sample(x, rng):
+            return perturb(oracle, obj.grad(x), rng)
+
     d = obj.dim
     x = np.asarray(x0, dtype=float).copy()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -317,7 +344,7 @@ def reference_o2nc(cfg, oracle, T, seed, x0):
     zero = 0
     for t in range(1, T + 1):
         delta = delta_for(m, v, beta1_pow)
-        s_t = o2nc.exp_sample(rng)
+        s_t = exp_sample(rng)
         x = x + s_t * delta
         g = sample(x, rng)
         acc = cfg.beta1 * acc + obj.grad(x)
@@ -356,10 +383,19 @@ class TestOneTrueGradientPerRound:
     @pytest.mark.parametrize("variant, make_cfg", VARIANT_CASES)
     @pytest.mark.parametrize("name, make_obj, x0", OBJECTIVE_CASES)
     def test_trace_equals_three_gradient_loop(self, name, make_obj, x0, variant, make_cfg):
-        cfg = make_cfg()
-        oracle = o2nc.StochasticOracle(make_obj(), sigma=0.4)
+        self.check(make_cfg(), make_obj(), x0, referees=False)
+
+    @pytest.mark.parametrize("variant, make_cfg", VARIANT_CASES)
+    @pytest.mark.parametrize("name, make_obj, x0", OBJECTIVE_CASES)
+    def test_trace_equals_the_loop_of_referees(self, name, make_obj, x0, variant, make_cfg):
+        # run_o2nc's inline clip and draws, against the functions they replaced
+        self.check(make_cfg(), make_obj(), x0, referees=True)
+
+    @staticmethod
+    def check(cfg, obj, x0, referees):
+        oracle = o2nc.StochasticOracle(obj, sigma=0.4)
         trace = o2nc.run_o2nc(cfg, oracle, T=300, seed=17, x0=x0)
-        fields, zero, final = reference_o2nc(cfg, oracle, 300, 17, x0)
+        fields, zero, final = reference_o2nc(cfg, oracle, 300, 17, x0, referees)
         assert np.array_equal(iterates(trace), fields.pop("xs"))
         assert np.array_equal(trace.xbar_final, fields.pop("xbars")[final])
         for key, ref in fields.items():
@@ -416,7 +452,7 @@ class TestBatchedKernels:
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), rounds=st.integers(1, 30))
     def test_one_normal_draw_of_d_plus_one(self, seed, d, rounds):
-        # StochasticOracle.perturb draws d + 1 normals at once, in place of d
+        # run_o2nc draws the oracle's d + 1 normals at once, in place of d
         # and then one; on Philox that is the same stream of values
         merged, split = philox_rng(seed), philox_rng(seed)
         for _ in range(rounds):
