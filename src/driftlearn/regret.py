@@ -189,8 +189,10 @@ def _peak(a: np.ndarray) -> float:
 # Floats of a block's temporaries, for k rounds over L rows: k L for the
 # weights and for each of the two margin arrays it holds at once, 2 L for
 # the taper of the weights, d L for the weighted rows that advance the
-# carried statistics and 4 k d for its vectors.  A block holds as many rounds
-# as fit, at least 1.
+# carried statistics and 4 k d for its vectors.  numpy stages the broadcast
+# of y into a margin array in a buffer as large as that array, so y comes
+# off the first margin array before the second is made.  A block holds as
+# many rounds as fit, at least 1.
 _BLOCK_FLOATS = 8192
 
 
@@ -262,10 +264,10 @@ def _margin_blocks(ledger: RegretLedger, U: np.ndarray, rounds: np.ndarray | ran
         step = mid - u[:n]
         mid += u[:n]
         mid *= 0.5
+        B = mid @ Zr
+        B -= yb  # before A exists: numpy's buffer for yb is as large as B
         A = step @ Zr
         A *= W[:n]
-        B = mid @ Zr
-        B -= yb
         D = row_dots(A, B)
         del A, B  # a block holds two margin arrays at once
         D += decay[:n] * row_dots(step, mid @ G - h)

@@ -1,8 +1,12 @@
 import dataclasses
+import tracemalloc
+import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from hypothesis import given, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
@@ -336,6 +340,11 @@ def run_fields(run):
     return run.yhats, run.losses_at_play, run.potential_increments
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestBlockedKernelMatchesPerRoundLoop:
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -356,9 +365,10 @@ class TestBlockedKernelMatchesPerRoundLoop:
         for new, ref in zip(run_fields(run), per_round_scipy_dvaw(stream, beta, lam)):
             assert_close(new, ref)
 
-    @pytest.mark.parametrize("d, T", [(8, 200), (5, 500)])
-    def test_default_budget_spans_several_blocks(self, d, T):
-        assert T >= 3 * (linreg._BLOCK_BYTES // (8 * d * d))
+    @pytest.mark.parametrize("d", [8, 5])
+    def test_default_budget_spans_several_blocks(self, d):
+        # three whole default blocks and a partial fourth, at any budget
+        T = 3 * default_block(d) + 7
         spec = StreamSpec(d=d, T=T, kind="rotating-target", segments=3, noise=0.3, seed=d)
         stream, _ = gen_stream(spec)
         run = linreg.run_dvaw(stream, 0.95, 0.5)
@@ -367,30 +377,140 @@ class TestBlockedKernelMatchesPerRoundLoop:
 
 
 class TestBlockSizeInvariance:
-    def test_one_round_blocks_equal_the_default(self, monkeypatch):
-        spec = StreamSpec(d=5, T=500, kind="piecewise-constant-target", segments=4,
-                          noise=0.1, seed=21)
+    # budgets of one round a block, the module's own, and four times it
+    @pytest.mark.parametrize("scale", [None, 1, 4], ids=["one-round", "default", "4x-default"])
+    @pytest.mark.parametrize("kind, d", [("piecewise-constant-target", 5),
+                                         ("rotating-target", 20)])
+    def test_every_budget_gives_the_same_bits(self, monkeypatch, kind, d, scale):
+        spec = StreamSpec(d=d, T=500, kind=kind, segments=4, noise=0.1, seed=21)
         stream, _ = gen_stream(spec)
         default = linreg.run_dvaw(stream, 0.99, 1.0)
-        monkeypatch.setattr(linreg, "_BLOCK_BYTES", 1)
-        one_round = linreg.run_dvaw(stream, 0.99, 1.0)
-        for a, b in zip(run_fields(default), run_fields(one_round)):
-            assert np.array_equal(a, b)
+        monkeypatch.setattr(linreg, "_BLOCK_BYTES",
+                            1 if scale is None else scale * linreg._BLOCK_BYTES)
+        run = linreg.run_dvaw(stream, 0.99, 1.0)
+        for a, b in zip(run_fields(default), run_fields(run)):
+            assert same_bits(a, b)
+
+
+def default_block(d):
+    """Rounds in one block of the module's budget at dimension d."""
+    return max(1, linreg._BLOCK_BYTES // (8 * d * d))
+
+
+def traced_peak(f):
+    """tracemalloc peak, in bytes, of a second call of ``f``."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    # One default block holds two (B, d, d) stacks at a time: the scan's
+    # input and output, then the output and its Cholesky factor.  The rest
+    # is O(B d): the scan's extra row, the right-hand sides, the solution
+    # and the block's outputs, within 6 B d floats.  A broadcast Gram fill
+    # (a buffer of about three stacks) breaks the bound.
+    @pytest.mark.parametrize("d", [5, 20])
+    def test_one_block_holds_two_stacks(self, d):
+        B = default_block(d)
+        rng = np.random.default_rng(d)
+        Z, y = rng.standard_normal((B, d)), rng.standard_normal(B)
+        peak = traced_peak(lambda: kernel(Z, y, 0.99, 1.0))
+        assert peak <= 8 * (2 * B * d * d + 6 * B * d)
+
+    # A run holds its T-length outputs (predictions, stability terms and
+    # losses) and one block's working set; at d = 20 the block's O(B d)
+    # arrays fit in half a stack.  A block that keeps the last block's
+    # stacks alive breaks the bound.
+    def test_a_run_holds_one_block_at_a_time(self):
+        T, d = 4000, 20
+        stream, _ = gen_stream(StreamSpec(d=d, T=T, kind="rotating-target", segments=3, seed=1))
+        peak = traced_peak(lambda: linreg.run_dvaw(stream, 0.99, 1.0))
+        assert peak <= 8 * 3 * T + 5 * linreg._BLOCK_BYTES // 2
+
+
+# The edge streams of the kernel, with their beta and lambda, and the
+# message each ends in.
+SINGULAR = ("regularized Gram matrix is numerically singular (lam*beta^t underflowed "
+            "against a rank-deficient history); use a larger lambda or a shorter horizon")
+EDGE_STREAMS = {
+    "rank-deficient": (np.tile([[1.0, 0.0]], (200, 1)), np.ones(200), 0.01, 1.0,
+                       linreg.SingularSystemError, SINGULAR),
+    # A_2 = beta A_1 = 1e-323 is positive but subnormal: its reciprocal in a
+    # solve is inf
+    "subnormal-pivot": (np.array([[1.0], [0.0]]), np.array([1.0, 0.0]), 5e-324, 1.0,
+                        linreg.SingularSystemError, SINGULAR),
+    # lam I + z z' passes the Cholesky factorization, yet is singular to LU
+    "singular-to-lu": (np.array([[-1e40, -1e40]]), np.array([-1e40]), 0.99, 1.0,
+                       ValueError, "discounted statistics are ill-conditioned; rescale the stream"),
+    "overflowing": (np.full((3, 2), 1e200), np.ones(3), 0.9, 1.0,
+                    ValueError, "discounted statistics overflowed; rescale the stream"),
+}
+
+
+class TestPublicLinalgOnlyReferees:
+    def test_healthy_runs_never_call_the_public_wrappers(self, monkeypatch):
+        streams = [gen_stream(StreamSpec(d=d, T=600, kind=kind, segments=3, seed=29))[0]
+                   for kind, d in (("rotating-target", 20), ("piecewise-constant-target", 5))]
+
+        def runs():
+            return [run_fields(linreg.run_dvaw(s, 0.99, 1.0)) for s in streams]
+
+        want = runs()
+
+        def referee(*args):
+            raise AssertionError("a healthy block called the public wrapper")
+
+        monkeypatch.setattr(np.linalg, "solve", referee)
+        monkeypatch.setattr(np.linalg, "cholesky", referee)
+        for got, ref in zip(runs(), want):
+            assert all(same_bits(g, w) for g, w in zip(got, ref))
+
+    def test_a_nan_the_public_solve_accepts_stays_in_the_solution(self, monkeypatch):
+        # LAPACK accepted the system, yet the solution overflowed to a nan:
+        # the public solve runs once, does not raise, and the nan flows on
+        def overflowed(A, rhs):
+            sol = _umath_linalg.solve(A, rhs)
+            sol[0, 0, 0] = np.nan
+            return sol
+
+        calls = []
+
+        def public_solve(*args):
+            calls.append(len(args[0]))
+            return solve(*args)
+
+        solve = np.linalg.solve
+        monkeypatch.setattr(linreg, "_umath_linalg", SimpleNamespace(
+            solve=overflowed, cholesky_lo=_umath_linalg.cholesky_lo))
+        monkeypatch.setattr(np.linalg, "solve", public_solve)
+        Z, y = np.array([[1.0, 0.5], [0.3, -1.0]]), np.array([1.0, 2.0])
+        _, _, X, yhats, _ = kernel(Z, y, 0.9, 1.0)
+        assert calls == [2] and np.isnan(X[0, 0]) and np.isnan(yhats[0])
+        with pytest.raises(ValueError, match="^discounted statistics overflowed; rescale the stream$"):
+            linreg.run_dvaw(Stream(Z, y), 0.9, 1.0)
 
 
 class TestKernelErrors:
-    def test_rank_deficient_stream_raises_singular_error(self):
-        T = 200
-        stream = Stream(np.tile([[1.0, 0.0]], (T, 1)), np.ones(T))
-        with pytest.raises(linreg.SingularSystemError, match="larger lambda"):
-            linreg.run_dvaw(stream, beta=0.01, lam=1.0)
-
-    def test_subnormal_pivot_raises_singular_error(self):
-        # A_2 = beta A_1 = 1e-323 is positive but subnormal: its reciprocal
-        # in a solve is inf
-        stream = Stream(np.array([[1.0], [0.0]]), np.array([1.0, 0.0]))
-        with pytest.raises(linreg.SingularSystemError, match="larger lambda"):
-            linreg.run_dvaw(stream, beta=5e-324, lam=1.0)
+    # each edge stream ends in its exact message, with warnings as errors:
+    # the kernel silences the flag of a failed LAPACK call itself, also
+    # outside run_dvaw's np.errstate
+    @pytest.mark.parametrize("edge", list(EDGE_STREAMS))
+    @pytest.mark.parametrize("entry", ["run_dvaw", "kernel"])
+    def test_edge_streams_keep_their_messages(self, edge, entry):
+        Z, y, beta, lam, error, message = EDGE_STREAMS[edge]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as exc:
+                if entry == "run_dvaw":
+                    linreg.run_dvaw(Stream(Z, y), beta, lam)
+                else:
+                    kernel(Z, y, beta, lam)
+        assert type(exc.value) is error and str(exc.value) == message
 
     def test_smallest_normal_pivot_square_still_solves(self):
         # a 1x1 Gram matrix equal to the smallest normal float is its pivot square
@@ -417,11 +537,6 @@ class TestKernelErrors:
         stream = Stream(np.ones((2, 2)), np.ones(2))
         with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
             linreg.run_dvaw(stream, beta=beta, lam=1.0)
-
-    def test_overflowing_stream_raises(self):
-        stream = Stream(np.full((3, 2), 1e200), np.ones(3))
-        with pytest.raises(ValueError, match="overflowed"):
-            linreg.run_dvaw(stream, beta=0.9, lam=1.0)
 
     def test_label_whose_square_overflows_raises(self):
         # y*z stays finite, so only y^2 (stability term, loss, log term) overflows

@@ -841,6 +841,33 @@ class TestSquaredLossMemory:
             tracemalloc.stop()
         assert peak <= 8 * (4 * T + 3 * regret._BLOCK_FLOATS)
 
+    # Over every round of a path that moves every round, the kernel keeps to
+    # the block budget.  Besides a block's temporaries it holds the carried
+    # statistics, a few k-length index and weight arrays and, before the
+    # first block, T floats of row bounds (fewer than the budget at this T):
+    # within 1024 floats more at these d.  numpy's buffer for the broadcast
+    # of y into a margin array while the other one is live breaks the bound.
+    @pytest.mark.parametrize("d", [5, 20])
+    @pytest.mark.parametrize("diag", [False, True], ids=["differences", "regrets"])
+    def test_kernel_keeps_to_the_block_budget(self, d, diag):
+        T = 4000
+        rng = np.random.default_rng(31)
+        ledger = random_quadratic_ledger(rng, T, d, beta=0.99, lam=1.0)
+        U = rng.standard_normal((T, d))
+
+        def drain():
+            for _ in regret._margin_blocks(ledger, U, range(1, T + 1), diag):
+                pass
+
+        drain()
+        tracemalloc.start()
+        try:
+            drain()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (regret._BLOCK_FLOATS + 1024)
+
     # P_T^g holds the moved rounds, their phi steps and one power array of
     # the weights, besides one chunk's temporaries within the block budget:
     # its losses and one array as large (numpy's buffer for the broadcast of
