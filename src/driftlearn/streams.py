@@ -285,57 +285,61 @@ def path_to_csv(path: ComparatorPath, header_comment: str | None = None) -> str:
     return csv_text([f"u_{j}" for j in range(path.d)], [path.U], header_comment)
 
 
-def _content_lines(text: str) -> Iterator[str]:
+def _content_lines(text: str) -> list[str]:
     """Stripped lines of ``text`` that are neither blank nor ``#`` comments."""
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield line
+    return [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
 
 
 def _parse_csv(text: str, lead: list[str], prefix: str) -> np.ndarray:
     """Rows of a CSV whose header is ``lead`` then prefix0..prefix{d-1}, d >= 1.
 
     Every row must have the header's column count, the ``t`` column must
-    run 1..T, and at least one row must follow the header.
+    run 1..T, and at least one row must follow the header.  One
+    ``np.loadtxt`` pass reads the rows, so the fault reported is the first
+    column-count or cell fault in row order; the ``t`` column is checked
+    after the parse.  loadtxt takes its column count from the first row it
+    reads, so that row's width is checked here; for later rows loadtxt's
+    own message (``the number of columns changed from n to w at row r``)
+    is mapped to ``CSV row r: expected n columns, got w``.  A numpy that
+    rewords it fails the reader's single-fault tests first.
     """
     lines = _content_lines(text)
-    header = next(lines, None)
-    if header is None:
+    if not lines:
         raise StreamSpecError("empty CSV")
+    header = lines[0]
     names = header.split(",")
     d = len(names) - len(lead)
     if d < 1 or names != lead + [f"{prefix}{j}" for j in range(d)]:
         want = ",".join(lead + [f"{prefix}0", "...", f"{prefix}{{d-1}}"])
         raise StreamSpecError(f"CSV header must be {want}, got {header!r}")
-    first = next(lines, None)
-    if first is None:
+    if len(lines) == 1:
         raise StreamSpecError("CSV has a header but no rows")
-
-    def rows() -> Iterator[str]:
-        for t, line in enumerate(itertools.chain([first], lines), 1):
-            width = line.count(",") + 1
-            if width != len(names):
-                raise StreamSpecError(
-                    f"CSV row {t}: expected {len(names)} columns, got {width}"
-                )
-            yield line
-
+    width = lines[1].count(",") + 1
+    if width != len(names):
+        raise StreamSpecError(f"CSV row 1: expected {len(names)} columns, got {width}")
     try:
-        data = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2)
-    except StreamSpecError:
-        raise
-    except ValueError as exc:  # numpy counts the data rows from 0
-        bad = re.search(r"could not convert string (.*) to \w+ at row (\d+)", str(exc))
-        if bad is None:
-            raise StreamSpecError(f"CSV: {exc}") from exc
-        raise StreamSpecError(
-            f"CSV row {int(bad[2]) + 1}: could not convert string to float: {bad[1]}"
-        ) from exc
+        # islice, not lines[1:], so the rows are not copied into a second
+        # list; max_rows sizes the result once instead of growing it
+        data = np.loadtxt(itertools.islice(lines, 1, None), delimiter=",", comments=None,
+                          ndmin=2, max_rows=len(lines) - 1)
+    except ValueError as exc:
+        message = str(exc)
+        bad = re.search(r"could not convert string (.*) to \w+ at row (\d+)", message)
+        if bad is not None:  # numpy counts this row from 0
+            raise StreamSpecError(
+                f"CSV row {int(bad[2]) + 1}: could not convert string to float: {bad[1]}"
+            ) from exc
+        ragged = re.search(r"number of columns changed from (\d+) to (\d+) at row (\d+)", message)
+        if ragged is not None:  # and this one from 1
+            raise StreamSpecError(
+                f"CSV row {ragged[3]}: expected {ragged[1]} columns, got {ragged[2]}"
+            ) from exc
+        raise StreamSpecError(f"CSV: {exc}") from exc
+    del lines  # not held through the t check; its error path re-reads text
     wrong = np.flatnonzero(data[:, 0] != np.arange(1, len(data) + 1))
     if wrong.size:
         t = int(wrong[0]) + 1
-        cell = next(itertools.islice(_content_lines(text), t, None)).split(",")[0]
+        cell = _content_lines(text)[t].split(",")[0]
         raise StreamSpecError(f"CSV row {t}: t must be {t}, got {cell}")
     return data
 

@@ -232,20 +232,30 @@ def assert_one_error_line(code, err):
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "text",
+        "text, fault",
         [
-            "t,y,z_0,z_1\n",                          # header only
-            "t,y,z_0,z_1\n1,0.5,0.1\n2,0.5,0.2\n",  # ragged: one feature per row
-            "t,y,z_0\n1,0.5,0.1\n3,0.5,0.2\n",      # t skips a round
+            ("t,y,z_0,z_1\n", "has a header but no rows"),
+            ("t,y,z_0,z_1\n1,0.5,0.1\n2,0.5,0.2\n", "row 1: expected 4 columns"),
+            ("t,y,z_0\n1,0.5,0.1\n3,0.5,0.2\n", "row 2: t must be 2"),
+            ("t,y,z_0\n1,0.5,0.1\n2,0.5,0.2\n3,0.5\n4,0.5,0.1\n", "row 3: expected 3 columns"),
         ],
-        ids=["header-only", "ragged", "t-gap"],
+        ids=["header-only", "ragged", "t-gap", "ragged-row-3"],
     )
-    def test_bad_stream_exits_one(self, capsys, tmp_path, text):
+    def test_bad_stream_exits_one(self, capsys, tmp_path, text, fault):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         code, _, err = run_cli(capsys, "run-vaw", "--beta", "0.9", "--stream", str(bad))
         assert_one_error_line(code, err)
-        assert str(bad) in err
+        assert f"error: stream: {bad}: CSV {fault}" in err
+
+    def test_ragged_truth_exits_one_naming_the_file_and_row(self, capsys, tmp_path):
+        stream = make_stream(capsys, tmp_path, name="s.csv")
+        bad = tmp_path / "bad.truth.csv"
+        bad.write_text("t,u_0,u_1\n1,0.5,0.1\n2,0.5,0.1,0.2\n3,0.5,0.1\n")
+        code, _, err = run_cli(capsys, "run-vaw", "--beta", "0.9", "--stream", str(stream),
+                               "--truth", str(bad))
+        assert_one_error_line(code, err)
+        assert f"error: truth: {bad}: CSV row 2: expected 3 columns, got 4" in err
 
     @pytest.mark.parametrize("other", [dict(d=3), dict(T=30)], ids=["d", "T"])
     def test_truth_shape_mismatch_exits_one(self, capsys, tmp_path, other):
@@ -1003,6 +1013,8 @@ class TestDeterminism:
                   "--Fstar", "1", "--nu", "1"]
     VAW_GEN = ["--d", "3", "--T", "200", "--seed", "1"]
     VAW_RUN = ["run-vaw", "--beta", "0.9", "--lambda", "1"]
+    VAW_PIECEWISE_GEN = ["gen", "--kind", "piecewise-constant-target", *VAW_GEN,
+                         "--segments", "4", "--noise", "0.1"]
     LOGISTIC_GEN = ["gen", "--kind", "logistic-drift", "--d", "3", "--T", "200",
                     "--segments", "4", "--noise", "0.2", "--seed", "1"]
     LOGISTIC_600 = ["--kind", "logistic-drift", "--d", "3", "--T", "600", "--segments", "4",
@@ -1022,8 +1034,7 @@ class TestDeterminism:
             (["run-o2nc", "--variant", "clipfree", "--T", "200", "--seed", "1"],
              "o2nc-clipfree"),
             # (gen, run): gen writes the stream and its truth into tmp_path first
-            ((["gen", "--kind", "piecewise-constant-target", *VAW_GEN, "--segments", "4",
-               "--noise", "0.1"], VAW_RUN), "vaw-piecewise"),
+            ((VAW_PIECEWISE_GEN, VAW_RUN), "vaw-piecewise"),
             ((["gen", "--kind", "rotating-target", *VAW_GEN], VAW_RUN), "vaw-rotating"),
             ((LOGISTIC_GEN, ["run-aioli", "--beta", "0.9"]), "aioli-logistic"),
             ((LOGISTIC_GEN, ["run-ensemble", "--grid", "true"]), "ensemble-logistic"),
@@ -1047,6 +1058,29 @@ class TestDeterminism:
         assert (code, err) == (0, "")
         summary = (expected / f"{golden}.summary.json").read_text()
         assert out.read_text() == (expected / f"{golden}.csv").read_text()
+        assert out.with_suffix(".summary.json").read_text() == summary
+        assert stdout == summary
+
+    # The reader end to end: a `#` comment and a blank line mid-body, CRLF
+    # line ends and spaces around the cells of the stream and its truth
+    # change no byte of run-vaw's artifacts (paths are not hashed)
+    def test_run_vaw_reads_a_messy_golden_stream_to_the_golden_text(self, capsys, tmp_path):
+        clean = tmp_path / "s.csv"
+        assert run_cli(capsys, *self.VAW_PIECEWISE_GEN, "--out", str(clean))[0] == 0
+        messy = tmp_path / "messy.csv"
+        for src, dst in ((clean, messy), (clean.with_suffix(".truth.csv"),
+                                           messy.with_suffix(".truth.csv"))):
+            comment, header, *body = src.read_text().splitlines()
+            body = ["  " + " , ".join(row.split(",")) + " " for row in body]
+            body[len(body) // 2:len(body) // 2] = ["# a note mid-body", ""]
+            dst.write_bytes("\r\n".join([comment, header, *body, ""]).encode())
+        out = tmp_path / "o.csv"
+        code, stdout, err = run_cli(capsys, *self.VAW_RUN, "--stream", str(messy),
+                                    "--out", str(out))
+        assert (code, err) == (0, "")
+        expected = Path(__file__).parent / "golden"
+        assert out.read_text() == (expected / "vaw-piecewise.csv").read_text()
+        summary = (expected / "vaw-piecewise.summary.json").read_text()
         assert out.with_suffix(".summary.json").read_text() == summary
         assert stdout == summary
 

@@ -1,5 +1,7 @@
 import io
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,6 +489,11 @@ class TestCsvStrictParse:
             "t,y,z_0\n1,0.5,0.1\n\n# c\n2,0.5,0.1\n3,0.5,x\n",
             "t,y,z_0\n1,0.5,0.1\n2,0.5,\n",
             "t,y,z_0\n1,0.5,0.1 # trailing note\n",
+            # past row 1 a ragged row is loadtxt's own column check, mapped
+            "t,y,z_0\n1,0.5,0.1\n2,0.5,0.2\n\n# c\n3,0.5\n4,0.5,0.1\n",
+            "t,y,z_0\n1,0.5,0.1\n2,0.5,0.1,0.2\n3,0.5,0.1\n",
+            "t,y,z_0\r\n1,0.5,0.1\r\n2,0.5,0.2\r\n3,0.5\r\n",
+            "t,y,z_0\n1,0.5,0.1\n2,0.5,0.1\n3,0.5,0.1\n4,,0.1\n",
         ],
     )
     def test_single_fault_messages_match_the_rowwise_reader(self, text):
@@ -566,26 +573,53 @@ class TestCodecMatchesRowwiseWriters:
         assert got == rowwise_ensemble_csv(mix, experts, comment)
 
 
-def _messy_csv(draw_text, header, data):
-    """``data`` as CSV with comments and blank lines between rows, CRLF or LF
-    line ends and spaces or tabs around cells."""
+def _cell_rows(data):
+    """The cells of each row of ``data`` as the writer gives them, t first."""
+    return [[str(t), *map(repr, row)] for t, row in enumerate(data.tolist(), 1)]
+
+
+def _messy_csv(draw_text, header, rows):
+    """Rows of cells as CSV with comments and blank lines between rows, CRLF
+    or LF line ends and spaces or tabs around cells."""
     blank = st.sampled_from(["", "   ", "\t", "# note", "  # t,y,1,2"])
     pad = st.sampled_from(["", " ", "\t", "  "])
     end = draw_text(st.sampled_from(["\n", "\r\n"]))
     lines = [draw_text(blank) for _ in range(draw_text(st.integers(0, 2)))]
     lines.append(header)
-    for t, row in enumerate(data.tolist(), 1):
+    for cells in rows:
         lines += [draw_text(blank) for _ in range(draw_text(st.integers(0, 1)))]
-        cells = [str(t)] + [repr(v) for v in row]
         lines.append(",".join(f"{draw_text(pad)}{c}{draw_text(pad)}" for c in cells))
     return end.join(lines) + draw_text(st.sampled_from(["", end]))
+
+
+FAULTS = ("short", "long", "empty", "bad")
+# cells that float() and loadtxt both refuse, and that no strip turns into
+# a comment line
+BAD_CELLS = st.sampled_from(["x", "abc", "1.2.3", "--1", "0.5 # note", "1e", "0x1"])
+
+
+def _inject(draw_text, cells, fault):
+    """``cells`` with one column-count or cell fault."""
+    cells = list(cells)
+    if fault == "short":
+        cells.pop()
+    elif fault == "long":
+        cells.append(repr(draw_text(FINITE)))
+    else:
+        j = draw_text(st.integers(0, len(cells) - 1))
+        cells[j] = "" if fault == "empty" else draw_text(BAD_CELLS)
+    return cells
+
+
+def _header(lead, prefix, d):
+    return ",".join(lead + [f"{prefix}{j}" for j in range(d)])
 
 
 class TestCodecMatchesRowwiseReader:
     @given(data=table(st.integers(2, 7)), draw=st.data())
     def test_stream(self, data, draw):
-        header = ",".join(["t", "y"] + [f"z_{j}" for j in range(data.shape[1] - 1)])
-        text = _messy_csv(draw.draw, header, data)
+        header = _header(["t", "y"], "z_", data.shape[1] - 1)
+        text = _messy_csv(draw.draw, header, _cell_rows(data))
         want = rowwise_parse_csv(text, ["t", "y"], "z_")
         got = streams.stream_from_csv(text)
         assert got.Z.tobytes() == want[:, 2:].tobytes()
@@ -593,7 +627,73 @@ class TestCodecMatchesRowwiseReader:
 
     @given(data=table(st.integers(1, 6), ANY_FLOAT), draw=st.data())
     def test_path(self, data, draw):
-        header = ",".join(["t"] + [f"u_{j}" for j in range(data.shape[1])])
-        text = _messy_csv(draw.draw, header, data)
+        header = _header(["t"], "u_", data.shape[1])
+        text = _messy_csv(draw.draw, header, _cell_rows(data))
         want = rowwise_parse_csv(text, ["t"], "u_")
         assert streams.path_from_csv(text).U.tobytes() == want[:, 1:].tobytes()
+
+    @given(data=table(st.integers(2, 6)), fault=st.sampled_from(FAULTS), draw=st.data())
+    @pytest.mark.parametrize(
+        "lead, prefix, read",
+        [(["t", "y"], "z_", streams.stream_from_csv), (["t"], "u_", streams.path_from_csv)],
+        ids=["stream", "truth"],
+    )
+    def test_one_fault_gives_the_referees_message(self, lead, prefix, read, data, fault, draw):
+        rows = _cell_rows(data)
+        t = draw.draw(st.integers(1, len(rows)), label="faulty row")
+        rows[t - 1] = _inject(draw.draw, rows[t - 1], fault)
+        d = data.shape[1] - (len(lead) - 1)  # data holds every column but t
+        text = _messy_csv(draw.draw, _header(lead, prefix, d), rows)
+        with pytest.raises(streams.StreamSpecError) as want:
+            rowwise_parse_csv(text, lead, prefix)
+        with pytest.raises(streams.StreamSpecError) as got:
+            read(text)
+        assert str(got.value) == str(want.value)
+        assert str(want.value).startswith(f"CSV row {t}: ")
+
+    # t faults stay out: the t column is checked after the parse, so a t
+    # fault before a column or cell fault is not the one reported
+    @given(
+        data=table(st.integers(2, 6), max_rows=12).filter(lambda a: len(a) >= 2),
+        faults=st.tuples(st.sampled_from(FAULTS), st.sampled_from(FAULTS)),
+        draw=st.data(),
+    )
+    def test_of_two_faults_the_earlier_row_is_named(self, data, faults, draw):
+        rows = _cell_rows(data)
+        first = draw.draw(st.integers(1, len(rows) - 1), label="first faulty row")
+        second = draw.draw(st.integers(first + 1, len(rows)), label="second faulty row")
+        for t, fault in zip((first, second), faults):
+            rows[t - 1] = _inject(draw.draw, rows[t - 1], fault)
+        text = _messy_csv(draw.draw, _header(["t", "y"], "z_", data.shape[1] - 1), rows)
+        with pytest.raises(streams.StreamSpecError) as want:
+            rowwise_parse_csv(text, ["t", "y"], "z_")
+        with pytest.raises(streams.StreamSpecError) as got:
+            streams.stream_from_csv(text)
+        assert str(got.value) == str(want.value)
+        assert str(want.value).startswith(f"CSV row {first}: ")
+
+
+class TestReaderMemory:
+    # The reader holds the content lines, a list of them and the parsed
+    # array, and little else.  A second copy of the list (lines[1:]), the
+    # lines kept alive through the t check, or a result grown by
+    # over-allocation instead of sized by max_rows each break the bound.
+    @pytest.mark.parametrize("role", ["stream", "truth"])
+    def test_peak_is_the_lines_and_the_array(self, role):
+        s, truth = streams.gen_stream(streams.StreamSpec(d=5, T=4000, segments=8, noise=0.1, seed=1))
+        if role == "stream":
+            text, read = streams.stream_to_csv(s, "c"), streams.stream_from_csv
+        else:
+            text, read = streams.path_to_csv(truth, "c"), streams.path_from_csv
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        budget = (sum(map(sys.getsizeof, lines)) + 8 * len(lines)
+                  + 8 * (len(lines) - 1) * len(lines[0].split(",")) + 16 * 1024)
+        del lines
+        read(text)
+        tracemalloc.start()
+        try:
+            read(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
