@@ -42,6 +42,9 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1, not argparse's 2
+        # argparse's own errors get the banner; a fault in a value or a
+        # file's contents is one error line
+        build_parser().print_usage(sys.stderr)
         raise UsageError(message)
 
 
@@ -643,11 +646,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if _maybe_emit_config(values, args):
             return EXIT_OK
         return handler(values)
-    except UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (UsageError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,38 +21,46 @@ the prediction yhat_t.
 
 Every learner here runs on one kernel over a leading expert axis: N
 learners with their own discounts keep A as an (N, d, d) stack and w as
-(N, d).  A round makes one stacked solve against [w, z] for all decisions
-and one stacked Cholesky factorization of the updated stack, which fails
-if a matrix has turned indefinite.  Both call numpy's LAPACK gufuncs
+(N, d).  A round makes one stacked solve against [w, z] for all decisions,
+one scalar root per expert, and the update of A and w.  The updates of a
+block of L rounds go into one buffer of L + 1 states, row 0 holding the
+state the block starts from, and one stacked Cholesky factorization of the
+block's L matrices checks, at the block's end, that none has turned
+indefinite; L is set by a private byte budget, and results do not depend
+on it.  Both LAPACK calls go to numpy's gufuncs
 (``numpy.linalg._umath_linalg``) directly: at these small stacks the
 public wrappers cost more than the gufunc.  A gufunc does not raise;
-numpy fills a stack entry that LAPACK rejects with nan.  Only a round
-whose solution or factor holds a nan calls ``np.linalg.solve`` or
-``np.linalg.cholesky``, which raise ``LinAlgError`` on the same LAPACK
-flag: they are the referee that names the first failing expert.  The discount
-ensemble advances its N experts this way and ``run_aioli`` is the N = 1
-case; those two runners are the only drivers of the stack.  The roots stay
-scalar, one ``solve_optimism_root`` call per expert and round: they take a
-few Newton steps each, and a masked Newton over the expert axis would pay
-numpy's fixed cost per call on every step for only N elements.
+numpy fills a stack entry that LAPACK rejects with nan.  Only a solve or a
+factor that holds a nan calls ``np.linalg.solve`` or ``np.linalg.cholesky``,
+which raise ``LinAlgError`` on the same LAPACK flag: they are the referee
+that names the first failing expert.  An error raised inside a block first
+checks the block's earlier rounds, so a matrix that turned indefinite at
+round t is reported before anything a later round raises, as a check after
+every round would.  The discount ensemble advances its N experts this way
+and ``run_aioli`` is the N = 1 case; those two runners are the only drivers
+of the stack.  The roots stay scalar, one ``solve_optimism_root`` call per
+expert and round: they take a few Newton steps each, and a masked Newton
+over the expert axis would pay numpy's fixed cost per call on every step
+for only N elements.
 
 Only the learner state is sequential.  ``run_ensemble``'s loop advances
 the expert stack and records the (T, N) expert predictions; the expert
 losses, the exponential weights, the mixture and its losses depend on
-those alone and are computed after the loop.  ``run_aioli`` likewise takes
-its discounted stability sums and beta^t after the loop.
+those alone and are computed after the loop.  ``run_aioli`` rebuilds each
+block's decisions and stationarity residuals from the block's states, and
+takes its discounted stability sums and beta^t after the loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from driftlearn.regret import RegretLedger, path_variation
+from driftlearn.regret import RegretLedger, path_variation, row_dots
 from driftlearn.streams import ComparatorPath, Stream, discounted_scan
 
 ROOT_MAX_ITERS = 200
@@ -62,6 +70,11 @@ _MINUS_PLUS = np.array([-1.0, 1.0])
 _TINY = np.finfo(float).tiny
 # Rows per block of run_ensemble's work after its loop; bounds the temporaries.
 _MIX_BLOCK = 64
+# Bytes of one (L, N, d, d) stack of expert matrices; a block of the learner
+# loop holds L = max(1, this // (8 N d^2)) rounds.  Its working set is that
+# stack twice (the block's states and their Cholesky factor) and, in
+# run_aioli, O(L d) floats for the residuals.
+_BLOCK_BYTES = 1 << 15
 
 
 def __getattr__(name: str):
@@ -91,7 +104,8 @@ def sigmoid(x):
         except OverflowError:
             return 0.0
     x = np.asarray(x, dtype=float)
-    return _sigmoid_of_negated(np.negative(x, out=np.empty(x.shape)))
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives 1/inf = 0
+        return _sigmoid_of_negated(np.negative(x, out=np.empty(x.shape)))
 
 
 def _sigmoid_pm(x: np.ndarray) -> np.ndarray:
@@ -101,9 +115,9 @@ def _sigmoid_pm(x: np.ndarray) -> np.ndarray:
 
 def _sigmoid_of_negated(s: np.ndarray) -> np.ndarray:
     """Overwrite ``s``, which holds -x, with sigmoid(x) and return it; every
-    step runs in that one buffer."""
-    with np.errstate(over="ignore"):  # exp(-x) = inf gives 1/inf = 0
-        np.exp(s, out=s)
+    step runs in that one buffer.  Where exp(-x) overflows, 1/inf gives 0:
+    callers silence the overflow flag."""
+    np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
 
@@ -160,13 +174,14 @@ class _Experts:
     (N, d) negated discounted linear coefficients of the surrogates
     (constant terms are dropped, they do not move the argmin), ``beta``
     the (N,) discounts, ``scale`` = 1 + BR and ``t`` the rounds absorbed.
-    A round costs one stacked LAPACK solve (p and q), one stacked
-    Cholesky factorization (the update's positive-definiteness check),
-    both through numpy's gufuncs, and one scalar optimism root per expert.
-    ``np.linalg.solve`` and ``np.linalg.cholesky`` run only on a round
-    whose gufunc output holds a nan, as the referee of which expert failed.
-    Updates rebind ``A`` and ``w`` to new arrays, so views handed out
-    earlier keep their values.
+    A round costs one stacked LAPACK solve (p and q) through numpy's
+    gufunc, one scalar optimism root per expert and the update, which
+    writes A_t and w_t into rows of :meth:`run`'s block buffer and makes
+    them the state; the matrices' positive-definiteness is checked once
+    per block, by one stacked Cholesky factorization.  ``np.linalg.solve``
+    and ``np.linalg.cholesky`` run only where a gufunc output holds a nan,
+    as the referee of which expert failed.  After :meth:`run`, ``A`` and
+    ``w`` are arrays of their own.
     """
 
     beta: np.ndarray
@@ -191,12 +206,64 @@ class _Experts:
             A=np.broadcast_to(lam * np.eye(d), (n, d, d)).copy(), w=np.zeros((n, d)),
         )
 
-    def decide(
-        self, z: np.ndarray
-    ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-        """The pair (A_i^{-1}w_i, A_i^{-1}z/beta_i) of (N, d) arrays,
-        predictions v (N,) and q (N,) for feature z; :meth:`decisions`
-        builds the decisions x_i from the pair and v.
+    def run(
+        self, Z: np.ndarray, ys: Iterator[float], yhats: np.ndarray,
+        c2q: np.ndarray | None = None, settle=None,
+    ) -> None:
+        """Advance every expert over the rounds (Z, ys), ``ys`` an iterator
+        of T floats.
+
+        Round t writes the (N,) predictions into ``yhats[t]`` and, when
+        ``c2q`` is given, c2 q into ``c2q[t]`` (both (T, N) arrays).  The
+        rounds go in blocks of L, each written into one buffer of states
+        ``As`` (L+1, N, d, d) and ``ws`` (L+1, N, d): row k holds A and w
+        after the block's k-th round, row 0 the state the block starts
+        from.  At a block's end :meth:`_guard` checks rows 1..L, then
+        ``settle(lo, As, ws)``, when given, reads the block's rows, its
+        first round lo + 1.
+        """
+        T = len(Z)
+        N, d = self.w.shape
+        L = max(1, min(T, _BLOCK_BYTES // (8 * N * d * d)))
+        As = np.empty((L + 1, N, d, d))
+        ws = np.empty((L + 1, N, d))
+        for lo in range(0, T, L):
+            rounds = slice(lo, min(lo + L, T))
+            n = rounds.stop - lo
+            As[0], ws[0] = self.A, self.w
+            self.A, self.w = As[0], ws[0]
+            self._block(lo, Z[rounds], ys, As[:n + 1], ws[:n + 1], yhats[rounds],
+                        None if c2q is None else c2q[rounds])
+            self._guard(As[1:n + 1], lo)
+            if settle is not None:
+                settle(lo, As[:n + 1], ws[:n + 1])
+        self.A, self.w = self.A.copy(), self.w.copy()
+
+    def _block(
+        self, lo: int, Z: np.ndarray, ys: Iterator[float], As: np.ndarray,
+        ws: np.ndarray, yhats: np.ndarray, c2q: np.ndarray | None,
+    ) -> None:
+        """The sequential core of :meth:`run`: the block's rounds lo+1, ...,
+        each a :meth:`decide` and an :meth:`absorb` into the next row of
+        ``As`` and ``ws``.  An error in a round first hands the rows of the
+        rounds before it to :meth:`_guard`, so an update that failed its
+        check is reported before anything a later round raises."""
+        # einsum's products are z[:, None] * z's, without its temporaries
+        ZZ = np.einsum("bi,bj->bij", Z, Z)
+        # ys after range: zip stops at the block's end without taking a label
+        for k, z, zz, y, row in zip(range(1, len(Z) + 1), Z, ZZ, ys, yhats):
+            try:
+                v, q = self.decide(z)
+            except Exception:
+                self._guard(As[1:k], lo)
+                raise
+            c2 = self.absorb(z, zz, y, v, As[k], ws[k])
+            row[:] = v
+            if c2q is not None:
+                c2q[k - 1] = c2 * q
+
+    def decide(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions v (N,) and q (N,) for feature z.
 
         Expert i's stationarity condition beta_i A_i x + tanh(v/2) z =
         beta_i w_i with v = z.x reduces to v + q_i tanh(v/2) = p_i with
@@ -213,64 +280,60 @@ class _Experts:
         rhs[:, :, 0] = self.w
         rhs[:, :, 1] = z
         sol = _umath_linalg.solve(self.A, rhs)
-        ainv_w = sol[:, :, 0]
-        ainv_z = sol[:, :, 1] / self.beta[:, None]
-        p = ainv_w @ z
-        q = ainv_z @ z
+        p = sol[:, :, 0] @ z
+        q = (sol[:, :, 1] / self.beta[:, None]) @ z
         ps, qs = p.tolist(), q.tolist()
         if not all(map(math.isfinite, ps + qs)):  # cheaper than numpy at small N
             # a singular A comes back as nan: the public solve names it
-            self._checked(np.linalg.solve, ValueError, _ILL_CONDITIONED, self.A, rhs)
+            self._checked(np.linalg.solve, ValueError, _ILL_CONDITIONED, self.t + 1,
+                          self.A, rhs)
             i = next(i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
-            raise ValueError(self._failure(i, _OVERFLOWED))
+            raise ValueError(self._failure(i, _OVERFLOWED, self.t + 1))
         if min(qs) < 0.0:
-            raise ValueError(self._failure(qs.index(min(qs)), _ILL_CONDITIONED))
+            raise ValueError(self._failure(qs.index(min(qs)), _ILL_CONDITIONED, self.t + 1))
         v = np.array([solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)])
-        return (ainv_w, ainv_z), v, q
-
-    @staticmethod
-    def decisions(ainv: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
-        """Decisions x_i = A_i^{-1}w_i - tanh(v_i/2) A_i^{-1}z/beta_i (N, d)
-        from :meth:`decide`'s pair and roots."""
-        ainv_w, ainv_z = ainv
-        return ainv_w - np.tanh(0.5 * v)[:, None] * ainv_z
-
-    def residuals(self, z: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Sup-norm of beta A x + tanh((z.x)/2) z - beta w at each decision."""
-        beta = self.beta[:, None]
-        grad = (
-            beta * (self.A @ X[:, :, None])[:, :, 0]
-            + np.tanh(0.5 * (X @ z))[:, None] * z
-            - beta * self.w
-        )
-        return np.max(np.abs(grad), axis=1)
+        return v, q
 
     def absorb(
-        self, z: np.ndarray, y: float, yhats: np.ndarray, q: np.ndarray
+        self, z: np.ndarray, zz: np.ndarray, y: float, yhats: np.ndarray,
+        A: np.ndarray, w: np.ndarray,
     ) -> np.ndarray:
         """Fold the revealed label into every expert's statistics.
 
-        ``yhats`` and ``q`` are this round's :meth:`decide` outputs.
-        Returns the stability increments c2 z'A_new^{-1}z.  With A_new =
-        beta A + c2 z z' they are c2 q/(1 + c2 q) (Sherman-Morrison), so
-        they need no second solve.  A factor that holds a nan (an
-        indefinite A, or one LAPACK could not factor) hands A to the public
-        Cholesky, which raises for the first expert it rejects.
+        ``zz`` is the outer product z z' and ``yhats`` are this round's
+        :meth:`decide` predictions.  Writes A_t = beta A + c2 z z' into
+        ``A`` and w_t into ``w``, both of the state's shape, makes them the
+        state, and returns the curvature weights c2 (N,).  With q from
+        :meth:`decide`, c2 q/(1 + c2 q) is the stability increment
+        c2 z'A_t^{-1}z (Sherman-Morrison), so it needs no second solve.
+        Nothing here checks A_t: :meth:`_guard` does, for a block of rounds
+        at once.  Callers silence the overflow flag, as the runners do.
         """
         s_pos, s_neg = _sigmoid_pm(y * yhats)
         c2 = s_pos * s_neg / self.scale
-        A = self.beta[:, None, None] * self.A + c2[:, None, None] * (z[:, None] * z)
-        if math.isnan(_umath_linalg.cholesky_lo(A).sum()):
-            self._checked(np.linalg.cholesky, RuntimeError, _INDEFINITE, A)
-        self.A = A
+        np.multiply(self.beta[:, None, None], self.A, out=A)
+        A += c2[:, None, None] * zz
+        np.multiply(self.beta[:, None], self.w, out=w)
+        w += (y * s_neg + c2 * yhats)[:, None] * z
+        self.A, self.w = A, w
         self.t += 1
-        self.w = self.beta[:, None] * self.w + (y * s_neg + c2 * yhats)[:, None] * z
-        c2q = c2 * q
-        return c2q / (1.0 + c2q)
+        return c2
 
-    def _checked(self, factor, error: type, failure: tuple, *stacks):
+    def _guard(self, As: np.ndarray, lo: int) -> None:
+        """Check the (k, N, d, d) matrices of rounds lo+1..lo+k with one
+        stacked Cholesky factorization.  A factor that holds a nan (an
+        indefinite A, or one LAPACK could not factor) hands its round's
+        stack to the public Cholesky, earliest round first, which raises
+        for the first expert it rejects."""
+        factors = _umath_linalg.cholesky_lo(As)
+        if math.isnan(factors.sum()):
+            for k in np.flatnonzero(np.isnan(factors).any(axis=(1, 2, 3))).tolist():
+                self._checked(np.linalg.cholesky, RuntimeError, _INDEFINITE, lo + k + 1, As[k])
+
+    def _checked(self, factor, error: type, failure: tuple, t: int, *stacks):
         """``factor(*stacks)``; a ``LinAlgError`` raises ``error`` for the
-        first expert whose entries of ``stacks`` ``factor`` rejects."""
+        first expert whose entries of ``stacks`` ``factor`` rejects, at
+        round t."""
         try:
             return factor(*stacks)
         except np.linalg.LinAlgError:
@@ -280,13 +343,13 @@ class _Experts:
                 factor(*args)
             except np.linalg.LinAlgError:
                 break
-        raise error(self._failure(i, failure))
+        raise error(self._failure(i, failure, t))
 
-    def _failure(self, i: int, failure: tuple) -> str:
-        """Expert i's failure in this round; a tiny beta underflows lam beta^t."""
+    def _failure(self, i: int, failure: tuple, t: int) -> str:
+        """Expert i's failure at round t; a tiny beta underflows lam beta^t."""
         what, remedy = failure
         beta = float(self.beta[i])
-        return f"{what} at round {self.t + 1} for beta={beta}; use a larger beta or {remedy}"
+        return f"{what} at round {t} for beta={beta}; use a larger beta or {remedy}"
 
 
 @dataclass
@@ -314,21 +377,53 @@ def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> Ai
         raise ValueError("logistic streams need labels in {+1, -1}")
     experts = _Experts.fresh(stream.d, [beta], lam, B, R)
     T = stream.T
-    yhats = np.empty(T)
-    stab_incs = np.empty(T)
+    yhats = np.empty((T, 1))
+    c2q = np.empty((T, 1))
     resid = np.empty(T)
+
+    def settle(lo: int, As: np.ndarray, ws: np.ndarray) -> None:
+        rounds = slice(lo, lo + len(As) - 1)
+        resid[rounds] = _residuals(As[:, 0], ws[:, 0], stream.Z[rounds], yhats[rounds, 0],
+                                   experts.beta[0])
+
     with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
-        for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
-            ainv, yh, q = experts.decide(z)
-            resid[t] = experts.residuals(z, experts.decisions(ainv, yh))[0]
-            stab_incs[t] = experts.absorb(z, y, yh, q)[0]
-            yhats[t] = yh[0]
+        experts.run(stream.Z, map(float, stream.y), yhats, c2q, settle)
+    yhats, c2q = yhats[:, 0], c2q[:, 0]
     return AioliRun(
         stream=stream, beta=beta, lam=lam, B=B, R=R, yhats=yhats,
         losses_at_play=np.logaddexp(0.0, -stream.y * yhats),
-        stab_disc=discounted_scan(stab_incs, beta),
+        stab_disc=discounted_scan(c2q / (1.0 + c2q), beta),
         beta_pows=np.cumprod(np.full(T, float(beta))), residuals=resid,
     )
+
+
+def _residuals(
+    As: np.ndarray, ws: np.ndarray, Z: np.ndarray, v: np.ndarray, beta: float
+) -> np.ndarray:
+    """Stationarity residuals of one AIOLI learner over a block of k rounds.
+
+    ``As`` (k+1, d, d) and ``ws`` (k+1, d) are the states from before the
+    block's first round to after its last, ``Z`` (k, d) the features and
+    ``v`` (k,) the predictions.  Round t's decision is x_t = A^{-1}w -
+    tanh(v_t/2) A^{-1}z_t/beta at (A, w) = (A_{t-1}, w_{t-1}), and its
+    residual the sup-norm of beta A x_t + tanh(z_t.x_t/2) z_t - beta w.
+    Each step is the per-round formula's, elementwise or one LAPACK or dot
+    call per round, so the residuals do not depend on the block.
+    """
+    A, w = As[:-1], ws[:-1]
+    sol = np.empty(w.shape + (2,))
+    sol[:, :, 0] = w
+    sol[:, :, 1] = Z
+    sol = _umath_linalg.solve(A, sol)
+    X = np.divide(sol[:, :, 1], beta)
+    X *= np.tanh(0.5 * v)[:, None]
+    X = np.subtract(sol[:, :, 0], X, out=X)
+    del sol  # before the residual's arrays: four (k, d) arrays at a time
+    grad = (A @ X[:, :, None])[:, :, 0]
+    grad *= beta
+    grad += np.tanh(0.5 * row_dots(X, Z))[:, None] * Z
+    grad -= beta * w
+    return np.max(np.abs(grad), axis=1)
 
 
 def logistic_ledger(run: AioliRun) -> RegretLedger:
@@ -412,7 +507,8 @@ def mix_predict(yhats: np.ndarray, p: np.ndarray) -> float | np.ndarray:
 
 def _mix(yhats: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     """:func:`mix_predict` for float arrays the caller built, unchecked."""
-    weighted = _sigmoid_pm(yhats)
+    with np.errstate(over="ignore"):  # see _sigmoid_of_negated
+        weighted = _sigmoid_pm(yhats)
     for side in weighted:  # in place; a broadcast in-place product copies the stack
         side *= p
     s_pos, s_neg = np.maximum(weighted.sum(axis=-1), _TINY)
@@ -463,10 +559,7 @@ def run_ensemble(
     T, N = stream.T, betas.size
     expert_yhats = np.empty((T, N))
     with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
-        for z, y, row in zip(stream.Z, map(float, stream.y), expert_yhats):
-            yh, q = experts.decide(z)[1:]  # the pair is dropped here, not held
-            experts.absorb(z, y, yh, q)
-            row[:] = yh
+        experts.run(stream.Z, map(float, stream.y), expert_yhats)
 
     # Row blocks keep numpy's broadcast buffers to the size of one block.
     blocks = [slice(lo, lo + _MIX_BLOCK) for lo in range(0, T, _MIX_BLOCK)]

@@ -1,7 +1,8 @@
 """Oracles only the tests call: reference quantities that no subcommand or
 bound check of the library computes, and the referees that the library's
-inlined steps are held to bit for bit (`clip_to_ball`, `reference_delta_for`,
-`exp_sample`, `perturb`).  ``ftrl_equivalence_residual`` needs scipy, a test
+inlined or batched steps are held to bit for bit (`clip_to_ball`,
+`reference_delta_for`, `exp_sample`, `perturb`, and the per-round AIOLI of
+`PerRoundExperts`).  ``ftrl_equivalence_residual`` needs scipy, a test
 dependency of driftlearn and not a runtime one.
 """
 
@@ -10,14 +11,15 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.optimize import NonlinearConstraint, minimize
 
-from driftlearn import linreg
+from driftlearn import linreg, logreg
 from driftlearn.adam import AdamConfig, AdamState, _norm, adam_update, delta_for
 from driftlearn.logreg import AioliRun, sigmoid
 from driftlearn.o2nc import O2ncTrace, Objective, StochasticOracle
 from driftlearn.regret import RegretLedger
-from driftlearn.streams import ComparatorPath, Stream, philox_rng
+from driftlearn.streams import ComparatorPath, Stream, discounted_scan, philox_rng
 
 
 def constant_path(u: np.ndarray, T: int) -> ComparatorPath:
@@ -296,6 +298,108 @@ def aioli_curvature_weights(run: AioliRun) -> np.ndarray:
     round t's surrogate curvature is eta_t g_t g_t' = c2_t z_t z_t'."""
     u = run.stream.y * run.yhats
     return sigmoid(u) * sigmoid(-u) / (1.0 + run.B * run.R)
+
+
+class PerRoundExperts:
+    """The discount-AIOLI expert stack one round at a time: ``decide``, then
+    ``decisions`` and ``residuals`` at the round's state, then ``absorb``,
+    which factors every round's updated stack to check it.  The block loop
+    of ``logreg._Experts.run`` is held to it bit for bit, and to the round
+    and the expert each of its errors names."""
+
+    def __init__(self, d, betas, lam, B, R):
+        fresh = logreg._Experts.fresh(d, betas, lam, B, R)
+        self.beta, self.scale, self.A, self.w, self.t = (
+            fresh.beta, fresh.scale, fresh.A, fresh.w, 0)
+
+    def decide(self, z):
+        """The pair (A_i^{-1}w_i, A_i^{-1}z/beta_i), predictions v and q."""
+        rhs = np.empty(self.w.shape + (2,))
+        rhs[:, :, 0] = self.w
+        rhs[:, :, 1] = z
+        sol = _umath_linalg.solve(self.A, rhs)
+        ainv_w = sol[:, :, 0]
+        ainv_z = sol[:, :, 1] / self.beta[:, None]
+        p = ainv_w @ z
+        q = ainv_z @ z
+        ps, qs = p.tolist(), q.tolist()
+        if not all(map(math.isfinite, ps + qs)):
+            self._checked(np.linalg.solve, ValueError, logreg._ILL_CONDITIONED, self.A, rhs)
+            i = next(i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
+            raise ValueError(self._failure(i, logreg._OVERFLOWED))
+        if min(qs) < 0.0:
+            raise ValueError(self._failure(qs.index(min(qs)), logreg._ILL_CONDITIONED))
+        v = np.array([logreg.solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)])
+        return (ainv_w, ainv_z), v, q
+
+    @staticmethod
+    def decisions(ainv, v):
+        """x_i = A_i^{-1}w_i - tanh(v_i/2) A_i^{-1}z/beta_i, (N, d)."""
+        ainv_w, ainv_z = ainv
+        return ainv_w - np.tanh(0.5 * v)[:, None] * ainv_z
+
+    def residuals(self, z, X):
+        """Sup-norm of beta A x + tanh((z.x)/2) z - beta w at each decision."""
+        beta = self.beta[:, None]
+        grad = (
+            beta * (self.A @ X[:, :, None])[:, :, 0]
+            + np.tanh(0.5 * (X @ z))[:, None] * z
+            - beta * self.w
+        )
+        return np.max(np.abs(grad), axis=1)
+
+    def absorb(self, z, y, yhats, q):
+        """Fold the label in; returns the stability increments c2 q/(1 + c2 q)."""
+        with np.errstate(over="ignore"):
+            s_pos, s_neg = logreg._sigmoid_pm(y * yhats)
+        c2 = s_pos * s_neg / self.scale
+        A = self.beta[:, None, None] * self.A + c2[:, None, None] * (z[:, None] * z)
+        if math.isnan(_umath_linalg.cholesky_lo(A).sum()):
+            self._checked(np.linalg.cholesky, RuntimeError, logreg._INDEFINITE, A)
+        self.A = A
+        self.t += 1
+        self.w = self.beta[:, None] * self.w + (y * s_neg + c2 * yhats)[:, None] * z
+        c2q = c2 * q
+        return c2q / (1.0 + c2q)
+
+    def _checked(self, factor, error, failure, *stacks):
+        try:
+            return factor(*stacks)
+        except np.linalg.LinAlgError:
+            pass
+        for i, args in enumerate(zip(*stacks)):
+            try:
+                factor(*args)
+            except np.linalg.LinAlgError:
+                break
+        raise error(self._failure(i, failure))
+
+    def _failure(self, i, failure):
+        what, remedy = failure
+        beta = float(self.beta[i])
+        return f"{what} at round {self.t + 1} for beta={beta}; use a larger beta or {remedy}"
+
+
+def per_round_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> AioliRun:
+    """``logreg.run_aioli`` on :class:`PerRoundExperts`, every field round
+    by round but the discounted sums, which are one scan of the increments."""
+    if not np.all(np.abs(stream.y) == 1.0):
+        raise ValueError("logistic streams need labels in {+1, -1}")
+    experts = PerRoundExperts(stream.d, [beta], lam, B, R)
+    T = stream.T
+    yhats, stab_incs, resid = np.empty(T), np.empty(T), np.empty(T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
+            ainv, yh, q = experts.decide(z)
+            resid[t] = experts.residuals(z, experts.decisions(ainv, yh))[0]
+            stab_incs[t] = experts.absorb(z, y, yh, q)[0]
+            yhats[t] = yh[0]
+    return AioliRun(
+        stream=stream, beta=beta, lam=lam, B=B, R=R, yhats=yhats,
+        losses_at_play=np.logaddexp(0.0, -stream.y * yhats),
+        stab_disc=discounted_scan(stab_incs, beta),
+        beta_pows=np.cumprod(np.full(T, float(beta))), residuals=resid,
+    )
 
 
 def vaw_static_bound(stream: Stream, lam: float, t: int, u: np.ndarray) -> float:

@@ -248,6 +248,25 @@ class TestMalformedInput:
         assert_one_error_line(code, err)
         assert f"error: stream: {bad}: CSV {fault}" in err
 
+    # The usage banner belongs to argparse's own errors; a fault in a file's
+    # contents is the error line alone.
+    @pytest.mark.parametrize("text", ["a,b,c\n1,0.5,0.1\n", "t,y,z_0\n1,nan,0.1\n"],
+                             ids=["bad-header", "nan-entry"])
+    def test_a_content_fault_is_one_stderr_line(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code, stdout, err = run_cli(capsys, "run-aioli", "--beta", "0.9", "--stream", str(bad))
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: stream: {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["run-aioli", "--bogus", "1"], ["run-aioli", "--beta", "x"]],
+                             ids=["unknown-flag", "bad-float"])
+    def test_an_argparse_error_keeps_the_banner(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, err)
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: driftlearn ") and lines[-1].startswith("error: ")
+
     def test_ragged_truth_exits_one_naming_the_file_and_row(self, capsys, tmp_path):
         stream = make_stream(capsys, tmp_path, name="s.csv")
         bad = tmp_path / "bad.truth.csv"

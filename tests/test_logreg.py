@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,7 +110,7 @@ class TestLoss:
             np.testing.assert_allclose(
                 logistic_grad(np.zeros(2), z, y), -y * 0.5 * z, rtol=1e-15
             )
-            experts = one_expert(2, 0.9)
+            experts = oracles.PerRoundExperts(2, [0.9], 1.0, 1.0, 1.0)
             ainv, yhats, q = experts.decide(z)
             X = experts.decisions(ainv, yhats)
             experts.absorb(z, y, yhats, q)
@@ -172,9 +174,16 @@ def one_expert(d, beta, lam=1.0, B=1.0, R=1.0):
     return logreg._Experts.fresh(d, [beta], lam, B, R)
 
 
+def step(experts, z, y, yhats):
+    """One update of ``experts`` into arrays of its own; returns c2."""
+    with np.errstate(over="ignore"):
+        return experts.absorb(z, np.outer(z, z), y, yhats, np.empty_like(experts.A),
+                              np.empty_like(experts.w))
+
+
 class TestPredict:
     def test_empty_history_plays_zero(self):
-        experts = one_expert(3, 0.9)
+        experts = oracles.PerRoundExperts(3, [0.9], 1.0, 1.0, 1.0)
         ainv, yhats, _ = experts.decide(np.array([1.0, 0.0, -1.0]))
         X = experts.decisions(ainv, yhats)
         assert np.array_equal(X[0], np.zeros(3)) and yhats[0] == 0.0
@@ -187,22 +196,19 @@ class TestPredict:
 
 
 class TestUpdate:
-    # absorb's q argument is z'A^{-1}z/beta, which only the stability
-    # increment uses; with A = lam I = I it is |z|^2/beta.
-
     def test_balanced_score_curvature(self):
         # u = 0: eta g g' = z z' / (4 (1 + BR))
         experts = one_expert(2, 0.9)
         z = np.array([0.8, -0.6])
-        _, yhats, q = experts.decide(z)  # the empty history plays x = 0
-        experts.absorb(z, 1.0, yhats, q)
+        yhats, _ = experts.decide(z)  # the empty history plays x = 0
+        step(experts, z, 1.0, yhats)
         np.testing.assert_allclose(
             experts.A[0] - 0.9 * np.eye(2), np.outer(z, z) / 8.0, rtol=1e-14
         )
 
     def test_confidently_correct_round_adds_no_curvature(self):
         experts = one_expert(1, 0.9)
-        experts.absorb(np.array([1.0]), 1.0, np.array([800.0]), np.array([1.0 / 0.9]))
+        step(experts, np.array([1.0]), 1.0, np.array([800.0]))
         assert experts.A[0, 0, 0] - 0.9 <= 1e-300
         assert np.isfinite(experts.w).all()
 
@@ -210,8 +216,9 @@ class TestUpdate:
         experts = one_expert(2, 0.99, B=2.0, R=0.5)
         z = np.array([0.3, 0.4])
         yhat = -0.7
-        experts.absorb(z, -1.0, np.array([yhat]), np.array([z @ z / 0.99]))
+        c2 = step(experts, z, -1.0, np.array([yhat]))
         u = -1.0 * yhat
+        assert c2[0] == pytest.approx(expit(u) * expit(-u) / (1.0 + 2.0 * 0.5), rel=1e-15)
         expected = expit(u) * expit(-u) / (1.0 + 2.0 * 0.5) * np.outer(z, z)
         np.testing.assert_allclose(experts.A[0] - 0.99 * np.eye(2), expected, rtol=1e-14)
 
@@ -224,10 +231,11 @@ class TestUpdate:
     )
     def test_margin_form_matches_textbook_update(self, seed, d, T, beta, lam):
         # absorb takes w <- beta w + (y sigma(-u) + c2 yhat) z; the textbook
-        # update is beta w - g + (g.x) eta g with x the decision of decide
+        # update is beta w - g + (g.x) eta g with x the decision of decide;
+        # the referee's rounds are the library's, bit for bit
         stream, _ = gen_stream(StreamSpec(d=d, T=T, kind="logistic-drift", segments=3,
                                           noise=0.3, seed=seed))
-        experts = one_expert(d, beta, lam)
+        experts = oracles.PerRoundExperts(d, [beta], lam, 1.0, 1.0)
         for z, y in zip(stream.Z[:-1], stream.y[:-1].tolist()):
             _, yh, q = experts.decide(z)
             experts.absorb(z, y, yh, q)
@@ -253,9 +261,9 @@ class TestUpdate:
         experts = one_expert(stream.d, 0.9, R=1.5)
         norms = np.empty(stream.T)
         for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
-            _, yh, q = experts.decide(z)
+            yh, _ = experts.decide(z)
             A_prev = experts.A[0]
-            experts.absorb(z, y, yh, q)
+            step(experts, z, y, yh)
             norms[t] = np.linalg.norm(experts.A[0] - 0.9 * A_prev, ord=2)
         assert np.all(norms <= cap * (1 + 1e-12))
         c2 = oracles.aioli_curvature_weights(run)
@@ -542,13 +550,14 @@ class TestStackedEnsembleMatchesPerExpertLoop:
 def per_round_ensemble(stream, betas, lam, B, R):
     """The ensemble as one round at a time: each round mixes its weights,
     then updates the log-domain weights by the expert losses."""
-    experts = logreg._Experts.fresh(stream.d, betas, lam, B, R)
+    experts = oracles.PerRoundExperts(stream.d, betas, lam, B, R)
     T, n = stream.T, len(betas)
     log_q = np.zeros(n)
     yhats, mix_losses = np.empty(T), np.empty(T)
     expert_losses, expert_yhats, weights = (np.empty((T, n)) for _ in range(3))
     for t, (z, y) in enumerate(zip(stream.Z, map(float, stream.y))):
-        _, yh, q = experts.decide(z)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the runner's loop
+            _, yh, q = experts.decide(z)
         lq = log_q - log_q.max()
         p = np.exp(lq)
         p /= p.sum()
@@ -558,7 +567,8 @@ def per_round_ensemble(stream, betas, lam, B, R):
         expert_yhats[t] = yh
         weights[t] = p
         log_q = log_q - expert_losses[t]
-        experts.absorb(z, y, yh, q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            experts.absorb(z, y, yh, q)
     return dict(yhats=yhats, mix_losses=mix_losses, expert_losses=expert_losses,
                 expert_yhats=expert_yhats, weights=weights)
 
@@ -566,7 +576,7 @@ def per_round_ensemble(stream, betas, lam, B, R):
 def per_round_aioli_sums(stream, beta, lam, B, R):
     """run_aioli's stab_disc and beta_pows, carried as Python floats round
     by round."""
-    experts = logreg._Experts.fresh(stream.d, [beta], lam, B, R)
+    experts = oracles.PerRoundExperts(stream.d, [beta], lam, B, R)
     stab, pows = np.empty(stream.T), np.empty(stream.T)
     stab_disc, beta_pow = 0.0, 1.0
     for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
@@ -914,3 +924,261 @@ class TestGrid:
     def test_default_lam_outside_the_floats_names_b(self, B):
         with pytest.raises(ValueError, match=r"^B: .*lam"):
             logreg.default_lam(B)
+
+
+# ---------------------------------------------------------------------------
+# The block loop: the per-round referee, the order of errors under the
+# deferred definiteness check, and the block's working set.
+# ---------------------------------------------------------------------------
+
+AIOLI_FIELDS = [f.name for f in dataclasses.fields(logreg.AioliRun) if f.name != "stream"]
+BETA_GRID = (0.3, 0.5, 0.9, 0.99, 0.999)
+EDGES = ("L-1", "L", "L+1", "2L+1")
+
+
+def block_rounds(n, d):
+    """Rounds in one block of the module's budget for n experts at dimension d."""
+    return max(1, logreg._BLOCK_BYTES // (8 * n * d * d))
+
+
+def blocks_of(L, n, d):
+    """The budget patched in so that n experts at dimension d run blocks of L."""
+    return mock.patch.object(logreg, "_BLOCK_BYTES", L * 8 * n * d * d)
+
+
+def edge_horizon(L, edge):
+    return max(1, {"L-1": L - 1, "L": L, "L+1": L + 1, "2L+1": 2 * L + 1}[edge])
+
+
+def assert_aioli_matches_referee(stream, beta, lam):
+    run = logreg.run_aioli(stream, beta, lam, 1.0, 1.0)
+    want = oracles.per_round_aioli(stream, beta, lam, 1.0, 1.0)
+    for name in AIOLI_FIELDS:
+        assert same_bits(getattr(run, name), getattr(want, name)), name
+
+
+def assert_ensemble_matches_referee(stream, betas, lam):
+    run = logreg.run_ensemble(stream, betas, lam, 1.0, 1.0)
+    for name, want in per_round_ensemble(stream, betas, lam, 1.0, 1.0).items():
+        assert same_bits(getattr(run, name), want), name
+
+
+class TestBlockLoopMatchesPerRoundReferee:
+    # The budget is patched to blocks of L rounds, so that T falls one
+    # short of a block, on it, one past it, and one past two blocks.
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 5),
+        L=st.integers(1, 12),
+        edge=st.sampled_from(EDGES),
+        betas=st.lists(st.sampled_from(BETA_GRID), min_size=1, max_size=5),
+        lam=st.sampled_from([0.01, 1.0, 10.0]),
+    )
+    def test_bit_identical_around_block_edges(self, seed, d, L, edge, betas, lam):
+        T = edge_horizon(L, edge)
+        stream, _ = gen_stream(StreamSpec(d=d, T=T, kind="logistic-drift", segments=3,
+                                          noise=0.3, seed=seed))
+        with blocks_of(L, 1, d):
+            assert_aioli_matches_referee(stream, betas[0], lam)
+        with blocks_of(L, len(betas), d):
+            assert_ensemble_matches_referee(stream, betas, lam)
+
+    # The module's own budget at the bench shape: d 3, one learner (455
+    # rounds a block) and the 13-expert pool (35 rounds a block).
+    @pytest.mark.parametrize("edge", EDGES)
+    @pytest.mark.parametrize("runner", ["aioli", "ensemble"])
+    def test_bit_identical_at_the_bench_shape(self, runner, edge):
+        pool = logreg.build_grid(1.0, 1.0, 3, 1200)
+        n = 1 if runner == "aioli" else len(pool)
+        T = edge_horizon(block_rounds(n, 3), edge)
+        stream, _ = gen_stream(StreamSpec(kind="logistic-drift", d=3, T=T, segments=4,
+                                          noise=0.2, seed=1))
+        if runner == "aioli":
+            assert_aioli_matches_referee(stream, 0.9, 1.0)
+        else:
+            assert_ensemble_matches_referee(stream, pool, 1.0)
+
+
+def outcome(run):
+    """The error type and text a call ends in, or None."""
+    try:
+        run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+INDEFINITE_AT = ("surrogate curvature matrix is numerically indefinite at round {} for "
+                 "beta={}; use a larger beta or lambda")
+
+
+class TestDeferredGuard:
+    """The library checks definiteness once per block; the referee after
+    every round.  A failure here is followed by a later round that raises
+    on its own, or ends the stream, and both must name the failed round
+    and expert."""
+
+    L = 4  # rounds a block, through the patched budget
+
+    def start_stacks(self, monkeypatch, stacks):
+        """Expert i starts from stacks[i] in place of lam I."""
+        fresh = logreg._Experts.fresh
+
+        def patched(*args):
+            experts = fresh(*args)
+            for i, A in stacks.items():
+                experts.A[i] = A
+            return experts
+
+        monkeypatch.setattr(logreg._Experts, "fresh", patched)
+
+    def both(self, runner, stream, betas, reset=lambda: None):
+        """The library's and the referee's outcome, under warnings as errors;
+        ``reset`` runs before each."""
+        if runner == "aioli":
+            runs = (logreg.run_aioli, oracles.per_round_aioli)
+            args = (stream, betas[0], 1.0, 1.0, 1.0)
+        else:
+            runs = (logreg.run_ensemble, per_round_ensemble)
+            args = (stream, betas, 1.0, 1.0, 1.0)
+        got = []
+        with warnings.catch_warnings(), blocks_of(self.L, len(betas), stream.d):
+            warnings.simplefilter("error")
+            for f in runs:
+                reset()
+                got.append(outcome(lambda: f(*args)))
+        assert got[0] == got[1]
+        return got[0]
+
+    @staticmethod
+    def along_e1(T):
+        """T rounds at z = e_1 in two dimensions."""
+        return Stream(np.tile([1.0, 0.0], (T, 1)), np.where(np.arange(T) % 3 == 0, 1.0, -1.0))
+
+    @staticmethod
+    def underflowing(k, t0):
+        """The start of an expert with beta = 2^-k, k >= 54, whose A_t along
+        e_1 features is singular from round t0 >= 2 on, and whose rounds up
+        to t0 decide finitely: the e_2 entry 2^(k (t0 - t) - 1076) is a normal
+        float for t < t0 and rounds to 0 at t0.  The next round's solve
+        fails: the statistics are ill-conditioned."""
+        return 2.0 ** (k * t0 - 1076) * np.eye(2)
+
+    # Rounds 4 and 8 end a block, 5 and 9 begin one, 2 lies inside; a
+    # failure in the stream's last round is caught by the check after the
+    # loop, one with rounds after it by the next round's error or the
+    # block's end.
+    @pytest.mark.parametrize("after", [0, 3], ids=["last-round", "rounds-after"])
+    @pytest.mark.parametrize("t0", [2, 4, 5, 8, 9])
+    def test_a_singular_update_names_its_round(self, monkeypatch, t0, after):
+        self.start_stacks(monkeypatch, {0: self.underflowing(60, t0)})
+        got = self.both("aioli", self.along_e1(t0 + after), [2.0**-60])
+        assert got == (RuntimeError, INDEFINITE_AT.format(t0, 2.0**-60))
+
+    # Experts 1 and 3 fail at t0, expert 1 at t0 + 1 in the second case:
+    # the earliest round wins, then the lowest expert of that round.
+    @pytest.mark.parametrize("late", [False, True], ids=["same-round", "expert-1-later"])
+    @pytest.mark.parametrize("t0", [2, 4, 5, 8, 9])
+    def test_the_earliest_round_then_the_first_expert_is_named(self, monkeypatch, t0, late):
+        betas = [0.5, 2.0**-60, 0.25, 2.0**-55]
+        self.start_stacks(monkeypatch, {1: self.underflowing(60, t0 + late),
+                                        3: self.underflowing(55, t0)})
+        got = self.both("ensemble", self.along_e1(t0 + 3), betas)
+        assert got == (RuntimeError, INDEFINITE_AT.format(t0, betas[3 if late else 1]))
+
+    # diag(1, -1) fails at round 1 and leaves every later decision along
+    # e_1 finite.  The later error comes in round r: a feature of 1e200
+    # overflows q for every expert, or the root finder is made to fail.
+    # r = 4 is the block's last round, r = 5 the next block's first.
+    @pytest.mark.parametrize("later", ["overflow", "root"])
+    @pytest.mark.parametrize("r", [2, 4, 5])
+    @pytest.mark.parametrize("runner", ["aioli", "ensemble"])
+    def test_an_indefinite_start_is_named_before_a_later_error(
+        self, monkeypatch, runner, r, later
+    ):
+        betas = [0.9, 0.6, 0.8][: 1 if runner == "aioli" else 3]
+        stream = self.along_e1(2 * self.L + 1)
+        calls = []
+        if later == "overflow":
+            stream.Z[r - 1] = [1e200, 0.0]
+            error = (ValueError, f"surrogate statistics overflowed at round {r} for "
+                                 f"beta={betas[0]}; use a larger beta or rescale the stream")
+        else:
+            root = logreg.solve_optimism_root
+
+            def failing(p, q):
+                calls.append(p)
+                if len(calls) > (r - 1) * len(betas):
+                    raise logreg.RootNotConvergedError("from round r on")
+                return root(p, q)
+
+            monkeypatch.setattr(logreg, "solve_optimism_root", failing)
+            error = (logreg.RootNotConvergedError, "from round r on")
+        assert self.both(runner, stream, betas, reset=calls.clear) == error
+        self.start_stacks(monkeypatch, {len(betas) - 1: TestEnsembleErrors.INDEFINITE})
+        got = self.both(runner, stream, betas, reset=calls.clear)
+        assert got == (RuntimeError, INDEFINITE_AT.format(1, betas[-1]))
+
+
+def traced_peak(f):
+    """tracemalloc peak, in bytes, of a second call of ``f``."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Python objects, the fresh state and the O(N d) arrays of a round.
+SLACK = 8 << 10
+
+
+class TestBlockWorkingSet:
+    # The loop holds its block of states, (L+1) N (d^2 + d) floats, and at
+    # a time either the check's (L, N, d, d) Cholesky factor or a round's
+    # arrays: the block's products z z' (L d^2) and the update's product
+    # with numpy's two ufunc buffers (3 N d^2).  A loop that keeps a
+    # second block, or allocates states for every round, breaks the bound.
+    @pytest.mark.parametrize("d, T", [(3, 1200), (20, 300)])
+    def test_the_ensemble_loop_holds_one_block(self, d, T):
+        N = 13
+        L = block_rounds(N, d)
+        stream, _ = gen_stream(StreamSpec(kind="logistic-drift", d=d, T=T, segments=4,
+                                          noise=0.2, seed=1))
+        yhats = np.empty((T, N))
+
+        def loop():
+            experts = logreg._Experts.fresh(d, np.linspace(0.5, 0.99, N), 1.0, 1.0, 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                experts.run(stream.Z, map(float, stream.y), yhats)
+
+        states = (L + 1) * N * (d * d + d)
+        at_a_time = max(L * N * d * d, L * d * d + 3 * N * d * d)
+        assert traced_peak(loop) <= 8 * (states + at_a_time) + SLACK
+
+    # run_aioli adds its three (T,) outputs, and its residuals hold at most
+    # five (L, d) arrays of a block at a time.
+    @pytest.mark.parametrize("d, T", [(3, 1200), (20, 300)])
+    def test_aioli_holds_one_block_and_its_residuals(self, d, T):
+        L = block_rounds(1, d)
+        stream, _ = gen_stream(StreamSpec(kind="logistic-drift", d=d, T=T, segments=4,
+                                          noise=0.2, seed=1))
+        states = (L + 1) * (d * d + d)
+        at_a_time = max(L * d * d + 3 * d * d, 5 * L * d)
+        peak = traced_peak(lambda: logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0))
+        assert peak <= 8 * (3 * T + states + at_a_time) + SLACK
+
+    # At the bench shape the ensemble's peak is its work after the loop:
+    # the (T, N) predictions, losses and weights, three (T,) arrays and one
+    # mix block's (3, 64, N) temporaries.  The loop's block (45 KB here)
+    # released any later breaks the bound.
+    def test_the_ensemble_releases_its_block_before_the_mix(self):
+        T, d = 1200, 3
+        stream, _ = gen_stream(StreamSpec(kind="logistic-drift", d=d, T=T, segments=4,
+                                          noise=0.2, seed=1))
+        pool = logreg.build_grid(1.0, 1.0, d, T)
+        N = len(pool)
+        peak = traced_peak(lambda: logreg.run_ensemble(stream, pool, 1.0, 1.0, 1.0))
+        assert peak <= 8 * (3 * T * N + 3 * T + 3 * logreg._MIX_BLOCK * N) + SLACK
