@@ -5,11 +5,18 @@ verify-lemmas.  Every subcommand accepts ``--config FILE`` (flat key=value
 text) with CLI flags taking precedence, and ``--emit-config FILE`` to dump
 the resolved configuration for exact reproduction.
 
-Exit codes: 0 all checks passed, 2 an inequality check failed, 1 usage or
-runtime error.  Artifacts carry a header comment (CSV) or fields (JSON)
-embedding the config hash and seed, and all numeric output uses shortest
-round-trip decimals, so a fixed configuration reproduces byte-identical
-files.  The env var DRIFTLEARN_SEED supplies the default seed.
+Each subcommand returns its JSON summary and the files it makes; main alone
+writes and prints.  It builds the summary's JSON text before it writes any
+file, so a summary with no JSON form writes none, then writes the files in
+a fixed order, then prints the text.  Exit codes, the same for all seven
+subcommands: 0 when every entry of the summary's checks is true, 2 when one
+is false (tune-adam's resubstitution and each verify-lemmas suite
+included), 1 on a usage or runtime error.  Stream and truth readers refuse
+a nan or infinite cell, naming its row.  Artifacts carry a header comment
+(CSV) or fields (JSON) embedding the config hash and seed, and all numeric
+output uses shortest round-trip decimals, so a fixed configuration
+reproduces byte-identical files.  The env var DRIFTLEARN_SEED supplies the
+default seed.
 """
 
 from __future__ import annotations
@@ -108,12 +115,7 @@ def _resolve_config(fields: list[Field], args: argparse.Namespace) -> dict:
     values = {f.name: f.default for f in fields}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
-        try:
-            text = Path(cfg_path).read_text()
-        except OSError as exc:
-            raise UsageError(f"config: cannot read {cfg_path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise UsageError(f"config: cannot read {cfg_path}: {_not_utf8(exc)}") from None
+        text = _read("config", cfg_path)
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -161,17 +163,14 @@ def _config_hash(values: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _maybe_emit_config(values: dict, args) -> bool:
-    path = getattr(args, "emit_config", None) or values.get("emit_config")
-    if not path:
-        return False
+def _config_text(values: dict) -> str:
+    """The resolved configuration as the ``key=value`` text ``--config`` reads."""
     lines = [
         f"{k}={v}"
         for k, v in sorted(values.items())
         if v is not None and k not in ("config", "emit_config")
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
-    return True
+    return "\n".join(lines) + "\n"
 
 
 def _jsonable(obj, field: str = ""):
@@ -195,29 +194,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _write_json(payload: dict, path: Optional[Path] = None) -> None:
-    """Write ``payload`` as sorted JSON to ``path``, then print the same text."""
-    text = _json_text(payload)
-    if path:
-        path.write_text(text)
-    sys.stdout.write(text)
-
-
-def _write_summary(out: Optional[str], summary: dict, trace: Optional[str] = None) -> None:
-    """Write ``trace`` to ``out``, the summary to the ``.summary.json`` beside
-    it, then print the summary.  The summary's JSON text is built first, so
-    a summary that has none leaves no file behind."""
-    text = _json_text(summary)
-    if out:
-        if trace is not None:
-            Path(out).write_text(trace)
-        Path(out).with_suffix(".summary.json").write_text(text)
-    sys.stdout.write(text)
-
-
-def _checks_exit(summary: dict) -> int:
-    checks = summary.get("checks", {})
-    return EXIT_OK if all(checks.values()) else EXIT_VIOLATION
+def _run_files(out: Optional[str], trace: Optional[str]) -> list:
+    """A run's files: the trace at ``out`` (when there is one) and the summary
+    beside it as ``<out>.summary.json``; none without ``--out``."""
+    if not out:
+        return []
+    files = [] if trace is None else [(Path(out), trace)]
+    return files + [(Path(out).with_suffix(".summary.json"), None)]
 
 
 def _ieee_floats():
@@ -239,9 +222,11 @@ def _resolve_gamma(values: dict, beta: float) -> float:
     return gamma
 
 
-def _read_csv(key: str, path: Path, parse: Callable[[str], object]):
+def _read(key: str, path: str | Path, parse: Callable[[str], object] = str):
+    """``parse`` of the text of the input file ``key`` at ``path``; a file
+    that cannot be read, is not UTF-8 or does not parse is one error line."""
     try:
-        return parse(path.read_text())
+        return parse(Path(path).read_text())
     except OSError as exc:
         raise UsageError(f"{key}: cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -252,13 +237,13 @@ def _read_csv(key: str, path: Path, parse: Callable[[str], object]):
 
 def _load_stream(values: dict) -> tuple[streams.Stream, Optional[streams.ComparatorPath]]:
     path = Path(values["stream"])
-    stream = _read_csv("stream", path, streams.stream_from_csv)
+    stream = _read("stream", path, streams.stream_from_csv)
     truth = None
     explicit = values.get("truth")
     # only the sibling default is optional: an explicit path must be read
     truth_path = Path(explicit) if explicit else path.with_suffix(".truth.csv")
     if explicit or truth_path.exists():
-        truth = _read_csv("truth", truth_path, streams.path_from_csv)
+        truth = _read("truth", truth_path, streams.path_from_csv)
         if (truth.T, truth.d) != (stream.T, stream.d):
             raise UsageError(
                 f"truth: {truth_path} has shape (T={truth.T}, d={truth.d}) but the "
@@ -284,7 +269,7 @@ GEN_FIELDS = COMMON_FIELDS + [
 ]
 
 
-def cmd_gen(values: dict) -> int:
+def cmd_gen(values: dict) -> tuple[dict, list]:
     spec = streams.StreamSpec(
         d=values["d"], T=values["T"], kind=values["kind"],
         segments=values["segments"], noise=values["noise"],
@@ -294,13 +279,14 @@ def cmd_gen(values: dict) -> int:
     h = _config_hash(values)
     comment = f"driftlearn gen config_hash={h} seed={values['seed']}"
     out = Path(values["out"])
-    out.write_text(streams.stream_to_csv(stream, comment))
-    out.with_suffix(".truth.csv").write_text(streams.path_to_csv(truth, comment))
-    _write_json({
+    summary = {
         "subcommand": "gen", "config_hash": h, "seed": values["seed"],
         "T": stream.T, "d": stream.d, "out": str(out), "checks": {},
-    })
-    return EXIT_OK
+    }
+    return summary, [
+        (out, streams.stream_to_csv(stream, comment)),
+        (out.with_suffix(".truth.csv"), streams.path_to_csv(truth, comment)),
+    ]
 
 
 VAW_FIELDS = COMMON_FIELDS + [
@@ -313,7 +299,7 @@ VAW_FIELDS = COMMON_FIELDS + [
 ]
 
 
-def cmd_run_vaw(values: dict) -> int:
+def cmd_run_vaw(values: dict) -> tuple[dict, list]:
     beta, lam = values["beta"], values["lam"]
     gamma = _resolve_gamma(values, beta)
     stream, truth = _load_stream(values)
@@ -346,8 +332,7 @@ def cmd_run_vaw(values: dict) -> int:
             if values["out"]:
                 comment = f"driftlearn run-vaw config_hash={h}"
                 trace = regret.regret_trace_csv(ledger, truth, comment)
-    _write_summary(values["out"], summary, trace)
-    return _checks_exit(summary)
+    return summary, _run_files(values["out"], trace)
 
 
 AIOLI_FIELDS = COMMON_FIELDS + [
@@ -362,7 +347,7 @@ AIOLI_FIELDS = COMMON_FIELDS + [
 ]
 
 
-def cmd_run_aioli(values: dict) -> int:
+def cmd_run_aioli(values: dict) -> tuple[dict, list]:
     beta, B, R = values["beta"], values["B"], values["R"]
     gamma = _resolve_gamma(values, beta)
     stream, truth = _load_stream(values)
@@ -398,8 +383,7 @@ def cmd_run_aioli(values: dict) -> int:
             if values["out"]:
                 comment = f"driftlearn run-aioli config_hash={h}"
                 trace = regret.regret_trace_csv(ledger, truth, comment)
-    _write_summary(values["out"], summary, trace)
-    return _checks_exit(summary)
+    return summary, _run_files(values["out"], trace)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -434,7 +418,7 @@ def _parse_betas(raw: str) -> list[float]:
     return betas
 
 
-def cmd_run_ensemble(values: dict) -> int:
+def cmd_run_ensemble(values: dict) -> tuple[dict, list]:
     stream, truth = _load_stream(values)
     B, R = values["B"], values["R"]
     lam = values["lam"] if values["lam"] is not None else logreg.default_lam(B)
@@ -470,8 +454,7 @@ def cmd_run_ensemble(values: dict) -> int:
         comment = f"driftlearn run-ensemble config_hash={h}"
         columns = [run.mix_losses, run.expert_losses.min(axis=1)]
         trace = streams.csv_text(["mix_loss", "best_expert_loss"], columns, comment)
-    _write_summary(values["out"], summary, trace)
-    return _checks_exit(summary)
+    return summary, _run_files(values["out"], trace)
 
 
 # CLI spelling of each Adam variant -> its name in ``adam``
@@ -495,7 +478,7 @@ O2NC_FIELDS = COMMON_FIELDS + [
 ]
 
 
-def cmd_run_o2nc(values: dict) -> int:
+def cmd_run_o2nc(values: dict) -> tuple[dict, list]:
     G, sigma = values["G"], values["sigma"]
     dim = values["dim"]
     if values["objective"] == "quadratic":
@@ -552,8 +535,7 @@ def cmd_run_o2nc(values: dict) -> int:
     if values["out"]:
         comment = f"driftlearn run-o2nc config_hash={h} seed={values['seed']}"
         text = trace.to_csv(comment)
-    _write_summary(values["out"], summary, text)
-    return _checks_exit(summary)
+    return summary, _run_files(values["out"], text)
 
 
 TUNE_FIELDS = COMMON_FIELDS + [
@@ -569,7 +551,7 @@ TUNE_FIELDS = COMMON_FIELDS + [
 ]
 
 
-def cmd_tune_adam(values: dict) -> int:
+def cmd_tune_adam(values: dict) -> tuple[dict, list]:
     rep = adam.tune(
         _ADAM_VARIANTS[values["variant"]], values["eps"], values["c"], values["G"],
         values["sigma"], values["Fstar"], values["nu"], values["rho"],
@@ -580,8 +562,7 @@ def cmd_tune_adam(values: dict) -> int:
     payload["checks"] = {"resubstitution": not errors}
     if errors:
         payload["violations"] = errors
-    _write_json(payload, Path(values["out"]) if values["out"] else None)
-    return EXIT_OK if not errors else EXIT_VIOLATION
+    return payload, [(Path(values["out"]), None)] if values["out"] else []
 
 
 LEMMA_FIELDS = COMMON_FIELDS + [
@@ -591,7 +572,7 @@ LEMMA_FIELDS = COMMON_FIELDS + [
 ]
 
 
-def cmd_verify_lemmas(values: dict) -> int:
+def cmd_verify_lemmas(values: dict) -> tuple[dict, list]:
     verdicts = lemmas.run_all(values["instances"], values["seed"], values["only"])
     payload = {
         "subcommand": "verify-lemmas",
@@ -600,8 +581,7 @@ def cmd_verify_lemmas(values: dict) -> int:
         "verdicts": {k: v.to_dict() for k, v in verdicts.items()},
         "checks": {k: v.passed for k, v in verdicts.items()},
     }
-    _write_json(payload)
-    return EXIT_OK if all(v.passed for v in verdicts.values()) else EXIT_VIOLATION
+    return payload, []
 
 
 SUBCOMMANDS = {
@@ -643,9 +623,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         values = _resolve_config(fields, args)
         if any(f.name == "seed" for f in fields) and values.get("seed") is None:
             values["seed"] = _default_seed()
-        if _maybe_emit_config(values, args):
+        if values["emit_config"]:
+            Path(values["emit_config"]).write_text(_config_text(values))
             return EXIT_OK
-        return handler(values)
+        summary, files = handler(values)
+        text = _json_text(summary)  # before any file: a summary with no JSON form writes none
+        for path, body in files:
+            path.write_text(text if body is None else body)
+        sys.stdout.write(text)
+        return EXIT_OK if all(summary["checks"].values()) else EXIT_VIOLATION
     except (UsageError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -294,14 +294,16 @@ def _parse_csv(text: str, lead: list[str], prefix: str) -> np.ndarray:
     """Rows of a CSV whose header is ``lead`` then prefix0..prefix{d-1}, d >= 1.
 
     Every row must have the header's column count, the ``t`` column must
-    run 1..T, and at least one row must follow the header.  One
-    ``np.loadtxt`` pass reads the rows, so the fault reported is the first
-    column-count or cell fault in row order; the ``t`` column is checked
-    after the parse.  loadtxt takes its column count from the first row it
-    reads, so that row's width is checked here; for later rows loadtxt's
-    own message (``the number of columns changed from n to w at row r``)
-    is mapped to ``CSV row r: expected n columns, got w``.  A numpy that
-    rewords it fails the reader's single-fault tests first.
+    run 1..T, every cell must be finite, and at least one row must follow
+    the header.  One ``np.loadtxt`` pass reads the rows, so the fault
+    reported is the first column-count or cell fault in row order; the
+    ``t`` column and the finiteness of the cells are checked after the
+    parse, in row order, a row's ``t`` before its cells.  loadtxt takes its
+    column count from the first row it reads, so that row's width is
+    checked here; for later rows loadtxt's own message (``the number of
+    columns changed from n to w at row r``) is mapped to ``CSV row r:
+    expected n columns, got w``.  A numpy that rewords it fails the
+    reader's single-fault tests first.
     """
     lines = _content_lines(text)
     if not lines:
@@ -335,12 +337,17 @@ def _parse_csv(text: str, lead: list[str], prefix: str) -> np.ndarray:
                 f"CSV row {ragged[3]}: expected {ragged[1]} columns, got {ragged[2]}"
             ) from exc
         raise StreamSpecError(f"CSV: {exc}") from exc
-    del lines  # not held through the t check; its error path re-reads text
-    wrong = np.flatnonzero(data[:, 0] != np.arange(1, len(data) + 1))
-    if wrong.size:
-        t = int(wrong[0]) + 1
-        cell = _content_lines(text)[t].split(",")[0]
-        raise StreamSpecError(f"CSV row {t}: t must be {t}, got {cell}")
+    del lines  # not held through the row checks; the t message re-reads text
+    wrong_t = data[:, 0] != np.arange(1, len(data) + 1)
+    bad = np.flatnonzero(wrong_t | ~np.isfinite(data).all(axis=1))
+    if bad.size:
+        t = int(bad[0]) + 1
+        if wrong_t[t - 1]:
+            cell = _content_lines(text)[t].split(",")[0]
+            raise StreamSpecError(f"CSV row {t}: t must be {t}, got {cell}")
+        row = data[t - 1]
+        value = float(row[~np.isfinite(row)][0])
+        raise StreamSpecError(f"CSV row {t}: entries must be finite, got {value!r}")
     return data
 
 

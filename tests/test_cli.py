@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from driftlearn import cli, logreg, streams
+from driftlearn import adam, cli, lemmas, linreg, logreg, o2nc, streams
 import oracles
 
 
@@ -275,6 +275,26 @@ class TestMalformedInput:
                                "--truth", str(bad))
         assert_one_error_line(code, err)
         assert f"error: truth: {bad}: CSV row 2: expected 3 columns, got 4" in err
+
+    # a comparator at infinity on the side of every label once gave
+    # run-ensemble a finite dynamic regret and exit 0, and a nan comparator
+    # ended run-vaw blaming the dynamic_regret it computed from it
+    @pytest.mark.parametrize("command, rows, fault", [
+        ("run-ensemble", ["-inf,inf", "-inf,inf", "inf,inf", "inf,-inf"], "row 1: entries must "
+         "be finite, got -inf"),
+        ("run-vaw", ["0,0", "0,0", "nan,0", "0,0"], "row 3: entries must be finite, got nan"),
+    ], ids=["inf-ensemble", "nan-vaw"])
+    def test_non_finite_truth_exits_one_naming_the_row(self, capsys, tmp_path, command, rows,
+                                                        fault):
+        stream = make_stream(capsys, tmp_path, kind="logistic-drift", d=2, T=4, segments=1,
+                             noise=0.0, seed=3)
+        truth = stream.with_suffix(".truth.csv")
+        truth.write_text("t,u_0,u_1\n" + "".join(f"{t},{r}\n" for t, r in enumerate(rows, 1)))
+        out = tmp_path / "o.csv"
+        code, stdout, err = run_cli(capsys, command, "--stream", str(stream), "--out", str(out))
+        assert_one_error_line(code, err)
+        assert err == f"error: truth: {truth}: CSV {fault}\n" and stdout == ""
+        assert not out.exists() and not out.with_suffix(".summary.json").exists()
 
     @pytest.mark.parametrize("other", [dict(d=3), dict(T=30)], ids=["d", "T"])
     def test_truth_shape_mismatch_exits_one(self, capsys, tmp_path, other):
@@ -918,13 +938,82 @@ DELTA_NORM_OVERFLOW = ["run-o2nc", "--variant", "clipped", "--objective", "quadr
                        "--dim", "2", "--T", "3", "--seed", "0", "--c", "1e-170", "--G", "3e151"]
 
 
-class TestExitCodeContract:
-    def test_passing_checks_exit_zero(self):
-        assert cli._checks_exit({"checks": {"a": True, "b": True}}) == 0
-        assert cli._checks_exit({"checks": {}}) == 0
+TUNE_FLAGS = ["--eps", "0.16", "--c", "1", "--G", "0.5", "--sigma", "0.5", "--Fstar", "1",
+              "--nu", "1"]
+# One small run of each subcommand; {d} is its directory, where `gen` first
+# writes s.csv (regression) and l.csv (logistic), each with its truth path.
+SUBCOMMAND_RUNS = {
+    "gen": ["gen", "--d", "2", "--T", "20", "--seed", "1", "--out", "{d}/g.csv"],
+    "run-vaw": ["run-vaw", "--beta", "0.9", "--stream", "{d}/s.csv", "--out", "{d}/o.csv"],
+    "run-aioli": ["run-aioli", "--stream", "{d}/l.csv", "--out", "{d}/o.csv"],
+    "run-ensemble": ["run-ensemble", "--betas", "0.5,0.9", "--stream", "{d}/l.csv",
+                     "--out", "{d}/o.csv"],
+    "run-o2nc": ["run-o2nc", "--T", "5", "--seed", "1", "--out", "{d}/o.csv"],
+    "tune-adam": ["tune-adam", *TUNE_FLAGS, "--out", "{d}/rep.json"],
+    "verify-lemmas": ["verify-lemmas", "--only", "abel-sum", "--instances", "3", "--seed", "1"],
+}
+# the files each run writes, in the order it writes them
+SUBCOMMAND_FILES = {
+    "gen": ["g.csv", "g.truth.csv"], "run-vaw": ["o.csv", "o.summary.json"],
+    "run-aioli": ["o.csv", "o.summary.json"], "run-ensemble": ["o.csv", "o.summary.json"],
+    "run-o2nc": ["o.csv", "o.summary.json"], "tune-adam": ["rep.json"], "verify-lemmas": [],
+}
 
-    def test_failed_check_exits_two(self):
-        assert cli._checks_exit({"checks": {"a": True, "b": False}}) == 2
+
+def subcommand_argv(capsys, tmp_path, command):
+    """The argv of ``command``'s small run, its input streams written first."""
+    make_stream(capsys, tmp_path, name="s.csv", T=20)
+    make_stream(capsys, tmp_path, name="l.csv", kind="logistic-drift", T=20)
+    return [a.format(d=tmp_path) for a in SUBCOMMAND_RUNS[command]]
+
+
+def _run_past_the_clip(monkeypatch):
+    run = o2nc.run_o2nc
+
+    def run_past_d(cfg, *args):
+        trace = run(cfg, *args)
+        trace.deltas[0, 0] = 2.0 * cfg.D  # one Delta_t outside the radius D
+        return trace
+
+    monkeypatch.setattr(o2nc, "run_o2nc", run_past_d)
+
+
+def _violated(lemma):
+    return lambda *args: lemmas.LemmaVerdict(lemma, 1, 1, -1.0)
+
+
+# A patch of the library under each subcommand that makes one of its checks
+# fail; gen has no check.
+FAILING = {
+    "run-vaw": lambda mp: mp.setattr(linreg, "dvaw_bounds", lambda *args: (-1e300,) * 3),
+    "run-aioli": lambda mp: mp.setattr(logreg, "theorem_dynamic_bound", lambda *args: -1e300),
+    "run-ensemble": lambda mp: mp.setattr(lemmas, "check_mixability", _violated("mixability")),
+    "run-o2nc": _run_past_the_clip,
+    "tune-adam": lambda mp: mp.setattr(adam, "verify_report", lambda rep: ["forced violation"]),
+    "verify-lemmas": lambda mp: mp.setitem(lemmas.SUITES, "abel-sum", _violated("abel-sum")),
+}
+
+
+class TestExitCodeContract:
+    # main's one rule for all seven: exit 0 when every check holds, else 2;
+    # and what a run writes as its summary is what it prints
+    @pytest.mark.parametrize("command, fail", [(c, False) for c in SUBCOMMAND_RUNS]
+                             + [(c, True) for c in FAILING],
+                             ids=[*SUBCOMMAND_RUNS, *(f"{c}-failing" for c in FAILING)])
+    def test_exit_is_zero_exactly_when_every_check_holds(self, capsys, tmp_path, monkeypatch,
+                                                          command, fail):
+        argv = subcommand_argv(capsys, tmp_path, command)
+        if fail:
+            FAILING[command](monkeypatch)
+        code, stdout, err = run_cli(capsys, *argv)
+        checks = json.loads(stdout)["checks"]
+        assert err == "" and (checks == {}) == (command == "gen")
+        assert all(checks.values()) is not fail
+        assert code == (2 if fail else 0)
+        files = [tmp_path / name for name in SUBCOMMAND_FILES[command]]
+        assert all(path.exists() for path in files)
+        if files and command != "gen":
+            assert files[-1].read_text() == stdout
 
     # The examples share tmp_path, so assert_clean_exit starts by clearing
     # the outputs of the one before.  A truth path beside the stream takes
@@ -1001,6 +1090,23 @@ class TestExitCodeContract:
         assert json.loads(stdout)["max_delta_norm"] == pytest.approx(2.75e154, rel=1e-3)
 
 
+class TestOneWriter:
+    # main alone writes and prints: a handler given resolved values returns
+    # its summary and its files, in writing order, and leaves stdout, stderr
+    # and the directory as they were
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_RUNS))
+    def test_a_handler_prints_nothing_and_writes_no_file(self, capsys, tmp_path, command):
+        argv = subcommand_argv(capsys, tmp_path, command)
+        fields, handler, _ = cli.SUBCOMMANDS[command]
+        values = cli._resolve_config(fields, cli.build_parser().parse_args(argv))
+        before = sorted(tmp_path.iterdir())
+        summary, files = handler(values)
+        assert capsys.readouterr() == ("", "")
+        assert sorted(tmp_path.iterdir()) == before
+        assert "checks" in summary
+        assert [path for path, _ in files] == [tmp_path / n for n in SUBCOMMAND_FILES[command]]
+
+
 class TestDeterminism:
     def test_gen_twice_is_byte_identical(self, capsys, tmp_path):
         a = make_stream(capsys, tmp_path, name="a.csv", seed=21)
@@ -1028,8 +1134,6 @@ class TestDeterminism:
     # build and kept in tests/golden: any change to the tuner, the step rule,
     # the driver loop, the VAW or AIOLI learners, the ensemble or their
     # bounds that moves a bit shows up here.
-    TUNE_FLAGS = ["--eps", "0.16", "--c", "1", "--G", "0.5", "--sigma", "0.5",
-                  "--Fstar", "1", "--nu", "1"]
     VAW_GEN = ["--d", "3", "--T", "200", "--seed", "1"]
     VAW_RUN = ["run-vaw", "--beta", "0.9", "--lambda", "1"]
     VAW_PIECEWISE_GEN = ["gen", "--kind", "piecewise-constant-target", *VAW_GEN,
