@@ -34,7 +34,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from driftlearn import adam, lemmas, linreg, logreg, o2nc, regret, streams
+import driftlearn
+from driftlearn import streams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,7 +64,9 @@ class Field:
     required: bool = False
     check: Optional[Callable[[object], Optional[str]]] = None
     help: str = ""
-    choices: Optional[tuple] = None
+    # the allowed values, read when a value is checked: a list that a
+    # library module owns loads that module then, not when cli is imported
+    choices: Optional[Callable[[], tuple]] = None
 
 
 def _in_range(lo, hi, lo_open=False, hi_open=False):
@@ -141,8 +144,8 @@ def _resolve_config(fields: list[Field], args: argparse.Namespace) -> dict:
             if f.required:
                 raise UsageError(f"{f.name}: required")
             continue
-        if f.choices and v not in f.choices:
-            raise UsageError(f"{f.name}: must be one of {f.choices}, got {v!r}")
+        if f.choices and v not in (choices := f.choices()):
+            raise UsageError(f"{f.name}: must be one of {choices}, got {v!r}")
         if f.check:
             msg = f.check(v)
             if msg:
@@ -257,7 +260,7 @@ def _load_stream(values: dict) -> tuple[streams.Stream, Optional[streams.Compara
 # ---------------------------------------------------------------------------
 
 GEN_FIELDS = COMMON_FIELDS + [
-    Field("kind", str, "piecewise-constant-target", choices=streams.KINDS),
+    Field("kind", str, "piecewise-constant-target", choices=lambda: streams.KINDS),
     Field("d", int, 2, check=_at_least_one),
     Field("T", int, 100, check=_at_least_one),
     Field("segments", int, 1, check=_at_least_one),
@@ -300,6 +303,8 @@ VAW_FIELDS = COMMON_FIELDS + [
 
 
 def cmd_run_vaw(values: dict) -> tuple[dict, list]:
+    from driftlearn import linreg, regret
+
     beta, lam = values["beta"], values["lam"]
     gamma = _resolve_gamma(values, beta)
     stream, truth = _load_stream(values)
@@ -348,6 +353,8 @@ AIOLI_FIELDS = COMMON_FIELDS + [
 
 
 def cmd_run_aioli(values: dict) -> tuple[dict, list]:
+    from driftlearn import logreg, regret
+
     beta, B, R = values["beta"], values["B"], values["R"]
     gamma = _resolve_gamma(values, beta)
     stream, truth = _load_stream(values)
@@ -419,6 +426,8 @@ def _parse_betas(raw: str) -> list[float]:
 
 
 def cmd_run_ensemble(values: dict) -> tuple[dict, list]:
+    from driftlearn import lemmas, logreg, regret
+
     stream, truth = _load_stream(values)
     B, R = values["B"], values["R"]
     lam = values["lam"] if values["lam"] is not None else logreg.default_lam(B)
@@ -461,8 +470,8 @@ def cmd_run_ensemble(values: dict) -> tuple[dict, list]:
 _ADAM_VARIANTS = {"clipped": "clipped", "clipfree": "clip-free"}
 
 O2NC_FIELDS = COMMON_FIELDS + [
-    Field("variant", str, "clipped", choices=tuple(_ADAM_VARIANTS)),
-    Field("objective", str, "quadratic", choices=tuple(o2nc.OBJECTIVES)),
+    Field("variant", str, "clipped", choices=lambda: tuple(_ADAM_VARIANTS)),
+    Field("objective", str, "quadratic", choices=lambda: tuple(driftlearn.o2nc.OBJECTIVES)),
     Field("dim", int, 10, check=_at_least_one),
     Field("T", int, 1000, check=_at_least_one),
     Field("seed", int, None),
@@ -479,6 +488,8 @@ O2NC_FIELDS = COMMON_FIELDS + [
 
 
 def cmd_run_o2nc(values: dict) -> tuple[dict, list]:
+    from driftlearn import adam, o2nc
+
     G, sigma = values["G"], values["sigma"]
     dim = values["dim"]
     if values["objective"] == "quadratic":
@@ -539,7 +550,7 @@ def cmd_run_o2nc(values: dict) -> tuple[dict, list]:
 
 
 TUNE_FIELDS = COMMON_FIELDS + [
-    Field("variant", str, "clipped", choices=tuple(_ADAM_VARIANTS)),
+    Field("variant", str, "clipped", choices=lambda: tuple(_ADAM_VARIANTS)),
     Field("eps", float, required=True, check=_positive),
     Field("c", float, required=True, check=_positive),
     Field("G", float, required=True, check=_positive),
@@ -552,6 +563,8 @@ TUNE_FIELDS = COMMON_FIELDS + [
 
 
 def cmd_tune_adam(values: dict) -> tuple[dict, list]:
+    from driftlearn import adam
+
     rep = adam.tune(
         _ADAM_VARIANTS[values["variant"]], values["eps"], values["c"], values["G"],
         values["sigma"], values["Fstar"], values["nu"], values["rho"],
@@ -566,13 +579,15 @@ def cmd_tune_adam(values: dict) -> tuple[dict, list]:
 
 
 LEMMA_FIELDS = COMMON_FIELDS + [
-    Field("only", str, None, choices=tuple(lemmas.SUITES)),
+    Field("only", str, None, choices=lambda: tuple(driftlearn.lemmas.SUITES)),
     Field("instances", int, 1000, check=_at_least_one),
     Field("seed", int, None),
 ]
 
 
 def cmd_verify_lemmas(values: dict) -> tuple[dict, list]:
+    from driftlearn import lemmas
+
     verdicts = lemmas.run_all(values["instances"], values["seed"], values["only"])
     payload = {
         "subcommand": "verify-lemmas",
@@ -632,7 +647,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             path.write_text(text if body is None else body)
         sys.stdout.write(text)
         return EXIT_OK if all(summary["checks"].values()) else EXIT_VIOLATION
-    except (UsageError, ValueError, RuntimeError, OSError) as exc:
+    except (UsageError, ValueError, RuntimeError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

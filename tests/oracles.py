@@ -1,9 +1,10 @@
 """Oracles only the tests call: reference quantities that no subcommand or
 bound check of the library computes, and the referees that the library's
 inlined or batched steps are held to bit for bit (`clip_to_ball`,
-`reference_delta_for`, `exp_sample`, `perturb`, and the per-round AIOLI of
-`PerRoundExperts`).  ``ftrl_equivalence_residual`` needs scipy, a test
-dependency of driftlearn and not a runtime one.
+`reference_delta_for`, `exp_sample`, `perturb`, the per-round AIOLI of
+`PerRoundExperts`, and the per-row truth writer `path_csv_rowwise`).
+``ftrl_equivalence_residual`` needs scipy, a test dependency of driftlearn
+and not a runtime one.
 """
 
 import math
@@ -25,6 +26,17 @@ from driftlearn.streams import ComparatorPath, Stream, discounted_scan, philox_r
 def constant_path(u: np.ndarray, T: int) -> ComparatorPath:
     """The comparator path that plays u in each of T rounds."""
     return ComparatorPath(np.tile(np.asarray(u, dtype=float), (T, 1)))
+
+
+def path_csv_rowwise(path: ComparatorPath, comment=None) -> str:
+    """The truth CSV one row at a time, each by the row template
+    ``"%d" + ",%r" * d``: the referee of ``streams.path_to_csv``, whichever
+    way it formats a path."""
+    parts = [f"# {comment}\n"] if comment else []
+    parts.append(",".join(["t", *(f"u_{j}" for j in range(path.d))]) + "\n")
+    row = "%d" + ",%r" * path.d + "\n"
+    parts += [row % (t, *u) for t, u in enumerate(path.U.tolist(), 1)]
+    return "".join(parts)
 
 
 def stationarity_surrogate(

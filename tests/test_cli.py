@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -1286,11 +1287,16 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+def _child_env() -> dict:
+    """This process's environment, with the tested sources first on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestNoScipyOnTheImportPath:
     def test_import_and_every_subcommand_load_no_scipy(self, tmp_path):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env()
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, driftlearn.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
@@ -1311,3 +1317,171 @@ class TestNoScipyOnTheImportPath:
         assert linreg.cho_factor is cho_factor and logreg.cho_factor is cho_factor
         with pytest.raises(AttributeError, match="no_such_name"):
             linreg.no_such_name  # noqa: B018
+
+
+# ---------------------------------------------------------------------------
+# Cold start: a fresh interpreter loads only the modules its subcommand runs.
+# ---------------------------------------------------------------------------
+
+# cli.main on the arguments after the script, in a fresh interpreter, after
+# the statements in {setup}; prints the exit code, then the driftlearn modules
+# loaded
+COLD_RUN = """
+import io, sys
+from contextlib import redirect_stdout
+{setup}
+from driftlearn import cli
+with redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "driftlearn"))
+"""
+
+BLOCK_LINREG = 'sys.modules["driftlearn.linreg"] = None'
+
+
+def python(cwd, *args) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` in ``cwd`` on the tested sources."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+def cold(cwd, *argv, setup=""):
+    """Exit code, modules loaded and stderr of one cold ``cli.main(argv)``."""
+    proc = python(cwd, "-c", COLD_RUN.format(setup=setup), *map(str, argv))
+    assert proc.stdout, proc.stderr
+    code, *modules = proc.stdout.split()
+    return int(code), modules, proc.stderr
+
+
+class TestColdStartLoads:
+    def test_gen_loads_cli_and_streams_alone(self, tmp_path):
+        code, modules, err = cold(tmp_path, "gen", "--d", "3", "--T", "30", "--seed", "1",
+                                  "--out", "s.csv")
+        assert (code, err) == (0, "")
+        assert modules == ["driftlearn", "driftlearn.cli", "driftlearn.streams"]
+
+    def test_o2nc_emit_config_loads_no_other_learner(self, tmp_path):
+        code, modules, err = cold(tmp_path, "run-o2nc", "--T", "50", "--emit-config", "o.cfg")
+        assert (code, err) == (0, "")
+        assert "driftlearn.o2nc" in modules  # its objective list is checked
+        assert not {"driftlearn.linreg", "driftlearn.logreg", "driftlearn.lemmas"} & set(modules)
+
+    def test_bare_import_loads_no_submodule(self, tmp_path):
+        proc = python(tmp_path, "-c", "import sys, driftlearn; "
+                      "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'driftlearn'))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "driftlearn\n", "")
+
+    def test_every_name_resolves(self, tmp_path):
+        script = """
+import driftlearn, driftlearn.lemmas
+assert driftlearn.linreg.__name__ == "driftlearn.linreg"
+from driftlearn import *
+from driftlearn import o2nc as by_name
+assert by_name is o2nc
+try:
+    driftlearn.no_such_name
+except AttributeError as exc:
+    print(exc)
+print(*(globals()[name].__name__ for name in driftlearn.__all__))
+"""
+        proc = python(tmp_path, "-c", script)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        missing, names = proc.stdout.splitlines()
+        assert missing == "module 'driftlearn' has no attribute 'no_such_name'"
+        assert names.split() == [f"driftlearn.{m}" for m in
+                                 ("adam", "lemmas", "linreg", "logreg", "o2nc", "regret",
+                                  "streams")]
+
+    def test_module_help_prints_the_parsers_text(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+        proc = python(tmp_path, "-m", "driftlearn.cli", "--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == cli.build_parser().format_help()
+        assert proc.stdout.startswith("usage: driftlearn ")
+
+
+class TestLibraryImportFailure:
+    def test_run_vaw_exits_one_with_one_line(self, capsys, tmp_path):
+        make_stream(capsys, tmp_path)
+        code, _, err = cold(tmp_path, "run-vaw", "--stream", "s.csv", "--out", "v.csv",
+                            setup=BLOCK_LINREG)
+        assert code == 1
+        assert err.startswith("error: ") and "driftlearn.linreg" in err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.truth.csv"]
+
+    def test_gen_runs_without_the_learners(self, tmp_path):
+        argv = ["gen", "--d", "3", "--T", "40", "--segments", "3", "--noise", "0.1",
+                "--seed", "5", "--out", "g.csv"]
+        files = []
+        for setup in (BLOCK_LINREG, ""):
+            (tmp_path / "run").mkdir()
+            code, _, err = cold(tmp_path / "run", *argv, setup=setup)
+            assert (code, err) == (0, "")
+            files.append({p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()})
+            (tmp_path / "run").rename(tmp_path / f"run{len(files)}")
+        assert sorted(files[0]) == ["g.csv", "g.truth.csv"] and files[0] == files[1]
+
+
+class TestChoiceMessages:
+    @pytest.mark.parametrize("argv, line", [
+        (["gen", "--kind", "bogus", "--out", "x.csv"],
+         "kind: must be one of ('piecewise-constant-target', 'rotating-target', "
+         "'logistic-drift'), got 'bogus'"),
+        (["run-o2nc", "--objective", "bogus"],
+         "objective: must be one of ('quadratic', 'norm', 'maxaffine'), got 'bogus'"),
+        (["verify-lemmas", "--only", "bogus"],
+         "only: must be one of ('abel-sum', 'ema-self-confident', 'beta-coupling', "
+         "'lr-deviation', 'min-self-confident', 'discounted-potential', "
+         "'logistic-surrogate', 'mixability', 'self-confident-tuning'), got 'bogus'"),
+        (["run-o2nc", "--variant", "bogus"],
+         "variant: must be one of ('clipped', 'clipfree'), got 'bogus'"),
+        (["tune-adam", "--variant", "clip-free", "--eps", "0.16", "--c", "1", "--G", "0.5",
+          "--sigma", "0.5", "--Fstar", "1", "--nu", "1"],
+         "variant: must be one of ('clipped', 'clipfree'), got 'clip-free'"),
+    ], ids=["kind", "objective", "only", "variant", "tune-adam-variant"])
+    def test_a_bad_choice_exits_one_with_one_line(self, capsys, tmp_path, monkeypatch, argv,
+                                                  line):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+# The first 16 hex digits of the sha256 of each file the benchmark's setup
+# writes, at seeds 1 and 2: gen's stream and truth, and run-o2nc's emitted
+# config, whose out= line names the run directory as {dir}
+BENCH_SETUP_SHA256 = {
+    ("vaw-piecewise", 1, "stream.csv"): "de32f88fe3da0f3e",
+    ("vaw-piecewise", 1, "stream.truth.csv"): "8ba97c82badc0075",
+    ("vaw-piecewise", 2, "stream.csv"): "4326e5eb5f9af70e",
+    ("vaw-piecewise", 2, "stream.truth.csv"): "8cd1a8075ec28507",
+    ("identity-rotating", 1, "stream.csv"): "09fb753e0e30c855",
+    ("identity-rotating", 1, "stream.truth.csv"): "d62514148bfdccbe",
+    ("identity-rotating", 2, "stream.csv"): "2e1e34d4933c65b4",
+    ("identity-rotating", 2, "stream.truth.csv"): "2aa8145fcf3ec772",
+    ("logistic-pool", 1, "stream.csv"): "1711825e9dc15482",
+    ("logistic-pool", 1, "stream.truth.csv"): "a6ff2742d2dbca03",
+    ("logistic-pool", 2, "stream.csv"): "bc646b2858ea1220",
+    ("logistic-pool", 2, "stream.truth.csv"): "cac9aa44d972d27d",
+    ("o2nc-long", 1, "o2nc.cfg"): "433b93505560295c",
+    ("o2nc-long", 2, "o2nc.cfg"): "a4c46a54fd07fd89",
+}
+
+
+class TestBenchSetupFiles:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", ["vaw-piecewise", "identity-rotating", "logistic-pool",
+                                      "o2nc-long"])
+    def test_setup_files_keep_their_bytes(self, capsys, tmp_path, monkeypatch, name, seed):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        workload = importlib.import_module("workloads").make_workloads()[name]
+        code, _, err = run_cli(capsys, *map(str, workload.setup_args(tmp_path, seed)))
+        assert (code, err) == (0, "")
+        digests = {f: hashlib.sha256((tmp_path / f).read_text().replace(
+                       str(tmp_path), "{dir}").encode()).hexdigest()[:16]
+                   for f in workload.inputs}
+        assert digests == {f: BENCH_SETUP_SHA256[name, seed, f] for f in workload.inputs}
+        if "stream.truth.csv" in workload.inputs:
+            text = (tmp_path / "stream.truth.csv").read_text()
+            comment = text.partition("\n")[0].removeprefix("# ")
+            assert text == oracles.path_csv_rowwise(streams.path_from_csv(text), comment)

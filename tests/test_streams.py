@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from driftlearn import o2nc, regret, streams
+from oracles import path_csv_rowwise
 
 
 # ---------------------------------------------------------------------------
@@ -26,18 +27,6 @@ def rowwise_stream_csv(stream, header_comment=None):
     for t in range(stream.T):
         row = [str(t + 1), repr(float(stream.y[t]))]
         row += [repr(float(v)) for v in stream.Z[t]]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def rowwise_path_csv(path, header_comment=None):
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(f"# {header_comment}\n")
-    cols = ["t"] + [f"u_{j}" for j in range(path.d)]
-    buf.write(",".join(cols) + "\n")
-    for t in range(path.T):
-        row = [str(t + 1)] + [repr(float(v)) for v in path.U[t]]
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
@@ -532,7 +521,7 @@ class TestCodecMatchesRowwiseWriters:
     @given(data=table(st.integers(1, 6), ANY_FLOAT), comment=COMMENTS)
     def test_path(self, data, comment):
         path = streams.ComparatorPath(data)
-        assert streams.path_to_csv(path, comment) == rowwise_path_csv(path, comment)
+        assert streams.path_to_csv(path, comment) == path_csv_rowwise(path, comment)
 
     @given(data=table(st.just(2), ANY_FLOAT, max_rows=40), comment=COMMENTS)
     @example(data=np.array([[1e308, -1e308], [1e308, -1e308]]), comment=None)
@@ -576,6 +565,49 @@ class TestCodecMatchesRowwiseWriters:
         columns = [mix, experts.min(axis=1)]
         got = streams.csv_text(["mix_loss", "best_expert_loss"], columns, comment)
         assert got == rowwise_ensemble_csv(mix, experts, comment)
+
+
+@st.composite
+def run_paths(draw):
+    """Paths made of runs of equal rows: short runs and runs that straddle
+    the writer's 256-row pieces, rows drawn with both zeros, nan and +-inf."""
+    lengths = draw(st.lists(st.one_of(st.integers(1, 5), st.integers(250, 300)),
+                            min_size=1, max_size=6))
+    rows = draw(arrays(np.float64, st.tuples(st.just(len(lengths)), st.integers(1, 4)),
+                       elements=st.one_of(st.sampled_from([0.0, -0.0, np.nan]), ANY_FLOAT)))
+    return np.repeat(rows, lengths, axis=0)
+
+
+class TestTruthWriterByRuns:
+    @given(U=run_paths(), comment=COMMENTS)
+    @example(U=np.array([[0.5]]), comment=None)
+    @example(U=np.repeat([[0.0], [-0.0], [0.0], [-0.0]], 3, axis=0), comment="c")
+    @example(U=np.repeat([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0]], [300, 4, 3], axis=0),
+             comment=None)
+    @example(U=np.repeat([[np.nan, 1.0], [np.nan, 1.0], [np.inf, np.nan]], [3, 4, 5], axis=0),
+             comment=None)
+    @example(U=np.full((257, 1), 2.5), comment="c")
+    def test_equals_the_rowwise_referee(self, U, comment):
+        path = streams.ComparatorPath(U)
+        assert streams.path_to_csv(path, comment) == path_csv_rowwise(path, comment)
+
+    @pytest.mark.parametrize("run, by_runs", [
+        (streams.MEAN_RUN_MIN, True), (streams.MEAN_RUN_MIN - 1, False), (1, False),
+    ])
+    def test_only_long_runs_skip_the_block_writer(self, monkeypatch, run, by_runs):
+        # the choice is made from the path: a path whose rows all differ
+        # keeps the block writer, which is faster there
+        calls = []
+        block = streams.csv_text
+        monkeypatch.setattr(streams, "csv_text", lambda *args: calls.append(args) or block(*args))
+        path = streams.ComparatorPath(np.repeat(np.arange(8.0).reshape(4, 2), run, axis=0))
+        assert streams.path_to_csv(path, "c") == path_csv_rowwise(path, "c")
+        assert (calls == []) == by_runs
+
+    def test_signed_zeros_are_separate_runs(self):
+        path = streams.ComparatorPath(np.repeat([[0.0], [-0.0]], 4, axis=0))
+        rows = streams.path_to_csv(path).splitlines()[1:]
+        assert rows == [f"{t},{'0.0' if t <= 4 else '-0.0'}" for t in range(1, 9)]
 
 
 def _cell_rows(data):
