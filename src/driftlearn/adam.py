@@ -246,16 +246,18 @@ def tune(variant, eps, c, G, sigma, Fstar, nu, rho: Optional[float] = None) -> T
     )
 
 
-def verify_report(rep: TuningReport, rel_tol: float = 1e-12) -> list[str]:
+def verify_report(rep: TuningReport) -> list[str]:
     """Re-substitute a report into its theorem's constraints.
 
     Returns a list of violated constraints (empty when everything holds).
     Infeasible reports pass vacuously when the stated reason is genuine.
     All derived formulas are rebuilt from the report's full-precision
-    ``one_minus_beta1`` gap.
+    ``one_minus_beta1`` gap.  Each comparison allows a relative slack of
+    1e-12.
     """
     if not rep.feasible:
         return [] if rep.reason else ["infeasible without a reason"]
+    rel_tol = 1e-12
     errs: list[str] = []
     gs = rep.G + rep.sigma
     omb = rep.one_minus_beta1

@@ -520,8 +520,7 @@ def cmd_run_o2nc(values: dict) -> tuple[dict, list]:
         beta1=rep.beta1, beta2=rep.beta2, gamma=rep.gamma, nu=nu,
         variant=variant, D=rep.D, mu=rep.mu,
     )
-    oracle = o2nc.StochasticOracle(objective=objective, sigma=sigma)
-    trace = o2nc.run_o2nc(cfg, oracle, values["T"], values["seed"], x0)
+    trace = o2nc.run_o2nc(cfg, objective, sigma, values["T"], values["seed"], x0)
     tail = max(1, values["T"] // 10)
     tail_mean = float(trace.grad_norms_at_xbar[-tail:].mean())
     delta_norms = trace.delta_norms

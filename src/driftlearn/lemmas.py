@@ -55,13 +55,13 @@ class LemmaVerdict:
         }
 
 
-def _verdict(lemma: str, lhs, rhs, tol: float = TOL) -> LemmaVerdict:
-    """Count violations of elementwise lhs <= rhs with relative slack; a
-    nan gap is a violation."""
+def _verdict(lemma: str, lhs, rhs) -> LemmaVerdict:
+    """Count violations of elementwise lhs <= rhs with relative slack
+    ``TOL``; a nan gap is a violation."""
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
     gaps = lhs - rhs
-    bad = int(np.sum(~(gaps <= tol * (1.0 + np.abs(rhs)))))
+    bad = int(np.sum(~(gaps <= TOL * (1.0 + np.abs(rhs)))))
     slack = float(np.min(rhs - lhs)) if len(gaps) else float("inf")
     return LemmaVerdict(lemma=lemma, instances=1, violations=bad, worst_slack=slack)
 

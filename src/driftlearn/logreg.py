@@ -60,8 +60,8 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from driftlearn.regret import RegretLedger, path_variation, row_dots
-from driftlearn.streams import ComparatorPath, Stream, discounted_scan
+from driftlearn.regret import RegretLedger, path_variation
+from driftlearn.streams import ComparatorPath, Stream, discounted_scan, row_dots
 
 ROOT_MAX_ITERS = 200
 
@@ -486,52 +486,42 @@ def theorem_dynamic_bound(run: AioliRun, path: ComparatorPath, gamma: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def mix_predict(yhats: np.ndarray, p: np.ndarray) -> float | np.ndarray:
-    """Mixed prediction ln(sum p_i sigma(yhat_i) / sum p_i (1-sigma(yhat_i))).
+def mix_predict(yhats: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Mixed predictions ln(sum p_i sigma(yhat_i) / sum p_i (1-sigma(yhat_i))),
+    one per round of the (T, N) predictions ``yhats`` and weights ``p``.
 
     Satisfies the 1-mixability inequality
     l(yhat_mix, y) <= -ln sum_i p_i exp(-l(yhat_i, y)) for y in {+1,-1}.
     If one side collapses to zero numerically (all experts saturated) it is
-    clamped to the smallest positive float before the log.  ``yhats`` and
-    ``p`` hold one round, shape (N,), for a float, or T rounds, shape
-    (T, N), for a (T,) array; a round gets the same value either way.
+    clamped to the smallest positive float before the log.
     """
     yhats = np.asarray(yhats, dtype=float)
     p = np.asarray(p, dtype=float)
-    if yhats.shape != p.shape or yhats.ndim not in (1, 2):
-        raise ValueError("predictions and weights must both be (N,) or (T, N)")
+    if yhats.shape != p.shape or yhats.ndim != 2:
+        raise ValueError("predictions and weights must both be (T, N)")
     if not (np.all(p >= 0.0) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9)):  # nan fails
         raise ValueError("weights must be nonnegative and sum to 1")
     return _mix(yhats, p)
 
 
-def _mix(yhats: np.ndarray, p: np.ndarray) -> float | np.ndarray:
+def _mix(yhats: np.ndarray, p: np.ndarray) -> np.ndarray:
     """:func:`mix_predict` for float arrays the caller built, unchecked."""
     with np.errstate(over="ignore"):  # see _sigmoid_of_negated
         weighted = _sigmoid_pm(yhats)
     for side in weighted:  # in place; a broadcast in-place product copies the stack
         side *= p
     s_pos, s_neg = np.maximum(weighted.sum(axis=-1), _TINY)
-    mix = np.log(s_pos) - np.log(s_neg)
-    return float(mix) if mix.ndim == 0 else mix
+    return np.log(s_pos) - np.log(s_neg)
 
 
 @dataclass
 class EnsembleRun:
     stream: Stream
-    betas: np.ndarray
-    lam: float
-    B: float
-    R: float
     yhats: np.ndarray
     mix_losses: np.ndarray
     expert_losses: np.ndarray  # (T, N)
     expert_yhats: np.ndarray   # (T, N)
     weights: np.ndarray        # normalized p_t, (T, N)
-
-    @property
-    def T(self) -> int:
-        return self.stream.T
 
     @property
     def meta_regret(self) -> float:
@@ -583,8 +573,7 @@ def run_ensemble(
     mix_losses = np.multiply(yhats, neg_y, out=neg_y)
     np.logaddexp(0.0, mix_losses, out=mix_losses)
     return EnsembleRun(
-        stream=stream, betas=betas, lam=lam, B=B, R=R, yhats=yhats,
-        mix_losses=mix_losses, expert_losses=expert_losses,
+        stream=stream, yhats=yhats, mix_losses=mix_losses, expert_losses=expert_losses,
         expert_yhats=expert_yhats, weights=weights,
     )
 

@@ -4,13 +4,13 @@ One run executes, per round t = 1..T,
 
     receive Delta_t from `adam.delta_for` (state holds g_1..g_{t-1}),
     x_t = x_{t-1} + s_t * Delta_t   with s_t = -ln(1 - r_t) ~ Exp(1) i.i.d.,
-    g_t = grad F(x_t) plus the `StochasticOracle` noise,
+    g_t = grad F(x_t) plus bounded noise (see `run_o2nc`),
     fold g_t into the update state with `adam.adam_update`.
 
 Only this part is sequential, and the loop does nothing else: it records
 s_t, Delta_t, g_t and grad F(x_t).  A round makes those two calls into
 `adam` and one `Objective.grad` call, and calls no other function written
-in Python; it draws r_t, uniform on [0, 1), and the oracle's d + 1
+in Python; it draws r_t, uniform on [0, 1), and the noise's d + 1
 normals itself, in that order, the normals into one buffer made before
 the loop.  After it, `run_o2nc` computes the rest from those rows, with
 the roundings of the per-round formulas: the check |g_t| <= G, the
@@ -43,8 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from driftlearn.adam import AdamConfig, AdamState, _norm, adam_update, delta_for
-from driftlearn.regret import row_dots
-from driftlearn.streams import csv_text, discounted_scan, philox_rng
+from driftlearn.streams import csv_text, discounted_scan, philox_rng, row_dots
 
 
 class OracleBoundError(RuntimeError):
@@ -147,23 +146,6 @@ OBJECTIVES = {
 }
 
 
-@dataclass
-class StochasticOracle:
-    """Unbiased bounded-noise gradient oracle, drawn by `run_o2nc`.
-
-    The noise direction is uniform on the sphere and its magnitude is
-    min(sigma * |N(0,1)|, G - |grad F(x)|), which keeps |g| <= G almost
-    surely while preserving zero-mean noise; the cap slightly reduces the
-    effective variance.  One draw of d + 1 standard normals gives the
-    direction and then the magnitude's normal, the same values as a draw of
-    d followed by a draw of one.  A zero direction or magnitude returns the
-    true gradient itself.
-    """
-
-    objective: Objective
-    sigma: float
-
-
 def ema_coefficients(beta: float, T: int) -> tuple[np.ndarray, np.ndarray]:
     """(beta-beta^t)/(1-beta^t) and (1-beta)/(1-beta^t), the running average's
     coefficients of xbar_{t-1} and x_t, for t = 1..T.  beta^t is Python's float
@@ -209,12 +191,10 @@ class O2ncTrace:
     x_t is, bit for bit, ``np.add.accumulate`` over the rows
     [x0 + s_1 Delta_1, s_2 Delta_2, ..., s_T Delta_T], u_t is a function of
     the true gradients at them, and of the running averages only the drawn
-    one, ``xbar_final`` (the average at ``final_index``), is kept.
+    one, ``xbar_final`` (the average at ``final_index``), is kept.  The
+    run's inputs, x0 among them, are the caller's.
     """
 
-    cfg: AdamConfig
-    objective: Objective
-    x0: np.ndarray
     xbar_final: np.ndarray       # running average at final_index
     scalings: np.ndarray         # s_t
     deltas: np.ndarray           # Delta_t, shape (T, d)
@@ -223,19 +203,11 @@ class O2ncTrace:
     zero_comparators: int
     final_index: int             # uniform draw over 1..T (0-based here)
 
-    @property
-    def T(self) -> int:
-        return len(self.scalings)
-
     @cached_property
     def delta_norms(self) -> np.ndarray:
-        """|Delta_t| per round, computed once: ``np.linalg.norm``'s bits where
-        that is finite, and ``adam._norm`` on the rows whose squares overflow."""
-        with np.errstate(over="ignore"):
-            dn = np.linalg.norm(self.deltas, axis=1)
-        for i in np.flatnonzero(dn == math.inf):
-            dn[i] = _norm(self.deltas[i])
-        return dn
+        """|Delta_t| per round, computed once on first read: ``adam._norm``'s
+        bits on every row, as the clip in ``adam.delta_for`` takes them."""
+        return _row_norms(self.deltas)
 
     def to_csv(self, header_comment: Optional[str] = None) -> str:
         header = ["s_t", "||delta||", "||grad_at_xbar||", "dynreg_term"]
@@ -244,14 +216,20 @@ class O2ncTrace:
 
 
 def run_o2nc(
-    cfg: AdamConfig,
-    oracle: StochasticOracle,
-    T: int,
-    seed: int,
-    x0: Optional[np.ndarray] = None,
+    cfg: AdamConfig, objective: Objective, sigma: float, T: int, seed: int, x0: np.ndarray
 ) -> O2ncTrace:
-    """Execute the conversion loop for ``T`` rounds from ``x0``, a point of
-    shape (d,) (ValueError before the first round otherwise).
+    """Execute the conversion loop on ``objective`` for ``T`` rounds from
+    ``x0``, a point of shape (d,) (ValueError before the first round
+    otherwise).
+
+    Each round's stochastic gradient is unbiased with bounded noise: its
+    direction is uniform on the sphere and its magnitude is
+    min(sigma * |N(0,1)|, G - |grad F(x)|), which keeps |g| <= G almost
+    surely while preserving zero-mean noise; the cap slightly reduces the
+    effective variance.  One draw of d + 1 standard normals gives the
+    direction and then the magnitude's normal, the same values as a draw of
+    d followed by a draw of one.  A zero direction or magnitude gives the
+    true gradient itself.
 
     Raises OracleBoundError naming the first round whose |g_t| exceeds the
     objective's declared Lipschitz bound, and ValueError naming the first
@@ -260,9 +238,8 @@ def run_o2nc(
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    obj = oracle.objective
-    d = obj.dim
-    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
+    d = objective.dim
+    x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
         raise ValueError(f"x0 must have the shape ({d},) of one point, got {x0.shape}")
     x = x0  # rebound each round, never written in place
@@ -272,13 +249,13 @@ def run_o2nc(
     # The sequential core; everything else is computed from its rows below.
     # A round calls into adam twice and takes one true gradient, and calls
     # no other function written in Python: the draws, s_t = -ln(1 - r) and
-    # then the oracle's d + 1 normals, the norms (_norm's finite-square
+    # then the noise's d + 1 normals, the norms (_norm's finite-square
     # path) and the noise step are inline, on names bound once here.
     scalings = np.empty(T)
     deltas = np.empty((T, d))
     grads = np.empty((T, d))       # g_t
     true_grads = np.empty((T, d))  # grad F(x_t)
-    grad, G, sigma, inf = obj.grad, obj.lipschitz, oracle.sigma, math.inf
+    grad, G, inf = objective.grad, objective.lipschitz, math.inf
     uniform, normal, sqrt, log, vdot = rng.random, rng.standard_normal, math.sqrt, math.log, np.vdot
     normals = np.empty(d + 1)
     direction = normals[:-1]
@@ -333,11 +310,10 @@ def run_o2nc(
     xbars *= c_new[:, None]
     discounted_scan(xbars, c_prev, x0, out=xbars)  # xbar_t, started from x0
     xbar_final = xbars[final_index].copy()
-    grads_at_xbar = obj.grad_rows(xbars)
+    grads_at_xbar = objective.grad_rows(xbars)
     del xbars
     return O2ncTrace(
-        cfg=cfg, objective=obj, x0=x0, xbar_final=xbar_final,
-        scalings=scalings, deltas=deltas, grad_norms_at_xbar=_row_norms(grads_at_xbar),
-        dynreg_terms=dynreg,
+        xbar_final=xbar_final, scalings=scalings, deltas=deltas,
+        grad_norms_at_xbar=_row_norms(grads_at_xbar), dynreg_terms=dynreg,
         zero_comparators=zero_comparators, final_index=final_index,
     )

@@ -60,21 +60,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from driftlearn.streams import ComparatorPath, csv_text
+from driftlearn.streams import ComparatorPath, csv_text, row_dots
 
 _LOSSES = ("squared", "logistic")
-
-
-def row_dots(Z: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """[Z[0] @ U[0], ..., Z[T-1] @ U[T-1]] for (T, d) arrays, or
-    [Z[0] @ u, ..., Z[T-1] @ u] for one (d,) vector u.
-
-    A stack of (1, d) @ (d, 1) products goes through the same dot kernel as
-    ``Z[t] @ U[t]``, so every entry equals the per-row product bit for bit,
-    whatever the memory layout, and a prefix ``Z[:k]`` gives the first k
-    entries of the whole.
-    """
-    return np.matmul(Z[:, None, :], U[..., None])[:, 0, 0]
 
 
 @dataclass
@@ -91,10 +79,10 @@ class RegretLedger:
 
     ``loss_eval(t, u)``, ``loss_eval_batch(u, upto)`` and ``path_losses(U)``
     give f_t(u), the row [f_1(u), ..., f_k(u)] and [f_1(u_1), ..., f_T(u_T)],
-    all through ``_loss`` of the margins from ``row_dots``, so every one of
-    them gives the same f_t(u) bit for bit, and a row through k is the first
-    k entries of the whole row.  The evaluators below take every comparator
-    row from ``self.path_losses``, and P_T^g takes its losses from
+    all through ``_loss`` of the margins from ``streams.row_dots``, so every
+    one of them gives the same f_t(u) bit for bit, and a row through k is the
+    first k entries of the whole row.  The evaluators below take every
+    comparator row from ``self.path_losses``, and P_T^g takes its losses from
     ``self._loss`` of block margins of Z, once per distinct comparator and
     block, up to the lemma's early stop, so an instance may rebind either
     (to count rows, or to feed rows that disagree with Z and y).  The

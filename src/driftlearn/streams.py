@@ -1,4 +1,5 @@
-"""Synthetic non-stationary regression streams, the exact discounted scan,
+"""Synthetic non-stationary regression streams, the numeric kernels the
+learners and evaluators share (the exact discounted scan and ``row_dots``),
 and the CSV codec of every artifact.
 
 Streams are generated with a counter-based Philox RNG so a given
@@ -256,6 +257,18 @@ def _scan_columns(v: np.ndarray, beta, prev: np.ndarray, out: np.ndarray) -> Non
     for j, acc in zip(np.ndindex(prev.shape), prev.ravel().tolist()):
         column = (slice(None), *j)
         out[column] = np.fromiter(sums(memoryview(v[column]), acc), float, len(v))
+
+
+def row_dots(Z: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """[Z[0] @ U[0], ..., Z[T-1] @ U[T-1]] for (T, d) arrays, or
+    [Z[0] @ u, ..., Z[T-1] @ u] for one (d,) vector u.
+
+    A stack of (1, d) @ (d, 1) products goes through the same dot kernel as
+    ``Z[t] @ U[t]``, so every entry equals the per-row product bit for bit,
+    whatever the memory layout, and a prefix ``Z[:k]`` gives the first k
+    entries of the whole.
+    """
+    return np.matmul(Z[:, None, :], U[..., None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------

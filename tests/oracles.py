@@ -18,7 +18,7 @@ from scipy.optimize import NonlinearConstraint, minimize
 from driftlearn import linreg, logreg
 from driftlearn.adam import AdamConfig, AdamState, _norm, adam_update, delta_for
 from driftlearn.logreg import AioliRun, sigmoid
-from driftlearn.o2nc import O2ncTrace, Objective, StochasticOracle
+from driftlearn.o2nc import O2ncTrace, Objective
 from driftlearn.regret import RegretLedger
 from driftlearn.streams import ComparatorPath, Stream, discounted_scan, philox_rng
 
@@ -106,15 +106,17 @@ def exp_sample(rng: np.random.Generator) -> float:
     return -math.log(1.0 - float(rng.random()))
 
 
-def perturb(oracle: StochasticOracle, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The stochastic gradient ``oracle`` draws around the true gradient ``g``,
-    as a function of its own: one draw of d + 1 normals, the direction and
-    then the magnitude's normal."""
-    gap = oracle.objective.lipschitz - _norm(g)
-    normals = rng.standard_normal(oracle.objective.dim + 1)
+def perturb(
+    objective: Objective, sigma: float, g: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """The stochastic gradient `run_o2nc` draws around the true gradient ``g``
+    of ``objective`` at noise level ``sigma``, as a function of its own: one
+    draw of d + 1 normals, the direction and then the magnitude's normal."""
+    gap = objective.lipschitz - _norm(g)
+    normals = rng.standard_normal(objective.dim + 1)
     direction = normals[:-1]
     nd = math.sqrt(direction @ direction)
-    magnitude = min(oracle.sigma * abs(float(normals[-1])), max(gap, 0.0))
+    magnitude = min(sigma * abs(float(normals[-1])), max(gap, 0.0))
     if nd == 0.0 or magnitude == 0.0:
         return g
     return g + (magnitude / nd) * direction

@@ -1360,11 +1360,19 @@ class TestColdStartLoads:
         assert (code, err) == (0, "")
         assert modules == ["driftlearn", "driftlearn.cli", "driftlearn.streams"]
 
+    O2NC_MODULES = ["driftlearn", "driftlearn.adam", "driftlearn.cli", "driftlearn.o2nc",
+                    "driftlearn.streams"]
+
     def test_o2nc_emit_config_loads_no_other_learner(self, tmp_path):
         code, modules, err = cold(tmp_path, "run-o2nc", "--T", "50", "--emit-config", "o.cfg")
         assert (code, err) == (0, "")
-        assert "driftlearn.o2nc" in modules  # its objective list is checked
-        assert not {"driftlearn.linreg", "driftlearn.logreg", "driftlearn.lemmas"} & set(modules)
+        assert modules == self.O2NC_MODULES  # o2nc: its objective list is checked
+
+    def test_o2nc_run_loads_no_regret(self, tmp_path):
+        # the driver takes its row dots from streams
+        code, modules, err = cold(tmp_path, "run-o2nc", "--T", "50", "--out", "o.csv")
+        assert (code, err) == (0, "")
+        assert modules == self.O2NC_MODULES
 
     def test_bare_import_loads_no_submodule(self, tmp_path):
         proc = python(tmp_path, "-c", "import sys, driftlearn; "

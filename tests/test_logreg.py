@@ -417,15 +417,25 @@ class TestDynamicBound:
 
 
 class TestMixPredict:
+    # mix_predict takes (T, N) blocks; a one-round case is a block of one row
     def test_single_expert_identity(self):
-        for yhat in (-3.0, 0.0, 1.7):
-            assert logreg.mix_predict(np.array([yhat]), np.array([1.0])) == pytest.approx(
-                yhat, abs=1e-9
-            )
+        yhats = np.array([[-3.0], [0.0], [1.7]])
+        mixed = logreg.mix_predict(yhats, np.ones((3, 1)))
+        assert mixed.shape == (3,)
+        np.testing.assert_allclose(mixed, yhats[:, 0], rtol=0.0, atol=1e-9)
 
     def test_symmetric_pair_mixes_to_zero(self):
-        mixed = logreg.mix_predict(np.array([2.5, -2.5]), np.array([0.5, 0.5]))
-        assert mixed == pytest.approx(0.0, abs=1e-12)
+        mixed = logreg.mix_predict(np.array([[2.5, -2.5]]), np.array([[0.5, 0.5]]))
+        assert mixed == pytest.approx([0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("yhats, p", [
+        (np.array([0.3, -0.2]), np.array([0.5, 0.5])),
+        (np.zeros((1, 1, 2)), np.full((1, 1, 2), 0.5)),
+        (np.zeros((2, 2)), np.full((1, 2), 0.5)),
+    ], ids=["one-round", "three-axes", "shapes-differ"])
+    def test_only_matching_blocks_are_taken(self, yhats, p):
+        with pytest.raises(ValueError, match=r"^predictions and weights must both be \(T, N\)$"):
+            logreg.mix_predict(yhats, p)
 
     def test_mixability_inequality_fuzz(self):
         rng = np.random.default_rng(8)
@@ -443,13 +453,13 @@ class TestMixPredict:
     def test_weights_off_the_simplex_are_rejected(self, p):
         message = "weights must be nonnegative and sum to 1"
         with pytest.raises(ValueError, match=message):
-            logreg.mix_predict(np.array([0.3, -0.2]), np.array(p))
-        with pytest.raises(ValueError, match=message):  # one round in a (T, N) call
+            logreg.mix_predict(np.array([[0.3, -0.2]]), np.array([p]))
+        with pytest.raises(ValueError, match=message):  # one round of two
             lemmas.check_mixability(np.zeros((2, 2)), np.array([[0.5, 0.5], p]))
 
     def test_saturated_experts_are_clamped(self):
-        mixed = logreg.mix_predict(np.array([800.0, 900.0]), np.array([0.5, 0.5]))
-        assert np.isfinite(mixed) and mixed > 0
+        mixed = logreg.mix_predict(np.array([[800.0, 900.0]]), np.array([[0.5, 0.5]]))
+        assert np.isfinite(mixed[0]) and mixed[0] > 0
 
 
 class TestEnsemble:
@@ -478,7 +488,7 @@ class TestEnsemble:
         rng = np.random.default_rng(12)
         stream, _ = logistic_stream(rng, T=40)
         run = logreg.run_ensemble(stream, [0.7, 0.9, 0.97], lam=1.0, B=1.0, R=1.0)
-        for t in range(run.T):
+        for t in range(stream.T):
             assert lemmas.check_mixability(run.expert_yhats[t], run.weights[t]).passed
 
 
@@ -561,7 +571,7 @@ def per_round_ensemble(stream, betas, lam, B, R):
         lq = log_q - log_q.max()
         p = np.exp(lq)
         p /= p.sum()
-        yhats[t] = logreg._mix(yh, p)
+        yhats[t] = logreg._mix(yh[None], p[None])[0]
         mix_losses[t] = oracles.logistic_loss(float(yhats[t]), y)
         expert_losses[t] = np.logaddexp(0.0, -y * yh)
         expert_yhats[t] = yh

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftlearn import adam, o2nc, regret
+from driftlearn import adam, o2nc
 from driftlearn.streams import discounted_scan, philox_rng
 from oracles import exp_sample, perturb, reference_delta_for, stationarity_surrogate
 
@@ -27,10 +27,11 @@ class FixedUniform:
         return self.r
 
 
-def iterates(trace):
-    """x_1..x_T rebuilt from the trace: the running sum of x0 and s_t Delta_t."""
+def iterates(trace, x0):
+    """x_1..x_T rebuilt from the trace of a run from x0: the running sum of
+    x0 and s_t Delta_t."""
     steps = trace.scalings[:, None] * trace.deltas
-    return np.add.accumulate(np.vstack([trace.x0, steps]))[1:]
+    return np.add.accumulate(np.vstack([x0, steps]))[1:]
 
 
 class TestExpSample:
@@ -120,8 +121,7 @@ class TestComparatorPath:
 
     def run(self, obj, x0, T=200, D=0.05):
         cfg = small_clipped_cfg(D=D)
-        oracle = o2nc.StochasticOracle(obj, sigma=0.0)
-        return o2nc.run_o2nc(cfg, oracle, T=T, seed=4, x0=x0)
+        return o2nc.run_o2nc(cfg, obj, 0.0, T=T, seed=4, x0=x0)
 
     def test_single_gradient_normalized(self):
         # g = (3, 4), Delta_1 = 0 and u_1 = -(0.6, 0.8): the term is g.(-u_1) = 5
@@ -136,7 +136,7 @@ class TestComparatorPath:
     def test_matches_recomputed_true_gradient_accumulator(self, obj, x0, D):
         trace = self.run(obj, x0, D=D)
         a = np.zeros(3)
-        for t, x in enumerate(iterates(trace)):
+        for t, x in enumerate(iterates(trace, x0)):
             g = obj.grad(x)
             a = 0.9 * a + g
             u = -D * a / np.linalg.norm(a)
@@ -150,9 +150,10 @@ class TestComparatorPath:
         # is about D |g| = 5e307
         D = 5e154
         obj = o2nc.clamped_quadratic(2, radius=1e160)
-        trace = self.run(obj, np.array([6e152, 8e152]), T=8, D=D)
+        x0 = np.array([6e152, 8e152])
+        trace = self.run(obj, x0, T=8, D=D)
         a, overflows = np.zeros(2), 0
-        for t, x in enumerate(iterates(trace)):
+        for t, x in enumerate(iterates(trace, x0)):
             g = obj.grad(x)
             a = 0.9 * a + g
             norm = math.hypot(*a)
@@ -171,9 +172,8 @@ class TestComparatorPath:
 class TestRunLoop:
     def test_first_step_does_not_move(self):
         obj = o2nc.clamped_quadratic(3, radius=1.0)
-        oracle = o2nc.StochasticOracle(obj, sigma=0.1)
         x0 = np.array([0.5, 0.0, 0.0])
-        trace = o2nc.run_o2nc(small_clipped_cfg(), oracle, T=1, seed=0, x0=x0)
+        trace = o2nc.run_o2nc(small_clipped_cfg(), obj, 0.1, T=1, seed=0, x0=x0)
         np.testing.assert_array_equal(trace.deltas[0], np.zeros(3))
         assert trace.final_index == 0
         np.testing.assert_array_equal(trace.xbar_final, x0)  # xbar_1 = x_1 exactly
@@ -190,26 +190,25 @@ class TestRunLoop:
             calls.append(1)
             return base.grad(x)
 
-        oracle = o2nc.StochasticOracle(dataclasses.replace(base, grad=counted), sigma=0.1)
+        obj = dataclasses.replace(base, grad=counted)
         with pytest.raises(ValueError, match=r"^x0 must have the shape \(3,\) of one point, got "):
-            o2nc.run_o2nc(small_clipped_cfg(), oracle, T=20, seed=0, x0=x0)
+            o2nc.run_o2nc(small_clipped_cfg(), obj, 0.1, T=20, seed=0, x0=x0)
         assert calls == []
 
     def test_clipped_moves_bounded_by_scaled_radius(self):
         obj = o2nc.euclidean_norm(4)
-        oracle = o2nc.StochasticOracle(obj, sigma=0.2)
         cfg = small_clipped_cfg(D=0.02)
-        trace = o2nc.run_o2nc(cfg, oracle, T=400, seed=3, x0=np.ones(4))
-        steps = np.diff(np.vstack([trace.x0, iterates(trace)]), axis=0)
+        x0 = np.ones(4)
+        trace = o2nc.run_o2nc(cfg, obj, 0.2, T=400, seed=3, x0=x0)
+        steps = np.diff(np.vstack([x0, iterates(trace, x0)]), axis=0)
         caps = trace.scalings * 0.02
         assert np.all(np.linalg.norm(steps, axis=1) <= caps * (1.0 + 1e-9))
 
     def test_trace_reproducible_bit_for_bit(self):
         obj = o2nc.max_affine(3, pieces=5, seed=11)
-        oracle = o2nc.StochasticOracle(obj, sigma=0.3)
         cfg = small_clipped_cfg()
-        t1 = o2nc.run_o2nc(cfg, oracle, T=200, seed=42, x0=np.zeros(3))
-        t2 = o2nc.run_o2nc(cfg, oracle, T=200, seed=42, x0=np.zeros(3))
+        t1 = o2nc.run_o2nc(cfg, obj, 0.3, T=200, seed=42, x0=np.zeros(3))
+        t2 = o2nc.run_o2nc(cfg, obj, 0.3, T=200, seed=42, x0=np.zeros(3))
         assert np.array_equal(t1.xbar_final, t2.xbar_final)
         assert np.array_equal(t1.deltas, t2.deltas)
         assert np.array_equal(t1.scalings, t2.scalings)
@@ -217,23 +216,21 @@ class TestRunLoop:
         assert t1.to_csv() == t2.to_csv()
 
     def test_delta_norms_past_the_square_overflow(self):
-        # rows of |Delta| up to 1e300: np.linalg.norm's bits while the squares
-        # stay finite, the scaled adam._norm past about 1.3e154
+        # rows of |Delta| up to 1e300: adam._norm's bits on every row, the
+        # clip's, both while the squares stay finite and past about 1.3e154
         rng = np.random.default_rng(5)
         scales = np.array([1.0, 1e150, 1e156, 1e200, 1e300])
         deltas = rng.standard_normal((5, 3)) * scales[:, None]
         trace = o2nc.O2ncTrace(
-            cfg=None, objective=None, x0=None, xbar_final=None, scalings=np.ones(5),
-            deltas=deltas, grad_norms_at_xbar=np.ones(5), dynreg_terms=np.ones(5),
+            xbar_final=None, scalings=np.ones(5), deltas=deltas,
+            grad_norms_at_xbar=np.ones(5), dynreg_terms=np.ones(5),
             zero_comparators=0, final_index=0,
         )
         norms = trace.delta_norms
         with np.errstate(over="ignore"):
-            plain = np.linalg.norm(deltas, axis=1)
-        finite = np.isfinite(plain)
-        assert finite.tolist() == [True, True, False, False, False]
-        assert norms[finite].tolist() == plain[finite].tolist()
-        assert norms[~finite].tolist() == [adam._norm(row) for row in deltas[~finite]]
+            squares = np.einsum("ij,ij->i", deltas, deltas)
+        assert np.isfinite(squares).tolist() == [True, True, False, False, False]
+        assert bits(norms).tolist() == bits([adam._norm(row) for row in deltas]).tolist()
         for norm, row in zip(norms, deltas):
             assert norm == pytest.approx(math.hypot(*row), rel=1e-15)
 
@@ -241,10 +238,9 @@ class TestRunLoop:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(7)))
         for obj in (o2nc.clamped_quadratic(3, 2.0), o2nc.euclidean_norm(3),
                     o2nc.max_affine(3, seed=1)):
-            oracle = o2nc.StochasticOracle(obj, sigma=0.5)
             for _ in range(300):
                 x = rng.standard_normal(3) * 3
-                g = perturb(oracle, obj.grad(x), rng)
+                g = perturb(obj, 0.5, obj.grad(x), rng)
                 assert np.linalg.norm(g) <= obj.lipschitz * (1 + 1e-12)
 
     @pytest.mark.parametrize("value, grad, x0, sigma, message", [
@@ -261,18 +257,16 @@ class TestRunLoop:
         # an objective lying about its Lipschitz constant must be caught, at
         # the first round that breaks the bound
         liar = o2nc.Objective("liar", 2, value, grad, 0.1, grad_rows=grad)  # grad is linear
-        oracle = o2nc.StochasticOracle(liar, sigma=sigma)
         with pytest.raises(o2nc.OracleBoundError) as err:
-            o2nc.run_o2nc(small_clipped_cfg(), oracle, T=400, seed=3, x0=np.array(x0))
+            o2nc.run_o2nc(small_clipped_cfg(), liar, sigma, T=400, seed=3, x0=np.array(x0))
         assert str(err.value) == message
 
     def test_oracle_noise_is_mean_zero(self):
         obj = o2nc.clamped_quadratic(2, radius=5.0)
-        oracle = o2nc.StochasticOracle(obj, sigma=0.3)
         rng = np.random.Generator(np.random.Philox(key=np.uint64(9)))
         x = np.array([0.5, 0.5])
         g = obj.grad(x)
-        noise = np.array([perturb(oracle, g, rng) - g for _ in range(40_000)])
+        noise = np.array([perturb(obj, 0.3, g, rng) - g for _ in range(40_000)])
         assert np.linalg.norm(noise.mean(axis=0)) <= 0.01
 
 
@@ -297,20 +291,20 @@ def reference_objective(obj):
     return dataclasses.replace(obj, grad=grads.get(obj.name, obj.grad))
 
 
-def reference_o2nc(cfg, oracle, T, seed, x0, referees=False):
+def reference_o2nc(cfg, objective, sigma, T, seed, x0, referees=False):
     """Copy of the driver loop as it ran with three true gradients a round:
     one inside the oracle, one for the accumulator, one at the average.
     With ``referees`` each round takes Delta_t and g_t from the referees in
     oracles, `reference_delta_for` and `perturb`, as run_o2nc did before its
     clip and its draws went inline; s_t is always `exp_sample`'s."""
-    obj = reference_objective(oracle.objective)
+    obj = reference_objective(objective)
 
     def sample(x, rng):
         g = obj.grad(x)
         gap = obj.lipschitz - float(np.linalg.norm(g))
         direction = rng.standard_normal(obj.dim)
         nd = float(np.linalg.norm(direction))
-        magnitude = min(oracle.sigma * abs(float(rng.standard_normal())), max(gap, 0.0))
+        magnitude = min(sigma * abs(float(rng.standard_normal())), max(gap, 0.0))
         if nd == 0.0 or magnitude == 0.0:
             return g
         return g + (magnitude / nd) * direction
@@ -332,7 +326,7 @@ def reference_o2nc(cfg, oracle, T, seed, x0, referees=False):
             return reference_delta_for(cfg, adam.AdamState(m, v, beta1_pow))
 
         def sample(x, rng):
-            return perturb(oracle, obj.grad(x), rng)
+            return perturb(obj, sigma, obj.grad(x), rng)
 
     d = obj.dim
     x = np.asarray(x0, dtype=float).copy()
@@ -393,10 +387,9 @@ class TestOneTrueGradientPerRound:
 
     @staticmethod
     def check(cfg, obj, x0, referees):
-        oracle = o2nc.StochasticOracle(obj, sigma=0.4)
-        trace = o2nc.run_o2nc(cfg, oracle, T=300, seed=17, x0=x0)
-        fields, zero, final = reference_o2nc(cfg, oracle, 300, 17, x0, referees)
-        assert np.array_equal(iterates(trace), fields.pop("xs"))
+        trace = o2nc.run_o2nc(cfg, obj, 0.4, T=300, seed=17, x0=x0)
+        fields, zero, final = reference_o2nc(cfg, obj, 0.4, 300, 17, x0, referees)
+        assert np.array_equal(iterates(trace, x0), fields.pop("xs"))
         assert np.array_equal(trace.xbar_final, fields.pop("xbars")[final])
         for key, ref in fields.items():
             assert np.array_equal(getattr(trace, key), ref), key
@@ -411,8 +404,8 @@ class TestOneTrueGradientPerRound:
             calls.append(1)
             return base.grad(x)
 
-        oracle = o2nc.StochasticOracle(dataclasses.replace(base, grad=counted), sigma=0.2)
-        o2nc.run_o2nc(small_clipped_cfg(), oracle, T=50, seed=1, x0=np.ones(3))
+        obj = dataclasses.replace(base, grad=counted)
+        o2nc.run_o2nc(small_clipped_cfg(), obj, 0.2, T=50, seed=1, x0=np.ones(3))
         assert len(calls) == 50  # at x_t; the averages take grad_rows
 
 
@@ -423,17 +416,6 @@ def bits(values):
 class TestBatchedKernels:
     """The batched kernels run_o2nc computes its diagnostics with after the
     loop, held to the per-round operations they replace, bit for bit."""
-
-    @given(pair=st.integers(1, 39).flatmap(lambda d: st.tuples(*[
-        arrays(np.float64, (17, d), elements=st.floats(-1e3, 1e3))] * 2)))
-    def test_row_dots_equal_per_row_vdot(self, pair):
-        X, Y = pair
-        assert bits(regret.row_dots(X, Y)).tolist() == bits(list(map(np.vdot, X, Y))).tolist()
-
-    def test_row_dots_on_the_bench_shape(self):
-        rng = philox_rng(3)
-        X, Y = rng.standard_normal((15000, 10)), rng.standard_normal((15000, 10))
-        assert np.array_equal(bits(regret.row_dots(X, Y)), bits(list(map(np.vdot, X, Y))))
 
     @given(X=st.tuples(st.integers(1, 40), st.integers(1, 12)).flatmap(lambda shape: arrays(
         np.float64, shape, elements=st.one_of(
@@ -452,7 +434,7 @@ class TestBatchedKernels:
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), rounds=st.integers(1, 30))
     def test_one_normal_draw_of_d_plus_one(self, seed, d, rounds):
-        # run_o2nc draws the oracle's d + 1 normals at once, in place of d
+        # run_o2nc draws the noise's d + 1 normals at once, in place of d
         # and then one; on Philox that is the same stream of values
         merged, split = philox_rng(seed), philox_rng(seed)
         for _ in range(rounds):
@@ -660,8 +642,7 @@ class TestConvergenceSmoke:
             beta1=rep.beta1, beta2=rep.beta2, gamma=rep.gamma, nu=1.1,
             variant="clipped", D=rep.D,
         )
-        oracle = o2nc.StochasticOracle(obj, sigma=0.1)
         x0 = np.ones(5) / math.sqrt(5)
-        trace = o2nc.run_o2nc(cfg, oracle, T=8000, seed=0, x0=x0)
+        trace = o2nc.run_o2nc(cfg, obj, 0.1, T=8000, seed=0, x0=x0)
         tail = trace.grad_norms_at_xbar[-800:]
         assert tail.mean() < 0.25  # moved most of the way to the optimum

@@ -724,22 +724,6 @@ def bits(values):
 
 
 class TestComparatorLossRows:
-    # The one margin kernel behind every loss row: the rows through any k
-    # are the per-row dots, and the first k entries of the whole, bit for
-    # bit, in every memory layout the ledgers and the CSV reader produce.
-    @given(seed=st.integers(0, 2**31 - 1), T=st.integers(1, 1000), d=st.integers(1, 64),
-           layout=st.sampled_from(["C", "column-slice", "reversed", "F"]), data=st.data())
-    def test_row_dots_prefixes_equal_per_row_vdot(self, seed, T, d, layout, data):
-        rng = np.random.default_rng(seed)
-        wide = rng.standard_normal((T, d + 2))
-        Z = {"C": np.ascontiguousarray(wide[:, :d]), "column-slice": wide[:, 1 : d + 1],
-             "reversed": np.ascontiguousarray(wide[:, :d])[::-1],
-             "F": np.asfortranarray(wide[:, :d])}[layout]
-        u, k = rng.standard_normal(d), data.draw(st.integers(0, T))
-        prefix = bits(regret.row_dots(Z[:k], u))
-        assert prefix.tolist() == bits([np.vdot(z, u) for z in Z[:k]]).tolist()
-        assert prefix.tolist() == bits(regret.row_dots(Z, u)[:k]).tolist()
-
     # The per-round functions above are the loops that path_losses replaced:
     # the rows, the regret and the trace must equal theirs bit for bit, for
     # both loss kinds, and so must every row of loss_eval_batch.

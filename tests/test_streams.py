@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftlearn import o2nc, regret, streams
+from driftlearn import adam, o2nc, regret, streams
 from oracles import path_csv_rowwise
 
 
@@ -50,10 +50,9 @@ def rowwise_o2nc_csv(trace, header_comment=None):
     if header_comment:
         lines.append(f"# {header_comment}")
     lines.append("t,s_t,||delta||,||grad_at_xbar||,dynreg_term")
-    dn = np.linalg.norm(trace.deltas, axis=1)
-    for t in range(trace.T):
+    for t, delta in enumerate(trace.deltas):
         lines.append(
-            f"{t + 1},{float(trace.scalings[t])!r},{float(dn[t])!r},"
+            f"{t + 1},{float(trace.scalings[t])!r},{adam._norm(delta)!r},"
             f"{float(trace.grad_norms_at_xbar[t])!r},{float(trace.dynreg_terms[t])!r}"
         )
     return "\n".join(lines) + "\n"
@@ -398,6 +397,39 @@ CSV_VALUES = st.one_of(
 )
 
 
+class TestRowDots:
+    """The one row-dot kernel behind the loss rows of `regret`, the margins
+    of `logreg` and the norms and regret terms of `o2nc`, held to the
+    per-row dot bit for bit."""
+
+    @given(pair=st.integers(1, 39).flatmap(lambda d: st.tuples(*[
+        arrays(np.float64, (17, d), elements=st.floats(-1e3, 1e3))] * 2)))
+    def test_row_dots_equal_per_row_vdot(self, pair):
+        X, Y = pair
+        assert bits(streams.row_dots(X, Y)) == bits(list(map(np.vdot, X, Y)))
+
+    def test_row_dots_on_the_o2nc_bench_shape(self):
+        rng = streams.philox_rng(3)
+        X, Y = rng.standard_normal((15000, 10)), rng.standard_normal((15000, 10))
+        assert bits(streams.row_dots(X, Y)) == bits(list(map(np.vdot, X, Y)))
+
+    # The rows through any k are the per-row dots, and the first k entries
+    # of the whole, bit for bit, in every memory layout the ledgers and the
+    # CSV reader produce.
+    @given(seed=st.integers(0, 2**31 - 1), T=st.integers(1, 1000), d=st.integers(1, 64),
+           layout=st.sampled_from(["C", "column-slice", "reversed", "F"]), data=st.data())
+    def test_row_dots_prefixes_equal_per_row_vdot(self, seed, T, d, layout, data):
+        rng = np.random.default_rng(seed)
+        wide = rng.standard_normal((T, d + 2))
+        Z = {"C": np.ascontiguousarray(wide[:, :d]), "column-slice": wide[:, 1 : d + 1],
+             "reversed": np.ascontiguousarray(wide[:, :d])[::-1],
+             "F": np.asfortranarray(wide[:, :d])}[layout]
+        u, k = rng.standard_normal(d), data.draw(st.integers(0, T))
+        prefix = bits(streams.row_dots(Z[:k], u))
+        assert prefix == bits([np.vdot(z, u) for z in Z[:k]])
+        assert prefix == bits(streams.row_dots(Z, u)[:k])
+
+
 class TestCsvRoundTrip:
     @given(
         T=st.one_of(st.integers(1, 3), st.integers(254, 258), st.integers(511, 514)),
@@ -546,9 +578,9 @@ class TestCodecMatchesRowwiseWriters:
     def test_o2nc_trace(self, columns, deltas, comment):
         T = len(columns)
         trace = o2nc.O2ncTrace(
-            cfg=None, objective=None, x0=None, xbar_final=None,
-            scalings=columns[:, 0], deltas=deltas[:T], grad_norms_at_xbar=columns[:, 1],
-            dynreg_terms=columns[:, 2], zero_comparators=0, final_index=0,
+            xbar_final=None, scalings=columns[:, 0], deltas=deltas[:T],
+            grad_norms_at_xbar=columns[:, 1], dynreg_terms=columns[:, 2],
+            zero_comparators=0, final_index=0,
         )
         assert trace.to_csv(comment) == rowwise_o2nc_csv(trace, comment)
 

@@ -10,6 +10,17 @@ A name kept for another reason is listed in ``ALLOWED`` with that reason.
 Every private top-level function and class, and every private method of any
 class, must be referenced in ``src/`` outside its own ``def``: a helper that
 only tests reach is dead code.  Dunder names are exempt.
+
+Every field of a dataclass in ``src/`` must be read as an attribute
+somewhere in ``src/`` or ``bench/``: a field that nothing reads echoes an
+input the caller already holds, or records what no one looks at.  A
+learner's output that only tests read is listed in ``UNREAD_FIELDS`` with
+its reason.
+
+Every check here matches by bare name, not by owner.  A name read anywhere counts
+for every definition of that name, so a public property or a field named
+``T`` passes unseen (``.T`` is numpy's transpose throughout), as does a
+field whose name another object's attribute shares.
 """
 
 import ast
@@ -20,6 +31,17 @@ SRC = sorted((ROOT / "src" / "driftlearn").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 ALLOWED: dict[str, str] = {}
+
+UNREAD_FIELDS: dict[str, str] = {
+    "linreg.DvawRun.yhats": "the learner's predictions, its output; tests hold them to "
+                            "the per-round reference",
+    "logreg.AioliRun.yhats": "the learner's predictions, its output; tests hold them to "
+                             "the per-round reference",
+    "logreg.EnsembleRun.yhats": "the mixture's predictions, its output; tests hold them to "
+                                "the per-round reference",
+    "o2nc.O2ncTrace.xbar_final": "the point the conversion returns, its output",
+    "o2nc.O2ncTrace.final_index": "the round of the returned point, drawn uniformly",
+}
 
 
 def _defs(path: Path, private: bool):
@@ -87,3 +109,37 @@ def test_every_allowlisted_name_exists_and_still_needs_its_entry():
 def test_every_private_name_is_reached_from_src():
     missing = unreferenced(private=True)
     assert missing == [], f"private names nothing in src/ reaches: {missing}; delete them"
+
+
+def unread_fields() -> list[str]:
+    """Fields of the dataclasses in ``src/`` whose name nothing in ``src/``
+    or ``bench/`` reads as an attribute."""
+    read = {
+        node.attr
+        for path in SRC + BENCH
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    missing = []
+    for path in SRC:
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(deco).startswith("dataclass") for deco in node.decorator_list)):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.target.id not in read:
+                    missing.append(f"{path.stem}.{node.name}.{item.target.id}")
+    return missing
+
+
+def test_every_dataclass_field_is_read_in_src_or_bench():
+    missing = [name for name in unread_fields() if name not in UNREAD_FIELDS]
+    assert missing == [], (
+        f"dataclass fields nothing in src/ or bench/ reads: {missing}; drop them, "
+        "or list them in UNREAD_FIELDS with a reason"
+    )
+
+
+def test_every_unread_field_entry_exists_and_still_needs_it():
+    assert set(UNREAD_FIELDS) <= set(unread_fields())
+    assert all(reason.strip() for reason in UNREAD_FIELDS.values())
