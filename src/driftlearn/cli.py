@@ -64,8 +64,8 @@ class Field:
     required: bool = False
     check: Optional[Callable[[object], Optional[str]]] = None
     help: str = ""
-    # the allowed values, read when a value is checked: a list that a
-    # library module owns loads that module then, not when cli is imported
+    # the allowed values, read only to check a value other than the default:
+    # a list that a library module owns loads that module then, not at import
     choices: Optional[Callable[[], tuple]] = None
 
 
@@ -144,7 +144,7 @@ def _resolve_config(fields: list[Field], args: argparse.Namespace) -> dict:
             if f.required:
                 raise UsageError(f"{f.name}: required")
             continue
-        if f.choices and v not in (choices := f.choices()):
+        if f.choices and v != f.default and v not in (choices := f.choices()):
             raise UsageError(f"{f.name}: must be one of {choices}, got {v!r}")
         if f.check:
             msg = f.check(v)
@@ -441,7 +441,7 @@ def cmd_run_ensemble(values: dict) -> tuple[dict, list]:
         betas = list(logreg.build_grid(B, R, stream.d, stream.T))
     run = logreg.run_ensemble(stream, betas, lam, B, R)
     n = len(betas)
-    mix = lemmas.check_mixability(run.expert_yhats, run.weights)
+    mix = lemmas.check_mixability(run.yhats, run.expert_yhats, run.weights)
     meta = run.meta_regret
     h = _config_hash(values)
     summary = {
@@ -507,7 +507,7 @@ def cmd_run_o2nc(values: dict) -> tuple[dict, list]:
             grad0 = objective.grad(x0)
         except FloatingPointError:  # max-affine: A @ x0 leaves the floats
             raise UsageError(f"x0_scale: F(x0) is not finite at x0_scale={x0_scale!r}") from None
-    g0 = o2nc.euclidean_norm(dim).value(grad0)  # |grad F(x0)|, without overflow
+    g0 = adam._norm(grad0)  # |grad F(x0)|, without overflow
     eps = values["eps"] if values["eps"] is not None else max(0.3 * g0, 1e-6)
     nu = values["nu"] if values["nu"] is not None else G + sigma
     fstar = values["Fstar"] if values["Fstar"] is not None else max(objective.value(x0), 1e-6)

@@ -10,21 +10,26 @@ exact equality cases (beta = 1, a = b, the mixability equality) do not
 trip the oracles, and a nan gap does.  Where a raw formula overflows, the algebraically identical
 stable form is substituted (e.g. e^b f'(b)^2 = sigma(b) sigma(-b) for the
 logistic surrogate).
+
+The oracles stand apart from the learners: this module imports from
+``streams`` alone and keeps its own sigma, and a learner's output is passed
+in, as ``run-ensemble`` passes the mixture it played to check_mixability.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from driftlearn.logreg import mix_predict, sigmoid
 from driftlearn.streams import discounted_scan, philox_rng
 
 TOL = 1e-9
 IDENTITY_TOL = 1e-10
 MIXABILITY_BLOCK = 64  # rounds per block of check_mixability
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -64,6 +69,14 @@ def _verdict(lemma: str, lhs, rhs) -> LemmaVerdict:
     bad = int(np.sum(~(gaps <= TOL * (1.0 + np.abs(rhs)))))
     slack = float(np.min(rhs - lhs)) if len(gaps) else float("inf")
     return LemmaVerdict(lemma=lemma, instances=1, violations=bad, worst_slack=slack)
+
+
+def _sigmoid(x: float) -> float:
+    """1/(1 + e^-x) of a float, through ``math.exp``; 0 where e^-x overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def ema(beta: float, x: np.ndarray) -> np.ndarray:
@@ -246,36 +259,49 @@ def check_logistic_surrogate(C: float, a: float, b: float) -> LemmaVerdict:
     a, b = float(a), float(b)
     f_a = float(np.logaddexp(0.0, -a))
     f_b = float(np.logaddexp(0.0, -b))
-    fp_b = -sigmoid(-b)
-    curv = sigmoid(b) * sigmoid(-b) / (2.0 * (1.0 + C))
+    fp_b = -_sigmoid(-b)
+    curv = _sigmoid(b) * _sigmoid(-b) / (2.0 * (1.0 + C))
     rhs_expansion = f_b + fp_b * (a - b) + curv * (a - b) ** 2
     return _verdict("logistic-surrogate", rhs_expansion, f_a)
 
 
-def check_mixability(yhats: Sequence, p: Sequence) -> LemmaVerdict:
-    """l(yhat_mix, y) <= -ln sum_i p_i e^{-l(yhat_i, y)} for y in {+1, -1}.
+def _mixture_sums(yhats: np.ndarray, p: np.ndarray) -> list:
+    """[s+, s-], s+- = max(sum_i p_i sigma(+-yhat_i), tiny) over the last
+    axis: ln s+ - ln s- is the 1-mixable prediction (``logreg._mix``'s bits),
+    and -ln s+- the right side of the inequality at y = +-1."""
+    with np.errstate(over="ignore"):  # e^-x = inf gives sigma = 1/inf = 0
+        return [np.maximum((p * (1.0 / (1.0 + np.exp(-y * yhats)))).sum(axis=-1), _TINY)
+                for y in (1.0, -1.0)]
 
-    ``yhats`` and ``p`` hold one round, shape (N,), or T rounds, shape
-    (T, N).  Every round is checked and counts as one instance, so one call
+
+def check_mixability(mix: Sequence, yhats: Sequence, p: Sequence) -> LemmaVerdict:
+    """l(mix, y) <= -ln sum_i p_i e^{-l(yhat_i, y)} for y in {+1, -1}.
+
+    ``mix`` is the mixture's prediction for one round, with the experts'
+    ``yhats`` and weights ``p`` of shape (N,), or T predictions with T
+    rounds of shape (T, N); shapes that disagree and weights off the simplex
+    raise ``ValueError``.  Every round counts as one instance, so one call
     on T rounds gives the verdict that T one-round calls absorb into.
     Rounds are taken ``MIXABILITY_BLOCK`` at a time, which keeps the
     temporaries at O(N * MIXABILITY_BLOCK) floats for any T.
     """
+    mix = np.atleast_1d(np.asarray(mix, dtype=float))
     yhats = np.atleast_2d(np.asarray(yhats, dtype=float))
     p = np.atleast_2d(np.asarray(p, dtype=float))
-    tiny = np.finfo(float).tiny
+    if yhats.shape != p.shape or yhats.ndim != 2:
+        raise ValueError("predictions and weights must both be (T, N)")
+    if mix.shape != yhats.shape[:1]:
+        raise ValueError("the mixture needs one prediction per round")
     verdict = LemmaVerdict("mixability", 0, 0, float("inf"))
-    for start in range(0, yhats.shape[0], MIXABILITY_BLOCK):
-        block_yhats = yhats[start : start + MIXABILITY_BLOCK]
-        block_p = p[start : start + MIXABILITY_BLOCK]
-        mix = mix_predict(block_yhats, block_p)
-        lhs, rhs = [], []
-        for y in (1.0, -1.0):
-            lhs.append(np.logaddexp(0.0, -y * mix))
-            s = (block_p * sigmoid(y * block_yhats)).sum(axis=1)
-            rhs.append(-np.log(np.maximum(s, tiny)))
-        block = _verdict("mixability", np.ravel(lhs), np.ravel(rhs))
-        block.instances = len(block_yhats)
+    for start in range(0, len(mix), MIXABILITY_BLOCK):
+        rows = slice(start, start + MIXABILITY_BLOCK)
+        q = p[rows]
+        if not (np.all(q >= 0.0) and np.all(np.abs(q.sum(axis=1) - 1.0) <= 1e-9)):  # nan fails
+            raise ValueError("weights must be nonnegative and sum to 1")
+        lhs = [np.logaddexp(0.0, -y * mix[rows]) for y in (1.0, -1.0)]
+        sums = _mixture_sums(yhats[rows], q)
+        block = _verdict("mixability", np.ravel(lhs), -np.log(np.ravel(sums)))
+        block.instances = len(q)
         verdict.absorb(block)
     return verdict
 
@@ -411,7 +437,8 @@ def _fuzz_mixability(rng) -> LemmaVerdict:
     if p.sum() == 0.0:
         p[:] = 1.0
     p /= p.sum()
-    return check_mixability(yhats, p)
+    s_pos, s_neg = _mixture_sums(yhats, p)
+    return check_mixability(np.log(s_pos) - np.log(s_neg), yhats, p)
 
 
 def _fuzz_self_confident(rng) -> LemmaVerdict:

@@ -88,26 +88,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def sigmoid(x):
-    """The logistic function 1/(1 + exp(-x)), elementwise; 0 where exp(-x)
-    overflows.
-
-    A float (Python or numpy scalar) goes through ``math.exp`` and returns a
-    float; anything else through ``np.exp`` and returns an array.  Both
-    evaluate the same formula, but numpy's vectorized ``exp`` can differ
-    from the C library's in the last place, so the array form may differ
-    from the float form by a few units in the last place.
-    """
-    if isinstance(x, float):
-        try:
-            return 1.0 / (1.0 + math.exp(-x))
-        except OverflowError:
-            return 0.0
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # exp(-x) = inf gives 1/inf = 0
-        return _sigmoid_of_negated(np.negative(x, out=np.empty(x.shape)))
-
-
 def _sigmoid_pm(x: np.ndarray) -> np.ndarray:
     """sigmoid(x) and sigmoid(-x), stacked on a new leading axis."""
     return _sigmoid_of_negated(np.multiply.outer(_MINUS_PLUS, x))
@@ -486,26 +466,15 @@ def theorem_dynamic_bound(run: AioliRun, path: ComparatorPath, gamma: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def mix_predict(yhats: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _mix(yhats: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Mixed predictions ln(sum p_i sigma(yhat_i) / sum p_i (1-sigma(yhat_i))),
-    one per round of the (T, N) predictions ``yhats`` and weights ``p``.
+    one per round of the (T, N) float arrays ``yhats`` and ``p``, unchecked.
 
     Satisfies the 1-mixability inequality
     l(yhat_mix, y) <= -ln sum_i p_i exp(-l(yhat_i, y)) for y in {+1,-1}.
     If one side collapses to zero numerically (all experts saturated) it is
     clamped to the smallest positive float before the log.
     """
-    yhats = np.asarray(yhats, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if yhats.shape != p.shape or yhats.ndim != 2:
-        raise ValueError("predictions and weights must both be (T, N)")
-    if not (np.all(p >= 0.0) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9)):  # nan fails
-        raise ValueError("weights must be nonnegative and sum to 1")
-    return _mix(yhats, p)
-
-
-def _mix(yhats: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """:func:`mix_predict` for float arrays the caller built, unchecked."""
     with np.errstate(over="ignore"):  # see _sigmoid_of_negated
         weighted = _sigmoid_pm(yhats)
     for side in weighted:  # in place; a broadcast in-place product copies the stack

@@ -17,7 +17,7 @@ from scipy.optimize import NonlinearConstraint, minimize
 
 from driftlearn import linreg, logreg
 from driftlearn.adam import AdamConfig, AdamState, _norm, adam_update, delta_for
-from driftlearn.logreg import AioliRun, sigmoid
+from driftlearn.logreg import AioliRun
 from driftlearn.o2nc import O2ncTrace, Objective
 from driftlearn.regret import RegretLedger
 from driftlearn.streams import ComparatorPath, Stream, discounted_scan, philox_rng
@@ -305,6 +305,21 @@ def aioli_rescaled_bound(run: AioliRun, t: int, u: np.ndarray) -> float:
         run.beta_pows[t - 1] * 0.5 * run.lam * (u @ u)
         + scale * run.stab_disc[t - 1]
     )
+
+
+# Fixed inputs of every sigma test: signed zeros, subnormal results, and both
+# sides of exp's overflow at 709.782712893384, the largest x whose e^x is finite.
+SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 708.4, -708.4, 709.78,
+                 -709.78, 709.782712893384, -709.782712893384,
+                 math.nextafter(709.782712893384, math.inf),
+                 math.nextafter(-709.782712893384, -math.inf), 709.79, -709.79, 720.0,
+                 -720.0, 745.2, -745.2, 800.0, -800.0, 1e308, -1e308, math.inf, -math.inf]
+
+
+def sigmoid(x):
+    """1/(1 + e^-x), elementwise; 0 where e^-x overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(np.negative(x)))
 
 
 def aioli_curvature_weights(run: AioliRun) -> np.ndarray:

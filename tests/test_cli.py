@@ -553,6 +553,23 @@ class TestRunEnsemble:
         assert_one_error_line(code, err)
         assert "optimism root" in err and stdout == ""
 
+    def test_mixability_reads_the_mixture_played(self, capsys, tmp_path, monkeypatch):
+        # predictions shifted off the mixture fail the check; the losses
+        # stay, so meta_regret_le_ln_n still holds
+        stream = make_stream(capsys, tmp_path, name="lg.csv", kind="logistic-drift", seed=5)
+        run_ensemble = logreg.run_ensemble
+
+        def shifted(*args):
+            run = run_ensemble(*args)
+            run.yhats += 1.0
+            return run
+
+        monkeypatch.setattr(logreg, "run_ensemble", shifted)
+        code, stdout, err = run_cli(capsys, "run-ensemble", "--stream", str(stream))
+        assert (code, err) == (2, "")
+        checks = json.loads(stdout)["checks"]
+        assert checks == {"meta_regret_le_ln_n": True, "mixability_every_round": False}
+
     def test_dynamic_regret_is_mixture_minus_truth_losses(self, capsys, tmp_path):
         stream = make_stream(
             capsys, tmp_path, name="lg.csv", kind="logistic-drift", d=2, T=60,
@@ -1337,6 +1354,7 @@ print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "driftlearn"))
 """
 
 BLOCK_LINREG = 'sys.modules["driftlearn.linreg"] = None'
+BLOCK_LOGREG = 'sys.modules["driftlearn.logreg"] = None'
 
 
 def python(cwd, *args) -> subprocess.CompletedProcess:
@@ -1363,10 +1381,28 @@ class TestColdStartLoads:
     O2NC_MODULES = ["driftlearn", "driftlearn.adam", "driftlearn.cli", "driftlearn.o2nc",
                     "driftlearn.streams"]
 
-    def test_o2nc_emit_config_loads_no_other_learner(self, tmp_path):
+    def test_o2nc_emit_config_loads_no_library_module(self, tmp_path):
+        # the default objective is not checked against o2nc's list
         code, modules, err = cold(tmp_path, "run-o2nc", "--T", "50", "--emit-config", "o.cfg")
         assert (code, err) == (0, "")
-        assert modules == self.O2NC_MODULES  # o2nc: its objective list is checked
+        assert modules == ["driftlearn", "driftlearn.cli", "driftlearn.streams"]
+
+    # the README's cold-start table, one row a case
+    @pytest.mark.parametrize("argv, loads", [
+        (["run-vaw", "--stream", "s.csv"], ["linreg", "regret"]),
+        (["run-aioli", "--stream", "l.csv"], ["logreg", "regret"]),
+        (["run-ensemble", "--stream", "l.csv"], ["lemmas", "logreg", "regret"]),
+        (["tune-adam", "--eps", "0.16", "--c", "1", "--G", "0.5", "--sigma", "0.5",
+          "--Fstar", "1", "--nu", "1"], ["adam"]),
+        (["verify-lemmas", "--instances", "20"], ["lemmas"]),
+    ], ids=["run-vaw", "run-aioli", "run-ensemble", "tune-adam", "verify-lemmas"])
+    def test_each_subcommand_loads_what_it_runs(self, capsys, tmp_path, argv, loads):
+        make_stream(capsys, tmp_path, name="s.csv")
+        make_stream(capsys, tmp_path, name="l.csv", kind="logistic-drift")
+        code, modules, err = cold(tmp_path, *argv)
+        assert (code, err) == (0, "")
+        assert modules == sorted(["driftlearn", "driftlearn.cli", "driftlearn.streams",
+                                  *(f"driftlearn.{m}" for m in loads)])
 
     def test_o2nc_run_loads_no_regret(self, tmp_path):
         # the driver takes its row dots from streams
@@ -1418,6 +1454,10 @@ class TestLibraryImportFailure:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.truth.csv"]
 
+    def test_verify_lemmas_runs_without_logreg(self, tmp_path):
+        code, _, err = cold(tmp_path, "verify-lemmas", "--instances", "20", setup=BLOCK_LOGREG)
+        assert (code, err) == (0, "")
+
     def test_gen_runs_without_the_learners(self, tmp_path):
         argv = ["gen", "--d", "3", "--T", "40", "--segments", "3", "--noise", "0.1",
                 "--seed", "5", "--out", "g.csv"]
@@ -1432,6 +1472,13 @@ class TestLibraryImportFailure:
 
 
 class TestChoiceMessages:
+    def test_every_default_is_none_or_one_of_its_choices(self):
+        # _resolve_config checks only a value other than the default
+        fields = [f for fields, _, _ in cli.SUBCOMMANDS.values() for f in fields if f.choices]
+        assert {f.name for f in fields} == {"kind", "variant", "objective", "only"}
+        for f in fields:
+            assert f.default is None or f.default in f.choices(), f.name
+
     @pytest.mark.parametrize("argv, line", [
         (["gen", "--kind", "bogus", "--out", "x.csv"],
          "kind: must be one of ('piecewise-constant-target', 'rotating-target', "

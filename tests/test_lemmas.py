@@ -1,9 +1,73 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.special import expit
 
-from driftlearn import lemmas
+from driftlearn import lemmas, logreg
+from oracles import SIGMOID_EDGES
+
+
+def ulps_apart(a, b):
+    """Units in the last place between nonnegative float arrays a and b."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestSigmoid:
+    # the float sigma of the logistic-surrogate oracle
+    @given(x=st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats(allow_nan=False)))
+    def test_bit_identical_to_expit(self, x):
+        got = lemmas._sigmoid(x)
+        assert type(got) is float
+        assert ulps_apart(got, expit(x)) == 0
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(lemmas._sigmoid(math.nan))
+
+    def test_no_warning_where_exp_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [lemmas._sigmoid(x) for x in (720.0, -720.0, 800.0, -800.0)]
+        assert got == [1.0, 0.0, 1.0, 0.0]
+
+
+class TestMixtureSums:
+    def test_one_expert_gives_sigma_within_four_ulp_of_expit(self):
+        rng = np.random.default_rng(30)
+        x = np.concatenate([
+            SIGMOID_EDGES,
+            rng.standard_normal(20000) * 10.0 ** rng.integers(-3, 3, 20000),
+            rng.uniform(-750.0, 750.0, 20000),
+        ])
+        tiny = np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s_pos, s_neg = lemmas._mixture_sums(x[:, None], np.ones((x.size, 1)))
+        assert ulps_apart(s_pos, np.maximum(expit(x), tiny)).max() <= 4
+        assert ulps_apart(s_neg, np.maximum(expit(-x), tiny)).max() <= 4
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        T=st.integers(1, 4),
+        n=st.integers(1, 16),
+        saturated=st.floats(0.0, 1.0),
+    )
+    def test_its_mixture_is_the_learners_bit_for_bit(self, seed, T, n, saturated):
+        # _fuzz_mixability checks ln s+ - ln s-: the mixture run_ensemble plays
+        rng = np.random.default_rng(seed)
+        yhats = rng.uniform(-40.0, 40.0, (T, n))
+        mask = rng.random((T, n)) < saturated
+        yhats[mask] = rng.choice([-800.0, -700.0, 700.0, 800.0], size=int(mask.sum()))
+        p = rng.random((T, n))
+        p /= p.sum(axis=1, keepdims=True)
+        want = logreg._mix(yhats, p).tobytes()
+        s_pos, s_neg = lemmas._mixture_sums(yhats, p)
+        assert (np.log(s_pos) - np.log(s_neg)).tobytes() == want
+        s_pos, s_neg = lemmas._mixture_sums(yhats[0], p[0])  # one round, as the fuzz passes it
+        assert np.atleast_1d(np.log(s_pos) - np.log(s_neg)).tobytes() == want[:8]
 
 
 class TestAbelSum:
@@ -174,12 +238,41 @@ class TestLogisticSurrogate:
 
 class TestMixability:
     def test_single_expert_equality(self):
-        v = lemmas.check_mixability([1.7], [1.0])
+        v = lemmas.check_mixability(1.7, [1.7], [1.0])
         assert v.passed and abs(v.worst_slack) <= 1e-12
 
     def test_symmetric_pair(self):
-        v = lemmas.check_mixability([3.0, -3.0], [0.5, 0.5])
+        v = lemmas.check_mixability(0.0, [3.0, -3.0], [0.5, 0.5])
         assert v.passed
+
+    def test_a_shifted_mixture_fails(self):
+        v = lemmas.check_mixability([0.0, 1.0], [[3.0, -3.0]] * 2, [[0.5, 0.5]] * 2)
+        assert (v.instances, v.violations) == (2, 1) and v.worst_slack < -0.1
+
+    @pytest.mark.parametrize("mix, yhats, p", [
+        (0.0, np.zeros((1, 1, 2)), np.full((1, 1, 2), 0.5)),
+        (np.zeros(2), np.zeros((2, 2)), np.full((1, 2), 0.5)),
+    ], ids=["three-axes", "shapes-differ"])
+    def test_only_matching_blocks_are_taken(self, mix, yhats, p):
+        with pytest.raises(ValueError, match=r"^predictions and weights must both be \(T, N\)$"):
+            lemmas.check_mixability(mix, yhats, p)
+
+    @pytest.mark.parametrize("mix", [np.zeros(3), np.zeros(1), np.zeros((2, 1))],
+                             ids=["too-many", "too-few", "two-axes"])
+    def test_one_mixture_prediction_per_round(self, mix):
+        with pytest.raises(ValueError, match="^the mixture needs one prediction per round$"):
+            lemmas.check_mixability(mix, np.zeros((2, 2)), np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize(
+        "p", [[math.nan, math.nan], [math.nan, 1.0], [-0.5, 1.5], [0.5, 0.4], [math.inf, 0.0]],
+        ids=["all-nan", "one-nan", "negative", "short-sum", "inf"],
+    )
+    def test_weights_off_the_simplex_are_rejected(self, p):
+        message = "^weights must be nonnegative and sum to 1$"
+        with pytest.raises(ValueError, match=message):
+            lemmas.check_mixability(0.0, [0.3, -0.2], p)
+        with pytest.raises(ValueError, match=message):  # one round of two
+            lemmas.check_mixability(np.zeros(2), np.zeros((2, 2)), np.array([[0.5, 0.5], p]))
 
     def test_fuzz_suite_clean(self):
         v = lemmas.run_suite("mixability", instances=300, seed=10)

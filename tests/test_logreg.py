@@ -58,40 +58,29 @@ def ulps_apart(a, b):
     return np.abs(a.view(np.int64) - b.view(np.int64))
 
 
-SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 708.4, -708.4, 709.78,
-                 -709.78, 709.79, -709.79, 720.0, -720.0, 745.2, -745.2, 800.0, -800.0,
-                 1e308, -1e308, np.inf, -np.inf]
-
-
-class TestSigmoid:
-    @given(x=st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats(allow_nan=False)))
-    def test_float_is_bit_identical_to_expit(self, x):
-        got = logreg.sigmoid(x)
-        assert type(got) is float
-        assert ulps_apart(got, expit(x)) == 0
-
-    def test_nan_stays_nan(self):
-        assert math.isnan(logreg.sigmoid(math.nan))
-        assert np.isnan(logreg.sigmoid(np.array([math.nan]))).all()
-
-    def test_array_is_within_four_ulp_of_expit(self):
+class TestSigmoidPm:
+    # the learner's sigma; the float sigma of the oracles is pinned in test_lemmas
+    def test_within_four_ulp_of_expit(self):
         rng = np.random.default_rng(30)
         x = np.concatenate([
-            SIGMOID_EDGES,
+            oracles.SIGMOID_EDGES,
             rng.standard_normal(20000) * 10.0 ** rng.integers(-3, 3, 20000),
             rng.uniform(-750.0, 750.0, 20000),
         ])
-        assert ulps_apart(logreg.sigmoid(x), expit(x)).max() <= 4
-        grid = x.reshape(-1, 1)[:100]
-        assert logreg.sigmoid(grid).shape == grid.shape
+        with np.errstate(over="ignore"):  # as every caller runs it
+            s_pos, s_neg = logreg._sigmoid_pm(x)
+            grid = logreg._sigmoid_pm(x[:100].reshape(-1, 4))
+        assert ulps_apart(s_pos, expit(x)).max() <= 4
+        assert ulps_apart(s_neg, expit(-x)).max() <= 4
+        assert grid.shape == (2, 25, 4)
 
-    def test_no_warning_where_exp_overflows(self):
-        x = np.array([720.0, -720.0, 800.0, -800.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = logreg.sigmoid(x)
-            assert [logreg.sigmoid(float(v)) for v in x] == [1.0, 0.0, 1.0, 0.0]
-        assert got.tolist() == [1.0, 0.0, 1.0, 0.0]
+    def test_nan_stays_nan(self):
+        assert np.isnan(logreg._sigmoid_pm(np.array([math.nan]))).all()
+
+    def test_zero_where_exp_overflows(self):
+        with np.errstate(over="ignore"):
+            got = logreg._sigmoid_pm(np.array([720.0, -720.0, 800.0, -800.0]))
+        assert got.tolist() == [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
 
 
 class TestLoss:
@@ -416,49 +405,29 @@ class TestDynamicBound:
             assert dyn <= bound + 1e-9 * (1.0 + abs(bound))
 
 
-class TestMixPredict:
-    # mix_predict takes (T, N) blocks; a one-round case is a block of one row
+class TestMix:
+    # _mix takes (T, N) blocks; a one-round case is a block of one row
     def test_single_expert_identity(self):
         yhats = np.array([[-3.0], [0.0], [1.7]])
-        mixed = logreg.mix_predict(yhats, np.ones((3, 1)))
+        mixed = logreg._mix(yhats, np.ones((3, 1)))
         assert mixed.shape == (3,)
         np.testing.assert_allclose(mixed, yhats[:, 0], rtol=0.0, atol=1e-9)
 
     def test_symmetric_pair_mixes_to_zero(self):
-        mixed = logreg.mix_predict(np.array([[2.5, -2.5]]), np.array([[0.5, 0.5]]))
+        mixed = logreg._mix(np.array([[2.5, -2.5]]), np.array([[0.5, 0.5]]))
         assert mixed == pytest.approx([0.0], abs=1e-12)
-
-    @pytest.mark.parametrize("yhats, p", [
-        (np.array([0.3, -0.2]), np.array([0.5, 0.5])),
-        (np.zeros((1, 1, 2)), np.full((1, 1, 2), 0.5)),
-        (np.zeros((2, 2)), np.full((1, 2), 0.5)),
-    ], ids=["one-round", "three-axes", "shapes-differ"])
-    def test_only_matching_blocks_are_taken(self, yhats, p):
-        with pytest.raises(ValueError, match=r"^predictions and weights must both be \(T, N\)$"):
-            logreg.mix_predict(yhats, p)
 
     def test_mixability_inequality_fuzz(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             n = int(rng.integers(1, 6))
-            yhats = rng.uniform(-20, 20, n)
-            p = rng.random(n)
+            yhats = rng.uniform(-20, 20, (1, n))
+            p = rng.random((1, n))
             p /= p.sum()
-            assert lemmas.check_mixability(yhats, p).passed
-
-    @pytest.mark.parametrize(
-        "p", [[math.nan, math.nan], [math.nan, 1.0], [-0.5, 1.5], [0.5, 0.4], [math.inf, 0.0]],
-        ids=["all-nan", "one-nan", "negative", "short-sum", "inf"],
-    )
-    def test_weights_off_the_simplex_are_rejected(self, p):
-        message = "weights must be nonnegative and sum to 1"
-        with pytest.raises(ValueError, match=message):
-            logreg.mix_predict(np.array([[0.3, -0.2]]), np.array([p]))
-        with pytest.raises(ValueError, match=message):  # one round of two
-            lemmas.check_mixability(np.zeros((2, 2)), np.array([[0.5, 0.5], p]))
+            assert lemmas.check_mixability(logreg._mix(yhats, p), yhats, p).passed
 
     def test_saturated_experts_are_clamped(self):
-        mixed = logreg.mix_predict(np.array([[800.0, 900.0]]), np.array([[0.5, 0.5]]))
+        mixed = logreg._mix(np.array([[800.0, 900.0]]), np.array([[0.5, 0.5]]))
         assert np.isfinite(mixed[0]) and mixed[0] > 0
 
 
@@ -489,7 +458,8 @@ class TestEnsemble:
         stream, _ = logistic_stream(rng, T=40)
         run = logreg.run_ensemble(stream, [0.7, 0.9, 0.97], lam=1.0, B=1.0, R=1.0)
         for t in range(stream.T):
-            assert lemmas.check_mixability(run.expert_yhats[t], run.weights[t]).passed
+            assert lemmas.check_mixability(
+                run.yhats[t], run.expert_yhats[t], run.weights[t]).passed
 
 
 def per_expert_ensemble(stream, betas, lam, B, R):
@@ -624,11 +594,11 @@ class TestBatchedDiagnosticsMatchPerRoundLoops:
         assert same_bits(solo.stab_disc, stab) and same_bits(solo.beta_pows, pows)
 
 
-def per_round_mixability(yhats, p):
+def per_round_mixability(mix, yhats, p):
     """One check_mixability call per round, absorbed into one verdict."""
     total = lemmas.LemmaVerdict("mixability", 0, 0, float("inf"))
-    for row_yhats, row_p in zip(yhats, p):
-        total.absorb(lemmas.check_mixability(row_yhats, row_p))
+    for row_mix, row_yhats, row_p in zip(mix, yhats, p):
+        total.absorb(lemmas.check_mixability(row_mix, row_yhats, row_p))
     return total
 
 
@@ -647,8 +617,9 @@ class TestOnePassMixability:
         p = rng.random((T, n)) * (rng.random((T, n)) < 0.8)
         p[:, 0] += 1e-3
         p /= p.sum(axis=1, keepdims=True)
-        one_pass = lemmas.check_mixability(yhats, p)
-        assert one_pass == per_round_mixability(yhats, p)
+        mix = logreg._mix(yhats, p)
+        one_pass = lemmas.check_mixability(mix, yhats, p)
+        assert one_pass == per_round_mixability(mix, yhats, p)
         assert one_pass.instances == T
         # the worst slack of the scalar formulas, computed round by round
         tiny = np.finfo(float).tiny
@@ -666,7 +637,7 @@ class TestOnePassMixability:
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="both be"):
-            lemmas.check_mixability(np.zeros((3, 2)), np.full(2, 0.5))
+            lemmas.check_mixability(np.zeros(3), np.zeros((3, 2)), np.full(2, 0.5))
 
 
 # The public LAPACK wrappers in the gufuncs' place: a reference learner
