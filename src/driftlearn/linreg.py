@@ -19,13 +19,10 @@ the Gram and label-sum recurrences run as one exact discounted scan
 (``streams.discounted_scan``) over the block, one Cholesky factorization of
 the (B, d, d) stack checks positive definiteness, and one solve of the
 stack gives every round's decision and stability term.  Both call numpy's
-LAPACK gufuncs (``numpy.linalg._umath_linalg``) directly, as ``logreg``
-does.  A gufunc does not raise; numpy fills a stack entry that LAPACK
-rejects with nan.  Only a block whose factor or solution holds a nan calls
-``np.linalg.cholesky`` or ``np.linalg.solve``, which raise ``LinAlgError``
-on the same LAPACK flag: the public wrappers are the referee of a failed
-block.  A block holds two (B, d, d) stacks at a time, and its length B is
-set by a private byte budget for one stack; results do not depend on it.
+LAPACK gufuncs directly, as ``logreg`` does; ``streams._first_rejected``
+referees a block whose factor or solution holds a nan.  A block holds two
+(B, d, d) stacks at a time, and its length B is set by a private byte
+budget for one stack; results do not depend on it.
 ``run_dvaw`` is the one learner entry point.  The module needs numpy only.
 """
 
@@ -35,10 +32,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from driftlearn.regret import RegretLedger, ft_difference_term, path_variation
-from driftlearn.streams import ComparatorPath, Stream, discounted_scan
+from driftlearn.streams import (ComparatorPath, Stream, _first_rejected, _umath_linalg,
+                                discounted_scan)
 
 # Bytes of one (B, d, d) Gram stack; a block holds max(1, this // (8 d^2))
 # rounds.  The kernel's working set is two such stacks and O(B d) floats.
@@ -54,7 +51,8 @@ class SingularSystemError(RuntimeError):
 def __getattr__(name: str):
     # bench/tracing.py counts factorizations by wrapping linreg.cho_factor,
     # which nothing here calls; scipy is imported only when the name is read.
-    # ROADMAP item 0 moves that probe to np.linalg.cholesky and deletes this.
+    # ROADMAP item 0 moves that probe to _umath_linalg.cholesky_lo, times the
+    # stack length (np.linalg.cholesky runs only on a failed stack).
     if name == "cho_factor":
         from scipy.linalg import cho_factor
 
@@ -98,15 +96,10 @@ def _advance(
         rhs[:, :, 1] = Z
         sol = _umath_linalg.solve(A_stack, rhs)
         # a badly scaled stream can pass the factorization, yet be singular
-        # to LU; the public solve raises on the same LAPACK flag.  A nan it
-        # accepts (an overflow) stays in the solution
-        if math.isnan(sol.sum()):
-            try:
-                np.linalg.solve(A_stack, rhs)
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    "discounted statistics are ill-conditioned; rescale the stream"
-                ) from None
+        # to LU.  A nan LAPACK accepts (an overflow) stays in the solution
+        if (math.isnan(sol.sum())
+                and _first_rejected(np.linalg.solve, sol, A_stack, rhs) is not None):
+            raise ValueError("discounted statistics are ill-conditioned; rescale the stream")
         X = sol[:, :, 0]
         stab = (y * y) * (Z * sol[:, :, 1]).sum(axis=1)
         return A_stack, b_stack, X, (X * Z).sum(axis=1), stab
@@ -118,20 +111,14 @@ def _check_finite(stats: np.ndarray) -> None:
 
 
 def _check_definite(A: np.ndarray) -> None:
-    """Raise if a matrix of A (d, d), or of a stack of them, has no Cholesky
-    factor, or one with a squared pivot below the smallest normal float (a
-    solve would take the reciprocal of a subnormal or zero pivot).
-
-    The LAPACK gufunc fills a factor it rejects with nan; only then does
-    the public ``np.linalg.cholesky`` run, and raise on the same flag."""
+    """Raise if a matrix of the (B, d, d) stack A has no Cholesky factor
+    (``streams._first_rejected`` referees a factor that holds a nan), or
+    one with a squared pivot below the smallest normal float (a solve
+    would take the reciprocal of a subnormal or zero pivot)."""
     L = _umath_linalg.cholesky_lo(A)
-    try:
-        if math.isnan(L.sum()):
-            L = np.linalg.cholesky(A)
-        pivots = np.diagonal(L, axis1=-2, axis2=-1)
-    except np.linalg.LinAlgError:
-        pivots = np.zeros(1)
-    if (pivots * pivots).min() < np.finfo(float).tiny:
+    pivots = np.diagonal(L, axis1=-2, axis2=-1)
+    if (math.isnan(L.sum()) and _first_rejected(np.linalg.cholesky, L, A) is not None
+            or (pivots * pivots).min() < np.finfo(float).tiny):
         raise SingularSystemError(
             "regularized Gram matrix is numerically singular "
             "(lam*beta^t underflowed against a rank-deficient history); "

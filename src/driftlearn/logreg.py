@@ -27,16 +27,13 @@ block of L rounds go into one buffer of L + 1 states, row 0 holding the
 state the block starts from, and one stacked Cholesky factorization of the
 block's L matrices checks, at the block's end, that none has turned
 indefinite; L is set by a private byte budget, and results do not depend
-on it.  Both LAPACK calls go to numpy's gufuncs
-(``numpy.linalg._umath_linalg``) directly: at these small stacks the
-public wrappers cost more than the gufunc.  A gufunc does not raise;
-numpy fills a stack entry that LAPACK rejects with nan.  Only a solve or a
-factor that holds a nan calls ``np.linalg.solve`` or ``np.linalg.cholesky``,
-which raise ``LinAlgError`` on the same LAPACK flag: they are the referee
-that names the first failing expert.  An error raised inside a block first
-checks the block's earlier rounds, so a matrix that turned indefinite at
-round t is reported before anything a later round raises, as a check after
-every round would.  The discount ensemble advances its N experts this way
+on it.  Both LAPACK calls go to numpy's gufuncs directly: at these small
+stacks the public wrappers cost more than the gufunc.  A solve or a factor
+that holds a nan goes to ``streams._first_rejected``, which names the first
+failing round and expert.  An error raised inside a block first checks the
+block's earlier rounds, so a matrix that turned indefinite at round t is
+reported before anything a later round raises, as a check after every
+round would.  The discount ensemble advances its N experts this way
 and ``run_aioli`` is the N = 1 case; those two runners are the only drivers
 of the stack.  The roots stay scalar, one ``solve_optimism_root`` call per
 expert and round: they take a few Newton steps each, and a masked Newton
@@ -58,10 +55,10 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from driftlearn.regret import RegretLedger, path_variation
-from driftlearn.streams import ComparatorPath, Stream, discounted_scan, row_dots
+from driftlearn.streams import (ComparatorPath, Stream, _first_rejected, _umath_linalg,
+                                discounted_scan, row_dots)
 
 ROOT_MAX_ITERS = 200
 
@@ -80,7 +77,8 @@ _BLOCK_BYTES = 1 << 15
 def __getattr__(name: str):
     # bench/tracing.py counts factorizations by wrapping logreg.cho_factor,
     # which nothing here calls; scipy is imported only when the name is read.
-    # ROADMAP item 0 moves that probe to np.linalg.cholesky and deletes this.
+    # ROADMAP item 0 moves that probe to _umath_linalg.cholesky_lo, times the
+    # stack length (np.linalg.cholesky runs only on a failed stack).
     if name == "cho_factor":
         from scipy.linalg import cho_factor
 
@@ -158,10 +156,9 @@ class _Experts:
     gufunc, one scalar optimism root per expert and the update, which
     writes A_t and w_t into rows of :meth:`run`'s block buffer and makes
     them the state; the matrices' positive-definiteness is checked once
-    per block, by one stacked Cholesky factorization.  ``np.linalg.solve``
-    and ``np.linalg.cholesky`` run only where a gufunc output holds a nan,
-    as the referee of which expert failed.  After :meth:`run`, ``A`` and
-    ``w`` are arrays of their own.
+    per block, by one stacked Cholesky factorization.  The expert whose
+    solve or factor LAPACK rejected is named by ``streams._first_rejected``.
+    After :meth:`run`, ``A`` and ``w`` are arrays of their own.
     """
 
     beta: np.ndarray
@@ -264,9 +261,9 @@ class _Experts:
         q = (sol[:, :, 1] / self.beta[:, None]) @ z
         ps, qs = p.tolist(), q.tolist()
         if not all(map(math.isfinite, ps + qs)):  # cheaper than numpy at small N
-            # a singular A comes back as nan: the public solve names it
-            self._checked(np.linalg.solve, ValueError, _ILL_CONDITIONED, self.t + 1,
-                          self.A, rhs)
+            rejected = _first_rejected(np.linalg.solve, sol, self.A, rhs)
+            if rejected is not None:  # a singular A
+                raise ValueError(self._failure(rejected[0], _ILL_CONDITIONED, self.t + 1))
             i = next(i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
             raise ValueError(self._failure(i, _OVERFLOWED, self.t + 1))
         if min(qs) < 0.0:
@@ -301,29 +298,15 @@ class _Experts:
 
     def _guard(self, As: np.ndarray, lo: int) -> None:
         """Check the (k, N, d, d) matrices of rounds lo+1..lo+k with one
-        stacked Cholesky factorization.  A factor that holds a nan (an
-        indefinite A, or one LAPACK could not factor) hands its round's
-        stack to the public Cholesky, earliest round first, which raises
-        for the first expert it rejects."""
+        stacked Cholesky factorization, and raise for the first (round,
+        expert) in C order whose factor LAPACK rejected: the earliest
+        round's first indefinite A."""
         factors = _umath_linalg.cholesky_lo(As)
         if math.isnan(factors.sum()):
-            for k in np.flatnonzero(np.isnan(factors).any(axis=(1, 2, 3))).tolist():
-                self._checked(np.linalg.cholesky, RuntimeError, _INDEFINITE, lo + k + 1, As[k])
-
-    def _checked(self, factor, error: type, failure: tuple, t: int, *stacks):
-        """``factor(*stacks)``; a ``LinAlgError`` raises ``error`` for the
-        first expert whose entries of ``stacks`` ``factor`` rejects, at
-        round t."""
-        try:
-            return factor(*stacks)
-        except np.linalg.LinAlgError:
-            pass
-        for i, args in enumerate(zip(*stacks)):
-            try:
-                factor(*args)
-            except np.linalg.LinAlgError:
-                break
-        raise error(self._failure(i, failure, t))
+            rejected = _first_rejected(np.linalg.cholesky, factors, As)
+            if rejected is not None:
+                k, i = rejected
+                raise RuntimeError(self._failure(i, _INDEFINITE, lo + k + 1))
 
     def _failure(self, i: int, failure: tuple, t: int) -> str:
         """Expert i's failure at round t; a tiny beta underflows lam beta^t."""

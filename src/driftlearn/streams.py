@@ -1,6 +1,7 @@
 """Synthetic non-stationary regression streams, the numeric kernels the
-learners and evaluators share (the exact discounted scan and ``row_dots``),
-and the CSV codec of every artifact.
+learners and evaluators share (the exact discounted scan, ``row_dots`` and
+the referee of the learners' LAPACK calls), and the CSV codec of every
+artifact.
 
 Streams are generated with a counter-based Philox RNG so a given
 :class:`StreamSpec` reproduces bit-for-bit on any platform.  Features are
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the learners' LAPACK; see _first_rejected
 
 KINDS = ("piecewise-constant-target", "rotating-target", "logistic-drift")
 
@@ -269,6 +271,27 @@ def row_dots(Z: np.ndarray, U: np.ndarray) -> np.ndarray:
     entries of the whole.
     """
     return np.matmul(Z[:, None, :], U[..., None])[:, 0, 0]
+
+
+def _first_rejected(public, out: np.ndarray, *stacks: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first stack entry that LAPACK rejects, or None.
+
+    ``out`` is what a LAPACK gufunc of ``_umath_linalg`` (``solve`` or
+    ``cholesky_lo``) returned for ``stacks``, arrays of matrices over the
+    same leading axes, and ``public`` its ``np.linalg`` wrapper.  A gufunc
+    does not raise: numpy fills an entry LAPACK rejects with nan.  A nan in
+    the input or an overflow gives a nan too, which LAPACK accepts; the
+    wrapper raises ``LinAlgError`` on LAPACK's flag alone.  So the wrapper
+    referees each entry of ``out`` that holds a nan, in C order over the
+    leading axes, and the first it rejects is returned.  Callers test
+    ``out`` for a nan cheaply first, and keep their own messages.
+    """
+    for index in np.argwhere(np.isnan(out).any(axis=(-2, -1))).tolist():
+        try:
+            public(*(s[tuple(index)] for s in stacks))
+        except np.linalg.LinAlgError:
+            return tuple(index)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -472,7 +472,8 @@ class TestPublicLinalgOnlyReferees:
 
     def test_a_nan_the_public_solve_accepts_stays_in_the_solution(self, monkeypatch):
         # LAPACK accepted the system, yet the solution overflowed to a nan:
-        # the public solve runs once, does not raise, and the nan flows on
+        # the public solve runs once, on the one round whose solution holds
+        # the nan, does not raise, and the nan flows on
         def overflowed(A, rhs):
             sol = _umath_linalg.solve(A, rhs)
             sol[0, 0, 0] = np.nan
@@ -481,7 +482,7 @@ class TestPublicLinalgOnlyReferees:
         calls = []
 
         def public_solve(*args):
-            calls.append(len(args[0]))
+            calls.append([a.copy() for a in args])
             return solve(*args)
 
         solve = np.linalg.solve
@@ -489,8 +490,10 @@ class TestPublicLinalgOnlyReferees:
             solve=overflowed, cholesky_lo=_umath_linalg.cholesky_lo))
         monkeypatch.setattr(np.linalg, "solve", public_solve)
         Z, y = np.array([[1.0, 0.5], [0.3, -1.0]]), np.array([1.0, 2.0])
-        _, _, X, yhats, _ = kernel(Z, y, 0.9, 1.0)
-        assert calls == [2] and np.isnan(X[0, 0]) and np.isnan(yhats[0])
+        A_stack, _, X, yhats, _ = kernel(Z, y, 0.9, 1.0)
+        assert [[a.shape for a in args] for args in calls] == [[(2, 2), (2, 2)]]
+        assert same_bits(calls[0][0], A_stack[0])
+        assert np.isnan(X[0, 0]) and np.isnan(yhats[0])
         with pytest.raises(ValueError, match="^discounted statistics overflowed; rescale the stream$"):
             linreg.run_dvaw(Stream(Z, y), 0.9, 1.0)
 

@@ -8,7 +8,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from numpy.linalg import _umath_linalg
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
@@ -761,50 +760,6 @@ class TestEnsembleErrors:
             monkeypatch.setattr(logreg, "_umath_linalg", PUBLIC_LAPACK)
             want = run()
         assert all(same_bits(g, w) for g, w in zip(got, want))
-
-
-class TestLapackGufuncs:
-    # _Experts calls numpy's LAPACK gufuncs without the public wrappers and
-    # trusts two things: the gufunc gives the public call's bits, and a
-    # stack entry the public call rejects comes back as nan.  A numpy that
-    # moves or changes the private module fails here first.
-    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 16), d=st.integers(1, 6))
-    def test_gufuncs_give_the_public_bits(self, seed, n, d):
-        rng = np.random.default_rng(seed)
-        M = rng.standard_normal((n, d, d))
-        A = M @ M.transpose(0, 2, 1) + rng.uniform(1e-3, 2.0) * np.eye(d)
-        rhs = rng.standard_normal((n, d, 2))
-        assert same_bits(_umath_linalg.solve(A, rhs), np.linalg.solve(A, rhs))
-        assert same_bits(_umath_linalg.cholesky_lo(A), np.linalg.cholesky(A))
-
-    EDGES = {"zero": np.zeros((2, 2)), "indefinite": np.diag([1.0, -1.0]),
-             "nan": np.full((2, 2), np.nan)}
-
-    @pytest.mark.parametrize("edge", sorted(EDGES))
-    @pytest.mark.parametrize("at", [0, 1, 2])
-    @pytest.mark.parametrize("name", ["solve", "cholesky"])
-    def test_a_rejected_entry_comes_back_as_nan(self, edge, at, name):
-        stack = np.stack([np.eye(2), 2.0 * np.eye(2), np.diag([3.0, 0.5])])
-        stack[at] = self.EDGES[edge]
-        rhs = np.ones((3, 2, 2))
-        public, args = {"solve": (np.linalg.solve, (stack, rhs)),
-                        "cholesky": (np.linalg.cholesky, (stack,))}[name]
-        gufunc = {"solve": _umath_linalg.solve, "cholesky": _umath_linalg.cholesky_lo}[name]
-        with np.errstate(invalid="ignore"):  # the flag of a rejected entry
-            out = gufunc(*args)
-        for i, entry in enumerate(zip(*args)):
-            try:
-                public(*entry)
-                rejected = False
-            except np.linalg.LinAlgError:
-                rejected = True
-            if rejected:  # LAPACK's flag: numpy fills the whole entry
-                assert np.isnan(out[i]).all(), i
-            elif edge == "nan" and i == at:  # passed, but nan in gives nan out
-                assert np.isnan(out[i]).any(), i
-            else:
-                assert not np.isnan(out[i]).any(), i
-                assert same_bits(out[i], public(*entry)), i
 
 
 class TestPublicLinalgOnlyReferees:

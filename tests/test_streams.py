@@ -430,6 +430,90 @@ class TestRowDots:
         assert prefix == bits(streams.row_dots(Z, u)[:k])
 
 
+# The public wrapper of each LAPACK gufunc, and the faults it rejects: a
+# nan in the input passes
+LAPACK = {"solve": (streams._umath_linalg.solve, np.linalg.solve, {"zero"}),
+          "cholesky": (streams._umath_linalg.cholesky_lo, np.linalg.cholesky,
+                       {"zero", "indefinite"})}
+MATRIX_FAULTS = {"zero": lambda d: np.zeros((d, d)),
+                 "indefinite": lambda d: np.diag([1.0] * (d - 1) + [-1.0]),
+                 "nan": lambda d: np.full((d, d), np.nan)}
+
+
+class TestLapackGufuncs:
+    # Both learners call numpy's LAPACK gufuncs without the public wrappers
+    # and trust two things: the gufunc gives the public call's bits, and a
+    # stack entry the public call rejects comes back as nan.  A numpy that
+    # moves or changes the private module fails here first.
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 16), d=st.integers(1, 6))
+    def test_gufuncs_give_the_public_bits(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, d, d))
+        A = M @ M.transpose(0, 2, 1) + rng.uniform(1e-3, 2.0) * np.eye(d)
+        rhs = rng.standard_normal((n, d, 2))
+        assert bits(streams._umath_linalg.solve(A, rhs)) == bits(np.linalg.solve(A, rhs))
+        assert bits(streams._umath_linalg.cholesky_lo(A)) == bits(np.linalg.cholesky(A))
+
+    @pytest.mark.parametrize("edge", sorted(MATRIX_FAULTS))
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["solve", "cholesky"])
+    def test_a_rejected_entry_comes_back_as_nan(self, edge, at, name):
+        stack = np.stack([np.eye(2), 2.0 * np.eye(2), np.diag([3.0, 0.5])])
+        stack[at] = MATRIX_FAULTS[edge](2)
+        gufunc, public, _ = LAPACK[name]
+        args = (stack, np.ones((3, 2, 2))) if name == "solve" else (stack,)
+        with np.errstate(invalid="ignore"):  # the flag of a rejected entry
+            out = gufunc(*args)
+        for i, entry in enumerate(zip(*args)):
+            try:
+                public(*entry)
+                rejected = False
+            except np.linalg.LinAlgError:
+                rejected = True
+            if rejected:  # LAPACK's flag: numpy fills the whole entry
+                assert np.isnan(out[i]).all(), i
+            elif edge == "nan" and i == at:  # passed, but nan in gives nan out
+                assert np.isnan(out[i]).any(), i
+            else:
+                assert not np.isnan(out[i]).any(), i
+                assert bits(out[i]) == bits(public(*entry)), i
+
+    # A (k, N) stack, as logreg's block guard factors, with faults at drawn
+    # entries: the referee names the first rejected entry in C order, never
+    # a nan input's, and runs the public wrapper on the entries of the
+    # gufunc's output that hold a nan alone, in C order, up to that entry.
+    @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 4), N=st.integers(1, 4),
+           d=st.integers(1, 3), name=st.sampled_from(sorted(LAPACK)), data=st.data())
+    def test_first_rejected_names_the_first_entry_lapack_rejects(
+        self, seed, k, N, d, name, data
+    ):
+        faults = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, k - 1), st.integers(0, N - 1)),
+            st.sampled_from(sorted(MATRIX_FAULTS))))
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((k, N, d, d))
+        A = M @ np.swapaxes(M, -1, -2) + np.eye(d)
+        for at, fault in faults.items():
+            A[at] = MATRIX_FAULTS[fault](d)
+        gufunc, public, rejects = LAPACK[name]
+        stacks = (A, rng.standard_normal((k, N, d, 2))) if name == "solve" else (A,)
+        with np.errstate(invalid="ignore"):
+            out = gufunc(*stacks)
+        calls = []
+
+        def referee(*entry):
+            calls.append((entry[0].ctypes.data - A.ctypes.data) // entry[0].nbytes)
+            return public(*entry)
+
+        got = streams._first_rejected(referee, out, *stacks)
+        rejected = sorted(at for at, fault in faults.items() if fault in rejects)
+        assert got == (rejected[0] if rejected else None)
+        assert got is None or faults[got] != "nan"
+        held = np.flatnonzero(np.isnan(out).any(axis=(-2, -1))).tolist()
+        stop = len(held) if got is None else held.index(np.ravel_multi_index(got, (k, N))) + 1
+        assert calls == held[:stop]
+
+
 class TestCsvRoundTrip:
     @given(
         T=st.one_of(st.integers(1, 3), st.integers(254, 258), st.integers(511, 514)),

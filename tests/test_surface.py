@@ -23,6 +23,12 @@ for every definition of that name, so a public property or a field named
 field whose name another object's attribute shares.  ``DvawRun.yhats`` and
 ``AioliRun.yhats`` pass that way: ``cli`` reads ``.yhats`` of the ensemble's
 run alone, for its mixability check.
+
+The learners' LAPACK calls have one referee, ``streams._first_rejected``:
+``LinAlgError`` is caught in exactly one function of ``src/``, and numpy's
+private ``numpy.linalg._umath_linalg`` is imported in exactly one module,
+and the learners take it from there.  A second copy of that decision fails
+here.
 """
 
 import ast
@@ -139,3 +145,52 @@ def test_every_dataclass_field_is_read_in_src_or_bench():
 def test_every_unread_field_entry_exists_and_still_needs_it():
     assert set(UNREAD_FIELDS) <= set(unread_fields())
     assert all(reason.strip() for reason in UNREAD_FIELDS.values())
+
+
+def catching(exception: str) -> list[str]:
+    """The function (``module.qualname``, or the module itself) around each
+    ``except`` clause in ``src/`` that names ``exception``."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+            exception in (getattr(n, "id", None), getattr(n, "attr", None))
+            for n in ast.walk(node.type)
+        ):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in SRC:
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def importing(module: str) -> list[str]:
+    """The modules of ``src/`` that import ``module`` or a name from it."""
+    found = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == module or name.startswith(module + ".") for name in names):
+                found.append(path.stem)
+    return found
+
+
+def test_linalg_errors_are_caught_in_one_function():
+    where = sorted(set(catching("LinAlgError")))
+    assert len(where) == 1, f"LinAlgError is caught in {where}; use streams._first_rejected"
+
+
+def test_the_private_lapack_module_is_imported_in_one_module():
+    where = importing("numpy.linalg._umath_linalg")
+    assert len(where) == 1, (
+        f"numpy.linalg._umath_linalg is imported in {where}; take it from streams"
+    )
