@@ -11,12 +11,16 @@ file, so a summary with no JSON form writes none, then writes the files in
 a fixed order, then prints the text.  Exit codes, the same for all seven
 subcommands: 0 when every entry of the summary's checks is true, 2 when one
 is false (tune-adam's resubstitution and each verify-lemmas suite
-included), 1 on a usage or runtime error.  Stream and truth readers refuse
-a nan or infinite cell, naming its row.  Artifacts carry a header comment
-(CSV) or fields (JSON) embedding the config hash and seed, and all numeric
-output uses shortest round-trip decimals, so a fixed configuration
-reproduces byte-identical files.  The env var DRIFTLEARN_SEED supplies the
-default seed.
+included), 1 on a usage or runtime error.  Every bound check, here and in
+the library checks the subcommands call (the rescaled bound, the lemma
+suites), is ``streams.bound_holds``; the absolute checks
+(``stationarity_residual_le_1e-9``, ``delta_norm_le_D``,
+``meta_regret_le_ln_n``) name their bound in their key.  Stream and truth
+readers refuse a nan or infinite cell, naming its row.  Artifacts carry a
+header comment (CSV) or fields (JSON) embedding the config hash and seed,
+and all numeric output uses shortest round-trip decimals, so a fixed
+configuration reproduces byte-identical files.  The env var
+DRIFTLEARN_SEED supplies the default seed.
 """
 
 from __future__ import annotations
@@ -328,11 +332,10 @@ def cmd_run_vaw(values: dict) -> tuple[dict, list]:
                     "gamma": gamma, "bound_path_form": bound_path,
                     "bound_ftdiff_form": bound_ft, "modular_rhs": modular,
                 })
-                tol = 1e-9 * (1.0 + abs(dyn))
                 summary["checks"] = {
-                    "dynamic_regret_le_path_bound": dyn <= bound_path + tol,
-                    "dynamic_regret_le_ftdiff_bound": dyn <= bound_ft + tol,
-                    "dynamic_regret_le_modular_rhs": dyn <= modular + tol,
+                    "dynamic_regret_le_path_bound": streams.bound_holds(dyn, bound_path),
+                    "dynamic_regret_le_ftdiff_bound": streams.bound_holds(dyn, bound_ft),
+                    "dynamic_regret_le_modular_rhs": streams.bound_holds(dyn, modular),
                 }
             if values["out"]:
                 comment = f"driftlearn run-vaw config_hash={h}"
@@ -386,7 +389,7 @@ def cmd_run_aioli(values: dict) -> tuple[dict, list]:
             dyn = regret.dynamic_regret(ledger, truth)
             bound = logreg.theorem_dynamic_bound(run, truth, gamma)
             summary.update(dynamic_regret=dyn, gamma=gamma, dynamic_bound=bound)
-            checks["dynamic_regret_le_bound"] = dyn <= bound + 1e-9 * (1.0 + abs(bound))
+            checks["dynamic_regret_le_bound"] = streams.bound_holds(dyn, bound)
             if values["out"]:
                 comment = f"driftlearn run-aioli config_hash={h}"
                 trace = regret.regret_trace_csv(ledger, truth, comment)

@@ -5,11 +5,14 @@ Each ``check_*`` evaluates one concrete instance and returns a
 checks over seeded random instances whose generators respect each
 statement's hypotheses exactly (bounds, monotonicity, parameter ranges).
 
-A violation is counted whenever LHS - RHS is not <= 1e-9 * (1 + |RHS|):
-exact equality cases (beta = 1, a = b, the mixability equality) do not
-trip the oracles, and a nan gap does.  Where a raw formula overflows, the algebraically identical
-stable form is substituted (e.g. e^b f'(b)^2 = sigma(b) sigma(-b) for the
-logistic surrogate).
+A violation is counted wherever ``streams.bound_holds(LHS, RHS)`` fails,
+the relative slack 1e-9 (1 + |RHS|) of every bound check: exact equality
+cases (beta = 1, a = b, the mixability equality) do not trip the oracles,
+and a nan on either side, or an RHS of -inf, does.  The Abel-sum identity
+has its own two-sided test, |LHS - RHS| <= ``IDENTITY_TOL`` (1 + |RHS|).
+Where a raw formula overflows, the algebraically identical stable form is
+substituted (e.g. e^b f'(b)^2 = sigma(b) sigma(-b) for the logistic
+surrogate).
 
 The oracles stand apart from the learners: this module imports from
 ``streams`` alone and keeps its own sigma, and a learner's output is passed
@@ -24,9 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from driftlearn.streams import discounted_scan, philox_rng
+from driftlearn.streams import bound_holds, discounted_scan, philox_rng
 
-TOL = 1e-9
 IDENTITY_TOL = 1e-10
 MIXABILITY_BLOCK = 64  # rounds per block of check_mixability
 _TINY = np.finfo(float).tiny
@@ -61,13 +63,11 @@ class LemmaVerdict:
 
 
 def _verdict(lemma: str, lhs, rhs) -> LemmaVerdict:
-    """Count violations of elementwise lhs <= rhs with relative slack
-    ``TOL``; a nan gap is a violation."""
+    """Count the entries of elementwise lhs <= rhs that fail ``bound_holds``."""
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    gaps = lhs - rhs
-    bad = int(np.sum(~(gaps <= TOL * (1.0 + np.abs(rhs)))))
-    slack = float(np.min(rhs - lhs)) if len(gaps) else float("inf")
+    bad = int(np.sum(~bound_holds(lhs, rhs)))
+    slack = float(np.min(rhs - lhs)) if len(lhs) else float("inf")
     return LemmaVerdict(lemma=lemma, instances=1, violations=bad, worst_slack=slack)
 
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from driftlearn.regret import RegretLedger, path_variation
 from driftlearn.streams import (ComparatorPath, Stream, _first_rejected, _umath_linalg,
-                                discounted_scan, row_dots)
+                                bound_holds, discounted_scan, row_dots)
 
 ROOT_MAX_ITERS = 200
 
@@ -404,8 +404,8 @@ def rescaled_bound_check(
     valid for any |u| <= B, at every prefix t = 1..T for each comparator.
 
     Returns the worst slack min (bound - regret) and whether every prefix
-    holds within 1e-9 (1 + |bound|).  Each comparator's T bounds are one
-    array and its discounted regrets one
+    passes :func:`~driftlearn.streams.bound_holds`, so a nan prefix fails.
+    Each comparator's T bounds are one array and its discounted regrets one
     :func:`~driftlearn.streams.discounted_scan`; both match a
     prefix-by-prefix evaluation of the same operations bit for bit.
     """
@@ -419,7 +419,7 @@ def rescaled_bound_check(
         regrets = discounted_scan(run.losses_at_play - ledger.loss_eval_batch(u), run.beta)
         # fmin skips nan slacks, as the running min(worst, slack) would
         worst = float(np.fmin.reduce(bounds - regrets, initial=worst))
-        ok = ok and not np.any(regrets > bounds + 1e-9 * (1.0 + np.abs(bounds)))
+        ok = ok and bool(bound_holds(regrets, bounds).all())
     return worst, ok
 
 

@@ -60,7 +60,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from driftlearn.streams import ComparatorPath, csv_text, row_dots
+from driftlearn.streams import ComparatorPath, bound_holds, csv_text, row_dots
 
 _LOSSES = ("squared", "logistic")
 
@@ -77,19 +77,18 @@ class RegretLedger:
     lam             optional phi(u) = lam/2 |u|^2 >= 0, the comparator term
                     of every round (f_0 of the path variation).
 
-    ``loss_eval(t, u)``, ``loss_eval_batch(u, upto)`` and ``path_losses(U)``
-    give f_t(u), the row [f_1(u), ..., f_k(u)] and [f_1(u_1), ..., f_T(u_T)],
+    ``loss_eval(t, u)``, ``loss_eval_batch(u)`` and ``path_losses(U)``
+    give f_t(u), the row [f_1(u), ..., f_T(u)] and [f_1(u_1), ..., f_T(u_T)],
     all through ``_loss`` of the margins from ``streams.row_dots``, so every
-    one of them gives the same f_t(u) bit for bit, and a row through k is the
-    first k entries of the whole row.  The evaluators below take every
-    comparator row from ``self.path_losses``, and P_T^g takes its losses from
-    ``self._loss`` of block margins of Z, once per distinct comparator and
-    block, up to the lemma's early stop, so an instance may rebind either
-    (to count rows, or to feed rows that disagree with Z and y).  The
-    F-differences and the identity's right side read Z and y themselves,
-    through margins within a block and discounted statistics carried between
-    blocks, which only a squared-loss ledger has; ``d2d_identity_gap`` checks
-    the one against the other.
+    one of them gives the same f_t(u) bit for bit.  The evaluators below
+    take every comparator row from ``self.path_losses``, and P_T^g takes its
+    losses from ``self._loss`` of block margins of Z, once per distinct
+    comparator and block, up to the lemma's early stop, so an instance may
+    rebind either (to count rows, or to feed rows that disagree with Z and
+    y).  The F-differences and the identity's right side read Z and y
+    themselves, through margins within a block and discounted statistics
+    carried between blocks, which only a squared-loss ledger has;
+    ``d2d_identity_gap`` checks the one against the other.
     """
 
     losses_at_play: np.ndarray
@@ -139,10 +138,9 @@ class RegretLedger:
         row = slice(t - 1, t)
         return float(self._loss(row_dots(self.Z[row], np.asarray(u)), self.y[row])[0])
 
-    def loss_eval_batch(self, u: np.ndarray, upto: Optional[int] = None) -> np.ndarray:
-        """[f_1(u), ..., f_k(u)] with k = upto (default T)."""
-        k = self.T if upto is None else upto
-        return self._loss(row_dots(self.Z[:k], np.asarray(u)), self.y[:k])
+    def loss_eval_batch(self, u: np.ndarray) -> np.ndarray:
+        """[f_1(u), ..., f_T(u)]."""
+        return self._loss(row_dots(self.Z, np.asarray(u)), self.y)
 
     def path_losses(self, U: np.ndarray) -> np.ndarray:
         """[f_1(u_1), ..., f_T(u_T)] for (T, d) comparators U."""
@@ -474,7 +472,8 @@ def ft_difference_term(ledger: RegretLedger, path: ComparatorPath) -> float:
 def check_path_length_lemma(
     ledger: RegretLedger, path: ComparatorPath, beta: float, gamma: float
 ) -> bool:
-    """beta * sum_{t<T}(F_t^b(u_{t+1}) - F_t^b(u_t)) <= gamma/(1-gamma) P_T^g.
+    """beta * sum_{t<T}(F_t^b(u_{t+1}) - F_t^b(u_t)) <= gamma/(1-gamma) P_T^g,
+    by :func:`~driftlearn.streams.bound_holds`.
 
     Requires 0 < beta <= gamma < 1 and nonnegative f_0..f_T; F_t^b includes
     the f_0 = phi term with weight beta^t.  P_T^g sums nonnegative terms, so
@@ -494,7 +493,7 @@ def check_path_length_lemma(
     c = gamma / (1.0 - gamma)
 
     def holds(P: float) -> bool:
-        return bool(lhs <= c * P + 1e-9 * (1.0 + abs(c * P)))
+        return bool(bound_holds(lhs, c * P))
 
     settles = holds if _terms_finite(ledger, path.U, steps) else None
     return holds(_variation(ledger, path.U, moved, gamma, steps, settles))

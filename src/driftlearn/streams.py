@@ -1,7 +1,7 @@
 """Synthetic non-stationary regression streams, the numeric kernels the
-learners and evaluators share (the exact discounted scan, ``row_dots`` and
-the referee of the learners' LAPACK calls), and the CSV codec of every
-artifact.
+learners and evaluators share (the exact discounted scan, ``row_dots``, the
+referee of the learners' LAPACK calls and ``bound_holds``, the slack rule
+of every relative bound check), and the CSV codec of every artifact.
 
 Streams are generated with a counter-based Philox RNG so a given
 :class:`StreamSpec` reproduces bit-for-bit on any platform.  Features are
@@ -271,6 +271,16 @@ def row_dots(Z: np.ndarray, U: np.ndarray) -> np.ndarray:
     entries of the whole.
     """
     return np.matmul(Z[:, None, :], U[..., None])[:, 0, 0]
+
+
+def bound_holds(lhs, rhs):
+    """lhs <= rhs within relative slack 1e-9 (1 + |rhs|), elementwise.
+
+    The one rule of every relative bound check.  Floats give a bool and
+    arrays a bool array.  A nan on either side is a violation, as is any lhs
+    against rhs = -inf; rhs = +inf holds every lhs but nan, +inf included.
+    """
+    return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
 
 
 def _first_rejected(public, out: np.ndarray, *stacks: np.ndarray) -> tuple[int, ...] | None:

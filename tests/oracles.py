@@ -227,7 +227,7 @@ def discounted_regret(ledger: RegretLedger, t: int, u: np.ndarray) -> float:
     """R_t(u) = sum_{s<=t} beta^(t-s) (f_s(x_s) - f_s(u))."""
     if not 1 <= t <= ledger.T:
         raise ValueError(f"round t must lie in [1, {ledger.T}], got {t}")
-    diffs = ledger.losses_at_play[:t] - ledger.loss_eval_batch(u, t)
+    diffs = ledger.losses_at_play[:t] - ledger.loss_eval_batch(u)[:t]
     return float(discount_weights(ledger.beta, t) @ diffs)
 
 

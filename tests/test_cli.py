@@ -1202,6 +1202,14 @@ class TestDeterminism:
         assert out.with_suffix(".summary.json").read_text() == summary
         assert stdout == summary
 
+    # verify-lemmas at its defaults (1000 instances a suite, seed 0): every
+    # suite's verdict rule and worst slack, to the bit
+    def test_verify_lemmas_matches_the_golden_text(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        code, stdout, err = run_cli(capsys, "verify-lemmas")
+        assert (code, err) == (0, "")
+        assert stdout == (Path(__file__).parent / "golden" / "verify-lemmas.json").read_text()
+
     # The reader end to end: a `#` comment and a blank line mid-body, CRLF
     # line ends and spaces around the cells of the stream and its truth
     # change no byte of run-vaw's artifacts (paths are not hashed)

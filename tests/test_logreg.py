@@ -304,6 +304,20 @@ class TestRescaledBound:
                 outcomes.add(got[1])
         assert outcomes == {True, False}
 
+    def test_a_nan_prefix_fails(self):
+        # |u|^2 overflows and beta^t underflows to 0 from round 162 on, so
+        # 0 * inf leaves 39 nan bounds.  fmin skips them in the worst slack,
+        # which is the zero comparator's, but a nan prefix fails the check.
+        spec = StreamSpec(d=3, T=200, kind="logistic-drift", segments=2, noise=0.2, seed=1)
+        stream, _ = gen_stream(spec)
+        run = logreg.run_aioli(stream, beta=0.01, lam=1.0, B=1.0, R=1.0)
+        zero, huge = np.zeros(3), np.array([1e155, 0.0, 0.0])
+        assert np.flatnonzero(run.beta_pows == 0.0)[0] == 161  # round 162
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = logreg.rescaled_bound_check(run, [zero, huge])
+        assert got == (logreg.rescaled_bound_check(run, [zero])[0], False)
+        assert logreg.rescaled_bound_check(run, [zero])[1]
+
     def test_stability_sum_obeys_potential_lemma(self):
         rng = np.random.default_rng(5)
         stream, _ = logistic_stream(rng, T=80)

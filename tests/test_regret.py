@@ -40,7 +40,7 @@ def phi(ledger, u):
 
 
 def oracle_ft_value(ledger, t, u):
-    val = float(oracles.discount_weights(ledger.beta, t) @ ledger.loss_eval_batch(u, t))
+    val = float(oracles.discount_weights(ledger.beta, t) @ ledger.loss_eval_batch(u)[:t])
     if ledger.lam is not None:
         val += ledger.beta**t * phi(ledger, u)
     return val
@@ -75,7 +75,7 @@ def oracle_path_variation(ledger, path, gamma):
         if np.array_equal(u_now, u_next):
             continue
         w = geometric_weights(gamma, t)
-        hi, lo = ledger.loss_eval_batch(u_next, t), ledger.loss_eval_batch(u_now, t)
+        hi, lo = ledger.loss_eval_batch(u_next)[:t], ledger.loss_eval_batch(u_now)[:t]
         total += float(w[1:] @ np.maximum(hi - lo, 0.0))
         scale += float(w[1:] @ (np.abs(hi) + np.abs(lo)))
         if ledger.lam is not None:
@@ -95,7 +95,7 @@ def assert_path_variation_matches(value, ref, scale):
 
 
 def oracle_regret(ledger, t, u):
-    diffs = ledger.losses_at_play[:t] - ledger.loss_eval_batch(u, t)
+    diffs = ledger.losses_at_play[:t] - ledger.loss_eval_batch(u)[:t]
     return float(oracles.discount_weights(ledger.beta, t) @ diffs)
 
 
@@ -470,8 +470,8 @@ def kernel_columns(ledger, rounds, U, diag):
 def oracle_loss_difference(ledger, t, v, w):
     """sum_{s<=t} beta^(t-s) (f_s(v) - f_s(w)), and the sum of its two sides' sizes."""
     weights = oracles.discount_weights(ledger.beta, t)
-    hi = float(weights @ ledger.loss_eval_batch(v, t))
-    lo = float(weights @ ledger.loss_eval_batch(w, t))
+    hi = float(weights @ ledger.loss_eval_batch(v)[:t])
+    lo = float(weights @ ledger.loss_eval_batch(w)[:t])
     return hi - lo, abs(hi) + abs(lo)
 
 
@@ -739,7 +739,6 @@ class TestComparatorLossRows:
         rows = [ledger.loss_eval(t, U[t - 1]) for t in range(1, T + 1)]
         assert ledger.path_losses(U).tolist() == rows
         assert [ledger.loss_eval_batch(U[t - 1])[t - 1] for t in range(1, T + 1)] == rows
-        assert [ledger.loss_eval_batch(U[t - 1], t)[-1] for t in range(1, T + 1)] == rows
         path = ComparatorPath(U)
         assert regret.dynamic_regret(ledger, path) == per_round_dynamic_regret(ledger, path)
         assert regret.regret_trace_csv(ledger, path, "c") == per_round_regret_trace_csv(

@@ -514,6 +514,45 @@ class TestLapackGufuncs:
         assert calls == held[:stop]
 
 
+# (lhs, rhs, verdict) at the edges of the slack rule
+BOUND_EDGES = [
+    (math.nan, 0.0, False), (0.0, math.nan, False), (math.nan, math.nan, False),
+    (math.nan, math.inf, False), (math.inf, math.nan, False),
+    (0.0, math.inf, True), (-1e308, math.inf, True), (1e308, math.inf, True),
+    (0.0, -math.inf, False), (-1e308, -math.inf, False), (1e308, -math.inf, False),
+    (math.inf, 1e308, False), (math.inf, math.inf, True), (math.inf, -math.inf, False),
+    (-math.inf, -math.inf, False), (-math.inf, -1e308, True), (1.0, 1.0, True),
+    (-0.0, 0.0, True),
+]
+
+
+class TestBoundHolds:
+    # The slack rule of every relative bound check.
+    @given(rhs=st.floats(-1e300, 1e300))
+    @example(rhs=0.0)
+    @example(rhs=-1.0)
+    @example(rhs=1e300)
+    def test_the_threshold_passes_and_the_next_float_up_fails(self, rhs):
+        lhs = rhs + 1e-9 * (1.0 + abs(rhs))
+        assert streams.bound_holds(lhs, rhs) is True
+        assert streams.bound_holds(math.nextafter(lhs, math.inf), rhs) is False
+
+    @pytest.mark.parametrize("lhs, rhs, verdict", BOUND_EDGES)
+    def test_nan_and_infinite_edges(self, lhs, rhs, verdict):
+        assert streams.bound_holds(lhs, rhs) is verdict
+
+    @given(pairs=st.lists(st.tuples(st.floats(), st.floats()), max_size=20))
+    @example(pairs=[(lhs, rhs) for lhs, rhs, _ in BOUND_EDGES])
+    def test_scalars_and_arrays_agree(self, pairs):
+        lhs = np.array([p[0] for p in pairs], dtype=float)
+        rhs = np.array([p[1] for p in pairs], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, as floats give
+            verdicts = streams.bound_holds(lhs, rhs)
+            scalars = [bool(streams.bound_holds(a, b)) for a, b in zip(lhs, rhs)]
+        assert verdicts.dtype == bool
+        assert verdicts.tolist() == [streams.bound_holds(a, b) for a, b in pairs] == scalars
+
+
 class TestCsvRoundTrip:
     @given(
         T=st.one_of(st.integers(1, 3), st.integers(254, 258), st.integers(511, 514)),

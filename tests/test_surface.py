@@ -29,6 +29,11 @@ The learners' LAPACK calls have one referee, ``streams._first_rejected``:
 private ``numpy.linalg._umath_linalg`` is imported in exactly one module,
 and the learners take it from there.  A second copy of that decision fails
 here.
+
+Every relative bound check reads ``streams.bound_holds``: the slack
+1e-9 (1 + |x|), with 1e-9 written as a literal or as a module constant
+equal to it and |x| through ``abs`` or ``np.abs``, appears in exactly one
+function of ``src/``.
 """
 
 import ast
@@ -193,4 +198,58 @@ def test_the_private_lapack_module_is_imported_in_one_module():
     where = importing("numpy.linalg._umath_linalg")
     assert len(where) == 1, (
         f"numpy.linalg._umath_linalg is imported in {where}; take it from streams"
+    )
+
+
+def _is_abs_plus_one(node) -> bool:
+    """``1 + abs(x)`` or ``1 + np.abs(x)``, in either order."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    sides = (node.left, node.right)
+    one = any(isinstance(n, ast.Constant) and n.value == 1 for n in sides)
+    absolute = any(
+        isinstance(n, ast.Call)
+        and (getattr(n.func, "id", None) == "abs" or getattr(n.func, "attr", None) == "abs")
+        for n in sides
+    )
+    return one and absolute
+
+
+def relative_slacks() -> list[str]:
+    """The function (``module.qualname``, or the module itself) around each
+    product of 1e-9 with ``1 + |x|`` in ``src/``, one entry per product."""
+    found = []
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        tiny = {
+            target.id
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and isinstance(node.value, ast.Constant)
+            and node.value.value == 1e-9
+        }
+
+        def is_tiny(node) -> bool:
+            return (isinstance(node, ast.Constant) and node.value == 1e-9) or (
+                isinstance(node, ast.Name) and node.id in tiny)
+
+        def visit(node, where: str) -> None:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and (
+                (is_tiny(node.left) and _is_abs_plus_one(node.right))
+                or (is_tiny(node.right) and _is_abs_plus_one(node.left))
+            ):
+                found.append(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, path.stem)
+    return found
+
+
+def test_the_relative_slack_is_written_in_one_function():
+    where = relative_slacks()
+    assert where == ["streams.bound_holds"], (
+        f"the slack 1e-9 (1 + |x|) is written at {where}; call streams.bound_holds"
     )
