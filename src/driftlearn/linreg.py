@@ -5,24 +5,29 @@ The forecaster plays, after seeing the feature z_t,
     x_t = argmin_x  lam*beta^t/2 |x|^2 + (x.z_t)^2/2
                     + 1/2 sum_{s<t} beta^(t-s) (x.z_s - y_s)^2,
 
-which reduces to one symmetric positive-definite solve against the
-discounted Gram matrix.  All running statistics are kept in discounted form
+which reduces to one symmetric positive-definite system in the discounted
+Gram matrix.  All running statistics are kept in discounted form
 (A_t = lam beta^t I + sum beta^(t-s) z_s z_s', b_t = sum beta^(t-s) y_s z_s)
 so nothing ever scales like beta^(-t).  The predict matrix
-beta A_{t-1} + z_t z_t' is A_t itself, so round t solves A_t against
-[beta b_{t-1}, z_t]: the first column is the decision x_t, the second gives
-the stability term y_t^2 z_t' A_t^{-1} z_t.
+beta A_{t-1} + z_t z_t' is A_t itself, and a round reads two numbers only:
+the prediction z_t' A_t^{-1} beta b_{t-1} and the stability term
+y_t^2 z_t' A_t^{-1} z_t.  With A_t = L L' both are dot products of the
+forward substitutions c = L^{-1} z_t and w = L^{-1} beta b_{t-1}, w.c and
+y_t^2 c.c, and one Cholesky factorization of A_t bordered by the rows
+z_t' and beta b_{t-1}' returns c and w as its last two rows (the bordered
+Cholesky of Golub and Van Loan, Matrix Computations, sec. 4.2).  The
+decision x_t itself is never formed.
 
 A_t depends on the features only, never on the decisions, so every round is
-an independent solve and ``run_dvaw`` advances a block of rounds at once:
-the Gram and label-sum recurrences run as one exact discounted scan
-(``streams.discounted_scan``) over the block, one Cholesky factorization of
-the (B, d, d) stack checks positive definiteness, and one solve of the
-stack gives every round's decision and stability term.  Both call numpy's
-LAPACK gufuncs directly, as ``logreg`` does; ``streams._first_rejected``
-referees a block whose factor or solution holds a nan.  A block holds two
-(B, d, d) stacks at a time, and its length B is set by a private byte
-budget for one stack; results do not depend on it.
+independent and ``run_dvaw`` advances a block of rounds at once: the Gram
+and label-sum recurrences run as one exact discounted scan
+(``streams.discounted_scan``) over the block, and one Cholesky
+factorization of the (B, d+2, d+2) stack of bordered matrices checks
+positive definiteness and gives every round's prediction and stability
+term.  It calls numpy's LAPACK gufunc directly, as ``logreg`` does;
+``streams._first_rejected`` referees a block whose factor holds a nan pivot.
+A block holds two (B, d+2, d+2) stacks at a time, and its length B is set
+by a private byte budget for one stack; results do not depend on it.
 ``run_dvaw`` is the one learner entry point.  The module needs numpy only.
 """
 
@@ -35,10 +40,11 @@ import numpy as np
 
 from driftlearn.regret import RegretLedger, ft_difference_term, path_variation
 from driftlearn.streams import (ComparatorPath, Stream, _first_rejected, _umath_linalg,
-                                discounted_scan)
+                                discounted_scan, row_dots)
 
-# Bytes of one (B, d, d) Gram stack; a block holds max(1, this // (8 d^2))
-# rounds.  The kernel's working set is two such stacks and O(B d) floats.
+# Bytes of one (B, d+2, d+2) stack of bordered Gram matrices; a block holds
+# max(1, this // (8 (d+2)^2)) rounds.  The kernel's working set is two such
+# stacks and O(B d) floats.
 # At d = 20 and T = 4000 twice this budget lifts the run's peak above that
 # of the regret checks that read it.
 _BLOCK_BYTES = 1 << 16
@@ -52,7 +58,8 @@ def __getattr__(name: str):
     # bench/tracing.py counts factorizations by wrapping linreg.cho_factor,
     # which nothing here calls; scipy is imported only when the name is read.
     # ROADMAP item 0 moves that probe to _umath_linalg.cholesky_lo, times the
-    # stack length (np.linalg.cholesky runs only on a failed stack).
+    # stack length: one bordered factorization a round (np.linalg.cholesky
+    # runs only on a failed stack).
     if name == "cho_factor":
         from scipy.linalg import cho_factor
 
@@ -62,18 +69,28 @@ def __getattr__(name: str):
 
 def _advance(
     A: np.ndarray, b: np.ndarray, beta: float, Z: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run the rounds (Z, y) of one block from the statistics (A, b).
 
-    Returns the stacks A_t (B, d, d) and b_t (B, d), the decisions x_t
-    (B, d), the predictions x_t.z_t (B,) and the stability terms
+    Returns the stacks A_t (B, d, d) and b_t (B, d), the predictions
+    z_t' A_t^{-1} beta b_{t-1} (B,) and the stability terms
     y_t^2 z_t' A_t^{-1} z_t (B,).  One discounted scan over the rows
     [z_t z_t' ; y_t z_t], started from [A ; b], computes beta A_{t-1} +
     z_t z_t' and beta b_{t-1} + y_t z_t with the same two roundings as the
     per-round recurrence, so the results do not depend on where blocks begin.
-    The scan's input is dropped once it has run, so the block holds two
-    (B, d, d) stacks at a time: the scan's input and its output, then the
-    output and the Cholesky factor of :func:`_check_definite`.
+
+    Each round then takes one Cholesky factorization, of A_t bordered by
+    the rows [z_t', inf] and [beta b_{t-1}', 0, inf] (only the lower
+    triangle is read).  Its last two rows are c = L^{-1} z_t and
+    w = L^{-1} beta b_{t-1}, the forward substitutions of the two
+    right-hand sides, so the prediction is w.c and the stability term
+    y_t^2 c.c.  The inf diagonal keeps the border's pivots positive
+    whatever |c| and |w| are (LAPACK scales by 1/inf = 0), so the border
+    never makes LAPACK reject; an overflow in the substitution leaves an
+    inf or nan in the prediction, and ``run_dvaw``'s overflow check
+    raises.  The scan's output is copied into the bordered stack and
+    dropped, so the block holds two (B, d+2, d+2) stacks at a time, the
+    bordered matrices and their factor, and O(B d) floats more.
     """
     B, d = Z.shape
     V = np.empty((B, d + 1, d))
@@ -85,24 +102,25 @@ def _advance(
         np.multiply(y[:, None], Z, out=V[:, d])
         # a new array: a column scan in place measured about a fifth slower
         V = discounted_scan(V, beta, np.vstack((A, b)))
-        A_stack, b_stack = V[:, :d], V[:, d]
         # inf and nan persist through the scan, so the last round shows an
         # overflow anywhere in the block
         _check_finite(V[-1])
-        _check_definite(A_stack)
-        rhs = np.empty((B, d, 2))
-        rhs[0, :, 0] = beta * b
-        rhs[1:, :, 0] = beta * b_stack[:-1]
-        rhs[:, :, 1] = Z
-        sol = _umath_linalg.solve(A_stack, rhs)
-        # a badly scaled stream can pass the factorization, yet be singular
-        # to LU.  A nan LAPACK accepts (an overflow) stays in the solution
-        if (math.isnan(sol.sum())
-                and _first_rejected(np.linalg.solve, sol, A_stack, rhs) is not None):
-            raise ValueError("discounted statistics are ill-conditioned; rescale the stream")
-        X = sol[:, :, 0]
-        stab = (y * y) * (Z * sol[:, :, 1]).sum(axis=1)
-        return A_stack, b_stack, X, (X * Z).sum(axis=1), stab
+        M = np.empty((B, d + 2, d + 2))
+        M[:, :d, :d] = V[:, :d]
+        b_stack = V[:, d].copy()
+        del V
+        M[:, d, :d] = Z
+        M[0, d + 1, :d] = beta * b
+        np.multiply(beta, b_stack[:-1], out=M[1:, d + 1, :d])
+        M[:, d + 1, d] = 0.0
+        M[:, d, d] = M[:, d + 1, d + 1] = np.inf
+        L = _umath_linalg.cholesky_lo(M)
+        A_stack = M[:, :d, :d]
+        _check_definite(A_stack, L[:, :d, :d])
+        # row_dots reads the strided rows in place; an elementwise product
+        # of them stages copies of both in numpy buffers
+        c, w = L[:, d, :d], L[:, d + 1, :d]
+        return A_stack, b_stack, row_dots(w, c), (y * y) * row_dots(c, c)
 
 
 def _check_finite(stats: np.ndarray) -> None:
@@ -110,15 +128,20 @@ def _check_finite(stats: np.ndarray) -> None:
         raise ValueError("discounted statistics overflowed; rescale the stream")
 
 
-def _check_definite(A: np.ndarray) -> None:
+def _check_definite(A: np.ndarray, L: np.ndarray) -> None:
     """Raise if a matrix of the (B, d, d) stack A has no Cholesky factor
-    (``streams._first_rejected`` referees a factor that holds a nan), or
-    one with a squared pivot below the smallest normal float (a solve
-    would take the reciprocal of a subnormal or zero pivot)."""
-    L = _umath_linalg.cholesky_lo(A)
+    (``streams._first_rejected`` referees an entry of L, the factors
+    LAPACK returned, whose pivots hold a nan: LAPACK fills an entry it
+    rejects with nan), or one with a squared pivot below the smallest
+    normal float (a substitution would divide by a subnormal or zero
+    pivot).  Only the (B, d) pivots are read on success, by reductions:
+    an elementwise operation on a strided view stages copies of it."""
     pivots = np.diagonal(L, axis1=-2, axis2=-1)
-    if (math.isnan(L.sum()) and _first_rejected(np.linalg.cholesky, L, A) is not None
-            or (pivots * pivots).min() < np.finfo(float).tiny):
+    # the pivots are positive, so the least square is the least pivot's
+    # square; fmin skips the nan pivots of an entry the referee accepted
+    low = np.fmin.reduce(pivots, axis=None)
+    if (math.isnan(pivots.sum()) and _first_rejected(np.linalg.cholesky, L, A) is not None
+            or low * low < np.finfo(float).tiny):
         raise SingularSystemError(
             "regularized Gram matrix is numerically singular "
             "(lam*beta^t underflowed against a rank-deficient history); "
@@ -148,13 +171,13 @@ def _rounds(
     """Predictions and stability terms of the rounds (Z, y) from A_0 = lam I
     and b_0 = 0, one :func:`_advance` call per block of rounds."""
     T, d = Z.shape
-    block = max(1, _BLOCK_BYTES // (8 * d * d))
+    block = max(1, _BLOCK_BYTES // (8 * (d + 2) ** 2))
     yhats = np.empty(T)
     stab = np.empty(T)
     A, b = lam * np.eye(d), np.zeros(d)
     for lo in range(0, T, block):
         hi = min(lo + block, T)
-        A_stack, b_stack, _, yhats[lo:hi], stab[lo:hi] = _advance(
+        A_stack, b_stack, yhats[lo:hi], stab[lo:hi] = _advance(
             A, b, beta, Z[lo:hi], y[lo:hi]
         )
         # copies, so that the next block runs without this block's stacks

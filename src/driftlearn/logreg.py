@@ -403,8 +403,9 @@ def rescaled_bound_check(
     beta^t lam/2 |u|^2 + (1+BR) sum_{s<=t} beta^(t-s) eta_s g_s' Atilde_s^{-1} g_s,
     valid for any |u| <= B, at every prefix t = 1..T for each comparator.
 
-    Returns the worst slack min (bound - regret) and whether every prefix
-    passes :func:`~driftlearn.streams.bound_holds`, so a nan prefix fails.
+    Returns the worst slack min (bound - regret), nan if a prefix's slack
+    is, and whether every prefix passes
+    :func:`~driftlearn.streams.bound_holds`, so a nan prefix fails.
     Each comparator's T bounds are one array and its discounted regrets one
     :func:`~driftlearn.streams.discounted_scan`; both match a
     prefix-by-prefix evaluation of the same operations bit for bit.
@@ -417,8 +418,8 @@ def rescaled_bound_check(
         u = np.asarray(u, dtype=float)
         bounds = run.beta_pows * 0.5 * run.lam * (u @ u) + scale * run.stab_disc
         regrets = discounted_scan(run.losses_at_play - ledger.loss_eval_batch(u), run.beta)
-        # fmin skips nan slacks, as the running min(worst, slack) would
-        worst = float(np.fmin.reduce(bounds - regrets, initial=worst))
+        # minimum keeps a nan slack, so the worst slack reads a failed prefix
+        worst = float(np.minimum.reduce(bounds - regrets, initial=worst))
         ok = ok and bool(bound_holds(regrets, bounds).all())
     return worst, ok
 

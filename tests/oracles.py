@@ -282,6 +282,83 @@ def exact_path_variation(
     return total, scale
 
 
+def _exact_solve(A: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
+    """A^{-1} r for each column r of ``rhs`` (a list of columns), by Gauss
+    elimination in exact rational arithmetic; A must be nonsingular."""
+    d = len(A)
+    M = [row[:] + [r[i] for r in rhs] for i, row in enumerate(A)]
+    for k in range(d):
+        p = next(i for i in range(k, d) if M[i][k] != 0)
+        M[k], M[p] = M[p], M[k]
+        for i in range(k + 1, d):
+            f = M[i][k] / M[k][k]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    X = [[Fraction(0)] * len(rhs) for _ in range(d)]
+    for i in reversed(range(d)):
+        for j in range(len(rhs)):
+            acc = M[i][d + j] - sum(M[i][k] * X[k][j] for k in range(i + 1, d))
+            X[i][j] = acc / M[i][i]
+    return [[X[i][j] for i in range(d)] for j in range(len(rhs))]
+
+
+def exact_dvaw(
+    stream: Stream, beta: float, lam: float
+) -> tuple[list[Fraction], list[Fraction], list[float], list[float]]:
+    """Discounted-VAW predictions and stability terms in exact rational
+    arithmetic on the stream's doubles, and forward-error bounds of any
+    float evaluation of them by the learner's route.
+
+    With A_t = lam beta^t I + sum_{s<=t} beta^(t-s) z_s z_s' and b_t the
+    same sum of y_s z_s, round t's prediction is yhat_t = z_t' A_t^{-1}
+    beta b_{t-1} and its stability term stab_t = y_t^2 z_t' A_t^{-1} z_t.
+    Write c = L^{-1} z_t and w = L^{-1} beta b_{t-1} for A_t = L L', so
+    |c|^2 = z_t' A_t^{-1} z_t <= 1, and bbar for sum_{s<t} beta^(t-1-s)
+    |y_s| |z_s|.  The least eigenvalue of A_t is at least lam beta^t, so
+    mu_t = trace(A_t) / (lam beta^t) bounds |A_t| |A_t^{-1}| in the 2-norm.
+
+    A float route that scans the statistics (at most 2t roundings an
+    entry), factors A_t by Cholesky and forward-substitutes z_t and
+    beta b_{t-1} (backward errors gamma_(d+1) |L||L'|, with
+    || |L||L'| || <= trace(A_t)), and takes the two dot products, returns
+    values within
+
+        |yhat~_t - yhat_t| <= eps_t (|c||w| (mu_t + 1) + |c| beta |bbar| / sqrt(lam beta^t))
+        |stab~_t - stab_t| <= eps_t (mu_t + 1) stab_t
+
+    with eps_t = 2 (2t + 3d + 6) u and u = 2^-53: the first-order bound,
+    doubled to cover the higher-order terms while eps_t mu_t is small.
+    The bounds assume no product underflows.  These are the last two
+    lists, as floats.  For small instances only: beta^t has about 53 t
+    bits.
+    """
+    d = stream.d
+    Z = [[Fraction(v) for v in row] for row in stream.Z.tolist()]
+    y = [Fraction(v) for v in stream.y.tolist()]
+    beta_q, lam_q = Fraction(beta), Fraction(lam)
+    A = [[lam_q if i == j else Fraction(0) for j in range(d)] for i in range(d)]
+    b, bbar = [Fraction(0)] * d, [Fraction(0)] * d
+    yhats, stabs, yhat_bounds, stab_bounds = [], [], [], []
+    for t, (z, yt) in enumerate(zip(Z, y), 1):
+        A = [[beta_q * A[i][j] + z[i] * z[j] for j in range(d)] for i in range(d)]
+        rhs = [beta_q * v for v in b]
+        x, a = _exact_solve(A, [rhs, z])
+        cc = sum(zi * ai for zi, ai in zip(z, a))
+        ww = sum(ri * xi for ri, xi in zip(rhs, x))
+        yhats.append(sum(zi * xi for zi, xi in zip(z, x)))
+        stabs.append(yt * yt * cc)
+        floor = lam_q * beta_q**t
+        mu = float(sum(A[i][i] for i in range(d)) / floor)
+        eps = 2 * (2 * t + 3 * d + 6) * 2.0**-53
+        c_norm, w_norm = math.sqrt(cc), math.sqrt(ww)
+        bbar_norm = math.sqrt(float(sum(v * v for v in bbar)))
+        yhat_bounds.append(eps * (c_norm * w_norm * (mu + 1.0) + c_norm * beta * bbar_norm
+                                  / math.sqrt(float(floor))))
+        stab_bounds.append(eps * (mu + 1.0) * float(stabs[-1]))
+        b = [beta_q * v + yt * zi for v, zi in zip(b, z)]
+        bbar = [beta_q * v + abs(yt * zi) for v, zi in zip(bbar, z)]
+    return yhats, stabs, yhat_bounds, stab_bounds
+
+
 def logistic_loss(yhat: float, y: float) -> float:
     """l(yhat, y) = ln(1 + exp(-y*yhat)), overflow-safe."""
     return float(np.logaddexp(0.0, -y * yhat))

@@ -429,8 +429,6 @@ class TestSeedsAndOverflow:
         [
             (["run-vaw", "--beta", "0.9"], "t,y,z_0\n1,1e160,1e-200\n2,1.0,1.0\n",
              "discounted statistics overflowed; rescale the stream"),
-            (["run-vaw"], "t,y,z_0,z_1\n1,-1e40,-1e40,-1e40\n",
-             "discounted statistics are ill-conditioned; rescale the stream"),
             (["run-aioli"], "t,y,z_0\n1,1.0,1e200\n2,1.0,1.0\n",
              "surrogate statistics overflowed at round 1 for beta=0.9; "
              "use a larger beta or rescale the stream"),
@@ -449,7 +447,7 @@ class TestSeedsAndOverflow:
              "regularized Gram matrix is numerically singular (lam*beta^t underflowed "
              "against a rank-deficient history); use a larger lambda or a shorter horizon"),
         ],
-        ids=["vaw-label", "vaw-ill-scaled", "aioli-feature", "ensemble-feature",
+        ids=["vaw-label", "aioli-feature", "ensemble-feature",
              "aioli-ill-scaled", "ensemble-ill-scaled", "vaw-subnormal-pivot"],
     )
     def test_overflow_in_the_learner_is_one_error_line_without_warning(
@@ -463,6 +461,26 @@ class TestSeedsAndOverflow:
         assert_one_error_line(code, err)
         assert err == f"error: {message}\n" and stdout == ""
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    # lam beta I + z z' of this stream rounds to a matrix singular to LU,
+    # yet it has a Cholesky factor, and run-vaw gives the exact answer:
+    # yhat 0, so the loss 5e79 equals the zero comparator's, and the
+    # stability term y^2 z'A^{-1}z rounds to 1e80, the modular right-hand
+    # side of a one-round path at u = 0
+    def test_vaw_ill_scaled_stream_runs_to_the_exact_answer(self, capsys, tmp_path):
+        stream = tmp_path / "huge.csv"
+        stream.write_text("t,y,z_0,z_1\n1,-1e40,-1e40,-1e40\n")
+        stream.with_suffix(".truth.csv").write_text("t,u_0,u_1\n1,0.0,0.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(capsys, "run-vaw", "--beta", "0.99",
+                                        "--stream", str(stream))
+        assert (code, err) == (0, "")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        summary = json.loads(stdout)
+        assert (summary["cumulative_loss"], summary["dynamic_regret"],
+                summary["modular_rhs"]) == (5e79, 0.0, 1e80)
+        assert all(summary["checks"].values())
 
     # A tiny AIOLI discount underflows lam beta^t: the message names the round
     # and the failing expert's beta, and a larger beta, which it advises, runs.

@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -23,29 +24,38 @@ def drifting_stream(rng, T=60, d=3, segments=3, noise=0.2):
 
 
 def kernel(Z, y, beta, lam):
-    """A_t, b_t, the decisions x_t, predictions and stability terms of every
-    round, from A_0 = lam I and b_0 = 0 in one block of the learner's kernel."""
+    """A_t, b_t, the predictions and stability terms of every round, from
+    A_0 = lam I and b_0 = 0 in one block of the learner's kernel."""
     Z, y = np.asarray(Z, dtype=float), np.asarray(y, dtype=float)
     d = Z.shape[1]
     return linreg._advance(lam * np.eye(d), np.zeros(d), beta, Z, y)
 
 
+def decisions(A, b, beta):
+    """The decisions x_t = A_t^{-1} beta b_{t-1} of a block started from
+    b_0 = 0, by a solve of the kernel's A_t and b_t stacks."""
+    rhs = beta * np.vstack((np.zeros((1, b.shape[1])), b[:-1]))
+    return np.linalg.solve(A, rhs[..., None])[..., 0]
+
+
 class TestPredict:
     def test_empty_history_plays_zero(self):
         z = np.array([[1.0, -2.0, 0.5]])
-        _, _, X, yhats, _ = kernel(z, [0.3], beta=0.7, lam=2.0)
-        assert np.array_equal(X[0], np.zeros(3)) and yhats[0] == 0.0
+        A, b, yhats, _ = kernel(z, [0.3], beta=0.7, lam=2.0)
+        assert np.array_equal(decisions(A, b, 0.7)[0], np.zeros(3)) and yhats[0] == 0.0
         assert linreg.run_dvaw(Stream(z, np.array([0.3])), 0.7, 2.0).yhats[0] == 0.0
 
     def test_undiscounted_scalar_example(self):
         # history (z=1, y=1), next z=1, lam=1: x = b/(lam + 1 + 1) = 1/3
-        _, _, X, _, _ = kernel([[1.0], [1.0]], [1.0, 0.0], beta=1.0, lam=1.0)
-        assert X[1, 0] == pytest.approx(1 / 3, rel=1e-14)
+        A, b, yhats, _ = kernel([[1.0], [1.0]], [1.0, 0.0], beta=1.0, lam=1.0)
+        assert decisions(A, b, 1.0)[1, 0] == pytest.approx(1 / 3, rel=1e-14)
+        assert yhats[1] == pytest.approx(1 / 3, rel=1e-14)
 
     def test_discounted_scalar_example(self):
         # beta=0.5: solve (lam b^2 + b + 1) x = b  ->  x = 0.5/1.75 = 2/7
-        _, _, X, _, _ = kernel([[1.0], [1.0]], [1.0, 0.0], beta=0.5, lam=1.0)
-        assert X[1, 0] == pytest.approx(2 / 7, rel=1e-14)
+        A, b, yhats, _ = kernel([[1.0], [1.0]], [1.0, 0.0], beta=0.5, lam=1.0)
+        assert decisions(A, b, 0.5)[1, 0] == pytest.approx(2 / 7, rel=1e-14)
+        assert yhats[1] == pytest.approx(2 / 7, rel=1e-14)
 
     def test_matches_numerical_minimizer(self):
         # independent check: minimize the forward-regularized objective directly
@@ -55,7 +65,10 @@ class TestPredict:
             Z = rng.standard_normal((T, d))
             y = rng.standard_normal(T)
             lam = 0.7
-            _, _, X, _, _ = kernel(Z, y, beta, lam)
+            A, b, yhats, _ = kernel(Z, y, beta, lam)
+            X = decisions(A, b, beta)
+            # the kernel's predictions are those decisions played
+            assert_close(yhats, (X * Z).sum(axis=1))
             for t in range(1, T + 1):
                 z_t = Z[t - 1]
 
@@ -75,12 +88,13 @@ class TestUpdate:
         rng = np.random.default_rng(1)
         Z = rng.standard_normal((7, 2))
         y = rng.standard_normal(7)
-        A, b, _, _, _ = kernel(Z, y, beta=1.0, lam=1.0)
+        A, b, _, _ = kernel(Z, y, beta=1.0, lam=1.0)
         np.testing.assert_allclose(A[-1], np.eye(2) + Z.T @ Z, rtol=1e-12)
         np.testing.assert_allclose(b[-1], Z.T @ y, rtol=1e-12)
 
     def test_two_half_discount_updates(self):
-        A, b, _, _, _ = kernel([[1.0], [1.0]], [1.0, 1.0], beta=0.5, lam=1.0)
+        A, b, _, _ = kernel([[1.0], [1.0]], [1.0, 1.0], beta=0.5, lam=1.0)
+        assert A.shape == (2, 1, 1) and b.shape == (2, 1)
         # A_2 = lam beta^2 + beta z^2 + z^2 = 0.25 + 0.5 + 1
         assert A[1, 0, 0] == pytest.approx(1.75, rel=1e-15)
         assert b[1, 0] == pytest.approx(1.5, rel=1e-15)
@@ -92,8 +106,8 @@ class TestUpdate:
 
     def test_gram_matrix_stays_symmetric(self):
         rng = np.random.default_rng(2)
-        A, _, _, _, _ = kernel(rng.standard_normal((10_000, 3)),
-                               rng.standard_normal(10_000), beta=0.95, lam=1.0)
+        A, _, _, _ = kernel(rng.standard_normal((10_000, 3)),
+                            rng.standard_normal(10_000), beta=0.95, lam=1.0)
         assert np.max(np.abs(A - A.transpose(0, 2, 1))) <= 1e-12
 
 
@@ -306,6 +320,39 @@ class TestSingleMatrixMatchesTwoFactorizations:
         )
 
 
+class TestExactReferee:
+    # Tiny instances against oracles.exact_dvaw, within its forward-error
+    # bounds.  On this domain (beta >= 0.95, lam >= 1, |z_i| <= 1/2,
+    # |y| <= 1, T <= 12, d <= 3) mu_t <= 20 and |w| <= sqrt(11), so each
+    # bound is within the 1e-12 (1 + |x|) of the per-round referee; the
+    # least nonzero entry 2^-10 keeps every product from underflowing.
+    coord = st.one_of(st.just(0.0), st.floats(2**-10, 0.5), st.floats(-0.5, -(2**-10)))
+    label = st.one_of(st.just(0.0), st.floats(2**-10, 1.0), st.floats(-1.0, -(2**-10)))
+
+    @given(data=st.data(), d=st.integers(1, 3), T=st.integers(1, 12),
+           beta=st.floats(0.95, 1.0), lam=st.floats(1.0, 4.0))
+    def test_predictions_and_stability_terms_within_the_bound(self, data, d, T, beta, lam):
+        Z = np.array(data.draw(st.lists(st.lists(self.coord, min_size=d, max_size=d),
+                                        min_size=T, max_size=T)))
+        y = np.array(data.draw(st.lists(self.label, min_size=T, max_size=T)))
+        run = linreg.run_dvaw(Stream(Z, y), beta, lam)
+        exact = oracles.exact_dvaw(Stream(Z, y), beta, lam)
+        for got, want, bounds in ((run.yhats, exact[0], exact[2]),
+                                  (run.potential_increments, exact[1], exact[3])):
+            for g, w, bound in zip(got.tolist(), want, bounds):
+                assert bound <= 1e-12 * (1.0 + abs(float(w)))
+                assert abs(Fraction(g) - w) <= bound
+
+    def test_the_singular_to_lu_stream_gives_its_exact_outputs(self):
+        Z, y, beta, lam, _, _ = EDGE_STREAMS["singular-to-lu"]
+        run = linreg.run_dvaw(Stream(Z, y), beta, lam)
+        yhats, stabs, _, _ = oracles.exact_dvaw(Stream(Z, y), beta, lam)
+        losses = [(w - Fraction(v)) ** 2 / 2 for w, v in zip(yhats, y.tolist())]
+        assert run.yhats.tolist() == [float(w) for w in yhats] == [0.0]
+        assert run.potential_increments.tolist() == [float(w) for w in stabs] == [1e80]
+        assert run.losses_at_play.tolist() == [float(w) for w in losses] == [5e79]
+
+
 def per_round_scipy_dvaw(stream, beta, lam):
     """Reference copy of the per-round learner: one scipy Cholesky factor of
     A_t per round, and the next prediction through the rank-one identity
@@ -360,12 +407,15 @@ class TestBlockedKernelMatchesPerRoundLoop:
         T = 3 * block + extra
         spec = StreamSpec(d=d, T=T, kind=kind, segments=3, noise=0.3, seed=seed)
         stream, _ = gen_stream(spec)
-        with mock.patch.object(linreg, "_BLOCK_BYTES", block * 8 * d * d):
+        with mock.patch.object(linreg, "_BLOCK_BYTES", block * 8 * (d + 2) ** 2):
             run = linreg.run_dvaw(stream, beta, lam)
         for new, ref in zip(run_fields(run), per_round_scipy_dvaw(stream, beta, lam)):
             assert_close(new, ref)
 
-    @pytest.mark.parametrize("d", [8, 5])
+    # at d = 40 the 42 x 42 bordered matrices are past OpenBLAS's unblocked
+    # size (32 on common x86 cores): the trailing updates of a blocked
+    # factorization then reach the border's inf diagonal
+    @pytest.mark.parametrize("d", [8, 5, 40])
     def test_default_budget_spans_several_blocks(self, d):
         # three whole default blocks and a partial fourth, at any budget
         T = 3 * default_block(d) + 7
@@ -394,7 +444,7 @@ class TestBlockSizeInvariance:
 
 def default_block(d):
     """Rounds in one block of the module's budget at dimension d."""
-    return max(1, linreg._BLOCK_BYTES // (8 * d * d))
+    return max(1, linreg._BLOCK_BYTES // (8 * (d + 2) ** 2))
 
 
 def traced_peak(f):
@@ -409,18 +459,20 @@ def traced_peak(f):
 
 
 class TestWorkingSet:
-    # One default block holds two (B, d, d) stacks at a time: the scan's
-    # input and output, then the output and its Cholesky factor.  The rest
-    # is O(B d): the scan's extra row, the right-hand sides, the solution
-    # and the block's outputs, within 6 B d floats.  A broadcast Gram fill
-    # (a buffer of about three stacks) breaks the bound.
+    # One default block holds two (B, d+2, d+2) stacks at a time, within
+    # twice the byte budget: the scan's input and output, then the bordered
+    # matrices and their Cholesky factor.  The rest is O(B d): the label
+    # sums b_t, the block's outputs and the reductions' buffers, within
+    # 6 B d floats.  A broadcast Gram fill (a buffer of about three stacks),
+    # or a scan output kept alive through the factorization, breaks the bound.
     @pytest.mark.parametrize("d", [5, 20])
     def test_one_block_holds_two_stacks(self, d):
         B = default_block(d)
+        assert 2 * 8 * B * (d + 2) ** 2 <= 2 * linreg._BLOCK_BYTES
         rng = np.random.default_rng(d)
         Z, y = rng.standard_normal((B, d)), rng.standard_normal(B)
         peak = traced_peak(lambda: kernel(Z, y, 0.99, 1.0))
-        assert peak <= 8 * (2 * B * d * d + 6 * B * d)
+        assert peak <= 8 * (2 * B * (d + 2) ** 2 + 6 * B * d)
 
     # A run holds its T-length outputs (predictions, stability terms and
     # losses) and one block's working set; at d = 20 the block's O(B d)
@@ -433,8 +485,34 @@ class TestWorkingSet:
         assert peak <= 8 * 3 * T + 5 * linreg._BLOCK_BYTES // 2
 
 
+class TestFactorizationCount:
+    # Three whole default blocks and seven rounds: one stacked Cholesky
+    # factorization a block, one bordered matrix a round, and no LAPACK
+    # solve.  A second factorization or a solve coming back fails here.
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    def test_one_cholesky_call_per_block_and_no_solve(self, monkeypatch, d):
+        lengths, solves = [], []
+
+        def cholesky_lo(M):
+            lengths.append(len(M))
+            return _umath_linalg.cholesky_lo(M)
+
+        def solve(*args):
+            solves.append(args)
+            return _umath_linalg.solve(*args)
+
+        monkeypatch.setattr(linreg, "_umath_linalg",
+                            SimpleNamespace(cholesky_lo=cholesky_lo, solve=solve))
+        T = 3 * default_block(d) + 7
+        stream, _ = gen_stream(StreamSpec(d=d, T=T, kind="rotating-target", segments=3, seed=d))
+        linreg.run_dvaw(stream, 0.95, 0.5)
+        assert lengths == [default_block(d)] * 3 + [7] and sum(lengths) == T
+        assert solves == []
+
+
 # The edge streams of the kernel, with their beta and lambda, and the
-# message each ends in.
+# error and message each ends in, or None and the predictions, stability
+# terms and losses of a stream that runs.
 SINGULAR = ("regularized Gram matrix is numerically singular (lam*beta^t underflowed "
             "against a rank-deficient history); use a larger lambda or a shorter horizon")
 EDGE_STREAMS = {
@@ -444,9 +522,10 @@ EDGE_STREAMS = {
     # solve is inf
     "subnormal-pivot": (np.array([[1.0], [0.0]]), np.array([1.0, 0.0]), 5e-324, 1.0,
                         linreg.SingularSystemError, SINGULAR),
-    # lam I + z z' passes the Cholesky factorization, yet is singular to LU
+    # lam beta I + z z' rounds to a matrix singular to LU, yet it has a
+    # Cholesky factor: its outputs are the exact values
     "singular-to-lu": (np.array([[-1e40, -1e40]]), np.array([-1e40]), 0.99, 1.0,
-                       ValueError, "discounted statistics are ill-conditioned; rescale the stream"),
+                       None, ([0.0], [1e80], [5e79])),
     "overflowing": (np.full((3, 2), 1e200), np.ones(3), 0.9, 1.0,
                     ValueError, "discounted statistics overflowed; rescale the stream"),
 }
@@ -470,44 +549,56 @@ class TestPublicLinalgOnlyReferees:
         for got, ref in zip(runs(), want):
             assert all(same_bits(g, w) for g, w in zip(got, ref))
 
-    def test_a_nan_the_public_solve_accepts_stays_in_the_solution(self, monkeypatch):
-        # LAPACK accepted the system, yet the solution overflowed to a nan:
-        # the public solve runs once, on the one round whose solution holds
-        # the nan, does not raise, and the nan flows on
-        def overflowed(A, rhs):
-            sol = _umath_linalg.solve(A, rhs)
-            sol[0, 0, 0] = np.nan
-            return sol
+    # An overflow in the border's substitution leaves a nan LAPACK accepts,
+    # in a row of the factor past A_t's; a LAPACK that rejected it would fill
+    # the whole entry with nan.  Either way the public factorization runs at
+    # most once, on the A_t of that one round, does not raise, and the nan
+    # flows on to the prediction and the overflow message
+    @pytest.mark.parametrize("nan_at, referred", [(np.s_[0, 3, 0], []),
+                                                  (np.s_[0], [[(2, 2)]])],
+                             ids=["border-row", "whole-entry"])
+    def test_a_nan_in_the_border_stays_in_the_prediction(self, monkeypatch, nan_at, referred):
+        def overflowed(M):
+            L = _umath_linalg.cholesky_lo(M)
+            L[nan_at] = np.nan
+            return L
 
         calls = []
 
-        def public_solve(*args):
+        def public_cholesky(*args):
             calls.append([a.copy() for a in args])
-            return solve(*args)
+            return cholesky(*args)
 
-        solve = np.linalg.solve
-        monkeypatch.setattr(linreg, "_umath_linalg", SimpleNamespace(
-            solve=overflowed, cholesky_lo=_umath_linalg.cholesky_lo))
-        monkeypatch.setattr(np.linalg, "solve", public_solve)
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(linreg, "_umath_linalg", SimpleNamespace(cholesky_lo=overflowed))
+        monkeypatch.setattr(np.linalg, "cholesky", public_cholesky)
         Z, y = np.array([[1.0, 0.5], [0.3, -1.0]]), np.array([1.0, 2.0])
-        A_stack, _, X, yhats, _ = kernel(Z, y, 0.9, 1.0)
-        assert [[a.shape for a in args] for args in calls] == [[(2, 2), (2, 2)]]
-        assert same_bits(calls[0][0], A_stack[0])
-        assert np.isnan(X[0, 0]) and np.isnan(yhats[0])
+        A_stack, _, yhats, _ = kernel(Z, y, 0.9, 1.0)
+        assert [[a.shape for a in args] for args in calls] == referred
+        assert all(same_bits(args[0], A_stack[0]) for args in calls)
+        assert np.isnan(yhats[0]) and np.isfinite(yhats[1])
         with pytest.raises(ValueError, match="^discounted statistics overflowed; rescale the stream$"):
             linreg.run_dvaw(Stream(Z, y), 0.9, 1.0)
 
 
 class TestKernelErrors:
-    # each edge stream ends in its exact message, with warnings as errors:
-    # the kernel silences the flag of a failed LAPACK call itself, also
-    # outside run_dvaw's np.errstate
+    # each edge stream ends in its exact message, or its exact outputs,
+    # with warnings as errors: the kernel silences the flag of a failed
+    # LAPACK call itself, also outside run_dvaw's np.errstate
     @pytest.mark.parametrize("edge", list(EDGE_STREAMS))
     @pytest.mark.parametrize("entry", ["run_dvaw", "kernel"])
     def test_edge_streams_keep_their_messages(self, edge, entry):
         Z, y, beta, lam, error, message = EDGE_STREAMS[edge]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if error is None:
+                if entry == "run_dvaw":
+                    run = linreg.run_dvaw(Stream(Z, y), beta, lam)
+                    got = run.yhats, run.potential_increments, run.losses_at_play
+                else:
+                    got = kernel(Z, y, beta, lam)[2:]
+                assert [a.tolist() for a in got] == list(message[:len(got)])
+                return
             with pytest.raises(error) as exc:
                 if entry == "run_dvaw":
                     linreg.run_dvaw(Stream(Z, y), beta, lam)

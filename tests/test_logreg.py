@@ -26,7 +26,7 @@ def prefix_loop_bound_check(run, comparators):
         for t in range(1, run.T + 1):
             r = run.beta * r + float(diffs[t - 1])
             bound = oracles.aioli_rescaled_bound(run, t, u)
-            worst = min(worst, bound - r)
+            worst = float(np.minimum(worst, bound - r))
             if r > bound + 1e-9 * (1.0 + abs(bound)):
                 ok = False
     return worst, ok
@@ -306,8 +306,8 @@ class TestRescaledBound:
 
     def test_a_nan_prefix_fails(self):
         # |u|^2 overflows and beta^t underflows to 0 from round 162 on, so
-        # 0 * inf leaves 39 nan bounds.  fmin skips them in the worst slack,
-        # which is the zero comparator's, but a nan prefix fails the check.
+        # 0 * inf leaves 39 nan bounds.  The worst slack is nan, whichever
+        # comparator comes first, and a nan prefix fails the check.
         spec = StreamSpec(d=3, T=200, kind="logistic-drift", segments=2, noise=0.2, seed=1)
         stream, _ = gen_stream(spec)
         run = logreg.run_aioli(stream, beta=0.01, lam=1.0, B=1.0, R=1.0)
@@ -315,8 +315,11 @@ class TestRescaledBound:
         assert np.flatnonzero(run.beta_pows == 0.0)[0] == 161  # round 162
         with np.errstate(over="ignore", invalid="ignore"):
             got = logreg.rescaled_bound_check(run, [zero, huge])
-        assert got == (logreg.rescaled_bound_check(run, [zero])[0], False)
-        assert logreg.rescaled_bound_check(run, [zero])[1]
+            flipped = logreg.rescaled_bound_check(run, [huge, zero])
+        for worst, ok in (got, flipped):
+            assert math.isnan(worst) and ok is False
+        worst, ok = logreg.rescaled_bound_check(run, [zero])
+        assert math.isfinite(worst) and ok
 
     def test_stability_sum_obeys_potential_lemma(self):
         rng = np.random.default_rng(5)
