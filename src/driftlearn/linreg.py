@@ -28,7 +28,8 @@ term.  It calls numpy's LAPACK gufunc directly, as ``logreg`` does;
 ``streams._first_rejected`` referees a block whose factor holds a nan pivot.
 A block holds two (B, d+2, d+2) stacks at a time, and its length B is set
 by a private byte budget for one stack; results do not depend on it.
-``run_dvaw`` is the one learner entry point.  The module needs numpy only.
+``run_dvaw`` is the one learner entry point; its losses are ``regret._loss``
+of its predictions, as its ledger's are.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from driftlearn.regret import RegretLedger, ft_difference_term, path_variation
+from driftlearn.regret import (RegretLedger, _check_discounts, _loss, ft_difference_term,
+                               path_variation)
 from driftlearn.streams import (ComparatorPath, Stream, _first_rejected, _umath_linalg,
                                 discounted_scan, row_dots)
 
@@ -198,7 +200,7 @@ def run_dvaw(stream: Stream, beta: float, lam: float) -> DvawRun:
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan raises here, not warns
         _check_finite(y * y)
         yhats, pots = _rounds(stream.Z, y, beta, lam)
-        losses = 0.5 * (yhats - y) ** 2
+        losses = _loss("squared", yhats.copy(), y)
         _check_finite(losses)
     return DvawRun(stream=stream, beta=beta, lam=lam, yhats=yhats,
                    losses_at_play=losses, potential_increments=pots)
@@ -238,9 +240,8 @@ def dvaw_bounds(
     One ledger serves P_T^g and FD, and FD is taken once for both bounds
     that add it.
     """
+    _check_discounts(run.beta, gamma)
     beta, lam, d = run.beta, run.lam, run.stream.d
-    if not (0.0 < beta <= gamma < 1.0):
-        raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
     u = path[0]
     base = 0.5 * beta * lam * float(u @ u)
     base += dvaw_log_term(run)

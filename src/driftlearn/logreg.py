@@ -45,7 +45,8 @@ the expert stack and records the (T, N) expert predictions; the expert
 losses, the exponential weights, the mixture and its losses depend on
 those alone and are computed after the loop.  ``run_aioli`` rebuilds each
 block's decisions and stationarity residuals from the block's states, and
-takes its discounted stability sums and beta^t after the loop.
+takes its discounted stability sums and beta^t after the loop.  Every
+loss at play is ``regret._loss`` of the predictions, as the ledgers' are.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from driftlearn.regret import RegretLedger, path_variation
+from driftlearn.regret import RegretLedger, _check_discounts, _loss, path_variation
 from driftlearn.streams import (ComparatorPath, Stream, _first_rejected, _umath_linalg,
                                 bound_holds, discounted_scan, row_dots)
 
@@ -184,11 +185,11 @@ class _Experts:
         )
 
     def run(
-        self, Z: np.ndarray, ys: Iterator[float], yhats: np.ndarray,
+        self, Z: np.ndarray, y: np.ndarray, yhats: np.ndarray,
         c2q: np.ndarray | None = None, settle=None,
     ) -> None:
-        """Advance every expert over the rounds (Z, ys), ``ys`` an iterator
-        of T floats.
+        """Advance every expert over the rounds (Z, y), ``y`` the (T,)
+        labels, which must be +/-1 (else ``ValueError``).
 
         Round t writes the (N,) predictions into ``yhats[t]`` and, when
         ``c2q`` is given, c2 q into ``c2q[t]`` (both (T, N) arrays).  The
@@ -199,6 +200,9 @@ class _Experts:
         ``settle(lo, As, ws)``, when given, reads the block's rows, its
         first round lo + 1.
         """
+        if not np.all(np.abs(y) == 1.0):
+            raise ValueError("logistic streams need labels in {+1, -1}")
+        ys = map(float, y)
         T = len(Z)
         N, d = self.w.shape
         L = max(1, min(T, _BLOCK_BYTES // (8 * N * d * d)))
@@ -336,8 +340,6 @@ class AioliRun:
 
 
 def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> AioliRun:
-    if not np.all(np.abs(stream.y) == 1.0):
-        raise ValueError("logistic streams need labels in {+1, -1}")
     experts = _Experts.fresh(stream.d, [beta], lam, B, R)
     T = stream.T
     yhats = np.empty((T, 1))
@@ -350,11 +352,11 @@ def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> Ai
                                    experts.beta[0])
 
     with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
-        experts.run(stream.Z, map(float, stream.y), yhats, c2q, settle)
+        experts.run(stream.Z, stream.y, yhats, c2q, settle)
     yhats, c2q = yhats[:, 0], c2q[:, 0]
     return AioliRun(
         stream=stream, beta=beta, lam=lam, B=B, R=R, yhats=yhats,
-        losses_at_play=np.logaddexp(0.0, -stream.y * yhats),
+        losses_at_play=_loss("logistic", yhats.copy(), stream.y),
         stab_disc=discounted_scan(c2q / (1.0 + c2q), beta),
         beta_pows=np.cumprod(np.full(T, float(beta))), residuals=resid,
     )
@@ -431,9 +433,8 @@ def theorem_dynamic_bound(run: AioliRun, path: ComparatorPath, gamma: float) -> 
     + gamma/(1-gamma) P_T^g + (1-beta)/beta * d(1+BR) T,
     for 0 < beta <= gamma < 1, comparators bounded by B, features by R.
     """
+    _check_discounts(run.beta, gamma)
     beta, lam, d, T = run.beta, run.lam, run.stream.d, run.T
-    if not (0.0 < beta <= gamma < 1.0):
-        raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
     scale = 1.0 + run.B * run.R
     geo = (1.0 - beta**T) / (1.0 - beta)
     bound = beta * lam * float(path[0] @ path[0])
@@ -493,8 +494,6 @@ def run_ensemble(
     mixture and its losses follow it, with the roundings of a per-round
     weight update.
     """
-    if not np.all(np.abs(stream.y) == 1.0):
-        raise ValueError("logistic streams need labels in {+1, -1}")
     betas = np.asarray(list(betas), dtype=float)
     if betas.size < 1:
         raise ValueError("need at least one base learner")
@@ -502,15 +501,13 @@ def run_ensemble(
     T, N = stream.T, betas.size
     expert_yhats = np.empty((T, N))
     with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
-        experts.run(stream.Z, map(float, stream.y), expert_yhats)
+        experts.run(stream.Z, stream.y, expert_yhats)
 
     # Row blocks keep numpy's broadcast buffers to the size of one block.
     blocks = [slice(lo, lo + _MIX_BLOCK) for lo in range(0, T, _MIX_BLOCK)]
-    neg_y = np.negative(stream.y)
-    expert_losses = np.empty((T, N))
-    for rows in blocks:  # l(yhat, y) = ln(1 + exp(-y*yhat))
-        losses = np.multiply(expert_yhats[rows], neg_y[rows, None], out=expert_losses[rows])
-        np.logaddexp(0.0, losses, out=losses)
+    expert_losses = expert_yhats.copy()
+    for rows in blocks:
+        _loss("logistic", expert_losses[rows], stream.y[rows, None])
     # log q_t = -C_t, with C_t the losses summed over rounds s < t; with
     # m_t = min_i C_t,i, log q_t - max_i log q_t = m_t - C_t exactly
     weights = np.empty((T, N))
@@ -523,8 +520,7 @@ def run_ensemble(
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
         yhats[rows] = _mix(expert_yhats[rows], p)
-    mix_losses = np.multiply(yhats, neg_y, out=neg_y)
-    np.logaddexp(0.0, mix_losses, out=mix_losses)
+    mix_losses = _loss("logistic", yhats.copy(), stream.y)
     return EnsembleRun(
         stream=stream, yhats=yhats, mix_losses=mix_losses, expert_losses=expert_losses,
         expert_yhats=expert_yhats, weights=weights,
@@ -533,8 +529,8 @@ def run_ensemble(
 
 def ensemble_ledger(run: EnsembleRun) -> RegretLedger:
     """Ledger of the mixture's losses on the run's stream, undiscounted
-    (beta = 1) and without a comparator term; its dynamic regret is the
-    ensemble's."""
+    (beta = 1) and without a comparator term (the default lam = 0); its
+    dynamic regret is the ensemble's."""
     return RegretLedger(run.mix_losses, 1.0, run.stream.Z, run.stream.y, "logistic")
 
 

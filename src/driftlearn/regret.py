@@ -8,8 +8,8 @@ already at beta = 0.9.
 Central objects:
 
 * ``RegretLedger``        the learner's losses f_t(x_t) plus the data that
-  defines f_t at any point: features Z, labels y, a loss kind (squared or
-  logistic, both functions of the margin z_t.u) and phi(u) = lam/2 |u|^2
+  defines f_t at any point: features Z, labels y, a loss kind (``_loss`` of
+  the margin z_t.u, as the learners' are) and phi = lam/2 |u|^2 (0 at lam = 0)
 * ``dynamic_regret``      sum_t f_t(x_t) - f_t(u_t)
 * ``d2d_identity_gap``    |LHS - RHS| of the conversion identity
       D-Reg = beta * sum_{t<T} (R_t(u_t) - R_t(u_{t+1}))
@@ -56,13 +56,35 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from driftlearn.streams import ComparatorPath, bound_holds, csv_text, row_dots
 
 _LOSSES = ("squared", "logistic")
+
+
+def _loss(kind: str, m: np.ndarray, y) -> np.ndarray:
+    """The ``kind`` loss of margins ``m`` = z.u against labels ``y``, in ``m``.
+
+    The square is r * r, not Python's float ** 2 (C pow, an ulp off on about
+    0.1% of inputs); -(y*m) == (-y)*m, as rounding is sign-symmetric.
+    """
+    if kind == "squared":
+        m -= y
+        m *= m
+        m *= 0.5
+        return m
+    m *= y
+    np.negative(m, out=m)
+    return np.logaddexp(0.0, m, out=m)
+
+
+def _check_discounts(beta: float, gamma: float) -> None:
+    """Raise unless 0 < beta <= gamma < 1, the hypothesis of every gamma-bound."""
+    if not (0.0 < beta <= gamma < 1.0):
+        raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
 
 
 @dataclass
@@ -74,8 +96,8 @@ class RegretLedger:
     Z, y            (T, d) features and (T,) labels of the rounds.
     loss            "squared":  f_t(u) = (z_t.u - y_t)^2 / 2;
                     "logistic": f_t(u) = ln(1 + exp(-y_t z_t.u)).
-    lam             optional phi(u) = lam/2 |u|^2 >= 0, the comparator term
-                    of every round (f_0 of the path variation).
+    lam             phi(u) = lam/2 |u|^2 >= 0, the comparator term of every
+                    round (f_0 of the path variation); lam = 0 is no term.
 
     ``loss_eval(t, u)``, ``loss_eval_batch(u)`` and ``path_losses(U)``
     give f_t(u), the row [f_1(u), ..., f_T(u)] and [f_1(u_1), ..., f_T(u_T)],
@@ -96,7 +118,7 @@ class RegretLedger:
     Z: np.ndarray
     y: np.ndarray
     loss: str
-    lam: Optional[float] = None
+    lam: float = 0.0
     _beta_pows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -109,7 +131,7 @@ class RegretLedger:
         self.y = np.asarray(self.y, dtype=float)
         if self.Z.ndim != 2 or self.Z.shape[0] != self.T or self.y.shape != (self.T,):
             raise ValueError("Z and y must have one row per round")
-        if self.lam is not None and not (0.0 <= self.lam < math.inf):
+        if not (0.0 <= self.lam < math.inf):
             raise ValueError(f"lam must be >= 0 and finite, got {self.lam}")
         self._beta_pows = self.beta ** np.arange(self.T + 1, dtype=float)
 
@@ -118,20 +140,7 @@ class RegretLedger:
         return len(self.losses_at_play)
 
     def _loss(self, m: np.ndarray, y) -> np.ndarray:
-        """f of the margins ``m`` = z.u against labels ``y``, overwriting ``m``.
-
-        The square is r * r: Python's float ** 2 is C pow, which differs from
-        the correctly rounded product in the last place on about 0.1% of
-        inputs.  -(y*m) == (-y)*m, since rounding is sign-symmetric.
-        """
-        if self.loss == "squared":
-            m -= y
-            m *= m
-            m *= 0.5
-            return m
-        m *= y
-        np.negative(m, out=m)
-        return np.logaddexp(0.0, m, out=m)
+        return _loss(self.loss, m, y)
 
     def loss_eval(self, t: int, u: np.ndarray) -> float:
         """f_t(u), t 1-based."""
@@ -278,42 +287,39 @@ def _margin_blocks(ledger: RegretLedger, U: np.ndarray, rounds: np.ndarray | ran
 def _phi_differences(lam: float, U: np.ndarray, moved: np.ndarray) -> np.ndarray:
     """phi(u_{t+1}) - phi(u_t) at the moved rounds t, for phi(u) = lam/2 |u|^2.
 
-    Each phi(u_t) is (lam/2) * (u_t @ u_t), the per-row Python expression bit
-    for bit (see ``row_dots``); like Python floats, an overflow gives inf and
-    inf - inf gives nan without a warning.
+    Exact zeros at lam = 0, even at an infinite u; else each phi(u_t) is
+    (lam/2) * (u_t @ u_t), the per-row Python expression bit for bit (see
+    ``row_dots``), and an overflow gives inf and inf - inf nan, unwarned.
     """
+    if lam == 0.0:
+        return np.zeros(len(moved))
     with np.errstate(over="ignore", invalid="ignore"):
         phi = row_dots(U, U)
         phi *= 0.5 * lam
         return phi[moved] - phi[moved - 1]
 
 
-def _moves(
-    ledger: RegretLedger, path: ComparatorPath
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The moved rounds of ``path``, and ``_phi_differences`` at them (None
-    on a ledger without phi), after checking the path's length."""
+def _moves(ledger: RegretLedger, path: ComparatorPath) -> tuple[np.ndarray, np.ndarray]:
+    """The moved rounds of ``path`` and ``_phi_differences`` at them; checks its length."""
     if path.T != ledger.T:
         raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
     moved = _moved_rounds(path)
-    return moved, None if ledger.lam is None else _phi_differences(ledger.lam, path.U, moved)
+    return moved, _phi_differences(ledger.lam, path.U, moved)
 
 
 def _ft_difference(
-    ledger: RegretLedger, U: np.ndarray, moved: np.ndarray, phi_steps: Optional[np.ndarray]
+    ledger: RegretLedger, U: np.ndarray, moved: np.ndarray, phi_steps: np.ndarray
 ) -> float:
     """beta * sum over the moved rounds t of F_t(u_{t+1}) - F_t(u_t).
 
     F_t(u) = beta^t phi(u) + sum_{s<=t} beta^(t-s) f_s(u): each round adds
-    the kernel's D_t and beta^t times its ``phi_steps`` entry (None: no phi).
+    the kernel's D_t and beta^t times its ``phi_steps`` entry, which at
+    lam = 0 is an exact 0 (it still turns a -0.0 into 0.0).
     """
     diffs = np.empty(len(moved))
     for b, D, _ in _margin_blocks(ledger, U, moved, False):
         diffs[b] = D
-    phi_part = 0.0  # without phi, adding it still turns a -0.0 into 0.0
-    if phi_steps is not None:
-        phi_part = phi_steps * ledger._beta_pows[moved]
-    diffs += phi_part
+    diffs += phi_steps * ledger._beta_pows[moved]
     return ledger.beta * float(diffs.sum())
 
 
@@ -367,8 +373,8 @@ def path_variation(ledger: RegretLedger, path: ComparatorPath, gamma: float) -> 
 
     P_T^g = sum_{t=1}^{T-1} sum_{s=0}^{t} p_{t,s} [f_s(u_{t+1}) - f_s(u_t)]_+
     with p_{t,s} = gamma^(t-s) / sum_{r=0}^{t} gamma^(t-r).  The s = 0 term
-    uses f_0 = phi and is included exactly when the ledger carries ``lam``;
-    the normalization always runs over s = 0..t.  Only rounds
+    uses f_0 = phi, which is 0 on a ledger with lam = 0; the normalization
+    runs over s = 0..t.  Only rounds
     with u_{t+1} != u_t are visited: a stationary round adds exactly 0.
     """
     if not (0.0 < gamma < 1.0):
@@ -379,14 +385,14 @@ def path_variation(ledger: RegretLedger, path: ComparatorPath, gamma: float) -> 
 
 def _variation(
     ledger: RegretLedger, U: np.ndarray, moved: np.ndarray, gamma: float,
-    phi_steps: Optional[np.ndarray], settles: Optional[Callable[[float], bool]],
+    phi_steps: np.ndarray, settles: Callable[[float], bool] | None,
 ) -> float:
     """P_T^g, or the first of its partial sums (0.0, then the sum after each
     block of moved rounds) that ``settles`` accepts; ``settles`` None reads
     the whole sum.
 
-    ``phi_steps`` gives phi(u_{t+1}) - phi(u_t) at the moved rounds, or is
-    None to leave out the s = 0 term.  A block of moved rounds t_1 < ... <
+    ``phi_steps`` gives phi(u_{t+1}) - phi(u_t) at the moved rounds, the
+    s = 0 term (exact zeros at lam = 0).  A block of moved rounds t_1 < ... <
     t_k reads its k + 1 distinct comparators against the rows s < t_k in
     chunks (``_positive_steps``).  The rounds that read a whole chunk take
     one gemv for it; a round that ends inside the chunk takes its own
@@ -436,8 +442,7 @@ def _variation(
             # sum_{r=0..t_j} gamma^r: the part up to t_1, then the powers that
             # each later round adds
             norms = np.cumsum(np.add.reduceat(q[:T], T - 1 - t[::-1])[::-1])
-            if phi_steps is not None:
-                sums += q[T - 1 - t] * np.maximum(phi_steps[i : i + k], 0.0)
+            sums += q[T - 1 - t] * np.maximum(phi_steps[i : i + k], 0.0)
             sums /= norms
             for term in sums.tolist():
                 total += term
@@ -446,7 +451,7 @@ def _variation(
     return total
 
 
-def _terms_finite(ledger: RegretLedger, U: np.ndarray, phi_steps: Optional[np.ndarray]) -> bool:
+def _terms_finite(ledger: RegretLedger, U: np.ndarray, phi_steps: np.ndarray) -> bool:
     """True when every term of P_T^g is provably finite, from O(T d) maxima.
 
     On a squared-loss ledger with finite Z, y and U, every residual is at
@@ -455,8 +460,7 @@ def _terms_finite(ledger: RegretLedger, U: np.ndarray, phi_steps: Optional[np.nd
     """
     Z, y = ledger.Z, ledger.y
     r = Z.shape[1] * _peak(Z) * _peak(U) + _peak(y)
-    finite_phi = phi_steps is None or bool(np.isfinite(phi_steps).all())
-    return 2.0 * r * r < math.inf and finite_phi
+    return 2.0 * r * r < math.inf and bool(np.isfinite(phi_steps).all())
 
 
 def ft_difference_term(ledger: RegretLedger, path: ComparatorPath) -> float:
@@ -486,8 +490,7 @@ def check_path_length_lemma(
     Only the F-difference depends on beta: it runs on a new ledger at
     ``beta``, and P_T^g reads ``ledger`` itself.
     """
-    if not (0.0 < beta <= gamma < 1.0):
-        raise ValueError(f"need 0 < beta <= gamma < 1, got beta={beta} gamma={gamma}")
+    _check_discounts(beta, gamma)
     moved, steps = _moves(ledger, path)
     lhs = _ft_difference(replace(ledger, beta=beta), path.U, moved, steps)
     c = gamma / (1.0 - gamma)
@@ -500,7 +503,7 @@ def check_path_length_lemma(
 
 
 def regret_trace_csv(
-    ledger: RegretLedger, path: ComparatorPath, header_comment: Optional[str] = None
+    ledger: RegretLedger, path: ComparatorPath, header_comment: str | None = None
 ) -> str:
     """CSV trace `t,loss_play,loss_comp,cum_dynreg`."""
     play = ledger.losses_at_play

@@ -231,51 +231,160 @@ def discounted_regret(ledger: RegretLedger, t: int, u: np.ndarray) -> float:
     return float(discount_weights(ledger.beta, t) @ diffs)
 
 
+class _Exact:
+    """A squared-loss ledger and a path of its length as exact rationals.
+
+    Every double is a dyadic rational, so the margins z_s.u, the losses
+    f_s(u) = (z_s.u - y_s)^2 / 2, phi(u) = lam/2 |u|^2 (0 at lam = 0) and
+    the powers beta^k are all exact; beta^k has about 53 k bits, so these
+    referees are for small instances only.  Rows s count from 0.  The sizes
+    bound what a float evaluation rounds: a_s(u) = (sum_i |z_si u_i| +
+    |y_s|)^2 / 2 for f_s(u), and b_s(v, w) = (sum_i |z_si (v_i - w_i)|)
+    (sum_i |z_si (v_i + w_i)| / 2 + |y_s|) >= |f_s(v) - f_s(w)| for the
+    product form (z_s.(v-w)) (z_s.(v+w)/2 - y_s) of a loss difference.
+    """
+
+    def __init__(self, ledger: RegretLedger, path: ComparatorPath):
+        if ledger.loss != "squared":
+            raise ValueError(f"exact referees need a squared loss, got loss={ledger.loss!r}")
+        if path.T != ledger.T:
+            raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
+        self.T = ledger.T
+        self.Z = [[Fraction(v) for v in row] for row in ledger.Z.tolist()]
+        self.y = [Fraction(v) for v in ledger.y.tolist()]
+        self.play = [Fraction(v) for v in ledger.losses_at_play.tolist()]
+        self.U = [[Fraction(v) for v in row] for row in path.U.tolist()]
+        self.beta, self.lam = Fraction(ledger.beta), Fraction(ledger.lam)
+        self.pows = [self.beta**k for k in range(self.T + 1)]
+
+    def loss(self, s, u):
+        r = sum(z * v for z, v in zip(self.Z[s], u)) - self.y[s]
+        return r * r / 2
+
+    def size(self, s, u):
+        r = sum(abs(z * v) for z, v in zip(self.Z[s], u)) + abs(self.y[s])
+        return r * r / 2
+
+    def step_size(self, s, v, w):
+        z = self.Z[s]
+        lag = sum(abs(zi * (vi - wi)) for zi, vi, wi in zip(z, v, w))
+        return lag * (sum(abs(zi * (vi + wi)) for zi, vi, wi in zip(z, v, w)) / 2 + abs(self.y[s]))
+
+    def phi(self, u):
+        return self.lam / 2 * sum(v * v for v in u)
+
+    def regret(self, t, u):
+        """R_t(u) = sum_{s<=t} beta^(t-s) (f_s(x_s) - f_s(u)), t 1-based,
+        and its size sum_{s<=t} beta^(t-s) (|f_s(x_s)| + a_s(u))."""
+        rows = range(t)
+        value = sum(self.pows[t - 1 - s] * (self.play[s] - self.loss(s, u)) for s in rows)
+        size = sum(self.pows[t - 1 - s] * (abs(self.play[s]) + self.size(s, u)) for s in rows)
+        return value, size
+
+    def step(self, t):
+        """D_t = sum_{s<=t} beta^(t-s) (f_s(u_{t+1}) - f_s(u_t)), t 1-based,
+        and its size sum_{s<=t} beta^(t-s) b_s(u_{t+1}, u_t)."""
+        v, w = self.U[t], self.U[t - 1]
+        value = sum(self.pows[t - 1 - s] * (self.loss(s, v) - self.loss(s, w)) for s in range(t))
+        size = sum(self.pows[t - 1 - s] * self.step_size(s, v, w) for s in range(t))
+        return value, size
+
+
+def exact_dynamic_regret(ledger: RegretLedger, path: ComparatorPath) -> tuple[Fraction, Fraction]:
+    """sum_t f_t(x_t) - f_t(u_t) of a squared-loss ledger in exact rational
+    arithmetic, and the size S = sum_t |f_t(x_t)| + a_t(u_t) (see ``_Exact``).
+
+    ``regret.dynamic_regret`` is within gamma_n S of it, n = T + 2d + 6: a
+    float loss is within gamma_(2d+4) a_t (the margin's d products and sums,
+    the residual, the square and its half), each sum of T terms adds
+    gamma_(T-1) and their difference one rounding.
+    """
+    ex = _Exact(ledger, path)
+    value = sum(ex.play) - sum(ex.loss(s, u) for s, u in enumerate(ex.U))
+    size = sum(map(abs, ex.play)) + sum(ex.size(s, u) for s, u in enumerate(ex.U))
+    return value, size
+
+
+def exact_ft_difference(ledger: RegretLedger, path: ComparatorPath) -> tuple[Fraction, Fraction]:
+    """beta sum_{t<T} (F_t(u_{t+1}) - F_t(u_t)) of a squared-loss ledger in
+    exact rational arithmetic, F_t(u) = beta^t phi(u) + sum_{s<=t}
+    beta^(t-s) f_s(u), and the size S = beta sum over the moved rounds t of
+    beta^t (phi(u_{t+1}) + phi(u_t)) plus the size of D_t (``_Exact.step``).
+
+    ``regret.ft_difference_term`` is within gamma_n S of it, n = 5T + 2d + 16.
+    A product-form term takes gamma_(2d+6) b_s: the step and the midpoint
+    (one rounding each), two margins of d terms, the residual, two powers
+    of beta (2u each) and the products.  The rows of a block sum within
+    gamma_T, and the statistics carried from earlier blocks, sums of
+    beta-weighted z_s z_s', y_s z_s, decayed by a power once a block, are
+    within gamma_(4T) of |sums|, whose contraction with the step and the
+    midpoint adds gamma_(2d+4) of the same sizes.  phi's part is within
+    gamma_(d+4), and the sum over the moved rounds and beta add gamma_T + u.
+    """
+    ex = _Exact(ledger, path)
+    value = size = Fraction(0)
+    for t in range(1, ex.T):
+        v, w = ex.U[t], ex.U[t - 1]
+        if v == w:  # a stationary round adds exactly 0
+            continue
+        D, D_size = ex.step(t)
+        value += D + ex.pows[t] * (ex.phi(v) - ex.phi(w))
+        size += D_size + ex.pows[t] * (ex.phi(v) + ex.phi(w))
+    return ex.beta * value, ex.beta * size
+
+
+def exact_d2d_identity(
+    ledger: RegretLedger, path: ComparatorPath
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Both sides of the discounted-to-dynamic conversion identity of a
+    squared-loss ledger in exact rational arithmetic, and the size S of
+    their float evaluations together.
+
+    LHS = sum_t f_t(x_t) - f_t(u_t) (``exact_dynamic_regret``) and
+    RHS = (1-beta) sum_t R_t(u_t) + beta R_T(u_T)
+          + beta sum_{t<T} (R_t(u_t) - R_t(u_{t+1})),
+    each from its definition, so the identity holds when the two are equal.
+    S = S_LHS + (1-beta) sum_t r_t + beta r_T + beta sum_{t<T} delta_t, with
+    r_t the size of R_t(u_t) and delta_t that of D_t (``_Exact``), the
+    product form in which ``regret.d2d_identity_gap`` takes the last sum.
+    As the gap is |LHS~ - RHS~| and the exact sides are equal, it is within
+    gamma_n S, n = 5T + 2d + 16: R_t(u_t) has the same error terms as D_t
+    in ``exact_ft_difference``, with a_s(u_t) and |f_s(x_s)| in place of b_s.
+    """
+    ex = _Exact(ledger, path)
+    lhs, size = exact_dynamic_regret(ledger, path)
+    diag = [ex.regret(t, ex.U[t - 1]) for t in range(1, ex.T + 1)]
+    ahead = [ex.regret(t, ex.U[t])[0] for t in range(1, ex.T)]
+    rhs = (1 - ex.beta) * sum(r for r, _ in diag) + ex.beta * diag[-1][0]
+    rhs += ex.beta * sum(r - a for (r, _), a in zip(diag, ahead))
+    size += (1 - ex.beta) * sum(r for _, r in diag) + ex.beta * diag[-1][1]
+    size += ex.beta * sum(ex.step(t)[1] for t in range(1, ex.T))
+    return lhs, rhs, size
+
+
 def exact_path_variation(
     ledger: RegretLedger, path: ComparatorPath, gamma: float
 ) -> tuple[Fraction, Fraction]:
     """P_T^g of a squared-loss ledger in exact rational arithmetic, and the
     size S of its terms.
 
-    Every double is a dyadic rational, so the margins z_s.u, the losses
-    f_s(u) = (z_s.u - y_s)^2 / 2, their differences and positive parts, the
-    powers gamma^(t-s) and the normalizers sum_{r<=t} gamma^r are all exact.
-    The f_0 = phi = lam/2 |u|^2 term is included when the ledger has ``lam``.
-    S = sum_t sum_s p_{t,s} (a_s(u_{t+1}) + a_s(u_t)) with
-    a_s(u) = (sum_i |z_si u_i| + |y_s|)^2 / 2 and a_0 = phi, the scale that
-    the roundoff of any float evaluation of one term is a multiple of.
-    For small instances only: gamma^t has about 53 t bits.
+    The losses' differences and positive parts, the powers gamma^(t-s) and
+    the normalizers sum_{r<=t} gamma^r are all exact (see ``_Exact``).
+    S = sum_t sum_s p_{t,s} (a_s(u_{t+1}) + a_s(u_t)) with a_0 = phi, the
+    scale that the roundoff of any float evaluation of one term is a
+    multiple of.
     """
-    if ledger.loss != "squared":
-        raise ValueError(f"exact P_T^g needs a squared loss, got loss={ledger.loss!r}")
-    if path.T != ledger.T:
-        raise ValueError(f"path length {path.T} != ledger length {ledger.T}")
-    Z = [[Fraction(v) for v in row] for row in ledger.Z.tolist()]
-    y = [Fraction(v) for v in ledger.y.tolist()]
-    U = [[Fraction(v) for v in row] for row in path.U.tolist()]
+    ex = _Exact(ledger, path)
     g = Fraction(gamma)
-    lam = None if ledger.lam is None else Fraction(ledger.lam)
-
-    def loss(s, u):
-        r = sum(z * v for z, v in zip(Z[s], u)) - y[s]
-        return r * r / 2
-
-    def size(s, u):
-        r = sum(abs(z * v) for z, v in zip(Z[s], u)) + abs(y[s])
-        return r * r / 2
-
-    def phi(u):
-        return lam / 2 * sum(v * v for v in u)
-
     total = scale = Fraction(0)
-    for t in range(1, ledger.T):
-        w, v = U[t - 1], U[t]
+    for t in range(1, ex.T):
+        w, v = ex.U[t - 1], ex.U[t]
         pows = [g ** (t - s) for s in range(t + 1)]
-        term = sum(pows[s] * max(loss(s - 1, v) - loss(s - 1, w), 0) for s in range(1, t + 1))
-        sizes = sum(pows[s] * (size(s - 1, v) + size(s - 1, w)) for s in range(1, t + 1))
-        if lam is not None:
-            term += pows[0] * max(phi(v) - phi(w), 0)
-            sizes += pows[0] * (phi(v) + phi(w))
+        term = sum(pows[s] * max(ex.loss(s - 1, v) - ex.loss(s - 1, w), 0)
+                   for s in range(1, t + 1))
+        sizes = sum(pows[s] * (ex.size(s - 1, v) + ex.size(s - 1, w)) for s in range(1, t + 1))
+        term += pows[0] * max(ex.phi(v) - ex.phi(w), 0)
+        sizes += pows[0] * (ex.phi(v) + ex.phi(w))
         norm = sum(pows)
         total += term / norm
         scale += sizes / norm

@@ -1105,7 +1105,7 @@ class TestBlockWorkingSet:
         def loop():
             experts = logreg._Experts.fresh(d, np.linspace(0.5, 0.99, N), 1.0, 1.0, 1.0)
             with np.errstate(over="ignore", invalid="ignore"):
-                experts.run(stream.Z, map(float, stream.y), yhats)
+                experts.run(stream.Z, stream.y, yhats)
 
         states = (L + 1) * N * (d * d + d)
         at_a_time = max(L * N * d * d, L * d * d + 3 * N * d * d)

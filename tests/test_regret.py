@@ -13,7 +13,7 @@ from driftlearn.streams import ComparatorPath, Stream, StreamSpec, csv_text, gen
 import oracles
 
 
-def random_quadratic_ledger(rng, T, d, beta, lam=None):
+def random_quadratic_ledger(rng, T, d, beta, lam=0.0):
     Z = rng.standard_normal((T, d))
     y = rng.standard_normal(T)
     play = rng.random(T)
@@ -41,7 +41,7 @@ def phi(ledger, u):
 
 def oracle_ft_value(ledger, t, u):
     val = float(oracles.discount_weights(ledger.beta, t) @ ledger.loss_eval_batch(u)[:t])
-    if ledger.lam is not None:
+    if ledger.lam:  # phi = 0 at lam = 0
         val += ledger.beta**t * phi(ledger, u)
     return val
 
@@ -78,7 +78,7 @@ def oracle_path_variation(ledger, path, gamma):
         hi, lo = ledger.loss_eval_batch(u_next)[:t], ledger.loss_eval_batch(u_now)[:t]
         total += float(w[1:] @ np.maximum(hi - lo, 0.0))
         scale += float(w[1:] @ (np.abs(hi) + np.abs(lo)))
-        if ledger.lam is not None:
+        if ledger.lam:  # phi = 0 at lam = 0
             hi0, lo0 = phi(ledger, u_next), phi(ledger, u_now)
             total += w[0] * max(hi0 - lo0, 0.0)
             scale += w[0] * (abs(hi0) + abs(lo0))
@@ -272,7 +272,7 @@ class TestPathVariation:
                                      lam=1.0)
         path = ComparatorPath(np.array([[0.0], [1.0]]))
         assert abs(regret.path_variation(ledger, path, 0.5) - 0.5) <= 1e-15
-        without_f0 = regret.path_variation(dataclasses.replace(ledger, lam=None), path, 0.5)
+        without_f0 = regret.path_variation(dataclasses.replace(ledger, lam=0.0), path, 0.5)
         assert abs(without_f0 - 1.0 / 3.0) <= 1e-15
 
     def test_lipschitz_upper_bound(self):
@@ -386,7 +386,7 @@ class TestLemmaEarlyExit:
     # reads the statistics, which fail with every term finite and so run to
     # the end.
     @settings(max_examples=100)
-    @given(case=fuzz_cases, gamma=st.floats(0.05, 0.95), lam=st.sampled_from([None, 0.7]),
+    @given(case=fuzz_cases, gamma=st.floats(0.05, 0.95), lam=st.sampled_from([0.0, 0.7]),
            fault=st.sampled_from([None, "vanishing-rows", "late-inf-loss", "nan-comparator",
                                   "inf-row", "nan-row"]))
     @example(case={"seed": 3, "T": 30, "d": 3, "beta": 0.9, "moving": True}, gamma=0.95,
@@ -396,9 +396,9 @@ class TestLemmaEarlyExit:
     @example(case={"seed": 6, "T": 30, "d": 3, "beta": 0.9, "moving": True}, gamma=0.9,
              lam=0.7, fault="inf-row")
     @example(case={"seed": 7, "T": 30, "d": 3, "beta": 0.9, "moving": True}, gamma=0.9,
-             lam=None, fault="nan-row")
+             lam=0.0, fault="nan-row")
     @example(case={"seed": 12, "T": 30, "d": 3, "beta": 0.9, "moving": True}, gamma=0.9,
-             lam=None, fault="vanishing-rows")  # verdict False
+             lam=0.0, fault="vanishing-rows")  # verdict False
     def test_verdict_is_the_full_sums(self, case, gamma, lam, fault):
         rng = np.random.default_rng(case["seed"])
         T, d, beta = max(case["T"], 2), case["d"], min(case["beta"], gamma)
@@ -497,9 +497,9 @@ def assert_regrets_match_oracle(ledger, path, upto):
 
 class TestOracleAgreement:
     @BUDGETS
-    @given(case=fuzz_cases, lam=st.sampled_from([None, 0.7]))
+    @given(case=fuzz_cases, lam=st.sampled_from([0.0, 0.7]))
     @example(case={"seed": 1, "T": 1, "d": 3, "beta": 0.5, "moving": True}, lam=0.7)
-    @example(case={"seed": 2, "T": 40, "d": 6, "beta": 0.9, "moving": True}, lam=None)
+    @example(case={"seed": 2, "T": 40, "d": 6, "beta": 0.9, "moving": True}, lam=0.0)
     # a path that spans several default-budget blocks of the identity's pass
     @example(case={"seed": 3, "T": 300, "d": 20, "beta": 0.99, "moving": True}, lam=0.7)
     # beta^(t-s) underflows to 0 past a lag of about 250 rows: inside the
@@ -518,7 +518,7 @@ class TestOracleAgreement:
     # A logistic ledger has no running statistics: the conversion identity
     # holds on its loss rows, and path_variation takes the same losses from
     # its block margins.
-    @given(case=fuzz_cases, lam=st.sampled_from([None, 0.5]))
+    @given(case=fuzz_cases, lam=st.sampled_from([0.0, 0.5]))
     def test_logistic_ledgers(self, case, lam):
         rng = np.random.default_rng(case["seed"])
         T, d = case["T"], case["d"]
@@ -629,6 +629,29 @@ class TestOracleAgreement:
         with squared_loss_kernel(budget), np.errstate(over="ignore", invalid="ignore"):
             assert_regrets_match_oracle(ledger, path, row)
 
+    def test_no_comparator_term_at_lam_zero_even_at_an_infinite_comparator(self):
+        # phi is 0 at lam = 0, not 0 * |u|^2, which is nan where |u| is inf.
+        # In one dimension, with one round a block, the statistics carried
+        # into the last round's block make its D_t +inf, not nan, so the
+        # F-difference is +inf, the sum of its D_t terms alone, and P_T is
+        # +inf, with no nan term
+        rng = np.random.default_rng(21)
+        T = 6
+        ledger = random_quadratic_ledger(rng, T, 1, beta=0.5, lam=0.0)
+        U = np.repeat(rng.standard_normal((3, 1)), 2, axis=0)
+        U[T - 1, 0] = math.inf  # the last round moves to infinity
+        path = ComparatorPath(U)
+        moved, steps = regret._moves(ledger, path)
+        assert moved.tolist() == [2, 4, 5]
+        assert steps.tolist() == [0.0, 0.0, 0.0] and not np.signbit(steps).any()
+        with squared_loss_kernel(0), np.errstate(over="ignore", invalid="ignore"):
+            D, _ = kernel_columns(ledger, moved, U, False)
+            assert D[-1] == math.inf and np.isfinite(D[:-1]).all()
+            assert regret.ft_difference_term(ledger, path) == ledger.beta * float(D.sum())
+            pv = regret.path_variation(ledger, path, 0.5)
+        assert pv == math.inf
+        assert_path_variation_matches(pv, *oracle_path_variation(ledger, path, 0.5))
+
     def test_nan_comparator_counts_as_a_move(self):
         rng = np.random.default_rng(20)
         ledger = random_quadratic_ledger(rng, 4, 2, beta=0.5, lam=1.0)
@@ -660,9 +683,9 @@ class TestExactPathVariation:
     @pytest.mark.parametrize("budget", [0, 32, None, 10**9],
                              ids=["one-row-chunks", "small", "default", "one-block"])
     @given(seed=st.integers(0, 2**31 - 1), T=st.integers(1, 12), d=st.integers(1, 3),
-           gamma=st.floats(0.05, 0.95), lam=st.sampled_from([None, 0.7]), moving=st.booleans())
+           gamma=st.floats(0.05, 0.95), lam=st.sampled_from([0.0, 0.7]), moving=st.booleans())
     @example(seed=1, T=12, d=3, gamma=0.95, lam=0.7, moving=True)
-    @example(seed=2, T=12, d=2, gamma=0.05, lam=None, moving=False)
+    @example(seed=2, T=12, d=2, gamma=0.05, lam=0.0, moving=False)
     def test_within_the_forward_error_bound(self, budget, seed, T, d, gamma, lam, moving):
         rng = np.random.default_rng(seed)
         ledger = random_quadratic_ledger(rng, T, d, beta=0.9, lam=lam)
@@ -676,6 +699,74 @@ class TestExactPathVariation:
         ledger = random_logistic_ledger(np.random.default_rng(31), 4, 2, 0.8)
         with pytest.raises(ValueError, match="loss='logistic'"):
             oracles.exact_path_variation(ledger, ComparatorPath(np.zeros((4, 2))), 0.5)
+
+
+exact_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**31 - 1),
+    "T": st.integers(1, 40),
+    "d": st.integers(1, 3),
+    "beta": st.floats(0.05, 1.0),
+    "lam": st.sampled_from([0.0, 0.7]),
+    "moving": st.booleans(),
+})
+
+
+def exact_instance(case):
+    rng = np.random.default_rng(case["seed"])
+    T, d = case["T"], case["d"]
+    ledger = random_quadratic_ledger(rng, T, d, beta=case["beta"], lam=case["lam"])
+    return ledger, fuzz_path(rng, T, d, case["moving"])
+
+
+class TestExactReferees:
+    # dynamic_regret, ft_difference_term and d2d_identity_gap against the
+    # exact rational values of tests/oracles.py, each within the gamma_n S
+    # bound that its referee's docstring derives.  The kernel runs one round
+    # a block, which carries statistics between every two rounds, and at
+    # the module's own budget, one block at these sizes.
+    KERNEL_BUDGETS = pytest.mark.parametrize("budget", [0, None],
+                                             ids=["one-round-blocks", "default"])
+
+    @given(case=exact_cases)
+    @example(case={"seed": 1, "T": 40, "d": 3, "beta": 1.0, "lam": 0.0, "moving": True})
+    def test_dynamic_regret(self, case):
+        ledger, path = exact_instance(case)
+        T, d = ledger.Z.shape
+        exact, size = oracles.exact_dynamic_regret(ledger, path)
+        value = regret.dynamic_regret(ledger, path)
+        assert abs(Fraction(value) - exact) <= gamma_n(T + 2 * d + 6) * size
+
+    @KERNEL_BUDGETS
+    @given(case=exact_cases)
+    @example(case={"seed": 2, "T": 40, "d": 3, "beta": 0.05, "lam": 0.7, "moving": True})
+    @example(case={"seed": 3, "T": 30, "d": 2, "beta": 0.9, "lam": 0.0, "moving": False})
+    def test_ft_difference(self, budget, case):
+        ledger, path = exact_instance(case)
+        T, d = ledger.Z.shape
+        exact, size = oracles.exact_ft_difference(ledger, path)
+        with squared_loss_kernel(budget):
+            value = regret.ft_difference_term(ledger, path)
+        assert abs(Fraction(value) - exact) <= gamma_n(5 * T + 2 * d + 16) * size
+
+    @KERNEL_BUDGETS
+    @given(case=exact_cases)
+    @example(case={"seed": 4, "T": 40, "d": 3, "beta": 0.999, "lam": 0.7, "moving": True})
+    def test_conversion_identity(self, budget, case):
+        ledger, path = exact_instance(case)
+        T, d = ledger.Z.shape
+        lhs, rhs, size = oracles.exact_d2d_identity(ledger, path)
+        assert lhs == rhs  # the identity is exact in rational arithmetic
+        with squared_loss_kernel(budget):
+            gap = regret.d2d_identity_gap(ledger, path)
+        assert Fraction(gap) <= gamma_n(5 * T + 2 * d + 16) * size
+
+    @pytest.mark.parametrize("referee", [oracles.exact_dynamic_regret,
+                                         oracles.exact_ft_difference,
+                                         oracles.exact_d2d_identity])
+    def test_logistic_ledger_rejected(self, referee):
+        ledger = random_logistic_ledger(np.random.default_rng(32), 4, 2, 0.8)
+        with pytest.raises(ValueError, match="loss='logistic'"):
+            referee(ledger, ComparatorPath(np.zeros((4, 2))))
 
 
 class TestPowerOfTwoScaling:

@@ -34,6 +34,11 @@ Every relative bound check reads ``streams.bound_holds``: the slack
 1e-9 (1 + |x|), with 1e-9 written as a literal or as a module constant
 equal to it and |x| through ``abs`` or ``np.abs``, appears in exactly one
 function of ``src/``.
+
+Every f_t is ``regret._loss``: ``np.logaddexp`` is called in ``src/`` only
+there and in the modules of ``LOGADDEXP_ALLOWED``.  Every gamma-bound reads
+``regret._check_discounts``: a chained comparison ``0 < a <= b < 1`` appears
+in exactly one function of ``src/``.
 """
 
 import ast
@@ -48,6 +53,11 @@ ALLOWED: dict[str, str] = {}
 UNREAD_FIELDS: dict[str, str] = {
     "o2nc.O2ncTrace.xbar_final": "the point the conversion returns, its output",
     "o2nc.O2ncTrace.final_index": "the round of the returned point, drawn uniformly",
+}
+
+
+LOGADDEXP_ALLOWED: dict[str, str] = {
+    "lemmas": "its oracles stand apart from the learners on purpose",
 }
 
 
@@ -152,18 +162,15 @@ def test_every_unread_field_entry_exists_and_still_needs_it():
     assert all(reason.strip() for reason in UNREAD_FIELDS.values())
 
 
-def catching(exception: str) -> list[str]:
+def enclosing(match) -> list[str]:
     """The function (``module.qualname``, or the module itself) around each
-    ``except`` clause in ``src/`` that names ``exception``."""
+    node of ``src/`` that ``match`` accepts, one entry per node."""
     found = []
 
     def visit(node, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
-        if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
-            exception in (getattr(n, "id", None), getattr(n, "attr", None))
-            for n in ast.walk(node.type)
-        ):
+        if match(node):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -171,6 +178,14 @@ def catching(exception: str) -> list[str]:
     for path in SRC:
         visit(ast.parse(path.read_text()), path.stem)
     return found
+
+
+def catching(exception: str) -> list[str]:
+    """The function around each ``except`` clause in ``src/`` that names
+    ``exception``."""
+    return enclosing(lambda node: isinstance(node, ast.ExceptHandler) and node.type is not None
+                     and any(exception in (getattr(n, "id", None), getattr(n, "attr", None))
+                             for n in ast.walk(node.type)))
 
 
 def importing(module: str) -> list[str]:
@@ -252,4 +267,32 @@ def test_the_relative_slack_is_written_in_one_function():
     where = relative_slacks()
     assert where == ["streams.bound_holds"], (
         f"the slack 1e-9 (1 + |x|) is written at {where}; call streams.bound_holds"
+    )
+
+
+def test_logaddexp_is_called_only_in_the_loss():
+    where = enclosing(lambda n: isinstance(n, ast.Call)
+                      and getattr(n.func, "attr", getattr(n.func, "id", None)) == "logaddexp")
+    strays = [w for w in where if w.split(".")[0] not in LOGADDEXP_ALLOWED]
+    assert strays == ["regret._loss"], (
+        f"np.logaddexp is called at {strays}; take the losses from regret._loss"
+    )
+    assert set(LOGADDEXP_ALLOWED) <= {w.split(".")[0] for w in where}
+    assert all(reason.strip() for reason in LOGADDEXP_ALLOWED.values())
+
+
+def _is_unit_interval_chain(node) -> bool:
+    """``0 < a <= b < 1``, with 0 and 1 as int or float literals."""
+    return (
+        isinstance(node, ast.Compare)
+        and [type(op) for op in node.ops] == [ast.Lt, ast.LtE, ast.Lt]
+        and isinstance(node.left, ast.Constant) and node.left.value == 0
+        and isinstance(node.comparators[-1], ast.Constant) and node.comparators[-1].value == 1
+    )
+
+
+def test_the_discount_hypothesis_is_written_in_one_function():
+    where = enclosing(_is_unit_interval_chain)
+    assert where == ["regret._check_discounts"], (
+        f"0 < beta <= gamma < 1 is written at {where}; call regret._check_discounts"
     )
