@@ -5,16 +5,21 @@ verify-lemmas.  Every subcommand accepts ``--config FILE`` (flat key=value
 text) with CLI flags taking precedence, and ``--emit-config FILE`` to dump
 the resolved configuration for exact reproduction.
 
-Each subcommand returns its JSON summary and the files it makes; main alone
-writes and prints.  It builds the summary's JSON text before it writes any
-file, so a summary with no JSON form writes none, then writes the files in
-a fixed order, then prints the text.  Exit codes, the same for all seven
-subcommands: 0 when every entry of the summary's checks is true, 2 when one
-is false (tune-adam's resubstitution and each verify-lemmas suite
-included), 1 on a usage or runtime error.  Every bound check, here and in
-the library checks the subcommands call (the rescaled bound, the lemma
-suites), is ``streams.bound_holds``; the absolute checks
-(``stationarity_residual_le_1e-9``, ``delta_norm_le_D``,
+Each subcommand returns its JSON summary and the files it makes, each a
+path and the writer of its contents; main alone opens files, writes and
+prints.  It builds the summary's JSON text before it writes any file, so a
+summary with no JSON form writes none, then writes the files in a fixed
+order, then prints the text.  No run holds a whole file as text: stream
+and truth files are read in chunks of ``streams.CHUNK`` bytes, and each
+CSV artifact is written into its open file in blocks of
+``streams.BLOCK_ROWS`` rows, the bytes a whole-text write would give.
+
+Exit codes, the same for all seven subcommands: 0 when every entry of the
+summary's checks is true, 2 when one is false (tune-adam's resubstitution
+and each verify-lemmas suite included), 1 on a usage or runtime error.
+Every bound check, here and in the library checks the subcommands call
+(the rescaled bound, the lemma suites), is ``streams.bound_holds``; the
+absolute checks (``stationarity_residual_le_1e-9``, ``delta_norm_le_D``,
 ``meta_regret_le_ln_n``) name their bound in their key.  Stream and truth
 readers refuse a nan or infinite cell, naming its row.  Artifacts carry a
 header comment (CSV) or fields (JSON) embedding the config hash and seed,
@@ -201,9 +206,9 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _run_files(out: Optional[str], trace: Optional[str]) -> list:
-    """A run's files: the trace at ``out`` (when there is one) and the summary
-    beside it as ``<out>.summary.json``; none without ``--out``."""
+def _run_files(out: Optional[str], trace: Optional[Callable]) -> list:
+    """A run's files: the trace at ``out`` (when there is a trace writer) and
+    the summary beside it as ``<out>.summary.json``; none without ``--out``."""
     if not out:
         return []
     files = [] if trace is None else [(Path(out), trace)]
@@ -215,6 +220,19 @@ def _ieee_floats():
     losses or norms overflow gives inf (and inf - inf nan) without a warning,
     as Python floats do, and the strict summary then reports it."""
     return np.errstate(over="ignore", invalid="ignore")
+
+
+def _regret_trace(ledger, truth: streams.ComparatorPath, comment: str) -> Callable:
+    """The writer of a run's regret trace: ``regret.regret_trace_csv``, whose
+    comparator losses it computes under :func:`_ieee_floats`, as the run's
+    other evaluators of the truth path do."""
+    from driftlearn import regret
+
+    def write(out) -> None:
+        with _ieee_floats():
+            regret.regret_trace_csv(ledger, truth, out, comment)
+
+    return write
 
 
 def _resolve_gamma(values: dict, beta: float) -> float:
@@ -229,11 +247,12 @@ def _resolve_gamma(values: dict, beta: float) -> float:
     return gamma
 
 
-def _read(key: str, path: str | Path, parse: Callable[[str], object] = str):
-    """``parse`` of the text of the input file ``key`` at ``path``; a file
+def _read(key: str, path: str | Path):
+    """The input file ``key`` at ``path``: the text of a config, or the
+    stream or truth path that ``streams.read_csv`` reads in pieces.  A file
     that cannot be read, is not UTF-8 or does not parse is one error line."""
     try:
-        return parse(Path(path).read_text())
+        return Path(path).read_text() if key == "config" else streams.read_csv(path, key)
     except OSError as exc:
         raise UsageError(f"{key}: cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -244,13 +263,13 @@ def _read(key: str, path: str | Path, parse: Callable[[str], object] = str):
 
 def _load_stream(values: dict) -> tuple[streams.Stream, Optional[streams.ComparatorPath]]:
     path = Path(values["stream"])
-    stream = _read("stream", path, streams.stream_from_csv)
+    stream = _read("stream", path)
     truth = None
     explicit = values.get("truth")
     # only the sibling default is optional: an explicit path must be read
     truth_path = Path(explicit) if explicit else path.with_suffix(".truth.csv")
     if explicit or truth_path.exists():
-        truth = _read("truth", truth_path, streams.path_from_csv)
+        truth = _read("truth", truth_path)
         if (truth.T, truth.d) != (stream.T, stream.d):
             raise UsageError(
                 f"truth: {truth_path} has shape (T={truth.T}, d={truth.d}) but the "
@@ -291,8 +310,9 @@ def cmd_gen(values: dict) -> tuple[dict, list]:
         "T": stream.T, "d": stream.d, "out": str(out), "checks": {},
     }
     return summary, [
-        (out, streams.stream_to_csv(stream, comment)),
-        (out.with_suffix(".truth.csv"), streams.path_to_csv(truth, comment)),
+        (out, functools.partial(streams.stream_to_csv, stream, header_comment=comment)),
+        (out.with_suffix(".truth.csv"),
+         functools.partial(streams.path_to_csv, truth, header_comment=comment)),
     ]
 
 
@@ -338,8 +358,7 @@ def cmd_run_vaw(values: dict) -> tuple[dict, list]:
                     "dynamic_regret_le_modular_rhs": streams.bound_holds(dyn, modular),
                 }
             if values["out"]:
-                comment = f"driftlearn run-vaw config_hash={h}"
-                trace = regret.regret_trace_csv(ledger, truth, comment)
+                trace = _regret_trace(ledger, truth, f"driftlearn run-vaw config_hash={h}")
     return summary, _run_files(values["out"], trace)
 
 
@@ -391,8 +410,7 @@ def cmd_run_aioli(values: dict) -> tuple[dict, list]:
             summary.update(dynamic_regret=dyn, gamma=gamma, dynamic_bound=bound)
             checks["dynamic_regret_le_bound"] = streams.bound_holds(dyn, bound)
             if values["out"]:
-                comment = f"driftlearn run-aioli config_hash={h}"
-                trace = regret.regret_trace_csv(ledger, truth, comment)
+                trace = _regret_trace(ledger, truth, f"driftlearn run-aioli config_hash={h}")
     return summary, _run_files(values["out"], trace)
 
 
@@ -465,7 +483,8 @@ def cmd_run_ensemble(values: dict) -> tuple[dict, list]:
     if values["out"]:
         comment = f"driftlearn run-ensemble config_hash={h}"
         columns = [run.mix_losses, run.expert_losses.min(axis=1)]
-        trace = streams.csv_text(["mix_loss", "best_expert_loss"], columns, comment)
+        trace = functools.partial(streams.write_csv, ["mix_loss", "best_expert_loss"], columns,
+                                  comment=comment)
     return summary, _run_files(values["out"], trace)
 
 
@@ -544,11 +563,11 @@ def cmd_run_o2nc(values: dict) -> tuple[dict, list]:
         "zero_comparators": trace.zero_comparators,
         "checks": checks,
     }
-    text = None
+    write = None
     if values["out"]:
         comment = f"driftlearn run-o2nc config_hash={h} seed={values['seed']}"
-        text = trace.to_csv(comment)
-    return summary, _run_files(values["out"], text)
+        write = functools.partial(trace.to_csv, header_comment=comment)
+    return summary, _run_files(values["out"], write)
 
 
 TUNE_FIELDS = COMMON_FIELDS + [
@@ -645,8 +664,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_OK
         summary, files = handler(values)
         text = _json_text(summary)  # before any file: a summary with no JSON form writes none
-        for path, body in files:
-            path.write_text(text if body is None else body)
+        for path, write in files:
+            with path.open("w") as out:
+                if write is None:
+                    out.write(text)
+                else:
+                    write(out)
         sys.stdout.write(text)
         return EXIT_OK if all(summary["checks"].values()) else EXIT_VIOLATION
     except (UsageError, ValueError, RuntimeError, OSError, ImportError) as exc:

@@ -293,7 +293,10 @@ class _Experts:
         s_pos, s_neg = _sigmoid_pm(y * yhats)
         c2 = s_pos * s_neg / self.scale
         np.multiply(self.beta[:, None, None], self.A, out=A)
-        A += c2[:, None, None] * zz
+        # the products c2_i z z' as one (N, 1) @ (1, d^2) matmul, each entry
+        # one rounded product, in one stack: a broadcast product took two
+        # more of ufunc buffers, and an einsum costs more a call at small d
+        A += (c2[:, None] @ zz.reshape(1, -1)).reshape(A.shape)
         np.multiply(self.beta[:, None], self.w, out=w)
         w += (y * s_neg + c2 * yhats)[:, None] * z
         self.A, self.w = A, w

@@ -43,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from driftlearn.adam import AdamConfig, AdamState, _norm, adam_update, delta_for
-from driftlearn.streams import csv_text, discounted_scan, philox_rng, row_dots
+from driftlearn.streams import discounted_scan, philox_rng, row_dots, write_csv
 
 
 class OracleBoundError(RuntimeError):
@@ -209,10 +209,12 @@ class O2ncTrace:
         bits on every row, as the clip in ``adam.delta_for`` takes them."""
         return _row_norms(self.deltas)
 
-    def to_csv(self, header_comment: Optional[str] = None) -> str:
+    def to_csv(self, out, header_comment: Optional[str] = None) -> None:
+        """Write the CSV trace `t,s_t,||delta||,||grad_at_xbar||,dynreg_term`
+        to the open text file ``out``."""
         header = ["s_t", "||delta||", "||grad_at_xbar||", "dynreg_term"]
         columns = [self.scalings, self.delta_norms, self.grad_norms_at_xbar, self.dynreg_terms]
-        return csv_text(header, columns, header_comment)
+        write_csv(header, columns, out, header_comment)
 
 
 def run_o2nc(

@@ -60,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from driftlearn.streams import ComparatorPath, bound_holds, csv_text, row_dots
+from driftlearn.streams import ComparatorPath, bound_holds, row_dots, write_csv
 
 _LOSSES = ("squared", "logistic")
 
@@ -265,14 +265,18 @@ def _margin_blocks(ledger: RegretLedger, U: np.ndarray, rounds: np.ndarray | ran
         A *= W[:n]
         D = row_dots(A, B)
         del A, B  # a block holds two margin arrays at once
-        D += decay[:n] * row_dots(step, mid @ G - h)
+        # nothing is carried into the first block: its zero G would give an
+        # infinite comparator inf * 0 = nan, which no later block gives
+        if last:
+            D += decay[:n] * row_dots(step, mid @ G - h)
         R = None
         if diag:
             M = u @ Zr
             M -= yb
             loss = 0.5 * row_dots(W * M, M)
             del M
-            loss += decay * (row_dots(u, 0.5 * (u @ G) - h) + 0.5 * c)
+            if last:
+                loss += decay * (row_dots(u, 0.5 * (u @ G) - h) + 0.5 * c)
             R = decay * P + W @ pb - loss
         yield b, D, R
         i, last = i + k, last + L
@@ -503,11 +507,12 @@ def check_path_length_lemma(
 
 
 def regret_trace_csv(
-    ledger: RegretLedger, path: ComparatorPath, header_comment: str | None = None
-) -> str:
-    """CSV trace `t,loss_play,loss_comp,cum_dynreg`."""
+    ledger: RegretLedger, path: ComparatorPath, out, header_comment: str | None = None
+) -> None:
+    """Write the CSV trace `t,loss_play,loss_comp,cum_dynreg` to the open
+    text file ``out``; its columns are computed before the first line."""
     play = ledger.losses_at_play
     comp = _comparator_losses(ledger, path)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats would
         cum = np.cumsum(play - comp) + 0.0  # a sum from 0.0 never reads -0.0
-    return csv_text(["loss_play", "loss_comp", "cum_dynreg"], [play, comp, cum], header_comment)
+    write_csv(["loss_play", "loss_comp", "cum_dynreg"], [play, comp, cum], out, header_comment)

@@ -3,6 +3,11 @@ learners and evaluators share (the exact discounted scan, ``row_dots``, the
 referee of the learners' LAPACK calls and ``bound_holds``, the slack rule
 of every relative bound check), and the CSV codec of every artifact.
 
+The codec holds no file whole as text.  :func:`read_csv` reads a stream or
+truth file ``CHUNK`` bytes at a time, and the writers format ``BLOCK_ROWS``
+rows at a time into the open text file they are given; the bytes written
+and the arrays read are those of a whole-text read or write.
+
 Streams are generated with a counter-based Philox RNG so a given
 :class:`StreamSpec` reproduces bit-for-bit on any platform.  Features are
 sampled uniformly on the sphere of radius ``R`` and targets uniformly on the
@@ -14,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.linalg import _umath_linalg  # the learners' LAPACK; see _first_rejected
@@ -73,7 +78,10 @@ class Stream:
         y = np.asarray(y, dtype=float)
         if Z.ndim != 2 or y.ndim != 1 or Z.shape[0] != y.shape[0]:
             raise StreamSpecError("Z must be (T, d) and y (T,) with matching T")
-        if not (np.isfinite(Z).all() and np.isfinite(y).all()):
+        # the extremes are finite exactly when every entry is: min and max
+        # pass a nan on, and they make no temporary as large as Z
+        if not all(map(np.isfinite, (Z.min(initial=0.0), Z.max(initial=0.0),
+                                     y.min(initial=0.0), y.max(initial=0.0)))):
             raise StreamSpecError("stream entries must be finite")
         self.Z = Z
         self.y = y
@@ -310,7 +318,17 @@ def _first_rejected(public, out: np.ndarray, *stacks: np.ndarray) -> tuple[int, 
 # round-trip decimal) so re-parsing is bit-faithful.  Streams have header
 # `t,y,z_0,...,z_{d-1}`; the comparator truth goes to a sibling `*.truth.csv`
 # with header `t,u_0,...,u_{d-1}`.
+#
+# No file is held whole as text.  The writers format BLOCK_ROWS rows at a
+# time into the open text file they are given, and the readers take their
+# text CHUNK characters (bytes, from a file) at a time, cut after a line
+# end, so that str.splitlines gives the pieces the lines the whole text has.
 # ---------------------------------------------------------------------------
+
+BLOCK_ROWS = 256
+CHUNK = 1 << 16
+# Rows the reader's t and finiteness checks take at a time.
+_CHECK_ROWS = 4096
 
 # A truth path is written a run of bit-identical rows at a time when its runs
 # are at least this many rows long on average, and a block of rows at a time
@@ -321,68 +339,131 @@ def _first_rejected(public, out: np.ndarray, *stacks: np.ndarray) -> tuple[int, 
 MEAN_RUN_MIN = 3
 
 
-def _csv_head(header: list[str], comment: str | None) -> list[str]:
-    """The optional ``# comment`` line and the ``t,<header>`` line."""
-    parts = [f"# {comment}\n"] if comment else []
-    parts.append(",".join(["t", *header]) + "\n")
-    return parts
+def _write_head(out, header: list[str], comment: str | None) -> None:
+    """Write the optional ``# comment`` line and the ``t,<header>`` line."""
+    if comment:
+        out.write(f"# {comment}\n")
+    out.write(",".join(["t", *header]) + "\n")
 
 
-def csv_text(header: list[str], columns: list[np.ndarray], comment: str | None = None) -> str:
-    """Artifact CSV `t,<header>` of (T,) or (T, k) float ``columns`` side by side.
+def _write_rows(out, row: str, n: int, values) -> None:
+    """Write ``n`` rows: the one-row template ``row`` repeated ``n`` times
+    and filled by one ``%`` from the flat ``values`` (``%r`` writes a
+    float's repr, ``%d`` writes t).  The codec's one block formatter."""
+    out.write(row * n % tuple(values))
 
-    Rows are formatted 256 at a time, never as one list of all T rows, each
-    block by one ``%`` of a row template repeated per row: ``%r`` is a
-    float's repr, and ``%d`` writes t, carried in the block as an integral
-    float, as the integer.
+
+def write_csv(header: list[str], columns: list[np.ndarray], out,
+              comment: str | None = None) -> None:
+    """Write the artifact CSV `t,<header>` of (T,) or (T, k) float
+    ``columns`` side by side to the open text file ``out``.
+
+    Rows are formatted and written ``BLOCK_ROWS`` at a time, t carried in
+    the block as an integral float, so no more than one block is held as
+    text.
     """
-    parts = _csv_head(header, comment)
+    _write_head(out, header, comment)
     T = len(columns[0])
-    for start in range(0, T, 256):
-        stop = min(start + 256, T)
+    for start in range(0, T, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, T)
         block = np.column_stack([np.arange(start + 1, stop + 1, dtype=float),
                                  *(c[start:stop] for c in columns)])
         row = "%d" + ",%r" * (block.shape[1] - 1) + "\n"
-        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        _write_rows(out, row, len(block), block.ravel().tolist())
 
 
-def stream_to_csv(stream: Stream, header_comment: str | None = None) -> str:
+def stream_to_csv(stream: Stream, out, header_comment: str | None = None) -> None:
+    """Write the stream CSV of ``stream`` to the open text file ``out``."""
     header = ["y"] + [f"z_{j}" for j in range(stream.d)]
-    return csv_text(header, [stream.y, stream.Z], header_comment)
+    write_csv(header, [stream.y, stream.Z], out, header_comment)
 
 
-def path_to_csv(path: ComparatorPath, header_comment: str | None = None) -> str:
-    """The truth CSV of ``path``, the bytes :func:`csv_text` writes.
+def path_to_csv(path: ComparatorPath, out, header_comment: str | None = None) -> None:
+    """Write the truth CSV of ``path`` to the open text file ``out``, the
+    bytes :func:`write_csv` writes.
 
     A piecewise-constant path repeats each row for many rounds, so when its
     maximal runs of bit-identical rows (``0.0`` and ``-0.0`` differ, as
     their reprs do) average ``MEAN_RUN_MIN`` rows or more, each run's
     floats are formatted once into a row template that only ``%d`` fills,
-    at most 256 rows a ``%``.  Other paths go to :func:`csv_text`.
+    at most ``BLOCK_ROWS`` rows a ``%``.  Other paths go to
+    :func:`write_csv`.
     """
     U, T = path.U, path.T
     header = [f"u_{j}" for j in range(path.d)]
     bits = U.view(np.int64)
-    moves = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
-    if MEAN_RUN_MIN * (len(moves) + 1) > T:
-        return csv_text(header, [U], header_comment)
-    parts = _csv_head(header, header_comment)
+    moved = (bits[1:] != bits[:-1]).any(axis=1)
+    if MEAN_RUN_MIN * (np.count_nonzero(moved) + 1) > T:
+        write_csv(header, [U], out, header_comment)
+        return
+    moves = np.flatnonzero(moved) + 1
+    _write_head(out, header, header_comment)
     for start, stop in itertools.pairwise([0, *moves.tolist(), T]):
-        row = "%d" + (",%r" * path.d) % tuple(U[start].tolist()) + "\n"
-        for lo in range(start, stop, 256):
-            hi = min(lo + 256, stop)
-            parts.append(row * (hi - lo) % tuple(range(lo + 1, hi + 1)))
-    return "".join(parts)
+        row = ",".join(["%d", *map(repr, U[start].tolist())]) + "\n"
+        for lo in range(start, stop, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, stop)
+            _write_rows(out, row, hi - lo, range(lo + 1, hi + 1))
 
 
-def _content_lines(text: str) -> list[str]:
-    """Stripped lines of ``text`` that are neither blank nor ``#`` comments."""
-    return [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+def _text_pieces(text: str) -> Iterator[str]:
+    """``text`` in pieces of at least ``CHUNK`` characters, each cut after a
+    line feed; the last takes the rest."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + CHUNK) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
 
 
-def _parse_csv(text: str, lead: list[str], prefix: str) -> np.ndarray:
+def _file_pieces(raw) -> Iterator[str]:
+    """The text of the binary file ``raw``, from its start, decoded as UTF-8
+    ``CHUNK`` bytes at a time, each piece cut after its last CR or LF; the
+    last takes the rest.  Such a cut splits no character.  splitlines reads
+    a CR or CRLF as the line end that universal newlines would have made of
+    it, and a CRLF that a cut splits gives one more blank line, which no
+    reader keeps."""
+    raw.seek(0)
+    rest = b""
+    while chunk := raw.read(CHUNK):
+        chunk = rest + chunk
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        rest = chunk[cut:]
+        if cut:
+            piece = str(memoryview(chunk)[:cut], "utf-8")
+            del chunk  # the piece alone is held while it is read
+            yield piece
+    if rest:
+        yield rest.decode("utf-8")
+
+
+def _piece_lines(piece: str) -> list[str]:
+    """Stripped lines of ``piece`` that are neither blank nor ``#`` comments."""
+    return [s for s in map(str.strip, piece.splitlines()) if s and s[0] != "#"]
+
+
+def _content_lines(pieces: Iterable[str]) -> Iterator[str]:
+    """The content lines of the text in ``pieces``, one piece's at a time."""
+    return itertools.chain.from_iterable(map(_piece_lines, pieces))
+
+
+def _line_bound(piece: str) -> int:
+    """An upper bound on ``len(piece.splitlines())``.  Every character that
+    ends a line of ASCII text (\\n, \\v, \\f, \\r, \\x1c-\\x1e) lies below
+    0x1f, so one more than the count of those bounds it, and numpy counts
+    them in a fraction of the time splitlines takes; other text is split."""
+    if not piece.isascii():
+        return len(piece.splitlines())
+    return 1 + int(np.count_nonzero(np.frombuffer(piece.encode("ascii"), np.uint8) < 0x1F))
+
+
+def _parse_csv(pieces: Callable[[], Iterator[str]], lead: list[str], prefix: str) -> np.ndarray:
     """Rows of a CSV whose header is ``lead`` then prefix0..prefix{d-1}, d >= 1.
+
+    ``pieces()`` gives the text in pieces, each but the last cut after a
+    line end.  It is called once to bound the count of the text's lines,
+    and so of its rows, so that loadtxt sizes the result once
+    (``max_rows``) instead of growing it; once to parse; and once more only
+    to quote a wrong ``t``.
 
     Every row must have the header's column count, the ``t`` column must
     run 1..T, every cell must be finite, and at least one row must follow
@@ -396,25 +477,25 @@ def _parse_csv(text: str, lead: list[str], prefix: str) -> np.ndarray:
     expected n columns, got w``.  A numpy that rewords it fails the
     reader's single-fault tests first.
     """
-    lines = _content_lines(text)
-    if not lines:
+    bound = sum(map(_line_bound, pieces()))
+    lines = _content_lines(pieces())
+    header = next(lines, None)
+    if header is None:
         raise StreamSpecError("empty CSV")
-    header = lines[0]
     names = header.split(",")
     d = len(names) - len(lead)
     if d < 1 or names != lead + [f"{prefix}{j}" for j in range(d)]:
         want = ",".join(lead + [f"{prefix}0", "...", f"{prefix}{{d-1}}"])
         raise StreamSpecError(f"CSV header must be {want}, got {header!r}")
-    if len(lines) == 1:
+    first = next(lines, None)
+    if first is None:
         raise StreamSpecError("CSV has a header but no rows")
-    width = lines[1].count(",") + 1
+    width = first.count(",") + 1
     if width != len(names):
         raise StreamSpecError(f"CSV row 1: expected {len(names)} columns, got {width}")
     try:
-        # islice, not lines[1:], so the rows are not copied into a second
-        # list; max_rows sizes the result once instead of growing it
-        data = np.loadtxt(itertools.islice(lines, 1, None), delimiter=",", comments=None,
-                          ndmin=2, max_rows=len(lines) - 1)
+        data = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None,
+                          ndmin=2, max_rows=bound)
     except ValueError as exc:
         message = str(exc)
         bad = re.search(r"could not convert string (.*) to \w+ at row (\d+)", message)
@@ -428,25 +509,62 @@ def _parse_csv(text: str, lead: list[str], prefix: str) -> np.ndarray:
                 f"CSV row {ragged[3]}: expected {ragged[1]} columns, got {ragged[2]}"
             ) from exc
         raise StreamSpecError(f"CSV: {exc}") from exc
-    del lines  # not held through the row checks; the t message re-reads text
-    wrong_t = data[:, 0] != np.arange(1, len(data) + 1)
-    bad = np.flatnonzero(wrong_t | ~np.isfinite(data).all(axis=1))
-    if bad.size:
-        t = int(bad[0]) + 1
-        if wrong_t[t - 1]:
-            cell = _content_lines(text)[t].split(",")[0]
-            raise StreamSpecError(f"CSV row {t}: t must be {t}, got {cell}")
-        row = data[t - 1]
-        value = float(row[~np.isfinite(row)][0])
-        raise StreamSpecError(f"CSV row {t}: entries must be finite, got {value!r}")
+    # a block of rows at a time, so that no check makes a temporary as
+    # long as the file
+    for start in range(0, len(data), _CHECK_ROWS):
+        block = data[start:start + _CHECK_ROWS]
+        wrong_t = block[:, 0] != np.arange(start + 1, start + len(block) + 1)
+        bad = np.flatnonzero(wrong_t | ~np.isfinite(block).all(axis=1))
+        if bad.size:
+            t = start + int(bad[0]) + 1
+            if wrong_t[bad[0]]:
+                cell = next(itertools.islice(_content_lines(pieces()), t, None)).split(",")[0]
+                raise StreamSpecError(f"CSV row {t}: t must be {t}, got {cell}")
+            row = data[t - 1]
+            value = float(row[~np.isfinite(row)][0])
+            raise StreamSpecError(f"CSV row {t}: entries must be finite, got {value!r}")
     return data
 
 
+# The header lead and column prefix of each CSV input, and what its rows make.
+_INPUTS = {
+    "stream": (["t", "y"], "z_", lambda data: Stream(Z=data[:, 2:], y=data[:, 1])),
+    "truth": (["t"], "u_", lambda data: ComparatorPath(U=data[:, 1:])),
+}
+
+
+def _read(pieces: Callable[[], Iterator[str]], role: str):
+    """The stream or truth path (``role``) in the text ``pieces()`` gives."""
+    lead, prefix, make = _INPUTS[role]
+    return make(_parse_csv(pieces, lead, prefix))
+
+
 def stream_from_csv(text: str) -> Stream:
-    data = _parse_csv(text, ["t", "y"], "z_")
-    return Stream(Z=data[:, 2:], y=data[:, 1])
+    """The stream in the CSV ``text``, read as :func:`read_csv` reads a file."""
+    return _read(lambda: _text_pieces(text), "stream")
 
 
 def path_from_csv(text: str) -> ComparatorPath:
-    data = _parse_csv(text, ["t"], "u_")
-    return ComparatorPath(U=data[:, 1:])
+    """The truth path in the CSV ``text``, read as :func:`read_csv` reads a file."""
+    return _read(lambda: _text_pieces(text), "truth")
+
+
+def read_csv(file, role: str) -> Stream | ComparatorPath:
+    """The stream (``role`` ``"stream"``) or truth path (``"truth"``) in the
+    CSV file at the path ``file``.
+
+    The file is read ``CHUNK`` bytes at a time, twice (see
+    :func:`_parse_csv`), so no pass holds more than a piece of it as text;
+    the lines, the arrays and every message are those of the str entries
+    on the file's text.  The text is UTF-8.  A byte that is not raises,
+    before any fault of the CSV's, the ``UnicodeDecodeError`` of a decode
+    of the whole file, whose offset counts from the file's start: that
+    path alone reads the file whole.
+    """
+    with open(file, "rb") as raw:
+        try:
+            return _read(lambda: _file_pieces(raw), role)
+        except UnicodeDecodeError:
+            raw.seek(0)
+            raw.read().decode("utf-8")  # the same fault, its offset in the file
+            raise

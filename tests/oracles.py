@@ -2,11 +2,13 @@
 bound check of the library computes, and the referees that the library's
 inlined or batched steps are held to bit for bit (`clip_to_ball`,
 `reference_delta_for`, `exp_sample`, `perturb`, the per-round AIOLI of
-`PerRoundExperts`, and the per-row truth writer `path_csv_rowwise`).
+`PerRoundExperts`, and the per-row truth writer `path_csv_rowwise`), and
+`csv_written`, the text a CSV writer writes into an open file.
 ``ftrl_equivalence_residual`` needs scipy, a test dependency of driftlearn
 and not a runtime one.
 """
 
+import io
 import math
 import warnings
 from fractions import Fraction
@@ -37,6 +39,14 @@ def path_csv_rowwise(path: ComparatorPath, comment=None) -> str:
     row = "%d" + ",%r" * path.d + "\n"
     parts += [row % (t, *u) for t, u in enumerate(path.U.tolist(), 1)]
     return "".join(parts)
+
+
+def csv_written(write, *args, comment=None) -> str:
+    """The text ``write(*args, out, comment)``, a CSV writer of ``streams``,
+    ``regret`` or ``o2nc``, writes into the open text file ``out``."""
+    out = io.StringIO()
+    write(*args, out, comment)
+    return out.getvalue()
 
 
 def stationarity_surrogate(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1566,3 +1567,44 @@ class TestBenchSetupFiles:
             text = (tmp_path / "stream.truth.csv").read_text()
             comment = text.partition("\n")[0].removeprefix("# ")
             assert text == oracles.path_csv_rowwise(streams.path_from_csv(text), comment)
+
+
+def _peak(f) -> int:
+    """tracemalloc peak, in bytes, of one call of ``f``."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRunMemory:
+    # run-vaw --out holds its stream, its truth path and its trace as
+    # arrays, never as text.  So from T = 4,000 to 40,000 its peak grows by
+    # no more than the same run's does when its inputs are handed to it in
+    # memory, plus the arrays the reader makes of them: the stream's
+    # (T, d + 2) parse array, the truth's (T, d + 1) one and its (T, d)
+    # path.  The stream's text is about 124 bytes a round here, against the
+    # 56 of its array; a reader that held it whole breaks the bound.
+    def test_run_vaw_grows_only_by_its_arrays(self, capsys, tmp_path, monkeypatch):
+        d = 5
+
+        def peaks(T):
+            stream = make_stream(capsys, tmp_path, name=f"s{T}.csv", d=d, T=T, segments=8,
+                                 noise=0.1, seed=1)
+            argv = ["run-vaw", "--beta", "0.99", "--lambda", "1", "--stream", str(stream),
+                    "--out", str(tmp_path / f"o{T}.csv")]
+            if T == 4000:
+                cli.main(argv)  # the first run imports and builds the parser
+            job = _peak(lambda: cli.main(argv))
+            inputs = cli._load_stream({"stream": str(stream), "truth": None})
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_load_stream", lambda values: inputs)
+                in_memory = _peak(lambda: cli.main(argv))
+            capsys.readouterr()
+            return job, in_memory
+
+        (job_4, memory_4), (job_40, memory_40) = peaks(4000), peaks(40000)
+        arrays = 8 * (40000 - 4000) * (3 * d + 3)
+        assert job_40 - job_4 <= memory_40 - memory_4 + arrays

@@ -1091,9 +1091,9 @@ SLACK = 8 << 10
 class TestBlockWorkingSet:
     # The loop holds its block of states, (L+1) N (d^2 + d) floats, and at
     # a time either the check's (L, N, d, d) Cholesky factor or a round's
-    # arrays: the block's products z z' (L d^2) and the update's product
-    # with numpy's two ufunc buffers (3 N d^2).  A loop that keeps a
-    # second block, or allocates states for every round, breaks the bound.
+    # arrays: the block's products z z' (L d^2) and the update's products
+    # c2_i z z' (N d^2).  A loop that keeps a second block, or allocates
+    # states for every round, breaks the bound.
     @pytest.mark.parametrize("d, T", [(3, 1200), (20, 300)])
     def test_the_ensemble_loop_holds_one_block(self, d, T):
         N = 13
@@ -1108,8 +1108,20 @@ class TestBlockWorkingSet:
                 experts.run(stream.Z, stream.y, yhats)
 
         states = (L + 1) * N * (d * d + d)
-        at_a_time = max(L * N * d * d, L * d * d + 3 * N * d * d)
+        at_a_time = max(L * N * d * d, L * d * d + N * d * d)
         assert traced_peak(loop) <= 8 * (states + at_a_time) + SLACK
+
+    # One absorb makes one (N, d, d) stack, the products c2_i z z', and
+    # little else: the broadcast product c2[:, None, None] * zz made three.
+    @pytest.mark.parametrize("d", [3, 20, 64])
+    def test_an_absorb_makes_one_stack(self, d):
+        N = 13
+        experts = logreg._Experts.fresh(d, np.linspace(0.5, 0.99, N), 1.0, 1.0, 1.0)
+        z = np.random.default_rng(d).standard_normal(d) / d
+        zz, yhats = np.outer(z, z), np.linspace(-0.5, 0.5, N)
+        A, w = np.empty_like(experts.A), np.empty_like(experts.w)
+        peak = traced_peak(lambda: experts.absorb(z, zz, 1.0, yhats, A, w))
+        assert peak <= 8 * N * d * d + 4096
 
     # run_aioli adds its three (T,) outputs, and its residuals hold at most
     # five (L, d) arrays of a block at a time.
@@ -1119,7 +1131,7 @@ class TestBlockWorkingSet:
         stream, _ = gen_stream(StreamSpec(kind="logistic-drift", d=d, T=T, segments=4,
                                           noise=0.2, seed=1))
         states = (L + 1) * (d * d + d)
-        at_a_time = max(L * d * d + 3 * d * d, 5 * L * d)
+        at_a_time = max(L * d * d + d * d, 5 * L * d)
         peak = traced_peak(lambda: logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0))
         assert peak <= 8 * (3 * T + states + at_a_time) + SLACK
 

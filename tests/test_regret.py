@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from driftlearn import linreg, regret
-from driftlearn.streams import ComparatorPath, Stream, StreamSpec, csv_text, gen_stream
+from driftlearn.streams import ComparatorPath, Stream, StreamSpec, gen_stream, write_csv
 import oracles
 
 
@@ -629,12 +629,13 @@ class TestOracleAgreement:
         with squared_loss_kernel(budget), np.errstate(over="ignore", invalid="ignore"):
             assert_regrets_match_oracle(ledger, path, row)
 
-    def test_no_comparator_term_at_lam_zero_even_at_an_infinite_comparator(self):
+    @BUDGETS
+    def test_no_comparator_term_at_lam_zero_even_at_an_infinite_comparator(self, budget):
         # phi is 0 at lam = 0, not 0 * |u|^2, which is nan where |u| is inf.
-        # In one dimension, with one round a block, the statistics carried
-        # into the last round's block make its D_t +inf, not nan, so the
-        # F-difference is +inf, the sum of its D_t terms alone, and P_T is
-        # +inf, with no nan term
+        # In one dimension the last round's D_t is +inf, not nan, whatever
+        # the budget: the first block, which carries nothing, once added its
+        # zero statistics' inf * 0 = nan.  So the F-difference is +inf, the
+        # sum of its D_t terms alone, and P_T is +inf, with no nan term
         rng = np.random.default_rng(21)
         T = 6
         ledger = random_quadratic_ledger(rng, T, 1, beta=0.5, lam=0.0)
@@ -644,7 +645,7 @@ class TestOracleAgreement:
         moved, steps = regret._moves(ledger, path)
         assert moved.tolist() == [2, 4, 5]
         assert steps.tolist() == [0.0, 0.0, 0.0] and not np.signbit(steps).any()
-        with squared_loss_kernel(0), np.errstate(over="ignore", invalid="ignore"):
+        with squared_loss_kernel(budget), np.errstate(over="ignore", invalid="ignore"):
             D, _ = kernel_columns(ledger, moved, U, False)
             assert D[-1] == math.inf and np.isfinite(D[:-1]).all()
             assert regret.ft_difference_term(ledger, path) == ledger.beta * float(D.sum())
@@ -807,7 +808,8 @@ def per_round_regret_trace_csv(ledger, path, header_comment=None):
     play, T = ledger.losses_at_play, ledger.T
     comp = np.fromiter((ledger.loss_eval(t, path[t - 1]) for t in range(1, T + 1)), float, T)
     cum = np.cumsum(play - comp) + 0.0
-    return csv_text(["loss_play", "loss_comp", "cum_dynreg"], [play, comp, cum], header_comment)
+    header = ["loss_play", "loss_comp", "cum_dynreg"]
+    return oracles.csv_written(write_csv, header, [play, comp, cum], comment=header_comment)
 
 
 def bits(values):
@@ -832,8 +834,8 @@ class TestComparatorLossRows:
         assert [ledger.loss_eval_batch(U[t - 1])[t - 1] for t in range(1, T + 1)] == rows
         path = ComparatorPath(U)
         assert regret.dynamic_regret(ledger, path) == per_round_dynamic_regret(ledger, path)
-        assert regret.regret_trace_csv(ledger, path, "c") == per_round_regret_trace_csv(
-            ledger, path, "c"
+        assert oracles.csv_written(regret.regret_trace_csv, ledger, path, comment="c") == (
+            per_round_regret_trace_csv(ledger, path, "c")
         )
 
     def test_every_evaluator_squares_the_same_way(self):
@@ -850,7 +852,7 @@ class TestComparatorLossRows:
     def test_length_mismatch_rejected_by_the_trace(self):
         ledger = random_quadratic_ledger(np.random.default_rng(24), 5, 2, beta=0.5)
         with pytest.raises(ValueError, match="path length"):
-            regret.regret_trace_csv(ledger, ComparatorPath(np.zeros((4, 2))))
+            oracles.csv_written(regret.regret_trace_csv, ledger, ComparatorPath(np.zeros((4, 2))))
 
 
 class TestIdentityGapIndependence:

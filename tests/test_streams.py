@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftlearn import adam, o2nc, regret, streams
-from oracles import path_csv_rowwise
+from driftlearn import adam, cli, o2nc, regret, streams
+from oracles import csv_written, path_csv_rowwise
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ class TestGenStream:
         s2, u2 = streams.gen_stream(spec)
         assert np.array_equal(s1.Z, s2.Z) and np.array_equal(s1.y, s2.y)
         assert np.array_equal(u1.U, u2.U)
-        assert streams.stream_to_csv(s1) == streams.stream_to_csv(s2)
+        assert csv_written(streams.stream_to_csv, s1) == csv_written(streams.stream_to_csv, s2)
 
     def test_two_segments_switch_at_round_six(self):
         spec = streams.StreamSpec(d=2, T=10, segments=2, seed=1)
@@ -560,19 +560,19 @@ class TestCsvRoundTrip:
         data=st.data(),
         comment=COMMENTS,
     )
-    def test_csv_text_equals_the_row_writer(self, T, widths, data, comment):
+    def test_write_csv_equals_the_row_writer(self, T, widths, data, comment):
         # width 0 is a 1-D column; T straddles the 256-row blocks
         columns = [data.draw(arrays(np.float64, (T, k) if k else (T,), elements=CSV_VALUES))
                    for k in widths]
         header = [f"c_{j}" for j in range(sum(max(k, 1) for k in widths))]
-        got = streams.csv_text(header, columns, comment)
+        got = csv_written(streams.write_csv, header, columns, comment=comment)
         assert got == rowwise_csv_text(header, columns, comment)
 
     def test_stream_and_truth_round_trip_exactly(self):
         spec = streams.StreamSpec(d=3, T=17, segments=2, noise=0.4, seed=13)
         s, truth = streams.gen_stream(spec)
-        s2 = streams.stream_from_csv(streams.stream_to_csv(s, "comment"))
-        truth2 = streams.path_from_csv(streams.path_to_csv(truth, "comment"))
+        s2 = streams.stream_from_csv(csv_written(streams.stream_to_csv, s, comment="comment"))
+        truth2 = streams.path_from_csv(csv_written(streams.path_to_csv, truth, comment="comment"))
         assert np.array_equal(s.Z, s2.Z) and np.array_equal(s.y, s2.y)
         assert np.array_equal(truth.U, truth2.U)
 
@@ -596,7 +596,7 @@ class TestCsvRoundTrip:
     )
     def test_stream_round_trip_is_bit_exact(self, data, comment):
         s = streams.Stream(Z=data[:, 1:], y=data[:, 0])
-        s2 = streams.stream_from_csv(streams.stream_to_csv(s, comment))
+        s2 = streams.stream_from_csv(csv_written(streams.stream_to_csv, s, comment=comment))
         assert s2.Z.tobytes() == s.Z.tobytes() and s2.y.tobytes() == s.y.tobytes()
 
 
@@ -664,19 +664,21 @@ class TestCodecMatchesRowwiseWriters:
     def test_rows_across_block_boundaries(self, T):
         rng = np.random.default_rng(T)
         s = streams.Stream(Z=rng.standard_normal((T, 3)), y=rng.standard_normal(T))
-        text = streams.stream_to_csv(s, "c")
+        text = csv_written(streams.stream_to_csv, s, comment="c")
         assert text == rowwise_stream_csv(s, "c")
         assert np.array_equal(streams.stream_from_csv(text).Z, s.Z)
 
     @given(data=table(st.integers(2, 7)), comment=COMMENTS)
     def test_stream(self, data, comment):
         s = streams.Stream(Z=data[:, 1:], y=data[:, 0])
-        assert streams.stream_to_csv(s, comment) == rowwise_stream_csv(s, comment)
+        got = csv_written(streams.stream_to_csv, s, comment=comment)
+        assert got == rowwise_stream_csv(s, comment)
 
     @given(data=table(st.integers(1, 6), ANY_FLOAT), comment=COMMENTS)
     def test_path(self, data, comment):
         path = streams.ComparatorPath(data)
-        assert streams.path_to_csv(path, comment) == path_csv_rowwise(path, comment)
+        got = csv_written(streams.path_to_csv, path, comment=comment)
+        assert got == path_csv_rowwise(path, comment)
 
     @given(data=table(st.just(2), ANY_FLOAT, max_rows=40), comment=COMMENTS)
     @example(data=np.array([[1e308, -1e308], [1e308, -1e308]]), comment=None)
@@ -688,7 +690,8 @@ class TestCodecMatchesRowwiseWriters:
         T = len(data)
         ledger = regret.RegretLedger(play, 1.0, np.zeros((T, 1)), np.zeros(T), "squared")
         ledger.path_losses = lambda U: comp  # comparator rows no loss kind gives
-        got = regret.regret_trace_csv(ledger, streams.ComparatorPath(np.zeros((T, 1))), comment)
+        got = csv_written(regret.regret_trace_csv, ledger, streams.ComparatorPath(np.zeros((T, 1))),
+                          comment=comment)
         assert got == rowwise_regret_trace_csv(play, comp, comment)
 
     @given(
@@ -705,7 +708,7 @@ class TestCodecMatchesRowwiseWriters:
             grad_norms_at_xbar=columns[:, 1], dynreg_terms=columns[:, 2],
             zero_comparators=0, final_index=0,
         )
-        assert trace.to_csv(comment) == rowwise_o2nc_csv(trace, comment)
+        assert csv_written(trace.to_csv, comment=comment) == rowwise_o2nc_csv(trace, comment)
 
     @given(
         mix=table(st.just(1), ANY_FLOAT, max_rows=20),
@@ -718,7 +721,8 @@ class TestCodecMatchesRowwiseWriters:
         mix, experts = mix[:, 0], experts[: len(mix)]
         comment = "driftlearn run-ensemble config_hash=abc"
         columns = [mix, experts.min(axis=1)]
-        got = streams.csv_text(["mix_loss", "best_expert_loss"], columns, comment)
+        got = csv_written(streams.write_csv, ["mix_loss", "best_expert_loss"], columns,
+                          comment=comment)
         assert got == rowwise_ensemble_csv(mix, experts, comment)
 
 
@@ -744,7 +748,8 @@ class TestTruthWriterByRuns:
     @example(U=np.full((257, 1), 2.5), comment="c")
     def test_equals_the_rowwise_referee(self, U, comment):
         path = streams.ComparatorPath(U)
-        assert streams.path_to_csv(path, comment) == path_csv_rowwise(path, comment)
+        got = csv_written(streams.path_to_csv, path, comment=comment)
+        assert got == path_csv_rowwise(path, comment)
 
     @pytest.mark.parametrize("run, by_runs", [
         (streams.MEAN_RUN_MIN, True), (streams.MEAN_RUN_MIN - 1, False), (1, False),
@@ -753,15 +758,15 @@ class TestTruthWriterByRuns:
         # the choice is made from the path: a path whose rows all differ
         # keeps the block writer, which is faster there
         calls = []
-        block = streams.csv_text
-        monkeypatch.setattr(streams, "csv_text", lambda *args: calls.append(args) or block(*args))
+        block = streams.write_csv
+        monkeypatch.setattr(streams, "write_csv", lambda *args: calls.append(args) or block(*args))
         path = streams.ComparatorPath(np.repeat(np.arange(8.0).reshape(4, 2), run, axis=0))
-        assert streams.path_to_csv(path, "c") == path_csv_rowwise(path, "c")
+        assert csv_written(streams.path_to_csv, path, comment="c") == path_csv_rowwise(path, "c")
         assert (calls == []) == by_runs
 
     def test_signed_zeros_are_separate_runs(self):
         path = streams.ComparatorPath(np.repeat([[0.0], [-0.0]], 4, axis=0))
-        rows = streams.path_to_csv(path).splitlines()[1:]
+        rows = csv_written(streams.path_to_csv, path).splitlines()[1:]
         assert rows == [f"{t},{'0.0' if t <= 4 else '-0.0'}" for t in range(1, 9)]
 
 
@@ -873,27 +878,189 @@ class TestCodecMatchesRowwiseReader:
         assert str(want.value).startswith(f"CSV row {first}: ")
 
 
-class TestReaderMemory:
-    # The reader holds the content lines, a list of them and the parsed
-    # array, and little else.  A second copy of the list (lines[1:]), the
-    # lines kept alive through the t check, or a result grown by
-    # over-allocation instead of sized by max_rows each break the bound.
-    @pytest.mark.parametrize("role", ["stream", "truth"])
-    def test_peak_is_the_lines_and_the_array(self, role):
-        s, truth = streams.gen_stream(streams.StreamSpec(d=5, T=4000, segments=8, noise=0.1, seed=1))
-        if role == "stream":
-            text, read = streams.stream_to_csv(s, "c"), streams.stream_from_csv
+def _long_rows(n, first=1):
+    """``n`` stream rows ``t,y,z_0,z_1`` from t = ``first``, about 60 bytes each."""
+    values = np.random.default_rng(first).standard_normal((n, 3)).tolist()
+    return [",".join([str(t), *map(repr, row)]) for t, row in enumerate(values, first)]
+
+
+# Past the first piece of either entry: row 1500 starts near byte 90,000.
+LONG = 2000
+FAR = 1500
+
+
+def _long_text(rows, end="\n"):
+    return "t,y,z_0,z_1" + end + end.join(rows) + end
+
+
+def _with_row(t, row):
+    rows = _long_rows(LONG)
+    rows[t - 1] = row
+    return rows
+
+
+# Each text goes to both entries, the str entry and the file entry on its
+# UTF-8 bytes: the arrays and the messages must be the same.
+CORPUS = {
+    "crlf": _long_text(_long_rows(LONG), "\r\n"),
+    "lone-cr": _long_text(_long_rows(LONG), "\r"),
+    # the file's first piece ends between the CR and the LF of a line end
+    "crlf-cut-between": ("#" + "x" * (streams.CHUNK - 2) + "\r\n"
+                         + _long_text(_long_rows(LONG), "\r\n")),
+    "formfeed-between-cells": _long_text(_with_row(FAR, f"{FAR},0.5\x0c,0.1,0.2")),
+    "formfeed-ending-a-row": _long_text(_with_row(FAR, f"{FAR},0.5,0.1,0.2\x0c")),
+    "line-separator-in-a-row": _long_text(_with_row(FAR, f"{FAR},0.5,0.1\u2028,0.2")),
+    "line-separator-ending-a-row": _long_text(_with_row(FAR, f"{FAR},0.5,0.1,0.2\u2028")),
+    "comments-and-blanks-anywhere": "\n# c\n  \nt,y,z_0,z_1\n\n" + "\n# c\n\t\n".join(
+        _long_rows(LONG)) + "\n# end\n\n",
+    "no-final-newline": _long_text(_long_rows(LONG))[:-1],
+    "ragged-far": _long_text(_with_row(FAR, f"{FAR},0.5,0.1")),
+    "bad-t-far": _long_text(_with_row(FAR, f"{FAR + 1},0.5,0.1,0.2")),
+    "bad-cell-far": _long_text(_with_row(FAR, f"{FAR},0.5,x,0.2")),
+    "nan-far": _long_text(_with_row(FAR, f"{FAR},0.5,nan,0.2")),
+    "short": "t,y,z_0,z_1\n1,0.5,0.1,0.2",
+    "empty": "",
+}
+
+
+def _outcome(read):
+    """The (Z, y) bits ``read()`` gives, or the message of its StreamSpecError."""
+    try:
+        stream = read()
+    except streams.StreamSpecError as exc:
+        return str(exc)
+    return stream.Z.tobytes(), stream.y.tobytes()
+
+
+class TestOneCorpusTwoEntries:
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_the_entries_agree(self, tmp_path, capsys, name):
+        text = CORPUS[name]
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = _outcome(lambda: streams.stream_from_csv(text))
+        assert _outcome(lambda: streams.read_csv(path, "stream")) == want
+        code = cli.main(["run-vaw", "--beta", "0.9", "--stream", str(path)])
+        err = capsys.readouterr().err
+        if isinstance(want, str):
+            assert (code, err) == (1, f"error: stream: {path}: {want}\n")
         else:
-            text, read = streams.path_to_csv(truth, "c"), streams.path_from_csv
-        lines = [line for line in text.splitlines() if not line.startswith("#")]
-        budget = (sum(map(sys.getsizeof, lines)) + 8 * len(lines)
-                  + 8 * (len(lines) - 1) * len(lines[0].split(",")) + 16 * 1024)
-        del lines
-        read(text)
-        tracemalloc.start()
-        try:
-            read(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget
+            assert (code, err) == (0, "")
+
+    def test_the_far_faults_lie_past_the_first_piece(self):
+        assert len("\n".join(_long_rows(FAR - 1)).encode()) > streams.CHUNK
+        for name in ("ragged-far", "bad-t-far", "bad-cell-far", "nan-far"):
+            with pytest.raises(streams.StreamSpecError, match=f"^CSV row {FAR}: "):
+                streams.stream_from_csv(CORPUS[name])
+
+    @pytest.mark.parametrize("fault, offset", [
+        (b"\xff", None), (b"\xe2\x80", None), (b"\xff", 9),
+    ], ids=["far", "truncated-far", "in-the-header"])
+    def test_a_byte_that_is_not_utf8_names_its_offset_in_the_file(self, tmp_path, capsys, fault,
+                                                                   offset):
+        # the decode fault wins over a CSV fault before it, as a whole read
+        # of the file would have it, and its offset counts from the file's start
+        body = _long_text(_with_row(3, "3,0.5,0.1")).encode()
+        if offset is None:
+            offset = len(body) - 100
+        data = body[:offset] + fault + body[offset:]
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as want:
+            data.decode("utf-8")
+        with pytest.raises(UnicodeDecodeError) as got:
+            streams.read_csv(path, "stream")
+        assert want.value.start == offset and got.value.object[offset] == fault[0]
+        assert (got.value.start, got.value.reason) == (want.value.start, want.value.reason)
+        code = cli.main(["run-vaw", "--beta", "0.9", "--stream", str(path)])
+        assert code == 1 and capsys.readouterr().err == (
+            f"error: stream: cannot read {path}: not UTF-8 text "
+            f"(byte 0x{fault[0]:02x} at offset {offset})\n")
+
+    @given(st.text(alphabet="a,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029#  ", max_size=60))
+    def test_the_line_bound_bounds_the_lines(self, text):
+        # a bound below the count would let loadtxt stop short of the last rows
+        assert streams._line_bound(text) >= len(text.splitlines())
+
+
+def _traced_peak(f) -> int:
+    """tracemalloc peak, in bytes, of a second call of ``f``."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# One piece of input held at a time: its bytes, its str and its lines,
+# with the rows loadtxt is parsing, four times the 64 KiB of a piece.
+PIECE_BUDGET = 256 << 10
+
+
+def block_budget(width):
+    """One block of output, ``width`` floats a row: each float as a Python
+    float in a list and a tuple, and its text as a str and encoded, under
+    100 bytes a float."""
+    return streams.BLOCK_ROWS * width * 100 + 16 * 1024
+
+
+class TestCodecMemory:
+    # A reader holds its result's arrays, and at a time one piece of its
+    # input; a writer holds at a time one block of its output, and the
+    # arrays it computes.  Neither grows otherwise from T = 4,000 to
+    # 40,000, where the stream's text is 5 MB.  A reader that kept the
+    # text or its lines, a parse array grown by over-allocation instead of
+    # sized by the line bound, or a writer that joined its blocks breaks
+    # the bound at 40,000.
+    @pytest.mark.parametrize("T", [4000, 40000])
+    @pytest.mark.parametrize("role", ["stream", "truth"])
+    @pytest.mark.parametrize("entry", ["file", "str"])
+    def test_a_reader_holds_its_arrays_and_a_piece(self, tmp_path, T, role, entry):
+        d = 5
+        s, truth = streams.gen_stream(streams.StreamSpec(d=d, T=T, segments=8, noise=0.1, seed=1))
+        path = tmp_path / "in.csv"
+        with path.open("w") as out:
+            if role == "stream":
+                streams.stream_to_csv(s, out, "c")
+            else:
+                streams.path_to_csv(truth, out, "c")
+        text = path.read_text()
+        from_text = {"stream": streams.stream_from_csv, "truth": streams.path_from_csv}[role]
+        read = {"file": lambda: streams.read_csv(path, role), "str": lambda: from_text(text)}[entry]
+        # the stream's parse array is its (T, d + 2) result; the truth's is
+        # (T, d + 1), and its path a contiguous (T, d) copy
+        arrays = 8 * T * (d + 2) if role == "stream" else 8 * T * (2 * d + 1)
+        assert _traced_peak(read) <= arrays + PIECE_BUDGET
+
+    @pytest.mark.parametrize("T", [4000, 40000])
+    def test_a_writer_holds_a_block_and_its_arrays(self, tmp_path, T):
+        s, steps = streams.gen_stream(streams.StreamSpec(d=5, T=T, segments=8, seed=1))
+        _, rotating = streams.gen_stream(streams.StreamSpec(d=5, T=T, kind="rotating-target",
+                                                            seed=1))
+        ledger = regret.RegretLedger(s.y, 0.9, s.Z, s.y, "squared")
+        trace = o2nc.O2ncTrace(xbar_final=None, scalings=s.y, deltas=s.Z,
+                               grad_norms_at_xbar=s.y, dynreg_terms=s.y,
+                               zero_comparators=0, final_index=0)
+        trace.delta_norms  # cached before the write, as run-o2nc has it
+        path = tmp_path / "out.csv"
+
+        def peak(write):
+            def run():
+                with path.open("w") as out:
+                    write(out)
+            return _traced_peak(run)
+
+        assert peak(lambda out: streams.stream_to_csv(s, out, "c")) <= block_budget(7)
+        assert peak(lambda out: trace.to_csv(out, "c")) <= block_budget(5)
+        assert peak(lambda out: streams.write_csv(["a", "b"], [s.y, s.y], out)) <= block_budget(3)
+        # both routes first find the runs with a (T - 1, d) and a (T - 1,)
+        # mask; the run writer then formats a row per run
+        assert peak(lambda out: streams.path_to_csv(steps, out, "c")) <= 6 * T + block_budget(2)
+        assert peak(lambda out: streams.path_to_csv(rotating, out, "c")) <= (
+            6 * T + block_budget(6))
+        # the trace computes its comparator losses, their difference from
+        # the losses at play and its running sum
+        assert peak(lambda out: regret.regret_trace_csv(ledger, steps, out, "c")) <= (
+            3 * 8 * T + block_budget(4))

@@ -39,6 +39,11 @@ Every f_t is ``regret._loss``: ``np.logaddexp`` is called in ``src/`` only
 there and in the modules of ``LOGADDEXP_ALLOWED``.  Every gamma-bound reads
 ``regret._check_discounts``: a chained comparison ``0 < a <= b < 1`` appears
 in exactly one function of ``src/``.
+
+No file is held whole as text: ``src/`` calls no ``"".join``, ``read_bytes``
+or ``read_text`` but the config reader's (``cli._read``), opens files for
+writing in ``cli.main`` alone, and ``streams._write_rows`` is the codec's
+one block formatter (``row * n % values``).
 """
 
 import ast
@@ -296,3 +301,49 @@ def test_the_discount_hypothesis_is_written_in_one_function():
     assert where == ["regret._check_discounts"], (
         f"0 < beta <= gamma < 1 is written at {where}; call regret._check_discounts"
     )
+
+
+def _called(node, name: str) -> bool:
+    """``node`` is a call of a function or method named ``name``."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _opens_for_writing(node) -> bool:
+    """``open(..., mode)`` or ``path.open(mode)`` with a mode that writes, or
+    a ``write_text`` or ``write_bytes``."""
+    if _called(node, "write_text") or _called(node, "write_bytes"):
+        return True
+    if not _called(node, "open"):
+        return False
+    # open(file, mode) takes its mode second; Path.open(mode) first
+    at = 1 if isinstance(node.func, ast.Name) else 0
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[at:at + 1]
+    return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_no_file_is_held_whole_as_text():
+    # The codec streams: a reader takes its input in pieces and a writer
+    # writes a block at a time into the file main opened.  Only the config,
+    # a few lines of key=value text, is read whole, and only --emit-config's
+    # config is written whole.
+    joins = enclosing(lambda n: _called(n, "join")
+                      and isinstance(getattr(n.func, "value", None), ast.Constant)
+                      and n.func.value.value == "")
+    assert joins == [], f'"".join at {joins}; write each block into the open file'
+    assert enclosing(lambda n: _called(n, "read_text")) == ["cli._read"]
+    assert enclosing(lambda n: _called(n, "read_bytes")) == []
+
+
+def test_main_alone_opens_files_for_writing():
+    where = enclosing(_opens_for_writing)
+    assert where and set(where) == {"cli.main"}, (
+        f"files are opened for writing at {where}; return a writer for cli.main to call")
+
+
+def test_the_codec_has_one_block_formatter():
+    # a block is one % of a row template repeated per row, ``row * n % values``
+    where = enclosing(lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
+                      and isinstance(n.left, ast.BinOp) and isinstance(n.left.op, ast.Mult))
+    assert where == ["streams._write_rows"], (
+        f"rows are formatted at {where}; write them through streams._write_rows")
