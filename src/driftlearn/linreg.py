@@ -41,8 +41,8 @@ import numpy as np
 
 from driftlearn.regret import (RegretLedger, _check_discounts, _loss, ft_difference_term,
                                path_variation)
-from driftlearn.streams import (ComparatorPath, Stream, _first_rejected, _umath_linalg,
-                                discounted_scan, row_dots)
+from driftlearn.streams import (BLOCK_ROWS, ComparatorPath, Stream, _first_rejected,
+                                _umath_linalg, discounted_scan, row_dots)
 
 # Bytes of one (B, d+2, d+2) stack of bordered Gram matrices; a block holds
 # max(1, this // (8 (d+2)^2)) rounds.  The kernel's working set is two such
@@ -214,11 +214,18 @@ def vaw_ledger(run: DvawRun) -> RegretLedger:
 
 
 def dvaw_log_term(run: DvawRun) -> float:
-    """(d/2) max_t y_t^2 * ln(1 + sum_t beta^(T-t) |z_t|^2 / (lam d))."""
-    T, d, y = run.T, run.stream.d, run.stream.y
-    pw = run.beta ** np.arange(T - 1, -1.0, -1.0)
-    gram_mass = float(pw @ (run.stream.Z**2).sum(axis=1))
+    """(d/2) max_t y_t^2 * ln(1 + sum_t beta^(T-t) |z_t|^2 / (lam d)).
+
+    |z_t|^2 is taken ``BLOCK_ROWS`` rows at a time, so beside two (T,) arrays
+    the term holds one block of squares."""
+    T, d, y, Z = run.T, run.stream.d, run.stream.y, run.stream.Z
     maxy2 = float((y * y).max(initial=0.0))
+    pw = run.beta ** np.arange(T - 1, -1.0, -1.0)
+    sq_norms = np.empty(T)
+    for start in range(0, T, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        sq_norms[rows] = (Z[rows] ** 2).sum(axis=1)
+    gram_mass = float(pw @ sq_norms)
     return 0.5 * d * maxy2 * np.log1p(gram_mass / (run.lam * d))
 
 

@@ -52,6 +52,10 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
     spec = streams.StreamSpec(d=3, T=T, kind="rotating-target", segments=3, seed=1)
     stream, truth = streams.gen_stream(spec)
     regression, logistic = tmp_path / "piecewise.csv", tmp_path / "stream.csv"
+    # run-o2nc computes its diagnostics a block of rounds at a time; its T
+    # spans two blocks and one round of a third
+    flags = workloads.O2NC_FLAGS
+    o2nc_T = 2 * o2nc._block_rounds(flags[flags.index("--dim") + 1]) + 1
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -72,7 +76,7 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
             workloads.cli_step("run-ensemble", [
                 "run-ensemble", "--grid", "true", "--stream", logistic]),
             workloads.cli_step("run-o2nc", [
-                "run-o2nc", *workloads.O2NC_FLAGS, "--T", T, "--seed", 1]),
+                "run-o2nc", *workloads.O2NC_FLAGS, "--T", o2nc_T, "--seed", 1]),
         ]
     finally:
         tracer.uninstall()
@@ -84,13 +88,13 @@ def test_traced_jobs_run_and_the_tracer_uninstalls(bench, tmp_path):
     # the ledger's _loss of block margins, and comparator rows (path_losses)
     # are not counted either
     assert tracer.counts["regret.loss_rows"] == 3 * T
-    assert tracer.counts["o2nc.loop_grad_calls"] == T
+    assert tracer.counts["o2nc.loop_grad_calls"] == o2nc_T
     # logreg.root_calls is one root per expert and round: AIOLI's, then the grid pool's
     spans = importlib.import_module("layers").JobSpans(tracer, 0)
     assert spans.calls("logreg.solve_optimism_root") == T * (1 + len(logreg.build_grid(1, 1, 2, T)))
     # run-o2nc steps Adam through adam.delta_for and adam.adam_update once a
     # round each, which the bench's adam.updates metric counts
-    assert spans.calls("adam.adam_update") == spans.calls("adam.delta_for") == T
+    assert spans.calls("adam.adam_update") == spans.calls("adam.delta_for") == o2nc_T
     assert still_wrapped(tracing.LAYERS) == []
 
 

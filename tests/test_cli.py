@@ -1608,3 +1608,24 @@ class TestRunMemory:
         (job_4, memory_4), (job_40, memory_40) = peaks(4000), peaks(40000)
         arrays = 8 * (40000 - 4000) * (3 * d + 3)
         assert job_40 - job_4 <= memory_40 - memory_4 + arrays
+
+    # run-o2nc --out holds one (T, d) array, Delta_t, and T-length columns:
+    # s_t, the regret terms, the gradient norms at the averages and then
+    # |Delta_t|.  g_t and grad F(x_t) live one block of rounds, and so do the
+    # iterates and the averages.  So from T = 4,000 to 40,000 its peak grows
+    # by at most 8 (d + 4) bytes a round, plus 64 KiB of slack; a run that
+    # holds g_t or grad F(x_t) whole grows by 8 d bytes a round more.
+    def test_run_o2nc_holds_one_array_of_rounds(self, capsys, tmp_path):
+        d = 10
+
+        def peak(T):
+            argv = ["run-o2nc", "--dim", str(d), "--T", str(T), "--seed", "1", "--eps", "0.3",
+                    "--c", "0.1", "--G", "1", "--sigma", "0.1",
+                    "--out", str(tmp_path / f"o{T}.csv")]
+            if T == 4000:
+                cli.main(argv)  # the first run imports and builds the parser
+            job = _peak(lambda: cli.main(argv))
+            capsys.readouterr()
+            return job
+
+        assert peak(40000) - peak(4000) <= 8 * (d + 4) * (40000 - 4000) + (1 << 16)

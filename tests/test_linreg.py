@@ -13,7 +13,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from driftlearn import linreg, regret
-from driftlearn.streams import ComparatorPath, Stream, StreamSpec, StreamSpecError, gen_stream
+from driftlearn.streams import (BLOCK_ROWS, ComparatorPath, Stream, StreamSpec, StreamSpecError,
+                               gen_stream)
 import oracles
 
 
@@ -483,6 +484,42 @@ class TestWorkingSet:
         stream, _ = gen_stream(StreamSpec(d=d, T=T, kind="rotating-target", segments=3, seed=1))
         peak = traced_peak(lambda: linreg.run_dvaw(stream, 0.99, 1.0))
         assert peak <= 8 * 3 * T + 5 * linreg._BLOCK_BYTES // 2
+
+
+def log_term_run(T, d, seed, Z=None):
+    """A DvawRun with only what dvaw_log_term reads: the stream and beta, lam."""
+    rng = np.random.default_rng(seed)
+    if Z is None:
+        Z = rng.standard_normal((T, d)) * rng.choice([1e-3, 1.0, 1e3], size=(T, 1))
+    return linreg.DvawRun(Stream(Z, rng.standard_normal(T)), 0.99, 0.5, None, None, None)
+
+
+class TestLogTerm:
+    # dvaw_log_term squares the stream BLOCK_ROWS rows at a time: each row's
+    # |z_t|^2 keeps the bits of one (Z**2).sum(axis=1) over the whole stream,
+    # for row-major streams and for the strided rows of a parse array
+    @pytest.mark.parametrize("d", [1, 3, 8, 20, 64])
+    @pytest.mark.parametrize("T", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_blocks_keep_the_whole_stream_bits(self, d, T, strided):
+        rng = np.random.default_rng(T * d)
+        Z = rng.standard_normal((T, d + 2)) * rng.choice([1e-3, 1.0, 1e3], size=(T, 1))
+        Z = Z[:, 1:-1] if strided else np.ascontiguousarray(Z[:, 1:-1])
+        run = log_term_run(T, d, seed=d, Z=Z)
+        pw = run.beta ** np.arange(T - 1, -1.0, -1.0)
+        y = run.stream.y
+        whole = 0.5 * d * float((y * y).max()) * np.log1p(
+            float(pw @ (Z**2).sum(axis=1)) / (run.lam * d))
+        assert same_bits(linreg.dvaw_log_term(run), whole)
+
+    # Beside two (T,) arrays, the weights beta^(T-t) and the squared norms,
+    # the term holds one block of squares and its row sums; squaring the
+    # whole stream at once holds a (T, d) array
+    def test_holds_two_round_arrays_and_one_block(self):
+        T, d = 40000, 20
+        run = log_term_run(T, d, seed=1)
+        peak = traced_peak(lambda: linreg.dvaw_log_term(run))
+        assert peak <= 8 * (2 * T + 2 * BLOCK_ROWS * d)
 
 
 class TestFactorizationCount:

@@ -114,6 +114,18 @@ class TestEmaCoefficients:
             assert c_new[t - 1] == (1.0 - beta) / (1.0 - bt)
 
 
+    @given(beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           cuts=st.lists(st.integers(0, 500), min_size=1, max_size=6))
+    def test_pieces_of_the_range_are_slices_of_the_whole(self, beta, cuts):
+        # run_o2nc takes the coefficients of one block of rounds at a time
+        bounds = [0, *sorted(cuts)]
+        c_prev, c_new = o2nc.ema_coefficients(beta, bounds[-1])
+        for start, stop in zip(bounds, bounds[1:]):
+            p_prev, p_new = o2nc.ema_coefficients(beta, stop, start)
+            assert bits(p_prev).tolist() == bits(c_prev[start:stop]).tolist()
+            assert bits(p_new).tolist() == bits(c_new[start:stop]).tolist()
+
+
 class TestComparatorPath:
     """The drifting comparator u_t = -D a_t/|a_t| behind run_o2nc's
     dynamic-regret terms g_t.(Delta_t - u_t).  With a noise-free oracle g_t
@@ -385,10 +397,23 @@ class TestOneTrueGradientPerRound:
         # run_o2nc's inline clip and draws, against the functions they replaced
         self.check(make_cfg(), make_obj(), x0, referees=True)
 
+    # run_o2nc computes its diagnostics a block of K rounds at a time, from
+    # rows carried from the block before; the rows of every field are those
+    # of the per-round loop on either side of a block's edge
+    @pytest.mark.parametrize("variant, make_cfg", VARIANT_CASES)
+    @pytest.mark.parametrize("name, make_obj, x0", OBJECTIVE_CASES)
+    @pytest.mark.parametrize("rounds", ["1", "K-1", "K", "K+1", "2K+1"])
+    def test_trace_equals_the_loop_across_block_edges(self, name, make_obj, x0, variant,
+                                                      make_cfg, rounds):
+        obj = make_obj()
+        K = o2nc._block_rounds(obj.dim)
+        T = {"1": 1, "K-1": K - 1, "K": K, "K+1": K + 1, "2K+1": 2 * K + 1}[rounds]
+        self.check(make_cfg(), obj, x0, referees=False, T=T)
+
     @staticmethod
-    def check(cfg, obj, x0, referees):
-        trace = o2nc.run_o2nc(cfg, obj, 0.4, T=300, seed=17, x0=x0)
-        fields, zero, final = reference_o2nc(cfg, obj, 0.4, 300, 17, x0, referees)
+    def check(cfg, obj, x0, referees, T=300):
+        trace = o2nc.run_o2nc(cfg, obj, 0.4, T=T, seed=17, x0=x0)
+        fields, zero, final = reference_o2nc(cfg, obj, 0.4, T, 17, x0, referees)
         assert np.array_equal(iterates(trace, x0), fields.pop("xs"))
         assert np.array_equal(trace.xbar_final, fields.pop("xbars")[final])
         for key, ref in fields.items():
@@ -409,13 +434,64 @@ class TestOneTrueGradientPerRound:
         assert len(calls) == 50  # at x_t; the averages take grad_rows
 
 
+class TestErrorsAcrossBlocks:
+    """run_o2nc records the first over-bound g_t and the first nan regret
+    term as its blocks go, and raises them after all T rounds, the bound's
+    before the nan's, whichever block each lies in."""
+
+    G = 1e300
+
+    def objective(self, schedule, calls):
+        """An objective on R^2 whose true gradient at the n-th call is
+        schedule.get(n, (0, 0)), wherever x is; with sigma = 0, g_t is it."""
+
+        def grad(x):
+            calls.append(1)
+            return np.array(schedule.get(len(calls), (0.0, 0.0)), dtype=float)
+
+        return o2nc.Objective("scheduled", 2, lambda x: 0.0, grad, self.G,
+                              grad_rows=lambda X: np.zeros_like(X))
+
+    def run(self, schedule, T):
+        calls = []
+        cfg = small_clipped_cfg(variant="clip-free", mu=0.2, D=1e200)
+        try:
+            o2nc.run_o2nc(cfg, self.objective(schedule, calls), 0.0, T=T, seed=0, x0=np.zeros(2))
+        finally:
+            assert len(calls) == T  # every round ran before the run raised
+
+    # From round 2 on, |u_t|^2 = D^2 overflows: the clip-free term
+    # g_t.(Delta_t - u_t) + mu/2 (|Delta_t|^2 - |u_t|^2) is -inf where g_t = 0,
+    # and nan at round 2, where g_2.(-u_2) = D |g_2| overflows as well.
+    NAN_AT_2 = {2: (1e150, 0.0)}
+    def test_the_nan_of_the_first_block_is_raised(self):
+        T = o2nc._block_rounds(2) + 10
+        with pytest.raises(ValueError) as err:
+            self.run(self.NAN_AT_2, T)
+        assert str(err.value) == "round 2: the dynamic-regret term is nan (its products overflow)"
+
+    def test_an_over_bound_gradient_of_a_later_block_is_raised_first(self):
+        K = o2nc._block_rounds(2)
+        T, late = K + 10, K + 5
+        with pytest.raises(o2nc.OracleBoundError) as err:
+            self.run({**self.NAN_AT_2, late: (2e300, 0.0)}, T)
+        assert str(err.value) == f"round {late}: |g|=2e+300 exceeds declared bound G=1e+300"
+
+    def test_an_over_bound_gradient_of_the_first_block_waits_for_the_last_round(self):
+        T = 2 * o2nc._block_rounds(2) + 1
+        with pytest.raises(o2nc.OracleBoundError) as err:
+            self.run({3: (2e300, 0.0), T: (3e300, 0.0)}, T)
+        assert str(err.value) == "round 3: |g|=2e+300 exceeds declared bound G=1e+300"
+
+
 def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
 class TestBatchedKernels:
-    """The batched kernels run_o2nc computes its diagnostics with after the
-    loop, held to the per-round operations they replace, bit for bit."""
+    """The batched kernels run_o2nc computes its diagnostics with after each
+    block of rounds, held to the per-round operations they replace, bit for
+    bit."""
 
     @given(X=st.tuples(st.integers(1, 40), st.integers(1, 12)).flatmap(lambda shape: arrays(
         np.float64, shape, elements=st.one_of(
