@@ -460,9 +460,14 @@ def cmd_run_ensemble(values: dict) -> tuple[dict, list]:
         raise UsageError("grid: --grid false needs an explicit pool in --betas")
     else:
         betas = list(logreg.build_grid(B, R, stream.d, stream.T))
-    run = logreg.run_ensemble(stream, betas, lam, B, R)
+    mix = lemmas.LemmaVerdict("mixability", 0, 0, float("inf"))
+
+    def check(rows, played, yhats, p):
+        # lemmas checks the mixture the run played, with its own code
+        mix.absorb(lemmas.check_mixability(played, yhats, p))
+
+    run = logreg.run_ensemble(stream, betas, lam, B, R, check)
     n = len(betas)
-    mix = lemmas.check_mixability(run.yhats, run.expert_yhats, run.weights)
     meta = run.meta_regret
     h = _config_hash(values)
     summary = {
@@ -482,7 +487,7 @@ def cmd_run_ensemble(values: dict) -> tuple[dict, list]:
     trace = None
     if values["out"]:
         comment = f"driftlearn run-ensemble config_hash={h}"
-        columns = [run.mix_losses, run.expert_losses.min(axis=1)]
+        columns = [run.mix_losses, run.best_expert_losses]
         trace = functools.partial(streams.write_csv, ["mix_loss", "best_expert_loss"], columns,
                                   comment=comment)
     return summary, _run_files(values["out"], trace)

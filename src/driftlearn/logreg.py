@@ -40,34 +40,34 @@ expert and round: they take a few Newton steps each, and a masked Newton
 over the expert axis would pay numpy's fixed cost per call on every step
 for only N elements.
 
-Only the learner state is sequential.  ``run_ensemble``'s loop advances
-the expert stack and records the (T, N) expert predictions; the expert
-losses, the exponential weights, the mixture and its losses depend on
-those alone and are computed after the loop.  ``run_aioli`` rebuilds each
-block's decisions and stationarity residuals from the block's states, and
-takes its discounted stability sums and beta^t after the loop.  Every
-loss at play is ``regret._loss`` of the predictions, as the ledgers' are.
+Only the learner state is sequential.  ``run_ensemble`` advances the
+expert stack a chunk of ``streams.BLOCK_ROWS`` rounds at a time into one
+(chunk, N) buffer of predictions, and folds each chunk into the expert
+losses, the exponential weights, the mixture and its losses before the
+next: the weights carry the (N,) losses summed over earlier chunks, so
+the run holds no (T, N) array.  ``run_aioli`` rebuilds each block's
+decisions and stationarity residuals from the block's states, and takes
+its discounted stability sums and beta^t after the loop.  Every loss at
+play is ``regret._loss`` of the predictions, as the ledgers' are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from driftlearn.regret import RegretLedger, _check_discounts, _loss, path_variation
-from driftlearn.streams import (ComparatorPath, Stream, _first_rejected, _umath_linalg,
-                                bound_holds, discounted_scan, row_dots)
+from driftlearn.streams import (BLOCK_ROWS, ComparatorPath, Stream, _first_rejected,
+                                _umath_linalg, bound_holds, discounted_scan, row_dots)
 
 ROOT_MAX_ITERS = 200
 
 # Multiplies x into the stack [-x, x]; see _sigmoid_pm.
 _MINUS_PLUS = np.array([-1.0, 1.0])
 _TINY = np.finfo(float).tiny
-# Rows per block of run_ensemble's work after its loop; bounds the temporaries.
-_MIX_BLOCK = 64
 # Bytes of one (L, N, d, d) stack of expert matrices; a block of the learner
 # loop holds L = max(1, this // (8 N d^2)) rounds.  Its working set is that
 # stack twice (the block's states and their Cholesky factor) and, in
@@ -189,7 +189,7 @@ class _Experts:
         c2q: np.ndarray | None = None, settle=None,
     ) -> None:
         """Advance every expert over the rounds (Z, y), ``y`` the (T,)
-        labels, which must be +/-1 (else ``ValueError``).
+        labels, which the runners have checked with :func:`_check_labels`.
 
         Round t writes the (N,) predictions into ``yhats[t]`` and, when
         ``c2q`` is given, c2 q into ``c2q[t]`` (both (T, N) arrays).  The
@@ -198,10 +198,11 @@ class _Experts:
         after the block's k-th round, row 0 the state the block starts
         from.  At a block's end :meth:`_guard` checks rows 1..L, then
         ``settle(lo, As, ws)``, when given, reads the block's rows, its
-        first round lo + 1.
+        first round lo + 1 of this call.  Calls may follow one another on
+        consecutive rounds; a failure names its round counted from the
+        first call's, as ``t`` does.  The buffers live for one call, so a
+        caller's work between calls runs without them.
         """
-        if not np.all(np.abs(y) == 1.0):
-            raise ValueError("logistic streams need labels in {+1, -1}")
         ys = map(float, y)
         T = len(Z)
         N, d = self.w.shape
@@ -213,18 +214,18 @@ class _Experts:
             n = rounds.stop - lo
             As[0], ws[0] = self.A, self.w
             self.A, self.w = As[0], ws[0]
-            self._block(lo, Z[rounds], ys, As[:n + 1], ws[:n + 1], yhats[rounds],
+            self._block(Z[rounds], ys, As[:n + 1], ws[:n + 1], yhats[rounds],
                         None if c2q is None else c2q[rounds])
-            self._guard(As[1:n + 1], lo)
+            self._guard(As[1:n + 1])
             if settle is not None:
                 settle(lo, As[:n + 1], ws[:n + 1])
         self.A, self.w = self.A.copy(), self.w.copy()
 
     def _block(
-        self, lo: int, Z: np.ndarray, ys: Iterator[float], As: np.ndarray,
+        self, Z: np.ndarray, ys: Iterator[float], As: np.ndarray,
         ws: np.ndarray, yhats: np.ndarray, c2q: np.ndarray | None,
     ) -> None:
-        """The sequential core of :meth:`run`: the block's rounds lo+1, ...,
+        """The sequential core of :meth:`run`: the block's rounds t+1, ...,
         each a :meth:`decide` and an :meth:`absorb` into the next row of
         ``As`` and ``ws``.  An error in a round first hands the rows of the
         rounds before it to :meth:`_guard`, so an update that failed its
@@ -236,7 +237,7 @@ class _Experts:
             try:
                 v, q = self.decide(z)
             except Exception:
-                self._guard(As[1:k], lo)
+                self._guard(As[1:k])
                 raise
             c2 = self.absorb(z, zz, y, v, As[k], ws[k])
             row[:] = v
@@ -303,17 +304,17 @@ class _Experts:
         self.t += 1
         return c2
 
-    def _guard(self, As: np.ndarray, lo: int) -> None:
-        """Check the (k, N, d, d) matrices of rounds lo+1..lo+k with one
-        stacked Cholesky factorization, and raise for the first (round,
-        expert) in C order whose factor LAPACK rejected: the earliest
-        round's first indefinite A."""
+    def _guard(self, As: np.ndarray) -> None:
+        """Check the (k, N, d, d) matrices of the last k rounds absorbed,
+        t-k+1..t, with one stacked Cholesky factorization, and raise for
+        the first (round, expert) in C order whose factor LAPACK rejected:
+        the earliest round's first indefinite A."""
         factors = _umath_linalg.cholesky_lo(As)
         if math.isnan(factors.sum()):
             rejected = _first_rejected(np.linalg.cholesky, factors, As)
             if rejected is not None:
                 k, i = rejected
-                raise RuntimeError(self._failure(i, _INDEFINITE, lo + k + 1))
+                raise RuntimeError(self._failure(i, _INDEFINITE, self.t - len(As) + k + 1))
 
     def _failure(self, i: int, failure: tuple, t: int) -> str:
         """Expert i's failure at round t; a tiny beta underflows lam beta^t."""
@@ -342,8 +343,15 @@ class AioliRun:
         return self.stream.T
 
 
+def _check_labels(y: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every label is +/-1, before any round."""
+    if not np.all(np.abs(y) == 1.0):
+        raise ValueError("logistic streams need labels in {+1, -1}")
+
+
 def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> AioliRun:
     experts = _Experts.fresh(stream.d, [beta], lam, B, R)
+    _check_labels(stream.y)
     T = stream.T
     yhats = np.empty((T, 1))
     c2q = np.empty((T, 1))
@@ -476,57 +484,86 @@ class EnsembleRun:
     stream: Stream
     yhats: np.ndarray
     mix_losses: np.ndarray
-    expert_losses: np.ndarray  # (T, N)
-    expert_yhats: np.ndarray   # (T, N)
-    weights: np.ndarray        # normalized p_t, (T, N)
+    best_expert_losses: np.ndarray  # min_i l(yhat_{t,i}), (T,)
+    expert_totals: np.ndarray       # sum_t l(yhat_{t,i}), (N,)
 
     @property
     def meta_regret(self) -> float:
         """sum_t l(yhat_t) - min_i sum_t l(yhat_{t,i}); at most ln N."""
-        return float(self.mix_losses.sum() - self.expert_losses.sum(axis=0).min())
+        return float(self.mix_losses.sum() - self.expert_totals.min())
 
 
 def run_ensemble(
-    stream: Stream, betas: Sequence[float], lam: float, B: float, R: float
+    stream: Stream, betas: Sequence[float], lam: float, B: float, R: float,
+    check: Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> EnsembleRun:
     """Exponential-weights mixture over discounted-AIOLI experts, one per
     discount in ``betas``.
 
-    The loop advances the expert stack only.  The losses, the weights (a
-    row softmax of the expert losses summed over earlier rounds), the
-    mixture and its losses follow it, with the roundings of a per-round
-    weight update.
+    One pass over chunks of ``streams.BLOCK_ROWS`` rounds.  A chunk
+    advances the expert stack into one (chunk, N) buffer of predictions,
+    then takes their losses, the weights (a row softmax of the expert
+    losses summed over earlier rounds), the mixture, its losses and the
+    best expert's loss, with the roundings of a per-round weight update.
+    ``check(rows, mix, yhats, p)``, when given, reads each chunk's rounds
+    ``rows`` of the stream, its mixture (n,), expert predictions and
+    weights (n, N); the buffers are reused by the next chunk.  An error it
+    raises is raised after the last round, so that a learner's error at
+    any round comes first, as when the check followed the run.  Beside
+    the chunk, the run holds three (T,) columns and (N,) sums.
     """
     betas = np.asarray(list(betas), dtype=float)
     if betas.size < 1:
         raise ValueError("need at least one base learner")
     experts = _Experts.fresh(stream.d, betas, lam, B, R)
+    _check_labels(stream.y)
     T, N = stream.T, betas.size
-    expert_yhats = np.empty((T, N))
-    with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
-        experts.run(stream.Z, stream.y, expert_yhats)
-
-    # Row blocks keep numpy's broadcast buffers to the size of one block.
-    blocks = [slice(lo, lo + _MIX_BLOCK) for lo in range(0, T, _MIX_BLOCK)]
-    expert_losses = expert_yhats.copy()
-    for rows in blocks:
-        _loss("logistic", expert_losses[rows], stream.y[rows, None])
-    # log q_t = -C_t, with C_t the losses summed over rounds s < t; with
-    # m_t = min_i C_t,i, log q_t - max_i log q_t = m_t - C_t exactly
-    weights = np.empty((T, N))
-    weights[:1] = 0.0
-    np.cumsum(expert_losses[:-1], axis=0, out=weights[1:])
-    yhats = np.empty(T)
-    for rows in blocks:
-        p = weights[rows]
+    C = max(1, min(T, BLOCK_ROWS))
+    expert_yhats = np.empty((C, N))
+    # Row 0 carries the expert losses summed over earlier chunks and rows
+    # 1..n take the chunk's losses, so one cumsum gives in row k < n the
+    # sums C_t over rounds s < t for the chunk's k-th round t, and in row n
+    # the next carry.  The carry joins the rows before the sum: added after
+    # it, it would round differently from one sum over every round.
+    sums = np.zeros((C + 1, N))
+    yhats, mix_losses, best = np.empty(T), np.empty(T), np.empty(T)
+    failure = None
+    for lo in range(0, T, C):
+        rows = slice(lo, min(lo + C, T))
+        n = rows.stop - lo
+        played = expert_yhats[:n]
+        with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
+            experts.run(stream.Z[rows], stream.y[rows], played)
+        losses = sums[1:n + 1]
+        np.copyto(losses, played)
+        _loss("logistic", losses, stream.y[rows, None])
+        np.min(losses, axis=1, out=best[rows])
+        np.cumsum(sums[:n + 1], axis=0, out=sums[:n + 1])
+        # log q_t = -C_t; with m_t = min_i C_t,i, log q_t - max_i log q_t
+        # = m_t - C_t exactly
+        p = sums[:n]
         np.subtract(p.min(axis=1, keepdims=True), p, out=p)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        yhats[rows] = _mix(expert_yhats[rows], p)
-    mix_losses = _loss("logistic", yhats.copy(), stream.y)
+        mix = yhats[rows]
+        mix[:] = _mix(played, p)
+        mix_losses[rows] = mix
+        _loss("logistic", mix_losses[rows], stream.y[rows])
+        if check is not None and failure is None:
+            try:
+                check(rows, mix, played, p)
+            except Exception as exc:
+                failure = exc
+        sums[0] = sums[n]
+    if failure is not None:
+        raise failure
+    # The carry adds each expert's losses in round order, as numpy sums a
+    # (T, N) array over its rows; a (T, 1) array numpy sums pairwise, as it
+    # does the best column, which at N = 1 is the one expert's losses.
+    totals = sums[0].copy() if N > 1 else best.sum(keepdims=True)
     return EnsembleRun(
-        stream=stream, yhats=yhats, mix_losses=mix_losses, expert_losses=expert_losses,
-        expert_yhats=expert_yhats, weights=weights,
+        stream=stream, yhats=yhats, mix_losses=mix_losses, best_expert_losses=best,
+        expert_totals=totals,
     )
 
 

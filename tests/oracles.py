@@ -2,8 +2,9 @@
 bound check of the library computes, and the referees that the library's
 inlined or batched steps are held to bit for bit (`clip_to_ball`,
 `reference_delta_for`, `exp_sample`, `perturb`, the per-round AIOLI of
-`PerRoundExperts`, and the per-row truth writer `path_csv_rowwise`), and
-`csv_written`, the text a CSV writer writes into an open file.
+`PerRoundExperts`, and the per-row truth writer `path_csv_rowwise`),
+`csv_written`, the text a CSV writer writes into an open file, and
+`ensemble_rows`, the (T, N) rows an ensemble run hands its check hook.
 ``ftrl_equivalence_residual`` needs scipy, a test dependency of driftlearn
 and not a runtime one.
 """
@@ -625,6 +626,23 @@ def per_round_aioli(stream: Stream, beta: float, lam: float, B: float, R: float)
         stab_disc=discounted_scan(stab_incs, beta),
         beta_pows=np.cumprod(np.full(T, float(beta))), residuals=resid,
     )
+
+
+def ensemble_rows(stream: Stream, betas, lam: float, B: float = 1.0, R: float = 1.0,
+                  check=None):
+    """``logreg.run_ensemble`` and the (T, N) expert predictions and weights
+    its check hook read, a chunk at a time: (run, expert_yhats, weights).
+    ``check``, when given, is called on each chunk after the rows are kept."""
+    yhats, weights = [], []
+
+    def keep(rows, mix, chunk_yhats, p):
+        yhats.append(chunk_yhats.copy())
+        weights.append(p.copy())
+        if check is not None:
+            check(rows, mix, chunk_yhats, p)
+
+    run = logreg.run_ensemble(stream, betas, lam, B, R, keep)
+    return run, np.concatenate(yhats), np.concatenate(weights)
 
 
 def vaw_static_bound(stream: Stream, lam: float, t: int, u: np.ndarray) -> float:

@@ -171,11 +171,12 @@ def test_criterion_05_ensemble_meta_regret():
             )
             stream, _ = gen_stream(spec)
             betas = logreg.build_grid(B=1.0, R=1.0, d=stream.d, T=stream.T)
-            run = logreg.run_ensemble(stream, betas, logreg.default_lam(1.0), B=1.0, R=1.0)
+            run, expert_yhats, weights = oracles.ensemble_rows(
+                stream, betas, logreg.default_lam(1.0), B=1.0, R=1.0)
             assert run.meta_regret <= math.log(len(betas)) + 1e-9, i
             for t in range(stream.T):
                 assert lemmas.check_mixability(
-                    run.yhats[t], run.expert_yhats[t], run.weights[t]).passed
+                    run.yhats[t], expert_yhats[t], weights[t]).passed
 
 
 def test_criterion_06_update_rule_matches_numeric_argmin():

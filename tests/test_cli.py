@@ -574,14 +574,14 @@ class TestRunEnsemble:
 
     def test_mixability_reads_the_mixture_played(self, capsys, tmp_path, monkeypatch):
         # predictions shifted off the mixture fail the check; the losses
-        # stay, so meta_regret_le_ln_n still holds
+        # stay, so meta_regret_le_ln_n still holds.  The shift happens in
+        # the check hook, where cli hands each chunk's mixture to lemmas.
         stream = make_stream(capsys, tmp_path, name="lg.csv", kind="logistic-drift", seed=5)
         run_ensemble = logreg.run_ensemble
 
         def shifted(*args):
-            run = run_ensemble(*args)
-            run.yhats += 1.0
-            return run
+            *args, check = args
+            return run_ensemble(*args, lambda rows, mix, yhats, p: check(rows, mix + 1.0, yhats, p))
 
         monkeypatch.setattr(logreg, "run_ensemble", shifted)
         code, stdout, err = run_cli(capsys, "run-ensemble", "--stream", str(stream))
@@ -1629,3 +1629,27 @@ class TestRunMemory:
             return job
 
         assert peak(40000) - peak(4000) <= 8 * (d + 4) * (40000 - 4000) + (1 << 16)
+
+    # run-ensemble --out holds its inputs' arrays (the stream's (T, d + 2)
+    # parse array, the truth's (T, d + 1) one and its (T, d) path) and
+    # three T-length columns: the mixture, its losses and the best expert's
+    # loss.  The experts' predictions, losses and weights live one chunk of
+    # rounds.  So from T = 4,000 to 40,000 its peak grows by at most
+    # 8 (3 d + 6) bytes a round, plus 64 KiB of slack; a run that holds any
+    # (T, N) array (N = 14 to 18 here) grows by 8 N bytes a round more.
+    def test_run_ensemble_holds_no_array_of_experts(self, capsys, tmp_path):
+        d = 3
+
+        def peak(T):
+            stream = make_stream(capsys, tmp_path, name=f"s{T}.csv", kind="logistic-drift",
+                                 d=d, T=T, segments=4, noise=0.2, seed=1)
+            argv = ["run-ensemble", "--grid", "true", "--stream", str(stream),
+                    "--out", str(tmp_path / f"o{T}.csv")]
+            if T == 4000:
+                cli.main(argv)  # the first run imports and builds the parser
+            job = _peak(lambda: cli.main(argv))
+            capsys.readouterr()
+            return job
+
+        arrays = (d + 2) + (d + 1) + d + 3
+        assert peak(40000) - peak(4000) <= 8 * arrays * (40000 - 4000) + (1 << 16)

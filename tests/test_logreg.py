@@ -466,16 +466,15 @@ class TestEnsemble:
     def test_equal_losses_keep_weights_uniform(self):
         rng = np.random.default_rng(11)
         stream, _ = logistic_stream(rng, T=2)
-        run = logreg.run_ensemble(stream, [0.9, 0.9], 1.0, 1.0, 1.0)
-        np.testing.assert_allclose(run.weights[1], [0.5, 0.5], rtol=1e-15)
+        _, _, weights = oracles.ensemble_rows(stream, [0.9, 0.9], 1.0)
+        np.testing.assert_allclose(weights[1], [0.5, 0.5], rtol=1e-15)
 
     def test_mixability_holds_every_round(self):
         rng = np.random.default_rng(12)
         stream, _ = logistic_stream(rng, T=40)
-        run = logreg.run_ensemble(stream, [0.7, 0.9, 0.97], lam=1.0, B=1.0, R=1.0)
+        run, expert_yhats, weights = oracles.ensemble_rows(stream, [0.7, 0.9, 0.97], 1.0)
         for t in range(stream.T):
-            assert lemmas.check_mixability(
-                run.yhats[t], run.expert_yhats[t], run.weights[t]).passed
+            assert lemmas.check_mixability(run.yhats[t], expert_yhats[t], weights[t]).passed
 
 
 def per_expert_ensemble(stream, betas, lam, B, R):
@@ -535,10 +534,14 @@ class TestStackedEnsembleMatchesPerExpertLoop:
             d=d, T=T, kind="logistic-drift", segments=3, noise=0.3, seed=seed
         )
         stream, _ = gen_stream(spec)
-        run = logreg.run_ensemble(stream, betas, lam, B=1.0, R=1.0)
+        run, expert_yhats, weights = oracles.ensemble_rows(stream, betas, lam)
+        # the run's expert losses, from the predictions its check hook read
+        expert_losses = regret._loss("logistic", expert_yhats.copy(), stream.y[:, None])
+        fields = dict(expert_yhats=expert_yhats, weights=weights, yhats=run.yhats,
+                      expert_losses=expert_losses)
         ref = per_expert_ensemble(stream, betas, lam, 1.0, 1.0)
         for name, want in ref.items():
-            got = getattr(run, name)
+            got = fields[name]
             assert got.shape == want.shape, name
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), name
 
@@ -565,8 +568,23 @@ def per_round_ensemble(stream, betas, lam, B, R):
         log_q = log_q - expert_losses[t]
         with np.errstate(over="ignore", invalid="ignore"):
             experts.absorb(z, y, yh, q)
-    return dict(yhats=yhats, mix_losses=mix_losses, expert_losses=expert_losses,
-                expert_yhats=expert_yhats, weights=weights)
+    return dict(yhats=yhats, mix_losses=mix_losses, expert_yhats=expert_yhats,
+                weights=weights, best_expert_losses=expert_losses.min(axis=1),
+                expert_totals=expert_losses.sum(axis=0))
+
+
+def checked_ensemble(stream, betas, lam):
+    """run_ensemble under cli's check, each chunk's mixability verdict
+    absorbed into one: its fields and the rows its hook read, under the
+    names of :func:`per_round_ensemble`'s, meta_regret and the verdict."""
+    verdict = lemmas.LemmaVerdict("mixability", 0, 0, float("inf"))
+
+    def check(rows, mix, yhats, p):
+        verdict.absorb(lemmas.check_mixability(mix, yhats, p))
+
+    run, expert_yhats, weights = oracles.ensemble_rows(stream, betas, lam, check=check)
+    got = {f.name: getattr(run, f.name) for f in dataclasses.fields(run) if f.name != "stream"}
+    return dict(got, expert_yhats=expert_yhats, weights=weights), run.meta_regret, verdict
 
 
 def per_round_aioli_sums(stream, beta, lam, B, R):
@@ -602,12 +620,47 @@ class TestBatchedDiagnosticsMatchPerRoundLoops:
             d=d, T=T, kind="logistic-drift", segments=3, noise=0.3, seed=seed
         )
         stream, _ = gen_stream(spec)
-        run = logreg.run_ensemble(stream, betas, lam, B=1.0, R=1.0)
+        got, _, _ = checked_ensemble(stream, betas, lam)
         for name, want in per_round_ensemble(stream, betas, lam, 1.0, 1.0).items():
-            assert same_bits(getattr(run, name), want), name
+            assert same_bits(got[name], want), name
         solo = logreg.run_aioli(stream, betas[0], lam, B=1.0, R=1.0)
         stab, pows = per_round_aioli_sums(stream, betas[0], lam, 1.0, 1.0)
         assert same_bits(solo.stab_disc, stab) and same_bits(solo.beta_pows, pows)
+
+
+def chunks_of(C):
+    """run_ensemble's chunk patched to C rounds."""
+    return mock.patch.object(logreg, "BLOCK_ROWS", C)
+
+
+class TestChunkedEnsemble:
+    # The ensemble folds its experts a chunk of streams.BLOCK_ROWS rounds
+    # at a time, carrying the expert losses summed over earlier chunks.
+    # Chunks of 1, 7 and 64 rounds and of the whole stream give the bits of
+    # the per-round referee: every field, the rows the hook reads,
+    # meta_regret and cli's mixability verdict.  At N = 1 meta_regret sums
+    # the one expert's losses pairwise, as numpy sums a (T, 1) array.
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 5),
+        T=st.integers(1, 300),
+        betas=st.lists(st.floats(0.3, 0.999), min_size=1, max_size=13),
+        lam=st.floats(0.1, 10.0),
+    )
+    @example(seed=3, d=2, T=300, betas=[0.9], lam=1.0)
+    def test_every_chunk_length_gives_the_referee_bits(self, seed, d, T, betas, lam):
+        stream, _ = gen_stream(StreamSpec(d=d, T=T, kind="logistic-drift", segments=3,
+                                          noise=0.3, seed=seed))
+        want = per_round_ensemble(stream, betas, lam, 1.0, 1.0)
+        meta = float(want["mix_losses"].sum() - want["expert_totals"].min())
+        verdict = lemmas.check_mixability(want["yhats"], want["expert_yhats"], want["weights"])
+        for C in (1, 7, 64, T):
+            with chunks_of(C):
+                got, got_meta, got_verdict = checked_ensemble(stream, betas, lam)
+            assert set(got) == set(want), C
+            for name in want:
+                assert same_bits(got[name], want[name]), (C, name)
+            assert same_bits(got_meta, meta) and got_verdict == verdict, C
 
 
 def per_round_mixability(mix, yhats, p):
@@ -763,8 +816,8 @@ class TestEnsembleErrors:
             if runner == "aioli":
                 r = logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
                 return r.yhats, r.residuals, r.stab_disc
-            r = logreg.run_ensemble(stream, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
-            return r.yhats, r.weights, r.expert_yhats
+            r, expert_yhats, weights = oracles.ensemble_rows(stream, [0.6, 0.8, 0.9], 1.0)
+            return r.yhats, weights, expert_yhats
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -785,9 +838,9 @@ class TestPublicLinalgOnlyReferees:
 
         def runs():
             solo = logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
-            pool = logreg.run_ensemble(stream, logreg.build_grid(1.0, 1.0, 3, 300),
-                                       1.0, 1.0, 1.0)
-            return solo.yhats, solo.residuals, solo.stab_disc, pool.yhats, pool.weights
+            betas = logreg.build_grid(1.0, 1.0, 3, 300)
+            pool, _, weights = oracles.ensemble_rows(stream, betas, 1.0)
+            return solo.yhats, solo.residuals, solo.stab_disc, pool.yhats, weights
 
         want = runs()
 
@@ -820,10 +873,10 @@ class TestPowerOfTwoScaling:
     def test_ensemble_keeps_its_bits(self, k):
         stream, _ = gen_stream(self.SPEC)
         betas = logreg.build_grid(1.0, 1.0, stream.d, stream.T)
-        base = logreg.run_ensemble(stream, betas, 1.0, 1.0, 1.0)
-        run = logreg.run_ensemble(Stream(stream.Z * 2.0**k, stream.y), betas, 4.0**k,
-                                  2.0**-k, 2.0**k)
-        assert same_bits(run.yhats, base.yhats) and same_bits(run.weights, base.weights)
+        base, _, base_weights = oracles.ensemble_rows(stream, betas, 1.0)
+        run, _, weights = oracles.ensemble_rows(Stream(stream.Z * 2.0**k, stream.y), betas,
+                                                4.0**k, 2.0**-k, 2.0**k)
+        assert same_bits(run.yhats, base.yhats) and same_bits(weights, base_weights)
 
 
 class TestGrid:
@@ -911,9 +964,9 @@ def assert_aioli_matches_referee(stream, beta, lam):
 
 
 def assert_ensemble_matches_referee(stream, betas, lam):
-    run = logreg.run_ensemble(stream, betas, lam, 1.0, 1.0)
+    got, _, _ = checked_ensemble(stream, betas, lam)
     for name, want in per_round_ensemble(stream, betas, lam, 1.0, 1.0).items():
-        assert same_bits(getattr(run, name), want), name
+        assert same_bits(got[name], want), name
 
 
 class TestBlockLoopMatchesPerRoundReferee:
@@ -1072,6 +1125,28 @@ class TestDeferredGuard:
         got = self.both(runner, stream, betas, reset=calls.clear)
         assert got == (RuntimeError, INDEFINITE_AT.format(1, betas[-1]))
 
+    # Chunks of 4 rounds: the check fails on the first chunk, whose weights
+    # it doubles, and expert 1 turns indefinite at round t0 of a later
+    # chunk.  The learner's error names its round of the stream, and comes
+    # first, as when the check ran after the last round; without it the
+    # check's error ends the run.
+    @pytest.mark.parametrize("t0", [5, 6, 8, 9])
+    def test_a_later_chunk_names_its_round_before_the_check_fails(self, monkeypatch, t0):
+        betas = [0.5, 2.0**-60]
+        stream = self.along_e1(12)
+
+        def check(rows, mix, yhats, p):
+            lemmas.check_mixability(mix, yhats, 2.0 * p)
+
+        def run():
+            with chunks_of(4), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                logreg.run_ensemble(stream, betas, 1.0, 1.0, 1.0, check)
+
+        assert outcome(run) == (ValueError, "weights must be nonnegative and sum to 1")
+        self.start_stacks(monkeypatch, {1: self.underflowing(60, t0)})
+        assert outcome(run) == (RuntimeError, INDEFINITE_AT.format(t0, betas[1]))
+
 
 def traced_peak(f):
     """tracemalloc peak, in bytes, of a second call of ``f``."""
@@ -1135,15 +1210,20 @@ class TestBlockWorkingSet:
         peak = traced_peak(lambda: logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0))
         assert peak <= 8 * (3 * T + states + at_a_time) + SLACK
 
-    # At the bench shape the ensemble's peak is its work after the loop:
-    # the (T, N) predictions, losses and weights, three (T,) arrays and one
-    # mix block's (3, 64, N) temporaries.  The loop's block (45 KB here)
-    # released any later breaks the bound.
+    # At the bench shape the ensemble holds its three (T,) columns and one
+    # chunk of C = streams.BLOCK_ROWS rounds: the (C, N) predictions and the
+    # (C + 1, N) summed losses.  Beside them it holds, at a time, either the
+    # loop's block (its states and their factor or a round's arrays, as
+    # above) or the mixture's (2, C, N) sigmoids.  A (T, N) array (125 KB
+    # here), or the loop's block (45 KB) kept through the mixture, breaks
+    # the bound.
     def test_the_ensemble_releases_its_block_before_the_mix(self):
         T, d = 1200, 3
         stream, _ = gen_stream(StreamSpec(kind="logistic-drift", d=d, T=T, segments=4,
                                           noise=0.2, seed=1))
         pool = logreg.build_grid(1.0, 1.0, d, T)
-        N = len(pool)
+        N, L, C = len(pool), block_rounds(len(pool), d), min(T, logreg.BLOCK_ROWS)
+        states = (L + 1) * N * (d * d + d)
+        loop = states + max(L * N * d * d, L * d * d + N * d * d)
         peak = traced_peak(lambda: logreg.run_ensemble(stream, pool, 1.0, 1.0, 1.0))
-        assert peak <= 8 * (3 * T * N + 3 * T + 3 * logreg._MIX_BLOCK * N) + SLACK
+        assert peak <= 8 * (3 * T + 2 * (C + 1) * N + max(loop, 2 * C * N)) + SLACK
