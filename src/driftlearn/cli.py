@@ -680,6 +680,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, ValueError, RuntimeError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

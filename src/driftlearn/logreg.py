@@ -430,7 +430,8 @@ def rescaled_bound_check(
     for u in comparators:
         u = np.asarray(u, dtype=float)
         bounds = run.beta_pows * 0.5 * run.lam * (u @ u) + scale * run.stab_disc
-        regrets = discounted_scan(run.losses_at_play - ledger.loss_eval_batch(u), run.beta)
+        regrets = run.losses_at_play - ledger.loss_eval_batch(u)
+        regrets = discounted_scan(regrets, run.beta, out=regrets)  # in place, at the same bits
         # minimum keeps a nan slack, so the worst slack reads a failed prefix
         worst = float(np.minimum.reduce(bounds - regrets, initial=worst))
         ok = ok and bool(bound_holds(regrets, bounds).all())

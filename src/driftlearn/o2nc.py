@@ -7,15 +7,16 @@ One run executes, per round t = 1..T,
     g_t = grad F(x_t) plus bounded noise (see `run_o2nc`),
     fold g_t into the update state with `adam.adam_update`.
 
-Only this part is sequential.  A round makes those two calls into `adam`
-and one `Objective.grad` call, and calls no other function written in
-Python; it draws r_t, uniform on [0, 1), and the noise's d + 1 normals
-itself, in that order, the normals into one buffer made before the loop.
-It records s_t and Delta_t in the trace's columns, and g_t and grad F(x_t)
-in two buffers of one block of rounds.  After each block `run_o2nc`
-computes the rest from the block's rows and three rows carried from the
-block before, with the roundings of the per-round formulas: the check
-|g_t| <= G, the dynamic-regret terms against the drifting comparator
+Only this part is sequential, and `_rounds` is its one loop, run once a
+block of rounds.  A round makes those two calls into `adam` and one
+`Objective.grad` call, and calls no other function written in Python; it
+draws r_t, uniform on [0, 1), and the noise's d + 1 normals itself, in that
+order, the normals into one buffer made before the loop.  It records s_t in
+the trace's column, and Delta_t, g_t and grad F(x_t) in three buffers of
+one block of rounds.  After each block `run_o2nc` takes |Delta_t| into a
+column and computes the rest from the block's rows and three rows carried
+from the block before, with the roundings of the per-round formulas: the
+check |g_t| <= G, the dynamic-regret terms against the drifting comparator
 
     u_t = -D * a_t / |a_t|,   a_t = sum_{s<=t} beta^(t-s) grad F(x_s),
 
@@ -28,19 +29,22 @@ averages
 with beta = beta1 (xbar_t by one `discounted_scan` a block with a discount
 per row, from `ema_coefficients`), and the gradient norms at them.  The
 rows are those of one pass over all T rounds, bit for bit.  The run holds
-one (T, d) array, Delta_t, and T-length columns; everything else is one
-block's.  The loop takes one true gradient a round, at x_t; the gradients
-at a block's xbar_t come from one `Objective.grad_rows` call after it.  The
-returned point is drawn uniformly from the running averages, and the full
-gradient-norm trace is kept since it carries strictly more information
-than the single draw.
+four T-length columns (s_t, |Delta_t|, the gradient norms at the averages
+and the regret terms); everything else is one block's.  The loop takes one
+true gradient a round, at x_t; the gradients at a block's xbar_t come from
+one `Objective.grad_rows` call after it.  The returned point is drawn
+uniformly from the running averages.  Before each block the run keeps a
+checkpoint, the Adam state, x_t, xbar_t and the generator's state it starts
+from; of these only the drawn round's block's outlives the run, and the
+point is rebuilt from it on first read.  The full gradient-norm trace is
+kept since it carries strictly more information than the single draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -193,29 +197,31 @@ def _to_comparators(acc: np.ndarray, D: float) -> int:
 
 @dataclass
 class O2ncTrace:
-    """Diagnostic record of one driver run.
+    """Diagnostic record of one driver run: four columns of T rows and the
+    point the conversion returns.
 
-    The iterates, the running averages and the comparators are not stored:
-    x_t is, bit for bit, ``np.add.accumulate`` over the rows
-    [x0 + s_1 Delta_1, s_2 Delta_2, ..., s_T Delta_T], u_t is a function of
-    the true gradients at them, and of the running averages only the drawn
-    one, ``xbar_final`` (the average at ``final_index``), is kept.  The
-    run's inputs, x0 among them, are the caller's.
+    Delta_t, the iterates, the running averages and the comparators are not
+    stored.  Delta_t lives one block of rounds, and the trace keeps its norm;
+    x_t is the running sum of x0 and the rows s_t Delta_t, and u_t a function
+    of the true gradients at them.  Of the running averages only the drawn
+    one, ``xbar_final`` (the average at ``final_index``), is returned: it is
+    rebuilt from the checkpoint of its block on first read, by ``replay``.
+    The run's inputs, x0 among them, are the caller's.
     """
 
-    xbar_final: np.ndarray       # running average at final_index
     scalings: np.ndarray         # s_t
-    deltas: np.ndarray           # Delta_t, shape (T, d)
+    delta_norms: np.ndarray      # |Delta_t|: adam._norm's bits, as the clip takes them
     grad_norms_at_xbar: np.ndarray
     dynreg_terms: np.ndarray
     zero_comparators: int
     final_index: int             # uniform draw over 1..T (0-based here)
+    replay: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def delta_norms(self) -> np.ndarray:
-        """|Delta_t| per round, computed once on first read: ``adam._norm``'s
-        bits on every row, as the clip in ``adam.delta_for`` takes them."""
-        return _row_norms(self.deltas)
+    def xbar_final(self) -> np.ndarray:
+        """The running average at ``final_index``, rebuilt on first read by
+        running its block again up to that round, and kept."""
+        return self.replay()
 
     def to_csv(self, out, header_comment: Optional[str] = None) -> None:
         """Write the CSV trace `t,s_t,||delta||,||grad_at_xbar||,dynreg_term`
@@ -226,9 +232,9 @@ class O2ncTrace:
 
 
 # Bytes of one (K, d) block buffer; a block of run_o2nc holds
-# max(1, this // (8 d)) rounds.  A block's working set is its two buffers,
-# g_t and grad F(x_t), and two (K, d) arrays more: its averages and the
-# gradients at them.
+# max(1, this // (8 d)) rounds.  A block's working set is its three
+# buffers, Delta_t, g_t and grad F(x_t), and two (K, d) arrays more: its
+# averages and the gradients at them.
 _BLOCK_BYTES = 1 << 16
 
 
@@ -237,36 +243,92 @@ def _block_rounds(d: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * d))
 
 
+def _rounds(
+    cfg: AdamConfig, objective: Objective, sigma: float, state: AdamState, x: np.ndarray,
+    rng: np.random.Generator, scalings: np.ndarray, deltas: np.ndarray, grads: np.ndarray,
+    true_grads: np.ndarray,
+) -> tuple[AdamState, np.ndarray]:
+    """Run len(scalings) rounds from the Adam state ``state`` and the iterate
+    ``x``, drawing from ``rng``, and return the state and the iterate after
+    the last.  Round i writes its s_t, Delta_t, g_t and grad F(x_t) into row
+    i of the four buffers.
+
+    The sequential core of the run.  A round calls into adam twice and takes
+    one true gradient, and calls no other function written in Python: the
+    draws, s_t = -ln(1 - r) and then the noise's d + 1 normals, the norms
+    (_norm's finite-square path) and the noise step are inline, on names
+    bound once here.
+    """
+    grad, G, inf = objective.grad, objective.lipschitz, math.inf
+    uniform, normal, sqrt, log, vdot = rng.random, rng.standard_normal, math.sqrt, math.log, np.vdot
+    normals = np.empty(objective.dim + 1)
+    direction = normals[:-1]
+    for i in range(len(scalings)):
+        delta = delta_for(cfg, state)
+        s_t = -log(1.0 - uniform())
+        x = x + s_t * delta
+        true_g = grad(x)
+        sq = vdot(true_g, true_g)
+        gap = G - (sqrt(sq) if sq < inf else _norm(true_g))
+        normal(out=normals)
+        nd = sqrt(vdot(direction, direction))
+        magnitude = min(sigma * abs(float(normals[-1])), max(gap, 0.0))
+        g = true_g if nd == 0.0 or magnitude == 0.0 else true_g + (magnitude / nd) * direction
+        state = adam_update(cfg, state, g)
+        scalings[i] = s_t
+        deltas[i] = delta
+        grads[i] = g
+        true_grads[i] = true_g
+    return state, x
+
+
 def _averages(
     beta: float, start: int, scalings: np.ndarray, deltas: np.ndarray, x: np.ndarray,
     xbar: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The running averages xbar_t of the rounds t = start+1..start+n, given
     their s_t and Delta_t and the iterate x and the average xbar of round
-    ``start`` (x0 both at 0), and the last iterate x_{start+n}."""
+    ``start`` (x0 both at 0)."""
     c_prev, c_new = ema_coefficients(beta, start + len(scalings), start)
     xbars = scalings[:, None] * deltas  # x_t: the running sum of x and s_t Delta_t
     xbars[0] += x
     np.add.accumulate(xbars, axis=0, out=xbars)
-    last = xbars[-1].copy()
     xbars *= c_new[:, None]
-    discounted_scan(xbars, c_prev, xbar, out=xbars)  # xbar_t, started from xbar
-    return xbars, last
+    return discounted_scan(xbars, c_prev, xbar, out=xbars)  # xbar_t, started from xbar
+
+
+def _replay(
+    cfg: AdamConfig, objective: Objective, sigma: float, start: int, index: int,
+    checkpoint: tuple,
+) -> np.ndarray:
+    """xbar at round ``index`` (0-based) of a run, by running the rounds
+    start+1..index+1 again from ``checkpoint``: the Adam state, the iterate,
+    the average and the generator's state their block started from."""
+    state, x, xbar, rng_state = checkpoint
+    rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = rng_state
+    n, d = index + 1 - start, objective.dim
+    scalings, deltas = np.empty(n), np.empty((n, d))
+    _rounds(cfg, objective, sigma, state, x, rng, scalings, deltas, np.empty((n, d)),
+            np.empty((n, d)))
+    return _averages(cfg.beta1, start, scalings, deltas, x, xbar)[-1].copy()
 
 
 class _Diagnostics:
     """What `run_o2nc` computes from its rows, a block of K rounds at a time.
 
-    A block starts from three rows the block before carries: the accumulator
-    a_t, the iterate x_t and the average xbar_t.  The first over-bound g_t and
-    the first nan term are recorded, and once either is, nothing but the
-    bound check runs: the run raises.
+    ``starts`` holds each block's checkpoint, (Adam state, x, xbar,
+    generator state) before its first round, which `run_o2nc` appends.  A
+    block's rows start from the accumulator a_t the block before carries and
+    from the iterate and the average of its checkpoint.  The first
+    over-bound g_t and the first nan term are recorded, and once either is,
+    nothing but the bound check runs: the run raises.
     """
 
-    def __init__(self, cfg: AdamConfig, objective: Objective, T: int, K: int, x0: np.ndarray):
-        self.cfg, self.objective, self.K = cfg, objective, K
-        self.a, self.x, self.xbar = np.zeros(objective.dim), x0, x0
-        self.starts: list[tuple[np.ndarray, np.ndarray]] = []  # (x, xbar) before each block
+    def __init__(self, cfg: AdamConfig, objective: Objective, T: int, x0: np.ndarray):
+        self.cfg, self.objective = cfg, objective
+        self.a, self.xbar = np.zeros(objective.dim), x0
+        self.starts: list[tuple[AdamState, np.ndarray, np.ndarray, dict]] = []
         self.dynreg, self.grad_norms = np.empty(T), np.empty(T)
         self.zero_comparators = 0
         self.over: Optional[tuple[int, float]] = None  # (round index, |g_t|)
@@ -301,8 +363,8 @@ class _Diagnostics:
         if len(nan):
             self.nan = start + int(nan[0])
             return
-        self.starts.append((self.x, self.xbar))
-        xbars, self.x = _averages(cfg.beta1, start, scalings, deltas, self.x, self.xbar)
+        _, x, xbar, _ = self.starts[-1]
+        xbars = _averages(cfg.beta1, start, scalings, deltas, x, xbar)
         self.xbar = xbars[-1].copy()
         self.grad_norms[rows] = _row_norms(self.objective.grad_rows(xbars))
 
@@ -317,15 +379,6 @@ class _Diagnostics:
             raise ValueError(
                 f"round {self.nan + 1}: the dynamic-regret term is nan (its products overflow)"
             )
-
-    def xbar_at(self, index: int, scalings: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-        """xbar at round ``index`` (0-based), by running its block again from
-        the rows carried into it, up to that round."""
-        start = index - index % self.K
-        x, xbar = self.starts[index // self.K]
-        rows = slice(start, index + 1)
-        xbars, _ = _averages(self.cfg.beta1, start, scalings[rows], deltas[rows], x, xbar)
-        return xbars[-1].copy()
 
 
 def run_o2nc(
@@ -352,55 +405,35 @@ def run_o2nc(
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     d = objective.dim
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)  # a copy: the first block's checkpoint holds it
     if x0.shape != (d,):
         raise ValueError(f"x0 must have the shape ({d},) of one point, got {x0.shape}")
-    x = x0  # rebound each round, never written in place
     rng = philox_rng(seed)
-    state = AdamState.fresh(d)
 
-    # The sequential core; everything else is computed from its rows, a
-    # block at a time.  A round calls into adam twice and takes one true
-    # gradient, and calls no other function written in Python: the draws,
-    # s_t = -ln(1 - r) and then the noise's d + 1 normals, the norms
-    # (_norm's finite-square path) and the noise step are inline, on names
-    # bound once here.  Of the rows only Delta_t is kept whole; g_t and
-    # grad F(x_t) live one block.
+    # The rounds run a block at a time through `_rounds`; everything else is
+    # computed from a block's rows after it.  Of the rows only s_t and
+    # |Delta_t| are kept, as columns; Delta_t, g_t and grad F(x_t) live one
+    # block.  Each block's checkpoint is kept until the returned round is
+    # drawn, and then only that round's.
     K = min(T, _block_rounds(d))
-    scalings = np.empty(T)
-    deltas = np.empty((T, d))
-    grads = np.empty((K, d))       # g_t
-    true_grads = np.empty((K, d))  # grad F(x_t)
-    diagnostics = _Diagnostics(cfg, objective, T, K, x0)
-    grad, G, inf = objective.grad, objective.lipschitz, math.inf
-    uniform, normal, sqrt, log, vdot = rng.random, rng.standard_normal, math.sqrt, math.log, np.vdot
-    normals = np.empty(d + 1)
-    direction = normals[:-1]
+    scalings, delta_norms = np.empty(T), np.empty(T)
+    deltas, grads, true_grads = np.empty((K, d)), np.empty((K, d)), np.empty((K, d))
+    diagnostics = _Diagnostics(cfg, objective, T, x0)
+    state, x = AdamState.fresh(d), x0
     for start in range(0, T, K):
         n = min(K, T - start)
-        block_scalings, block_deltas = scalings[start:start + n], deltas[start:start + n]
-        for i in range(n):
-            delta = delta_for(cfg, state)
-            s_t = -log(1.0 - uniform())
-            x = x + s_t * delta
-            true_g = grad(x)
-            sq = vdot(true_g, true_g)
-            gap = G - (sqrt(sq) if sq < inf else _norm(true_g))
-            normal(out=normals)
-            nd = sqrt(vdot(direction, direction))
-            magnitude = min(sigma * abs(float(normals[-1])), max(gap, 0.0))
-            g = true_g if nd == 0.0 or magnitude == 0.0 else true_g + (magnitude / nd) * direction
-            state = adam_update(cfg, state, g)
-            block_scalings[i] = s_t
-            block_deltas[i] = delta
-            grads[i] = g
-            true_grads[i] = true_g
-        diagnostics.absorb(start, block_scalings, block_deltas, grads[:n], true_grads[:n])
+        rows = slice(start, start + n)
+        diagnostics.starts.append((state, x, diagnostics.xbar, rng.bit_generator.state))
+        state, x = _rounds(cfg, objective, sigma, state, x, rng, scalings[rows], deltas[:n],
+                           grads[:n], true_grads[:n])
+        delta_norms[rows] = _row_norms(deltas[:n])
+        diagnostics.absorb(start, scalings[rows], deltas[:n], grads[:n], true_grads[:n])
     final_index = int(rng.integers(T))
     diagnostics.check()
+    replay = partial(_replay, cfg, objective, sigma, final_index - final_index % K, final_index,
+                     diagnostics.starts[final_index // K])
     return O2ncTrace(
-        xbar_final=diagnostics.xbar_at(final_index, scalings, deltas), scalings=scalings,
-        deltas=deltas, grad_norms_at_xbar=diagnostics.grad_norms,
+        scalings=scalings, delta_norms=delta_norms, grad_norms_at_xbar=diagnostics.grad_norms,
         dynreg_terms=diagnostics.dynreg, zero_comparators=diagnostics.zero_comparators,
-        final_index=final_index,
+        final_index=final_index, replay=replay,
     )

@@ -3,12 +3,15 @@ bound check of the library computes, and the referees that the library's
 inlined or batched steps are held to bit for bit (`clip_to_ball`,
 `reference_delta_for`, `exp_sample`, `perturb`, the per-round AIOLI of
 `PerRoundExperts`, and the per-row truth writer `path_csv_rowwise`),
-`csv_written`, the text a CSV writer writes into an open file, and
-`ensemble_rows`, the (T, N) rows an ensemble run hands its check hook.
+`csv_written`, the text a CSV writer writes into an open file,
+`ensemble_rows`, the (T, N) rows an ensemble run hands its check hook, and
+`reference_o2nc`, the per-round driver loop whose Delta_t rows the tests
+read, since an `O2ncTrace` keeps only their norms.
 ``ftrl_equivalence_residual`` needs scipy, a test dependency of driftlearn
 and not a runtime one.
 """
 
+import dataclasses
 import io
 import math
 import warnings
@@ -131,6 +134,98 @@ def perturb(
     if nd == 0.0 or magnitude == 0.0:
         return g
     return g + (magnitude / nd) * direction
+
+
+def reference_objective(obj):
+    """The zoo objective with its gradient as written before the norms went
+    through math.sqrt (the max-of-affines gradient takes no norm)."""
+    radius = obj.lipschitz
+
+    def quadratic_grad(x):
+        r = float(np.linalg.norm(x))
+        if r <= radius or r == 0.0:
+            return np.asarray(x, dtype=float).copy()
+        return (radius / r) * np.asarray(x, dtype=float)
+
+    def norm_grad(x):
+        r = float(np.linalg.norm(x))
+        if r == 0.0:
+            return np.zeros(obj.dim)
+        return np.asarray(x, dtype=float) / r
+
+    grads = {"clamped-quadratic": quadratic_grad, "euclidean-norm": norm_grad}
+    return dataclasses.replace(obj, grad=grads.get(obj.name, obj.grad))
+
+
+def reference_o2nc(cfg, objective, sigma, T, seed, x0, referees=False):
+    """Copy of the driver loop as it ran with three true gradients a round:
+    one inside the oracle, one for the accumulator, one at the average.
+    With ``referees`` each round takes Delta_t and g_t from the referees in
+    oracles, `reference_delta_for` and `perturb`, as run_o2nc did before its
+    clip and its draws went inline; s_t is always `exp_sample`'s."""
+    obj = reference_objective(objective)
+
+    def sample(x, rng):
+        g = obj.grad(x)
+        gap = obj.lipschitz - float(np.linalg.norm(g))
+        direction = rng.standard_normal(obj.dim)
+        nd = float(np.linalg.norm(direction))
+        magnitude = min(sigma * abs(float(rng.standard_normal())), max(gap, 0.0))
+        if nd == 0.0 or magnitude == 0.0:
+            return g
+        return g + (magnitude / nd) * direction
+
+    def delta_for(m, v, beta1_pow):
+        denom = cfg.nu + math.sqrt((1.0 - cfg.beta2) * v)
+        if cfg.variant == "clipped":
+            a = -cfg.gamma * (1.0 - cfg.beta1) * m / denom
+            norm = float(np.linalg.norm(a))
+            if norm <= cfg.D or norm == 0.0:
+                return a
+            return (cfg.D / norm) * a
+        damping = cfg.gamma * cfg.mu * (1.0 - beta1_pow)
+        denom = cfg.nu + damping + math.sqrt((1.0 - cfg.beta2) * v)
+        return -cfg.gamma * (1.0 - cfg.beta1) * m / denom
+
+    if referees:
+        def delta_for(m, v, beta1_pow):
+            return reference_delta_for(cfg, AdamState(m, v, beta1_pow))
+
+        def sample(x, rng):
+            return perturb(obj, sigma, obj.grad(x), rng)
+
+    d = obj.dim
+    x = np.asarray(x0, dtype=float).copy()
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    m, v, beta1_pow = np.zeros(d), 0.0, 1.0
+    acc, xbar = np.zeros(d), x.copy()
+    rows = {k: [] for k in ("xs", "xbars", "scalings", "deltas", "grad_norms_at_xbar",
+                            "dynreg_terms")}
+    zero = 0
+    for t in range(1, T + 1):
+        delta = delta_for(m, v, beta1_pow)
+        s_t = exp_sample(rng)
+        x = x + s_t * delta
+        g = sample(x, rng)
+        acc = cfg.beta1 * acc + obj.grad(x)
+        acc_norm = float(np.linalg.norm(acc))
+        if acc_norm > 0.0:
+            u = -cfg.D * acc / acc_norm
+        else:
+            u = np.zeros(d)
+            zero += 1
+        term = float(g @ (delta - u))
+        if cfg.variant == "clip-free":
+            term += 0.5 * cfg.mu * (float(delta @ delta) - float(u @ u))
+        m, v, beta1_pow = cfg.beta1 * m + g, cfg.beta2 * v + float(g @ g), beta1_pow * cfg.beta1
+        bt = cfg.beta1**t
+        xbar = (cfg.beta1 - bt) / (1.0 - bt) * xbar + (1.0 - cfg.beta1) / (1.0 - bt) * x
+        for k, val in (("xs", x), ("xbars", xbar), ("scalings", s_t), ("deltas", delta),
+                       ("grad_norms_at_xbar", float(np.linalg.norm(obj.grad(xbar)))),
+                       ("dynreg_terms", term)):
+            rows[k].append(val)
+    fields = {k: np.array(val) for k, val in rows.items()}
+    return fields, zero, int(rng.integers(T))
 
 
 def eta_t(cfg: AdamConfig, state: AdamState) -> float:

@@ -259,8 +259,11 @@ def test_criterion_09_driver_convergence(variant):
         print(f"  {variant}: grad at start {g0:.3f}, tail mean {tail.mean():.4f}")
         assert tail.mean() < 0.1 * g0
         if variant == "clipped":
-            # np.linalg.norm, not the library's norm: an independent referee
-            norms = np.linalg.norm(trace.deltas, axis=1)
+            # np.linalg.norm, not the library's norm, of the referee loop's
+            # Delta_t: an independent referee (the trace keeps |Delta_t| alone)
+            rows, _, _ = oracles.reference_o2nc(cfg, objective, sigma, T, 909, x0)
+            assert np.array_equal(rows["scalings"], trace.scalings)
+            norms = np.linalg.norm(rows["deltas"], axis=1)
             assert np.all(norms <= rep.D * (1.0 + 1e-12))
 
 

@@ -1009,7 +1009,7 @@ def _run_past_the_clip(monkeypatch):
 
     def run_past_d(cfg, *args):
         trace = run(cfg, *args)
-        trace.deltas[0, 0] = 2.0 * cfg.D  # one Delta_t outside the radius D
+        trace.delta_norms[0] = 2.0 * cfg.D  # one Delta_t outside the radius D
         return trace
 
     monkeypatch.setattr(o2nc, "run_o2nc", run_past_d)
@@ -1498,6 +1498,32 @@ class TestLibraryImportFailure:
         assert sorted(files[0]) == ["g.csv", "g.truth.csv"] and files[0] == files[1]
 
 
+class TestOutOfMemory:
+    # T = 10^18 rounds ask numpy for 6.94 EiB at once, past any 64-bit
+    # address space (2^57 bytes at most), so the allocation fails before any
+    # round, on any host; 10^15 rounds (7.11 PiB) would fit in one where the
+    # kernel overcommits unconditionally
+    @pytest.mark.parametrize("argv", [
+        ["run-o2nc", "--dim", "10", "--T", str(10**18), "--seed", "1"],
+        ["gen", "--d", "3", "--T", str(10**18), "--seed", "1", "--out", "x.csv"],
+    ], ids=["run-o2nc", "gen"])
+    def test_an_exabyte_run_exits_one_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: out of memory: Unable to allocate 6.94 EiB ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_empty_message_ends_the_line(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(o2nc, "run_o2nc", exhausted)
+        code, out, err = run_cli(capsys, "run-o2nc", "--T", "10", "--seed", "1")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 class TestChoiceMessages:
     def test_every_default_is_none_or_one_of_its_choices(self):
         # _resolve_config checks only a value other than the default
@@ -1609,13 +1635,16 @@ class TestRunMemory:
         arrays = 8 * (40000 - 4000) * (3 * d + 3)
         assert job_40 - job_4 <= memory_40 - memory_4 + arrays
 
-    # run-o2nc --out holds one (T, d) array, Delta_t, and T-length columns:
-    # s_t, the regret terms, the gradient norms at the averages and then
-    # |Delta_t|.  g_t and grad F(x_t) live one block of rounds, and so do the
-    # iterates and the averages.  So from T = 4,000 to 40,000 its peak grows
-    # by at most 8 (d + 4) bytes a round, plus 64 KiB of slack; a run that
-    # holds g_t or grad F(x_t) whole grows by 8 d bytes a round more.
-    def test_run_o2nc_holds_one_array_of_rounds(self, capsys, tmp_path):
+    # run-o2nc --out holds four T-length columns: s_t, |Delta_t|, the regret
+    # terms and the gradient norms at the averages.  Delta_t, g_t and
+    # grad F(x_t) live one block of K rounds, and so do the iterates and the
+    # averages.  Before each block the run keeps a checkpoint until the
+    # returned round is drawn: an AdamState, two points and a Philox state,
+    # 1.3 KB at d = 10, of which 2 KiB are allowed.  So from T = 4,000 to
+    # 40,000 its peak grows by at most 32 bytes a round and a checkpoint a
+    # block, plus 64 KiB of slack; a run that holds Delta_t, g_t or
+    # grad F(x_t) whole grows by 8 d bytes a round more.
+    def test_run_o2nc_holds_four_columns_of_rounds(self, capsys, tmp_path):
         d = 10
 
         def peak(T):
@@ -1628,7 +1657,37 @@ class TestRunMemory:
             capsys.readouterr()
             return job
 
-        assert peak(40000) - peak(4000) <= 8 * (d + 4) * (40000 - 4000) + (1 << 16)
+        K = o2nc._block_rounds(d)
+        checkpoints = math.ceil(40000 / K) - math.ceil(4000 / K)
+        assert peak(40000) - peak(4000) <= (
+            8 * 4 * (40000 - 4000) + 2048 * checkpoints + (1 << 16))
+
+    # run-aioli --out holds its inputs' arrays (the stream's (T, d + 2) parse
+    # array and the truth's (T, d) path: the truth's (T, d + 1) parse array
+    # is dropped once the path is copied out), the five T-length columns of
+    # its AioliRun (predictions, losses at play, stability sums, beta^t and
+    # residuals), and its ledger's T + 1 powers of beta.  Its peak is in
+    # logreg.rescaled_bound_check, which holds five T-length arrays more: its
+    # own ledger's powers of beta, one comparator's bounds, the regrets of
+    # the comparator before, this one's regrets (scanned in place) and the
+    # column the scan builds.  So from T = 4,000 to 40,000 its peak grows by
+    # at most 8 (2 d + 13) bytes a round, plus 64 KiB of slack.
+    def test_run_aioli_grows_by_its_inputs_columns_and_check(self, capsys, tmp_path):
+        d = 3
+
+        def peak(T):
+            stream = make_stream(capsys, tmp_path, name=f"s{T}.csv", kind="logistic-drift",
+                                 d=d, T=T, segments=4, noise=0.2, seed=1)
+            argv = ["run-aioli", "--beta", "0.9", "--B", "1", "--R", "1",
+                    "--stream", str(stream), "--out", str(tmp_path / f"o{T}.csv")]
+            if T == 4000:
+                cli.main(argv)  # the first run imports and builds the parser
+            job = _peak(lambda: cli.main(argv))
+            capsys.readouterr()
+            return job
+
+        arrays = (d + 2) + d + 5 + 1 + 5
+        assert peak(40000) - peak(4000) <= 8 * arrays * (40000 - 4000) + (1 << 16)
 
     # run-ensemble --out holds its inputs' arrays (the stream's (T, d + 2)
     # parse array, the truth's (T, d + 1) one and its (T, d) path) and

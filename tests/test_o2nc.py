@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from driftlearn import adam, o2nc
 from driftlearn.streams import discounted_scan, philox_rng
-from oracles import csv_written, exp_sample, perturb, reference_delta_for, stationarity_surrogate
+from oracles import csv_written, exp_sample, perturb, reference_o2nc, stationarity_surrogate
 
 
 def small_clipped_cfg(**kw):
@@ -27,11 +27,22 @@ class FixedUniform:
         return self.r
 
 
-def iterates(trace, x0):
-    """x_1..x_T rebuilt from the trace of a run from x0: the running sum of
-    x0 and s_t Delta_t."""
-    steps = trace.scalings[:, None] * trace.deltas
+def iterates(rows, x0):
+    """x_1..x_T rebuilt from the referee's rows of a run from x0: the running
+    sum of x0 and s_t Delta_t."""
+    steps = rows["scalings"][:, None] * rows["deltas"]
     return np.add.accumulate(np.vstack([x0, steps]))[1:]
+
+
+def referee_rows(trace, cfg, obj, sigma, seed, x0):
+    """The rows of `reference_o2nc`'s run of the config that made ``trace``,
+    whose s_t and |Delta_t| it checks are the trace's, bit for bit.  A trace
+    keeps no Delta_t, so the tests take Delta_t from the referee."""
+    rows, _, _ = reference_o2nc(cfg, obj, sigma, len(trace.scalings), seed, x0)
+    assert bits(trace.scalings).tolist() == bits(rows["scalings"]).tolist()
+    norms = [adam._norm(delta) for delta in rows["deltas"]]
+    assert bits(trace.delta_norms).tolist() == bits(norms).tolist()
+    return rows
 
 
 class TestExpSample:
@@ -132,13 +143,18 @@ class TestComparatorPath:
     is the true gradient at x_t, so every term follows from the iterates."""
 
     def run(self, obj, x0, T=200, D=0.05):
+        """The run's trace and the referee's rows of it.  The referee forms
+        u_t as -D a_t / |a_t|, which overflows where the run's does not; no
+        test here reads it."""
         cfg = small_clipped_cfg(D=D)
-        return o2nc.run_o2nc(cfg, obj, 0.0, T=T, seed=4, x0=x0)
+        trace = o2nc.run_o2nc(cfg, obj, 0.0, T=T, seed=4, x0=x0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return trace, referee_rows(trace, cfg, obj, 0.0, 4, x0)
 
     def test_single_gradient_normalized(self):
         # g = (3, 4), Delta_1 = 0 and u_1 = -(0.6, 0.8): the term is g.(-u_1) = 5
         obj = o2nc.clamped_quadratic(2, radius=10.0)
-        trace = self.run(obj, np.array([3.0, 4.0]), T=1, D=1.0)
+        trace, _ = self.run(obj, np.array([3.0, 4.0]), T=1, D=1.0)
         assert trace.dynreg_terms[0] == pytest.approx(5.0, rel=1e-15)
 
     @pytest.mark.parametrize("obj, x0, D", [
@@ -146,13 +162,13 @@ class TestComparatorPath:
         (o2nc.max_affine(3, pieces=5, seed=2), np.ones(3), 2.5),
     ], ids=["quadratic", "maxaffine"])
     def test_matches_recomputed_true_gradient_accumulator(self, obj, x0, D):
-        trace = self.run(obj, x0, D=D)
+        trace, rows = self.run(obj, x0, D=D)
         a = np.zeros(3)
-        for t, x in enumerate(iterates(trace, x0)):
+        for t, x in enumerate(iterates(rows, x0)):
             g = obj.grad(x)
             a = 0.9 * a + g
             u = -D * a / np.linalg.norm(a)
-            term = float(g @ (trace.deltas[t] - u))
+            term = float(g @ (rows["deltas"][t] - u))
             assert trace.dynreg_terms[t] == pytest.approx(term, rel=1e-12, abs=1e-15)
         assert trace.zero_comparators == 0
 
@@ -163,20 +179,20 @@ class TestComparatorPath:
         D = 5e154
         obj = o2nc.clamped_quadratic(2, radius=1e160)
         x0 = np.array([6e152, 8e152])
-        trace = self.run(obj, x0, T=8, D=D)
+        trace, rows = self.run(obj, x0, T=8, D=D)
         a, overflows = np.zeros(2), 0
-        for t, x in enumerate(iterates(trace, x0)):
+        for t, x in enumerate(iterates(rows, x0)):
             g = obj.grad(x)
             a = 0.9 * a + g
             norm = math.hypot(*a)
             overflows += D * norm == math.inf
-            term = float(np.vdot(g, trace.deltas[t] - (-D / norm) * a))
+            term = float(np.vdot(g, rows["deltas"][t] - (-D / norm) * a))
             assert trace.dynreg_terms[t] == pytest.approx(term, rel=1e-12)
         assert overflows == 4
 
     def test_zero_history_yields_zero_comparator(self):
         obj = o2nc.clamped_quadratic(2, radius=1.0)
-        trace = self.run(obj, np.zeros(2), T=4)
+        trace, _ = self.run(obj, np.zeros(2), T=4)
         assert np.array_equal(trace.dynreg_terms, np.zeros(4))
         assert trace.zero_comparators == 4
 
@@ -185,8 +201,10 @@ class TestRunLoop:
     def test_first_step_does_not_move(self):
         obj = o2nc.clamped_quadratic(3, radius=1.0)
         x0 = np.array([0.5, 0.0, 0.0])
-        trace = o2nc.run_o2nc(small_clipped_cfg(), obj, 0.1, T=1, seed=0, x0=x0)
-        np.testing.assert_array_equal(trace.deltas[0], np.zeros(3))
+        cfg = small_clipped_cfg()
+        trace = o2nc.run_o2nc(cfg, obj, 0.1, T=1, seed=0, x0=x0)
+        rows = referee_rows(trace, cfg, obj, 0.1, 0, x0)
+        np.testing.assert_array_equal(rows["deltas"][0], np.zeros(3))
         assert trace.final_index == 0
         np.testing.assert_array_equal(trace.xbar_final, x0)  # xbar_1 = x_1 exactly
 
@@ -212,7 +230,8 @@ class TestRunLoop:
         cfg = small_clipped_cfg(D=0.02)
         x0 = np.ones(4)
         trace = o2nc.run_o2nc(cfg, obj, 0.2, T=400, seed=3, x0=x0)
-        steps = np.diff(np.vstack([x0, iterates(trace, x0)]), axis=0)
+        rows = referee_rows(trace, cfg, obj, 0.2, 3, x0)
+        steps = np.diff(np.vstack([x0, iterates(rows, x0)]), axis=0)
         caps = trace.scalings * 0.02
         assert np.all(np.linalg.norm(steps, axis=1) <= caps * (1.0 + 1e-9))
 
@@ -222,23 +241,20 @@ class TestRunLoop:
         t1 = o2nc.run_o2nc(cfg, obj, 0.3, T=200, seed=42, x0=np.zeros(3))
         t2 = o2nc.run_o2nc(cfg, obj, 0.3, T=200, seed=42, x0=np.zeros(3))
         assert np.array_equal(t1.xbar_final, t2.xbar_final)
-        assert np.array_equal(t1.deltas, t2.deltas)
+        assert np.array_equal(t1.delta_norms, t2.delta_norms)  # the trace keeps no Delta_t
         assert np.array_equal(t1.scalings, t2.scalings)
         assert t1.final_index == t2.final_index
         assert csv_written(t1.to_csv) == csv_written(t2.to_csv)
 
     def test_delta_norms_past_the_square_overflow(self):
         # rows of |Delta| up to 1e300: adam._norm's bits on every row, the
-        # clip's, both while the squares stay finite and past about 1.3e154
+        # clip's, both while the squares stay finite and past about 1.3e154.
+        # run_o2nc fills its delta_norms column with _row_norms of each
+        # block's Delta_t rows
         rng = np.random.default_rng(5)
         scales = np.array([1.0, 1e150, 1e156, 1e200, 1e300])
         deltas = rng.standard_normal((5, 3)) * scales[:, None]
-        trace = o2nc.O2ncTrace(
-            xbar_final=None, scalings=np.ones(5), deltas=deltas,
-            grad_norms_at_xbar=np.ones(5), dynreg_terms=np.ones(5),
-            zero_comparators=0, final_index=0,
-        )
-        norms = trace.delta_norms
+        norms = o2nc._row_norms(deltas)
         with np.errstate(over="ignore"):
             squares = np.einsum("ij,ij->i", deltas, deltas)
         assert np.isfinite(squares).tolist() == [True, True, False, False, False]
@@ -282,98 +298,6 @@ class TestRunLoop:
         assert np.linalg.norm(noise.mean(axis=0)) <= 0.01
 
 
-def reference_objective(obj):
-    """The zoo objective with its gradient as written before the norms went
-    through math.sqrt (the max-of-affines gradient takes no norm)."""
-    radius = obj.lipschitz
-
-    def quadratic_grad(x):
-        r = float(np.linalg.norm(x))
-        if r <= radius or r == 0.0:
-            return np.asarray(x, dtype=float).copy()
-        return (radius / r) * np.asarray(x, dtype=float)
-
-    def norm_grad(x):
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            return np.zeros(obj.dim)
-        return np.asarray(x, dtype=float) / r
-
-    grads = {"clamped-quadratic": quadratic_grad, "euclidean-norm": norm_grad}
-    return dataclasses.replace(obj, grad=grads.get(obj.name, obj.grad))
-
-
-def reference_o2nc(cfg, objective, sigma, T, seed, x0, referees=False):
-    """Copy of the driver loop as it ran with three true gradients a round:
-    one inside the oracle, one for the accumulator, one at the average.
-    With ``referees`` each round takes Delta_t and g_t from the referees in
-    oracles, `reference_delta_for` and `perturb`, as run_o2nc did before its
-    clip and its draws went inline; s_t is always `exp_sample`'s."""
-    obj = reference_objective(objective)
-
-    def sample(x, rng):
-        g = obj.grad(x)
-        gap = obj.lipschitz - float(np.linalg.norm(g))
-        direction = rng.standard_normal(obj.dim)
-        nd = float(np.linalg.norm(direction))
-        magnitude = min(sigma * abs(float(rng.standard_normal())), max(gap, 0.0))
-        if nd == 0.0 or magnitude == 0.0:
-            return g
-        return g + (magnitude / nd) * direction
-
-    def delta_for(m, v, beta1_pow):
-        denom = cfg.nu + math.sqrt((1.0 - cfg.beta2) * v)
-        if cfg.variant == "clipped":
-            a = -cfg.gamma * (1.0 - cfg.beta1) * m / denom
-            norm = float(np.linalg.norm(a))
-            if norm <= cfg.D or norm == 0.0:
-                return a
-            return (cfg.D / norm) * a
-        damping = cfg.gamma * cfg.mu * (1.0 - beta1_pow)
-        denom = cfg.nu + damping + math.sqrt((1.0 - cfg.beta2) * v)
-        return -cfg.gamma * (1.0 - cfg.beta1) * m / denom
-
-    if referees:
-        def delta_for(m, v, beta1_pow):
-            return reference_delta_for(cfg, adam.AdamState(m, v, beta1_pow))
-
-        def sample(x, rng):
-            return perturb(obj, sigma, obj.grad(x), rng)
-
-    d = obj.dim
-    x = np.asarray(x0, dtype=float).copy()
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    m, v, beta1_pow = np.zeros(d), 0.0, 1.0
-    acc, xbar = np.zeros(d), x.copy()
-    rows = {k: [] for k in ("xs", "xbars", "scalings", "deltas", "grad_norms_at_xbar",
-                            "dynreg_terms")}
-    zero = 0
-    for t in range(1, T + 1):
-        delta = delta_for(m, v, beta1_pow)
-        s_t = exp_sample(rng)
-        x = x + s_t * delta
-        g = sample(x, rng)
-        acc = cfg.beta1 * acc + obj.grad(x)
-        acc_norm = float(np.linalg.norm(acc))
-        if acc_norm > 0.0:
-            u = -cfg.D * acc / acc_norm
-        else:
-            u = np.zeros(d)
-            zero += 1
-        term = float(g @ (delta - u))
-        if cfg.variant == "clip-free":
-            term += 0.5 * cfg.mu * (float(delta @ delta) - float(u @ u))
-        m, v, beta1_pow = cfg.beta1 * m + g, cfg.beta2 * v + float(g @ g), beta1_pow * cfg.beta1
-        bt = cfg.beta1**t
-        xbar = (cfg.beta1 - bt) / (1.0 - bt) * xbar + (1.0 - cfg.beta1) / (1.0 - bt) * x
-        for k, val in (("xs", x), ("xbars", xbar), ("scalings", s_t), ("deltas", delta),
-                       ("grad_norms_at_xbar", float(np.linalg.norm(obj.grad(xbar)))),
-                       ("dynreg_terms", term)):
-            rows[k].append(val)
-    fields = {k: np.array(val) for k, val in rows.items()}
-    return fields, zero, int(rng.integers(T))
-
-
 OBJECTIVE_CASES = [
     ("quadratic", lambda: o2nc.clamped_quadratic(4, radius=1.0), np.full(4, 1.5)),
     ("norm", lambda: o2nc.euclidean_norm(4), np.ones(4)),
@@ -414,8 +338,10 @@ class TestOneTrueGradientPerRound:
     def check(cfg, obj, x0, referees, T=300):
         trace = o2nc.run_o2nc(cfg, obj, 0.4, T=T, seed=17, x0=x0)
         fields, zero, final = reference_o2nc(cfg, obj, 0.4, T, 17, x0, referees)
-        assert np.array_equal(iterates(trace, x0), fields.pop("xs"))
+        assert np.array_equal(iterates(fields, x0), fields.pop("xs"))
         assert np.array_equal(trace.xbar_final, fields.pop("xbars")[final])
+        norms = [adam._norm(delta) for delta in fields.pop("deltas")]
+        assert bits(trace.delta_norms).tolist() == bits(norms).tolist()
         for key, ref in fields.items():
             assert np.array_equal(getattr(trace, key), ref), key
         assert trace.zero_comparators == zero
@@ -482,6 +408,69 @@ class TestErrorsAcrossBlocks:
         with pytest.raises(o2nc.OracleBoundError) as err:
             self.run({3: (2e300, 0.0), T: (3e300, 0.0)}, T)
         assert str(err.value) == "round 3: |g|=2e+300 exceeds declared bound G=1e+300"
+
+
+class TestBlockLengthInvariance:
+    """run_o2nc's trace does not depend on its block length.  At one round
+    a block, three, and the default K, on T = 1, K, K + 1 and 2K + 1 rounds
+    of the default K, every field and the returned point are the referee
+    loop's, bit for bit, and so the same at every block length.  The seeds
+    put final_index at the first round or at the last: in the first block
+    and in the last at every block length.  A run takes one gradient a
+    round; the returned point's block runs again, up to its round, on its
+    first read alone."""
+
+    # the draws do not depend on the rows (one uniform and d + 1 normals a
+    # round), so final_index is a function of the seed, T and d alone
+    DIM = 16  # the default K is 512
+    SEEDS = {1: {"first": 0}, 512: {"first": 113, "last": 834},
+             513: {"first": 1063, "last": 798}, 1025: {"first": 866, "last": 48}}
+    CASES = {
+        "clipped-quadratic": (small_clipped_cfg, lambda d: o2nc.clamped_quadratic(d, 1.0), 0.5),
+        "clipfree-norm": (lambda: small_clipped_cfg(variant="clip-free", mu=0.2),
+                          o2nc.euclidean_norm, 1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("T, where", [(T, where) for T, seeds in SEEDS.items()
+                                          for where in seeds])
+    def test_every_field_is_the_referee_s_at_every_block_length(self, monkeypatch, case, T,
+                                                                where):
+        make_cfg, make_obj, scale = self.CASES[case]
+        cfg, base, d = make_cfg(), make_obj(self.DIM), self.DIM
+        assert o2nc._block_rounds(d) == 512
+        x0, seed = np.full(d, scale), self.SEEDS[T][where]
+        rows, zero, final = reference_o2nc(cfg, base, 0.4, T, seed, x0)
+        assert final == {"first": 0, "last": T - 1}[where]
+        want = {
+            "scalings": rows["scalings"],
+            "delta_norms": [adam._norm(delta) for delta in rows["deltas"]],
+            "grad_norms_at_xbar": rows["grad_norms_at_xbar"],
+            "dynreg_terms": rows["dynreg_terms"], "zero_comparators": zero,
+            "final_index": final, "xbar_final": rows["xbars"][final],
+        }
+        names = [f.name for f in dataclasses.fields(o2nc.O2ncTrace) if f.compare]
+        assert sorted(want) == sorted(names + ["xbar_final"])
+        seen = []
+        for block_bytes in (8 * d, 24 * d, o2nc._BLOCK_BYTES):
+            calls = []
+
+            def counted(x):
+                calls.append(1)
+                return base.grad(x)
+
+            monkeypatch.setattr(o2nc, "_BLOCK_BYTES", block_bytes)
+            K = min(T, o2nc._block_rounds(d))
+            trace = o2nc.run_o2nc(cfg, dataclasses.replace(base, grad=counted), 0.4, T, seed, x0)
+            assert len(calls) == T  # no replay until xbar_final is read
+            got = {name: getattr(trace, name) for name in want}
+            assert len(calls) == T + final % K + 1  # its block, up to final_index
+            assert np.array_equal(trace.xbar_final, got["xbar_final"])
+            assert len(calls) == T + final % K + 1  # kept after its first read
+            for name, value in want.items():
+                assert bits(got[name]).tolist() == bits(value).tolist(), (block_bytes, name)
+            seen.append({name: bits(value).tolist() for name, value in got.items()})
+        assert seen[0] == seen[1] == seen[2]
 
 
 def bits(values):

@@ -45,12 +45,12 @@ def rowwise_regret_trace_csv(play, comp, header_comment=None):
     return "\n".join(lines) + "\n"
 
 
-def rowwise_o2nc_csv(trace, header_comment=None):
+def rowwise_o2nc_csv(trace, deltas, header_comment=None):
     lines = []
     if header_comment:
         lines.append(f"# {header_comment}")
     lines.append("t,s_t,||delta||,||grad_at_xbar||,dynreg_term")
-    for t, delta in enumerate(trace.deltas):
+    for t, delta in enumerate(deltas):
         lines.append(
             f"{t + 1},{float(trace.scalings[t])!r},{adam._norm(delta)!r},"
             f"{float(trace.grad_norms_at_xbar[t])!r},{float(trace.dynreg_terms[t])!r}"
@@ -702,13 +702,15 @@ class TestCodecMatchesRowwiseWriters:
         comment=COMMENTS,
     )
     def test_o2nc_trace(self, columns, deltas, comment):
+        # run_o2nc's delta_norms column is _row_norms of its Delta_t rows
         T = len(columns)
         trace = o2nc.O2ncTrace(
-            xbar_final=None, scalings=columns[:, 0], deltas=deltas[:T],
+            scalings=columns[:, 0], delta_norms=o2nc._row_norms(deltas[:T]),
             grad_norms_at_xbar=columns[:, 1], dynreg_terms=columns[:, 2],
             zero_comparators=0, final_index=0,
         )
-        assert csv_written(trace.to_csv, comment=comment) == rowwise_o2nc_csv(trace, comment)
+        assert csv_written(trace.to_csv, comment=comment) == (
+            rowwise_o2nc_csv(trace, deltas[:T], comment))
 
     @given(
         mix=table(st.just(1), ANY_FLOAT, max_rows=20),
@@ -1040,10 +1042,9 @@ class TestCodecMemory:
         _, rotating = streams.gen_stream(streams.StreamSpec(d=5, T=T, kind="rotating-target",
                                                             seed=1))
         ledger = regret.RegretLedger(s.y, 0.9, s.Z, s.y, "squared")
-        trace = o2nc.O2ncTrace(xbar_final=None, scalings=s.y, deltas=s.Z,
+        trace = o2nc.O2ncTrace(scalings=s.y, delta_norms=o2nc._row_norms(s.Z),
                                grad_norms_at_xbar=s.y, dynreg_terms=s.y,
                                zero_comparators=0, final_index=0)
-        trace.delta_norms  # cached before the write, as run-o2nc has it
         path = tmp_path / "out.csv"
 
         def peak(write):
