@@ -4,9 +4,9 @@ inlined or batched steps are held to bit for bit (`clip_to_ball`,
 `reference_delta_for`, `exp_sample`, `perturb`, the per-round AIOLI of
 `PerRoundExperts`, and the per-row truth writer `path_csv_rowwise`),
 `csv_written`, the text a CSV writer writes into an open file,
-`ensemble_rows`, the (T, N) rows an ensemble run hands its check hook, and
-`reference_o2nc`, the per-round driver loop whose Delta_t rows the tests
-read, since an `O2ncTrace` keeps only their norms.
+`ensemble_rows`, the (T, N) rows an ensemble run hands its check hook,
+`reference_o2nc`, the per-round driver loop, and `run_o2nc_with_deltas`,
+the Delta_t rows a run makes, since an `O2ncTrace` keeps only their norms.
 ``ftrl_equivalence_residual`` needs scipy, a test dependency of driftlearn
 and not a runtime one.
 """
@@ -16,12 +16,13 @@ import io
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 from scipy.optimize import NonlinearConstraint, minimize
 
-from driftlearn import linreg, logreg
+from driftlearn import linreg, logreg, o2nc
 from driftlearn.adam import AdamConfig, AdamState, _norm, adam_update, delta_for
 from driftlearn.logreg import AioliRun
 from driftlearn.o2nc import O2ncTrace, Objective
@@ -155,6 +156,24 @@ def reference_objective(obj):
 
     grads = {"clamped-quadratic": quadratic_grad, "euclidean-norm": norm_grad}
     return dataclasses.replace(obj, grad=grads.get(obj.name, obj.grad))
+
+
+def run_o2nc_with_deltas(cfg, objective, sigma, T, seed, x0):
+    """`o2nc.run_o2nc`'s trace and the (T, d) Delta_t rows the run itself
+    made, of which the trace keeps only the norms: each block's Delta_t
+    buffer, copied out as `o2nc._rounds` returns it."""
+    blocks, rounds = [], o2nc._rounds
+
+    def recorded(cfg, objective, sigma, state, x, rng, scalings, deltas, *buffers):
+        out = rounds(cfg, objective, sigma, state, x, rng, scalings, deltas, *buffers)
+        blocks.append(deltas.copy())
+        return out
+
+    with mock.patch.object(o2nc, "_rounds", recorded):
+        trace = o2nc.run_o2nc(cfg, objective, sigma, T, seed, x0)
+    deltas = np.concatenate(blocks)
+    assert len(deltas) == T
+    return trace, deltas
 
 
 def reference_o2nc(cfg, objective, sigma, T, seed, x0, referees=False):

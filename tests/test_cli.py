@@ -1638,29 +1638,45 @@ class TestRunMemory:
     # run-o2nc --out holds four T-length columns: s_t, |Delta_t|, the regret
     # terms and the gradient norms at the averages.  Delta_t, g_t and
     # grad F(x_t) live one block of K rounds, and so do the iterates and the
-    # averages.  Before each block the run keeps a checkpoint until the
-    # returned round is drawn: an AdamState, two points and a Philox state,
-    # 1.3 KB at d = 10, of which 2 KiB are allowed.  So from T = 4,000 to
-    # 40,000 its peak grows by at most 32 bytes a round and a checkpoint a
-    # block, plus 64 KiB of slack; a run that holds Delta_t, g_t or
+    # averages.  Every R rounds the run keeps a checkpoint until the returned
+    # round is drawn: an AdamState, two points and a Philox state, 24 d bytes
+    # and about 1.4 KB more, of which 1.5 KiB are allowed.  So from T1 to T2
+    # rounds its peak grows by at most 32 bytes a round and a checkpoint
+    # every R rounds, plus 64 KiB of slack; a run that holds Delta_t, g_t or
     # grad F(x_t) whole grows by 8 d bytes a round more.
-    def test_run_o2nc_holds_four_columns_of_rounds(self, capsys, tmp_path):
-        d = 10
+    @staticmethod
+    def o2nc_growth(capsys, tmp_path, d, T1, T2):
+        """The growth of run-o2nc's peak from T1 to T2 rounds at dimension
+        d, and the bound above on it."""
 
         def peak(T):
             argv = ["run-o2nc", "--dim", str(d), "--T", str(T), "--seed", "1", "--eps", "0.3",
                     "--c", "0.1", "--G", "1", "--sigma", "0.1",
                     "--out", str(tmp_path / f"o{T}.csv")]
-            if T == 4000:
+            if T == T1:
                 cli.main(argv)  # the first run imports and builds the parser
             job = _peak(lambda: cli.main(argv))
             capsys.readouterr()
             return job
 
-        K = o2nc._block_rounds(d)
-        checkpoints = math.ceil(40000 / K) - math.ceil(4000 / K)
-        assert peak(40000) - peak(4000) <= (
-            8 * 4 * (40000 - 4000) + 2048 * checkpoints + (1 << 16))
+        R = o2nc._checkpoint_rounds(d, o2nc._block_rounds(d))
+        checkpoints = math.ceil(T2 / R) - math.ceil(T1 / R)
+        bound = 8 * 4 * (T2 - T1) + (24 * d + 1536) * checkpoints + (1 << 16)
+        return peak(T2) - peak(T1), bound
+
+    # at d = 10 a block holds K = 819 rounds, and R = K
+    def test_run_o2nc_holds_four_columns_of_rounds(self, capsys, tmp_path):
+        growth, bound = self.o2nc_growth(capsys, tmp_path, 10, 4000, 40000)
+        assert growth <= bound
+
+    # At d = 4,096 a block holds K = 2 rounds and a checkpoint weighs about
+    # 99 KB, 50 KB a round of its block: a checkpoint a block would grow the
+    # peak by 45 MB from T = 100 to 1,000.  R = 12,544 rounds, so both runs
+    # keep one checkpoint.
+    def test_run_o2nc_checkpoints_stay_within_a_column_at_large_d(self, capsys, tmp_path):
+        assert o2nc._checkpoint_rounds(4096, o2nc._block_rounds(4096)) == 12544
+        growth, bound = self.o2nc_growth(capsys, tmp_path, 4096, 100, 1000)
+        assert growth <= bound
 
     # run-aioli --out holds its inputs' arrays (the stream's (T, d + 2) parse
     # array and the truth's (T, d) path: the truth's (T, d + 1) parse array

@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from driftlearn import adam, o2nc
 from driftlearn.streams import discounted_scan, philox_rng
-from oracles import csv_written, exp_sample, perturb, reference_o2nc, stationarity_surrogate
+from oracles import (csv_written, exp_sample, perturb, reference_o2nc, run_o2nc_with_deltas,
+                     stationarity_surrogate)
 
 
 def small_clipped_cfg(**kw):
@@ -27,22 +28,11 @@ class FixedUniform:
         return self.r
 
 
-def iterates(rows, x0):
-    """x_1..x_T rebuilt from the referee's rows of a run from x0: the running
-    sum of x0 and s_t Delta_t."""
-    steps = rows["scalings"][:, None] * rows["deltas"]
+def iterates(scalings, deltas, x0):
+    """x_1..x_T rebuilt from the s_t and Delta_t of a run from x0: the
+    running sum of x0 and s_t Delta_t."""
+    steps = scalings[:, None] * deltas
     return np.add.accumulate(np.vstack([x0, steps]))[1:]
-
-
-def referee_rows(trace, cfg, obj, sigma, seed, x0):
-    """The rows of `reference_o2nc`'s run of the config that made ``trace``,
-    whose s_t and |Delta_t| it checks are the trace's, bit for bit.  A trace
-    keeps no Delta_t, so the tests take Delta_t from the referee."""
-    rows, _, _ = reference_o2nc(cfg, obj, sigma, len(trace.scalings), seed, x0)
-    assert bits(trace.scalings).tolist() == bits(rows["scalings"]).tolist()
-    norms = [adam._norm(delta) for delta in rows["deltas"]]
-    assert bits(trace.delta_norms).tolist() == bits(norms).tolist()
-    return rows
 
 
 class TestExpSample:
@@ -143,13 +133,8 @@ class TestComparatorPath:
     is the true gradient at x_t, so every term follows from the iterates."""
 
     def run(self, obj, x0, T=200, D=0.05):
-        """The run's trace and the referee's rows of it.  The referee forms
-        u_t as -D a_t / |a_t|, which overflows where the run's does not; no
-        test here reads it."""
-        cfg = small_clipped_cfg(D=D)
-        trace = o2nc.run_o2nc(cfg, obj, 0.0, T=T, seed=4, x0=x0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return trace, referee_rows(trace, cfg, obj, 0.0, 4, x0)
+        """The run's trace and its Delta_t rows."""
+        return run_o2nc_with_deltas(small_clipped_cfg(D=D), obj, 0.0, T, 4, x0)
 
     def test_single_gradient_normalized(self):
         # g = (3, 4), Delta_1 = 0 and u_1 = -(0.6, 0.8): the term is g.(-u_1) = 5
@@ -162,13 +147,13 @@ class TestComparatorPath:
         (o2nc.max_affine(3, pieces=5, seed=2), np.ones(3), 2.5),
     ], ids=["quadratic", "maxaffine"])
     def test_matches_recomputed_true_gradient_accumulator(self, obj, x0, D):
-        trace, rows = self.run(obj, x0, D=D)
+        trace, deltas = self.run(obj, x0, D=D)
         a = np.zeros(3)
-        for t, x in enumerate(iterates(rows, x0)):
+        for t, x in enumerate(iterates(trace.scalings, deltas, x0)):
             g = obj.grad(x)
             a = 0.9 * a + g
             u = -D * a / np.linalg.norm(a)
-            term = float(g @ (rows["deltas"][t] - u))
+            term = float(g @ (deltas[t] - u))
             assert trace.dynreg_terms[t] == pytest.approx(term, rel=1e-12, abs=1e-15)
         assert trace.zero_comparators == 0
 
@@ -179,14 +164,14 @@ class TestComparatorPath:
         D = 5e154
         obj = o2nc.clamped_quadratic(2, radius=1e160)
         x0 = np.array([6e152, 8e152])
-        trace, rows = self.run(obj, x0, T=8, D=D)
+        trace, deltas = self.run(obj, x0, T=8, D=D)
         a, overflows = np.zeros(2), 0
-        for t, x in enumerate(iterates(rows, x0)):
+        for t, x in enumerate(iterates(trace.scalings, deltas, x0)):
             g = obj.grad(x)
             a = 0.9 * a + g
             norm = math.hypot(*a)
             overflows += D * norm == math.inf
-            term = float(np.vdot(g, rows["deltas"][t] - (-D / norm) * a))
+            term = float(np.vdot(g, deltas[t] - (-D / norm) * a))
             assert trace.dynreg_terms[t] == pytest.approx(term, rel=1e-12)
         assert overflows == 4
 
@@ -201,10 +186,8 @@ class TestRunLoop:
     def test_first_step_does_not_move(self):
         obj = o2nc.clamped_quadratic(3, radius=1.0)
         x0 = np.array([0.5, 0.0, 0.0])
-        cfg = small_clipped_cfg()
-        trace = o2nc.run_o2nc(cfg, obj, 0.1, T=1, seed=0, x0=x0)
-        rows = referee_rows(trace, cfg, obj, 0.1, 0, x0)
-        np.testing.assert_array_equal(rows["deltas"][0], np.zeros(3))
+        trace, deltas = run_o2nc_with_deltas(small_clipped_cfg(), obj, 0.1, 1, 0, x0)
+        np.testing.assert_array_equal(deltas[0], np.zeros(3))
         assert trace.final_index == 0
         np.testing.assert_array_equal(trace.xbar_final, x0)  # xbar_1 = x_1 exactly
 
@@ -229,19 +212,19 @@ class TestRunLoop:
         obj = o2nc.euclidean_norm(4)
         cfg = small_clipped_cfg(D=0.02)
         x0 = np.ones(4)
-        trace = o2nc.run_o2nc(cfg, obj, 0.2, T=400, seed=3, x0=x0)
-        rows = referee_rows(trace, cfg, obj, 0.2, 3, x0)
-        steps = np.diff(np.vstack([x0, iterates(rows, x0)]), axis=0)
+        trace, deltas = run_o2nc_with_deltas(cfg, obj, 0.2, 400, 3, x0)
+        steps = np.diff(np.vstack([x0, iterates(trace.scalings, deltas, x0)]), axis=0)
         caps = trace.scalings * 0.02
         assert np.all(np.linalg.norm(steps, axis=1) <= caps * (1.0 + 1e-9))
 
     def test_trace_reproducible_bit_for_bit(self):
         obj = o2nc.max_affine(3, pieces=5, seed=11)
         cfg = small_clipped_cfg()
-        t1 = o2nc.run_o2nc(cfg, obj, 0.3, T=200, seed=42, x0=np.zeros(3))
-        t2 = o2nc.run_o2nc(cfg, obj, 0.3, T=200, seed=42, x0=np.zeros(3))
+        t1, deltas1 = run_o2nc_with_deltas(cfg, obj, 0.3, 200, 42, np.zeros(3))
+        t2, deltas2 = run_o2nc_with_deltas(cfg, obj, 0.3, 200, 42, np.zeros(3))
         assert np.array_equal(t1.xbar_final, t2.xbar_final)
-        assert np.array_equal(t1.delta_norms, t2.delta_norms)  # the trace keeps no Delta_t
+        assert np.array_equal(deltas1, deltas2)
+        assert np.array_equal(t1.delta_norms, t2.delta_norms)
         assert np.array_equal(t1.scalings, t2.scalings)
         assert t1.final_index == t2.final_index
         assert csv_written(t1.to_csv) == csv_written(t2.to_csv)
@@ -336,11 +319,12 @@ class TestOneTrueGradientPerRound:
 
     @staticmethod
     def check(cfg, obj, x0, referees, T=300):
-        trace = o2nc.run_o2nc(cfg, obj, 0.4, T=T, seed=17, x0=x0)
+        trace, deltas = run_o2nc_with_deltas(cfg, obj, 0.4, T, 17, x0)
         fields, zero, final = reference_o2nc(cfg, obj, 0.4, T, 17, x0, referees)
-        assert np.array_equal(iterates(fields, x0), fields.pop("xs"))
+        assert np.array_equal(iterates(trace.scalings, deltas, x0), fields.pop("xs"))
         assert np.array_equal(trace.xbar_final, fields.pop("xbars")[final])
-        norms = [adam._norm(delta) for delta in fields.pop("deltas")]
+        assert np.array_equal(deltas, fields.pop("deltas"))
+        norms = [adam._norm(delta) for delta in deltas]
         assert bits(trace.delta_norms).tolist() == bits(norms).tolist()
         for key, ref in fields.items():
             assert np.array_equal(getattr(trace, key), ref), key
@@ -414,11 +398,13 @@ class TestBlockLengthInvariance:
     """run_o2nc's trace does not depend on its block length.  At one round
     a block, three, and the default K, on T = 1, K, K + 1 and 2K + 1 rounds
     of the default K, every field and the returned point are the referee
-    loop's, bit for bit, and so the same at every block length.  The seeds
-    put final_index at the first round or at the last: in the first block
-    and in the last at every block length.  A run takes one gradient a
-    round; the returned point's block runs again, up to its round, on its
-    first read alone."""
+    loop's, bit for bit, and so are the run's Delta_t rows.  The seeds put
+    final_index at the first round or at the last: in the first block and in
+    the last at every block length.  A run takes one gradient a round; the
+    rounds from the last checkpoint before the returned point run again, up
+    to its round, on its first read alone.  At one and three rounds a block
+    the checkpoints lie several blocks apart (304 and 306 rounds), at the
+    default K one."""
 
     # the draws do not depend on the rows (one uniform and d + 1 normals a
     # round), so final_index is a function of the seed, T and d alone
@@ -460,13 +446,15 @@ class TestBlockLengthInvariance:
                 return base.grad(x)
 
             monkeypatch.setattr(o2nc, "_BLOCK_BYTES", block_bytes)
-            K = min(T, o2nc._block_rounds(d))
-            trace = o2nc.run_o2nc(cfg, dataclasses.replace(base, grad=counted), 0.4, T, seed, x0)
+            R = o2nc._checkpoint_rounds(d, min(T, o2nc._block_rounds(d)))
+            trace, deltas = run_o2nc_with_deltas(cfg, dataclasses.replace(base, grad=counted),
+                                                 0.4, T, seed, x0)
+            assert np.array_equal(deltas, rows["deltas"]), block_bytes
             assert len(calls) == T  # no replay until xbar_final is read
             got = {name: getattr(trace, name) for name in want}
-            assert len(calls) == T + final % K + 1  # its block, up to final_index
+            assert len(calls) == T + final % R + 1  # from its checkpoint up to final_index
             assert np.array_equal(trace.xbar_final, got["xbar_final"])
-            assert len(calls) == T + final % K + 1  # kept after its first read
+            assert len(calls) == T + final % R + 1  # kept after its first read
             for name, value in want.items():
                 assert bits(got[name]).tolist() == bits(value).tolist(), (block_bytes, name)
             seen.append({name: bits(value).tolist() for name, value in got.items()})
