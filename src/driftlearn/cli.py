@@ -392,7 +392,7 @@ def cmd_run_aioli(values: dict) -> tuple[dict, list]:
     if truth is not None:
         comparators += [truth[0], truth[-1]]
     with _ieee_floats():
-        worst, ok = logreg.rescaled_bound_check(run, comparators)
+        worst, ok = logreg.rescaled_bound_check(run, ledger, comparators)
     checks["discounted_regret_le_rescaled_bound"] = ok
     summary = {
         "subcommand": "run-aioli", "config_hash": h, "beta": beta, "lam": lam,

@@ -410,11 +410,13 @@ def logistic_ledger(run: AioliRun) -> RegretLedger:
 
 
 def rescaled_bound_check(
-    run: AioliRun, comparators: Sequence[np.ndarray]
+    run: AioliRun, ledger: RegretLedger, comparators: Sequence[np.ndarray]
 ) -> tuple[float, bool]:
     """Check the discounted regret against its discounted-form bound
     beta^t lam/2 |u|^2 + (1+BR) sum_{s<=t} beta^(t-s) eta_s g_s' Atilde_s^{-1} g_s,
     valid for any |u| <= B, at every prefix t = 1..T for each comparator.
+    ``ledger`` is the run's `logistic_ledger`, which gives each comparator's
+    losses.
 
     Returns the worst slack min (bound - regret), nan if a prefix's slack
     is, and whether every prefix passes
@@ -423,7 +425,6 @@ def rescaled_bound_check(
     :func:`~driftlearn.streams.discounted_scan`; both match a
     prefix-by-prefix evaluation of the same operations bit for bit.
     """
-    ledger = logistic_ledger(run)
     scale = 1.0 + run.B * run.R
     worst = float("inf")
     ok = True

@@ -30,23 +30,19 @@ with beta = beta1 (xbar_t by one `discounted_scan` a block with a discount
 per row, from `ema_coefficients`), and the gradient norms at them.  The
 rows are those of one pass over all T rounds, bit for bit.  The run holds
 four T-length columns (s_t, |Delta_t|, the gradient norms at the averages
-and the regret terms) and its checkpoints; everything else is one block's.
-The loop takes one true gradient a round, at x_t; the gradients at a
-block's xbar_t come from one `Objective.grad_rows` call after it.  The
-returned point is drawn uniformly from the running averages.  Every few
-blocks the run keeps a checkpoint, the Adam state, x_t, xbar_t and the
-generator's state the block starts from, spaced so that they cost at most
-8 bytes a round; of these only the last one before the drawn round outlives
-the run, and the point is rebuilt from it on first read.  The full
-gradient-norm trace is kept since it carries strictly more information
-than the single draw.
+and the regret terms); everything else is one block's.  The loop takes one
+true gradient a round, at x_t; the gradients at a block's xbar_t come from
+one `Objective.grad_rows` call after it.  The returned point is the running
+average at one round drawn uniformly before the first, from a stream
+independent of the run's (a jumped copy of its generator), and is copied
+out of its block's averages.  The full gradient-norm trace is kept since it
+carries strictly more information than the single draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -206,11 +202,8 @@ class O2ncTrace:
     stored.  Delta_t lives one block of rounds, and the trace keeps its norm;
     x_t is the running sum of x0 and the rows s_t Delta_t, and u_t a function
     of the true gradients at them.  Of the running averages only the drawn
-    one, ``xbar_final`` (the average at ``final_index``), is returned: it is
-    rebuilt on first read by ``replay``, which runs the rounds from the
-    run's last checkpoint before it again.  A trace built without a run
-    passes ``replay=None`` and has no point.  The run's inputs, x0 among
-    them, are the caller's.
+    one, ``xbar_final`` (the average at ``final_index``), is kept.  The run's
+    inputs, x0 among them, are the caller's.
     """
 
     scalings: np.ndarray         # s_t
@@ -219,14 +212,7 @@ class O2ncTrace:
     dynreg_terms: np.ndarray
     zero_comparators: int
     final_index: int             # uniform draw over 1..T (0-based here)
-    replay: Optional[Callable[[], np.ndarray]] = field(repr=False, compare=False)
-
-    @cached_property
-    def xbar_final(self) -> np.ndarray:
-        """The running average at ``final_index``, rebuilt on first read by
-        running the rounds from the run's last checkpoint before it again,
-        and kept."""
-        return self.replay()
+    xbar_final: np.ndarray
 
     def to_csv(self, out, header_comment: Optional[str] = None) -> None:
         """Write the CSV trace `t,s_t,||delta||,||grad_at_xbar||,dynreg_term`
@@ -242,25 +228,10 @@ class O2ncTrace:
 # averages and the gradients at them.
 _BLOCK_BYTES = 1 << 16
 
-# Bytes of a checkpoint of run_o2nc beside its three points (the Adam
-# state's m, x_t and xbar_t): the AdamState, the tuple and the Philox
-# state, about 1.4 KB under tracemalloc.
-_CHECKPOINT_OVERHEAD = 2048
-
 
 def _block_rounds(d: int) -> int:
     """K, the rounds of one block of `run_o2nc` at dimension d."""
     return max(1, _BLOCK_BYTES // (8 * d))
-
-
-def _checkpoint_rounds(d: int, K: int) -> int:
-    """The rounds from one checkpoint of `run_o2nc` to the next, a whole
-    number of its blocks of K rounds: the fewest at which a checkpoint,
-    24 d bytes of points and its overhead, costs at most 8 bytes a round.
-    So the checkpoints together weigh no more than one more T-length column,
-    and the returned point is rebuilt from at most that many rounds."""
-    blocks = -(-(24 * d + _CHECKPOINT_OVERHEAD) // (8 * K))
-    return K * max(1, blocks)
 
 
 def _rounds(
@@ -302,75 +273,38 @@ def _rounds(
     return state, x
 
 
-def _averages(
-    beta: float, start: int, scalings: np.ndarray, deltas: np.ndarray, x: np.ndarray,
-    xbar: np.ndarray,
-) -> np.ndarray:
-    """The running averages xbar_t of the rounds t = start+1..start+n, given
-    their s_t and Delta_t and the iterate x and the average xbar of round
-    ``start`` (x0 both at 0)."""
-    c_prev, c_new = ema_coefficients(beta, start + len(scalings), start)
-    xbars = scalings[:, None] * deltas  # x_t: the running sum of x and s_t Delta_t
-    xbars[0] += x
-    np.add.accumulate(xbars, axis=0, out=xbars)
-    xbars *= c_new[:, None]
-    return discounted_scan(xbars, c_prev, xbar, out=xbars)  # xbar_t, started from xbar
-
-
-def _replay(
-    cfg: AdamConfig, objective: Objective, sigma: float, K: int, start: int, index: int,
-    checkpoint: tuple,
-) -> np.ndarray:
-    """xbar at round ``index`` (0-based) of a run of blocks of K rounds, by
-    running its rounds start+1..index+1 again, a block at a time, from
-    ``checkpoint``: the Adam state, the iterate, the average and the
-    generator's state of round ``start``, the first of a block."""
-    state, x, xbar, rng_state = checkpoint
-    rng = np.random.Generator(np.random.Philox())
-    rng.bit_generator.state = rng_state
-    K, d = min(K, index + 1 - start), objective.dim
-    scalings, deltas, scratch = np.empty(K), np.empty((K, d)), np.empty((K, d))
-    for block in range(start, index + 1, K):
-        n = min(K, index + 1 - block)
-        # g_t and grad F(x_t) share one buffer: nothing reads them
-        next_state, next_x = _rounds(cfg, objective, sigma, state, x, rng, scalings[:n],
-                                     deltas[:n], scratch[:n], scratch[:n])
-        xbar = _averages(cfg.beta1, block, scalings[:n], deltas[:n], x, xbar)[-1].copy()
-        state, x = next_state, next_x
-    return xbar
-
-
 class _Diagnostics:
     """What `run_o2nc` computes from its rows, a block of K rounds at a time.
 
-    A block's rows start from the accumulator a_t the block before carries
-    and from the iterate and the average of the round before the block.  The
-    first over-bound g_t and the first nan term are recorded, and once
+    A block's rows start from the accumulator a_t, the iterate and the
+    average the block before carries; x0 starts both points.  The average
+    at the round ``drawn`` is copied out of its block as ``xbar_drawn``.
+    The first over-bound g_t and the first nan term are recorded, and once
     either is, nothing but the bound check runs: the run raises.
     """
 
-    def __init__(self, cfg: AdamConfig, objective: Objective, T: int):
-        self.cfg, self.objective = cfg, objective
-        self.a = np.zeros(objective.dim)
+    def __init__(self, cfg: AdamConfig, objective: Objective, T: int, x0: np.ndarray,
+                 drawn: int):
+        self.cfg, self.objective, self.drawn = cfg, objective, drawn
+        self.a, self.x, self.xbar = np.zeros(objective.dim), x0, x0
+        self.xbar_drawn: Optional[np.ndarray] = None
         self.dynreg, self.grad_norms = np.empty(T), np.empty(T)
         self.zero_comparators = 0
         self.over: Optional[tuple[int, float]] = None  # (round index, |g_t|)
         self.nan: Optional[int] = None
 
     def absorb(self, start: int, scalings: np.ndarray, deltas: np.ndarray, grads: np.ndarray,
-               true_grads: np.ndarray, x: np.ndarray, xbar: np.ndarray) -> np.ndarray:
+               true_grads: np.ndarray) -> None:
         """Fold in the rounds start+1..start+n: their s_t and Delta_t, and
-        their g_t and grad F(x_t), whose rows it overwrites, from the iterate
-        ``x`` and the average ``xbar`` of round ``start``.  Return the average
-        of round start+n; ``xbar`` itself once an error is recorded."""
+        their g_t and grad F(x_t), whose rows it overwrites."""
         if self.over is not None:
-            return xbar
+            return
         gnorms = _row_norms(grads)
         over = np.flatnonzero(gnorms > self.objective.lipschitz * (1.0 + 1e-9) + 1e-12)
         if len(over):
             self.over = start + int(over[0]), float(gnorms[over[0]])
         if self.over is not None or self.nan is not None:
-            return xbar
+            return
         cfg, rows = self.cfg, slice(start, start + len(scalings))
         comparators = discounted_scan(true_grads, cfg.beta1, self.a, out=true_grads)  # a_t
         self.a = comparators[-1].copy()
@@ -387,10 +321,19 @@ class _Diagnostics:
         nan = np.flatnonzero(np.isnan(dynreg))
         if len(nan):
             self.nan = start + int(nan[0])
-            return xbar
-        xbars = _averages(cfg.beta1, start, scalings, deltas, x, xbar)
+            return
+        xbars = scalings[:, None] * deltas  # x_t: the running sum of x and s_t Delta_t
+        xbars[0] += self.x
+        np.add.accumulate(xbars, axis=0, out=xbars)
+        self.x = xbars[-1].copy()
+        c_prev, c_new = ema_coefficients(cfg.beta1, rows.stop, start)
+        xbars *= c_new[:, None]
+        discounted_scan(xbars, c_prev, self.xbar, out=xbars)  # xbar_t
+        del c_prev, c_new  # before the (K, d) arrays of grad_rows
+        self.xbar = xbars[-1].copy()
+        if start <= self.drawn < rows.stop:
+            self.xbar_drawn = xbars[self.drawn - start].copy()
         self.grad_norms[rows] = _row_norms(self.objective.grad_rows(xbars))
-        return xbars[-1].copy()
 
     def check(self) -> None:
         """Raise the first recorded error, the bound's before the nan's."""
@@ -429,40 +372,33 @@ def run_o2nc(
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     d = objective.dim
-    x0 = np.array(x0, dtype=float)  # a copy: the first block's checkpoint holds it
+    x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
         raise ValueError(f"x0 must have the shape ({d},) of one point, got {x0.shape}")
     rng = philox_rng(seed)
+    # the returned round, from a jumped copy of the generator: it draws
+    # nothing from the run's stream and depends on the seed and T alone
+    final_index = int(np.random.Generator(rng.bit_generator.jumped()).integers(T))
 
     # The rounds run a block at a time through `_rounds`; everything else is
     # computed from a block's rows after it.  Of the rows only s_t and
     # |Delta_t| are kept, as columns; Delta_t, g_t and grad F(x_t) live one
-    # block.  A checkpoint is kept before every R rounds' block until the
-    # returned round is drawn, and then only the last one before it.
+    # block.
     K = min(T, _block_rounds(d))
-    R = _checkpoint_rounds(d, K)
     scalings, delta_norms = np.empty(T), np.empty(T)
     deltas, grads, true_grads = np.empty((K, d)), np.empty((K, d)), np.empty((K, d))
-    diagnostics = _Diagnostics(cfg, objective, T)
-    state, x, xbar = AdamState.fresh(d), x0, x0
-    checkpoints: list[tuple[AdamState, np.ndarray, np.ndarray, dict]] = []
+    diagnostics = _Diagnostics(cfg, objective, T, x0, final_index)
+    state, x = AdamState.fresh(d), x0
     for start in range(0, T, K):
         n = min(K, T - start)
         rows = slice(start, start + n)
-        if start % R == 0:
-            checkpoints.append((state, x, xbar, rng.bit_generator.state))
-        block_x = x
         state, x = _rounds(cfg, objective, sigma, state, x, rng, scalings[rows], deltas[:n],
                            grads[:n], true_grads[:n])
         delta_norms[rows] = _row_norms(deltas[:n])
-        xbar = diagnostics.absorb(start, scalings[rows], deltas[:n], grads[:n], true_grads[:n],
-                                  block_x, xbar)
-    final_index = int(rng.integers(T))
+        diagnostics.absorb(start, scalings[rows], deltas[:n], grads[:n], true_grads[:n])
     diagnostics.check()
-    replay = partial(_replay, cfg, objective, sigma, K, final_index - final_index % R,
-                     final_index, checkpoints[final_index // R])
     return O2ncTrace(
         scalings=scalings, delta_norms=delta_norms, grad_norms_at_xbar=diagnostics.grad_norms,
         dynreg_terms=diagnostics.dynreg, zero_comparators=diagnostics.zero_comparators,
-        final_index=final_index, replay=replay,
+        final_index=final_index, xbar_final=diagnostics.xbar_drawn,
     )

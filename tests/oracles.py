@@ -181,7 +181,9 @@ def reference_o2nc(cfg, objective, sigma, T, seed, x0, referees=False):
     one inside the oracle, one for the accumulator, one at the average.
     With ``referees`` each round takes Delta_t and g_t from the referees in
     oracles, `reference_delta_for` and `perturb`, as run_o2nc did before its
-    clip and its draws went inline; s_t is always `exp_sample`'s."""
+    clip and its draws went inline; s_t is always `exp_sample`'s.  The
+    returned round is drawn before the first, from a jumped copy of the
+    generator."""
     obj = reference_objective(objective)
 
     def sample(x, rng):
@@ -216,6 +218,7 @@ def reference_o2nc(cfg, objective, sigma, T, seed, x0, referees=False):
     d = obj.dim
     x = np.asarray(x0, dtype=float).copy()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    final = int(np.random.Generator(rng.bit_generator.jumped()).integers(T))
     m, v, beta1_pow = np.zeros(d), 0.0, 1.0
     acc, xbar = np.zeros(d), x.copy()
     rows = {k: [] for k in ("xs", "xbars", "scalings", "deltas", "grad_norms_at_xbar",
@@ -244,7 +247,7 @@ def reference_o2nc(cfg, objective, sigma, T, seed, x0, referees=False):
                        ("dynreg_terms", term)):
             rows[k].append(val)
     fields = {k: np.array(val) for k, val in rows.items()}
-    return fields, zero, int(rng.integers(T))
+    return fields, zero, final
 
 
 def eta_t(cfg: AdamConfig, state: AdamState) -> float:

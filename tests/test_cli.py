@@ -1638,12 +1638,10 @@ class TestRunMemory:
     # run-o2nc --out holds four T-length columns: s_t, |Delta_t|, the regret
     # terms and the gradient norms at the averages.  Delta_t, g_t and
     # grad F(x_t) live one block of K rounds, and so do the iterates and the
-    # averages.  Every R rounds the run keeps a checkpoint until the returned
-    # round is drawn: an AdamState, two points and a Philox state, 24 d bytes
-    # and about 1.4 KB more, of which 1.5 KiB are allowed.  So from T1 to T2
-    # rounds its peak grows by at most 32 bytes a round and a checkpoint
-    # every R rounds, plus 64 KiB of slack; a run that holds Delta_t, g_t or
-    # grad F(x_t) whole grows by 8 d bytes a round more.
+    # averages; the returned point is copied out of its block.  So from T1
+    # to T2 rounds its peak grows by at most 32 bytes a round, plus 64 KiB
+    # of slack; a run that holds Delta_t, g_t or grad F(x_t) whole grows by
+    # 8 d bytes a round more.
     @staticmethod
     def o2nc_growth(capsys, tmp_path, d, T1, T2):
         """The growth of run-o2nc's peak from T1 to T2 rounds at dimension
@@ -1659,22 +1657,18 @@ class TestRunMemory:
             capsys.readouterr()
             return job
 
-        R = o2nc._checkpoint_rounds(d, o2nc._block_rounds(d))
-        checkpoints = math.ceil(T2 / R) - math.ceil(T1 / R)
-        bound = 8 * 4 * (T2 - T1) + (24 * d + 1536) * checkpoints + (1 << 16)
-        return peak(T2) - peak(T1), bound
+        return peak(T2) - peak(T1), 8 * 4 * (T2 - T1) + (1 << 16)
 
-    # at d = 10 a block holds K = 819 rounds, and R = K
+    # at d = 10 a block holds K = 819 rounds
     def test_run_o2nc_holds_four_columns_of_rounds(self, capsys, tmp_path):
         growth, bound = self.o2nc_growth(capsys, tmp_path, 10, 4000, 40000)
         assert growth <= bound
 
-    # At d = 4,096 a block holds K = 2 rounds and a checkpoint weighs about
-    # 99 KB, 50 KB a round of its block: a checkpoint a block would grow the
-    # peak by 45 MB from T = 100 to 1,000.  R = 12,544 rounds, so both runs
-    # keep one checkpoint.
-    def test_run_o2nc_checkpoints_stay_within_a_column_at_large_d(self, capsys, tmp_path):
-        assert o2nc._checkpoint_rounds(4096, o2nc._block_rounds(4096)) == 12544
+    # At d = 4,096 a block holds K = 2 rounds, and a point weighs 32 KiB: a
+    # run that kept one point a block, or one a few blocks, grows by far
+    # more than four columns from T = 100 to 1,000.
+    def test_run_o2nc_keeps_no_point_per_block_at_large_d(self, capsys, tmp_path):
+        assert o2nc._block_rounds(4096) == 2
         growth, bound = self.o2nc_growth(capsys, tmp_path, 4096, 100, 1000)
         assert growth <= bound
 
@@ -1683,11 +1677,11 @@ class TestRunMemory:
     # is dropped once the path is copied out), the five T-length columns of
     # its AioliRun (predictions, losses at play, stability sums, beta^t and
     # residuals), and its ledger's T + 1 powers of beta.  Its peak is in
-    # logreg.rescaled_bound_check, which holds five T-length arrays more: its
-    # own ledger's powers of beta, one comparator's bounds, the regrets of
-    # the comparator before, this one's regrets (scanned in place) and the
-    # column the scan builds.  So from T = 4,000 to 40,000 its peak grows by
-    # at most 8 (2 d + 13) bytes a round, plus 64 KiB of slack.
+    # logreg.rescaled_bound_check, which holds four T-length arrays more: one
+    # comparator's bounds, the regrets of the comparator before, this one's
+    # regrets (scanned in place) and the column the scan builds.  So from
+    # T = 4,000 to 40,000 its peak grows by at most 8 (2 d + 12) bytes a
+    # round, plus 64 KiB of slack.
     def test_run_aioli_grows_by_its_inputs_columns_and_check(self, capsys, tmp_path):
         d = 3
 
@@ -1702,7 +1696,7 @@ class TestRunMemory:
             capsys.readouterr()
             return job
 
-        arrays = (d + 2) + d + 5 + 1 + 5
+        arrays = (d + 2) + d + 5 + 1 + 4
         assert peak(40000) - peak(4000) <= 8 * arrays * (40000 - 4000) + (1 << 16)
 
     # run-ensemble --out holds its inputs' arrays (the stream's (T, d + 2)

@@ -286,7 +286,7 @@ class TestRescaledBound:
                     bound = oracles.aioli_rescaled_bound(run, t, u)
                     assert r <= bound + 1e-9 * (1.0 + abs(bound))
                     worst = min(worst, bound - r)
-            assert logreg.rescaled_bound_check(run, comparators) == (worst, True)
+            assert logreg.rescaled_bound_check(run, ledger, comparators) == (worst, True)
 
     def test_one_pass_check_equals_the_prefix_loop(self):
         # prefix_loop_bound_check is the per-prefix loop the check replaced;
@@ -299,7 +299,8 @@ class TestRescaledBound:
             run = logreg.run_aioli(stream, beta=beta, lam=1.0, B=1.0, R=1.0)
             comparators = [np.zeros(stream.d), truth[0], 5.0 * truth[-1], list(truth[-1])]
             for checked in (run, dataclasses.replace(run, stab_disc=0.1 * run.stab_disc)):
-                got = logreg.rescaled_bound_check(checked, comparators)
+                got = logreg.rescaled_bound_check(checked, logreg.logistic_ledger(checked),
+                                                  comparators)
                 assert got == prefix_loop_bound_check(checked, comparators)
                 outcomes.add(got[1])
         assert outcomes == {True, False}
@@ -311,14 +312,15 @@ class TestRescaledBound:
         spec = StreamSpec(d=3, T=200, kind="logistic-drift", segments=2, noise=0.2, seed=1)
         stream, _ = gen_stream(spec)
         run = logreg.run_aioli(stream, beta=0.01, lam=1.0, B=1.0, R=1.0)
+        ledger = logreg.logistic_ledger(run)
         zero, huge = np.zeros(3), np.array([1e155, 0.0, 0.0])
         assert np.flatnonzero(run.beta_pows == 0.0)[0] == 161  # round 162
         with np.errstate(over="ignore", invalid="ignore"):
-            got = logreg.rescaled_bound_check(run, [zero, huge])
-            flipped = logreg.rescaled_bound_check(run, [huge, zero])
+            got = logreg.rescaled_bound_check(run, ledger, [zero, huge])
+            flipped = logreg.rescaled_bound_check(run, ledger, [huge, zero])
         for worst, ok in (got, flipped):
             assert math.isnan(worst) and ok is False
-        worst, ok = logreg.rescaled_bound_check(run, [zero])
+        worst, ok = logreg.rescaled_bound_check(run, ledger, [zero])
         assert math.isfinite(worst) and ok
 
     def test_stability_sum_obeys_potential_lemma(self):

@@ -281,6 +281,29 @@ class TestRunLoop:
         assert np.linalg.norm(noise.mean(axis=0)) <= 0.01
 
 
+class TestReturnedRound:
+    """The returned round is drawn before the first round from a jumped copy
+    of the run's generator: a function of the seed and T alone."""
+
+    SETUPS = st.tuples(st.integers(1, 8), st.sampled_from(sorted(o2nc.OBJECTIVES)),
+                       st.sampled_from(["clipped", "clip-free"]), st.floats(0.0, 1.0),
+                       st.floats(0.0, 2.0))
+
+    @staticmethod
+    def final_index(seed, T, setup):
+        d, name, variant, sigma, scale = setup
+        cfg = small_clipped_cfg(variant=variant, mu=0.2 if variant == "clip-free" else 0.0)
+        obj = o2nc.OBJECTIVES[name](d)
+        return o2nc.run_o2nc(cfg, obj, sigma, T, seed, np.full(d, scale)).final_index
+
+    @given(seed=st.integers(0, 2**64 - 1), T=st.integers(1, 3000), one=SETUPS, other=SETUPS)
+    def test_final_index_is_the_jumped_draw_whatever_the_run(self, seed, T, one, other):
+        jumped = np.random.Generator(philox_rng(seed).bit_generator.jumped())
+        want = int(jumped.integers(T))
+        assert self.final_index(seed, T, one) == want
+        assert self.final_index(seed, T, other) == want
+
+
 OBJECTIVE_CASES = [
     ("quadratic", lambda: o2nc.clamped_quadratic(4, radius=1.0), np.full(4, 1.5)),
     ("norm", lambda: o2nc.euclidean_norm(4), np.ones(4)),
@@ -400,17 +423,14 @@ class TestBlockLengthInvariance:
     of the default K, every field and the returned point are the referee
     loop's, bit for bit, and so are the run's Delta_t rows.  The seeds put
     final_index at the first round or at the last: in the first block and in
-    the last at every block length.  A run takes one gradient a round; the
-    rounds from the last checkpoint before the returned point run again, up
-    to its round, on its first read alone.  At one and three rounds a block
-    the checkpoints lie several blocks apart (304 and 306 rounds), at the
-    default K one."""
+    the last at every block length.  A run takes one gradient a round, and
+    reading the returned point takes none."""
 
-    # the draws do not depend on the rows (one uniform and d + 1 normals a
-    # round), so final_index is a function of the seed, T and d alone
+    # final_index is drawn from a jumped copy of the generator before the
+    # first round, so it is a function of the seed and T alone
     DIM = 16  # the default K is 512
-    SEEDS = {1: {"first": 0}, 512: {"first": 113, "last": 834},
-             513: {"first": 1063, "last": 798}, 1025: {"first": 866, "last": 48}}
+    SEEDS = {1: {"first": 0}, 512: {"first": 417, "last": 6},
+             513: {"first": 417, "last": 6}, 1025: {"first": 958, "last": 286}}
     CASES = {
         "clipped-quadratic": (small_clipped_cfg, lambda d: o2nc.clamped_quadratic(d, 1.0), 0.5),
         "clipfree-norm": (lambda: small_clipped_cfg(variant="clip-free", mu=0.2),
@@ -435,8 +455,7 @@ class TestBlockLengthInvariance:
             "dynreg_terms": rows["dynreg_terms"], "zero_comparators": zero,
             "final_index": final, "xbar_final": rows["xbars"][final],
         }
-        names = [f.name for f in dataclasses.fields(o2nc.O2ncTrace) if f.compare]
-        assert sorted(want) == sorted(names + ["xbar_final"])
+        assert sorted(want) == sorted(f.name for f in dataclasses.fields(o2nc.O2ncTrace))
         seen = []
         for block_bytes in (8 * d, 24 * d, o2nc._BLOCK_BYTES):
             calls = []
@@ -446,15 +465,12 @@ class TestBlockLengthInvariance:
                 return base.grad(x)
 
             monkeypatch.setattr(o2nc, "_BLOCK_BYTES", block_bytes)
-            R = o2nc._checkpoint_rounds(d, min(T, o2nc._block_rounds(d)))
             trace, deltas = run_o2nc_with_deltas(cfg, dataclasses.replace(base, grad=counted),
                                                  0.4, T, seed, x0)
             assert np.array_equal(deltas, rows["deltas"]), block_bytes
-            assert len(calls) == T  # no replay until xbar_final is read
+            assert len(calls) == T
             got = {name: getattr(trace, name) for name in want}
-            assert len(calls) == T + final % R + 1  # from its checkpoint up to final_index
-            assert np.array_equal(trace.xbar_final, got["xbar_final"])
-            assert len(calls) == T + final % R + 1  # kept after its first read
+            assert len(calls) == T  # the returned point was copied out during the run
             for name, value in want.items():
                 assert bits(got[name]).tolist() == bits(value).tolist(), (block_bytes, name)
             seen.append({name: bits(value).tolist() for name, value in got.items()})

@@ -707,7 +707,7 @@ class TestCodecMatchesRowwiseWriters:
         trace = o2nc.O2ncTrace(
             scalings=columns[:, 0], delta_norms=o2nc._row_norms(deltas[:T]),
             grad_norms_at_xbar=columns[:, 1], dynreg_terms=columns[:, 2],
-            zero_comparators=0, final_index=0, replay=None,  # no run, no point
+            zero_comparators=0, final_index=0, xbar_final=np.zeros(deltas.shape[1]),
         )
         assert csv_written(trace.to_csv, comment=comment) == (
             rowwise_o2nc_csv(trace, deltas[:T], comment))
@@ -1044,7 +1044,8 @@ class TestCodecMemory:
         ledger = regret.RegretLedger(s.y, 0.9, s.Z, s.y, "squared")
         trace = o2nc.O2ncTrace(scalings=s.y, delta_norms=o2nc._row_norms(s.Z),
                                grad_norms_at_xbar=s.y, dynreg_terms=s.y,
-                               zero_comparators=0, final_index=0, replay=None)
+                               zero_comparators=0, final_index=0,
+                               xbar_final=np.zeros(5))
         path = tmp_path / "out.csv"
 
         def peak(write):
