@@ -347,7 +347,7 @@ def cmd_run_vaw(values: dict) -> tuple[dict, list]:
             dyn = regret.dynamic_regret(ledger, truth)
             summary["dynamic_regret"] = dyn
             if beta < 1.0:
-                bound_path, bound_ft, modular = linreg.dvaw_bounds(run, truth, gamma)
+                bound_path, bound_ft, modular = linreg.dvaw_bounds(run, ledger, truth, gamma)
                 summary.update({
                     "gamma": gamma, "bound_path_form": bound_path,
                     "bound_ftdiff_form": bound_ft, "modular_rhs": modular,
@@ -406,7 +406,7 @@ def cmd_run_aioli(values: dict) -> tuple[dict, list]:
     if truth is not None:
         with _ieee_floats():
             dyn = regret.dynamic_regret(ledger, truth)
-            bound = logreg.theorem_dynamic_bound(run, truth, gamma)
+            bound = logreg.theorem_dynamic_bound(run, ledger, truth, gamma)
             summary.update(dynamic_regret=dyn, gamma=gamma, dynamic_bound=bound)
             checks["dynamic_regret_le_bound"] = streams.bound_holds(dyn, bound)
             if values["out"]:

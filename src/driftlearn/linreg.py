@@ -230,10 +230,11 @@ def dvaw_log_term(run: DvawRun) -> float:
 
 
 def dvaw_bounds(
-    run: DvawRun, path: ComparatorPath, gamma: float
+    run: DvawRun, ledger: RegretLedger, path: ComparatorPath, gamma: float
 ) -> tuple[float, float, float]:
     """The dynamic-regret upper bounds of a discounted-VAW run, for
     0 < beta <= gamma < 1: (path form, ftdiff form, modular RHS).
+    ``ledger`` is the run's `vaw_ledger`.
 
     path form:     beta lam/2 |u_1|^2 + log term + gamma/(1-gamma) P_T^g
                    + (1-beta)/beta * d/2 * sum y_t^2
@@ -244,7 +245,7 @@ def dvaw_bounds(
                    terms beta^t Lambda_t; its phi drift term is 0, since
                    phi does not depend on t.
 
-    One ledger serves P_T^g and FD, and FD is taken once for both bounds
+    The ledger serves P_T^g and FD, and FD is taken once for both bounds
     that add it.
     """
     _check_discounts(run.beta, gamma)
@@ -253,7 +254,6 @@ def dvaw_bounds(
     base = 0.5 * beta * lam * float(u @ u)
     base += dvaw_log_term(run)
     base += (1.0 - beta) / beta * 0.5 * d * float((run.stream.y**2).sum())
-    ledger = vaw_ledger(run)
     fd = ft_difference_term(ledger, path)  # checks the path length
     pv = path_variation(ledger, path, gamma)
     stab = run.potential_increments

@@ -19,26 +19,31 @@ The argmin reduces to one scalar equation v + q*tanh(v/2) = p, solved for
 |p| by Newton from a closed-form lower bound of the root; v = z.x_t is
 the prediction yhat_t.
 
-Every learner here runs on one kernel over a leading expert axis: N
-learners with their own discounts keep A as an (N, d, d) stack and w as
-(N, d).  A round makes one stacked solve against [w, z] for all decisions,
-one scalar root per expert, and the update of A and w.  The updates of a
-block of L rounds go into one buffer of L + 1 states, row 0 holding the
-state the block starts from, and one stacked Cholesky factorization of the
-block's L matrices checks, at the block's end, that none has turned
-indefinite; L is set by a private byte budget, and results do not depend
-on it.  Both LAPACK calls go to numpy's gufuncs directly: at these small
-stacks the public wrappers cost more than the gufunc.  A solve or a factor
-that holds a nan goes to ``streams._first_rejected``, which names the first
-failing round and expert.  An error raised inside a block first checks the
-block's earlier rounds, so a matrix that turned indefinite at round t is
-reported before anything a later round raises, as a check after every
-round would.  The discount ensemble advances its N experts this way
-and ``run_aioli`` is the N = 1 case; those two runners are the only drivers
-of the stack.  The roots stay scalar, one ``solve_optimism_root`` call per
-expert and round: they take a few Newton steps each, and a masked Newton
-over the expert axis would pay numpy's fixed cost per call on every step
-for only N elements.
+Every learner here runs on one kernel over an expert axis: N learners
+with their own discounts keep, each, the bordered matrix
+[[A, ., .], [w', inf, .], [z', 0, inf]], with the expert axis last so
+that the update runs on contiguous memory.  A round makes one stacked
+Cholesky factorization of these matrices, whose last two rows are
+L^{-1}w and L^{-1}z for A = L L' (the bordered Cholesky of Golub and Van
+Loan, Matrix Computations, sec. 4.2): p and q are their dot products, and
+the factor's A block checks that A has not turned indefinite.  Then one
+scalar root per expert, and the update of A and w, which are one block of
+rows scaled by one multiply.  The rounds of a block of L go into one
+buffer of L + 1 bordered states, row 0 holding the state the block starts
+from; the inf entries are written once a buffer and the features once a
+block.  Round t's factor checks A_{t-1}, so a matrix that turned
+indefinite at round t is reported before anything a later round raises,
+and only the last state, which no round reads, gets a factorization of
+its own.  L is set by a private byte budget, and results do not depend on
+it.  The LAPACK call goes to numpy's gufunc directly: at these small
+stacks the public wrapper costs more than the gufunc.  A factor that
+holds a nan goes to ``streams._first_rejected``, which names the first
+expert whose A LAPACK rejects.  The discount ensemble advances its N
+experts this way and ``run_aioli`` is the N = 1 case; those two runners
+are the only drivers of the stack.  The roots stay scalar, one
+``solve_optimism_root`` call per expert and round: they take a few Newton
+steps each, and a masked Newton over the expert axis would pay numpy's
+fixed cost per call on every step for only N elements.
 
 Only the learner state is sequential.  ``run_ensemble`` advances the
 expert stack a chunk of ``streams.BLOCK_ROWS`` rounds at a time into one
@@ -46,15 +51,16 @@ expert stack a chunk of ``streams.BLOCK_ROWS`` rounds at a time into one
 losses, the exponential weights, the mixture and its losses before the
 next: the weights carry the (N,) losses summed over earlier chunks, so
 the run holds no (T, N) array.  ``run_aioli`` rebuilds each block's
-decisions and stationarity residuals from the block's states, and takes
-its discounted stability sums and beta^t after the loop.  Every loss at
-play is ``regret._loss`` of the predictions, as the ledgers' are.
+decisions and stationarity residuals from the block's states, factored
+again in one stacked call, and takes its discounted stability sums and
+beta^t after the loop.  Every loss at play is ``regret._loss`` of the
+predictions, as the ledgers' are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -68,10 +74,10 @@ ROOT_MAX_ITERS = 200
 # Multiplies x into the stack [-x, x]; see _sigmoid_pm.
 _MINUS_PLUS = np.array([-1.0, 1.0])
 _TINY = np.finfo(float).tiny
-# Bytes of one (L, N, d, d) stack of expert matrices; a block of the learner
-# loop holds L = max(1, this // (8 N d^2)) rounds.  Its working set is that
-# stack twice (the block's states and their Cholesky factor) and, in
-# run_aioli, O(L d) floats for the residuals.
+# Bytes of one (L, N, d+2, d+2) stack of bordered expert states; a block of
+# the learner loop holds L = max(1, this // (8 N (d+2)^2)) rounds.  Its
+# working set is that stack, one round's factor and O(L d^2) floats of
+# products and, in run_aioli, the residuals' factor of the block's states.
 _BLOCK_BYTES = 1 << 15
 
 
@@ -79,7 +85,10 @@ def __getattr__(name: str):
     # bench/tracing.py counts factorizations by wrapping logreg.cho_factor,
     # which nothing here calls; scipy is imported only when the name is read.
     # ROADMAP item 0 moves that probe to _umath_linalg.cholesky_lo, times the
-    # stack length (np.linalg.cholesky runs only on a failed stack).
+    # stack length: one bordered factorization an expert-round, one check
+    # of the last state a run call, and in run_aioli one stacked factor of
+    # each block's states for the residuals (np.linalg.cholesky runs only
+    # on a failed stack).
     if name == "cho_factor":
         from scipy.linalg import cho_factor
 
@@ -138,7 +147,6 @@ def solve_optimism_root(p: float, q: float) -> float:
 
 # What failed in an expert, and the remedy besides a larger beta
 _INDEFINITE = ("surrogate curvature matrix is numerically indefinite", "lambda")
-_ILL_CONDITIONED = ("surrogate statistics are ill-conditioned", "rescale the stream")
 _OVERFLOWED = ("surrogate statistics overflowed", "rescale the stream")
 
 
@@ -147,26 +155,52 @@ class _Experts:
     """N discounted-AIOLI learners on one stream, advanced together; the one
     AIOLI state, driven by ``run_aioli`` (N = 1) and ``run_ensemble``.
 
-    ``A`` is the (N, d, d) stack of regularized surrogate curvatures
-    Atilde_t = lam beta^t I + sum beta^(t-s) eta_s g_s g_s', carried as
-    A_t = beta A_{t-1} + eta_t g_t g_t' from A_0 = lam I; ``w`` holds the
-    (N, d) negated discounted linear coefficients of the surrogates
-    (constant terms are dropped, they do not move the argmin), ``beta``
-    the (N,) discounts, ``scale`` = 1 + BR and ``t`` the rounds absorbed.
-    A round costs one stacked LAPACK solve (p and q) through numpy's
-    gufunc, one scalar optimism root per expert and the update, which
-    writes A_t and w_t into rows of :meth:`run`'s block buffer and makes
-    them the state; the matrices' positive-definiteness is checked once
-    per block, by one stacked Cholesky factorization.  The expert whose
-    solve or factor LAPACK rejected is named by ``streams._first_rejected``.
-    After :meth:`run`, ``A`` and ``w`` are arrays of their own.
+    ``S`` holds expert i's bordered matrix [[A, ., .], [w', inf, .],
+    [z', 0, inf]] in ``S[:, :, i]``, the expert axis last, so that an
+    update over all experts runs on contiguous memory; ``M`` is the
+    (N, d+2, d+2) view LAPACK factors, of which only the lower triangle
+    is read (the upper one holds zeros).  ``A`` is the regularized
+    surrogate curvature Atilde_t = lam beta^t I + sum beta^(t-s) eta_s
+    g_s g_s', carried as A_t = beta A_{t-1} + eta_t g_t g_t' from
+    A_0 = lam I; ``w`` holds the negated discounted linear coefficients of
+    the surrogates (constant terms are dropped, they do not move the
+    argmin), and z is the feature the next :meth:`decide` reads.  ``A``
+    (N, d, d) and ``w`` (N, d) are views of ``S``; ``beta`` holds the (N,)
+    discounts, ``scale`` = 1 + BR and ``t`` the rounds absorbed.  A round
+    costs one stacked Cholesky factorization of ``M`` through numpy's
+    LAPACK gufunc, which gives p and q and checks A, one scalar optimism
+    root per expert and the update, which writes A_t and w_t into the next
+    row of :meth:`run`'s block buffer and makes it the state.  The expert
+    whose A LAPACK rejected is named by ``streams._first_rejected``.
+    After :meth:`run`, ``S`` is an array of its own.
     """
 
     beta: np.ndarray
     scale: float
-    A: np.ndarray
-    w: np.ndarray
+    S: np.ndarray
     t: int = 0
+    # beta over the rows of A and w, as many entries as they hold: the
+    # update's multiply then broadcasts nothing, which at these sizes halved
+    # its cost and drops numpy's buffer of the broadcast
+    beta_rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        e = len(self.S)
+        self.beta_rows = np.broadcast_to(self.beta, (e - 1, e, self.beta.size)).copy()
+
+    @property
+    def M(self) -> np.ndarray:
+        return self.S.transpose(2, 0, 1)
+
+    @property
+    def A(self) -> np.ndarray:
+        d = len(self.S) - 2
+        return self.M[:, :d, :d]
+
+    @property
+    def w(self) -> np.ndarray:
+        d = len(self.S) - 2
+        return self.M[:, d, :d]
 
     @classmethod
     def fresh(
@@ -178,11 +212,10 @@ class _Experts:
                 raise ValueError(f"beta must lie in (0, 1), got {beta}")
         if min(lam, B, R) <= 0.0:
             raise ValueError("lam, B and R must be positive")
-        n = betas.size
-        return cls(
-            beta=betas, scale=1.0 + B * R,
-            A=np.broadcast_to(lam * np.eye(d), (n, d, d)).copy(), w=np.zeros((n, d)),
-        )
+        S = np.zeros((d + 2, d + 2, betas.size))
+        S[:d, :d] = lam * np.eye(d)[:, :, None]
+        S[d, d] = S[d + 1, d + 1] = np.inf
+        return cls(beta=betas, scale=1.0 + B * R, S=S)
 
     def run(
         self, Z: np.ndarray, y: np.ndarray, yhats: np.ndarray,
@@ -193,128 +226,129 @@ class _Experts:
 
         Round t writes the (N,) predictions into ``yhats[t]`` and, when
         ``c2q`` is given, c2 q into ``c2q[t]`` (both (T, N) arrays).  The
-        rounds go in blocks of L, each written into one buffer of states
-        ``As`` (L+1, N, d, d) and ``ws`` (L+1, N, d): row k holds A and w
-        after the block's k-th round, row 0 the state the block starts
-        from.  At a block's end :meth:`_guard` checks rows 1..L, then
-        ``settle(lo, As, ws)``, when given, reads the block's rows, its
-        first round lo + 1 of this call.  Calls may follow one another on
+        rounds go in blocks of L, each written into one buffer ``Ss`` of
+        (L+1, d+2, d+2, N) states: row k holds A and w after the block's
+        k-th round and the feature of the round after it, row 0 the state
+        the block starts from.  The inf entries are written once a buffer,
+        the features once a block.  At a block's end ``settle(lo, Ss)``,
+        when given, reads the states the block's rounds decided from, rows
+        0..n-1, its first round lo + 1 of this call.  Round t's factor
+        checks A_{t-1}, so only the last A, which no round of this call
+        reads, is checked after the loop.  Calls may follow one another on
         consecutive rounds; a failure names its round counted from the
-        first call's, as ``t`` does.  The buffers live for one call, so a
-        caller's work between calls runs without them.
+        first call's, as ``t`` does.  The buffer lives for one call, so a
+        caller's work between calls runs without it.
         """
         ys = map(float, y)
         T = len(Z)
-        N, d = self.w.shape
-        L = max(1, min(T, _BLOCK_BYTES // (8 * N * d * d)))
-        As = np.empty((L + 1, N, d, d))
-        ws = np.empty((L + 1, N, d))
+        e, _, N = self.S.shape
+        d = e - 2
+        L = max(1, min(T, _BLOCK_BYTES // (8 * N * e * e)))
+        Ss = np.zeros((L + 1, e, e, N))
+        Ss[:, d, d] = Ss[:, d + 1, d + 1] = np.inf
         for lo in range(0, T, L):
             rounds = slice(lo, min(lo + L, T))
             n = rounds.stop - lo
-            As[0], ws[0] = self.A, self.w
-            self.A, self.w = As[0], ws[0]
-            self._block(Z[rounds], ys, As[:n + 1], ws[:n + 1], yhats[rounds],
+            Ss[0, :d + 1] = self.S[:d + 1]
+            Ss[:n, d + 1, :d] = Z[rounds, :, None]
+            self.S = Ss[0]
+            self._block(Z[rounds], ys, Ss[1:n + 1], yhats[rounds],
                         None if c2q is None else c2q[rounds])
-            self._guard(As[1:n + 1])
             if settle is not None:
-                settle(lo, As[:n + 1], ws[:n + 1])
-        self.A, self.w = self.A.copy(), self.w.copy()
+                settle(lo, Ss[:n])
+        self.S = self.S.copy()
+        factor = _umath_linalg.cholesky_lo(self.A)
+        if math.isnan(factor.sum()):
+            self._check(factor)
 
     def _block(
-        self, Z: np.ndarray, ys: Iterator[float], As: np.ndarray,
-        ws: np.ndarray, yhats: np.ndarray, c2q: np.ndarray | None,
+        self, Z: np.ndarray, ys: Iterator[float], Ss: np.ndarray,
+        yhats: np.ndarray, c2q: np.ndarray | None,
     ) -> None:
-        """The sequential core of :meth:`run`: the block's rounds t+1, ...,
-        each a :meth:`decide` and an :meth:`absorb` into the next row of
-        ``As`` and ``ws``.  An error in a round first hands the rows of the
-        rounds before it to :meth:`_guard`, so an update that failed its
-        check is reported before anything a later round raises."""
-        # einsum's products are z[:, None] * z's, without its temporaries
-        ZZ = np.einsum("bi,bj->bij", Z, Z)
-        # ys after range: zip stops at the block's end without taking a label
-        for k, z, zz, y, row in zip(range(1, len(Z) + 1), Z, ZZ, ys, yhats):
-            try:
-                v, q = self.decide(z)
-            except Exception:
-                self._guard(As[1:k])
-                raise
-            c2 = self.absorb(z, zz, y, v, As[k], ws[k])
-            row[:] = v
+        """The sequential core of :meth:`run`: the block's rounds, each a
+        :meth:`decide` and an :meth:`absorb` into the next state of ``Ss``."""
+        n, d = Z.shape
+        # z z' in the first d columns of d + 2; einsum's products are
+        # z[:, None] * z's, without its temporaries
+        ZZ = np.zeros((n, d, d + 2))
+        np.einsum("bi,bj->bij", Z, Z, out=ZZ[:, :, :d])
+        # ys after Z: zip stops at the block's end without taking a label
+        for z, zz, y, S, row, k in zip(Z, ZZ, ys, Ss, yhats, range(n)):
+            q = self.decide(row)
+            c2 = self.absorb(z, zz, y, row, S)
             if c2q is not None:
-                c2q[k - 1] = c2 * q
+                c2q[k] = c2 * q
 
-    def decide(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions v (N,) and q (N,) for feature z.
+    def decide(self, out: np.ndarray) -> np.ndarray:
+        """Write the (N,) predictions into ``out`` and return q (N,).
 
         Expert i's stationarity condition beta_i A_i x + tanh(v/2) z =
         beta_i w_i with v = z.x reduces to v + q_i tanh(v/2) = p_i with
         p_i = z'A_i^{-1}w_i and q_i = z'A_i^{-1}z/beta_i, so the root v_i
-        is expert i's prediction z.x_i.  The roots stay scalar, one
-        :func:`solve_optimism_root` call per expert.  A p or q
-        that is not finite, a singular A and a negative q (A_i is positive
-        definite, so only roundoff on a badly scaled stream gives one) raise
-        ``ValueError`` before any root is sought; the runners call this
-        under one ``np.errstate`` that silences the overflow itself, and
-        the invalid flag of a failed solve.
+        is expert i's prediction z.x_i.  With A_i = L L', p_i = c_w.c_z and
+        q_i = |c_z|^2/beta_i for the forward substitutions c_w = L^{-1}w_i
+        and c_z = L^{-1}z, which one Cholesky factorization of the bordered
+        ``M`` returns as its last two rows (Golub and Van Loan, sec. 4.2).
+        The inf pivot of row d makes the entry coupling the two border rows
+        0, so the border's pivots stay inf whatever |c_w| and |c_z| are, and
+        q, a sum of squares, is never negative.  The factor's A block checks
+        A_i: an A that LAPACK rejects raises ``RuntimeError``, and a p or q
+        that is not finite ``ValueError``, before any root is sought.  The
+        roots stay scalar, one :func:`solve_optimism_root` call per expert.
+        The runners call this under one ``np.errstate`` that silences the
+        overflow itself, and the invalid flag of a failed factor.
         """
-        rhs = np.empty(self.w.shape + (2,))
-        rhs[:, :, 0] = self.w
-        rhs[:, :, 1] = z
-        sol = _umath_linalg.solve(self.A, rhs)
-        p = sol[:, :, 0] @ z
-        q = (sol[:, :, 1] / self.beta[:, None]) @ z
-        ps, qs = p.tolist(), q.tolist()
+        d = len(self.S) - 2
+        factor = _umath_linalg.cholesky_lo(self.M)
+        # [c_w.c_z, c_z.c_z] for every expert, in one stacked product
+        pq = np.matmul(factor[:, d:, :d], factor[:, d + 1, :d, None])[:, :, 0]
+        q = np.divide(pq[:, 1], self.beta, out=pq[:, 1])
+        ps, qs = pq.T.tolist()
         if not all(map(math.isfinite, ps + qs)):  # cheaper than numpy at small N
-            rejected = _first_rejected(np.linalg.solve, sol, self.A, rhs)
-            if rejected is not None:  # a singular A
-                raise ValueError(self._failure(rejected[0], _ILL_CONDITIONED, self.t + 1))
+            self._check(factor)
             i = next(i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
             raise ValueError(self._failure(i, _OVERFLOWED, self.t + 1))
-        if min(qs) < 0.0:
-            raise ValueError(self._failure(qs.index(min(qs)), _ILL_CONDITIONED, self.t + 1))
-        v = np.array([solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)])
-        return v, q
+        out[:] = [solve_optimism_root(p, q) for p, q in zip(ps, qs)]
+        return q
 
     def absorb(
-        self, z: np.ndarray, zz: np.ndarray, y: float, yhats: np.ndarray,
-        A: np.ndarray, w: np.ndarray,
+        self, z: np.ndarray, zz: np.ndarray, y: float, yhats: np.ndarray, S: np.ndarray,
     ) -> np.ndarray:
         """Fold the revealed label into every expert's statistics.
 
-        ``zz`` is the outer product z z' and ``yhats`` are this round's
-        :meth:`decide` predictions.  Writes A_t = beta A + c2 z z' into
-        ``A`` and w_t into ``w``, both of the state's shape, makes them the
-        state, and returns the curvature weights c2 (N,).  With q from
-        :meth:`decide`, c2 q/(1 + c2 q) is the stability increment
-        c2 z'A_t^{-1}z (Sherman-Morrison), so it needs no second solve.
-        Nothing here checks A_t: :meth:`_guard` does, for a block of rounds
-        at once.  Callers silence the overflow flag, as the runners do.
+        ``zz`` (d, d+2) holds the outer product z z' and two columns of
+        zeros, and ``yhats`` are this round's :meth:`decide` predictions.
+        Writes A_t = beta A + c2 z z' and w_t into the rows of ``S``, a
+        state of the state's shape whose other entries the caller has
+        written, makes it the state, and returns the curvature weights c2
+        (N,).  With q from :meth:`decide`, c2 q/(1 + c2 q) is the stability
+        increment c2 z'A_t^{-1}z (Sherman-Morrison), so it needs no second
+        factorization.  Nothing here checks A_t: the next round's factor
+        does.
+        Callers silence the overflow flag, as the runners do.
         """
         s_pos, s_neg = _sigmoid_pm(y * yhats)
         c2 = s_pos * s_neg / self.scale
-        np.multiply(self.beta[:, None, None], self.A, out=A)
-        # the products c2_i z z' as one (N, 1) @ (1, d^2) matmul, each entry
-        # one rounded product, in one stack: a broadcast product took two
-        # more of ufunc buffers, and an einsum costs more a call at small d
-        A += (c2[:, None] @ zz.reshape(1, -1)).reshape(A.shape)
-        np.multiply(self.beta[:, None], self.w, out=w)
-        w += (y * s_neg + c2 * yhats)[:, None] * z
-        self.A, self.w = A, w
+        d = len(z)
+        # the rows of A and w are one contiguous block, scaled by one multiply
+        np.multiply(self.beta_rows, self.S[:d + 1], out=S[:d + 1])
+        # the products z_j z_k c2_i as one (d (d+2), 1) @ (1, N) matmul, each
+        # entry one rounded product: a broadcast product took two more of
+        # ufunc buffers, and an einsum costs more a call at small d
+        S[:d] += (zz.reshape(-1, 1) @ c2[None]).reshape(S[:d].shape)
+        S[d, :d] += z[:, None] * (y * s_neg + c2 * yhats)
+        self.S = S
         self.t += 1
         return c2
 
-    def _guard(self, As: np.ndarray) -> None:
-        """Check the (k, N, d, d) matrices of the last k rounds absorbed,
-        t-k+1..t, with one stacked Cholesky factorization, and raise for
-        the first (round, expert) in C order whose factor LAPACK rejected:
-        the earliest round's first indefinite A."""
-        factors = _umath_linalg.cholesky_lo(As)
-        if math.isnan(factors.sum()):
-            rejected = _first_rejected(np.linalg.cholesky, factors, As)
-            if rejected is not None:
-                k, i = rejected
-                raise RuntimeError(self._failure(i, _INDEFINITE, self.t - len(As) + k + 1))
+    def _check(self, factor: np.ndarray) -> None:
+        """Raise for the first expert, in order, whose A LAPACK rejected,
+        ``factor`` holding a Cholesky factor of each expert's A or of its
+        bordered ``M``.  A_t is round t's update; the start A_0 is named at
+        round 1, the first round that reads it."""
+        rejected = _first_rejected(np.linalg.cholesky, factor, self.A)
+        if rejected is not None:
+            raise RuntimeError(self._failure(rejected[0], _INDEFINITE, max(self.t, 1)))
 
     def _failure(self, i: int, failure: tuple, t: int) -> str:
         """Expert i's failure at round t; a tiny beta underflows lam beta^t."""
@@ -357,10 +391,9 @@ def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> Ai
     c2q = np.empty((T, 1))
     resid = np.empty(T)
 
-    def settle(lo: int, As: np.ndarray, ws: np.ndarray) -> None:
-        rounds = slice(lo, lo + len(As) - 1)
-        resid[rounds] = _residuals(As[:, 0], ws[:, 0], stream.Z[rounds], yhats[rounds, 0],
-                                   experts.beta[0])
+    def settle(lo: int, Ss: np.ndarray) -> None:
+        rounds = slice(lo, lo + len(Ss))
+        resid[rounds] = _residuals(Ss[:, :, :, 0], yhats[rounds, 0], beta)
 
     with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
         experts.run(stream.Z, stream.y, yhats, c2q, settle)
@@ -373,28 +406,32 @@ def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> Ai
     )
 
 
-def _residuals(
-    As: np.ndarray, ws: np.ndarray, Z: np.ndarray, v: np.ndarray, beta: float
-) -> np.ndarray:
+def _residuals(Ms: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
     """Stationarity residuals of one AIOLI learner over a block of k rounds.
 
-    ``As`` (k+1, d, d) and ``ws`` (k+1, d) are the states from before the
-    block's first round to after its last, ``Z`` (k, d) the features and
-    ``v`` (k,) the predictions.  Round t's decision is x_t = A^{-1}w -
-    tanh(v_t/2) A^{-1}z_t/beta at (A, w) = (A_{t-1}, w_{t-1}), and its
-    residual the sup-norm of beta A x_t + tanh(z_t.x_t/2) z_t - beta w.
-    Each step is the per-round formula's, elementwise or one LAPACK or dot
-    call per round, so the residuals do not depend on the block.
+    ``Ms`` (k, d+2, d+2) are the bordered states the block's rounds decided
+    from, each holding (A_{t-1}, w_{t-1}, z_t), and ``v`` (k,) the
+    predictions.  Round t's decision is x_t = A^{-1}(w - tanh(v_t/2) z/beta),
+    the learner's own: with the round's factor A = L L', whose rows c_w and
+    c_z one stacked factorization of ``Ms`` gives again at the same bits,
+    x_t = L'^{-1}(c_w - tanh(v_t/2) c_z/beta), by an LU solve of the
+    triangular L', which pivots nothing and so is a back substitution.  Its
+    residual is the sup-norm of beta A x_t + tanh(z.x_t/2) z - beta w, read
+    with the stored A and w.  (A solve of A itself, independent of the
+    factor, disagrees with the learner by about cond(A) times the roundoff
+    of p and q, which failed the 1e-9 check at beta = 0.01 on streams whose
+    predictions were right to the last bits.)  Each step is the per-round
+    formula's, elementwise or one LAPACK or dot call per round, so the
+    residuals do not depend on the block.
     """
-    A, w = As[:-1], ws[:-1]
-    sol = np.empty(w.shape + (2,))
-    sol[:, :, 0] = w
-    sol[:, :, 1] = Z
-    sol = _umath_linalg.solve(A, sol)
-    X = np.divide(sol[:, :, 1], beta)
-    X *= np.tanh(0.5 * v)[:, None]
-    X = np.subtract(sol[:, :, 0], X, out=X)
-    del sol  # before the residual's arrays: four (k, d) arrays at a time
+    d = Ms.shape[-1] - 2
+    factor = _umath_linalg.cholesky_lo(Ms)
+    u = np.divide(factor[:, d + 1, :d], beta)
+    u *= np.tanh(0.5 * v)[:, None]
+    u = np.subtract(factor[:, d, :d], u, out=u)
+    X = _umath_linalg.solve(factor[:, :d, :d].transpose(0, 2, 1), u[:, :, None])[:, :, 0]
+    del factor, u  # before the residual's arrays: four (k, d) arrays at a time
+    A, w, Z = Ms[:, :d, :d], Ms[:, d, :d], Ms[:, d + 1, :d]
     grad = (A @ X[:, :, None])[:, :, 0]
     grad *= beta
     grad += np.tanh(0.5 * row_dots(X, Z))[:, None] * Z
@@ -439,8 +476,11 @@ def rescaled_bound_check(
     return worst, ok
 
 
-def theorem_dynamic_bound(run: AioliRun, path: ComparatorPath, gamma: float) -> float:
-    """Dynamic-regret upper bound for a discounted-AIOLI run.
+def theorem_dynamic_bound(
+    run: AioliRun, ledger: RegretLedger, path: ComparatorPath, gamma: float
+) -> float:
+    """Dynamic-regret upper bound for a discounted-AIOLI run; ``ledger`` is
+    the run's `logistic_ledger`, which gives P_T^gamma.
 
     beta lam |u_1|^2 + d(1+BR) log(1 + R^2 sum beta^(T-t) / (d lam (1+BR)))
     + gamma/(1-gamma) P_T^g + (1-beta)/beta * d(1+BR) T,
@@ -453,7 +493,7 @@ def theorem_dynamic_bound(run: AioliRun, path: ComparatorPath, gamma: float) -> 
     bound = beta * lam * float(path[0] @ path[0])
     # numpy's scalar power: C pow, as Python's float **, but inf past the floats
     bound += d * scale * np.log1p(np.float64(run.R) ** 2 * geo / (d * lam * scale))
-    pv = path_variation(logistic_ledger(run), path, gamma)
+    pv = path_variation(ledger, path, gamma)
     bound += gamma / (1.0 - gamma) * pv
     bound += (1.0 - beta) / beta * d * scale * T
     return float(bound)

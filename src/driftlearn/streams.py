@@ -326,7 +326,7 @@ def _first_rejected(public, out: np.ndarray, *stacks: np.ndarray) -> tuple[int, 
 # ---------------------------------------------------------------------------
 
 BLOCK_ROWS = 256
-CHUNK = 1 << 16
+CHUNK = 1 << 14
 # Rows the reader's t and finiteness checks take at a time.
 _CHECK_ROWS = 4096
 

@@ -646,40 +646,45 @@ def aioli_curvature_weights(run: AioliRun) -> np.ndarray:
 class PerRoundExperts:
     """The discount-AIOLI expert stack one round at a time: ``decide``, then
     ``decisions`` and ``residuals`` at the round's state, then ``absorb``,
-    which factors every round's updated stack to check it.  The block loop
-    of ``logreg._Experts.run`` is held to it bit for bit, and to the round
-    and the expert each of its errors names."""
+    which factors every round's updated stack to check it.  ``decide``
+    factors the round's bordered matrix, assembled anew, as the library's
+    state holds it.  The block loop of ``logreg._Experts.run`` is held to
+    it bit for bit, and to the round and the expert each of its errors
+    names."""
 
     def __init__(self, d, betas, lam, B, R):
         fresh = logreg._Experts.fresh(d, betas, lam, B, R)
         self.beta, self.scale, self.A, self.w, self.t = (
-            fresh.beta, fresh.scale, fresh.A, fresh.w, 0)
+            fresh.beta, fresh.scale, fresh.A.copy(), fresh.w.copy(), 0)
 
     def decide(self, z):
-        """The pair (A_i^{-1}w_i, A_i^{-1}z/beta_i), predictions v and q."""
-        rhs = np.empty(self.w.shape + (2,))
-        rhs[:, :, 0] = self.w
-        rhs[:, :, 1] = z
-        sol = _umath_linalg.solve(self.A, rhs)
-        ainv_w = sol[:, :, 0]
-        ainv_z = sol[:, :, 1] / self.beta[:, None]
-        p = ainv_w @ z
-        q = ainv_z @ z
+        """The Cholesky factor of [[A, ., .], [w', inf, .], [z', 0, inf]]
+        for each expert, and the predictions v and q."""
+        n, d = self.w.shape
+        M = np.zeros((n, d + 2, d + 2))
+        M[:, :d, :d] = self.A
+        M[:, d, :d] = self.w
+        M[:, d + 1, :d] = z
+        M[:, d, d] = M[:, d + 1, d + 1] = np.inf
+        factor = _umath_linalg.cholesky_lo(M)
+        pq = np.matmul(factor[:, d:, :d], factor[:, d + 1, :d, None])[:, :, 0]
+        p, q = pq[:, 0], pq[:, 1] / self.beta
         ps, qs = p.tolist(), q.tolist()
         if not all(map(math.isfinite, ps + qs)):
-            self._checked(np.linalg.solve, ValueError, logreg._ILL_CONDITIONED, self.A, rhs)
+            # only the start can be rejected here: absorb checks every update
+            self._checked(np.linalg.cholesky, RuntimeError, logreg._INDEFINITE, self.A)
             i = next(i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
             raise ValueError(self._failure(i, logreg._OVERFLOWED))
-        if min(qs) < 0.0:
-            raise ValueError(self._failure(qs.index(min(qs)), logreg._ILL_CONDITIONED))
         v = np.array([logreg.solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)])
-        return (ainv_w, ainv_z), v, q
+        return factor, v, q
 
-    @staticmethod
-    def decisions(ainv, v):
-        """x_i = A_i^{-1}w_i - tanh(v_i/2) A_i^{-1}z/beta_i, (N, d)."""
-        ainv_w, ainv_z = ainv
-        return ainv_w - np.tanh(0.5 * v)[:, None] * ainv_z
+    def decisions(self, factor, v):
+        """x_i = A_i^{-1}(w_i - tanh(v_i/2) z/beta_i), (N, d): with the factor's
+        rows c_w and c_z, L'^{-1}(c_w - tanh(v_i/2) c_z/beta_i)."""
+        d = factor.shape[-1] - 2
+        u = factor[:, d + 1, :d] / self.beta[:, None]
+        u = factor[:, d, :d] - np.tanh(0.5 * v)[:, None] * u
+        return _umath_linalg.solve(factor[:, :d, :d].transpose(0, 2, 1), u[:, :, None])[:, :, 0]
 
     def residuals(self, z, X):
         """Sup-norm of beta A x + tanh((z.x)/2) z - beta w at each decision."""
@@ -733,8 +738,8 @@ def per_round_aioli(stream: Stream, beta: float, lam: float, B: float, R: float)
     yhats, stab_incs, resid = np.empty(T), np.empty(T), np.empty(T)
     with np.errstate(over="ignore", invalid="ignore"):
         for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
-            ainv, yh, q = experts.decide(z)
-            resid[t] = experts.residuals(z, experts.decisions(ainv, yh))[0]
+            factor, yh, q = experts.decide(z)
+            resid[t] = experts.residuals(z, experts.decisions(factor, yh))[0]
             stab_incs[t] = experts.absorb(z, y, yh, q)[0]
             yhats[t] = yh[0]
     return AioliRun(

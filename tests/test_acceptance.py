@@ -114,7 +114,7 @@ def test_criterion_03_discounted_forecaster_dynamic_bound():
                     if gamma < beta:
                         continue
                     # the path form, the F-difference form and the modular RHS
-                    for bound in linreg.dvaw_bounds(run, truth, gamma):
+                    for bound in linreg.dvaw_bounds(run, ledger, truth, gamma):
                         assert bound_holds(dyn, bound), (i, beta, gamma)
 
         # adapting to drift: discounting beats no discounting on a 4-segment stream
@@ -156,7 +156,7 @@ def test_criterion_04_discounted_logistic_bounds():
                     bound = oracles.aioli_rescaled_bound(run, t, u)
                     assert bound_holds(r, bound), (i, t)
             dyn = regret.dynamic_regret(ledger, truth)
-            bound = logreg.theorem_dynamic_bound(run, truth, max(beta, 0.95))
+            bound = logreg.theorem_dynamic_bound(run, ledger, truth, max(beta, 0.95))
             assert bound_holds(dyn, bound), i
 
 

@@ -158,7 +158,7 @@ class TestDynamicBound:
         stream = Stream(np.tile([[1.0, 0.0]], (T, 1)), np.zeros(T))
         run = linreg.run_dvaw(stream, beta=0.9, lam=1.0)
         path = ComparatorPath(np.zeros((T, d)))
-        assert linreg.dvaw_bounds(run, path, 0.95) == (0.0, 0.0, 0.0)
+        assert linreg.dvaw_bounds(run, linreg.vaw_ledger(run), path, 0.95) == (0.0, 0.0, 0.0)
         assert regret.dynamic_regret(linreg.vaw_ledger(run), path) == 0.0
 
     def test_constant_path_drops_variation_term(self):
@@ -166,7 +166,8 @@ class TestDynamicBound:
         stream, _ = drifting_stream(rng, T=30, segments=1)
         run = linreg.run_dvaw(stream, beta=0.9, lam=1.0)
         path = oracles.constant_path(rng.standard_normal(stream.d), stream.T)
-        bound_path, bound_ft, modular = linreg.dvaw_bounds(run, path, 0.95)
+        ledger = linreg.vaw_ledger(run)
+        bound_path, bound_ft, modular = linreg.dvaw_bounds(run, ledger, path, 0.95)
         phi = 0.5 * 1.0 * float(path[0] @ path[0])
         base = (
             0.9 * phi
@@ -196,7 +197,7 @@ class TestDynamicBound:
         pv = regret.path_variation(ledger, truth, gamma)
         modular = (beta * (0.5 * lam * float(u @ u))
                    + float(run.potential_increments.sum()) + fd)
-        assert linreg.dvaw_bounds(run, truth, gamma) == (
+        assert linreg.dvaw_bounds(run, ledger, truth, gamma) == (
             base + gamma / (1.0 - gamma) * pv, base + fd, modular)
 
     def test_bounds_dominate_measured_regret(self):
@@ -205,9 +206,10 @@ class TestDynamicBound:
             stream, truth = drifting_stream(rng, T=60, segments=3, noise=0.3)
             beta = float(rng.choice([0.5, 0.9, 0.99]))
             run = linreg.run_dvaw(stream, beta=beta, lam=1.0)
-            dyn = regret.dynamic_regret(linreg.vaw_ledger(run), truth)
+            ledger = linreg.vaw_ledger(run)
+            dyn = regret.dynamic_regret(ledger, truth)
             for gamma in (beta, min(0.999, 0.5 * (1 + beta))):
-                for bound in linreg.dvaw_bounds(run, truth, gamma):
+                for bound in linreg.dvaw_bounds(run, ledger, truth, gamma):
                     assert dyn <= bound + 1e-9 * (1.0 + abs(bound))
 
     def test_modular_rhs_dominates_measured_regret(self):
@@ -215,8 +217,9 @@ class TestDynamicBound:
         for _ in range(10):
             stream, truth = drifting_stream(rng, T=40, segments=2, noise=0.2)
             run = linreg.run_dvaw(stream, beta=0.9, lam=0.5)
-            dyn = regret.dynamic_regret(linreg.vaw_ledger(run), truth)
-            _, _, rhs = linreg.dvaw_bounds(run, truth, 0.95)
+            ledger = linreg.vaw_ledger(run)
+            dyn = regret.dynamic_regret(ledger, truth)
+            _, _, rhs = linreg.dvaw_bounds(run, ledger, truth, 0.95)
             assert dyn <= rhs + 1e-9 * (1.0 + abs(rhs))
 
     def test_modular_rhs_matches_slow_direct_summation(self):
@@ -242,7 +245,7 @@ class TestDynamicBound:
             slow += beta * sum(
                 F(t, path[t]) - F(t, path[t - 1]) for t in range(1, T)
             )
-            _, _, fast = linreg.dvaw_bounds(run, path, 0.95)
+            _, _, fast = linreg.dvaw_bounds(run, linreg.vaw_ledger(run), path, 0.95)
             assert abs(fast - slow) <= 1e-8 * (1.0 + abs(slow))
 
     def test_bad_gamma_ordering_rejected(self):
@@ -250,7 +253,7 @@ class TestDynamicBound:
         stream, truth = drifting_stream(rng, T=10)
         run = linreg.run_dvaw(stream, beta=0.9, lam=1.0)
         with pytest.raises(ValueError, match=r"^need 0 < beta <= gamma < 1, got beta=0.9 gamma=0.5$"):
-            linreg.dvaw_bounds(run, truth, 0.5)
+            linreg.dvaw_bounds(run, linreg.vaw_ledger(run), truth, 0.5)
 
     def test_negative_stability_term_rejected(self):
         rng = np.random.default_rng(15)
@@ -260,7 +263,7 @@ class TestDynamicBound:
         pots[3] = -2e-12
         run = dataclasses.replace(run, potential_increments=pots)
         with pytest.raises(ValueError, match="^stability terms must be nonnegative$"):
-            linreg.dvaw_bounds(run, truth, 0.95)
+            linreg.dvaw_bounds(run, linreg.vaw_ledger(run), truth, 0.95)
 
 
 class TestPotentialLemmaDelegation:

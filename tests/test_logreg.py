@@ -99,8 +99,8 @@ class TestLoss:
                 logistic_grad(np.zeros(2), z, y), -y * 0.5 * z, rtol=1e-15
             )
             experts = oracles.PerRoundExperts(2, [0.9], 1.0, 1.0, 1.0)
-            ainv, yhats, q = experts.decide(z)
-            X = experts.decisions(ainv, yhats)
+            factor, yhats, q = experts.decide(z)
+            X = experts.decisions(factor, yhats)
             experts.absorb(z, y, yhats, q)
             np.testing.assert_allclose(experts.w[0], -logistic_grad(X[0], z, y), rtol=1e-15)
 
@@ -162,19 +162,85 @@ def one_expert(d, beta, lam=1.0, B=1.0, R=1.0):
     return logreg._Experts.fresh(d, [beta], lam, B, R)
 
 
+def decide(experts, z):
+    """The predictions and q of ``experts`` at feature z, which the state's
+    feature row holds, as a block of ``_Experts.run`` writes it."""
+    d = len(z)
+    experts.S[d + 1, :d] = z[:, None]
+    yhats = np.empty(len(experts.beta))
+    return yhats, experts.decide(yhats)
+
+
+def padded_outer(z):
+    """z z' in the first d columns of d + 2, as ``_Experts.absorb`` takes it."""
+    d = len(z)
+    zz = np.zeros((d, d + 2))
+    zz[:, :d] = np.outer(z, z)
+    return zz
+
+
 def step(experts, z, y, yhats):
-    """One update of ``experts`` into arrays of its own; returns c2."""
+    """One update of ``experts`` into a state of its own; returns c2."""
     with np.errstate(over="ignore"):
-        return experts.absorb(z, np.outer(z, z), y, yhats, np.empty_like(experts.A),
-                              np.empty_like(experts.w))
+        return experts.absorb(z, padded_outer(z), y, yhats, experts.S.copy())
 
 
 class TestPredict:
     def test_empty_history_plays_zero(self):
         experts = oracles.PerRoundExperts(3, [0.9], 1.0, 1.0, 1.0)
-        ainv, yhats, _ = experts.decide(np.array([1.0, 0.0, -1.0]))
-        X = experts.decisions(ainv, yhats)
+        factor, yhats, _ = experts.decide(np.array([1.0, 0.0, -1.0]))
+        X = experts.decisions(factor, yhats)
         assert np.array_equal(X[0], np.zeros(3)) and yhats[0] == 0.0
+
+    # The route before the bordered factor: p = z'A^{-1}w and
+    # q = z'A^{-1}z/beta from one LU solve of A against [w, z], each expert
+    # on its own trajectory.  The factor's predictions drift from it by
+    # roundoff alone.
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 6),
+        T=st.integers(1, 200),
+        betas=st.lists(st.floats(0.5, 0.999), min_size=1, max_size=6),
+        lam=st.floats(0.1, 10.0),
+    )
+    def test_factor_predictions_agree_with_an_lu_solve(self, seed, d, T, betas, lam):
+        stream, _ = gen_stream(StreamSpec(d=d, T=T, kind="logistic-drift", segments=3,
+                                          noise=0.3, seed=seed))
+        _, got, _ = oracles.ensemble_rows(stream, betas, lam)
+        experts = oracles.PerRoundExperts(d, betas, lam, 1.0, 1.0)
+        want = np.empty_like(got)
+        for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
+            rhs = np.stack([experts.w, np.broadcast_to(z, experts.w.shape)], axis=-1)
+            sol = np.linalg.solve(experts.A, rhs)
+            p, q = sol[:, :, 0] @ z, (sol[:, :, 1] / experts.beta[:, None]) @ z
+            want[t] = [logreg.solve_optimism_root(pi, qi) for pi, qi in zip(p, q)]
+            with np.errstate(over="ignore"):
+                experts.absorb(z, y, want[t], q)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    # q = |L^{-1}z|^2/beta is a sum of squares: no roundoff makes it negative,
+    # however badly A is conditioned, where an LU solve gave q < 0.
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 6),
+        n=st.integers(1, 5),
+        log_cond=st.floats(0.0, 15.0),
+        log_scale=st.floats(-150.0, 150.0),
+    )
+    def test_q_is_never_negative(self, seed, d, n, log_cond, log_scale):
+        rng = np.random.default_rng(seed)
+        experts = logreg._Experts.fresh(d, np.linspace(0.3, 0.99, n), 1.0, 1.0, 1.0)
+        for i in range(n):
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            spectrum = 10.0 ** (log_scale - log_cond * rng.random(d))
+            experts.A[i] = (Q * spectrum) @ Q.T
+            experts.w[i] = rng.standard_normal(d) * 10.0 ** (0.5 * log_scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                _, q = decide(experts, rng.standard_normal(d))
+            except (RuntimeError, ValueError):  # a stack LAPACK rejects, or one that overflows
+                return
+        assert np.all(q >= 0.0)
 
     def test_stationarity_residual_small_on_fuzzed_runs(self):
         rng = np.random.default_rng(1)
@@ -188,7 +254,7 @@ class TestUpdate:
         # u = 0: eta g g' = z z' / (4 (1 + BR))
         experts = one_expert(2, 0.9)
         z = np.array([0.8, -0.6])
-        yhats, _ = experts.decide(z)  # the empty history plays x = 0
+        yhats, _ = decide(experts, z)  # the empty history plays x = 0
         step(experts, z, 1.0, yhats)
         np.testing.assert_allclose(
             experts.A[0] - 0.9 * np.eye(2), np.outer(z, z) / 8.0, rtol=1e-14
@@ -228,8 +294,8 @@ class TestUpdate:
             _, yh, q = experts.decide(z)
             experts.absorb(z, y, yh, q)
         z, y = stream.Z[-1], float(stream.y[-1])
-        ainv, yh, q = experts.decide(z)
-        x, w = experts.decisions(ainv, yh)[0], experts.w[0]
+        factor, yh, q = experts.decide(z)
+        x, w = experts.decisions(factor, yh)[0], experts.w[0]
         u = y * float(x @ z)
         g = -y * float(expit(-u)) * z
         eta_g = -y * float(expit(u)) / 2.0 * z  # 1 + BR = 2
@@ -249,7 +315,7 @@ class TestUpdate:
         experts = one_expert(stream.d, 0.9, R=1.5)
         norms = np.empty(stream.T)
         for t, (z, y) in enumerate(zip(stream.Z, stream.y.tolist())):
-            yh, _ = experts.decide(z)
+            yh, _ = decide(experts, z)
             A_prev = experts.A[0]
             step(experts, z, y, yh)
             norms[t] = np.linalg.norm(experts.A[0] - 0.9 * A_prev, ord=2)
@@ -418,8 +484,9 @@ class TestDynamicBound:
             stream, truth = logistic_stream(rng, T=100, segments=2)
             beta = float(rng.uniform(0.7, 0.97))
             run = logreg.run_aioli(stream, beta=beta, lam=1.0, B=1.0, R=1.0)
-            dyn = regret.dynamic_regret(logreg.logistic_ledger(run), truth)
-            bound = logreg.theorem_dynamic_bound(run, truth, max(beta, 0.95))
+            ledger = logreg.logistic_ledger(run)
+            dyn = regret.dynamic_regret(ledger, truth)
+            bound = logreg.theorem_dynamic_bound(run, ledger, truth, max(beta, 0.95))
             assert dyn <= bound + 1e-9 * (1.0 + abs(bound))
 
 
@@ -724,8 +791,8 @@ class TestEnsembleErrors:
         with pytest.raises(logreg.RootNotConvergedError):
             logreg.run_ensemble(stream, [0.6, 0.9], lam=1.0, B=1.0, R=1.0)
 
-    # diag(1, -1) is indefinite, yet z = e_1 gives a valid decision
-    # (q > 0), so the error comes from the update's factorization.
+    # diag(1, -1) is indefinite.  Round 1's factor reads the start, and a
+    # start LAPACK rejects is named at round 1, whatever z is.
     INDEFINITE = np.diag([1.0, -1.0])
     MESSAGE = ("surrogate curvature matrix is numerically indefinite at round 1 for "
                "beta={}; use a larger beta or lambda")
@@ -753,22 +820,21 @@ class TestEnsembleErrors:
             logreg.run_ensemble(stream, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
         assert str(exc.value) == self.MESSAGE.format(0.8)  # the second expert's
 
-    # z = e_2 meets the negative eigenvalue of diag(1, -1), so q = -1/beta < 0;
-    # a zero matrix cannot be solved at all.  Both stand for the roundoff of
-    # a badly scaled stream, and neither reaches the root finder.
+    # z = e_2 meets the negative eigenvalue of diag(1, -1), where an LU
+    # solve gave q = -1/beta < 0, and a zero matrix is singular.  The
+    # factor rejects both starts, whose message names the first expert
+    # with one, before any root is sought.
     @pytest.mark.parametrize("A", [INDEFINITE, np.zeros((2, 2))], ids=["negative-q", "singular"])
     @pytest.mark.parametrize("runner", ["aioli", "ensemble"])
-    def test_ill_conditioned_statistics_raise_one_value_error(self, monkeypatch, A, runner):
+    def test_a_rejected_start_is_named_before_the_root_finder(self, monkeypatch, A, runner):
         stream = self.with_indefinite_expert(monkeypatch, 0, A, z=(0.0, 1.0))
         monkeypatch.setattr(logreg, "solve_optimism_root", None)
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(RuntimeError) as exc:
             if runner == "aioli":
                 logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
             else:
                 logreg.run_ensemble(stream, [0.6, 0.8, 0.9], 1.0, 1.0, 1.0)
-        beta = 0.9 if runner == "aioli" else 0.6
-        assert str(exc.value) == (f"surrogate statistics are ill-conditioned at round 1 for "
-                                  f"beta={beta}; use a larger beta or rescale the stream")
+        assert str(exc.value) == self.MESSAGE.format(0.9 if runner == "aioli" else 0.6)
 
     @pytest.mark.parametrize("first", [1e200, -1e200, 1e160])
     @pytest.mark.parametrize("runner", ["aioli", "ensemble"])
@@ -800,7 +866,8 @@ class TestEnsembleErrors:
         "nan": (np.full((2, 2), np.nan), ValueError, "surrogate statistics overflowed"),
         "indefinite": (INDEFINITE, RuntimeError,
                        "surrogate curvature matrix is numerically indefinite"),
-        "zero": (np.zeros((2, 2)), ValueError, "surrogate statistics are ill-conditioned"),
+        "zero": (np.zeros((2, 2)), RuntimeError,
+                 "surrogate curvature matrix is numerically indefinite"),
         "inf": (np.diag([np.inf, 1.0]), None, None),
         "tiny": (np.diag([1e-300, 1.0]), None, None),
     }
@@ -945,13 +1012,14 @@ EDGES = ("L-1", "L", "L+1", "2L+1")
 
 
 def block_rounds(n, d):
-    """Rounds in one block of the module's budget for n experts at dimension d."""
-    return max(1, logreg._BLOCK_BYTES // (8 * n * d * d))
+    """Rounds in one block of the module's budget for n experts at dimension
+    d, whose states are (d + 2, d + 2) bordered matrices."""
+    return max(1, logreg._BLOCK_BYTES // (8 * n * (d + 2) ** 2))
 
 
 def blocks_of(L, n, d):
     """The budget patched in so that n experts at dimension d run blocks of L."""
-    return mock.patch.object(logreg, "_BLOCK_BYTES", L * 8 * n * d * d)
+    return mock.patch.object(logreg, "_BLOCK_BYTES", L * 8 * n * (d + 2) ** 2)
 
 
 def edge_horizon(L, edge):
@@ -991,8 +1059,8 @@ class TestBlockLoopMatchesPerRoundReferee:
         with blocks_of(L, len(betas), d):
             assert_ensemble_matches_referee(stream, betas, lam)
 
-    # The module's own budget at the bench shape: d 3, one learner (455
-    # rounds a block) and the 13-expert pool (35 rounds a block).
+    # The module's own budget at the bench shape: d 3, one learner (163
+    # rounds a block) and the 13-expert pool (12 rounds a block).
     @pytest.mark.parametrize("edge", EDGES)
     @pytest.mark.parametrize("runner", ["aioli", "ensemble"])
     def test_bit_identical_at_the_bench_shape(self, runner, edge):
@@ -1005,6 +1073,57 @@ class TestBlockLoopMatchesPerRoundReferee:
             assert_aioli_matches_referee(stream, 0.9, 1.0)
         else:
             assert_ensemble_matches_referee(stream, pool, 1.0)
+
+
+class TestLapackCalls:
+    """The LAPACK calls the runners make, by routine and stack shape."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        lapack = logreg._umath_linalg
+
+        def cholesky_lo(M):
+            calls.append(("cholesky_lo", M.shape))
+            return lapack.cholesky_lo(M)
+
+        def solve(A, b):
+            calls.append(("solve", A.shape))
+            return lapack.solve(A, b)
+
+        monkeypatch.setattr(logreg, "_umath_linalg",
+                            SimpleNamespace(cholesky_lo=cholesky_lo, solve=solve))
+        return calls
+
+    STREAM = StreamSpec(kind="logistic-drift", d=3, T=600, segments=4, noise=0.2, seed=1)
+
+    # One factor of the (N, 5, 5) bordered stack a round, and one check of
+    # the last (N, 3, 3) state a call of _Experts.run: the ensemble calls it
+    # once a chunk of streams.BLOCK_ROWS rounds.  No solve.
+    def test_the_ensemble_factors_once_a_round(self, monkeypatch):
+        stream, _ = gen_stream(self.STREAM)
+        pool = logreg.build_grid(1.0, 1.0, 3, stream.T)
+        calls = self.counted(monkeypatch)
+        logreg.run_ensemble(stream, pool, 1.0, 1.0, 1.0)
+        chunks = -(-stream.T // logreg.BLOCK_ROWS)
+        N = len(pool)
+        assert sorted(set(calls)) == [("cholesky_lo", (N, 3, 3)), ("cholesky_lo", (N, 5, 5))]
+        assert calls.count(("cholesky_lo", (N, 5, 5))) == stream.T
+        assert calls.count(("cholesky_lo", (N, 3, 3))) == chunks
+
+    # run_aioli's learner makes the same calls at N = 1; its residuals add,
+    # a block of L rounds at a time, one stacked factor of the block's
+    # states and one solve of their triangles.
+    def test_aioli_adds_one_factor_and_one_solve_a_block(self, monkeypatch):
+        stream, _ = gen_stream(self.STREAM)
+        L = block_rounds(1, 3)
+        calls = self.counted(monkeypatch)
+        logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0)
+        blocks = [min(L, stream.T - lo) for lo in range(0, stream.T, L)]
+        residuals = [c for n in blocks for c in (("cholesky_lo", (n, 5, 5)), ("solve", (n, 3, 3)))]
+        learner = [c for c in calls if c[1][0] == 1]
+        assert learner == [("cholesky_lo", (1, 5, 5))] * stream.T + [("cholesky_lo", (1, 3, 3))]
+        assert [c for c in calls if c[1][0] > 1] == residuals
 
 
 def outcome(run):
@@ -1021,10 +1140,10 @@ INDEFINITE_AT = ("surrogate curvature matrix is numerically indefinite at round 
 
 
 class TestDeferredGuard:
-    """The library checks definiteness once per block; the referee after
-    every round.  A failure here is followed by a later round that raises
-    on its own, or ends the stream, and both must name the failed round
-    and expert."""
+    """The library checks A_t in round t + 1's factor, and the last state
+    after the loop; the referee after every round.  A failure here is
+    followed by a later round that raises on its own, or ends the stream,
+    and both must name the failed round and expert."""
 
     L = 4  # rounds a block, through the patched budget
 
@@ -1068,19 +1187,29 @@ class TestDeferredGuard:
         """The start of an expert with beta = 2^-k, k >= 54, whose A_t along
         e_1 features is singular from round t0 >= 2 on, and whose rounds up
         to t0 decide finitely: the e_2 entry 2^(k (t0 - t) - 1076) is a normal
-        float for t < t0 and rounds to 0 at t0.  The next round's solve
-        fails: the statistics are ill-conditioned."""
+        float for t < t0 and rounds to 0 at t0.  The next round's factor,
+        or the check after the loop, rejects A_t0."""
         return 2.0 ** (k * t0 - 1076) * np.eye(2)
 
     # Rounds 4 and 8 end a block, 5 and 9 begin one, 2 lies inside; a
     # failure in the stream's last round is caught by the check after the
-    # loop, one with rounds after it by the next round's error or the
-    # block's end.
+    # loop, one with rounds after it by the next round's factor.
     @pytest.mark.parametrize("after", [0, 3], ids=["last-round", "rounds-after"])
     @pytest.mark.parametrize("t0", [2, 4, 5, 8, 9])
     def test_a_singular_update_names_its_round(self, monkeypatch, t0, after):
         self.start_stacks(monkeypatch, {0: self.underflowing(60, t0)})
         got = self.both("aioli", self.along_e1(t0 + after), [2.0**-60])
+        assert got == (RuntimeError, INDEFINITE_AT.format(t0, 2.0**-60))
+
+    # No round reads the stream's last update: the check after the loop
+    # names it, for one learner and for the pool, at a block's end or
+    # inside a block.
+    @pytest.mark.parametrize("runner", ["aioli", "ensemble"])
+    @pytest.mark.parametrize("t0", [4, 6])
+    def test_an_update_in_the_streams_last_round_is_named(self, monkeypatch, runner, t0):
+        betas = [2.0**-60] if runner == "aioli" else [0.5, 2.0**-60]
+        self.start_stacks(monkeypatch, {len(betas) - 1: self.underflowing(60, t0)})
+        got = self.both(runner, self.along_e1(t0), betas)
         assert got == (RuntimeError, INDEFINITE_AT.format(t0, 2.0**-60))
 
     # Experts 1 and 3 fail at t0, expert 1 at t0 + 1 in the second case:
@@ -1166,11 +1295,22 @@ SLACK = 8 << 10
 
 
 class TestBlockWorkingSet:
-    # The loop holds its block of states, (L+1) N (d^2 + d) floats, and at
-    # a time either the check's (L, N, d, d) Cholesky factor or a round's
-    # arrays: the block's products z z' (L d^2) and the update's products
-    # c2_i z z' (N d^2).  A loop that keeps a second block, or allocates
-    # states for every round, breaks the bound.
+    # The experts hold their state, N (d+2)^2 floats, and the discounts
+    # over the rows of A and w, N (d+1)(d+2).  The loop holds its block of
+    # states, (L+1) N (d+2)^2 floats, and at a time the block's products
+    # z z' (L d (d+2), in padded rows) and a round's arrays: the factor of
+    # the bordered stack (N (d+2)^2) and the update's products c2_i z z'
+    # (N d (d+2)).  A loop that keeps a second block, allocates states for
+    # every round, or factors a block of states at once breaks the bound.
+    @staticmethod
+    def state_floats(N, d):
+        return N * (d + 2) * (2 * d + 3)
+
+    @staticmethod
+    def loop_floats(L, N, d):
+        e = d + 2
+        return (L + 1) * N * e * e + L * d * e + N * e * e + N * d * e
+
     @pytest.mark.parametrize("d, T", [(3, 1200), (20, 300)])
     def test_the_ensemble_loop_holds_one_block(self, d, T):
         N = 13
@@ -1184,48 +1324,49 @@ class TestBlockWorkingSet:
             with np.errstate(over="ignore", invalid="ignore"):
                 experts.run(stream.Z, stream.y, yhats)
 
-        states = (L + 1) * N * (d * d + d)
-        at_a_time = max(L * N * d * d, L * d * d + N * d * d)
-        assert traced_peak(loop) <= 8 * (states + at_a_time) + SLACK
+        floats = self.state_floats(N, d) + self.loop_floats(L, N, d)
+        assert traced_peak(loop) <= 8 * floats + SLACK
 
-    # One absorb makes one (N, d, d) stack, the products c2_i z z', and
-    # little else: the broadcast product c2[:, None, None] * zz made three.
+    # One absorb makes one stack, the products c2_i z z' in padded rows,
+    # and little else: the broadcast product c2[:, None, None] * zz made
+    # three, and a multiply by the (N,) discounts broadcast over the rows
+    # of A and w staged a buffer of their size.
     @pytest.mark.parametrize("d", [3, 20, 64])
     def test_an_absorb_makes_one_stack(self, d):
         N = 13
         experts = logreg._Experts.fresh(d, np.linspace(0.5, 0.99, N), 1.0, 1.0, 1.0)
         z = np.random.default_rng(d).standard_normal(d) / d
-        zz, yhats = np.outer(z, z), np.linspace(-0.5, 0.5, N)
-        A, w = np.empty_like(experts.A), np.empty_like(experts.w)
-        peak = traced_peak(lambda: experts.absorb(z, zz, 1.0, yhats, A, w))
-        assert peak <= 8 * N * d * d + 4096
+        zz, yhats, S = padded_outer(z), np.linspace(-0.5, 0.5, N), experts.S.copy()
+        peak = traced_peak(lambda: experts.absorb(z, zz, 1.0, yhats, S))
+        assert peak <= 8 * N * d * (d + 2) + 3072
 
-    # run_aioli adds its three (T,) outputs, and its residuals hold at most
-    # five (L, d) arrays of a block at a time.
+    # run_aioli adds its three (T,) outputs and one expert's state, and its
+    # residuals hold the block's factor and at most five (L, d) arrays.
     @pytest.mark.parametrize("d, T", [(3, 1200), (20, 300)])
     def test_aioli_holds_one_block_and_its_residuals(self, d, T):
         L = block_rounds(1, d)
         stream, _ = gen_stream(StreamSpec(kind="logistic-drift", d=d, T=T, segments=4,
                                           noise=0.2, seed=1))
-        states = (L + 1) * (d * d + d)
-        at_a_time = max(L * d * d + d * d, 5 * L * d)
+        e = d + 2
+        at_a_time = max(L * d * e + e * e + d * e, L * e * e + 5 * L * d)
         peak = traced_peak(lambda: logreg.run_aioli(stream, 0.9, 1.0, 1.0, 1.0))
-        assert peak <= 8 * (3 * T + states + at_a_time) + SLACK
+        floats = 3 * T + self.state_floats(1, d) + (L + 1) * e * e + at_a_time
+        assert peak <= 8 * floats + SLACK
 
-    # At the bench shape the ensemble holds its three (T,) columns and one
-    # chunk of C = streams.BLOCK_ROWS rounds: the (C, N) predictions and the
-    # (C + 1, N) summed losses.  Beside them it holds, at a time, either the
-    # loop's block (its states and their factor or a round's arrays, as
-    # above) or the mixture's (2, C, N) sigmoids.  A (T, N) array (125 KB
-    # here), or the loop's block (45 KB) kept through the mixture, breaks
-    # the bound.
+    # At the bench shape the ensemble holds its three (T,) columns, one
+    # chunk of C = streams.BLOCK_ROWS rounds (the (C, N) predictions and
+    # the (C + 1, N) summed losses) and the experts' state.  Beside them it
+    # holds, at a time, either the loop's block (as above) or the
+    # mixture's (2, C, N) sigmoids and at most five (C,) arrays of its sums
+    # and logs.  A (T, N) array (125 KB here), or the loop's block (about
+    # 38 KB) kept through the mixture, breaks the bound.
     def test_the_ensemble_releases_its_block_before_the_mix(self):
         T, d = 1200, 3
         stream, _ = gen_stream(StreamSpec(kind="logistic-drift", d=d, T=T, segments=4,
                                           noise=0.2, seed=1))
         pool = logreg.build_grid(1.0, 1.0, d, T)
         N, L, C = len(pool), block_rounds(len(pool), d), min(T, logreg.BLOCK_ROWS)
-        states = (L + 1) * N * (d * d + d)
-        loop = states + max(L * N * d * d, L * d * d + N * d * d)
+        state = self.state_floats(N, d)
+        at_a_time = max(self.loop_floats(L, N, d), 2 * C * N + 5 * C)
         peak = traced_peak(lambda: logreg.run_ensemble(stream, pool, 1.0, 1.0, 1.0))
-        assert peak <= 8 * (3 * T + 2 * (C + 1) * N + max(loop, 2 * C * N)) + SLACK
+        assert peak <= 8 * (3 * T + 2 * (C + 1) * N + state + at_a_time) + SLACK

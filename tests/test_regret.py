@@ -787,7 +787,7 @@ class TestPowerOfTwoScaling:
         ledger = linreg.vaw_ledger(run)
         return [regret.path_variation(ledger, truth, 0.995),
                 regret.check_path_length_lemma(ledger, truth, 0.99, 0.995),
-                *linreg.dvaw_bounds(run, truth, 0.995)]
+                *linreg.dvaw_bounds(run, ledger, truth, 0.995)]
 
     @pytest.mark.parametrize("spec", sorted(SPECS))
     def test_scaled_problems_keep_every_bit(self, spec):

@@ -997,8 +997,9 @@ def _traced_peak(f) -> int:
 
 
 # One piece of input held at a time: its bytes, its str and its lines,
-# with the rows loadtxt is parsing, four times the 64 KiB of a piece.
-PIECE_BUDGET = 256 << 10
+# with the rows loadtxt is parsing, under six times the 16 KiB of a piece
+# (streams.CHUNK): about 80 KB measured, against 205 KB with 64 KiB pieces.
+PIECE_BUDGET = 96 << 10
 
 
 def block_budget(width):

@@ -27,6 +27,11 @@ have a field ``yhats``.  Nothing in ``src/`` or ``bench/`` reads
 mixture through a hook), so all three are seen, and listed in
 ``UNREAD_FIELDS``; one read of any of them would hide the other two.
 
+An AIOLI round makes one LAPACK call, the Cholesky factorization of its
+bordered stack in ``logreg._Experts.decide`` (and ``run`` checks the last
+state once); the one solve in ``logreg`` is the stationarity residuals',
+and no LU solve is refereed.
+
 The learners' LAPACK calls have one referee, ``streams._first_rejected``:
 ``LinAlgError`` is caught in exactly one function of ``src/``, and numpy's
 private ``numpy.linalg._umath_linalg`` is imported in exactly one module,
@@ -225,6 +230,28 @@ def test_the_private_lapack_module_is_imported_in_one_module():
     assert len(where) == 1, (
         f"numpy.linalg._umath_linalg is imported in {where}; take it from streams"
     )
+
+
+def _is_lapack_call(node) -> bool:
+    """``node`` calls a routine of ``_umath_linalg``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "_umath_linalg")
+
+
+def test_aioli_factors_its_bordered_stack_and_solves_only_for_its_residuals():
+    # An AIOLI round is one Cholesky factorization of the bordered stack,
+    # which gives p and q and checks A: no LU solve beside it, and no
+    # referee of one.  The stationarity residuals solve the factor's
+    # triangle for the decisions.
+    others = enclosing(lambda n: _is_lapack_call(n) and n.func.attr != "cholesky_lo")
+    assert not [w for w in others if w.startswith("logreg._Experts.")], others
+    experts = [w for w in enclosing(_is_lapack_call) if w.startswith("logreg._Experts.")]
+    assert sorted(experts) == ["logreg._Experts.decide", "logreg._Experts.run"]
+    solves = enclosing(lambda n: "solve" in (getattr(n, "id", None), getattr(n, "attr", None)))
+    assert [w for w in solves if w.startswith("logreg")] == ["logreg._residuals"]
+    refereed = enclosing(lambda n: _called(n, "_first_rejected") and n.args
+                         and getattr(n.args[0], "attr", None) == "solve")
+    assert refereed == [], f"an LU solve is refereed at {refereed}"
 
 
 def _is_abs_plus_one(node) -> bool:
