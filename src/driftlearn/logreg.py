@@ -29,18 +29,23 @@ Loan, Matrix Computations, sec. 4.2): p and q are their dot products, and
 the factor's A block checks that A has not turned indefinite.  Then one
 scalar root per expert, and the update of A and w, which are one block of
 rows scaled by one multiply.  The rounds of a block of L go into one
-buffer of L + 1 bordered states, row 0 holding the state the block starts
-from; the inf entries are written once a buffer and the features once a
-block.  Round t's factor checks A_{t-1}, so a matrix that turned
-indefinite at round t is reported before anything a later round raises,
-and only the last state, which no round reads, gets a factorization of
-its own.  L is set by a private byte budget, and results do not depend on
-it.  The LAPACK call goes to numpy's gufunc directly: at these small
-stacks the public wrapper costs more than the gufunc.  A factor that
-holds a nan goes to ``streams._first_rejected``, which names the first
-expert whose A LAPACK rejects.  The discount ensemble advances its N
-experts this way and ``run_aioli`` is the N = 1 case; those two runners
-are the only drivers of the stack.  The roots stay scalar, one
+buffer of L + 2 bordered states, row 1 holding the state the block starts
+from and row 0 the one before it; the inf entries are written once a
+buffer and the features once a block.  Round t's factor checks A_{t-1},
+so a matrix that turned indefinite at round t is reported before anything
+a later round raises, and only the last state, which no round reads, gets
+a factorization of its own, once a runner.  L is set by a private byte
+budget, and results do not depend on it.  The LAPACK call goes to numpy's
+gufunc directly: at these small stacks the public wrapper costs more than
+the gufunc.  A factor that holds a nan goes to
+``streams._first_rejected``, which names the first expert whose A LAPACK
+rejects.  A failure keeps the name the LU solve the factor replaced gave
+it: the decision of the round that made the rejected A, or of the round
+that overflowed, is solved again, and a singular A or a q < 0 there names
+the statistics ill-conditioned, whose remedy is to rescale the stream.
+Only a failed round pays for that solve.  The discount ensemble advances
+its N experts this way and ``run_aioli`` is the N = 1 case; those two
+runners are the only drivers of the stack.  The roots stay scalar, one
 ``solve_optimism_root`` call per expert and round: they take a few Newton
 steps each, and a masked Newton over the expert axis would pay numpy's
 fixed cost per call on every step for only N elements.
@@ -86,9 +91,9 @@ def __getattr__(name: str):
     # which nothing here calls; scipy is imported only when the name is read.
     # ROADMAP item 0 moves that probe to _umath_linalg.cholesky_lo, times the
     # stack length: one bordered factorization an expert-round, one check
-    # of the last state a run call, and in run_aioli one stacked factor of
-    # each block's states for the residuals (np.linalg.cholesky runs only
-    # on a failed stack).
+    # of the last state a runner call, and in run_aioli one stacked factor
+    # of each block's states for the residuals (np.linalg.cholesky runs
+    # only on a failed stack).
     if name == "cho_factor":
         from scipy.linalg import cho_factor
 
@@ -147,7 +152,33 @@ def solve_optimism_root(p: float, q: float) -> float:
 
 # What failed in an expert, and the remedy besides a larger beta
 _INDEFINITE = ("surrogate curvature matrix is numerically indefinite", "lambda")
+_ILL_CONDITIONED = ("surrogate statistics are ill-conditioned", "rescale the stream")
 _OVERFLOWED = ("surrogate statistics overflowed", "rescale the stream")
+
+
+def _lu_failure(M: np.ndarray, beta: np.ndarray) -> tuple[tuple, int] | None:
+    """The failure an LU solve finds in a round's decision, and the expert
+    it names, or None.  ``M`` (N, d+2, d+2) holds each expert's bordered
+    state (A, w, z) and ``beta`` the (N,) discounts: p = z'A^{-1}w and
+    q = z'A^{-1}z/beta from one solve of A against [w, z].  A p or q that
+    is not finite is an overflow, or the first singular A's ill
+    conditioning; a q < 0 (A is positive definite, so only roundoff gives
+    one) is ill conditioning too.  Only a failed round calls this."""
+    d = M.shape[-1] - 2
+    A, rhs, z = M[:, :d, :d], M[:, d:, :d].transpose(0, 2, 1), M[0, d + 1, :d]
+    sol = _umath_linalg.solve(A, rhs)
+    p = sol[:, :, 0] @ z
+    q = (sol[:, :, 1] / beta[:, None]) @ z
+    ps, qs = p.tolist(), q.tolist()
+    if not all(map(math.isfinite, ps + qs)):
+        rejected = _first_rejected(np.linalg.solve, sol, A, rhs)
+        if rejected is not None:
+            return _ILL_CONDITIONED, rejected[0]
+        return _OVERFLOWED, next(
+            i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
+    if min(qs) < 0.0:
+        return _ILL_CONDITIONED, qs.index(min(qs))
+    return None
 
 
 @dataclass
@@ -166,19 +197,23 @@ class _Experts:
     the surrogates (constant terms are dropped, they do not move the
     argmin), and z is the feature the next :meth:`decide` reads.  ``A``
     (N, d, d) and ``w`` (N, d) are views of ``S``; ``beta`` holds the (N,)
-    discounts, ``scale`` = 1 + BR and ``t`` the rounds absorbed.  A round
-    costs one stacked Cholesky factorization of ``M`` through numpy's
-    LAPACK gufunc, which gives p and q and checks A, one scalar optimism
-    root per expert and the update, which writes A_t and w_t into the next
-    row of :meth:`run`'s block buffer and makes it the state.  The expert
-    whose A LAPACK rejected is named by ``streams._first_rejected``.
-    After :meth:`run`, ``S`` is an array of its own.
+    discounts, ``scale`` = 1 + BR, ``t`` the rounds absorbed and ``prev``
+    the state the last of them decided from.  A round costs one stacked
+    Cholesky factorization of ``M`` through numpy's LAPACK gufunc, which
+    gives p and q and checks A, one scalar optimism root per expert and
+    the update, which writes A_t and w_t into the next row of :meth:`run`'s
+    block buffer and makes it the state.  The expert whose A LAPACK
+    rejected is named by ``streams._first_rejected``, unless an LU solve
+    of the decision that made it fails first (:meth:`_fail`).  After
+    :meth:`run`, ``S`` and ``prev`` are arrays of their own.
     """
 
     beta: np.ndarray
     scale: float
     S: np.ndarray
     t: int = 0
+    # the state the last round absorbed decided from, which _fail reads
+    prev: np.ndarray | None = field(default=None, repr=False)
     # beta over the rows of A and w, as many entries as they hold: the
     # update's multiply then broadcasts nothing, which at these sizes halved
     # its cost and drops numpy's buffer of the broadcast
@@ -227,39 +262,49 @@ class _Experts:
         Round t writes the (N,) predictions into ``yhats[t]`` and, when
         ``c2q`` is given, c2 q into ``c2q[t]`` (both (T, N) arrays).  The
         rounds go in blocks of L, each written into one buffer ``Ss`` of
-        (L+1, d+2, d+2, N) states: row k holds A and w after the block's
-        k-th round and the feature of the round after it, row 0 the state
-        the block starts from.  The inf entries are written once a buffer,
+        (L+2, d+2, d+2, N) states: row k >= 1 holds A and w after the
+        block's (k-1)-th round and the feature of the round after it, row 1
+        the state the block starts from and row 0 the one before it, which
+        :meth:`_fail` reads.  The inf entries are written once a buffer,
         the features once a block.  At a block's end ``settle(lo, Ss)``,
         when given, reads the states the block's rounds decided from, rows
-        0..n-1, its first round lo + 1 of this call.  Round t's factor
-        checks A_{t-1}, so only the last A, which no round of this call
-        reads, is checked after the loop.  Calls may follow one another on
-        consecutive rounds; a failure names its round counted from the
-        first call's, as ``t`` does.  The buffer lives for one call, so a
-        caller's work between calls runs without it.
+        1..n, its first round lo + 1 of this call.  Round t's factor checks
+        A_{t-1}; the last A, which no round of this call reads, is the
+        runners' to :meth:`check` after their last call.  Calls may follow
+        one another on consecutive rounds; a failure names its round
+        counted from the first call's, as ``t`` does.  The buffer lives for
+        one call, so a caller's work between calls runs without it.
         """
         ys = map(float, y)
         T = len(Z)
         e, _, N = self.S.shape
         d = e - 2
         L = max(1, min(T, _BLOCK_BYTES // (8 * N * e * e)))
-        Ss = np.zeros((L + 1, e, e, N))
+        Ss = np.zeros((L + 2, e, e, N))
         Ss[:, d, d] = Ss[:, d + 1, d + 1] = np.inf
         for lo in range(0, T, L):
             rounds = slice(lo, min(lo + L, T))
             n = rounds.stop - lo
-            Ss[0, :d + 1] = self.S[:d + 1]
-            Ss[:n, d + 1, :d] = Z[rounds, :, None]
-            self.S = Ss[0]
-            self._block(Z[rounds], ys, Ss[1:n + 1], yhats[rounds],
+            if self.prev is not None:
+                Ss[0] = self.prev
+                self.prev = Ss[0]
+            Ss[1, :d + 1] = self.S[:d + 1]
+            Ss[1:n + 1, d + 1, :d] = Z[rounds, :, None]
+            self.S = Ss[1]
+            self._block(Z[rounds], ys, Ss[2:n + 2], yhats[rounds],
                         None if c2q is None else c2q[rounds])
             if settle is not None:
-                settle(lo, Ss[:n])
+                settle(lo, Ss[1:n + 1])
         self.S = self.S.copy()
+        if self.prev is not None:
+            self.prev = self.prev.copy()
+
+    def check(self) -> None:
+        """Check the last A, which no round has factored: the runners call
+        this once, after their last :meth:`run`."""
         factor = _umath_linalg.cholesky_lo(self.A)
         if math.isnan(factor.sum()):
-            self._check(factor)
+            self._fail(factor)
 
     def _block(
         self, Z: np.ndarray, ys: Iterator[float], Ss: np.ndarray,
@@ -305,9 +350,8 @@ class _Experts:
         q = np.divide(pq[:, 1], self.beta, out=pq[:, 1])
         ps, qs = pq.T.tolist()
         if not all(map(math.isfinite, ps + qs)):  # cheaper than numpy at small N
-            self._check(factor)
             i = next(i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
-            raise ValueError(self._failure(i, _OVERFLOWED, self.t + 1))
+            self._fail(factor, i)
         out[:] = [solve_optimism_root(p, q) for p, q in zip(ps, qs)]
         return q
 
@@ -337,18 +381,32 @@ class _Experts:
         # ufunc buffers, and an einsum costs more a call at small d
         S[:d] += (zz.reshape(-1, 1) @ c2[None]).reshape(S[:d].shape)
         S[d, :d] += z[:, None] * (y * s_neg + c2 * yhats)
-        self.S = S
+        self.prev, self.S = self.S, S
         self.t += 1
         return c2
 
-    def _check(self, factor: np.ndarray) -> None:
-        """Raise for the first expert, in order, whose A LAPACK rejected,
-        ``factor`` holding a Cholesky factor of each expert's A or of its
-        bordered ``M``.  A_t is round t's update; the start A_0 is named at
-        round 1, the first round that reads it."""
+    def _fail(self, factor: np.ndarray, overflowed: int | None = None) -> None:
+        """Raise for the failure ``factor``, a Cholesky factor of each
+        expert's A or of its bordered ``M``, shows: the first expert whose A
+        LAPACK rejected, or else expert ``overflowed``, whose p or q is not
+        finite (None after the last round, where a nan LAPACK accepts
+        raises nothing).  A rejected A_t is round t's update, and the start
+        A_0 is named at round 1, the first round that reads it; an overflow
+        is the deciding round's.  That round's decision is refereed first by
+        an LU solve, as the learner once made it: a singular system or a
+        q < 0 there, on a badly scaled stream, names the statistics
+        ill-conditioned, for the first expert the LU solve fails."""
         rejected = _first_rejected(np.linalg.cholesky, factor, self.A)
         if rejected is not None:
-            raise RuntimeError(self._failure(rejected[0], _INDEFINITE, max(self.t, 1)))
+            t, i, failure = max(self.t, 1), rejected[0], _INDEFINITE
+            M = self.M if self.prev is None else self.prev.transpose(2, 0, 1)
+        elif overflowed is not None:
+            t, i, failure, M = self.t + 1, overflowed, _OVERFLOWED, self.M
+        else:
+            return
+        failure, i = _lu_failure(M, self.beta) or (failure, i)
+        error = RuntimeError if failure is _INDEFINITE else ValueError
+        raise error(self._failure(i, failure, t))
 
     def _failure(self, i: int, failure: tuple, t: int) -> str:
         """Expert i's failure at round t; a tiny beta underflows lam beta^t."""
@@ -397,6 +455,7 @@ def run_aioli(stream: Stream, beta: float, lam: float, B: float, R: float) -> Ai
 
     with np.errstate(over="ignore", invalid="ignore"):  # decide raises instead
         experts.run(stream.Z, stream.y, yhats, c2q, settle)
+        experts.check()
     yhats, c2q = yhats[:, 0], c2q[:, 0]
     return AioliRun(
         stream=stream, beta=beta, lam=lam, B=B, R=R, yhats=yhats,
@@ -597,6 +656,8 @@ def run_ensemble(
             except Exception as exc:
                 failure = exc
         sums[0] = sums[n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        experts.check()
     if failure is not None:
         raise failure
     # The carry adds each expert's losses in round order, as numpy sums a

@@ -648,9 +648,10 @@ class PerRoundExperts:
     ``decisions`` and ``residuals`` at the round's state, then ``absorb``,
     which factors every round's updated stack to check it.  ``decide``
     factors the round's bordered matrix, assembled anew, as the library's
-    state holds it.  The block loop of ``logreg._Experts.run`` is held to
-    it bit for bit, and to the round and the expert each of its errors
-    names."""
+    state holds it, and keeps what an LU solve of the round's decision
+    finds wrong: a failed round names that first.  The block loop of
+    ``logreg._Experts.run`` is held to it bit for bit, and to the round
+    and the expert each of its errors names."""
 
     def __init__(self, d, betas, lam, B, R):
         fresh = logreg._Experts.fresh(d, betas, lam, B, R)
@@ -670,13 +671,44 @@ class PerRoundExperts:
         pq = np.matmul(factor[:, d:, :d], factor[:, d + 1, :d, None])[:, :, 0]
         p, q = pq[:, 0], pq[:, 1] / self.beta
         ps, qs = p.tolist(), q.tolist()
+        self.lu_failure = self._lu_failure(z)
         if not all(map(math.isfinite, ps + qs)):
+            self._raise_lu_failure()
             # only the start can be rejected here: absorb checks every update
             self._checked(np.linalg.cholesky, RuntimeError, logreg._INDEFINITE, self.A)
             i = next(i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
             raise ValueError(self._failure(i, logreg._OVERFLOWED))
         v = np.array([logreg.solve_optimism_root(pi, qi) for pi, qi in zip(ps, qs)])
         return factor, v, q
+
+    def _lu_failure(self, z):
+        """What a solve of A against [w, z] finds wrong with the round's p
+        and q, as (failure, expert), or None: a singular A, a p or q that
+        is not finite, or a q < 0."""
+        rhs = np.empty(self.w.shape + (2,))
+        rhs[:, :, 0] = self.w
+        rhs[:, :, 1] = z
+        with np.errstate(invalid="ignore"):
+            sol = _umath_linalg.solve(self.A, rhs)
+        p = sol[:, :, 0] @ z
+        q = (sol[:, :, 1] / self.beta[:, None]) @ z
+        ps, qs = p.tolist(), q.tolist()
+        if not all(map(math.isfinite, ps + qs)):
+            for i, (A, b) in enumerate(zip(self.A, rhs)):
+                try:
+                    np.linalg.solve(A, b)
+                except np.linalg.LinAlgError:
+                    return logreg._ILL_CONDITIONED, i
+            i = next(i for i, pq in enumerate(zip(ps, qs)) if not all(map(math.isfinite, pq)))
+            return logreg._OVERFLOWED, i
+        if min(qs) < 0.0:
+            return logreg._ILL_CONDITIONED, qs.index(min(qs))
+        return None
+
+    def _raise_lu_failure(self):
+        if self.lu_failure is not None:
+            failure, i = self.lu_failure
+            raise ValueError(self._failure(i, failure))
 
     def decisions(self, factor, v):
         """x_i = A_i^{-1}(w_i - tanh(v_i/2) z/beta_i), (N, d): with the factor's
@@ -703,6 +735,10 @@ class PerRoundExperts:
         c2 = s_pos * s_neg / self.scale
         A = self.beta[:, None, None] * self.A + c2[:, None, None] * (z[:, None] * z)
         if math.isnan(_umath_linalg.cholesky_lo(A).sum()):
+            try:
+                np.linalg.cholesky(A)
+            except np.linalg.LinAlgError:
+                self._raise_lu_failure()
             self._checked(np.linalg.cholesky, RuntimeError, logreg._INDEFINITE, A)
         self.A = A
         self.t += 1

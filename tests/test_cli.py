@@ -418,8 +418,7 @@ class TestSeedsAndOverflow:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     # finite entries whose squares or products overflow inside a learner, and
-    # features so badly scaled that round 2's update leaves a surrogate
-    # curvature LAPACK cannot factor (the beta = 0.5 expert's it can)
+    # features so badly scaled that the surrogate statistics cannot be solved
     ILL_SCALED = (
         "t,y,z_0,z_1,z_2\n"
         "1,1.0,-4.725876767584841e+26,5.863372815313004e+26,-6.63535198304047e+26\n"
@@ -438,11 +437,11 @@ class TestSeedsAndOverflow:
              "surrogate statistics overflowed at round 1 for beta=0.5; "
              "use a larger beta or rescale the stream"),
             (["run-aioli"], ILL_SCALED,
-             "surrogate curvature matrix is numerically indefinite at round 2 for beta=0.9; "
-             "use a larger beta or lambda"),
+             "surrogate statistics are ill-conditioned at round 2 for beta=0.9; "
+             "use a larger beta or rescale the stream"),
             (["run-ensemble", "--betas", "0.5,0.9"], ILL_SCALED,
-             "surrogate curvature matrix is numerically indefinite at round 2 for beta=0.9; "
-             "use a larger beta or lambda"),
+             "surrogate statistics are ill-conditioned at round 2 for beta=0.5; "
+             "use a larger beta or rescale the stream"),
             # A_2 = 1e-323 is positive but subnormal, and LU once took its
             # reciprocal as inf
             (["run-vaw", "--beta", "5e-324"], "t,y,z_0\n1,1,1\n2,0,0\n",

@@ -28,9 +28,9 @@ mixture through a hook), so all three are seen, and listed in
 ``UNREAD_FIELDS``; one read of any of them would hide the other two.
 
 An AIOLI round makes one LAPACK call, the Cholesky factorization of its
-bordered stack in ``logreg._Experts.decide`` (and ``run`` checks the last
-state once); the one solve in ``logreg`` is the stationarity residuals',
-and no LU solve is refereed.
+bordered stack in ``logreg._Experts.decide`` (and ``check`` factors the
+last state once).  ``logreg`` solves for the stationarity residuals, and
+in ``_lu_failure``, which only a failed round calls, to name its failure.
 
 The learners' LAPACK calls have one referee, ``streams._first_rejected``:
 ``LinAlgError`` is caught in exactly one function of ``src/``, and numpy's
@@ -238,20 +238,23 @@ def _is_lapack_call(node) -> bool:
             and getattr(node.func.value, "id", None) == "_umath_linalg")
 
 
-def test_aioli_factors_its_bordered_stack_and_solves_only_for_its_residuals():
+def test_aioli_factors_its_bordered_stack_and_solves_only_off_its_rounds():
     # An AIOLI round is one Cholesky factorization of the bordered stack,
-    # which gives p and q and checks A: no LU solve beside it, and no
-    # referee of one.  The stationarity residuals solve the factor's
-    # triangle for the decisions.
+    # which gives p and q and checks A: the experts call no other LAPACK
+    # routine.  The stationarity residuals solve the factor's triangle for
+    # the decisions, and _lu_failure refers a failed round's decision to an
+    # LU solve, to name its failure; only the experts' _fail calls it.
     others = enclosing(lambda n: _is_lapack_call(n) and n.func.attr != "cholesky_lo")
     assert not [w for w in others if w.startswith("logreg._Experts.")], others
     experts = [w for w in enclosing(_is_lapack_call) if w.startswith("logreg._Experts.")]
-    assert sorted(experts) == ["logreg._Experts.decide", "logreg._Experts.run"]
+    assert sorted(experts) == ["logreg._Experts.check", "logreg._Experts.decide"]
     solves = enclosing(lambda n: "solve" in (getattr(n, "id", None), getattr(n, "attr", None)))
-    assert [w for w in solves if w.startswith("logreg")] == ["logreg._residuals"]
+    assert sorted({w for w in solves if w.startswith("logreg")}) == [
+        "logreg._lu_failure", "logreg._residuals"]
+    assert enclosing(lambda n: _called(n, "_lu_failure")) == ["logreg._Experts._fail"]
     refereed = enclosing(lambda n: _called(n, "_first_rejected") and n.args
                          and getattr(n.args[0], "attr", None) == "solve")
-    assert refereed == [], f"an LU solve is refereed at {refereed}"
+    assert refereed == ["logreg._lu_failure"], f"an LU solve is refereed at {refereed}"
 
 
 def _is_abs_plus_one(node) -> bool:
